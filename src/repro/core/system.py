@@ -37,7 +37,6 @@ from repro.core.bucketized import (
     BucketTree,
     outsource_bucketized,
 )
-from repro.core.psu import run_psu
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -602,16 +601,7 @@ class PrismSystem:
         return self.executor.execute(plan, num_threads=num_threads, **options)
 
     def psu(self, attribute, verify: bool = False, **kwargs) -> SetResult:
-        """Private set union over ``attribute`` (§7), optionally verified.
-
-        ``query_nonce`` (a legacy escape hatch for pinning the Eq. 18
-        mask stream) routes through the sequential runner; every other
-        call takes the unified batched path.
-        """
-        query_nonce = kwargs.pop("query_nonce", None)
-        if query_nonce is not None:
-            return run_psu(self, attribute, verify=verify,
-                           query_nonce=query_nonce, **kwargs)
+        """Private set union over ``attribute`` (§7), optionally verified."""
         plan, num_threads, options = self._lower("psu", attribute, kwargs,
                                                  verify=verify)
         return self.executor.execute(plan, num_threads=num_threads, **options)

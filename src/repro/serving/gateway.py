@@ -246,13 +246,11 @@ class Gateway:
         if already_closing:
             return
         if self._listener is not None:
-            # Closing an fd does not reliably wake a thread blocked in
-            # accept(); poke the listener so the accept loop observes
-            # _closing, then close it.
+            # Closing an fd does not wake a thread blocked in accept() on
+            # Linux; shutting the listener down does (accept() fails and
+            # the accept loop returns), so the join below never waits.
             try:
-                address = self._listener.getsockname()
-                with socket.create_connection(address, timeout=1):
-                    pass
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             try:

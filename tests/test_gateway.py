@@ -385,6 +385,21 @@ class TestGracefulShutdown:
             GatewayClient("127.0.0.1", port, "tok-alpha",
                           connect_timeout=1.0, request_timeout=5.0)
 
+    def test_shutdown_with_idle_session_is_prompt(self, hospital_relations,
+                                                  disease_domain):
+        """Shutdown wakes the blocked accept() at once: no join timeout."""
+        gw = Gateway(TENANTS).start()
+        gw.register_dataset("alpha", "hospital", hospital_relations,
+                            disease_domain, "disease", seed=11)
+        client = _connect(gw)
+        try:
+            start = time.monotonic()
+            gw.shutdown()
+            elapsed = time.monotonic() - start
+        finally:
+            client.close()
+        assert elapsed < 1.0
+
     def test_forked_hosts_die_with_gateway(self, hospital_relations,
                                            disease_domain):
         """deployment='forked-tcp': no orphaned entity hosts survive."""
