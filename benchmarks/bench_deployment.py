@@ -36,8 +36,11 @@ import sys
 import time
 
 from repro.bench.harness import build_system
-from repro.network.host import launch_forked_pools, pools_spec
-from repro.core.sharding import processes_available
+from repro.network.host import (
+    launch_forked_pools,
+    pools_spec,
+    processes_available,
+)
 
 
 def workload(queries_per_kind: int) -> list[dict]:

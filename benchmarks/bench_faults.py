@@ -32,8 +32,11 @@ import sys
 import time
 
 from repro.bench.harness import build_system
-from repro.core.sharding import processes_available
-from repro.network.host import launch_forked_pools, pools_spec
+from repro.network.host import (
+    launch_forked_pools,
+    pools_spec,
+    processes_available,
+)
 from repro.network.supervisor import HostSupervisor
 
 POOL_SIZE = 2

@@ -41,8 +41,7 @@ from repro.core.interactive import (
     ExtremaProgram,
     MedianProgram,
 )
-from repro.core.sharding import processes_available
-from repro.network.host import launch_forked_hosts
+from repro.network.host import launch_forked_hosts, processes_available
 
 
 def programs_for(system):

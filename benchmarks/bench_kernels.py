@@ -1,6 +1,6 @@
 """Compiled kernel tier: fused-sweep throughput, compiled vs numpy.
 
-Not a paper artefact — this benchmark supports the opt-in compiled
+Not a paper artefact — this benchmark supports the default compiled
 backend (:mod:`repro.kernels`).  It times the three fused server
 kernels (PSI / Eq. 3, PSU / Eq. 18, aggregation / Eq. 11) plus the raw
 counter-mode PRG draw rate as *single-shard* sweeps with the tier off

@@ -12,25 +12,25 @@ Run as a script (the CI smoke invocation uses a tiny domain)::
         --domain 100000 --shards 1,2,4 --out BENCH_sharding.json
 
 The default b = 10^5 is the scale at which the sharding claim is
-checked; shard counts beyond the machine's core count mostly measure
-dispatch overhead.  Both execution modes of the sharded layer are
-timed: ``workers`` (the forked process pool) and ``threads`` (the
-thread fallback, zero dispatch overhead).  Output is machine-readable
-JSON::
+checked; shard counts beyond the usable CPU count mostly measure the
+per-span thread hand-off.  Shards run on the deployment's thread pool
+(:class:`~repro.core.sharding.ShardRuntime`) under both kernel tiers:
+``c`` (the compiled sweeps, GIL released per C call) and ``numpy``
+(the reference kernels, ``REPRO_KERNELS=off``).  Output is
+machine-readable JSON::
 
-    {"b": ..., "num_owners": ..., "cpu_count": ...,
-     "rows_per_sec": {"workers": {"psi": {"1": ..., "4": ...}, ...},
-                      "threads": {...}},
-     "speedup_vs_unsharded": {"workers": {...}, "threads": {...},
+    {"b": ..., "num_owners": ..., "cpu_count": ..., "usable_cpus": ...,
+     "rows_per_sec": {"c": {"psi": {"1": ..., "4": ...}, ...},
+                      "numpy": {...}},
+     "speedup_vs_unsharded": {"c": {...}, "numpy": {...},
                               "best": {"psi": {"4": ...}, ...}}}
 
-Expected shape: on an N-core runner the kernels approach Nx throughput
-at N shards (the sweeps are embarrassingly parallel, and the PSU mask
-streams are derived shard-locally via the seekable PRG); at 4 shards on
-a 4-core runner the best mode per family should clear 2x.  Heavier
-kernels (PSU's SHA mask streams, Eq. 11's double reduction) favour
-workers; the very light Eq. 3 sweep favours threads, whose dispatch is
-free.  On a single core both modes measure pure overhead.
+Expected shape: on an N-core runner the compiled kernels approach Nx
+throughput at N shards (the sweeps are embarrassingly parallel, and the
+PSU mask streams are derived span-locally via the seekable PRG).  The
+numpy PSU sweep draws its masks serially before the parallel part, so
+its speedup stays small.  On a single core every tier measures pure
+overhead.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ import time
 
 import numpy as np
 
+from repro import kernels
 from repro.bench.harness import build_system
-from repro.core.sharding import ShardPlan
+from repro.core.sharding import ShardPlan, usable_cpus
 from repro.crypto.prg import SeededPRG
 
 
@@ -74,7 +75,7 @@ def measure_kernels(system, plan, repeats: int) -> dict[str, float]:
     def run_agg():
         shamir_server.aggregate_round_batch(["DT"], z_matrix, shard_plan=plan)
 
-    for warmup in (run_psi, run_psu, run_agg):  # fork + fill caches
+    for warmup in (run_psi, run_psu, run_agg):  # start the pool, fill caches
         warmup()
     return {
         "psi": best_of(run_psi, repeats),
@@ -100,44 +101,48 @@ def main(argv=None) -> int:
     parser.add_argument("--owners", type=int, default=10)
     parser.add_argument("--shards", default="1,2,4",
                         help="comma-separated shard counts (default 1,2,4)")
-    parser.add_argument("--mode", choices=("workers", "threads", "both"),
-                        default="both")
+    parser.add_argument("--tiers", default="c,numpy",
+                        help="comma-separated kernel tiers (default c,numpy)")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_sharding.json")
     args = parser.parse_args(argv)
     shard_counts = [int(s) for s in args.shards.split(",")]
-    modes = (("workers", "threads") if args.mode == "both" else (args.mode,))
+    requested = args.tiers.split(",")
 
     system = build_system(num_owners=args.owners, domain_size=args.domain,
                           agg_attributes=("DT",), seed=7)
     b = system.domain.size
     print(f"sharding throughput at b={b}, {args.owners} owners, "
-          f"{os.cpu_count()} cores (best of {args.repeats})")
+          f"{usable_cpus()} of {os.cpu_count()} cores usable "
+          f"(best of {args.repeats})")
 
     rows_per_sec: dict[str, dict[str, dict[str, float]]] = {}
-    for mode in modes:
-        rows_per_sec[mode] = {}
-        for num_shards in shard_counts:
-            # A runtime-less plan routes through the thread fallback
-            # with ``num_shards`` chunks; the system plan uses workers.
-            plan = (ShardPlan(num_shards)
-                    if mode == "threads" or num_shards <= 1
-                    else system.shard_plan_for(num_shards))
-            timings = measure_kernels(system, plan, args.repeats)
-            for family, seconds in timings.items():
-                rows_per_sec[mode].setdefault(
-                    family, {})[str(num_shards)] = b / seconds
-            line = "  ".join(f"{family} {b / s:12.0f} rows/s"
-                             for family, s in timings.items())
-            print(f"  {mode:7s} shards={num_shards:<3d} {line}")
-    system.close()
+    try:
+        for tier in requested:
+            if kernels.configure("off" if tier == "numpy" else tier) != tier:
+                print(f"  {tier:5s} tier unavailable on this host; skipped")
+                continue
+            rows_per_sec[tier] = {}
+            for num_shards in shard_counts:
+                timings = measure_kernels(system, ShardPlan(num_shards),
+                                          args.repeats)
+                for family, seconds in timings.items():
+                    rows_per_sec[tier].setdefault(
+                        family, {})[str(num_shards)] = b / seconds
+                line = "  ".join(f"{family} {b / s:12.0f} rows/s"
+                                 for family, s in timings.items())
+                print(f"  {tier:5s} shards={num_shards:<3d} {line}")
+    finally:
+        kernels.configure(None)
+        system.close()
+    tiers = list(rows_per_sec)
 
-    speedup = {mode: speedups(series) for mode, series in rows_per_sec.items()}
+    speedup = {tier: speedups(series) for tier, series in rows_per_sec.items()}
     speedup["best"] = {
         family: {
             str(shards): max(
-                speedup[mode].get(family, {}).get(str(shards), 0.0)
-                for mode in modes
+                speedup[tier].get(family, {}).get(str(shards), 0.0)
+                for tier in tiers
             )
             for shards in shard_counts if shards != 1
         }
@@ -147,8 +152,9 @@ def main(argv=None) -> int:
         "b": b,
         "num_owners": args.owners,
         "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
         "shard_counts": shard_counts,
-        "modes": list(modes),
+        "tiers": tiers,
         "repeats": args.repeats,
         "rows_per_sec": rows_per_sec,
         "speedup_vs_unsharded": speedup,

@@ -2,7 +2,7 @@
 
 A deployment built with ``num_shards > 1`` partitions every χ-length
 share vector into contiguous shards and runs the fused server kernels
-shard-parallel on a persistent forked worker pool; ``client.submit``
+shard-parallel on a persistent thread pool; ``client.submit``
 returns futures and fuses all in-flight queries into one batch per
 drain tick, so concurrent users automatically share server sweeps and
 the planner's row-dedup.
@@ -30,7 +30,7 @@ hospital3 = Relation("hospital3", {
     "age": [8, 4, 5],
 })
 
-# -- a sharded deployment (2 χ shards; close() releases the worker pool) -----
+# -- a sharded deployment (2 χ shards; close() joins the thread pool) --------
 
 with PrismSystem.build(
         [hospital1, hospital2, hospital3],
@@ -75,6 +75,5 @@ with PrismSystem.build(
         # -- EXPLAIN shows plan-level savings before running ----------------
         print("\n", client.explain(Q.psi("disease").sum("cost").avg("age")))
 
-    if system._shard_runtime is not None:
-        print(f"\nsharded dispatches: {system._shard_runtime.dispatches} "
-              f"(worker pool; bit-identical to the unsharded sweep)")
+    print(f"\nsharded dispatches: {system._shard_runtime.dispatches} "
+          f"(thread pool; bit-identical to the unsharded sweep)")

@@ -22,9 +22,9 @@ This module makes both facts structural:
   :meth:`~repro.entities.server.PrismServer.psi_round_batch` and each
   bucket-tree level via
   :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`, so a
-  deployment's :class:`~repro.core.sharding.ShardPlan` — worker pool,
-  thread fallback, per-row fallback for malicious / instrumented server
-  subclasses, span-scoped RPC frames on remote deployments — applies to
+  deployment's :class:`~repro.core.sharding.ShardPlan` — thread pool,
+  per-row fallback for malicious / instrumented server subclasses,
+  span-scoped RPC frames on remote deployments — applies to
   interactive traffic exactly as it does to batch traffic.  Outputs are
   bit-identical to the historical single-threaded sweeps for every
   shard count and deployment mode (pinned by

@@ -1,32 +1,29 @@
-"""Sharded χ-table execution: a persistent worker pool behind the kernels.
+"""Sharded χ-table execution: one persistent thread pool per deployment.
 
 The oblivious kernels are embarrassingly parallel sweeps over the χ
 length ``b`` (Exp 1, Fig. 3): every output cell depends only on the same
 cell of each input vector.  This module partitions those sweeps into
-``num_shards`` contiguous shards and runs them on a *persistent* pool of
-worker processes, one pool per deployment:
+contiguous shards and runs each shard as a ``kernel(lo, hi)`` span
+closure on a *persistent* thread pool, one pool per deployment:
 
 * :func:`shard_bounds` / :class:`ShardPlan` — the shard decomposition.
-  A plan is what the batched server kernels
+  A plan is the shard count the batched server kernels
   (:meth:`~repro.entities.server.PrismServer.psi_round_batch` and
-  friends) accept; it names the shard count and the runtime that owns
-  the worker pool.
-* :class:`ShardRuntime` — the worker pool.  Workers are **forked**, so
-  they read the server stores' share vectors directly out of
-  copy-on-write memory (the χ table is never pickled or copied), and
-  they exchange per-call inputs/outputs through anonymous ``MAP_SHARED``
-  int64 buffers (:class:`_Scratch`) created before the fork.  The pool
-  is re-forked whenever a :class:`~repro.data.storage.ServerStore`
-  changes (version counters), so workers never compute over a stale
-  snapshot.
+  friends) accept as a per-call override.
+* :class:`ShardRuntime` — the thread pool.  The span closures are the
+  compiled sweeps of :mod:`repro.kernels` (ctypes releases the GIL for
+  each C call) or their numpy reference kernels (numpy releases it
+  inside vector ops), so the shards of one sweep run in parallel
+  without leaving the process: they read the server stores' share
+  vectors in place, never over a stale snapshot, and overridden
+  fetch/kernel methods of instrumented or malicious servers still fire.
+* :func:`usable_cpus` / :func:`auto_shard_plan` — the
+  ``num_shards="auto"`` heuristic, sized to the CPUs this process may
+  run on.
 * :func:`attach_sharding` — wires one runtime + default plan onto a
-  deployment's servers (what ``PrismSystem(num_shards=...)`` calls).
-
-Fallback ladder (in the server kernels, not here): ``num_shards <= 1``
-or no runtime → the persistent per-server thread pool; fork unavailable
-or the pool broke → threads with ``num_shards`` chunks; subclass
-overrides (malicious / instrumented servers) → the per-row 1-D kernels,
-so fault injection and access tracing keep working under sharding.
+  deployment's servers (what ``PrismSystem`` calls).
+* :func:`compute_sweep_span` — one span of one fused sweep, straight
+  from a store; entity hosts serve span-scoped RPCs with it.
 
 Bit-identity: a shard computes exactly the per-element int64 operations
 of the unsharded kernel over its span (same share-summation order, same
@@ -37,13 +34,9 @@ bit-identical to the unsharded sweep for every shard count.
 from __future__ import annotations
 
 import dataclasses
-import mmap
-import multiprocessing
 import os
 import threading
-import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -58,15 +51,18 @@ def shard_bounds(n: int, num_shards: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)] or [(0, 0)]
 
 
-def processes_available() -> bool:
-    """Whether fork-based worker processes are supported on this host.
+def usable_cpus() -> int:
+    """CPUs this process may run on.
 
-    The runtime relies on ``fork`` semantics twice over: workers inherit
-    the share vectors copy-on-write, and they inherit the pre-created
-    ``MAP_SHARED`` scratch buffers.  ``spawn``-only platforms fall back
-    to the threaded sweep.
+    The affinity mask, not the host's CPU count: ``taskset``, a cgroup
+    cpuset or a benchmark's pin can leave the process far fewer CPUs
+    than the machine has.  Falls back to ``os.cpu_count()`` where the
+    platform has no affinity call.
     """
-    return "fork" in multiprocessing.get_all_start_methods()
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,53 +72,13 @@ class ShardPlan:
     Attributes:
         num_shards: contiguous χ shards per sweep (``<= 1`` disables
             sharding — useful as an explicit per-call override).
-        runtime: the :class:`ShardRuntime` owning the worker pool, or
-            ``None`` for a thread-only plan.
     """
 
     num_shards: int
-    runtime: "ShardRuntime | None" = None
 
     def bounds(self, n: int) -> list[tuple[int, int]]:
         """The shard spans of a length-``n`` sweep."""
         return shard_bounds(n, self.num_shards)
-
-
-class _Scratch:
-    """Anonymous ``MAP_SHARED`` int64 buffers shared with forked workers.
-
-    ``in_buf`` carries per-call parent-side matrices (the querier-dealt
-    Eq. 11 indicator-share rows) into the workers; ``out_buf`` carries
-    each shard's output rows back.  Both are plain
-    shared memory: writes on either side of the fork are visible to the
-    other without copies or pickling.
-    """
-
-    def __init__(self, rows: int, cols: int):
-        self.rows = max(1, rows)
-        self.cols = max(1, cols)
-        nbytes = self.rows * self.cols * 8
-        self._in_mm = mmap.mmap(-1, nbytes)
-        self._out_mm = mmap.mmap(-1, nbytes)
-        self.in_buf = np.frombuffer(self._in_mm, dtype=np.int64).reshape(
-            self.rows, self.cols)
-        self.out_buf = np.frombuffer(self._out_mm, dtype=np.int64).reshape(
-            self.rows, self.cols)
-
-
-#: Per-worker state installed by :func:`_worker_init` (after the fork).
-_WORKER: dict | None = None
-
-
-def _worker_init(servers: dict, scratch: _Scratch) -> None:
-    """Process-pool initializer: runs in each forked worker.
-
-    ``servers`` and ``scratch`` are inherited through the fork (the
-    initargs tuple is an object reference, not a pickle), so the worker
-    sees the submitting deployment's stores and shared buffers.
-    """
-    global _WORKER
-    _WORKER = {"servers": servers, "scratch": scratch}
 
 
 def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
@@ -132,10 +88,8 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
     Mirrors the corresponding in-process kernel *exactly* (operation
     order, reduction points, dtypes) so shard outputs concatenate
     bit-identically to the unsharded sweep for every span decomposition.
-    Reads share vectors straight from the server's store.  Two callers:
-    the forked shard workers (:func:`_run_span`, which writes the result
-    into the shared scratch) and the entity host
-    (:mod:`repro.network.host`), which serves span-scoped RPC requests
+    Reads share vectors straight from the server's store.  The entity
+    host (:mod:`repro.network.host`) serves span-scoped RPC requests
     with it — the hook for sharding one sweep across deployment channels.
 
     Args:
@@ -209,7 +163,7 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
     if family == "psu":
         # Eq. 18 span: per-unique-column sums, broadcast by row_map,
         # multiplied with this span of each row's mask stream.  The
-        # counter-mode PRG is seekable (``integers_at``), so the worker
+        # counter-mode PRG is seekable (``integers_at``), so the span
         # derives bits identical to slicing the full-length stream — and
         # mask generation, PSU's dominant cost, shards with the sweep.
         from repro.crypto.prg import SeededPRG
@@ -263,320 +217,127 @@ def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
     raise ProtocolError(f"unknown shard kernel family {family!r}")
 
 
-def _run_span(family: str, spec: dict, lo: int, hi: int) -> None:
-    """Compute one shard span in a worker process, into the scratch."""
-    state = _WORKER
-    if state is None:  # pragma: no cover - initializer always runs first
-        raise ProtocolError("shard worker used before initialisation")
-    server = state["servers"][spec["server"]]
-    scratch = state["scratch"]
-    z_span = (scratch.in_buf[:len(spec["columns"]), lo:hi]
-              if family == "agg" else None)
-    out = compute_sweep_span(server, family, spec, lo, hi, z_span=z_span)
-    scratch.out_buf[:out.shape[0], lo:hi] = out
-
-
-def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
-    """GC/finalizer hook: tear a pool down without waiting."""
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _warm_worker() -> bool:
-    """No-op task: forces the executor to actually fork a worker now."""
-    return True
-
-
-#: Scratch rows a prewarmed pool provisions.  Anonymous mmap pages are
-#: allocated on first write, so provisioning generously costs only
-#: virtual address space; batches fusing more rows than this trigger one
-#: re-fork at dispatch time (re-binding a bigger scratch in the parent
-#: would not reach the children — they hold a copy-on-write snapshot of
-#: the scratch object, so growth genuinely requires a re-fork).
-PREWARM_ROWS = 64
-
-
 class ShardRuntime:
-    """A persistent forked worker pool serving one deployment's servers.
+    """A deployment's persistent thread pool for ``kernel(lo, hi)`` spans.
 
-    One runtime is shared by all of a system's servers (a task names its
-    server by index), so a deployment pays for at most
-    ``min(num_shards, cpu_count)`` worker processes regardless of how
-    many servers dispatch sharded sweeps.
+    One runtime is shared by all of a local system's servers (standalone
+    servers each own one), so a deployment holds at most
+    ``usable_cpus() - 1`` pool threads however many servers sweep at
+    once: the calling thread always computes the first span itself.
 
-    The pool is created lazily on first dispatch and re-created when:
-
-    * any server's store changed (version fingerprint) — forked workers
-      hold a copy-on-write snapshot and must never compute over stale
-      shares;
-    * a call needs more scratch rows, a different χ length, or more
-      workers than the current pool provides.
-
-    Dispatch returns ``None`` — and the kernels fall back to threads —
-    when fork is unavailable or the pool broke (e.g. a worker was
-    killed); ``available`` stays false afterwards so later calls skip
-    straight to the thread path.
+    The pool is created on the first multi-span sweep and grown (never
+    shrunk) on demand.  Growth *retires* the old pool rather than
+    shutting it down, because a concurrent sweep may still be
+    submitting to it; :meth:`close` waits for in-flight sweeps and then
+    joins every pool thread, current and retired.
     """
 
-    def __init__(self, servers, max_workers: int | None = None):
-        self._servers = {server.index: server for server in servers}
-        self._max_workers = max_workers
-        self._pool: ProcessPoolExecutor | None = None
-        self._scratch: _Scratch | None = None
-        self._fingerprint: tuple | None = None
-        self._workers = 0
-        self._broken = False
-        self._finalizer = None
-        # The scratch buffers and pool are shared by every caller of the
-        # deployment (several clients, several servers): one dispatch at
-        # a time, or concurrent calls would overwrite each other's
-        # in/out rows.  RLock: the except path calls close() re-entrantly.
-        self._lock = threading.RLock()
-        #: Completed sharded dispatches (for tests / introspection).
+    def __init__(self):
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_workers = 0
+        self._retired: list[ThreadPoolExecutor] = []
+        self._active = 0
+        self._cond = threading.Condition()
+        #: Sweeps run as more than one span (for tests / introspection).
         self.dispatches = 0
 
-    @property
-    def available(self) -> bool:
-        """Whether sharded process execution can currently be attempted."""
-        return processes_available() and not self._broken
+    def _grown_pool(self, workers: int) -> ThreadPoolExecutor:
+        """The pool, with at least ``workers`` threads.  Under ``_cond``."""
+        if self._pool is None or self._pool_workers < workers:
+            if self._pool is not None:
+                self._retired.append(self._pool)
+            self._pool = ThreadPoolExecutor(max_workers=workers,
+                                            thread_name_prefix="prism-shard")
+            self._pool_workers = workers
+        return self._pool
+
+    def run(self, kernel, n: int, num_shards: int) -> None:
+        """Run ``kernel(lo, hi)`` over ``num_shards`` contiguous spans of
+        ``range(n)``, in parallel on up to :func:`usable_cpus` threads.
+
+        Span closures only read shared inputs and write disjoint spans
+        of their outputs, so any schedule computes the same result.
+        """
+        bounds = shard_bounds(n, num_shards)
+        if len(bounds) == 1:
+            kernel(*bounds[0])
+            return
+        helpers = min(len(bounds), usable_cpus()) - 1
+        with self._cond:
+            self.dispatches += 1
+            if helpers < 1:
+                pool = None
+            else:
+                pool = self._grown_pool(helpers)
+                self._active += 1
+        if pool is None:
+            for lo, hi in bounds:
+                kernel(lo, hi)
+            return
+        try:
+            futures = [pool.submit(kernel, lo, hi) for lo, hi in bounds[1:]]
+            try:
+                kernel(*bounds[0])
+            finally:
+                wait(futures)
+            for future in futures:
+                future.result()
+        finally:
+            with self._cond:
+                self._active -= 1
+                self._cond.notify_all()
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; a later dispatch re-forks)."""
-        with self._lock:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
+        """Quiesce and join every pool thread (idempotent).
+
+        Waits for in-flight sweeps to finish rather than pulling their
+        pool out from under them; the runtime stays usable afterwards
+        (a later multi-span sweep builds a fresh pool).
+        """
+        with self._cond:
+            while self._active:
+                self._cond.wait()
+            pools = list(self._retired)
             if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-            # The scratch mmaps stay alive as long as numpy views
-            # reference them; dropping the reference is the safe teardown.
-            self._scratch = None
-            self._fingerprint = None
-            self._workers = 0
-
-    # -- pool lifecycle -------------------------------------------------------
-
-    def _store_fingerprint(self) -> tuple:
-        return tuple(server.store.version
-                     for server in self._servers.values())
-
-    def _ensure(self, rows: int, cols: int, num_shards: int) -> None:
-        """Fork (or re-fork) the pool so it matches the pending dispatch."""
-        workers = min(num_shards, os.cpu_count() or 1)
-        if self._max_workers is not None:
-            workers = min(workers, self._max_workers)
-        workers = max(1, workers)
-        fingerprint = self._store_fingerprint()
-        if (self._pool is not None
-                and fingerprint == self._fingerprint
-                and self._scratch is not None
-                and self._scratch.rows >= rows
-                and self._scratch.cols >= cols
-                and self._workers >= workers):
-            # A wider scratch serves narrower sweeps (cell-restricted
-            # bucketized levels vary per round): spans index columns
-            # ``[0, cols)`` of the shared buffers either way.
-            return
-        self.close()
-        capacity = 1
-        while capacity < rows:
-            capacity *= 2
-        self._scratch = _Scratch(capacity, cols)
-        context = multiprocessing.get_context("fork")
-        # initargs travel through the fork as object references: each
-        # worker inherits THIS runtime's servers and scratch, so several
-        # sharded deployments in one process never cross wires.
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_worker_init,
-            initargs=(self._servers, self._scratch))
-        self._workers = workers
-        self._fingerprint = fingerprint
-        self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-
-    def prewarm(self, cols: int, num_shards: int,
-                rows: int = PREWARM_ROWS) -> None:
-        """Fork the pool (and its workers) now, from the calling thread.
-
-        Forking a multi-threaded process is hazardous (and warns on
-        Python ≥ 3.12): a child can inherit a lock some other thread
-        held at fork time.  Deployments therefore prewarm right after
-        outsourcing — while the process is still effectively
-        single-threaded — so serving-time dispatches (which may come
-        from the client's scheduler thread) find a fresh pool and never
-        need to fork.  Only a store mutation or an oversized batch
-        re-forks later.  Best-effort: failures just leave the thread
-        fallback in charge.
-        """
-        if not self.available:
-            return
-        with self._lock:
-            try:
-                self._ensure(rows, cols, num_shards)
-                # Submitting one trivial task per worker forces the
-                # executor to spawn them all here and now.
-                futures = [self._pool.submit(_warm_worker)
-                           for _ in range(self._workers)]
-                for future in futures:
-                    future.result()
-            except (BrokenProcessPool, OSError):
-                self._broken = True
-                self.close()
-
-    # -- dispatch -------------------------------------------------------------
-
-    def _dispatch(self, family: str, spec: dict, rows: int, n: int,
-                  num_shards: int, in_matrix=None):
-        """Run one fused sweep shard-parallel; ``None`` → caller falls back."""
-        if not self.available:
-            return None
-        with self._lock:
-            try:
-                self._ensure(rows, n, num_shards)
-                if in_matrix is not None:
-                    self._scratch.in_buf[:rows, :n] = in_matrix
-                futures = [
-                    self._pool.submit(_run_span, family, spec, lo, hi)
-                    for lo, hi in shard_bounds(n, num_shards)
-                ]
-                for future in futures:
-                    future.result()
-            except (BrokenProcessPool, OSError):
-                # A worker died or the fork failed: disable process
-                # execution for this runtime and let the kernel run its
-                # thread fallback.
-                self._broken = True
-                self.close()
-                return None
-            self.dispatches += 1
-            return self._scratch.out_buf[:rows, :n].copy()
-
-    def run_psi(self, server, columns, owners_by_col, m_rows, n: int,
-                num_shards: int):
-        """Sharded fused Eq. 3 / Eq. 7 sweep (see ``psi_round_batch``)."""
-        spec = {
-            "server": server.index,
-            "columns": list(columns),
-            "owners": [list(owners) for owners in owners_by_col],
-            "m_rows": [int(v) for v in np.ravel(m_rows)],
-            "rows": len(columns),
-        }
-        return self._dispatch("psi", spec, len(columns), n, num_shards)
-
-    def run_psi_cells(self, server, columns, owners_by_col, m_rows, cells,
-                      num_shards: int):
-        """Sharded cell-restricted Eq. 3 sweep (``psi_cells_round_batch``).
-
-        Shards partition the *cells array*; each worker gathers its span
-        of active cells straight from the copy-on-write store, so the
-        bucketized per-level sweeps parallelise without ever
-        materialising the pruned χ slices in the parent.
-        """
-        spec = {
-            "server": server.index,
-            "columns": list(columns),
-            "owners": [list(owners) for owners in owners_by_col],
-            "m_rows": [int(v) for v in np.ravel(m_rows)],
-            "cells": [int(c) for c in cells],
-            "rows": len(columns),
-        }
-        return self._dispatch("psi_cells", spec, len(columns), len(spec["cells"]),
-                              num_shards)
-
-    def run_psu(self, server, uniq_columns, owners_by_col, row_map,
-                query_nonces, n: int, num_shards: int):
-        """Sharded fused Eq. 18 sweep (see ``psu_round_batch``).
-
-        Ships the query nonces, not the mask streams: each worker seeks
-        the common PRG to its span (``integers_at``), exactly as the two
-        non-communicating servers themselves derive the masks.
-        """
-        rows = len(query_nonces)
-        spec = {
-            "server": server.index,
-            "columns": list(uniq_columns),
-            "owners": [list(owners) for owners in owners_by_col],
-            "row_map": [int(v) for v in row_map],
-            "nonces": [int(nonce) for nonce in query_nonces],
-            "rows": rows,
-        }
-        return self._dispatch("psu", spec, rows, n, num_shards)
-
-    def run_agg(self, server, columns, owners_by_col, z_matrix, n: int,
-                num_shards: int):
-        """Sharded fused Eq. 11 sweep (see ``aggregate_round_batch``)."""
-        spec = {
-            "server": server.index,
-            "columns": list(columns),
-            "owners": [list(owners) for owners in owners_by_col],
-            "rows": len(columns),
-        }
-        return self._dispatch("agg", spec, len(columns), n, num_shards,
-                              in_matrix=z_matrix)
+                pools.append(self._pool)
+            self._pool = None
+            self._pool_workers = 0
+            self._retired = []
+        for pool in pools:
+            pool.shutdown(wait=True)
 
 
-#: Minimum χ rows per shard before splitting pays for itself.  Below
-#: this, ``benchmarks/bench_sharding.py`` measures the per-shard
-#: dispatch overhead (task submission, result collection) eating the
-#: parallel win for every kernel family, so ``num_shards="auto"`` keeps
-#: such sweeps unsharded.
-AUTO_ROWS_PER_SHARD = 16_384
-
-#: χ length above which the forked worker pool beats the thread
-#: fallback.  ``bench_sharding.py``'s crossover: the heavy kernels (the
-#: PSU mask streams, Eq. 11's per-term reductions) amortise worker
-#: dispatch from roughly this size, while the light Eq. 3 sweep favours
-#: threads (free dispatch) below it.
-AUTO_WORKER_MIN_ROWS = 65_536
-
-#: Crossover scaling when the compiled kernel tier is active.  The C
-#: sweeps cut the per-row cost ~2-9x (``benchmarks/bench_kernels.py``),
-#: so each shard must carry proportionally more rows before the same
-#: dispatch overhead amortises; re-measuring ``bench_sharding.py`` with
-#: ``REPRO_KERNELS=c`` shows the single-shard compiled sweep beating
-#: sharded numpy until roughly this multiple of the plain thresholds.
-AUTO_NATIVE_ROWS_FACTOR = 4
+#: Minimum χ rows per shard before splitting pays for itself, for both
+#: kernel tiers.  ``benchmarks/bench_sharding.py`` (5 owners, 2 CPUs,
+#: compiled tier) has 2 shards winning on every kernel family from
+#: b = 65536; at b = 32768 the memory-bound Eq. 3 sweep still loses to
+#: the per-span thread hand-off.
+AUTO_ROWS_PER_SHARD = 32_768
 
 
-def auto_shard_plan(rows: int, cpu_count: int | None = None
-                    ) -> tuple[int, bool]:
-    """Pick ``(num_shards, use_worker_pool)`` for a χ length.
+def auto_shard_plan(rows: int, cpu_count: int | None = None) -> int:
+    """The ``num_shards="auto"`` shard count for a χ length.
 
-    The ``num_shards="auto"`` heuristic: shard so every shard keeps at
-    least :data:`AUTO_ROWS_PER_SHARD` rows, capped at the core count;
-    run shards on the forked worker pool only past
-    :data:`AUTO_WORKER_MIN_ROWS` (and only where fork exists), else on
-    the zero-dispatch thread fallback.  Both thresholds come from the
-    threads-vs-workers crossover measured by
-    ``benchmarks/bench_sharding.py``, and scale by
-    :data:`AUTO_NATIVE_ROWS_FACTOR` when the compiled kernel tier is
-    active (cheaper rows push the crossover out).
+    Shards so every shard keeps at least :data:`AUTO_ROWS_PER_SHARD`
+    rows, capped at the CPUs this process may use (:func:`usable_cpus`,
+    or ``cpu_count`` when given).
     """
-    rows_per_shard = AUTO_ROWS_PER_SHARD
-    worker_min = AUTO_WORKER_MIN_ROWS
-    if kernels.enabled():
-        rows_per_shard *= AUTO_NATIVE_ROWS_FACTOR
-        worker_min *= AUTO_NATIVE_ROWS_FACTOR
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    shards = min(max(1, cpus), max(1, rows // rows_per_shard))
-    if shards <= 1:
-        return 1, False
-    use_workers = processes_available() and rows >= worker_min
-    return shards, use_workers
+    cpus = usable_cpus() if cpu_count is None else cpu_count
+    return max(1, min(cpus, rows // AUTO_ROWS_PER_SHARD))
 
 
-def attach_sharding(servers, num_shards: int,
-                    max_workers: int | None = None) -> ShardPlan:
-    """Wire one shared :class:`ShardRuntime` onto a set of servers.
+def attach_sharding(servers, num_shards: int) -> ShardRuntime:
+    """Wire one shared :class:`ShardRuntime` onto a set of local servers.
 
-    Sets each server's default shard plan and marks its store
-    shard-aware (contiguous partition bookkeeping).  Returns the plan,
-    whose ``runtime`` the caller should :meth:`~ShardRuntime.close` when
-    the deployment is torn down.
+    Every server sweeps on the returned runtime, whose
+    :meth:`~ShardRuntime.close` the caller owns.  ``num_shards > 1``
+    also sets each server's default shard plan and marks its store
+    shard-aware (contiguous partition bookkeeping).
     """
-    runtime = ShardRuntime(servers, max_workers=max_workers)
-    plan = ShardPlan(num_shards, runtime)
+    runtime = ShardRuntime()
+    plan = ShardPlan(num_shards) if num_shards > 1 else None
     for server in servers:
+        server.runtime = runtime
         server.shard_plan = plan
         server.store.configure_sharding(num_shards)
-    return plan
+    return runtime

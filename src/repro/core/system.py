@@ -44,13 +44,7 @@ from repro.core.results import (
     MedianResult,
     SetResult,
 )
-from repro.core.sharding import (
-    ShardPlan,
-    ShardRuntime,
-    attach_sharding,
-    auto_shard_plan,
-    processes_available,
-)
+from repro.core.sharding import ShardPlan, attach_sharding, auto_shard_plan
 from repro.crypto.shamir import DEFAULT_FIELD_PRIME
 from repro.data.domain import Domain, ProductDomain
 from repro.data.relation import Relation
@@ -120,15 +114,14 @@ class PrismSystem:
         num_threads: default server-side thread count.
         num_shards: default χ-table shard count.  ``> 1`` partitions every
             share vector into that many contiguous shards and runs the
-            batched kernels shard-parallel on a persistent forked worker
-            pool shared by all three servers (threads when worker
-            processes are unavailable).  ``"auto"`` picks the shard
-            count and the threads-vs-workers mode from the core count
-            and the χ length, using the crossover measured by
+            batched kernels shard-parallel on a persistent thread pool
+            shared by all three servers.  ``"auto"`` picks the shard
+            count from the χ length and the CPUs this process may use,
+            with the threshold measured by
             ``benchmarks/bench_sharding.py``
             (:func:`repro.core.sharding.auto_shard_plan`).  Results are
             bit-identical to the unsharded path.  Call :meth:`close` (or
-            use the system as a context manager) to release the pool.
+            use the system as a context manager) to join the pool.
         deployment: where the server entities live — ``"local"`` (this
             process, zero-copy; the default and the historical
             behaviour), ``"subprocess"`` (each server hosted in a forked
@@ -224,30 +217,21 @@ class PrismSystem:
         self._nonce = 0
         self._nonce_lock = threading.Lock()
         self._bucket_trees: dict[str, BucketTree] = {}
-        use_workers = True
         if num_shards == "auto":
-            self.num_shards, use_workers = auto_shard_plan(domain.size)
+            self.num_shards = auto_shard_plan(domain.size)
         else:
             self.num_shards = max(1, int(num_shards))
         self._shard_runtime = None
-        if self.num_shards > 1:
-            if not self.deployment.is_local:
-                # Remote stores are out of reach of a local worker pool:
-                # ship the shard *count* as each proxy's default plan and
-                # let the hosts execute it (bit-identical either way).
-                plan = ShardPlan(self.num_shards)
-                for server in self.servers:
-                    server.shard_plan = plan
-            elif use_workers and processes_available():
-                default_plan = attach_sharding(self.servers, self.num_shards)
-                self._shard_runtime = default_plan.runtime
-            else:
-                # The auto heuristic chose the zero-dispatch thread mode
-                # (small sweeps): a runtime-less plan per server.
-                plan = ShardPlan(self.num_shards)
-                for server in self.servers:
-                    server.shard_plan = plan
-                    server.store.configure_sharding(self.num_shards)
+        if self.deployment.is_local:
+            self._shard_runtime = attach_sharding(self.servers,
+                                                  self.num_shards)
+        elif self.num_shards > 1:
+            # Remote stores are out of reach of a local thread pool:
+            # ship the shard *count* as each proxy's default plan and let
+            # the hosts execute it (bit-identical either way).
+            plan = ShardPlan(self.num_shards)
+            for server in self.servers:
+                server.shard_plan = plan
 
     def _connect_servers(self, factories: dict) -> list:
         """Build the server proxies of a non-local deployment."""
@@ -303,7 +287,7 @@ class PrismSystem:
                     }))
                 proxy = RemoteServer(i, params, channel)
                 # Span-scoped sweep dispatch reads the hosted store
-                # directly (like a forked shard worker), so it is only
+                # directly, bypassing the server's methods, so it is only
                 # sound against an unmodified base-class server — which
                 # the system knows statically: no custom factory for
                 # this index means the host runs a plain PrismServer.
@@ -351,12 +335,6 @@ class PrismSystem:
         # The outsourced snapshot changed: previously dealt indicator
         # shares no longer correspond to current query results.
         self.initiator.indicator_cache.invalidate()
-        if self._shard_runtime is not None:
-            # Fork the worker pool now, from this (outsourcing) thread:
-            # the put-burst is over, and forking here — rather than on a
-            # client's scheduler thread at first dispatch — avoids the
-            # fork-while-multi-threaded hazard.
-            self._shard_runtime.prewarm(self.domain.size, self.num_shards)
 
     def outsource_bucketized(self, psi_attribute, fanout: int = 10) -> BucketTree:
         """Phase 1 for bucketized PSI: per-level χ columns (§6.6)."""
@@ -398,42 +376,29 @@ class PrismSystem:
         """A per-call :class:`ShardPlan` override for the batched kernels.
 
         ``None`` keeps the servers' deployment default; ``<= 1`` returns
-        an explicit thread-only plan (disables sharding for the call);
-        ``> 1`` binds the requested shard count to the deployment's
-        shared worker-pool runtime (created on first use).  ``"auto"``
-        resolves shard count and mode from the χ length and core count
-        (:func:`repro.core.sharding.auto_shard_plan`).  Non-local
-        deployments always get a runtime-less plan — the shard count
-        travels over the channel and the entity hosts execute it.
+        a one-shard plan (disables sharding for the call); ``> 1`` splits
+        the call's sweeps into that many shards on the deployment's
+        thread pool.  ``"auto"`` resolves the shard count from the χ
+        length and the usable CPUs
+        (:func:`repro.core.sharding.auto_shard_plan`).  On non-local
+        deployments the shard count travels over the channel and the
+        entity hosts execute it.
         """
         if num_shards is None:
             return None
         if num_shards == "auto":
-            num_shards, use_workers = auto_shard_plan(self.domain.size)
-            if num_shards <= 1:
-                return ShardPlan(1, None)
-            if not use_workers:
-                return ShardPlan(num_shards, None)
-        num_shards = int(num_shards)
-        if num_shards <= 1:
-            return ShardPlan(1, None)
-        if not self.deployment.is_local:
-            return ShardPlan(num_shards, None)
-        if self._shard_runtime is None:
-            self._shard_runtime = ShardRuntime(self.servers)
-            # Fork once, now, on the requesting thread — not later on a
-            # scheduler thread mid-dispatch (fork-while-threaded hazard).
-            self._shard_runtime.prewarm(self.domain.size, num_shards)
-        return ShardPlan(num_shards, self._shard_runtime)
+            num_shards = auto_shard_plan(self.domain.size)
+        return ShardPlan(max(1, int(num_shards)))
 
     def close(self) -> None:
         """Release execution resources: pools, and — remotely — channels.
 
-        Idempotent.  Local deployments stay usable afterwards (pools
-        are re-created lazily), so this is a quiesce as much as a
-        teardown.  Non-local deployments additionally close their
-        channels (subprocess children exit; TCP hosts keep running for
-        the next client), after which the system can no longer query.
+        Idempotent.  Joins every pool thread; local deployments stay
+        usable afterwards (pools are re-created lazily), so this is a
+        quiesce as much as a teardown.  Non-local deployments
+        additionally close their channels (subprocess children exit; TCP
+        hosts keep running for the next client), after which the system
+        can no longer query.
         """
         if self.supervisor is not None:
             # Stop the watch loop *before* closing channels: a respawn

@@ -31,9 +31,9 @@ def _stream_bytes(key: bytes, start: int, n: int) -> bytes:
     Counter mode makes the stream a pure function of ``(key, start, n)``,
     so sequential consumption (:meth:`SeededPRG.bytes`) and seeking
     (:meth:`SeededPRG.integers_at`) share one implementation — and one
-    compiled fast path: when the opt-in kernel tier is active the block
-    hashing runs in C (:func:`repro.kernels.prg_fill`), bit-identical to
-    the hashlib reference below.
+    compiled fast path: when the kernel tier is active (the default) the
+    block hashing runs in C (:func:`repro.kernels.prg_fill`),
+    bit-identical to the hashlib reference below.
     """
     if n <= 0:
         return b""
@@ -111,7 +111,7 @@ class SeededPRG:
         :meth:`integers` stream, without consuming this instance's state.
 
         Counter mode makes the stream seekable: the sharded PSU kernel
-        uses this so each χ shard's worker derives exactly its span of
+        uses this so each χ shard derives exactly its span of
         the Eq. 18 mask vector — bit-identical to slicing the full
         stream, with no serial full-length generation anywhere.
         """

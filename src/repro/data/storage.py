@@ -13,9 +13,8 @@ Fetches are memoised per ``(column, kind, owner set)`` — a batch whose
 row groups all resolve to the same owner set (``owner_ids=None`` and the
 explicit full-owner tuple hash to the same resolved key) assembles each
 share list once, not once per row group — and the cache is dropped on
-every :meth:`~ServerStore.put`, which also bumps :attr:`~ServerStore.version`
-so sharded worker pools re-fork instead of computing over a stale
-copy-on-write snapshot.
+every :meth:`~ServerStore.put`, which also bumps
+:attr:`~ServerStore.version`.
 
 A store can additionally be marked *shard-aware*
 (:meth:`~ServerStore.configure_sharding`): the sharded execution layer
@@ -82,9 +81,8 @@ class ServerStore:
     def version(self) -> int:
         """Mutation counter; bumps on every :meth:`put`.
 
-        Consumers that snapshot the store (the fetch memo below, forked
-        shard workers) compare versions to decide whether their view is
-        stale.
+        Consumers that snapshot the store (such as the fetch memo below)
+        compare versions to decide whether their view is stale.
         """
         return self._version
 
@@ -105,7 +103,7 @@ class ServerStore:
                     hi: int) -> np.ndarray:
         """One contiguous χ span of one owner's column (zero-copy view).
 
-        The read the sharded workers perform: each shard-span task reads
+        The read a span-scoped sweep performs: each shard span reads
         exactly its ``[lo, hi)`` partition of every input vector.
         """
         return self.get(owner_id, column).values[lo:hi]

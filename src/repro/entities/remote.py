@@ -21,11 +21,11 @@ Two deliberate translations happen at this boundary:
   the store memoises fetches); if the caller actually *reads* the
   shares (the bucketized runner slices active nodes), the handle
   materialises them over the wire on first access.
-* **Shard plans become shard counts.**  A
-  :class:`~repro.core.sharding.ShardPlan` names a local forked worker
-  pool, which cannot reach a remote store; the proxy ships the shard
-  *count* and the host executes with its own local plan —
-  bit-identical by the sharding layer's span contract.
+* **Shard plans become shard counts.**  A local thread pool cannot
+  reach a remote store; the proxy ships the
+  :class:`~repro.core.sharding.ShardPlan`'s shard *count* and the host
+  executes it on its own pool — bit-identical by the sharding layer's
+  span contract.
 """
 
 from __future__ import annotations

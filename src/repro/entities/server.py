@@ -15,38 +15,29 @@ Kernels implemented here:
 * :meth:`extrema_collect` / :meth:`fpos_round` — the §6.3 max machinery.
 
 The heavy kernels accept a ``num_threads`` argument and chunk the χ table
-across a *persistent* per-server thread pool (numpy releases the GIL
-inside vector ops), which is what Exp 1 (Fig. 3) sweeps.  The batched
-2-D kernels additionally accept a
-:class:`~repro.core.sharding.ShardPlan`: when the plan names more than
-one shard and the server is an unmodified base-class instance, the sweep
-is dispatched shard-parallel to the deployment's forked worker pool
-(:class:`~repro.core.sharding.ShardRuntime`), falling back to the thread
-pool — with ``num_shards`` chunks — when worker processes are
-unavailable, and to the per-row 1-D kernels when a subclass overrides
-them (so malicious / instrumented servers keep misbehaving per shard).
+across the deployment's *persistent* thread pool
+(:class:`~repro.core.sharding.ShardRuntime`), which is what Exp 1
+(Fig. 3) sweeps.  The batched 2-D kernels additionally accept a
+:class:`~repro.core.sharding.ShardPlan` naming how many contiguous χ
+shards the sweep splits into.  Every chunk is a ``kernel(lo, hi)``
+closure — compiled (:mod:`repro.kernels`, GIL released per C call) where
+the tier is active, numpy otherwise — so sharded sweeps run in-process
+and bit-identically for every shard count; when a subclass overrides the
+1-D kernels the batched kernels fall back to them per row (so malicious /
+instrumented servers keep misbehaving per shard).
 """
 
 from __future__ import annotations
-
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro import kernels
 from repro.core.params import ServerParams
+from repro.core.sharding import ShardRuntime
 from repro.crypto.prg import SeededPRG
 from repro.data.storage import ServerStore, ShareKind
 from repro.exceptions import ProtocolError
 from repro.network.message import Endpoint, Role
-
-
-def _chunk_bounds(n: int, num_chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into at most ``num_chunks`` contiguous slices."""
-    num_chunks = max(1, min(num_chunks, n)) if n else 1
-    step = (n + num_chunks - 1) // num_chunks if n else 1
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)] or [(0, 0)]
 
 
 class PrismServer:
@@ -63,107 +54,28 @@ class PrismServer:
         self.store = ServerStore()
         self.endpoint = Endpoint(Role.SERVER, index)
         #: Default :class:`~repro.core.sharding.ShardPlan` for the batched
-        #: kernels (set by ``attach_sharding``; ``None`` = thread sweeps).
+        #: kernels (set by ``attach_sharding``; ``None`` = unsharded).
         self.shard_plan = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_workers = 0
-        self._pool_cond = threading.Condition()
-        self._retired_pools: list[ThreadPoolExecutor] = []
-        self._active_sweeps = 0
+        #: The thread pool every chunked sweep runs on (``attach_sharding``
+        #: replaces it with the deployment's shared runtime).
+        self.runtime = ShardRuntime()
 
     # -- execution machinery --------------------------------------------------
 
-    def _thread_pool(self, num_workers: int) -> ThreadPoolExecutor:
-        """The persistent chunk pool, grown (never shrunk) on demand.
-
-        One pool lives for the server's lifetime instead of being rebuilt
-        inside every chunked kernel call — pool construction/teardown was
-        pure per-call overhead on the serving path.  Growth *retires* the
-        old pool rather than shutting it down: a concurrent kernel call
-        may still be submitting to it, and retired pools (bounded by the
-        handful of growth events) are reaped in :meth:`close`.
-
-        Called under ``_pool_cond``.
-        """
-        if self._pool is None or self._pool_workers < num_workers:
-            if self._pool is not None:
-                self._retired_pools.append(self._pool)
-            self._pool = ThreadPoolExecutor(
-                max_workers=num_workers,
-                thread_name_prefix=f"prism-server{self.index}")
-            self._pool_workers = num_workers
-        return self._pool
-
-    def _run_chunked(self, kernel, n: int, num_threads: int) -> None:
-        """Run ``kernel(lo, hi)`` over chunks, threaded when requested."""
-        bounds = _chunk_bounds(n, num_threads)
-        if num_threads <= 1 or len(bounds) == 1:
-            for lo, hi in bounds:
-                kernel(lo, hi)
-            return
-        with self._pool_cond:
-            pool = self._thread_pool(min(num_threads, len(bounds)))
-            self._active_sweeps += 1
-        try:
-            list(pool.map(lambda span: kernel(*span), bounds))
-        finally:
-            with self._pool_cond:
-                self._active_sweeps -= 1
-                self._pool_cond.notify_all()
-
     def close(self) -> None:
-        """Quiesce and release the persistent thread pools (idempotent).
+        """Quiesce and join the sweep thread pool (idempotent).
 
-        Waits for in-flight chunked sweeps to finish rather than pulling
-        their pool out from under them; the server stays usable
-        afterwards (a later kernel call builds a fresh pool).
+        The server stays usable afterwards (a later sweep builds a fresh
+        pool).
         """
-        with self._pool_cond:
-            while self._active_sweeps:
-                self._pool_cond.wait()
-            pools = list(self._retired_pools)
-            if self._pool is not None:
-                pools.append(self._pool)
-            self._pool = None
-            self._pool_workers = 0
-            self._retired_pools = []
-        for pool in pools:
-            pool.shutdown(wait=True)
+        self.runtime.close()
 
-    def _active_shard_plan(self, shard_plan):
-        """The effective plan for a batched call (``None`` = unsharded)."""
+    def _sweep_chunks(self, num_threads: int, shard_plan) -> int:
+        """Span count of a batched sweep: the thread count or the shard
+        count of ``shard_plan`` (default: the server's own plan),
+        whichever is larger."""
         plan = shard_plan if shard_plan is not None else self.shard_plan
-        if plan is None or plan.num_shards <= 1:
-            return None
-        return plan
-
-    def _process_plan(self, plan):
-        """``plan`` if its worker pool may execute this server's sweeps.
-
-        Process dispatch bypasses Python-level methods entirely, so it is
-        reserved for unmodified base-class behaviour: any override of the
-        fetch layer (instrumented servers tracing access patterns) keeps
-        the sweep in-process where the override still fires.  Kernel
-        overrides are checked by each caller before reaching this point.
-        """
-        if plan is None or plan.runtime is None or not plan.runtime.available:
-            return None
-        if self._kernel_overridden("fetch_additive", "fetch_shamir"):
-            return None
-        if type(self.store) is not ServerStore:
-            return None
-        return plan
-
-    def _sweep_chunks(self, num_threads: int, plan) -> int:
-        """Thread-fallback chunk count: honour the shard plan via threads."""
         return max(num_threads, plan.num_shards if plan is not None else 1)
-
-    def _owners_by_column(self, columns, owner_ids) -> list[list[int]]:
-        """Resolved per-column owner lists, mirroring ``fetch_column``."""
-        if owner_ids is not None:
-            owners = list(owner_ids)
-            return [owners for _ in columns]
-        return [self.store.owners_with(column) for column in columns]
 
     # -- storage ------------------------------------------------------------
 
@@ -208,7 +120,7 @@ class PrismServer:
 
         # Sum of m shares each < delta stays far below int64 overflow for
         # every supported (m, delta), so one final mod per chunk suffices.
-        self._run_chunked(kernel, n, num_threads)
+        self.runtime.run(kernel, n, num_threads)
         return acc
 
     def psi_round(self, column: str, num_threads: int = 1,
@@ -252,7 +164,7 @@ class PrismServer:
         def kernel(lo: int, hi: int) -> None:
             out[lo:hi] = table[np.mod(exponents[lo:hi], delta)]
 
-        self._run_chunked(kernel, exponents.shape[0], num_threads)
+        self.runtime.run(kernel, exponents.shape[0], num_threads)
         return out
 
     def verification_round(self, column: str, num_threads: int = 1,
@@ -288,7 +200,7 @@ class PrismServer:
         def kernel(lo: int, hi: int) -> None:
             out[lo:hi] = np.mod(summed[lo:hi] * rand[lo:hi], self.params.delta)
 
-        self._run_chunked(kernel, summed.shape[0], num_threads)
+        self.runtime.run(kernel, summed.shape[0], num_threads)
         return out
 
     def count_round(self, column: str, num_threads: int = 1,
@@ -348,7 +260,7 @@ class PrismServer:
                 local += np.mod(s[lo:hi] * z, p)
                 np.mod(local, p, out=local)
 
-        self._run_chunked(kernel, n, num_threads)
+        self.runtime.run(kernel, n, num_threads)
         return acc
 
     # -- batched 2-D kernels (multi-query fused sweeps) ------------------------
@@ -420,7 +332,7 @@ class PrismServer:
         shape, never on the data.
 
         ``shard_plan`` (default: the server's own plan) runs the sweep
-        shard-parallel on the deployment's worker pool; outputs stay
+        shard-parallel on the deployment's thread pool; outputs stay
         bit-identical to the unsharded sweep for every shard count.
         """
         if not len(columns):
@@ -440,13 +352,6 @@ class PrismServer:
         delta = self.params.delta
         table = self.params.group.power_table
         m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
-        plan = self._active_shard_plan(shard_plan)
-        if self._process_plan(plan) is not None:
-            out = plan.runtime.run_psi(
-                self, columns, self._owners_by_column(columns, owner_ids),
-                m_rows, n, plan.num_shards)
-            if out is not None:
-                return out
         out = np.empty((len(columns), n), dtype=np.int64)
         kernel = kernels.psi_sweep(share_lists, m_rows, delta, table, out)
         if kernel is None:
@@ -462,7 +367,8 @@ class PrismServer:
                 np.mod(local, delta, out=local)
                 out[:, lo:hi] = table[local]
 
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
+        self.runtime.run(kernel, n,
+                         self._sweep_chunks(num_threads, shard_plan))
         return out
 
     def psi_cells_round_batch(self, columns, cells, num_threads: int = 1,
@@ -481,11 +387,11 @@ class PrismServer:
 
         ``cells`` is a 1-D array of χ cell indices, in output order.
         ``shard_plan`` decomposes the *cells array* into contiguous
-        shards and runs them on the deployment's worker pool, with the
-        same fallback ladder as :meth:`psi_round_batch`; subclasses that
-        override the 1-D kernels fall back to the per-row slice-and-sweep
-        path, so malicious / instrumented servers keep misbehaving on
-        exactly the active cells.
+        shards and runs them on the deployment's thread pool, like
+        :meth:`psi_round_batch`; subclasses that override the 1-D kernels
+        fall back to the per-row slice-and-sweep path, so malicious /
+        instrumented servers keep misbehaving on exactly the active
+        cells.
         """
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 1:
@@ -524,13 +430,6 @@ class PrismServer:
         delta = self.params.delta
         table = self.params.group.power_table
         m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
-        plan = self._active_shard_plan(shard_plan)
-        if self._process_plan(plan) is not None:
-            out = plan.runtime.run_psi_cells(
-                self, columns, self._owners_by_column(columns, owner_ids),
-                m_rows, cells, plan.num_shards)
-            if out is not None:
-                return out
         out = np.empty((len(columns), n), dtype=np.int64)
         kernel = kernels.psi_sweep(share_lists, m_rows, delta, table, out,
                                    cells=cells)
@@ -548,7 +447,8 @@ class PrismServer:
                 np.mod(local, delta, out=local)
                 out[:, lo:hi] = table[local]
 
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
+        self.runtime.run(kernel, n,
+                         self._sweep_chunks(num_threads, shard_plan))
         return out
 
     def count_round_batch(self, columns, num_threads: int = 1,
@@ -605,9 +505,8 @@ class PrismServer:
         rows that reference it.  ``permute[q]`` additionally applies
         ``PF_s1`` to row ``q`` (the PSU-Count path).
 
-        Under a ``shard_plan``, each worker seeks the common counter-mode
-        PRG to its own span of every row's Eq. 18 mask stream
-        (:meth:`~repro.crypto.prg.SeededPRG.integers_at`), so mask
+        Each span of the compiled sweep seeks the common counter-mode PRG
+        to its own span of every row's Eq. 18 mask stream, so mask
         generation — the dominant PSU cost — shards along with the
         sweep, bit-identically to slicing the full-length stream.
         """
@@ -629,17 +528,6 @@ class PrismServer:
         share_lists = [self.fetch_additive(c, owner_ids) for c in uniq]
         _, n = self._check_uniform(uniq, share_lists)
         delta = self.params.delta
-        plan = self._active_shard_plan(shard_plan)
-        if self._process_plan(plan) is not None:
-            # Workers derive their own span of each row's Eq. 18 mask
-            # stream (counter-mode PRG is seekable), so the dominant
-            # serial cost of PSU — full-length mask generation — shards
-            # along with the sweep.
-            out = plan.runtime.run_psu(
-                self, uniq, self._owners_by_column(uniq, owner_ids),
-                row_map, list(query_nonces), n, plan.num_shards)
-            if out is not None:
-                return self._apply_psu_permute(out, permute)
         acc = np.zeros((len(uniq), n), dtype=np.int64)
         out = np.empty((len(columns), n), dtype=np.int64)
         keys = [SeededPRG(self.params.prg_seed, f"psu-{nonce}").key_bytes
@@ -662,7 +550,8 @@ class PrismServer:
                 np.mod(local, delta, out=local)
                 out[:, lo:hi] = np.mod(local[row_map] * rand[:, lo:hi], delta)
 
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
+        self.runtime.run(kernel, n,
+                         self._sweep_chunks(num_threads, shard_plan))
         return self._apply_psu_permute(out, permute)
 
     def _apply_psu_permute(self, out: np.ndarray, permute) -> np.ndarray:
@@ -682,9 +571,8 @@ class PrismServer:
         ``z_matrix`` stacks one indicator-share vector per query row;
         ``columns[q]`` names the Shamir aggregation column row ``q``
         multiplies into.  Row ``q`` is bit-identical to
-        ``aggregate_round(columns[q], z_matrix[q])``.  Under a
-        ``shard_plan`` the querier-dealt ``z_matrix`` reaches the workers
-        through the shared scratch and the sweep runs shard-parallel.
+        ``aggregate_round(columns[q], z_matrix[q])``; a ``shard_plan``
+        runs the sweep shard-parallel.
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
@@ -711,13 +599,6 @@ class PrismServer:
                 f"z vector length {z_matrix.shape[1]} does not match column "
                 f"length {n}"
             )
-        plan = self._active_shard_plan(shard_plan)
-        if self._process_plan(plan) is not None:
-            out = plan.runtime.run_agg(
-                self, columns, self._owners_by_column(columns, owner_ids),
-                z_matrix, n, plan.num_shards)
-            if out is not None:
-                return out
         p = self.params.field_prime
         acc = np.zeros((len(columns), n), dtype=np.int64)
         kernel = kernels.agg_sweep(share_lists, z_matrix, p, acc)
@@ -733,7 +614,8 @@ class PrismServer:
                         row += np.mod(s[lo:hi] * z, p)
                         np.mod(row, p, out=row)
 
-        self._run_chunked(kernel, n, self._sweep_chunks(num_threads, plan))
+        self.runtime.run(kernel, n,
+                         self._sweep_chunks(num_threads, shard_plan))
         return acc
 
     # -- extrema machinery (§6.3) ---------------------------------------------

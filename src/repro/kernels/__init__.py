@@ -1,4 +1,4 @@
-"""Compiled kernel tier: opt-in C backend for the hot fused sweeps.
+"""Compiled kernel tier: the default C backend for the hot fused sweeps.
 
 The three batched server kernels (Eq. 3/7 PSI, Eq. 18 PSU, Eq. 11
 aggregation) and the counter-mode PRG stream are numpy/hashlib-bound;
@@ -8,12 +8,12 @@ span computes bit-identically to the numpy reference (same wraparound,
 same floored-mod reduction points, same SHA-256 stream), which
 ``tests/test_kernels.py`` pins per kernel family × shard count.
 
-Selection ladder (mirrors the threads/workers crossover in
-:func:`repro.core.sharding.auto_shard_plan`):
+Selection ladder:
 
 1. **Mode** — ``configure(mode)`` or the ``REPRO_KERNELS`` environment
-   variable: ``"off"``/``"numpy"`` (the default) keeps the reference
-   kernels; ``"c"``/``"auto"``/``"on"`` enables the compiled tier.
+   variable: unset (``"auto"``) or ``"c"``/``"on"`` enables the
+   compiled tier; ``"off"``/``"numpy"`` forces the reference kernels,
+   which stay the readable statement of each equation.
 2. **Availability** — the C library builds lazily on first use
    (:mod:`repro.kernels.cbackend`); no compiler, a failed build, or a
    big-endian host falls back *transparently* to numpy.
@@ -28,8 +28,9 @@ writing into a caller-provided output matrix, or ``None`` when any rung
 of the ladder says numpy — so the server kernels and
 :func:`repro.core.sharding.compute_sweep_span` keep a single fallback
 shape.  Closures only read shared state and write disjoint spans, so
-the chunked thread pool drives them in parallel (ctypes releases the
-GIL for the duration of each C call).
+the deployment's thread pool (:class:`repro.core.sharding.ShardRuntime`)
+drives them in parallel (ctypes releases the GIL for the duration of
+each C call).
 """
 
 from __future__ import annotations
@@ -42,16 +43,15 @@ import numpy as np
 from repro.kernels import cbackend
 
 #: Sweep lengths below this stay on numpy: the per-row ctypes call
-#: overhead (~1 µs) dominates tiny spans, exactly like worker dispatch
-#: below ``AUTO_WORKER_MIN_ROWS`` in ``core.sharding``.  Measured with
+#: overhead (~1 µs) dominates tiny spans.  Measured with
 #: ``benchmarks/bench_kernels.py``.
 NATIVE_MIN_SPAN = 512
 
-#: Environment opt-in flag (read once per ``configure()`` resolution).
+#: Environment mode flag (read once per ``configure()`` resolution).
 MODE_ENV = "REPRO_KERNELS"
 
-_ON_MODES = {"c", "compiled", "auto", "on", "1"}
-_OFF_MODES = {"", "off", "numpy", "0", "none"}
+_ON_MODES = {"", "c", "compiled", "auto", "on", "1"}
+_OFF_MODES = {"off", "numpy", "0", "none"}
 
 _mode: str | None = None          # resolved mode ("c-requested" | "numpy")
 _lib: ctypes.CDLL | None = None   # loaded library (only in "c-requested")
@@ -60,13 +60,13 @@ _lib: ctypes.CDLL | None = None   # loaded library (only in "c-requested")
 def configure(mode: str | None = None) -> str:
     """Select the kernel backend; returns the *active* backend name.
 
-    ``mode=None`` re-reads :data:`MODE_ENV`.  Requesting the compiled
-    tier when it cannot build is not an error — the numpy reference
-    stays in charge and this returns ``"numpy"``.
+    ``mode=None`` re-reads :data:`MODE_ENV`; unset means ``"auto"``.
+    The compiled tier failing to build is not an error — the numpy
+    reference stays in charge and this returns ``"numpy"``.
     """
     global _mode, _lib
     raw = (mode if mode is not None
-           else os.environ.get(MODE_ENV, "off")).strip().lower()
+           else os.environ.get(MODE_ENV, "auto")).strip().lower()
     if raw in _OFF_MODES:
         _mode, _lib = "numpy", None
     elif raw in _ON_MODES:

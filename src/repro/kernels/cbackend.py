@@ -2,7 +2,7 @@
 
 The library is compiled on demand from :mod:`native.c` into a per-user
 cache directory keyed by the source hash, so one build serves every
-process (forked shard workers, entity hosts) and rebuilds happen only
+process (the deployment, its entity hosts) and rebuilds happen only
 when the source changes.  Everything here is best-effort: any failure
 (no compiler, sandboxed tmpdir, load error) returns ``None`` and the
 callers fall back to the numpy reference kernels.

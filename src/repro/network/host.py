@@ -18,17 +18,17 @@ from zero-copy to real sockets.
 
 Span-scoped requests: a kernel request whose frame envelope names a
 shard span ``(lo, hi)`` computes only that contiguous χ span of the
-fused sweep (via :func:`repro.core.sharding.compute_sweep_span`, the
-same code path the forked shard workers run), which is the hook a
-multi-connection distributed dispatcher shards sweeps across hosts
-with.  Whole-sweep requests may instead carry a ``num_shards`` keyword,
-which the host honours with its local shard plan.
+fused sweep (via :func:`repro.core.sharding.compute_sweep_span`),
+which is the hook a multi-connection distributed dispatcher shards
+sweeps across hosts with.  Whole-sweep requests may instead carry a
+``num_shards`` keyword, which the host honours on its own thread pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import multiprocessing
 import signal
 import socket
 import sys
@@ -128,11 +128,9 @@ class ServerAdapter:
         if kind in _SHARDED_KERNELS:
             num_shards = kwargs.pop("num_shards", None)
             if num_shards is not None and int(num_shards) > 1:
-                # The host shards with its own local plan (thread sweep
-                # with num_shards chunks, or its per-host worker pool if
-                # one was attached); outputs are bit-identical either way.
-                kwargs["shard_plan"] = ShardPlan(int(num_shards),
-                                                 self._local_runtime())
+                # The host shards on its own thread pool; outputs are
+                # bit-identical for every shard count.
+                kwargs["shard_plan"] = ShardPlan(int(num_shards))
         if message.span != FULL_SPAN:
             # Every span-scoped request goes through the span path,
             # which loudly rejects unsupported kinds — silently
@@ -140,10 +138,6 @@ class ServerAdapter:
             # a concatenating dispatcher.
             return self._span_request(kind, args, kwargs, message.span)
         return getattr(self.server, kind)(*args, **kwargs)
-
-    def _local_runtime(self):
-        plan = self.server.shard_plan
-        return plan.runtime if plan is not None else None
 
     def _span_request(self, kind, args, kwargs, span):
         """One contiguous span of a fused sweep (see module docstring).
@@ -156,7 +150,7 @@ class ServerAdapter:
         concatenation, with the very parameters the initiator dealt
         it), and Eq. 11 (``aggregate_round_batch``, the frame carrying
         this span's slice of the z matrix).  The span kernel reads the
-        store directly (exactly like a forked shard worker), so it
+        store directly, bypassing the server's methods, so it
         refuses servers whose kernels are overridden — a malicious or
         instrumented subclass must keep misbehaving per call, never be
         silently bypassed by span dispatch.
@@ -469,7 +463,10 @@ class GracefulShutdown:
 
     def __init__(self):
         self.requested = threading.Event()
-        self._lock = threading.Lock()
+        # Reentrant: the signal handler runs on the main thread, possibly
+        # while that same thread is inside track()/untrack() holding the
+        # lock; a plain Lock would park the host on itself forever.
+        self._lock = threading.RLock()
         self._sockets: list[tuple[socket.socket, bool]] = []
 
     def install(self) -> "GracefulShutdown":
@@ -563,6 +560,12 @@ def serve_tcp(port: int, host: str = "127.0.0.1", announce=print,
         serve_listener(listener, shutdown)
 
 
+def processes_available() -> bool:
+    """Whether this platform can fork entity hosts
+    (:func:`launch_forked_pools` needs the ``fork`` start method)."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 def launch_forked_hosts(count: int = 3, host: str = "127.0.0.1"):
     """Fork ``count`` entity-host processes on ephemeral ports.
 
@@ -589,7 +592,6 @@ def launch_forked_pools(pool_sizes, host: str = "127.0.0.1"):
     children through the bootstrap handshake); format a deployment
     string with :func:`pools_spec`.
     """
-    import multiprocessing
     context = multiprocessing.get_context("fork")
     processes: list = []
     pools: list[list[tuple[str, int]]] = []

@@ -634,6 +634,35 @@ class TestHostServing:
         thread.join(timeout=5)
         assert not thread.is_alive()
 
+    def test_signal_landing_inside_untrack_does_not_deadlock(self):
+        """SIGTERM handled while the serving loop holds the socket-list
+        lock (mid track/untrack) must still drain, not self-deadlock."""
+        import signal
+        import socket
+        import threading
+
+        from repro.network.host import GracefulShutdown
+
+        shutdown = GracefulShutdown()
+        ours, theirs = socket.socketpair()
+        shutdown.track(ours)
+
+        def handle_signal_inside_the_lock():
+            with shutdown._lock:  # what untrack() holds when it lands
+                shutdown._handle(signal.SIGTERM, None)
+
+        thread = threading.Thread(target=handle_signal_inside_the_lock,
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        try:
+            assert not thread.is_alive()
+            assert shutdown.requested.is_set()
+            assert ours.recv(1) == b""  # read side shut: the loop wakes
+        finally:
+            ours.close()
+            theirs.close()
+
     def test_adapter_for_rejects_unknown_entities(self):
         from repro.network.host import adapter_for
 

@@ -88,8 +88,7 @@ class TamperExtremaServer(PrismServer):
     to the announcer, so the announcer combines mismatched share pairs —
     the extrema analogue of replaying one cell's result into another.
     The call counter proves the override actually fired (i.e. the
-    sharded execution path fell back to in-process dispatch instead of
-    silently bypassing the subclass on a worker pool).
+    sharded execution path never silently bypasses the subclass).
     """
 
     def __init__(self, index, params):

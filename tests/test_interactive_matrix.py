@@ -206,13 +206,10 @@ class TestUnifiedExecutionPath:
             assert stats["by_kind"] == {"psi_max": 1, "psi_min": 1,
                                         "psi_median": 1}
 
-    @needs_fork
     def test_sharded_psi_round_uses_the_worker_pool(self, expected):
-        """The interactive round-1 sweep really dispatches to the
-        deployment's forked worker pool, not just the thread fallback."""
+        """The interactive round-1 sweep really runs sharded on the
+        deployment's thread pool."""
         with build(num_shards=2) as system:
-            if system._shard_runtime is None:
-                pytest.skip("auto heuristics chose the thread path")
             before = system._shard_runtime.dispatches
             result = system.psi_max("k", "amt")
             assert result.per_value == expected["max"]

@@ -1,6 +1,6 @@
 """Compiled kernel tier: bit-identity pins against the numpy reference.
 
-The acceptance bar of the opt-in C backend (``repro.kernels``): every
+The acceptance bar of the default C backend (``repro.kernels``): every
 compiled sweep — fused PSI/verification (Eq. 3/7), PSU masking
 (Eq. 18), Shamir aggregation (Eq. 11) — and the counter-mode PRG
 stream compute **bit-identically** to the numpy/hashlib reference
@@ -16,10 +16,10 @@ the SHA-256 block stream.  Pinned three ways:
   supported) and every interactive kind, ``num_shards ∈ {1, 2, 7}``,
   compared against the numpy-mode seed run.
 
-Plus the selection ladder itself: mode off, unknown mode, the
-below-crossover and ineligible-operand rungs, and the forced-fallback
-path (no compiler → ``configure("c")`` stays on numpy and queries keep
-working).
+Plus the selection ladder itself: the default mode, mode off, unknown
+mode, the below-crossover and ineligible-operand rungs, and the
+forced-fallback path (no compiler → ``configure("c")`` stays on numpy
+and queries keep working).
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ class TestSweepBitIdentity:
     def test_psu_sweep_draw_base_seeks_the_mask_stream(self, compiled):
         """Span-local arrays + draw_base == slicing the full sweep.
 
-        This is exactly how ``compute_sweep_span`` invokes the kernel on
-        a shard worker: the share arrays cover only the shard's span,
-        and the Eq. 18 mask draws must come from the *absolute* stream
-        offsets — bit-identical to slicing a full-length sweep.
+        This is exactly how ``compute_sweep_span`` invokes the kernel for
+        a span-scoped request: the share arrays cover only the shard's
+        span, and the Eq. 18 mask draws must come from the *absolute*
+        stream offsets — bit-identical to slicing a full-length sweep.
         """
         rng = np.random.default_rng(14)
         n, seed, base = 2000, 9, 517
@@ -249,6 +249,21 @@ class TestSelectionLadder:
             assert kernels.psi_sweep(shares, [[0]], DELTA, table, out) is None
             assert not kernels.enabled()
         finally:
+            kernels.configure(None)
+
+    def test_default_mode_is_auto(self, monkeypatch, tmp_path):
+        """``REPRO_KERNELS`` unset: compiled wherever the backend builds,
+        numpy where the compiler is masked."""
+        monkeypatch.delenv(kernels.MODE_ENV, raising=False)
+        try:
+            assert kernels.configure(None) == \
+                ("c" if compiled_available else "numpy")
+            monkeypatch.setattr(cbackend, "cache_dir",
+                                lambda: tmp_path / "kernel-cache")
+            monkeypatch.setenv(cbackend.CC_ENV, "/nonexistent/bin/cc")
+            assert kernels.configure(None) == "numpy"
+        finally:
+            monkeypatch.undo()
             kernels.configure(None)
 
     def test_unknown_mode_is_a_typed_error(self):
@@ -357,16 +372,11 @@ def expected():
 
 
 @needs_cc
-@needs_fork
 class TestSystemEquivalence:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_bit_identical_with_compiled_tier(self, expected, monkeypatch,
                                               num_shards):
-        """Every batchable + interactive kind, verified where supported.
-
-        The mode travels via the environment so forked shard workers
-        inherit the compiled tier too.
-        """
+        """Every batchable + interactive kind, verified where supported."""
         monkeypatch.setenv(kernels.MODE_ENV, "c")
         assert kernels.configure(None) == "c"
         try:
@@ -377,6 +387,7 @@ class TestSystemEquivalence:
             monkeypatch.delenv(kernels.MODE_ENV, raising=False)
             kernels.configure(None)
 
+    @needs_fork
     def test_subprocess_deployment_with_compiled_tier(self, expected,
                                                       monkeypatch):
         """Entity hosts across a fork boundary pick the tier up too."""

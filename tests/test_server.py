@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.sharding import shard_bounds
 from repro.data.domain import Domain
 from repro.data.relation import Relation
 from repro.entities.initiator import Initiator
 from repro.entities.owner import DBOwner
-from repro.entities.server import PrismServer, _chunk_bounds
+from repro.entities.server import PrismServer
 from repro.exceptions import ProtocolError
 
 
@@ -30,14 +31,14 @@ class TestChunking:
     def test_chunk_bounds_cover_range(self):
         for n in (0, 1, 7, 100):
             for chunks in (1, 3, 8):
-                bounds = _chunk_bounds(n, chunks)
+                bounds = shard_bounds(n, chunks)
                 covered = []
                 for lo, hi in bounds:
                     covered.extend(range(lo, hi))
                 assert covered == list(range(n))
 
     def test_no_more_chunks_than_elements(self):
-        assert len(_chunk_bounds(3, 10)) <= 3
+        assert len(shard_bounds(3, 10)) <= 3
 
 
 class TestPsiKernel:

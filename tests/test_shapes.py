@@ -7,6 +7,7 @@ micro-unit tests because each costs a second or two.
 
 import pytest
 
+from repro import kernels
 from repro.bench.experiments import (
     exp2_multiattr,
     exp3_owners,
@@ -48,6 +49,20 @@ class TestHelpers:
             ratio([])
 
 
+@pytest.fixture
+def reference_tier():
+    """Time the numpy reference kernels.
+
+    The timing shapes below are per-row cost scalings.  At these toy
+    sizes a compiled sweep takes well under a millisecond, so fixed
+    per-query costs and scheduler jitter would hide the shape.
+    """
+    kernels.configure("off")
+    yield
+    kernels.configure(None)
+
+
+@pytest.mark.usefixtures("reference_tier")
 class TestFig4Shape:
     """Server time linear in the number of owners."""
 
@@ -62,6 +77,7 @@ class TestFig4Shape:
         assert is_linear_increasing(points, min_r=0.85)
 
 
+@pytest.mark.usefixtures("reference_tier")
 class TestTable12Shape:
     """Aggregation time grows with the attribute count; linear in b."""
 

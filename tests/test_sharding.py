@@ -1,34 +1,35 @@
 """The sharded χ-table execution layer (repro.core.sharding).
 
 The contract under test: for every batchable Table-4 query kind, the
-sharded path — worker processes over contiguous χ shards — returns
-results *bit-identical* to the unsharded thread sweep, for every shard
-count, owner subset, and transport accounting; and the fallbacks
-(threads, per-row kernels for overridden subclasses) keep malicious /
-instrumented servers behaving exactly as they do unsharded.
+sharded path — contiguous χ shards on the deployment's thread pool —
+returns results *bit-identical* to the unsharded sweep, for every shard
+count, owner subset, and transport accounting; and malicious /
+instrumented servers (per-row kernels, overridden fetches) behave
+exactly as they do unsharded.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import BatchQuery, Domain, PrismSystem, Relation
+from repro.core import sharding
 from repro.core.sharding import (
     ShardPlan,
     ShardRuntime,
     attach_sharding,
-    processes_available,
     shard_bounds,
 )
 from repro.entities.adversary import SkipCellsServer
 from repro.entities.server import PrismServer
 from repro.exceptions import VerificationError
-
-pytestmark = pytest.mark.skipif(
-    not processes_available(),
-    reason="fork-based worker pools unsupported on this platform",
-)
 
 
 def build_fleet(num_shards: int = 1, num_values: int = 41, **kwargs):
@@ -84,7 +85,7 @@ def test_sharded_batch_bit_identical_for_every_kind(num_shards):
         for query, ref, out in zip(TABLE4_QUERIES, reference, sharded):
             assert_identical(query, ref, out)
         if num_shards > 1:
-            # The process path really ran (no silent thread fallback).
+            # The sweeps really ran as more than one span.
             assert system._shard_runtime.dispatches > 0
 
 
@@ -173,7 +174,7 @@ def test_malicious_server_still_caught_under_sharding():
 
 
 def test_instrumented_fetch_keeps_thread_path():
-    """A fetch-overriding subclass is never dispatched out of process."""
+    """A fetch-overriding subclass sweeps sharded, and its override fires."""
     from repro.analysis.access import RecordingServer
     values = list(range(17))
     relations = [Relation("a", {"A": values[:9]}),
@@ -184,24 +185,15 @@ def test_instrumented_fetch_keeps_thread_path():
             server_factories={i: RecordingServer for i in range(3)}) as system:
         result = system.psi("A")
         assert result.values
-        # The recording servers saw their fetches (nothing ran out of
-        # process, where the parent-side trace would stay empty) ...
+        # The recording servers saw their fetches ...
         assert all(server.trace for server in system.servers[:2])
-        # ... so the worker pool never dispatched for them.
-        assert system._shard_runtime.dispatches == 0
+        # ... from sweeps that really ran sharded.
+        assert system._shard_runtime.dispatches > 0
 
 
-def test_broken_runtime_falls_back_to_threads():
-    reference = build_fleet().run_batch([BatchQuery("psi", "A")])
-    with build_fleet(num_shards=3) as system:
-        system._shard_runtime._broken = True
-        out = system.run_batch([BatchQuery("psi", "A")])
-        assert_identical(BatchQuery("psi", "A"), reference[0], out[0])
-        assert system._shard_runtime.dispatches == 0
-
-
-def test_store_mutation_refreshes_worker_snapshot():
-    """Workers must re-fork after a put(); stale shares would be wrong."""
+def test_sweep_after_reoutsource_sees_new_shares():
+    """Sharded sweeps read the live store: a put() or a re-outsource is
+    visible to the very next query, never a stale snapshot."""
     with build_fleet(num_shards=2) as system:
         first = system.psi("A")
         assert system._shard_runtime.dispatches > 0
@@ -214,6 +206,12 @@ def test_store_mutation_refreshes_worker_snapshot():
         # The tampered cell flows through the fused sharded sweep: the
         # result must differ from the honest run somewhere.
         assert not np.array_equal(first.membership, second.membership)
+        # Re-outsourcing new relations reaches the next sharded sweep.
+        for owner in system.owners:
+            owner.relation = Relation(owner.relation.name,
+                                      {"A": [1, 2], "cost": [1, 1]})
+        system.outsource("A", ("cost",), with_verification=True)
+        assert system.psi("A", verify=True).values == [1, 2]
 
 
 # -- decomposition / plumbing -------------------------------------------------
@@ -239,81 +237,163 @@ class TestShardBounds:
 
 def test_attach_sharding_wires_servers_and_store():
     with build_fleet() as system:
-        plan = attach_sharding(system.servers, 3)
+        runtime = attach_sharding(system.servers, 3)
         try:
-            assert all(s.shard_plan is plan for s in system.servers)
+            assert all(s.runtime is runtime for s in system.servers)
+            assert all(s.shard_plan.num_shards == 3 for s in system.servers)
             assert all(s.store.num_shards == 3 for s in system.servers)
             store = system.servers[0].store
             whole = store.get(0, "A").values
             spans = [store.shard_slice(0, "A", lo, hi)
-                     for lo, hi in plan.bounds(whole.shape[0])]
+                     for lo, hi in system.servers[0].shard_plan.bounds(
+                         whole.shape[0])]
             assert len(spans) == 3
             assert np.array_equal(np.concatenate(spans), whole)
         finally:
-            plan.runtime.close()
+            runtime.close()
 
 
-def test_concurrent_dispatches_do_not_cross_wires():
-    """The deployment-shared scratch is locked: parallel callers on one
-    sharded system must each get their own query's rows back."""
-    import threading
+def test_concurrent_dispatches_do_not_cross_wires(monkeypatch):
+    """More callers than CPUs share one deployment pool: each must get
+    its own query's rows back, bit-identical to a serial run."""
+    monkeypatch.setattr(sharding, "usable_cpus", lambda: 4)
     expected = build_fleet().run_batch(TABLE4_QUERIES)
-    with build_fleet(num_shards=3) as system:
-        results = [None] * 4
-        errors = []
-        barrier = threading.Barrier(len(results))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with build_fleet(num_shards=3) as system:
+            results = [None] * 6
+            errors = []
+            barrier = threading.Barrier(len(results))
 
-        def caller(slot):
-            try:
-                barrier.wait()
-                results[slot] = system.run_batch(TABLE4_QUERIES)
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
+            def caller(slot):
+                try:
+                    barrier.wait(timeout=60)
+                    results[slot] = system.run_batch(TABLE4_QUERIES)
+                except Exception as exc:  # pragma: no cover - failure detail
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=caller, args=(i,))
-                   for i in range(len(results))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        for outcome in results:
-            for query, ref, out in zip(TABLE4_QUERIES, expected, outcome):
-                assert_identical(query, ref, out)
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            for outcome in results:
+                for query, ref, out in zip(TABLE4_QUERIES, expected, outcome):
+                    assert_identical(query, ref, out)
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_runtime_close_is_idempotent_and_reusable():
+def test_runtime_close_is_idempotent_and_reusable(monkeypatch):
+    monkeypatch.setattr(sharding, "usable_cpus", lambda: 2)
     with build_fleet(num_shards=2) as system:
         runtime = system._shard_runtime
         assert isinstance(runtime, ShardRuntime)
         first = system.psi("A")
+        assert runtime._pool is not None
         runtime.close()
         runtime.close()
-        # A later query lazily re-forks the pool.
+        assert runtime._pool is None
+        # A later query lazily rebuilds the pool.
         again = system.psi("A")
+        assert runtime._pool is not None
         assert np.array_equal(first.membership, again.membership)
         assert runtime.dispatches >= 2
 
 
-# -- satellite: persistent per-server thread pool -----------------------------
+# -- satellite: one persistent thread pool per deployment ---------------------
 
 
-def test_server_reuses_one_thread_pool_across_calls():
+def test_server_reuses_one_thread_pool_across_calls(monkeypatch):
+    monkeypatch.setattr(sharding, "usable_cpus", lambda: 8)
     with build_fleet() as system:
         server: PrismServer = system.servers[0]
-        assert server._pool is None
+        runtime = server.runtime
+        assert runtime is system._shard_runtime  # shared by the deployment
+        assert all(s.runtime is runtime for s in system.servers)
+        assert runtime._pool is None
         server.psi_round("A", num_threads=2)
-        pool = server._pool
+        pool = runtime._pool
         assert pool is not None
         server.psi_round("A", num_threads=2)
-        assert server._pool is pool  # not rebuilt per call
+        assert runtime._pool is pool  # not rebuilt per call
         server.psi_round("A", num_threads=4)
-        assert server._pool is not pool  # grown once, then persistent
-        grown = server._pool
+        assert runtime._pool is not pool  # grown once, then persistent
+        grown = runtime._pool
         server.psi_round("A", num_threads=3)
-        assert server._pool is grown
+        assert runtime._pool is grown
         server.close()
-        assert server._pool is None
+        assert runtime._pool is None
+
+
+def test_pool_is_sized_to_usable_cpus(monkeypatch):
+    """Seven shards on one usable CPU run inline: no pool thread at all."""
+    monkeypatch.setattr(sharding, "usable_cpus", lambda: 1)
+    reference = build_fleet().run_batch(TABLE4_QUERIES)
+    with build_fleet(num_shards=7) as system:
+        sharded = system.run_batch(TABLE4_QUERIES)
+        for query, ref, out in zip(TABLE4_QUERIES, reference, sharded):
+            assert_identical(query, ref, out)
+        assert system._shard_runtime.dispatches > 0
+        assert system._shard_runtime._pool is None
+
+
+# -- a local deployment forks nothing and leaves nothing behind ---------------
+
+
+def _live_threads() -> set[threading.Thread]:
+    """Non-daemon threads still alive (what a teardown must not leave)."""
+    return {thread for thread in threading.enumerate()
+            if thread is not threading.main_thread()
+            and not thread.daemon and thread.is_alive()}
+
+
+@pytest.mark.parametrize("num_shards", [2, "auto"])
+def test_local_deployment_forks_nothing_and_leaves_nothing(monkeypatch,
+                                                           num_shards):
+    # Small enough that "auto" shards the 41-cell fleet on 2+ CPUs.
+    monkeypatch.setattr(sharding, "AUTO_ROWS_PER_SHARD", 8)
+    threads = _live_threads()
+    children = set(multiprocessing.active_children())
+
+    def forked():
+        return set(multiprocessing.active_children()) - children
+
+    system = build_fleet(num_shards=num_shards)
+    try:
+        first = system.run_batch(TABLE4_QUERIES)
+        assert not forked()
+        system.outsource("A", ("cost",), with_verification=True)
+        assert not forked()
+        again = system.run_batch(TABLE4_QUERIES)
+        assert not forked()
+        for query, ref, out in zip(TABLE4_QUERIES, first, again):
+            assert_identical(query, ref, out)
+    finally:
+        system.close()
+    assert not forked()
+    assert not _live_threads() - threads
+
+
+def test_auto_shards_follow_the_affinity_mask():
+    """A process pinned to one CPU gets one shard, however many the host
+    has."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity call on this platform")
+    code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});"
+            "from repro.core.sharding import auto_shard_plan;"
+            "print(auto_shard_plan(262_144))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "1"
 
 
 # -- satellite: the store fetch memo ------------------------------------------
@@ -358,59 +438,20 @@ from tests.conftest import make_system  # noqa: E402  (auto-shard tests)
 
 
 class TestAutoShards:
-    """num_shards="auto": shard count and mode from rows and cores."""
+    """num_shards="auto": shard count from rows and usable CPUs."""
 
     def test_tiny_sweeps_stay_unsharded(self):
         from repro.core.sharding import auto_shard_plan
-        assert auto_shard_plan(100, cpu_count=8) == (1, False)
-        assert auto_shard_plan(10**6, cpu_count=1) == (1, False)
+        assert auto_shard_plan(100, cpu_count=8) == 1
+        assert auto_shard_plan(10**6, cpu_count=1) == 1
 
     def test_scales_with_rows_then_caps_at_cores(self):
-        from repro import kernels
         from repro.core.sharding import (
             AUTO_ROWS_PER_SHARD,
             auto_shard_plan,
         )
-        kernels.configure("off")  # plain thresholds (REPRO_KERNELS=c scales them)
-        try:
-            shards, _ = auto_shard_plan(2 * AUTO_ROWS_PER_SHARD, cpu_count=8)
-            assert shards == 2
-            shards, _ = auto_shard_plan(100 * AUTO_ROWS_PER_SHARD, cpu_count=4)
-            assert shards == 4
-        finally:
-            kernels.configure(None)
-
-    def test_worker_mode_needs_large_sweeps(self):
-        from repro.core.sharding import (
-            AUTO_WORKER_MIN_ROWS,
-            auto_shard_plan,
-            processes_available,
-        )
-        _, workers = auto_shard_plan(AUTO_WORKER_MIN_ROWS // 2, cpu_count=8)
-        assert workers is False
-        _, workers = auto_shard_plan(4 * AUTO_WORKER_MIN_ROWS, cpu_count=8)
-        assert workers is processes_available()
-
-    def test_compiled_tier_pushes_the_crossover_out(self):
-        from repro import kernels
-        from repro.core.sharding import (
-            AUTO_NATIVE_ROWS_FACTOR,
-            AUTO_ROWS_PER_SHARD,
-            auto_shard_plan,
-        )
-        if not kernels.available():
-            pytest.skip("compiled kernel tier unavailable")
-        rows = 2 * AUTO_ROWS_PER_SHARD  # shards under numpy costs ...
-        try:
-            kernels.configure("off")
-            assert auto_shard_plan(rows, cpu_count=8)[0] == 2
-            assert kernels.configure("c") == "c"
-            # ... stays unsharded with the cheaper compiled rows.
-            assert auto_shard_plan(rows, cpu_count=8) == (1, False)
-            scaled = 2 * AUTO_NATIVE_ROWS_FACTOR * AUTO_ROWS_PER_SHARD
-            assert auto_shard_plan(scaled, cpu_count=8)[0] == 2
-        finally:
-            kernels.configure(None)
+        assert auto_shard_plan(2 * AUTO_ROWS_PER_SHARD, cpu_count=8) == 2
+        assert auto_shard_plan(100 * AUTO_ROWS_PER_SHARD, cpu_count=4) == 4
 
     def test_system_accepts_auto(self):
         system = make_system([{1, 2, 3}, {2, 3, 4}], num_shards="auto")
