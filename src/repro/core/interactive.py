@@ -23,7 +23,7 @@ This module makes both facts structural:
   bucket-tree level via
   :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`, so a
   deployment's :class:`~repro.core.sharding.ShardPlan` — thread pool,
-  per-row fallback for malicious / instrumented server subclasses,
+  the post-sweep tamper seam of malicious server subclasses,
   span-scoped RPC frames on remote deployments — applies to
   interactive traffic exactly as it does to batch traffic.  Outputs are
   bit-identical to the historical single-threaded sweeps for every

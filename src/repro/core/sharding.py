@@ -12,22 +12,19 @@ closure on a *persistent* thread pool, one pool per deployment:
   friends) accept as a per-call override.
 * :class:`ShardRuntime` — the thread pool.  The span closures are the
   compiled sweeps of :mod:`repro.kernels` (ctypes releases the GIL for
-  each C call) or their numpy reference kernels (numpy releases it
-  inside vector ops), so the shards of one sweep run in parallel
-  without leaving the process: they read the server stores' share
-  vectors in place, never over a stale snapshot, and overridden
-  fetch/kernel methods of instrumented or malicious servers still fire.
+  each C call) or their numpy twins in :mod:`repro.entities.server`
+  (numpy releases it inside vector ops), so the shards of one sweep run
+  in parallel without leaving the process: they read the server stores'
+  share vectors in place, never over a stale snapshot.
 * :func:`usable_cpus` / :func:`auto_shard_plan` — the
   ``num_shards="auto"`` heuristic, sized to the CPUs this process may
   run on.
 * :func:`attach_sharding` — wires one runtime + default plan onto a
   deployment's servers (what ``PrismSystem`` calls).
-* :func:`compute_sweep_span` — one span of one fused sweep, straight
-  from a store; entity hosts serve span-scoped RPCs with it.
 
-Bit-identity: a shard computes exactly the per-element int64 operations
-of the unsharded kernel over its span (same share-summation order, same
-single reduction, same table lookup), so concatenated shard outputs are
+Bit-identity: every output cell depends only on the same cell of each
+input vector, so a span kernel computes over ``[lo, hi)`` exactly what
+the unsharded sweep computes there, and concatenated shard outputs are
 bit-identical to the unsharded sweep for every shard count.
 """
 
@@ -37,11 +34,6 @@ import dataclasses
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-
-import numpy as np
-
-from repro import kernels
-from repro.exceptions import ProtocolError
 
 
 def shard_bounds(n: int, num_shards: int) -> list[tuple[int, int]]:
@@ -79,142 +71,6 @@ class ShardPlan:
     def bounds(self, n: int) -> list[tuple[int, int]]:
         """The shard spans of a length-``n`` sweep."""
         return shard_bounds(n, self.num_shards)
-
-
-def compute_sweep_span(server, family: str, spec: dict, lo: int, hi: int,
-                       z_span: np.ndarray | None = None) -> np.ndarray:
-    """One contiguous χ span ``[lo, hi)`` of one fused sweep.
-
-    Mirrors the corresponding in-process kernel *exactly* (operation
-    order, reduction points, dtypes) so shard outputs concatenate
-    bit-identically to the unsharded sweep for every span decomposition.
-    Reads share vectors straight from the server's store.  The entity
-    host (:mod:`repro.network.host`) serves span-scoped RPC requests
-    with it — the hook for sharding one sweep across deployment channels.
-
-    Args:
-        server: the (unmodified) server whose store backs the sweep.
-        family: ``"psi"`` (Eq. 3 / Eq. 7), ``"psi_cells"`` (Eq. 3 over a
-            cell subset — the bucketized per-level sweep, where the span
-            indexes the *cells array*), ``"psu"`` (Eq. 18), or ``"agg"``
-            (Eq. 11).
-        spec: the sweep description (columns, per-column owner lists,
-            and per-family extras — ``m_rows``, ``cells``,
-            ``row_map``/``nonces``).
-        z_span: for ``"agg"``, this span of the indicator-share matrix.
-
-    Returns:
-        The ``(rows, hi - lo)`` output block of the sweep.
-    """
-    store = server.store
-    columns = spec["columns"]
-    owners = spec["owners"]
-
-    if family == "psi":
-        # Eq. 3 / Eq. 7 span: sum, ⊖ A(m), mod δ, power-table lookup.
-        delta = server.params.delta
-        table = server.params.group.power_table
-        m_rows = np.asarray(spec["m_rows"], dtype=np.int64)[:, None]
-        share_lists = [
-            [store.shard_slice(owner, column, lo, hi) for owner in col_owners]
-            for column, col_owners in zip(columns, owners)
-        ]
-        out = np.empty((len(columns), hi - lo), dtype=np.int64)
-        native = kernels.psi_sweep(share_lists, m_rows, delta, table, out)
-        if native is not None:
-            native(0, hi - lo)
-            return out
-        acc = np.zeros((len(columns), hi - lo), dtype=np.int64)
-        for q, row_shares in enumerate(share_lists):
-            row = acc[q]
-            for s in row_shares:
-                row += s
-        acc -= m_rows
-        np.mod(acc, delta, out=acc)
-        return table[acc]
-
-    if family == "psi_cells":
-        # Eq. 3 over a cell subset: the kernel is cell-local, so the
-        # span indexes the cells array (not χ) and the gathered cells
-        # compute bit-identically to slicing the full sweep.
-        delta = server.params.delta
-        table = server.params.group.power_table
-        span = np.asarray(spec["cells"][lo:hi], dtype=np.int64)
-        m_rows = np.asarray(spec["m_rows"], dtype=np.int64)[:, None]
-        share_lists = [
-            [store.get(owner, column).values for owner in col_owners]
-            for column, col_owners in zip(columns, owners)
-        ]
-        out = np.empty((len(columns), hi - lo), dtype=np.int64)
-        native = kernels.psi_sweep(share_lists, m_rows, delta, table, out,
-                                   cells=span)
-        if native is not None:
-            native(0, hi - lo)
-            return out
-        acc = np.zeros((len(columns), hi - lo), dtype=np.int64)
-        for q, row_shares in enumerate(share_lists):
-            row = acc[q]
-            for s in row_shares:
-                row += s[span]
-        acc -= m_rows
-        np.mod(acc, delta, out=acc)
-        return table[acc]
-
-    if family == "psu":
-        # Eq. 18 span: per-unique-column sums, broadcast by row_map,
-        # multiplied with this span of each row's mask stream.  The
-        # counter-mode PRG is seekable (``integers_at``), so the span
-        # derives bits identical to slicing the full-length stream — and
-        # mask generation, PSU's dominant cost, shards with the sweep.
-        from repro.crypto.prg import SeededPRG
-        delta = server.params.delta
-        row_map = np.asarray(spec["row_map"], dtype=np.int64)
-        share_lists = [
-            [store.shard_slice(owner, column, lo, hi) for owner in col_owners]
-            for column, col_owners in zip(columns, owners)
-        ]
-        prgs = [SeededPRG(server.params.prg_seed, f"psu-{nonce}")
-                for nonce in spec["nonces"]]
-        acc = np.zeros((len(columns), hi - lo), dtype=np.int64)
-        out = np.empty((len(row_map), hi - lo), dtype=np.int64)
-        native = kernels.psu_sweep(share_lists, acc, row_map,
-                                   [prg.key_bytes for prg in prgs], delta,
-                                   out, draw_base=lo)
-        if native is not None:
-            native(0, hi - lo)
-            return out
-        for u, col_shares in enumerate(share_lists):
-            row = acc[u]
-            for s in col_shares:
-                row += s
-        np.mod(acc, delta, out=acc)
-        rand = np.stack([prg.integers_at(lo, hi - lo, 1, delta)
-                         for prg in prgs])
-        return np.mod(acc[row_map] * rand, delta)
-
-    if family == "agg":
-        # Eq. 11 span: Σ_j S(x_i2)_j × S(z_i) with per-term reduction.
-        if z_span is None:
-            raise ProtocolError("aggregation span needs its z matrix span")
-        p = server.params.field_prime
-        share_lists = [
-            [store.shard_slice(owner, column, lo, hi) for owner in col_owners]
-            for column, col_owners in zip(columns, owners)
-        ]
-        acc = np.zeros((len(columns), hi - lo), dtype=np.int64)
-        native = kernels.agg_sweep(share_lists, np.asarray(z_span), p, acc)
-        if native is not None:
-            native(0, hi - lo)
-            return acc
-        for q, row_shares in enumerate(share_lists):
-            z = z_span[q]
-            row = acc[q]
-            for s in row_shares:
-                row += np.mod(s * z, p)
-                np.mod(row, p, out=row)
-        return acc
-
-    raise ProtocolError(f"unknown shard kernel family {family!r}")
 
 
 class ShardRuntime:

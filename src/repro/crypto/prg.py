@@ -75,6 +75,13 @@ class SeededPRG:
         ).digest()
         self._pos = 0  # absolute byte position in the stream
 
+    @classmethod
+    def from_key(cls, key: bytes) -> "SeededPRG":
+        """A fresh generator over the stream a :attr:`key_bytes` names."""
+        prg = cls.__new__(cls)
+        prg._key, prg._pos = bytes(key), 0
+        return prg
+
     @property
     def key_bytes(self) -> bytes:
         """The 32-byte stream key (the fused compiled PSU sweep seeds its

@@ -6,6 +6,12 @@ cell *j*, (iii) inject fake values, or (iv) tamper with the verification
 stream itself.  Each behaviour is a :class:`PrismServer` subclass that
 misbehaves in exactly one way, so tests (and the failure-injection bench)
 can assert that :meth:`DBOwner.verify_psi` catches each one.
+
+Every adversary overrides the one post-sweep seam,
+:meth:`PrismServer.tamper`, which receives each output row of the real
+(fused, possibly compiled and sharded) sweep before any server-side
+permutation — so the attacks run against the same kernels honest
+deployments run.
 """
 
 from __future__ import annotations
@@ -23,13 +29,10 @@ class SkipCellsServer(PrismServer):
     would still produce a "legal" proof.
     """
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        honest = super().psi_round(column, num_threads, owner_ids, shares)
-        return np.full_like(honest, honest[0])
-
-    def verification_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        honest = super().verification_round(column, num_threads, owner_ids, shares)
-        return np.full_like(honest, honest[0])
+    def tamper(self, kind, column, row):
+        if kind in ("psi", "verification"):
+            return np.full_like(row, row[0])
+        return row
 
 
 class ReplaySwapServer(PrismServer):
@@ -43,11 +46,11 @@ class ReplaySwapServer(PrismServer):
         super().__init__(index, params)
         self.swap = swap
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        i, j = self.swap
-        out[i], out[j] = out[j], out[i]
-        return out
+    def tamper(self, kind, column, row):
+        if kind == "psi":
+            i, j = self.swap
+            row[i], row[j] = row[j], row[i]
+        return row
 
 
 class InjectFakeServer(PrismServer):
@@ -67,11 +70,11 @@ class InjectFakeServer(PrismServer):
         self.cells = tuple(cells)
         self.forged_value = int(forged_value)
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        for c in self.cells:
-            out[c] = self.forged_value
-        return out
+    def tamper(self, kind, column, row):
+        if kind == "psi":
+            for c in self.cells:
+                row[c] = self.forged_value
+        return row
 
 
 class FalsifyVerificationServer(PrismServer):
@@ -92,17 +95,13 @@ class FalsifyVerificationServer(PrismServer):
         self.cell = int(cell)
         self.guess_seed = guess_seed
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        out[self.cell] = 1
-        return out
-
-    def verification_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().verification_round(column, num_threads, owner_ids, shares)
-        rng = np.random.default_rng(self.guess_seed)
-        guess = int(rng.integers(0, out.shape[0]))
-        out[guess] = 1
-        return out
+    def tamper(self, kind, column, row):
+        if kind == "psi":
+            row[self.cell] = 1
+        elif kind == "verification":
+            rng = np.random.default_rng(self.guess_seed)
+            row[int(rng.integers(0, row.shape[0]))] = 1
+        return row
 
 
 class DropAggregateServer(PrismServer):
@@ -116,9 +115,8 @@ class DropAggregateServer(PrismServer):
         super().__init__(index, params)
         self.cells = tuple(cells)
 
-    def aggregate_round(self, column, z_share, num_threads=1, owner_ids=None, shares=None):
-        out = super().aggregate_round(column, z_share, num_threads, owner_ids, shares)
-        if not column.startswith("v"):
+    def tamper(self, kind, column, row):
+        if kind == "aggregate" and not column.startswith("v"):
             for c in self.cells:
-                out[c] = 0
-        return out
+                row[c] = 0
+        return row

@@ -5,26 +5,33 @@ sees cleartext, never addresses another server, and executes identical
 instruction sequences regardless of the data (access-pattern hiding): all
 kernels are branch-free sweeps over the full χ length ``b``.
 
-Kernels implemented here:
+Each server equation is written once, as a numpy span builder with the
+same signature and ``kernel(lo, hi)`` contract as its compiled twin in
+:mod:`repro.kernels`:
 
-* :meth:`psi_round` — Eq. 3: ``g^((Σ_j A(x_i)_j ⊖ A(m)) mod δ) mod η'``.
-* :meth:`verification_round` — Eq. 7 over the complement table.
-* :meth:`psu_round` — Eq. 18: masked additive sums with common PRG.
-* :meth:`count_round` — PSI output permuted with ``PF_s1`` (§6.5).
-* :meth:`aggregate_round` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
-* :meth:`extrema_collect` / :meth:`fpos_round` — the §6.3 max machinery.
+* :func:`numpy_psi_sweep` — Eq. 3 (PSI) and Eq. 7 (its verification
+  stream over the complement table), optionally over a cell subset.
+* :func:`numpy_psu_sweep` — Eq. 18: masked additive sums with the
+  common PRG stream.
+* :func:`numpy_agg_sweep` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
 
-The heavy kernels accept a ``num_threads`` argument and chunk the χ table
-across the deployment's *persistent* thread pool
-(:class:`~repro.core.sharding.ShardRuntime`), which is what Exp 1
-(Fig. 3) sweeps.  The batched 2-D kernels additionally accept a
-:class:`~repro.core.sharding.ShardPlan` naming how many contiguous χ
-shards the sweep splits into.  Every chunk is a ``kernel(lo, hi)``
-closure — compiled (:mod:`repro.kernels`, GIL released per C call) where
-the tier is active, numpy otherwise — so sharded sweeps run in-process
-and bit-identically for every shard count; when a subclass overrides the
-1-D kernels the batched kernels fall back to them per row (so malicious /
-instrumented servers keep misbehaving per shard).
+:func:`psi_sweep`, :func:`psu_sweep` and :func:`agg_sweep` are the only
+places that choose the compiled kernel or its numpy twin.  Every server
+path runs them: the fused 2-D kernels (:meth:`PrismServer.psi_round_batch`
+and friends), the 1-D kernels (:meth:`~PrismServer.psi_round` and friends
+run as a batch of one) and the entity host's span-scoped requests.
+:meth:`~PrismServer.count_round` adds the §6.5 ``PF_s1`` permutation and
+:meth:`~PrismServer.extrema_collect` / :meth:`~PrismServer.fpos_round`
+the §6.3 max machinery.
+
+The sweeps accept a ``num_threads`` argument (and the batched kernels a
+:class:`~repro.core.sharding.ShardPlan`) and split the χ table into
+contiguous spans on the deployment's *persistent* thread pool
+(:class:`~repro.core.sharding.ShardRuntime`), bit-identically for every
+span count; Exp 1 (Fig. 3) sweeps the thread count.  Malicious servers
+override one post-sweep seam, :meth:`PrismServer.tamper`, which every
+sweep calls once per output row, so fault injection runs the same
+kernels as honest deployments.
 """
 
 from __future__ import annotations
@@ -38,6 +45,109 @@ from repro.crypto.prg import SeededPRG
 from repro.data.storage import ServerStore, ShareKind
 from repro.exceptions import ProtocolError
 from repro.network.message import Endpoint, Role
+
+# -- one span builder per equation ---------------------------------------------
+
+
+def numpy_psi_sweep(share_lists, m_rows, delta: int, table: np.ndarray,
+                    out: np.ndarray, cells: np.ndarray | None = None):
+    """Eq. 3/7: ``out[q, i] = g^((Σ_j A(x_i)_j ⊖ m_rows[q]) mod δ) mod η'``.
+
+    Row ``q`` sums its owners' additive shares ``share_lists[q]``,
+    subtracts this server's share of the owner count (Eq. 3, PSI) or
+    nothing (Eq. 7, the verification stream over the complement table —
+    the same sweep shape, so the two are indistinguishable) and looks
+    the exponent up in the group's power table.  With ``cells`` the span
+    indexes the cells array and gathers those χ cells (the bucketized
+    per-level sweep); without it the span indexes χ directly.  numpy
+    twin of :func:`repro.kernels.psi_sweep`.
+    """
+    m_col = np.asarray(m_rows, dtype=np.int64).reshape(-1, 1)
+
+    def kernel(lo: int, hi: int) -> None:
+        index = slice(lo, hi) if cells is None else cells[lo:hi]
+        acc = np.zeros((len(share_lists), hi - lo), dtype=np.int64)
+        for row, row_shares in zip(acc, share_lists):
+            for s in row_shares:
+                row += s[index]
+        # m shares each < δ stay far below int64 overflow, so one
+        # reduction after the ⊖ A(m) suffices.
+        acc -= m_col
+        np.mod(acc, delta, out=acc)
+        out[:, lo:hi] = table[acc]
+    return kernel
+
+
+def numpy_psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
+                    delta: int, out: np.ndarray, draw_base: int = 0):
+    """Eq. 18: ``out[q, i] = (Σ_j A(x_i)_j mod δ) · rand_q[i] mod δ``.
+
+    ``share_lists`` holds the *distinct* columns' share vectors, summed
+    into the scratch rows of ``acc``; ``row_map[q]`` names the ``acc``
+    row of output row ``q`` and ``keys[q]`` its mask stream, whose draws
+    ``rand_q[i] ∈ [1, δ)`` both servers derive from the common PRG seed.
+    Owners adding the two outputs get ``(Σ_j x_ij) · rand[i] mod δ`` —
+    zero iff no owner holds the value.  ``draw_base`` offsets the draws
+    when the arrays are span-local, so every span seeks the absolute
+    stream.  numpy twin of :func:`repro.kernels.psu_sweep`.
+    """
+    row_map = np.asarray(row_map, dtype=np.int64)
+    prgs = [SeededPRG.from_key(key) for key in keys]
+
+    def kernel(lo: int, hi: int) -> None:
+        local = acc[:, lo:hi]
+        local.fill(0)
+        for row, col_shares in zip(local, share_lists):
+            for s in col_shares:
+                row += s[lo:hi]
+        np.mod(local, delta, out=local)
+        rand = np.stack([prg.integers_at(draw_base + lo, hi - lo, 1, delta)
+                         for prg in prgs])
+        out[:, lo:hi] = np.mod(local[row_map] * rand, delta)
+    return kernel
+
+
+def numpy_agg_sweep(share_lists, z_matrix: np.ndarray, p: int,
+                    out: np.ndarray):
+    """Eq. 11: ``out[q, i] = Σ_j S(x_i2)_j × S(z_i) mod p``.
+
+    ``z_matrix[q]`` is this server's Shamir share of row ``q``'s 0/1
+    intersection indicator; the product of two degree-1 shares is a
+    degree-2 share, which owners reconstruct with all three servers.
+    numpy twin of :func:`repro.kernels.agg_sweep`.
+    """
+    def kernel(lo: int, hi: int) -> None:
+        local = out[:, lo:hi]
+        local.fill(0)
+        for q, (row, row_shares) in enumerate(zip(local, share_lists)):
+            z = z_matrix[q, lo:hi]
+            for s in row_shares:
+                # p < 2**31 keeps each product below 2**62; reduce per term.
+                row += np.mod(s[lo:hi] * z, p)
+                np.mod(row, p, out=row)
+    return kernel
+
+
+def psi_sweep(share_lists, m_rows, delta, table, out, cells=None):
+    """The Eq. 3/7 span kernel: compiled where the tier engages, else numpy."""
+    return (kernels.psi_sweep(share_lists, m_rows, delta, table, out,
+                              cells=cells)
+            or numpy_psi_sweep(share_lists, m_rows, delta, table, out,
+                               cells=cells))
+
+
+def psu_sweep(share_lists, acc, row_map, keys, delta, out, draw_base=0):
+    """The Eq. 18 span kernel: compiled where the tier engages, else numpy."""
+    return (kernels.psu_sweep(share_lists, acc, row_map, keys, delta, out,
+                              draw_base=draw_base)
+            or numpy_psu_sweep(share_lists, acc, row_map, keys, delta, out,
+                               draw_base=draw_base))
+
+
+def agg_sweep(share_lists, z_matrix, p, out):
+    """The Eq. 11 span kernel: compiled where the tier engages, else numpy."""
+    return (kernels.agg_sweep(share_lists, z_matrix, p, out)
+            or numpy_agg_sweep(share_lists, z_matrix, p, out))
 
 
 class PrismServer:
@@ -71,11 +181,32 @@ class PrismServer:
         self.runtime.close()
 
     def _sweep_chunks(self, num_threads: int, shard_plan) -> int:
-        """Span count of a batched sweep: the thread count or the shard
-        count of ``shard_plan`` (default: the server's own plan),
-        whichever is larger."""
+        """Span count of a sweep: the thread count or the shard count of
+        ``shard_plan`` (default: the server's own plan), whichever is
+        larger."""
         plan = shard_plan if shard_plan is not None else self.shard_plan
         return max(num_threads, plan.num_shards if plan is not None else 1)
+
+    def tamper(self, kind: str, column: str, row: np.ndarray) -> np.ndarray:
+        """The post-sweep seam: an honest server returns ``row`` untouched.
+
+        Every sweep calls this once per output row, in row order, after
+        the kernel and before any ``PF_s1``/``PF_s2`` permutation.
+        ``kind`` is ``"psi"`` (Eq. 3), ``"verification"`` (Eq. 7),
+        ``"psu"`` (Eq. 18) or ``"aggregate"`` (Eq. 11); ``column`` names
+        the row's column.  Malicious servers
+        (:mod:`repro.entities.adversary`) override it, modifying ``row``
+        in place or returning a replacement.
+        """
+        return row
+
+    def _tamper_rows(self, out: np.ndarray, kinds, columns) -> np.ndarray:
+        for q, (kind, column) in enumerate(zip(kinds, columns)):
+            row = out[q]
+            tampered = self.tamper(kind, column, row)
+            if tampered is not row:
+                out[q] = tampered
+        return out
 
     # -- storage ------------------------------------------------------------
 
@@ -104,45 +235,30 @@ class PrismServer:
         """Data-fetch step: all owners' Shamir shares of a column."""
         return self.store.fetch_column(column, ShareKind.SHAMIR, owner_ids)
 
-    # -- additive-share kernels ----------------------------------------------
+    # -- row sweeps shared by the 1-D and batched kernels ----------------------
 
-    def _sum_shares(self, shares: list[np.ndarray], num_threads: int) -> np.ndarray:
-        """Σ_j shares_j mod δ, chunk-threaded over the χ length."""
-        delta = self.params.delta
-        n = shares[0].shape[0]
-        acc = np.zeros(n, dtype=np.int64)
+    @staticmethod
+    def _check_uniform(columns, share_lists) -> tuple[int, int]:
+        """Validate a fused sweep's inputs; returns (num_owners, b).
 
-        def kernel(lo: int, hi: int) -> None:
-            local = acc[lo:hi]
-            for s in shares:
-                local += s[lo:hi]
-            np.mod(local, delta, out=local)
-
-        # Sum of m shares each < delta stays far below int64 overflow for
-        # every supported (m, delta), so one final mod per chunk suffices.
-        self.runtime.run(kernel, n, num_threads)
-        return acc
-
-    def psi_round(self, column: str, num_threads: int = 1,
-                  owner_ids: list[int] | None = None,
-                  shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 3: the oblivious PSI kernel over all owners' χ shares.
-
-        ``shares`` may be pre-fetched (via :meth:`fetch_additive`) so the
-        caller can time the data-fetch step separately, as Exp 1 does.
+        Every column must be held by the same owner set and have the same
+        χ length — a fused sweep sums a fixed set of share vectors per
+        row, so mixed shapes are a planner bug.  The kernels slice the
+        stored 1-D vectors chunk by chunk rather than stacking them into
+        per-owner matrices: no copies of the χ table are materialised.
         """
-        if shares is None:
-            shares = self.fetch_additive(column, owner_ids)
-        num_owners = len(shares)
-        exponents = self._sum_shares(shares, num_threads)
-        # ⊖ A(m): subtract this server's additive share of the owner count.
-        # When the query spans a subset of owners, m is that subset's size;
-        # shares of it are deal with the same split ratio.
-        m_share = self.params.m_share
-        if owner_ids is not None and num_owners != self.params.num_owners:
-            m_share = self._subset_m_share(num_owners)
-        exponents = np.mod(exponents - m_share, self.params.delta)
-        return self._pow_chunked(exponents, num_threads)
+        counts = {len(s) for s in share_lists}
+        if len(counts) != 1:
+            raise ProtocolError(
+                f"batched sweep needs a uniform owner set across columns "
+                f"{list(columns)!r}; got share counts {sorted(counts)}"
+            )
+        lengths = {s[0].shape[0] for s in share_lists}
+        if len(lengths) != 1:
+            raise ProtocolError(
+                f"batched sweep needs equal-length columns; got {sorted(lengths)}"
+            )
+        return counts.pop(), lengths.pop()
 
     def _subset_m_share(self, subset_size: int) -> int:
         """Additive share of a subset owner count, derived like A(m).
@@ -156,52 +272,120 @@ class PrismServer:
             return first
         return (subset_size - first) % self.params.delta
 
-    def _pow_chunked(self, exponents: np.ndarray, num_threads: int) -> np.ndarray:
-        table = self.params.group.power_table
-        delta = self.params.delta
-        out = np.empty_like(exponents)
+    def _batch_m_shares(self, subtract_m, num_owners, owner_ids) -> np.ndarray:
+        """Per-row ``A(m)`` column vector for a fused Eq. 3/Eq. 7 sweep.
 
-        def kernel(lo: int, hi: int) -> None:
-            out[lo:hi] = table[np.mod(exponents[lo:hi], delta)]
+        When the query spans a subset of owners, m is that subset's size;
+        shares of it are dealt with the same split ratio.
+        """
+        m_share = self.params.m_share
+        if owner_ids is not None and num_owners != self.params.num_owners:
+            m_share = self._subset_m_share(num_owners)
+        rows = np.fromiter((m_share if flag else 0 for flag in subtract_m),
+                           dtype=np.int64, count=len(subtract_m))
+        return rows[:, None]
 
-        self.runtime.run(kernel, exponents.shape[0], num_threads)
-        return out
+    def _psu_keys(self, query_nonces) -> list[bytes]:
+        """Each query's Eq. 18 mask-stream key, from the common PRG seed."""
+        return [SeededPRG(self.params.prg_seed, f"psu-{nonce}").key_bytes
+                for nonce in query_nonces]
+
+    def _psi_rows(self, columns, share_lists, subtract_m, owner_ids,
+                  chunks: int, cells: np.ndarray | None = None) -> np.ndarray:
+        """The rows of a fused Eq. 3 / Eq. 7 sweep over χ (or ``cells``),
+        then tampered."""
+        num_owners, b = self._check_uniform(columns, share_lists)
+        if cells is not None and cells.size and (
+                int(cells.min()) < 0 or int(cells.max()) >= b):
+            raise ProtocolError(f"cell indices out of range for χ length {b}")
+        n = b if cells is None else cells.shape[0]
+        m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
+        out = np.empty((len(columns), n), dtype=np.int64)
+        self.runtime.run(psi_sweep(share_lists, m_rows, self.params.delta,
+                                   self.params.group.power_table, out, cells),
+                         n, chunks)
+        kinds = ["psi" if flag else "verification" for flag in subtract_m]
+        return self._tamper_rows(out, kinds, columns)
+
+    def _psu_rows(self, columns, query_nonces, share_lists,
+                  chunks: int) -> np.ndarray:
+        """The rows of a fused Eq. 18 sweep, then tampered.
+
+        ``share_lists`` holds one entry per *distinct* column, in order
+        of first appearance: the owner-share sums are computed once per
+        distinct column and broadcast across the rows that reference it,
+        while every row keeps its own fresh mask stream.
+        """
+        uniq = list(dict.fromkeys(columns))
+        row_map = [uniq.index(c) for c in columns]
+        _, n = self._check_uniform(uniq, share_lists)
+        acc = np.empty((len(uniq), n), dtype=np.int64)
+        out = np.empty((len(columns), n), dtype=np.int64)
+        self.runtime.run(psu_sweep(share_lists, acc, row_map,
+                                   self._psu_keys(query_nonces),
+                                   self.params.delta, out), n, chunks)
+        return self._tamper_rows(out, ["psu"] * len(columns), columns)
+
+    def _agg_rows(self, columns, share_lists, z_matrix,
+                  chunks: int) -> np.ndarray:
+        """The rows of a fused Eq. 11 sweep, then tampered."""
+        # ALIGNED matters for wire-decoded z matrices: the codec hands
+        # out zero-copy frame views, which the compiled sweeps (and fast
+        # numpy paths) want re-packed once, here.
+        z_matrix = np.require(z_matrix, dtype=np.int64,
+                              requirements=["ALIGNED", "C_CONTIGUOUS"])
+        if z_matrix.ndim != 2 or z_matrix.shape[0] != len(columns):
+            raise ProtocolError(
+                f"z matrix of shape {z_matrix.shape} does not stack one row "
+                f"per column ({len(columns)} expected)"
+            )
+        _, n = self._check_uniform(columns, share_lists)
+        if z_matrix.shape[1] != n:
+            raise ProtocolError(
+                f"z vector length {z_matrix.shape[1]} does not match column "
+                f"length {n}"
+            )
+        out = np.empty((len(columns), n), dtype=np.int64)
+        self.runtime.run(agg_sweep(share_lists, z_matrix,
+                                   self.params.field_prime, out), n, chunks)
+        return self._tamper_rows(out, ["aggregate"] * len(columns), columns)
+
+    # -- 1-D kernels (a batch of one) ------------------------------------------
+    #
+    # ``shares`` may be pre-fetched (via :meth:`fetch_additive` /
+    # :meth:`fetch_shamir`) so the caller can time the data-fetch step
+    # separately, as Exp 1 does.
+
+    def psi_round(self, column: str, num_threads: int = 1,
+                  owner_ids: list[int] | None = None,
+                  shares: list[np.ndarray] | None = None) -> np.ndarray:
+        """The oblivious PSI kernel (Eq. 3) over all owners' χ shares."""
+        if shares is None:
+            shares = self.fetch_additive(column, owner_ids)
+        return self._psi_rows([column], [shares], [True], owner_ids,
+                              self._sweep_chunks(num_threads, None))[0]
 
     def verification_round(self, column: str, num_threads: int = 1,
                            owner_ids: list[int] | None = None,
                            shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 7: ``g^(Σ_j A(x̄_i)_j) mod η'`` over the complement table.
+        """The verification kernel (Eq. 7) over the complement table.
 
         Identical sweep shape as :meth:`psi_round` (no ⊖ A(m) term), so a
         server cannot distinguish verification traffic from PSI traffic.
         """
         if shares is None:
             shares = self.fetch_additive(column, owner_ids)
-        exponents = self._sum_shares(shares, num_threads)
-        return self._pow_chunked(exponents, num_threads)
+        return self._psi_rows([column], [shares], [False], owner_ids,
+                              self._sweep_chunks(num_threads, None))[0]
 
     def psu_round(self, column: str, query_nonce: int, num_threads: int = 1,
                   owner_ids: list[int] | None = None,
                   shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 18: the PSU kernel.
-
-        Both servers derive the same mask vector ``rand[i] ∈ [1, δ)`` from
-        the common PRG seed and the query nonce, multiply the summed shares
-        by it and reduce modulo δ.  Owners adding the two outputs get
-        ``(Σ_j x_ij) * rand[i] mod δ`` — zero iff no owner holds the value.
-        """
+        """The PSU kernel (Eq. 18), masked with the ``query_nonce`` stream."""
         if shares is None:
             shares = self.fetch_additive(column, owner_ids)
-        summed = self._sum_shares(shares, num_threads)
-        prg = SeededPRG(self.params.prg_seed, f"psu-{query_nonce}")
-        rand = prg.integers(summed.shape[0], 1, self.params.delta)
-        out = np.empty_like(summed)
-
-        def kernel(lo: int, hi: int) -> None:
-            out[lo:hi] = np.mod(summed[lo:hi] * rand[lo:hi], self.params.delta)
-
-        self.runtime.run(kernel, summed.shape[0], num_threads)
-        return out
+        return self._psu_rows([column], [query_nonce], [shares],
+                              self._sweep_chunks(num_threads, None))[0]
 
     def count_round(self, column: str, num_threads: int = 1,
                     owner_ids: list[int] | None = None,
@@ -229,91 +413,29 @@ class PrismServer:
         out = self.verification_round(column, num_threads, owner_ids, shares)
         return self.params.pf_s2.apply(out)
 
-    # -- Shamir kernels (aggregation round 2) ---------------------------------
-
     def aggregate_round(self, column: str, z_share: np.ndarray,
                         num_threads: int = 1,
                         owner_ids: list[int] | None = None,
                         shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """Eq. 11: ``Σ_j S(x_i2)_j × S(z_i)`` per cell, mod the field prime.
+        """The aggregation kernel (Eq. 11) against one indicator share.
 
         ``z_share`` is this server's Shamir share of the querier's 0/1
-        intersection-indicator vector.  The product of two degree-1 shares
-        is a degree-2 share; owners reconstruct with all three servers.
+        intersection-indicator vector.
         """
         if shares is None:
             shares = self.fetch_shamir(column, owner_ids)
-        p = self.params.field_prime
-        n = z_share.shape[0]
-        if shares[0].shape[0] != n:
-            raise ProtocolError(
-                f"z vector length {n} does not match column length "
-                f"{shares[0].shape[0]}"
-            )
-        acc = np.zeros(n, dtype=np.int64)
-
-        def kernel(lo: int, hi: int) -> None:
-            z = z_share[lo:hi]
-            local = acc[lo:hi]
-            for s in shares:
-                # p < 2**31 keeps each product below 2**62; reduce per term.
-                local += np.mod(s[lo:hi] * z, p)
-                np.mod(local, p, out=local)
-
-        self.runtime.run(kernel, n, num_threads)
-        return acc
+        return self._agg_rows([column], [shares], np.asarray(z_share)[None],
+                              self._sweep_chunks(num_threads, None))[0]
 
     # -- batched 2-D kernels (multi-query fused sweeps) ------------------------
 
-    def _kernel_overridden(self, *names: str) -> bool:
-        """True when a subclass replaced any of the named 1-D kernels.
-
-        The unified execution path routes *every* query through the
-        fused 2-D kernels, including queries against deployments with
-        injected malicious/instrumented servers (subclasses overriding
-        the 1-D kernels).  A fused base-class sweep would silently
-        bypass those overrides — the tampering would never happen and
-        verification tests would vacuously pass — so the batch kernels
-        fall back to stacking per-row 1-D outputs whenever a relevant
-        kernel is overridden.  Honest deployments never take this path.
-        """
-        return any(
-            getattr(type(self), name) is not getattr(PrismServer, name)
-            or name in vars(self)  # instance-level monkeypatch
-            for name in names
-        )
-
     @staticmethod
-    def _check_uniform(columns, share_lists) -> tuple[int, int]:
-        """Validate a fused sweep's inputs; returns (num_owners, b).
-
-        Every column must be held by the same owner set and have the same
-        χ length — a fused sweep sums a fixed set of share vectors per
-        row, so mixed shapes are a planner bug.  The kernels slice the
-        stored 1-D vectors chunk by chunk rather than stacking them into
-        per-owner matrices: no copies of the χ table are materialised.
-        """
-        counts = {len(s) for s in share_lists}
-        if len(counts) != 1:
-            raise ProtocolError(
-                f"batched sweep needs a uniform owner set across columns "
-                f"{list(columns)!r}; got share counts {sorted(counts)}"
-            )
-        lengths = {s[0].shape[0] for s in share_lists}
-        if len(lengths) != 1:
-            raise ProtocolError(
-                f"batched sweep needs equal-length columns; got {sorted(lengths)}"
-            )
-        return counts.pop(), lengths.pop()
-
-    def _batch_m_shares(self, subtract_m, num_owners, owner_ids) -> np.ndarray:
-        """Per-row ``A(m)`` column vector for a fused Eq. 3/Eq. 7 sweep."""
-        m_share = self.params.m_share
-        if owner_ids is not None and num_owners != self.params.num_owners:
-            m_share = self._subset_m_share(num_owners)
-        rows = np.fromiter((m_share if flag else 0 for flag in subtract_m),
-                           dtype=np.int64, count=len(subtract_m))
-        return rows[:, None]
+    def _row_flags(flags, columns, name: str, default: bool) -> list:
+        if flags is None:
+            return [default] * len(columns)
+        if len(flags) != len(columns):
+            raise ProtocolError(f"{name} flags must match the column count")
+        return list(flags)
 
     def psi_round_batch(self, columns, num_threads: int = 1,
                         owner_ids: list[int] | None = None,
@@ -323,13 +445,10 @@ class PrismServer:
         Row ``q`` of the returned ``(Q, b)`` matrix is bit-identical to
         ``psi_round(columns[q])`` when ``subtract_m[q]`` is true (the
         default) and to ``verification_round(columns[q])`` otherwise, but
-        all rows are produced by a *single* chunked pass over the χ length:
-        every row's per-owner share vectors are summed into one 2-D
-        accumulator, then reduced and exponentiated together.  The sweep
-        stays
-        branch-free over the full table, so access-pattern hiding is
-        preserved — the instruction sequence depends only on the batch
-        shape, never on the data.
+        all rows are produced by a *single* chunked pass over the χ
+        length.  The sweep stays branch-free over the full table, so
+        access-pattern hiding is preserved — the instruction sequence
+        depends only on the batch shape, never on the data.
 
         ``shard_plan`` (default: the server's own plan) runs the sweep
         shard-parallel on the deployment's thread pool; outputs stay
@@ -337,39 +456,10 @@ class PrismServer:
         """
         if not len(columns):
             raise ProtocolError("batched PSI sweep needs at least one column")
-        if subtract_m is None:
-            subtract_m = [True] * len(columns)
-        if len(subtract_m) != len(columns):
-            raise ProtocolError("subtract_m flags must match the column count")
-        if self._kernel_overridden("psi_round", "verification_round"):
-            return np.stack([
-                self.psi_round(column, num_threads, owner_ids) if subtract
-                else self.verification_round(column, num_threads, owner_ids)
-                for column, subtract in zip(columns, subtract_m)
-            ])
+        subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
-        num_owners, n = self._check_uniform(columns, share_lists)
-        delta = self.params.delta
-        table = self.params.group.power_table
-        m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
-        out = np.empty((len(columns), n), dtype=np.int64)
-        kernel = kernels.psi_sweep(share_lists, m_rows, delta, table, out)
-        if kernel is None:
-            acc = np.zeros_like(out)
-
-            def kernel(lo: int, hi: int) -> None:
-                local = acc[:, lo:hi]
-                for q, row_shares in enumerate(share_lists):
-                    row = local[q]
-                    for s in row_shares:
-                        row += s[lo:hi]
-                local -= m_rows
-                np.mod(local, delta, out=local)
-                out[:, lo:hi] = table[local]
-
-        self.runtime.run(kernel, n,
-                         self._sweep_chunks(num_threads, shard_plan))
-        return out
+        return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
+                              self._sweep_chunks(num_threads, shard_plan))
 
     def psi_cells_round_batch(self, columns, cells, num_threads: int = 1,
                               owner_ids: list[int] | None = None,
@@ -379,19 +469,14 @@ class PrismServer:
         Row ``q`` of the returned ``(Q, len(cells))`` matrix equals
         ``psi_round_batch(columns)[q][cells]`` — the kernel is
         cell-local, so restricting the sweep to the named cells is
-        bit-identical to slicing the full sweep (and to the historical
-        slice-then-``psi_round`` path the bucketized runner used).  This
-        is the per-level sweep of bucketized PSI (§6.6): only the active
-        bucket nodes are computed, which is the whole point of the
-        bucket tree.
+        bit-identical to slicing the full sweep.  This is the per-level
+        sweep of bucketized PSI (§6.6): only the active bucket nodes are
+        computed, which is the whole point of the bucket tree.
 
         ``cells`` is a 1-D array of χ cell indices, in output order.
         ``shard_plan`` decomposes the *cells array* into contiguous
         shards and runs them on the deployment's thread pool, like
-        :meth:`psi_round_batch`; subclasses that override the 1-D kernels
-        fall back to the per-row slice-and-sweep path, so malicious /
-        instrumented servers keep misbehaving on exactly the active
-        cells.
+        :meth:`psi_round_batch`.
         """
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 1:
@@ -400,56 +485,11 @@ class PrismServer:
         if not len(columns):
             raise ProtocolError("cell-restricted sweep needs at least one "
                                 "column")
-        if subtract_m is None:
-            subtract_m = [True] * len(columns)
-        if len(subtract_m) != len(columns):
-            raise ProtocolError("subtract_m flags must match the column count")
-        def check_cells(b: int) -> None:
-            if cells.size and (int(cells.min()) < 0 or int(cells.max()) >= b):
-                raise ProtocolError(
-                    f"cell indices out of range for χ length {b}")
-
-        if self._kernel_overridden("psi_round", "verification_round"):
-            rows = []
-            for column, subtract in zip(columns, subtract_m):
-                full = self.fetch_additive(column, owner_ids)
-                check_cells(full[0].shape[0])
-                shares = [s[cells] for s in full]
-                rows.append(
-                    self.psi_round(column, num_threads, owner_ids, shares)
-                    if subtract else
-                    self.verification_round(column, num_threads, owner_ids,
-                                            shares))
-            return np.stack(rows)
+        subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
-        num_owners, b = self._check_uniform(columns, share_lists)
-        check_cells(b)
-        n = cells.shape[0]
-        if n == 0:
-            return np.empty((len(columns), 0), dtype=np.int64)
-        delta = self.params.delta
-        table = self.params.group.power_table
-        m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
-        out = np.empty((len(columns), n), dtype=np.int64)
-        kernel = kernels.psi_sweep(share_lists, m_rows, delta, table, out,
-                                   cells=cells)
-        if kernel is None:
-            acc = np.zeros_like(out)
-
-            def kernel(lo: int, hi: int) -> None:
-                span = cells[lo:hi]
-                local = acc[:, lo:hi]
-                for q, row_shares in enumerate(share_lists):
-                    row = local[q]
-                    for s in row_shares:
-                        row += s[span]
-                local -= m_rows
-                np.mod(local, delta, out=local)
-                out[:, lo:hi] = table[local]
-
-        self.runtime.run(kernel, n,
-                         self._sweep_chunks(num_threads, shard_plan))
-        return out
+        return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
+                              self._sweep_chunks(num_threads, shard_plan),
+                              cells)
 
     def count_round_batch(self, columns, num_threads: int = 1,
                           owner_ids: list[int] | None = None,
@@ -464,29 +504,7 @@ class PrismServer:
         """
         if not len(columns):
             raise ProtocolError("batched count sweep needs at least one column")
-        if subtract_m is None:
-            subtract_m = [True] * len(columns)
-        if len(subtract_m) != len(columns):
-            raise ProtocolError("subtract_m flags must match the column count")
-        if use_pf_s2 is None:
-            use_pf_s2 = [False] * len(columns)
-        if len(use_pf_s2) != len(columns):
-            raise ProtocolError("use_pf_s2 flags must match the column count")
-        if self._kernel_overridden("count_round", "count_verification_round"):
-            rows = []
-            for column, subtract, pf2 in zip(columns, subtract_m, use_pf_s2):
-                if subtract and not pf2:
-                    rows.append(self.count_round(column, num_threads,
-                                                 owner_ids))
-                elif pf2 and not subtract:
-                    rows.append(self.count_verification_round(
-                        column, num_threads, owner_ids))
-                else:
-                    raise ProtocolError(
-                        "per-row count fallback supports only the §6.5 "
-                        "data/proof row shapes"
-                    )
-            return np.stack(rows)
+        use_pf_s2 = self._row_flags(use_pf_s2, columns, "use_pf_s2", False)
         out = self.psi_round_batch(columns, num_threads, owner_ids, subtract_m,
                                    shard_plan=shard_plan)
         for row, flag in enumerate(use_pf_s2):
@@ -505,61 +523,23 @@ class PrismServer:
         rows that reference it.  ``permute[q]`` additionally applies
         ``PF_s1`` to row ``q`` (the PSU-Count path).
 
-        Each span of the compiled sweep seeks the common counter-mode PRG
-        to its own span of every row's Eq. 18 mask stream, so mask
-        generation — the dominant PSU cost — shards along with the
-        sweep, bit-identically to slicing the full-length stream.
+        Each span seeks the common counter-mode PRG to its own span of
+        every row's Eq. 18 mask stream, so mask generation — the
+        dominant PSU cost — shards along with the sweep, bit-identically
+        to slicing the full-length stream.
         """
         if not len(columns):
             raise ProtocolError("batched PSU sweep needs at least one column")
         if len(query_nonces) != len(columns):
             raise ProtocolError("query_nonces must match the column count")
-        if permute is not None and len(permute) != len(columns):
-            raise ProtocolError("permute flags must match the column count")
-        if self._kernel_overridden("psu_round"):
-            out = np.stack([
-                self.psu_round(column, nonce, num_threads, owner_ids)
-                for column, nonce in zip(columns, query_nonces)
-            ])
-            return self._apply_psu_permute(out, permute)
-        uniq = list(dict.fromkeys(columns))
-        row_map = np.fromiter((uniq.index(c) for c in columns),
-                              dtype=np.int64, count=len(columns))
-        share_lists = [self.fetch_additive(c, owner_ids) for c in uniq]
-        _, n = self._check_uniform(uniq, share_lists)
-        delta = self.params.delta
-        acc = np.zeros((len(uniq), n), dtype=np.int64)
-        out = np.empty((len(columns), n), dtype=np.int64)
-        keys = [SeededPRG(self.params.prg_seed, f"psu-{nonce}").key_bytes
-                for nonce in query_nonces]
-        kernel = kernels.psu_sweep(share_lists, acc, row_map, keys, delta,
-                                   out)
-        if kernel is None:
-            rand = np.stack([
-                SeededPRG(self.params.prg_seed,
-                          f"psu-{nonce}").integers(n, 1, delta)
-                for nonce in query_nonces
-            ])
-
-            def kernel(lo: int, hi: int) -> None:
-                local = acc[:, lo:hi]
-                for u, col_shares in enumerate(share_lists):
-                    row = local[u]
-                    for s in col_shares:
-                        row += s[lo:hi]
-                np.mod(local, delta, out=local)
-                out[:, lo:hi] = np.mod(local[row_map] * rand[:, lo:hi], delta)
-
-        self.runtime.run(kernel, n,
-                         self._sweep_chunks(num_threads, shard_plan))
-        return self._apply_psu_permute(out, permute)
-
-    def _apply_psu_permute(self, out: np.ndarray, permute) -> np.ndarray:
-        """Apply per-row ``PF_s1`` to the flagged rows (the PSU-Count path)."""
-        if permute is not None:
-            for row, flag in enumerate(permute):
-                if flag:
-                    out[row] = self.params.pf_s1.apply(out[row])
+        permute = self._row_flags(permute, columns, "permute", False)
+        share_lists = [self.fetch_additive(c, owner_ids)
+                       for c in dict.fromkeys(columns)]
+        out = self._psu_rows(columns, query_nonces, share_lists,
+                             self._sweep_chunks(num_threads, shard_plan))
+        for row, flag in enumerate(permute):
+            if flag:
+                out[row] = self.params.pf_s1.apply(out[row])
         return out
 
     def aggregate_round_batch(self, columns, z_matrix: np.ndarray,
@@ -576,47 +556,9 @@ class PrismServer:
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
-        # ALIGNED matters for wire-decoded z matrices: the codec hands
-        # out zero-copy frame views, which the compiled sweeps (and fast
-        # numpy paths) want re-packed once, here.
-        z_matrix = np.require(z_matrix, dtype=np.int64,
-                              requirements=["ALIGNED", "C_CONTIGUOUS"])
-        if z_matrix.ndim != 2 or z_matrix.shape[0] != len(columns):
-            raise ProtocolError(
-                f"z matrix of shape {z_matrix.shape} does not stack one row "
-                f"per column ({len(columns)} expected)"
-            )
-        if self._kernel_overridden("aggregate_round"):
-            return np.stack([
-                self.aggregate_round(column, z_matrix[row], num_threads,
-                                     owner_ids)
-                for row, column in enumerate(columns)
-            ])
         share_lists = [self.fetch_shamir(c, owner_ids) for c in columns]
-        _, n = self._check_uniform(columns, share_lists)
-        if z_matrix.shape[1] != n:
-            raise ProtocolError(
-                f"z vector length {z_matrix.shape[1]} does not match column "
-                f"length {n}"
-            )
-        p = self.params.field_prime
-        acc = np.zeros((len(columns), n), dtype=np.int64)
-        kernel = kernels.agg_sweep(share_lists, z_matrix, p, acc)
-        if kernel is None:
-            def kernel(lo: int, hi: int) -> None:
-                local = acc[:, lo:hi]
-                for q, row_shares in enumerate(share_lists):
-                    z = z_matrix[q, lo:hi]
-                    row = local[q]
-                    for s in row_shares:
-                        # p < 2**31 keeps each product below 2**62; reduce
-                        # per term.
-                        row += np.mod(s[lo:hi] * z, p)
-                        np.mod(row, p, out=row)
-
-        self.runtime.run(kernel, n,
-                         self._sweep_chunks(num_threads, shard_plan))
-        return acc
+        return self._agg_rows(columns, share_lists, z_matrix,
+                              self._sweep_chunks(num_threads, shard_plan))
 
     # -- extrema machinery (§6.3) ---------------------------------------------
 

@@ -25,9 +25,13 @@ Selection ladder:
 
 The sweep *builders* below return a ``kernel(lo, hi)`` chunk closure
 writing into a caller-provided output matrix, or ``None`` when any rung
-of the ladder says numpy — so the server kernels and
-:func:`repro.core.sharding.compute_sweep_span` keep a single fallback
-shape.  Closures only read shared state and write disjoint spans, so
+of the ladder says numpy.  Each has a numpy twin with the same
+signature in :mod:`repro.entities.server` (``numpy_psi_sweep`` and
+friends), and one selector per equation there
+(``kernels.psi_sweep(...) or numpy_psi_sweep(...)``) is the only place
+that picks between them.  This package stays an optional plug-in: the
+protocol layer never needs it to compute a sweep.  Closures only read
+shared state and write disjoint spans, so
 the deployment's thread pool (:class:`repro.core.sharding.ShardRuntime`)
 drives them in parallel (ctypes releases the GIL for the duration of
 each C call).
@@ -198,8 +202,8 @@ def psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
     into ``acc`` rows; ``row_map[q]`` names the acc row for output row
     ``q`` and ``keys[q]`` its 32-byte mask-stream key.  ``draw_base``
     offsets the mask draws (non-zero when the caller hands span-local
-    arrays, as ``compute_sweep_span`` does) so shards keep seeking the
-    absolute stream exactly like ``SeededPRG.integers_at``.
+    arrays, as the entity host's span requests do) so shards keep
+    seeking the absolute stream exactly like ``SeededPRG.integers_at``.
     """
     if delta < 2:
         return None

@@ -387,8 +387,8 @@ void repro_psi_span(const int64_t **shares, int64_t nshares,
     }
 }
 
-/* Cell-restricted Eq. 3 span: the span indexes the cells array, the
- * gathered cells index the full share vectors. */
+/* Cell-restricted repro_psi_span: the span indexes the cells array,
+ * the gathered cells index the full share vectors. */
 void repro_psi_cells_span(const int64_t **shares, int64_t nshares,
                           const int64_t *cells, int64_t lo, int64_t hi,
                           int64_t m_share, int64_t delta,

@@ -18,8 +18,9 @@ from zero-copy to real sockets.
 
 Span-scoped requests: a kernel request whose frame envelope names a
 shard span ``(lo, hi)`` computes only that contiguous χ span of the
-fused sweep (via :func:`repro.core.sharding.compute_sweep_span`),
-which is the hook a multi-connection distributed dispatcher shards
+fused sweep — span-local share slices swept by the same span kernel
+selectors the server's own sweeps run (:func:`~repro.entities.server.
+psi_sweep` and friends) — which is the hook a multi-connection distributed dispatcher shards
 sweeps across hosts with.  Whole-sweep requests may instead carry a
 ``num_shards`` keyword, which the host honours on its own thread pool.
 """
@@ -34,9 +35,11 @@ import socket
 import sys
 import threading
 
-from repro.core.sharding import ShardPlan, compute_sweep_span
+import numpy as np
+
+from repro.core.sharding import ShardPlan
 from repro.data.storage import ShareKind
-from repro.entities.server import PrismServer
+from repro.entities.server import PrismServer, agg_sweep, psi_sweep, psu_sweep
 from repro.exceptions import ProtocolError
 from repro.network.codec import FULL_SPAN, decode_frame, encode_frame
 from repro.network.rpc import (
@@ -82,16 +85,11 @@ _SHARDED_KERNELS = frozenset({
     "psu_round_batch", "aggregate_round_batch",
 })
 
-#: Kernels servable span-scoped (the frame envelope names the span),
-#: with the 1-D kernels whose override disqualifies span service — the
-#: span path reads the store directly and must never silently bypass a
-#: malicious / instrumented subclass.
-_SPAN_KERNELS = {
-    "psi_round_batch": ("psi_round", "verification_round"),
-    "psi_cells_round_batch": ("psi_round", "verification_round"),
-    "psu_round_batch": ("psu_round",),
-    "aggregate_round_batch": ("aggregate_round",),
-}
+#: Kernels servable span-scoped (the frame envelope names the span).
+_SPAN_KERNELS = frozenset({
+    "psi_round_batch", "psi_cells_round_batch", "psu_round_batch",
+    "aggregate_round_batch",
+})
 
 
 class ServerAdapter:
@@ -150,10 +148,11 @@ class ServerAdapter:
         concatenation, with the very parameters the initiator dealt
         it), and Eq. 11 (``aggregate_round_batch``, the frame carrying
         this span's slice of the z matrix).  The span kernel reads the
-        store directly, bypassing the server's methods, so it
-        refuses servers whose kernels are overridden — a malicious or
-        instrumented subclass must keep misbehaving per call, never be
-        silently bypassed by span dispatch.
+        store directly, bypassing the server's methods and its
+        :meth:`~repro.entities.server.PrismServer.tamper` seam, so it
+        refuses any server but an unmodified :class:`PrismServer` — a
+        malicious or instrumented one must keep misbehaving per call,
+        never be silently bypassed by span dispatch.
         """
         if kind not in _SPAN_KERNELS:
             raise ProtocolError(
@@ -161,8 +160,7 @@ class ServerAdapter:
                 f"send a whole-sweep request with num_shards instead"
             )
         server = self.server
-        if (type(server) is not PrismServer
-                or server._kernel_overridden(*_SPAN_KERNELS[kind])):
+        if type(server) is not PrismServer or "tamper" in vars(server):
             raise ProtocolError(
                 "span-scoped execution requires an unmodified server"
             )
@@ -180,7 +178,7 @@ class ServerAdapter:
             cells = args[1] if len(args) > 1 else kwargs.get("cells")
             if cells is None:
                 raise ProtocolError("malformed span request: no cells")
-            cells = [int(c) for c in cells]
+            cells = np.asarray(cells, dtype=np.int64)
             owner_slot, flag_slot = 3, 4
         else:
             owner_slot, flag_slot = 2, 3
@@ -200,18 +198,22 @@ class ServerAdapter:
             raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {n}")
         m_rows = server._batch_m_shares(list(subtract_m), len(owners[0]),
                                         owner_ids)
-        spec = {
-            "columns": columns,
-            "owners": owners,
-            "m_rows": [int(v) for v in m_rows.ravel()],
-            "rows": len(columns),
-        }
         if cells is None:
-            return compute_sweep_span(server, "psi", spec, lo, hi)
-        if cells and not all(0 <= c < b for c in cells):
-            raise ProtocolError(f"cell indices out of range for χ length {b}")
-        spec["cells"] = cells
-        return compute_sweep_span(server, "psi_cells", spec, lo, hi)
+            share_lists = self._span_slices(server, columns, owners, lo, hi)
+        else:
+            if cells.size and (int(cells.min()) < 0 or int(cells.max()) >= b):
+                raise ProtocolError(
+                    f"cell indices out of range for χ length {b}")
+            # The kernel is cell-local: the span indexes the cells array
+            # and gathers from the full share vectors.
+            share_lists = [[server.store.get(owner, column).values
+                            for owner in col_owners]
+                           for column, col_owners in zip(columns, owners)]
+            cells = cells[lo:hi]
+        out = np.empty((len(columns), hi - lo), dtype=np.int64)
+        psi_sweep(share_lists, m_rows, server.params.delta,
+                  server.params.group.power_table, out, cells)(0, hi - lo)
+        return out
 
     @staticmethod
     def _span_owners(server, columns, owner_ids):
@@ -235,6 +237,13 @@ class ServerAdapter:
             raise ProtocolError(
                 "span request needs equal-length columns")
         return owners, lengths.pop()
+
+    @staticmethod
+    def _span_slices(server, columns, owners, lo, hi):
+        """Per-column lists of the owners' ``[lo, hi)`` share slices."""
+        return [[server.store.shard_slice(owner, column, lo, hi)
+                 for owner in col_owners]
+                for column, col_owners in zip(columns, owners)]
 
     def _psu_span(self, server, columns, args, kwargs, lo, hi):
         """One span of the *unpermuted* fused Eq. 18 sweep.
@@ -268,14 +277,12 @@ class ServerAdapter:
         owners, b = self._span_owners(server, uniq, owner_ids)
         if hi > b:
             raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {b}")
-        spec = {
-            "columns": uniq,
-            "owners": owners,
-            "row_map": row_map,
-            "nonces": nonces,
-            "rows": len(columns),
-        }
-        return compute_sweep_span(server, "psu", spec, lo, hi)
+        share_lists = self._span_slices(server, uniq, owners, lo, hi)
+        acc = np.empty((len(uniq), hi - lo), dtype=np.int64)
+        out = np.empty((len(columns), hi - lo), dtype=np.int64)
+        psu_sweep(share_lists, acc, row_map, server._psu_keys(nonces),
+                  server.params.delta, out, draw_base=lo)(0, hi - lo)
+        return out
 
     def _agg_span(self, server, columns, args, kwargs, lo, hi):
         """One span of the fused Eq. 11 sweep.
@@ -284,7 +291,6 @@ class ServerAdapter:
         the frame ships only *this span's* slice of the querier-dealt
         indicator-share matrix, so the z traffic shards with the sweep.
         """
-        import numpy as np
         if len(args) < 2:
             raise ProtocolError("malformed span request: no z matrix")
         z_block = np.asarray(args[1], dtype=np.int64)
@@ -298,13 +304,11 @@ class ServerAdapter:
         owners, b = self._span_owners(server, columns, owner_ids)
         if hi > b:
             raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {b}")
-        spec = {
-            "columns": columns,
-            "owners": owners,
-            "rows": len(columns),
-        }
-        return compute_sweep_span(server, "agg", spec, lo, hi,
-                                  z_span=z_block)
+        share_lists = self._span_slices(server, columns, owners, lo, hi)
+        out = np.empty((len(columns), hi - lo), dtype=np.int64)
+        agg_sweep(share_lists, z_block, server.params.field_prime,
+                  out)(0, hi - lo)
+        return out
 
 
 def adapter_for(entity) -> ServerAdapter:

@@ -170,7 +170,9 @@ class TestInProcessChannel:
         with pytest.raises(ProtocolError):
             channel.call("fetch_additive", "no-such-column", None)
         with pytest.raises(ProtocolError):
-            channel.call("_sum_shares", [])  # not on the allowlist
+            channel.call("_psi_rows", [])  # not on the allowlist
+        with pytest.raises(ProtocolError):
+            channel.call("tamper", "psi", "k", [])  # nor is the seam
         system.close()
 
     def test_proxy_over_inprocess_channel_is_equivalent(self):

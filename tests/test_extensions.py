@@ -3,7 +3,7 @@ domains, CSV I/O, extrema verification, announcer-driven bucketization."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import (
     Domain,
@@ -109,15 +109,22 @@ class TestHashedDomain:
 
     @given(st.sets(st.integers(0, 500), max_size=30),
            st.sets(st.integers(0, 500), max_size=30))
+    @example({13}, {83})
     @settings(max_examples=15, deadline=None)
     def test_hashed_psi_property(self, a, b):
-        # 2^14 cells for <=60 values: collision probability ~ 0.1% —
-        # negligible across the tested examples.
+        # The hash seed is fixed, so collisions are deterministic: six
+        # pairs of 0..500 share a cell of this domain, (13, 83) among
+        # them.  A colliding pair is a documented false positive, so the
+        # oracle is hash-aware: the querier's values whose cell the other
+        # owner also holds.  The true intersection is always included.
         relations = [Relation("a", {"v": sorted(a)}),
                      Relation("b", {"v": sorted(b)})]
         hd = HashedDomain("v", 2**14, seed=5)
         system = PrismSystem.build(relations, hd, "v", seed=5)
-        assert set(system.psi("v").values) == (a & b)
+        result = set(system.psi("v").values)
+        cells_b = {hd.cell_of(x) for x in b}
+        assert result == {x for x in a if hd.cell_of(x) in cells_b}
+        assert a & b <= result
 
 
 class TestCsvIO:

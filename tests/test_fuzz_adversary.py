@@ -41,19 +41,12 @@ class FuzzServer(PrismServer):
             out[cells] = out[rng.permutation(cells)]
         return out
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        if self._fuzz_rng.random() < 0.8:
-            out = self._corrupt(out)
-        return out
-
-    def verification_round(self, column, num_threads=1, owner_ids=None,
-                           shares=None):
-        out = super().verification_round(column, num_threads, owner_ids,
-                                         shares)
-        if self._fuzz_rng.random() < 0.5:
-            out = self._corrupt(out)
-        return out
+    def tamper(self, kind, column, row):
+        if kind == "psi" and self._fuzz_rng.random() < 0.8:
+            return self._corrupt(row)
+        if kind == "verification" and self._fuzz_rng.random() < 0.5:
+            return self._corrupt(row)
+        return row
 
 
 def _system(fuzz_seed, data_seed):
@@ -126,10 +119,11 @@ class CountingSkipCellsServer(PrismServer):
         super().__init__(index, params)
         self.psi_calls = 0
 
-    def psi_round(self, column, num_threads=1, owner_ids=None, shares=None):
+    def tamper(self, kind, column, row):
+        if kind != "psi":
+            return row
         self.psi_calls += 1
-        out = super().psi_round(column, num_threads, owner_ids, shares)
-        return np.full_like(out, out[0])
+        return np.full_like(row, row[0])
 
 
 def _sharded_value_system(factories, num_shards=7):
@@ -148,8 +142,8 @@ class TestShardedInteractiveFaultInjection:
     """Malicious servers on the *sharded* extrema/median rounds.
 
     The shard-parallel dispatch must never bypass a subclass override —
-    the threads/per-row fallback has to keep fault injection (and hence
-    detection) effective at every shard count.
+    the tamper seam and the extrema round have to keep fault injection
+    (and hence detection) effective at every shard count.
     """
 
     @pytest.mark.parametrize("num_shards", [2, 7])
@@ -185,7 +179,7 @@ class TestShardedInteractiveFaultInjection:
 
     def test_skip_cells_psi_round_not_bypassed_by_sharding(self):
         # The extrema PSI round runs through the sharded batch kernel;
-        # a subclassed psi_round must still fire per shard plan — the
+        # a subclassed tamper must still fire per shard plan — the
         # corrupted common-value set then surfaces as a loud protocol /
         # verification error or the true answer, never a silent lie.
         with _sharded_value_system({1: CountingSkipCellsServer}) as system:

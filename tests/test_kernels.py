@@ -7,9 +7,10 @@ stream compute **bit-identically** to the numpy/hashlib reference
 kernels, including int64 wraparound, floored-mod reduction points and
 the SHA-256 block stream.  Pinned three ways:
 
-* unit level — each sweep builder's ``kernel(lo, hi)`` closure against
-  a hand-written numpy replica of the server fallback, chunked so the
-  span seams are exercised;
+* unit level — each sweep builder's ``kernel(lo, hi)`` closure, and
+  its numpy twin in :mod:`repro.entities.server`, against a
+  hand-written numpy replica of the equation, chunked so the span
+  seams are exercised;
 * stream level — ``prg_fill`` / ``integers_at`` against the hashlib
   counter stream at odd offsets, in both backends;
 * system level — every batchable Table-4 kind (verified where
@@ -39,6 +40,11 @@ from test_multihost_matrix import (
 
 from repro import kernels
 from repro.crypto.prg import SeededPRG
+from repro.entities.server import (
+    numpy_agg_sweep,
+    numpy_psi_sweep,
+    numpy_psu_sweep,
+)
 from repro.kernels import cbackend
 
 compiled_available = kernels.available()
@@ -75,7 +81,7 @@ def _chunked(kernel, n, splits=(0.3, 0.7)):
         kernel(lo, hi)
 
 
-# -- numpy replicas of the server fallback kernels ----------------------------
+# -- numpy replicas of the server equations -----------------------------------
 
 
 def psi_reference(share_lists, m_flat, delta, table, cells=None):
@@ -173,8 +179,8 @@ class TestSweepBitIdentity:
     def test_psu_sweep_draw_base_seeks_the_mask_stream(self, compiled):
         """Span-local arrays + draw_base == slicing the full sweep.
 
-        This is exactly how ``compute_sweep_span`` invokes the kernel for
-        a span-scoped request: the share arrays cover only the shard's
+        This is exactly how the entity host invokes the kernel for a
+        span-scoped request: the share arrays cover only the shard's
         span, and the Eq. 18 mask draws must come from the *absolute*
         stream offsets — bit-identical to slicing a full-length sweep.
         """
@@ -234,6 +240,55 @@ class TestSweepBitIdentity:
         _chunked(kernel, n)
         expected = agg_reference(shares, z_matrix, p)
         np.testing.assert_array_equal(out, expected)
+
+
+class TestNumpyTwins:
+    """The numpy span builders honour the compiled builders' contract:
+    same signature, seams invisible, outputs and scratch written (never
+    read), span-local arrays seeking the absolute PSU stream."""
+
+    def test_psi_twin(self):
+        rng = np.random.default_rng(21)
+        n = 700
+        shares = _share_lists(rng, rows=3, owners=3, n=n)
+        table = rng.permutation(DELTA).astype(np.int64)
+        m_rows = np.array([[777], [0], [-12345]], dtype=np.int64)
+        cells = rng.permutation(n)[:400].astype(np.int64)
+        for gather in (None, cells):
+            out = np.full((3, n if gather is None else len(gather)), -1,
+                          dtype=np.int64)
+            _chunked(numpy_psi_sweep(shares, m_rows, DELTA, table, out,
+                                     cells=gather), out.shape[1])
+            np.testing.assert_array_equal(
+                out, psi_reference(shares, m_rows.ravel(), DELTA, table,
+                                   cells=gather))
+
+    def test_psu_twin_seeks_the_mask_stream(self):
+        rng = np.random.default_rng(22)
+        n, seed, base, span = 900, 9, 217, 500
+        shares = _share_lists(rng, rows=2, owners=3, n=n)
+        nonces = [1, 2, 3]
+        row_map = np.array([0, 1, 0], dtype=np.int64)
+        keys = [SeededPRG(seed, f"psu-{nonce}").key_bytes
+                for nonce in nonces]
+        full = psu_reference(shares, row_map, nonces, seed, DELTA)
+        local = [[np.ascontiguousarray(s[base:base + span]) for s in row]
+                 for row in shares]
+        acc = np.full((2, span), 5, dtype=np.int64)
+        out = np.full((3, span), -1, dtype=np.int64)
+        _chunked(numpy_psu_sweep(local, acc, row_map, keys, DELTA, out,
+                                 draw_base=base), span)
+        np.testing.assert_array_equal(out, full[:, base:base + span])
+
+    def test_agg_twin(self):
+        rng = np.random.default_rng(23)
+        n = 600
+        shares = _share_lists(rng, rows=2, owners=3, n=n)
+        z_matrix = rng.integers(-PRIME, PRIME, size=(2, n), dtype=np.int64)
+        out = np.full((2, n), 7, dtype=np.int64)
+        _chunked(numpy_agg_sweep(shares, z_matrix, PRIME, out), n)
+        np.testing.assert_array_equal(out,
+                                      agg_reference(shares, z_matrix, PRIME))
 
 
 # -- the selection ladder -------------------------------------------------------

@@ -27,11 +27,10 @@ class _TamperPsuServer(PrismServer):
     for every absent cell — the realistic single-server PSU attack.
     """
 
-    def psu_round(self, column, query_nonce, num_threads=1, owner_ids=None,
-                  shares=None):
-        out = super().psu_round(column, query_nonce, num_threads, owner_ids,
-                                shares)
-        return np.mod(out + 1, self.params.delta)
+    def tamper(self, kind, column, row):
+        if kind != "psu":
+            return row
+        return np.mod(row + 1, self.params.delta)
 
 
 class TestHonest:

@@ -4,7 +4,7 @@ The contract under test: for every batchable Table-4 query kind, the
 sharded path — contiguous χ shards on the deployment's thread pool —
 returns results *bit-identical* to the unsharded sweep, for every shard
 count, owner subset, and transport accounting; and malicious /
-instrumented servers (per-row kernels, overridden fetches) behave
+instrumented servers (tamper overrides, overridden fetches) behave
 exactly as they do unsharded.
 """
 

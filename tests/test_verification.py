@@ -1,8 +1,9 @@
 """Fault-injection tests: every §5.2 adversary must be caught (§5.2, §6)."""
 
+import numpy as np
 import pytest
 
-from repro import Domain, PrismSystem, Relation, VerificationError
+from repro import Domain, PrismSystem, Relation, VerificationError, kernels
 from repro.entities.adversary import (
     DropAggregateServer,
     FalsifyVerificationServer,
@@ -10,18 +11,22 @@ from repro.entities.adversary import (
     ReplaySwapServer,
     SkipCellsServer,
 )
+from repro.entities.server import PrismServer
+from repro.exceptions import ProtocolError
+from repro.network.host import ServerAdapter
 
 DOMAIN = list(range(1, 25))
 SETS = [{1, 2, 5, 9, 14}, {2, 5, 9, 17}, {2, 5, 20}]
 
 
-def adversarial_system(server_factories, seed=3, sets=SETS):
+def adversarial_system(server_factories, seed=3, sets=SETS, domain=DOMAIN,
+                       **kwargs):
     relations = [Relation(f"o{i}", {"k": sorted(s), "amt": [7] * len(s)})
                  for i, s in enumerate(sets)]
-    domain = Domain("k", DOMAIN)
-    return PrismSystem.build(relations, domain, "k", agg_attributes=("amt",),
-                             with_verification=True, seed=seed,
-                             server_factories=server_factories)
+    return PrismSystem.build(relations, Domain("k", domain), "k",
+                             agg_attributes=("amt",), with_verification=True,
+                             seed=seed, server_factories=server_factories,
+                             **kwargs)
 
 
 class TestHonestBaseline:
@@ -127,3 +132,95 @@ class TestDetectionProbability:
         vcell = owner.params.pf_db1.apply_index(0)
         r2 = int(vout[0][vcell]) * int(vout[1][vcell]) % eta
         assert fop0 * r2 % eta == 1
+
+
+# -- adversaries run the kernels honest deployments run -----------------------
+
+#: Wide enough that the compiled tier engages (``NATIVE_MIN_SPAN``).
+WIDE_DOMAIN = list(range(1, 1025))
+
+
+@pytest.fixture()
+def compiled_tier():
+    if kernels.configure("c") != "c":
+        kernels.configure(None)
+        pytest.skip("compiled kernel tier unavailable (no C toolchain)")
+    yield
+    kernels.configure(None)
+
+
+def _spy(monkeypatch, name):
+    """Record every ``kernels.<name>`` call's share vectors and result."""
+    calls = []
+    original = getattr(kernels, name)
+
+    def spy(share_lists, *args, **kwargs):
+        kernel = original(share_lists, *args, **kwargs)
+        calls.append(([s for row in share_lists for s in row], kernel))
+        return kernel
+
+    monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def _compiled_sweeps_over(calls, server, columns, fetch):
+    """Compiled sweeps that read ``server``'s own stored share vectors."""
+    stored = [s for column in columns for s in fetch(server, column)]
+    return [kernel for shares, kernel in calls
+            if kernel is not None
+            and any(s is t for s in shares for t in stored)]
+
+
+class TestAdversariesRunTheFusedKernel:
+    """Tampering happens after the real (compiled, sharded) sweep, so an
+    adversary's outputs come from the same kernel an honest server runs,
+    and verification still catches it."""
+
+    def test_skip_cells_runs_the_compiled_psi_sweep(self, compiled_tier,
+                                                    monkeypatch):
+        calls = _spy(monkeypatch, "psi_sweep")
+        with adversarial_system({0: SkipCellsServer},
+                                domain=WIDE_DOMAIN, num_shards=7) as system:
+            with pytest.raises(VerificationError):
+                system.psi("k", verify=True)
+            assert _compiled_sweeps_over(
+                calls, system.servers[0], ["k", "vk"],
+                PrismServer.fetch_additive)
+
+    def test_drop_aggregate_runs_the_compiled_agg_sweep(self, compiled_tier,
+                                                        monkeypatch):
+        calls = _spy(monkeypatch, "agg_sweep")
+        factory = lambda i, p: DropAggregateServer(i, p, cells=tuple(range(8)))
+        with adversarial_system({0: factory}, domain=WIDE_DOMAIN,
+                                num_shards=7) as system:
+            with pytest.raises(VerificationError):
+                system.psi_sum("k", "amt", verify=True)
+            assert _compiled_sweeps_over(
+                calls, system.servers[0], ["amt", "vamt"],
+                PrismServer.fetch_shamir)
+
+
+class TestSpanRequestsRefuseTamperingServers:
+    """Span requests read the store directly, past the tamper seam, so the
+    host serves them only for an unmodified honest server."""
+
+    @staticmethod
+    def _span(server, lo=0, hi=8):
+        return ServerAdapter(server)._span_request(
+            "psi_round_batch", [["k"]], {}, (lo, hi))
+
+    def test_honest_server_serves_a_span(self):
+        server = adversarial_system({}).servers[0]
+        np.testing.assert_array_equal(self._span(server, 3, 11),
+                                      server.psi_round_batch(["k"])[:, 3:11])
+
+    def test_adversary_subclass_refused(self):
+        server = adversarial_system({0: SkipCellsServer}).servers[0]
+        with pytest.raises(ProtocolError, match="unmodified server"):
+            self._span(server)
+
+    def test_instance_level_tamper_refused(self):
+        server = adversarial_system({}).servers[0]
+        server.tamper = lambda kind, column, row: row
+        with pytest.raises(ProtocolError, match="unmodified server"):
+            self._span(server)
