@@ -30,7 +30,22 @@ import numpy as np
 from repro.core.psi import psi_column_name, run_psi
 from repro.core.psu import run_psu
 from repro.core.results import AggregateResult
-from repro.exceptions import ProtocolError, VerificationError
+from repro.exceptions import ProtocolError, QueryError, VerificationError
+
+
+def require_decodable(domain, kind: str) -> None:
+    """Refuse an aggregation whose group values the domain cannot name.
+
+    A hashed domain's cells do not decode to values, so a per-value
+    result could only fail after both rounds; checking first costs no
+    round and deals no shares.
+    """
+    if not getattr(domain, "invertible", True):
+        raise QueryError(
+            f"{kind} over {domain.attribute!r} needs an enumerated or "
+            f"product domain: hashed-domain cells do not decode to the "
+            f"group values a per-value result names"
+        )
 
 
 def indicator_shares(system, owner, column: str, owner_ids, member,
@@ -106,6 +121,7 @@ def run_aggregate(system, attribute: str, agg_attributes,
     threads = num_threads if num_threads is not None else system.num_threads
     transport = system.transport
     owner = system.owners[querier]
+    require_decodable(owner.params.domain, f"{over}-{op}")
 
     round1 = _indicator_round(system, attribute, over, threads, querier,
                               owner_ids)
@@ -181,14 +197,7 @@ def run_aggregate(system, attribute: str, agg_attributes,
                         failed_cells=bad.tolist(),
                     )
                 verified = True
-            per_value = {}
-            for cell in np.nonzero(member)[0]:
-                value = owner.params.domain.value_of(int(cell))
-                if op == "sum":
-                    per_value[value] = int(totals[cell])
-                else:
-                    c = int(counts[cell])
-                    per_value[value] = int(totals[cell]) / c if c else 0.0
+            per_value = owner.aggregate_per_value(member, totals, counts)
             results[agg] = AggregateResult(
                 per_value=per_value, timings=timings,
                 traffic=transport.stats.summary(), verified=verified,

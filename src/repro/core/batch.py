@@ -45,7 +45,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.aggregate import indicator_shares
+from repro.core.aggregate import indicator_shares, require_decodable
 from repro.core.psi import psi_column_name
 from repro.core.query import QueryPlan, parse_query
 from repro.core.results import (
@@ -333,6 +333,8 @@ class QueryBatch:
                 requested += 1
                 handle["data"] = ("psu", psu_row(group, base, True))
             else:  # aggregation kinds: round 1 is an unverified PSI/PSU.
+                owner = self.system.owners[query.querier]
+                require_decodable(owner.params.domain, query.kind)
                 requested += 1
                 if query.kind in _PSU_BASED:
                     handle["data"] = ("psu", psu_row(group, base, False))
@@ -555,16 +557,8 @@ class QueryBatch:
             fop = owner.finalize_psi(r0, r1)
             count = int(np.count_nonzero(fop == 1))
             if query.verify:
-                v0, v1 = self._rows(handle["proof"], group, outputs)
-                eta = owner.params.eta
-                r2 = np.mod(np.mod(v0, eta) * np.mod(v1, eta), eta)
-                proof = np.mod(fop * r2, eta)
-                bad = np.nonzero(proof != 1)[0]
-                if bad.size:
-                    raise VerificationError(
-                        f"count verification failed at {bad.size} cells",
-                        failed_cells=bad.tolist(),
-                    )
+                owner.verify_count(fop, *self._rows(handle["proof"], group,
+                                                    outputs))
             results[index] = CountResult(count=count, timings=self.timings,
                                          traffic=traffic)
             return None
@@ -685,7 +679,6 @@ class QueryBatch:
         vsums = dict(row_totals.get((index, "vsum"), []))
         count_rows = row_totals.get((index, "count"), [])
         counts = count_rows[0][1] if count_rows else None
-        want_counts = query.kind.endswith("average")
 
         results: dict[str, AggregateResult] = {}
         for agg in query.agg_attributes:
@@ -702,14 +695,7 @@ class QueryBatch:
                         failed_cells=bad.tolist(),
                     )
                 verified = True
-            per_value = {}
-            for cell in np.nonzero(member)[0]:
-                value = owner.params.domain.value_of(int(cell))
-                if not want_counts:
-                    per_value[value] = int(totals[cell])
-                else:
-                    c = int(counts[cell])
-                    per_value[value] = int(totals[cell]) / c if c else 0.0
+            per_value = owner.aggregate_per_value(member, totals, counts)
             results[agg] = AggregateResult(per_value=per_value,
                                            timings=self.timings,
                                            traffic=traffic, verified=verified)

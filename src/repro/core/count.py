@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.psi import psi_column_name
 from repro.core.results import CountResult, PhaseTimings
-from repro.exceptions import VerificationError
 
 
 def run_psi_count(system, attribute: str | tuple, verify: bool = False,
@@ -64,15 +63,7 @@ def run_psi_count(system, attribute: str | tuple, verify: bool = False,
         fop = owner.finalize_psi(outputs[0], outputs[1])
         count = int(np.count_nonzero(fop == 1))
         if verify:
-            eta = owner.params.eta
-            r2 = np.mod(np.mod(vouts[0], eta) * np.mod(vouts[1], eta), eta)
-            proof = np.mod(fop * r2, eta)
-            bad = np.nonzero(proof != 1)[0]
-            if bad.size:
-                raise VerificationError(
-                    f"count verification failed at {bad.size} cells",
-                    failed_cells=bad.tolist(),
-                )
+            owner.verify_count(fop, vouts[0], vouts[1])
 
     return CountResult(count=count, timings=timings,
                        traffic=transport.stats.summary())

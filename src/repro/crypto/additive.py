@@ -51,16 +51,20 @@ class AdditiveSharing:
         ``secrets``.
         """
         secrets = np.asarray(secrets, dtype=np.int64)
-        if np.any(secrets < 0) or np.any(secrets >= self.modulus):
+        if secrets.size and (secrets.min() < 0
+                             or secrets.max() >= self.modulus):
             secrets = np.mod(secrets, self.modulus)
         shares = [
             self._rng.integers(0, self.modulus, size=secrets.shape, dtype=np.int64)
             for _ in range(self.num_shares - 1)
         ]
-        total = np.zeros_like(secrets)
-        for s in shares:
-            total = np.mod(total + s, self.modulus)
-        shares.append(np.mod(secrets - total, self.modulus))
+        # The drawn shares lie in [0, modulus): their sum needs no
+        # reduction before the one that makes the last share.
+        last = secrets - shares[0]
+        for s in shares[1:]:
+            last -= s
+        np.remainder(last, self.modulus, out=last)
+        shares.append(last)
         return shares
 
     def reconstruct_vector(self, shares: list[np.ndarray]) -> np.ndarray:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.exceptions import DomainError
 
 
@@ -46,6 +48,11 @@ def stable_hash(value, seed: int = 0) -> int:
 class EnumeratedDomainMapper:
     """Bijective value ↔ cell mapping for an explicit domain.
 
+    A unit-step ``range`` domain (:meth:`Domain.integer_range
+    <repro.data.domain.Domain.integer_range>`) maps integer arrays by
+    arithmetic, ``value - start``; every other input goes through the
+    value index, one lookup per value.
+
     Args:
         values: the domain, in a canonical order shared by all owners (the
             initiator distributes it, §4).
@@ -56,6 +63,9 @@ class EnumeratedDomainMapper:
         self._index = {v: i for i, v in enumerate(self._values)}
         if len(self._index) != len(self._values):
             raise DomainError("domain contains duplicate values")
+        self._start = (values.start
+                       if isinstance(values, range) and values.step == 1
+                       else None)
 
     @property
     def size(self) -> int:
@@ -74,9 +84,44 @@ class EnumeratedDomainMapper:
             raise DomainError(f"cell {cell} out of range [0, {len(self._values)})")
         return self._values[cell]
 
-    def cells_of(self, values: Iterable) -> list[int]:
-        """Vector version of :meth:`cell_of`."""
-        return [self.cell_of(v) for v in values]
+    def cells_of(self, values: Iterable) -> np.ndarray:
+        """Vector version of :meth:`cell_of`: an int64 cell array."""
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        if self._start is not None:
+            cells = self._range_cells(values)
+            if cells is not None:
+                return cells
+        index = self._index
+        try:
+            return np.fromiter((index[v] for v in values), dtype=np.int64,
+                               count=len(values))
+        except KeyError as exc:
+            raise DomainError(f"value {exc.args[0]!r} not in the declared "
+                              f"domain") from None
+
+    def _range_cells(self, values) -> np.ndarray | None:
+        """``value - start`` for integer input inside the range, else None
+        (the caller's per-value lookup then maps or raises exactly as
+        :meth:`cell_of` does)."""
+        try:
+            array = np.asarray(values)
+        except ValueError:  # ragged nested input
+            return None
+        if array.ndim != 1 or array.dtype.kind not in "iu" or not array.size:
+            return None
+        start, stop = self._start, self._start + len(self._values)
+        if array.min() < start or array.max() >= stop:
+            return None
+        return array.astype(np.int64) - start
+
+    def values_at(self, cells) -> list:
+        """Vector version of :meth:`value_of`: the values at ``cells``."""
+        cells = checked_cells(cells, len(self._values))
+        if self._start is not None:
+            return (cells + self._start).tolist()
+        values = self._values
+        return [values[c] for c in cells.tolist()]
 
     def values(self) -> list:
         """The domain values in cell order."""
@@ -104,8 +149,8 @@ class HashedDomainMapper:
     def cell_of(self, value) -> int:
         return stable_hash(value, self.seed) % self.num_cells
 
-    def cells_of(self, values: Iterable) -> list[int]:
-        return [self.cell_of(v) for v in values]
+    def cells_of(self, values: Iterable) -> np.ndarray:
+        return np.fromiter((self.cell_of(v) for v in values), dtype=np.int64)
 
     def collisions(self, values: Iterable) -> dict[int, list]:
         """Cells to which more than one distinct input value hashes."""
@@ -113,3 +158,13 @@ class HashedDomainMapper:
         for v in dict.fromkeys(values):  # preserve order, drop duplicates
             buckets.setdefault(self.cell_of(v), []).append(v)
         return {cell: vs for cell, vs in buckets.items() if len(vs) > 1}
+
+
+def checked_cells(cells, size: int) -> np.ndarray:
+    """``cells`` as an int64 array; raises on any cell outside
+    ``[0, size)``, which list indexing would wrap or miss silently."""
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.size and (cells.min() < 0 or cells.max() >= size):
+        bad = cells[(cells < 0) | (cells >= size)][0]
+        raise DomainError(f"cell {bad} out of range [0, {size})")
+    return cells

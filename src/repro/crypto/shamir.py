@@ -27,6 +27,8 @@ DEFAULT_FIELD_PRIME = 2_147_483_647
 #: Largest field prime for which the numpy int64 fast path is sound.
 _INT64_SAFE_LIMIT = 3_037_000_499  # floor(sqrt(2**63 - 1))
 
+_INT64_MAX = 2**63 - 1
+
 
 class ShamirSharing:
     """Shamir secret sharing over ``F_prime`` with numpy vector support.
@@ -68,19 +70,16 @@ class ShamirSharing:
         ``f_i(phi)`` where ``f_i`` is a fresh random degree-``d`` polynomial
         with constant term ``secrets[i]``.
         """
-        secrets = np.mod(np.asarray(secrets, dtype=np.int64), self.prime)
+        secrets = self._reduced(secrets)
         coeffs = [
             self._rng.integers(0, self.prime, size=secrets.shape, dtype=np.int64)
             for _ in range(self.degree)
         ]
         shares = []
         for point in range(1, self.num_shares + 1):
-            acc = secrets.copy()
-            x_power = 1
-            for c in coeffs:
-                x_power = (x_power * point) % self.prime
-                acc = self._mod_add(acc, self._mod_mul_scalar(c, x_power))
-            shares.append(acc)
+            powers = [pow(point, k, self.prime)
+                      for k in range(1, self.degree + 1)]
+            shares.append(self._combine([secrets] + coeffs, [1] + powers))
         return shares
 
     def share_scalar(self, secret: int) -> list[int]:
@@ -134,11 +133,8 @@ class ShamirSharing:
                 f"got {len(shares)}"
             )
         weights = self.lagrange_weights(points[: degree + 1])
-        acc = np.zeros_like(np.asarray(shares[0], dtype=np.int64))
-        for w, s in zip(weights, shares[: degree + 1]):
-            acc = self._mod_add(acc, self._mod_mul_scalar(
-                np.mod(np.asarray(s, np.int64), self.prime), w))
-        return acc
+        terms = [self._reduced(s) for s in shares[: degree + 1]]
+        return self._combine(terms, weights)
 
     def reconstruct_scalar(self, shares: list[int],
                            points: list[int] | None = None,
@@ -160,6 +156,45 @@ class ShamirSharing:
                              np.mod(np.asarray(b, np.int64), self.prime))
 
     # -- field arithmetic helpers --------------------------------------------
+
+    def _reduced(self, a) -> np.ndarray:
+        """``a`` as int64 field elements; reduced only when out of range."""
+        a = np.asarray(a, dtype=np.int64)
+        if a.size and (a.min() < 0 or a.max() >= self.prime):
+            return np.mod(a, self.prime)
+        return a
+
+    def _combine(self, vectors: list[np.ndarray],
+                 scalars: list[int]) -> np.ndarray:
+        """``sum_k scalars[k] * vectors[k] mod prime`` over field elements.
+
+        ``vectors`` must hold reduced field elements and ``scalars`` lie
+        in ``[0, prime)``.  On the int64 path the products are summed
+        unreduced while a running bound shows the sum fits int64 (a
+        scalar of 1 adds the vector as is); the sum is reduced only when
+        the next product could overflow it, and once at the end.
+        """
+        if not self._int64_ok:
+            acc = np.zeros_like(vectors[0])
+            for v, k in zip(vectors, scalars):
+                acc = self._mod_add(acc, self._mod_mul_scalar(v, k))
+            return acc
+        top = self.prime - 1
+        acc = np.zeros(vectors[0].shape, dtype=np.int64)
+        term = np.empty_like(acc)
+        bound = 0
+        for v, k in zip(vectors, scalars):
+            if bound + top * k > _INT64_MAX:
+                np.remainder(acc, self.prime, out=acc)
+                bound = top
+            if k == 1:
+                acc += v
+            else:
+                np.multiply(v, k, out=term)
+                acc += term
+            bound += top * k
+        np.remainder(acc, self.prime, out=acc)
+        return acc
 
     def _mod_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.mod(a + b, self.prime)

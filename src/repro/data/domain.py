@@ -15,8 +15,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.crypto.hashing import EnumeratedDomainMapper, HashedDomainMapper
+import numpy as np
+
+from repro.crypto.hashing import (
+    EnumeratedDomainMapper,
+    HashedDomainMapper,
+    checked_cells,
+)
 from repro.exceptions import DomainError
+
+_NOT_INVERTIBLE = ("hashed domains are not invertible; decode against a "
+                   "candidate value set (owners use their own values)")
 
 
 class Domain:
@@ -52,8 +61,14 @@ class Domain:
     def value_of(self, cell: int):
         return self._mapper.value_of(cell)
 
-    def cells_of(self, values) -> list[int]:
+    def cells_of(self, values) -> np.ndarray:
+        """Cells of many values as an int64 array (raises like
+        :meth:`cell_of` on the first value outside the domain)."""
         return self._mapper.cells_of(values)
+
+    def values_at(self, cells) -> list:
+        """The values at many cells, equal to :meth:`value_of` per cell."""
+        return self._mapper.values_at(cells)
 
     def values(self) -> list:
         return self._mapper.values()
@@ -99,14 +114,14 @@ class HashedDomain:
     def cell_of(self, value) -> int:
         return self._mapper.cell_of(value)
 
-    def cells_of(self, values) -> list[int]:
+    def cells_of(self, values) -> np.ndarray:
         return self._mapper.cells_of(values)
 
     def value_of(self, cell: int):
-        raise DomainError(
-            "hashed domains are not invertible; decode against a candidate "
-            "value set (owners use their own values)"
-        )
+        raise DomainError(_NOT_INVERTIBLE)
+
+    def values_at(self, cells) -> list:
+        raise DomainError(_NOT_INVERTIBLE)
 
     def contains(self, value) -> bool:
         """Every hashable value maps somewhere; membership is not checked."""
@@ -153,12 +168,18 @@ class ProductDomain:
     def size(self) -> int:
         return self._size
 
+    def _check_arity(self, value_tuple) -> None:
+        try:
+            arity = len(value_tuple)
+        except TypeError:
+            arity = None
+        if arity != len(self.factors):
+            raise DomainError(f"expected a {len(self.factors)}-tuple, got "
+                              f"{value_tuple!r}")
+
     def cell_of(self, value_tuple) -> int:
         """Cell of a value tuple; raises on arity or membership mismatch."""
-        if len(value_tuple) != len(self.factors):
-            raise DomainError(
-                f"expected a {len(self.factors)}-tuple, got {len(value_tuple)}"
-            )
+        self._check_arity(value_tuple)
         return sum(d.cell_of(v) * s
                    for d, v, s in zip(self.factors, value_tuple, self._strides))
 
@@ -172,8 +193,24 @@ class ProductDomain:
             parts.append(d.value_of(idx))
         return tuple(parts)
 
-    def cells_of(self, tuples) -> list[int]:
-        return [self.cell_of(t) for t in tuples]
+    def cells_of(self, tuples) -> np.ndarray:
+        """Cells of many value tuples: the factors' cell arrays, strided."""
+        tuples = list(tuples)
+        for t in tuples:
+            self._check_arity(t)
+        cells = np.zeros(len(tuples), dtype=np.int64)
+        for d, column, s in zip(self.factors, zip(*tuples), self._strides):
+            cells += d.cells_of(column) * s
+        return cells
+
+    def values_at(self, cells) -> list:
+        """Decode many cells back into value tuples."""
+        cells = checked_cells(cells, self._size)
+        parts = []
+        for d, s in zip(self.factors, self._strides):
+            parts.append(d.values_at(cells // s))
+            cells = cells % s
+        return list(zip(*parts))
 
     def contains(self, value_tuple) -> bool:
         try:

@@ -47,13 +47,14 @@ class IndicatorShareCache:
     initiator as part of the deployment's query session state, memoises
     the dealt share triple keyed by
 
-    ``(stream, querier, column, owner-subset, digest(membership))``
+    ``(stream, querier, column, owner-subset, digest(packed bits))``
 
     so a repeated query reuses the already-dealt shares instead of
     re-running share generation.  Keying on a digest of the membership
-    vector makes staleness impossible within one outsourced snapshot
-    (different results can never collide), and the system invalidates the
-    whole cache whenever owners re-outsource (the snapshot changes).
+    vector's length and ``np.packbits`` of its 0/1 entries makes
+    staleness impossible within one outsourced snapshot (different
+    results can never collide), and the system invalidates the whole
+    cache whenever owners re-outsource (the snapshot changes).
 
     Reusing indicator shares across queries is safe in the semi-honest
     model reproduced here: the shares are information-theoretically
@@ -82,11 +83,23 @@ class IndicatorShareCache:
     @staticmethod
     def key(stream: str, querier: int, column: str, owner_ids,
             member: np.ndarray) -> tuple:
-        """Cache key for one indicator stream of one query."""
+        """Cache key for one indicator stream of one query.
+
+        The digest covers the vector's length and its packed bits, so
+        two distinct 0/1 vectors never share a key.
+
+        Raises:
+            ParameterError: if ``member`` holds a value outside {0, 1}.
+        """
+        member = np.asarray(member)
+        bits = member.astype(bool)
+        if not np.array_equal(bits, member):
+            raise ParameterError("indicator vectors must hold only 0 and 1")
+        digest = hashlib.blake2b(member.size.to_bytes(8, "little"),
+                                 digest_size=16)
+        digest.update(np.packbits(bits).tobytes())
         owner_key = tuple(owner_ids) if owner_ids is not None else None
-        digest = hashlib.blake2b(np.ascontiguousarray(member).tobytes(),
-                                 digest_size=16).digest()
-        return (stream, querier, column, owner_key, digest)
+        return (stream, querier, column, owner_key, digest.digest())
 
     def get(self, key: tuple) -> list[np.ndarray] | None:
         """The cached share triple, counting the hit/miss."""

@@ -24,8 +24,26 @@ from repro.crypto.prg import SeededPRG, derive_seed
 from repro.crypto.shamir import ShamirSharing
 from repro.data.relation import Relation
 from repro.data.storage import ShareKind
-from repro.exceptions import ProtocolError, VerificationError
+from repro.exceptions import ProtocolError, QueryError, VerificationError
 from repro.network.message import Endpoint, Role
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """``(a mod m) * (b mod m) mod m`` pointwise.
+
+    The factors are reduced first only when one of them is outside
+    ``(-2**31, 2**31)``, where their raw product could overflow int64;
+    inside it the product reduces to the same value directly.
+    """
+    if not (_within_int32(a) and _within_int32(b)):
+        a, b = np.mod(a, modulus), np.mod(b, modulus)
+    out = np.multiply(a, b, dtype=np.int64)
+    np.remainder(out, modulus, out=out)
+    return out
+
+
+def _within_int32(a: np.ndarray) -> bool:
+    return not a.size or (a.min() > -2**31 and a.max() < 2**31)
 
 
 class DBOwner:
@@ -54,14 +72,27 @@ class DBOwner:
 
     # -- χ-table construction (Phase 1 preparation) ---------------------------
 
-    def _attribute_values(self, attributes: str | tuple):
-        """Distinct values (or value tuples) of the PSI attribute(s)."""
+    def _relation(self) -> Relation:
         if self.relation is None:
             raise ProtocolError(f"owner {self.owner_id} holds no relation")
+        return self.relation
+
+    def _attribute_values(self, attributes: str | tuple):
+        """Distinct values (or value tuples) of the PSI attribute(s)."""
+        relation = self._relation()
         if isinstance(attributes, str):
-            return self.relation.distinct(attributes)
-        columns = [self.relation.column(a) for a in attributes]
+            return relation.distinct(attributes)
+        columns = [relation.column(a) for a in attributes]
         return list(dict.fromkeys(zip(*columns)))
+
+    def _row_cells(self, attributes: str | tuple) -> np.ndarray:
+        """The domain cell of every row's PSI attribute value(s)."""
+        relation = self._relation()
+        if isinstance(attributes, str):
+            rows = relation.column(attributes)
+        else:
+            rows = list(zip(*(relation.column(a) for a in attributes)))
+        return self.params.domain.cells_of(rows)
 
     def build_indicator(self, attributes: str | tuple,
                         mask_zeros: bool = False) -> np.ndarray:
@@ -80,18 +111,20 @@ class DBOwner:
                 positives).  Incompatible with the complement-based
                 verification (which needs exact 0/1 tables).
         """
-        chi = np.zeros(self.params.domain.size, dtype=np.int64)
+        return self._indicator(self._row_cells(attributes), mask_zeros)
+
+    def _indicator(self, cells: np.ndarray, mask_zeros: bool) -> np.ndarray:
+        size = self.params.domain.size
         if mask_zeros:
             # Upper bound chosen so k ones + (m-k) masks can only reach m
             # when k == m: masks >= 2 force the sum past m otherwise, and
             # the bound keeps the total below delta (no wrap).
             hi = (self.params.delta - 1) // self.params.num_owners + 1
             span = max(1, hi - 2)
-            chi = 2 + self._rng.integers(0, span,
-                                         size=self.params.domain.size,
-                                         dtype=np.int64)
-        for value in self._attribute_values(attributes):
-            chi[self.params.domain.cell_of(value)] = 1
+            chi = 2 + self._rng.integers(0, span, size=size, dtype=np.int64)
+        else:
+            chi = np.zeros(size, dtype=np.int64)
+        chi[cells] = 1
         return chi
 
     def build_complement(self, chi: np.ndarray) -> np.ndarray:
@@ -104,24 +137,54 @@ class DBOwner:
         This is the ``x_i2`` vector of §6.1 / the PK..DT columns of
         Table 11 (``select A_c, sum(A_x) group by A_c`` scattered over
         domain cells, zero where the owner has no tuple).
+
+        Raises:
+            QueryError: if a value is not a non-negative integer, or a
+                cell's total reaches the Shamir field prime — shares over
+                ``F_p`` would carry a truncated or wrapped total.
         """
-        if self.relation is None:
-            raise ProtocolError(f"owner {self.owner_id} holds no relation")
-        sums = self.relation.group_by_sum(psi_attribute, agg_attribute)
-        vec = np.zeros(self.params.domain.size, dtype=np.int64)
-        for value, total in sums.items():
-            vec[self.params.domain.cell_of(value)] = total
-        return vec
+        return self._group_sums(self._row_cells(psi_attribute),
+                                psi_attribute, agg_attribute)
+
+    def _group_sums(self, cells: np.ndarray, psi_attribute: str,
+                    agg_attribute: str) -> np.ndarray:
+        relation = self._relation()
+        column = relation.column(agg_attribute)
+        prime = self.params.field_prime
+        try:
+            values = np.asarray(column)
+        except ValueError:  # ragged nested values
+            values = np.asarray(column, dtype=object)
+        if column and not (values.ndim == 1 and values.dtype.kind in "biu"
+                           and values.min() >= 0 and values.max() < prime):
+            bad = next(v for v in column
+                       if not (isinstance(v, (int, np.integer))
+                               and 0 <= v < prime))
+            raise QueryError(
+                f"owner {self.owner_id}: aggregation column "
+                f"{agg_attribute!r} holds {bad!r}; Shamir shares carry "
+                f"only non-negative integers below the field prime {prime}"
+            )
+        # Every value is below the prime (< 2**32), so no int64 cell sum
+        # can overflow before 2**31 rows.
+        sums = np.zeros(self.params.domain.size, dtype=np.int64)
+        np.add.at(sums, cells, values.astype(np.int64))
+        if sums.size and sums.max() >= prime:
+            row = int(np.flatnonzero(sums[cells] >= prime)[0])
+            raise QueryError(
+                f"owner {self.owner_id}: aggregation column "
+                f"{agg_attribute!r} sums to {int(sums[cells[row]])} at "
+                f"{psi_attribute} = {relation.column(psi_attribute)[row]!r}, "
+                f"reaching the field prime {prime}"
+            )
+        return sums
 
     def build_group_counts(self, psi_attribute: str) -> np.ndarray:
         """Per-cell tuple counts (the ``aOK`` column, used by average)."""
-        if self.relation is None:
-            raise ProtocolError(f"owner {self.owner_id} holds no relation")
-        counts = self.relation.group_by_count(psi_attribute)
-        vec = np.zeros(self.params.domain.size, dtype=np.int64)
-        for value, count in counts.items():
-            vec[self.params.domain.cell_of(value)] = count
-        return vec
+        return self._group_counts(self._row_cells(psi_attribute))
+
+    def _group_counts(self, cells: np.ndarray) -> np.ndarray:
+        return np.bincount(cells, minlength=self.params.domain.size)
 
     # -- share creation --------------------------------------------------------
 
@@ -172,8 +235,13 @@ class DBOwner:
                                    f"outsource:{column}", values)
             server.receive_shares(self.owner_id, column, values, kind)
 
+        # Every column is built before any share ships, so a column that
+        # Shamir cannot carry fails the owner's outsourcing up front.
+        cells = self._row_cells(psi_attribute)
+        chi = self._indicator(cells, mask_zeros)
+        group_sums = {agg: self._group_sums(cells, psi_attribute, agg)
+                      for agg in agg_attributes}
         key = self._column_name(psi_attribute, column_prefix)
-        chi = self.build_indicator(psi_attribute, mask_zeros=mask_zeros)
         for server, share in zip(servers[:2], self.additive_shares_of(chi)):
             ship(server, key, share, ShareKind.ADDITIVE)
         if with_verification:
@@ -189,8 +257,7 @@ class DBOwner:
             comp_c = self.params.pf_db2.apply(1 - chi)
             for server, share in zip(servers[:2], self.additive_shares_of(comp_c)):
                 ship(server, "cv" + key, share, ShareKind.ADDITIVE)
-        for agg in agg_attributes:
-            sums = self.build_group_sums(psi_attribute, agg)
+        for agg, sums in group_sums.items():
             for server, share in zip(servers[:3], self.shamir_shares_of(sums)):
                 ship(server, column_prefix + agg, share, ShareKind.SHAMIR)
             if with_verification:
@@ -200,7 +267,7 @@ class DBOwner:
                     ship(server, "v" + column_prefix + agg, share,
                          ShareKind.SHAMIR)
         if agg_attributes:
-            counts = self.build_group_counts(psi_attribute)
+            counts = self._group_counts(cells)
             for server, share in zip(servers[:3], self.shamir_shares_of(counts)):
                 ship(server, "a" + key, share, ShareKind.SHAMIR)
 
@@ -219,10 +286,7 @@ class DBOwner:
         Returns the raw ``fop`` vector (callers decide whether to decode
         positions — PSI-Count deliberately cannot).
         """
-        eta = self.params.eta
-        a = np.mod(output_s1, eta)
-        b = np.mod(output_s2, eta)
-        return np.mod(a * b, eta)
+        return _mul_mod(output_s1, output_s2, self.params.eta)
 
     def psi_membership(self, fop: np.ndarray) -> np.ndarray:
         """Boolean intersection-membership vector from ``fop``."""
@@ -246,14 +310,15 @@ class DBOwner:
         """
         domain = self.params.domain
         if getattr(domain, "invertible", True):
-            return [domain.value_of(int(i)) for i in np.nonzero(member)[0]]
+            return domain.values_at(np.flatnonzero(member))
         if attributes is None:
             raise ProtocolError(
                 "decoding a hashed-domain result needs the queried "
                 "attribute to derive the candidate values"
             )
-        return [v for v in self._attribute_values(attributes)
-                if member[domain.cell_of(v)]]
+        values = self._attribute_values(attributes)
+        held = member[domain.cells_of(values)].tolist()
+        return [v for v, keep in zip(values, held) if keep]
 
     def finalize_psu(self, output_s1: np.ndarray,
                      output_s2: np.ndarray) -> np.ndarray:
@@ -272,14 +337,31 @@ class DBOwner:
             VerificationError: listing the failing cells, if any.
         """
         eta = self.params.eta
-        pvout1 = self.params.pf_db1.invert(vout_s1)
-        pvout2 = self.params.pf_db1.invert(vout_s2)
-        r2 = np.mod(np.mod(pvout1, eta) * np.mod(pvout2, eta), eta)
-        proof = np.mod(fop * r2, eta)
+        r2 = self.params.pf_db1.invert(_mul_mod(vout_s1, vout_s2, eta))
+        proof = _mul_mod(fop, r2, eta)
         bad = np.nonzero(proof != 1)[0]
         if bad.size:
             raise VerificationError(
                 f"PSI verification failed at {bad.size} of {proof.size} cells",
+                failed_cells=bad.tolist(),
+            )
+
+    def verify_count(self, fop: np.ndarray, vout_s1: np.ndarray,
+                     vout_s2: np.ndarray) -> None:
+        """§6.5: check ``fop * vout_s1 * vout_s2 mod η == 1`` for every cell.
+
+        The Eq. 1 pairing already lines the proof stream up with ``fop``,
+        so no permutation is inverted here.
+
+        Raises:
+            VerificationError: listing the failing cells, if any.
+        """
+        eta = self.params.eta
+        proof = _mul_mod(fop, _mul_mod(vout_s1, vout_s2, eta), eta)
+        bad = np.flatnonzero(proof != 1)
+        if bad.size:
+            raise VerificationError(
+                f"count verification failed at {bad.size} cells",
                 failed_cells=bad.tolist(),
             )
 
@@ -296,27 +378,36 @@ class DBOwner:
             )
         return self._shamir.reconstruct_vector(outputs[:3], degree=2)
 
+    def aggregate_per_value(self, member: np.ndarray, totals: np.ndarray,
+                            counts: np.ndarray | None = None) -> dict:
+        """Result assembly: ``{value: total}`` over the member cells.
+
+        With ``counts`` (average), each entry is ``total / count``, or
+        ``0.0`` where the count is 0.
+        """
+        cells = np.flatnonzero(member)
+        values = self.params.domain.values_at(cells)
+        sums = totals[cells].tolist()
+        if counts is None:
+            return dict(zip(values, sums))
+        return {v: t / c if c else 0.0
+                for v, t, c in zip(values, sums, counts[cells].tolist())}
+
     # -- extrema steps (§6.3) -----------------------------------------------------
 
     def local_group_max(self, psi_attribute: str, agg_attribute: str, value):
         """M_i: this owner's max of ``agg_attribute`` where A_c == value."""
-        if self.relation is None:
-            raise ProtocolError(f"owner {self.owner_id} holds no relation")
-        maxima = self.relation.group_by_max(psi_attribute, agg_attribute)
+        maxima = self._relation().group_by_max(psi_attribute, agg_attribute)
         return maxima.get(value)
 
     def local_group_min(self, psi_attribute: str, agg_attribute: str, value):
         """This owner's min of ``agg_attribute`` where A_c == value."""
-        if self.relation is None:
-            raise ProtocolError(f"owner {self.owner_id} holds no relation")
-        minima = self.relation.group_by_min(psi_attribute, agg_attribute)
+        minima = self._relation().group_by_min(psi_attribute, agg_attribute)
         return minima.get(value)
 
     def local_group_sum(self, psi_attribute: str, agg_attribute: str, value):
         """This owner's sum of ``agg_attribute`` where A_c == value."""
-        if self.relation is None:
-            raise ProtocolError(f"owner {self.owner_id} holds no relation")
-        sums = self.relation.group_by_sum(psi_attribute, agg_attribute)
+        sums = self._relation().group_by_sum(psi_attribute, agg_attribute)
         return sums.get(value)
 
     def blind_value(self, value: int) -> int:

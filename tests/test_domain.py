@@ -25,7 +25,7 @@ class TestDomain:
 
     def test_cells_of(self):
         d = Domain("x", ["a", "b", "c"])
-        assert d.cells_of(["c", "a"]) == [2, 0]
+        assert d.cells_of(["c", "a"]).tolist() == [2, 0]
 
     def test_contains(self):
         d = Domain("x", ["a"])
