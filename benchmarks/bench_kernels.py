@@ -20,13 +20,16 @@ arithmetic alone.  Output is machine-readable JSON::
      "rows_per_sec": {"numpy": {"psi": ..., ...}, "c": {...}},
      "speedup": {"psi": ..., "psu": ..., "agg": ..., "prg": ...}}
 
+Every operand is at the width of its modulus (uint8 χ shares, uint16
+group elements, uint32 field elements), as the server stores them.
+
 Expected shape: the hash-bound families win big — PSU's Eq. 18 mask
 stream and the raw PRG draws clear 5x on hosts with SHA-NI (the C
 tier detects it at runtime; without it, expect ~1.5x against OpenSSL's
 own hardware SHA).  Aggregation clears 5x through the division-free
-Mersenne-31 reduction.  The plain PSI sweep is memory-bound and lands
-near 2x — it is included to keep the crossover (NATIVE_MIN_SPAN)
-honest, not to showcase the tier.  When the backend cannot build
+Mersenne-31 reduction.  The PSI sweep sums uint8 shares into a uint16
+accumulator and gathers from a folded table, with no division per
+cell, in both tiers.  When the backend cannot build
 (``"backend": "numpy"``), both columns measure the reference and every
 speedup is ~1.0.
 """
@@ -65,7 +68,8 @@ def measure_families(system, repeats: int) -> dict[str, float]:
     b = system.domain.size
     plan = ShardPlan(1)
     z = SeededPRG(123, "bench-z").integers(b, 0, system.initiator.field_prime)
-    z_matrix = np.asarray([z], dtype=np.int64)
+    # Indicator shares travel at the field prime's width (uint32).
+    z_matrix = np.asarray([z], dtype=shamir_server.params.shamir_dtype)
 
     def run_psi():
         server.psi_round_batch(["OK"], shard_plan=plan)

@@ -64,7 +64,7 @@ def measure_kernels(system, plan, repeats: int) -> dict[str, float]:
     shamir_server = system.servers[2]
     b = system.domain.size
     z = SeededPRG(123, "bench-z").integers(b, 0, system.initiator.field_prime)
-    z_matrix = np.asarray([z], dtype=np.int64)
+    z_matrix = np.asarray([z], dtype=shamir_server.params.shamir_dtype)
 
     def run_psi():
         server.psi_round_batch(["OK"], shard_plan=plan)

@@ -6,16 +6,24 @@ each operator.  The byte predictions are *exact* for the set-membership
 operators (tests assert equality against the transport's measurements);
 the operation counts are the asymptotic terms the paper reports.
 
-Word size is 8 bytes (int64 share vectors) throughout.
+Every stream travels at the width of its modulus, taken from the same
+width function the deployment uses (:func:`repro.crypto.widths.share_dtype`):
+χ shares and PSU outputs mod δ, PSI/verification/count outputs mod η',
+aggregation shares, z shares and outputs mod the field prime.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from repro.crypto.primes import find_eta_for_delta, next_prime
+from repro.crypto.shamir import DEFAULT_FIELD_PRIME
+from repro.crypto.widths import share_dtype
 from repro.exceptions import QueryError
 
-WORD = 8  # bytes per share-vector element
+#: Bytes the traffic accounting charges for one big-int extrema share
+#: (a Python int counts at least 8 bytes).
+BIGINT_BYTES = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,30 +53,53 @@ class CostModel:
     Args:
         num_owners: ``m``.
         domain_size: ``b`` (χ-table length).
+        delta, alpha, field_prime: the moduli, derived exactly as
+            :class:`~repro.entities.initiator.Initiator` derives them
+            (``delta=None`` picks the smallest prime above
+            ``max(m, 100)``); they set each stream's width.
     """
 
-    def __init__(self, num_owners: int, domain_size: int):
+    def __init__(self, num_owners: int, domain_size: int,
+                 delta: int | None = None, alpha: int = 13,
+                 field_prime: int = DEFAULT_FIELD_PRIME):
         if num_owners < 2 or domain_size < 1:
             raise QueryError("need m >= 2 owners and a non-empty domain")
         self.m = num_owners
         self.b = domain_size
+        delta = delta if delta is not None else next_prime(
+            max(num_owners, 100))
+        eta_prime = alpha * find_eta_for_delta(delta, minimum=delta)
+        #: Bytes per element of each stream family.
+        self.additive_bytes = share_dtype(delta).itemsize
+        self.group_bytes = share_dtype(eta_prime).itemsize
+        self.shamir_bytes = share_dtype(field_prime).itemsize
+
+    def _broadcast(self, width: int) -> int:
+        """Bytes of one stream that 2 servers broadcast to m owners."""
+        return 2 * self.m * self.b * width
 
     # -- query-time costs ---------------------------------------------------
 
     def psi(self, verify: bool = False) -> CostEstimate:
-        """PSI (§5.1): 2 servers broadcast b words to m owners; the
-        verification stream doubles the result traffic."""
+        """PSI (§5.1): 2 servers broadcast b group elements to m owners;
+        the verification stream doubles the result traffic."""
         streams = 2 if verify else 1
         return CostEstimate(
-            server_to_owner_bytes=streams * 2 * self.m * self.b * WORD,
+            server_to_owner_bytes=streams * self._broadcast(self.group_bytes),
             owner_to_server_bytes=0,
             server_ops=streams * self.m * self.b,
             rounds=1,
         )
 
     def psu(self, verify: bool = False) -> CostEstimate:
-        """PSU (§7): identical traffic shape to PSI."""
-        return self.psi(verify)
+        """PSU (§7): PSI's traffic shape, but the masked sums are
+        residues mod δ; the verification stream is a group-element
+        (Eq. 7) stream."""
+        return dataclasses.replace(
+            self.psi(verify),
+            server_to_owner_bytes=(
+                self._broadcast(self.additive_bytes)
+                + (self._broadcast(self.group_bytes) if verify else 0)))
 
     def count(self, verify: bool = False) -> CostEstimate:
         """PSI-Count (§6.5): PSI plus a server-side permutation."""
@@ -90,8 +121,9 @@ class CostModel:
         z_vectors = 2 if verify else 1
         return CostEstimate(
             server_to_owner_bytes=(psi.server_to_owner_bytes
-                                   + 3 * columns * self.m * self.b * WORD),
-            owner_to_server_bytes=3 * z_vectors * self.b * WORD,
+                                   + 3 * columns * self.m * self.b
+                                   * self.shamir_bytes),
+            owner_to_server_bytes=3 * z_vectors * self.b * self.shamir_bytes,
             server_ops=psi.server_ops + 3 * columns * self.m * self.b,
             rounds=2,
         )
@@ -101,14 +133,16 @@ class CostModel:
         """PSI max/min (§6.3): PSI plus per-common-value announcer rounds.
 
         Blinded values are big ints of data-dependent width, so the
-        extrema bytes are an *estimate* (each counted as one word).
+        extrema bytes are an *estimate* (each counted as
+        :data:`BIGINT_BYTES`).
         """
         psi = self.psi()
-        per_value_up = 2 * self.m * WORD          # owner shares to servers
-        per_value_down = 2 * self.m * WORD * 2    # value+index via servers
+        word = BIGINT_BYTES
+        per_value_up = 2 * self.m * word          # owner shares to servers
+        per_value_down = 2 * self.m * word * 2    # value+index via servers
         if reveal_holders:
-            per_value_up += 2 * self.m * WORD     # alpha shares
-            per_value_down += 2 * self.m * self.m * WORD  # fpos vectors
+            per_value_up += 2 * self.m * word     # alpha shares
+            per_value_down += 2 * self.m * self.m * word  # fpos vectors
         return CostEstimate(
             server_to_owner_bytes=(psi.server_to_owner_bytes
                                    + num_common * per_value_down),
@@ -126,11 +160,11 @@ class CostModel:
         aggregation column and the count column go to 3 servers.
         """
         additive_tables = 1 + (3 if with_verification else 0)
-        per_owner = additive_tables * 2 * self.b * WORD
+        per_owner = additive_tables * 2 * self.b * self.additive_bytes
         if num_agg_attributes:
             shamir_columns = num_agg_attributes * (2 if with_verification
                                                    else 1) + 1
-            per_owner += shamir_columns * 3 * self.b * WORD
+            per_owner += shamir_columns * 3 * self.b * self.shamir_bytes
         return self.m * per_owner
 
     def complexity_class(self) -> str:

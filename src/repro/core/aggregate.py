@@ -61,7 +61,7 @@ def indicator_shares(system, owner, column: str, owner_ids, member,
     Systems without an initiator cache (bare orchestration objects in
     tests) fall back to dealing fresh shares every time.
     """
-    vector = member.astype(np.int64)
+    vector = member.astype(np.uint8)
     stream = "z"
     if permuted:
         vector = owner.params.pf_db1.apply(vector)

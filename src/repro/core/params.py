@@ -25,7 +25,9 @@ import numpy as np
 
 from repro.crypto.permutation import Permutation
 from repro.crypto.polynomial import OrderPreservingPolynomial
+from repro.crypto.widths import share_dtype
 from repro.data.domain import Domain, ProductDomain
+from repro.data.storage import ShareKind
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,6 +46,21 @@ class ServerGroupView:
     def pow_vector(self, exponents: np.ndarray) -> np.ndarray:
         """Vectorised ``g ** (e mod delta) mod eta'`` — the Eq. 3 kernel."""
         return self.power_table[np.mod(exponents, self.delta)]
+
+    def folded_tables(self, m_rows, num_shares: int) -> np.ndarray:
+        """Per-row Eq. 3 tables indexed by the raw sum of ``num_shares``
+        additive shares.
+
+        Row ``q``, entry ``k`` is ``g^((k − m_rows[q]) mod δ) mod η'`` for
+        ``k ∈ [0, num_shares·(δ − 1)]``: every sum of residues mod δ
+        indexes it directly, so the sweep folds the ``⊖ A(m)`` and the
+        mod-δ reduction into one gather with no division per cell.
+        Entries are at the width of η'.
+        """
+        sums = np.arange(num_shares * (self.delta - 1) + 1, dtype=np.int64)
+        m_col = np.asarray(m_rows, dtype=np.int64).reshape(-1, 1)
+        return self.power_table[np.mod(sums - m_col, self.delta)].astype(
+            share_dtype(self.eta_prime))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,6 +96,26 @@ class ServerParams:
     prg_seed: int
     extrema_modulus: int
     m_share: int  # this server's additive share of m (provided once, §4)
+
+    # Stream widths (see :mod:`repro.crypto.widths`): χ shares and PSU
+    # outputs mod δ, PSI/verification/count outputs mod η', aggregation
+    # shares, z shares and outputs mod p.
+
+    @property
+    def additive_dtype(self) -> np.dtype:
+        return share_dtype(self.delta)
+
+    @property
+    def group_dtype(self) -> np.dtype:
+        return share_dtype(self.group.eta_prime)
+
+    @property
+    def shamir_dtype(self) -> np.dtype:
+        return share_dtype(self.field_prime)
+
+    def modulus_of(self, kind: ShareKind) -> int:
+        """The modulus a stored column of ``kind`` is shared under."""
+        return self.delta if kind is ShareKind.ADDITIVE else self.field_prime
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,8 +6,9 @@ secret.  The scheme is additively homomorphic: adding shares pointwise adds
 the secrets.
 
 Prism keeps ``delta`` small (a prime slightly above the owner count), which
-lets us store whole share *vectors* as numpy ``int64`` arrays and run the
-server-side kernels fully vectorised.  For the extrema protocols (§6.3) the
+lets us store whole share *vectors* as narrow numpy arrays — one byte per
+cell at the default δ = 101 (:func:`repro.crypto.widths.share_dtype`) — and
+run the server-side kernels fully vectorised.  For the extrema protocols (§6.3) the
 shared values exceed 64 bits, so a Python-int code path is provided as well
 (:func:`share_bigint` / :func:`reconstruct_bigint`).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.prg import SeededPRG
+from repro.crypto.widths import share_dtype
 from repro.exceptions import ShareError
 
 
@@ -39,32 +41,43 @@ class AdditiveSharing:
             raise ShareError("additive sharing needs at least 2 shares")
         self.modulus = modulus
         self.num_shares = num_shares
+        self.dtype = share_dtype(modulus)
         self._rng = rng if rng is not None else np.random.default_rng()
 
     # -- vector path (numpy) ------------------------------------------------
 
     def share_vector(self, secrets: np.ndarray) -> list[np.ndarray]:
-        """Share a vector of secrets; returns ``num_shares`` int64 arrays.
+        """Share a vector of secrets; returns ``num_shares`` arrays of
+        :attr:`dtype`, each with the shape of ``secrets``.
 
-        The first ``c - 1`` shares are uniform in ``[0, modulus)``; the last
-        is the modular difference.  Every returned array has the shape of
-        ``secrets``.
+        The first ``c - 1`` shares are uniform in ``[0, modulus)`` (drawn
+        as int64, so the draw stream does not depend on the width); the
+        last is the modular difference.
         """
-        secrets = np.asarray(secrets, dtype=np.int64)
+        secrets = np.asarray(secrets)
+        if secrets.dtype.kind not in "iu":
+            secrets = secrets.astype(np.int64)
         if secrets.size and (secrets.min() < 0
                              or secrets.max() >= self.modulus):
             secrets = np.mod(secrets, self.modulus)
         shares = [
-            self._rng.integers(0, self.modulus, size=secrets.shape, dtype=np.int64)
+            self._rng.integers(0, self.modulus, size=secrets.shape,
+                               dtype=np.int64).astype(self.dtype)
             for _ in range(self.num_shares - 1)
         ]
-        # The drawn shares lie in [0, modulus): their sum needs no
-        # reduction before the one that makes the last share.
-        last = secrets - shares[0]
-        for s in shares[1:]:
-            last -= s
-        np.remainder(last, self.modulus, out=last)
-        shares.append(last)
+        # last = (secret − Σ shares) mod modulus, formed as secret +
+        # Σ (modulus − share) < c·modulus in an unsigned width that holds
+        # it, then brought below modulus by c − 1 branch-free conditional
+        # subtracts: v − modulus wraps above v exactly when v < modulus,
+        # so min(v, v − modulus) subtracts only where v ≥ modulus.
+        last = secrets.astype(share_dtype(self.num_shares * self.modulus))
+        wrapped = np.empty_like(last)
+        for s in shares:
+            last += np.subtract(self.modulus, s, dtype=last.dtype)
+        for _ in shares:
+            np.subtract(last, self.modulus, out=wrapped)
+            np.minimum(last, wrapped, out=last)
+        shares.append(last.astype(self.dtype, copy=False))
         return shares
 
     def reconstruct_vector(self, shares: list[np.ndarray]) -> np.ndarray:
@@ -73,18 +86,22 @@ class AdditiveSharing:
             raise ShareError(
                 f"need exactly {self.num_shares} shares, got {len(shares)}"
             )
-        total = np.zeros_like(np.asarray(shares[0], dtype=np.int64))
-        for s in shares:
-            total = np.mod(total + np.asarray(s, dtype=np.int64), self.modulus)
-        return total
+        return self._combine(shares, 1)
 
     def add_shares(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Homomorphic addition: share of ``x + y`` from shares of x and y."""
-        return np.mod(np.asarray(a, np.int64) + np.asarray(b, np.int64), self.modulus)
+        return self._combine([a, b], 1)
 
     def sub_shares(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Homomorphic subtraction (the ``⊖`` of Eq. 3)."""
-        return np.mod(np.asarray(a, np.int64) - np.asarray(b, np.int64), self.modulus)
+        return self._combine([a, b], -1)
+
+    def _combine(self, vectors, sign: int) -> np.ndarray:
+        """``v0 + sign·(v1 + …) mod modulus`` at :attr:`dtype` width."""
+        total = np.mod(np.asarray(vectors[0], dtype=np.int64), self.modulus)
+        for v in vectors[1:]:
+            total += sign * np.mod(np.asarray(v, dtype=np.int64), self.modulus)
+        return np.mod(total, self.modulus).astype(self.dtype)
 
     # -- scalar path --------------------------------------------------------
 

@@ -10,8 +10,9 @@ owners' degree-1 data shares by the querier's degree-1 indicator shares
 locally, and the owner interpolates the degree-2 result, with no
 inter-server degree-reduction round.
 
-The default field prime is ``2**31 - 1`` so that share products stay below
-``2**62`` and the whole pipeline runs on numpy int64 vectors.
+The default field prime is ``2**31 - 1``: shares are uint32 vectors
+(:func:`repro.crypto.widths.share_dtype`) and every product of two
+field elements fits the uint64 a kernel widens it to.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.primes import is_prime, modinv
+from repro.crypto.widths import share_dtype
 from repro.exceptions import ShareError
 
 #: Largest Mersenne prime below 2**31; products of two field elements fit int64.
 DEFAULT_FIELD_PRIME = 2_147_483_647
 
-#: Largest field prime for which the numpy int64 fast path is sound.
+#: Largest field prime for which the numpy fast path is sound.
 _INT64_SAFE_LIMIT = 3_037_000_499  # floor(sqrt(2**63 - 1))
 
-_INT64_MAX = 2**63 - 1
+_UINT64_MAX = 2**64 - 1
 
 
 class ShamirSharing:
@@ -60,11 +62,16 @@ class ShamirSharing:
         self.degree = degree
         self._rng = rng if rng is not None else np.random.default_rng()
         self._int64_ok = prime <= _INT64_SAFE_LIMIT
+        #: Width of share vectors on the numpy path (uint32 for every
+        #: prime it accepts).
+        self.dtype = share_dtype(prime)
 
     # -- sharing ------------------------------------------------------------
 
     def share_vector(self, secrets: np.ndarray) -> list[np.ndarray]:
-        """Share a secret vector; returns ``num_shares`` int64 arrays.
+        """Share a secret vector; returns ``num_shares`` arrays of
+        :attr:`dtype` (coefficients are drawn as int64, so the draw
+        stream does not depend on the width).
 
         Share ``phi`` (1-indexed evaluation point) of cell ``i`` is
         ``f_i(phi)`` where ``f_i`` is a fresh random degree-``d`` polynomial
@@ -75,11 +82,36 @@ class ShamirSharing:
             self._rng.integers(0, self.prime, size=secrets.shape, dtype=np.int64)
             for _ in range(self.degree)
         ]
+        if self.degree == 1 and self._int64_ok:
+            return self._line_shares(secrets, coeffs[0])
         shares = []
         for point in range(1, self.num_shares + 1):
             powers = [pow(point, k, self.prime)
                       for k in range(1, self.degree + 1)]
             shares.append(self._combine([secrets] + coeffs, [1] + powers))
+        return shares
+
+    def _line_shares(self, secrets: np.ndarray,
+                     slope: np.ndarray) -> list[np.ndarray]:
+        """``f(1), f(2), …`` of ``f(x) = secrets + slope·x`` by repeated
+        addition: each step adds one field element to another, so a
+        conditional subtract replaces the division of a general
+        :meth:`_combine` and the values stay exact.
+
+        The subtract is branch-free: in the unsigned work dtype,
+        ``v − p`` wraps above ``v`` exactly when ``v < p``, so
+        ``min(v, v − p)`` is ``v mod p`` for every ``v < 2p``.
+        """
+        work = share_dtype(2 * self.prime - 1)
+        step = slope.astype(work)
+        value = secrets.astype(work)
+        wrapped = np.empty_like(value)
+        shares = []
+        for _ in range(self.num_shares):
+            value += step
+            np.subtract(value, self.prime, out=wrapped)
+            np.minimum(value, wrapped, out=value)
+            shares.append(value.astype(self.dtype))
         return shares
 
     def share_scalar(self, secret: int) -> list[int]:
@@ -147,32 +179,39 @@ class ShamirSharing:
 
     def add_shares(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Share of ``x + y`` from same-point shares of ``x`` and ``y``."""
-        return self._mod_add(np.mod(np.asarray(a, np.int64), self.prime),
-                             np.mod(np.asarray(b, np.int64), self.prime))
+        return self._mod_add(self._reduced(a), self._reduced(b))
 
     def mul_shares(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Share of ``x * y`` (degree doubles; reconstruct with 2d+1 shares)."""
-        return self._mod_mul(np.mod(np.asarray(a, np.int64), self.prime),
-                             np.mod(np.asarray(b, np.int64), self.prime))
+        return self._mod_mul(self._reduced(a), self._reduced(b))
 
     # -- field arithmetic helpers --------------------------------------------
 
     def _reduced(self, a) -> np.ndarray:
-        """``a`` as int64 field elements; reduced only when out of range."""
-        a = np.asarray(a, dtype=np.int64)
+        """``a`` as field elements of :attr:`dtype`; reduced only when out
+        of range."""
+        if not self._int64_ok:
+            a = np.asarray(a, dtype=np.int64)
+            if a.size and (a.min() < 0 or a.max() >= self.prime):
+                return np.mod(a, self.prime)
+            return a
+        a = np.asarray(a)
+        if a.dtype.kind not in "iu":
+            a = a.astype(np.int64)
         if a.size and (a.min() < 0 or a.max() >= self.prime):
-            return np.mod(a, self.prime)
-        return a
+            a = np.mod(a, self.prime)
+        return a.astype(self.dtype, copy=False)
 
     def _combine(self, vectors: list[np.ndarray],
                  scalars: list[int]) -> np.ndarray:
         """``sum_k scalars[k] * vectors[k] mod prime`` over field elements.
 
         ``vectors`` must hold reduced field elements and ``scalars`` lie
-        in ``[0, prime)``.  On the int64 path the products are summed
-        unreduced while a running bound shows the sum fits int64 (a
+        in ``[0, prime)``.  On the numpy path the products are summed
+        unreduced in uint64 while a running bound shows the sum fits (a
         scalar of 1 adds the vector as is); the sum is reduced only when
-        the next product could overflow it, and once at the end.
+        the next product could overflow it, and once at the end, into
+        :attr:`dtype`.
         """
         if not self._int64_ok:
             acc = np.zeros_like(vectors[0])
@@ -180,28 +219,35 @@ class ShamirSharing:
                 acc = self._mod_add(acc, self._mod_mul_scalar(v, k))
             return acc
         top = self.prime - 1
-        acc = np.zeros(vectors[0].shape, dtype=np.int64)
+        acc = np.multiply(vectors[0], scalars[0], dtype=np.uint64,
+                          casting="unsafe")
         term = np.empty_like(acc)
-        bound = 0
-        for v, k in zip(vectors, scalars):
-            if bound + top * k > _INT64_MAX:
+        bound = top * scalars[0]
+        for v, k in zip(vectors[1:], scalars[1:]):
+            if bound + top * k > _UINT64_MAX:
                 np.remainder(acc, self.prime, out=acc)
                 bound = top
             if k == 1:
-                acc += v
+                np.add(acc, v, out=acc, dtype=np.uint64, casting="unsafe")
             else:
-                np.multiply(v, k, out=term)
+                np.multiply(v, k, out=term, dtype=np.uint64,
+                            casting="unsafe")
                 acc += term
             bound += top * k
-        np.remainder(acc, self.prime, out=acc)
-        return acc
+        out = np.empty(acc.shape, dtype=self.dtype)
+        np.remainder(acc, self.prime, out=out)
+        return out
 
     def _mod_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._int64_ok:
+            return self._combine([a, b], [1, 1])
         return np.mod(a + b, self.prime)
 
     def _mod_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._int64_ok:
-            return np.mod(a * b, self.prime)
+            out = np.multiply(a, b, dtype=np.uint64)
+            np.remainder(out, self.prime, out=out)
+            return out.astype(self.dtype)
         flat_a, flat_b = a.ravel(), b.ravel()
         out = np.fromiter(
             ((int(x) * int(y)) % self.prime for x, y in zip(flat_a, flat_b)),
@@ -212,8 +258,6 @@ class ShamirSharing:
         ).reshape(a.shape) if self.prime <= 2**62 else out.reshape(a.shape)
 
     def _mod_mul_scalar(self, a: np.ndarray, scalar: int) -> np.ndarray:
-        if self._int64_ok:
-            return np.mod(a * np.int64(scalar), self.prime)
         return np.asarray(
             [(int(v) * scalar) % self.prime for v in a.ravel()], dtype=np.int64
         ).reshape(a.shape)

@@ -2,7 +2,8 @@
 
 Each owner outsources, per attribute, either an *additive* share vector
 (the χ indicator tables, length ``b``) or a *Shamir* share vector (the
-aggregation columns).  A server's :class:`ServerStore` holds its share of
+aggregation columns), each at the width of its modulus
+(:mod:`repro.crypto.widths`).  A server's :class:`ServerStore` holds its share of
 every owner's every column; the paper's layout (five data columns, five
 verification columns prefixed ``v``, plus the count column ``aOK``) maps
 directly onto column names here (``OK``, ``vOK``, ``PK``, ..., ``aOK``).
@@ -46,11 +47,18 @@ class StoredColumn:
 
     def __init__(self, values: np.ndarray, kind: ShareKind):
         # Stored columns are the long-lived kernel inputs: require an
-        # aligned, contiguous int64 copy *here* — the single retention
-        # point — so the wire codec can hand out zero-copy views (which
-        # may be unaligned and frame-backed) on the hot decode path
-        # without pinning whole receive blobs in the store.
-        self.values = np.require(values, dtype=np.int64,
+        # aligned, contiguous copy *here* — the single retention point —
+        # so the wire codec can hand out zero-copy views (which may be
+        # unaligned and frame-backed) on the hot decode path without
+        # pinning whole receive blobs in the store.  The dtype is kept:
+        # the server admits each column at the width of its modulus
+        # (``PrismServer.receive_shares``); the store only refuses
+        # values that are not integers at all.
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            raise ProtocolError(
+                f"share columns hold integers, not {values.dtype}")
+        self.values = np.require(values,
                                  requirements=["ALIGNED", "C_CONTIGUOUS"])
         self.kind = kind
 

@@ -64,8 +64,8 @@ class IndicatorShareCache:
 
     Args:
         max_entries: size cap; the oldest entry is evicted when a put
-            would exceed it.  Each entry pins three full-domain int64
-            vectors (24·b bytes), so an unbounded cache would grow with
+            would exceed it.  Each entry pins three full-domain share
+            vectors (12·b bytes at uint32), so an unbounded cache would grow with
             every distinct (querier, owner subset, membership) shape a
             long-lived deployment serves.
     """

@@ -22,6 +22,7 @@ from repro.core.params import OwnerParams
 from repro.crypto.additive import AdditiveSharing, share_bigint
 from repro.crypto.prg import SeededPRG, derive_seed
 from repro.crypto.shamir import ShamirSharing
+from repro.crypto.widths import share_dtype
 from repro.data.relation import Relation
 from repro.data.storage import ShareKind
 from repro.exceptions import ProtocolError, QueryError, VerificationError
@@ -29,21 +30,31 @@ from repro.network.message import Endpoint, Role
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """``(a mod m) * (b mod m) mod m`` pointwise.
+    """``(a mod m) * (b mod m) mod m`` pointwise, at the width of ``m``.
 
-    The factors are reduced first only when one of them is outside
-    ``(-2**31, 2**31)``, where their raw product could overflow int64;
-    inside it the product reduces to the same value directly.
+    Server streams arrive as narrow unsigned residues (uint16 group
+    elements by default); the product is formed at twice the wider
+    factor's width — a uint16·uint16 product fits uint32 — so it never
+    overflows.
     """
-    if not (_within_int32(a) and _within_int32(b)):
-        a, b = np.mod(a, modulus), np.mod(b, modulus)
-    out = np.multiply(a, b, dtype=np.int64)
+    a, b = _unsigned(a, modulus), _unsigned(b, modulus)
+    out = np.multiply(a, b, dtype=_doubled(a, b))
     np.remainder(out, modulus, out=out)
-    return out
+    return out.astype(share_dtype(modulus), copy=False)
 
 
-def _within_int32(a: np.ndarray) -> bool:
-    return not a.size or (a.min() > -2**31 and a.max() < 2**31)
+def _unsigned(a, modulus: int) -> np.ndarray:
+    """``a`` as unsigned values of at most 32 bits: narrow streams pass
+    through, anything else is reduced to residues first."""
+    a = np.asarray(a)
+    if a.dtype.kind == "u" and a.itemsize <= 4:
+        return a
+    return np.mod(a, modulus).astype(share_dtype(modulus))
+
+
+def _doubled(a: np.ndarray, b: np.ndarray) -> np.dtype:
+    """The unsigned dtype twice as wide as the wider of two operands."""
+    return np.dtype(f"u{2 * max(a.itemsize, b.itemsize)}")
 
 
 class DBOwner:
@@ -125,7 +136,8 @@ class DBOwner:
         else:
             chi = np.zeros(size, dtype=np.int64)
         chi[cells] = 1
-        return chi
+        # Every entry is below δ: hold the table at the additive width.
+        return chi.astype(share_dtype(self.params.delta))
 
     def build_complement(self, chi: np.ndarray) -> np.ndarray:
         """The χ̄ table, permuted with ``PF_db1`` (§5.2 Step 1)."""
@@ -177,7 +189,7 @@ class DBOwner:
                 f"{psi_attribute} = {relation.column(psi_attribute)[row]!r}, "
                 f"reaching the field prime {prime}"
             )
-        return sums
+        return sums.astype(share_dtype(prime))
 
     def build_group_counts(self, psi_attribute: str) -> np.ndarray:
         """Per-cell tuple counts (the ``aOK`` column, used by average)."""
@@ -322,8 +334,15 @@ class DBOwner:
 
     def finalize_psu(self, output_s1: np.ndarray,
                      output_s2: np.ndarray) -> np.ndarray:
-        """Eq. 19: modular addition; nonzero marks a union member."""
-        return np.mod(output_s1 + output_s2, self.params.delta) != 0
+        """Eq. 19: modular addition; nonzero marks a union member.
+
+        The sum is formed at twice the operands' width: two uint8
+        residues overflow uint8 once δ > 128.
+        """
+        delta = self.params.delta
+        a, b = _unsigned(output_s1, delta), _unsigned(output_s2, delta)
+        total = np.add(a, b, dtype=_doubled(a, b))
+        return np.remainder(total, delta, out=total) != 0
 
     def verify_psi(self, fop: np.ndarray, vout_s1: np.ndarray,
                    vout_s2: np.ndarray) -> None:
@@ -367,7 +386,7 @@ class DBOwner:
 
     def make_z_shares(self, member: np.ndarray) -> list[np.ndarray]:
         """§6.1 Step 3: Shamir-share the 0/1 indicator of common items."""
-        return self._shamir.share_vector(member.astype(np.int64))
+        return self._shamir.share_vector(member)
 
     def finalize_aggregate(self, outputs: list[np.ndarray]) -> np.ndarray:
         """§6.1 Step 5: degree-2 Lagrange interpolation of the three sums."""

@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.params import ServerParams
+from repro.crypto.widths import as_shares, check_stream
+from repro.data.storage import ShareKind
 from repro.exceptions import ProtocolError
 from repro.network.message import Endpoint, Role
 
@@ -40,11 +42,13 @@ from repro.network.message import Endpoint, Role
 class LazyShares:
     """A deferred server-side share fetch (see module docstring)."""
 
-    def __init__(self, channel, method: str, column: str, owner_ids):
+    def __init__(self, channel, method: str, column: str, owner_ids,
+                 modulus: int):
         self._channel = channel
         self._method = method
         self._column = column
         self._owner_ids = owner_ids
+        self._modulus = modulus
         self._data: list | None = None
 
     @property
@@ -54,8 +58,11 @@ class LazyShares:
     def materialize(self) -> list:
         """Fetch the share vectors over the wire (memoised)."""
         if self._data is None:
-            self._data = list(self._channel.call(
-                self._method, self._column, self._owner_ids))
+            self._data = [
+                check_stream(share, self._modulus,
+                             f"fetched share of column {self._column!r}")
+                for share in self._channel.call(
+                    self._method, self._column, self._owner_ids)]
         return self._data
 
     def __iter__(self):
@@ -130,8 +137,11 @@ class RemoteServer:
 
     def receive_shares(self, owner_id: int, column: str, values, kind) -> None:
         """Phase 1: forward one outsourced share vector to the host."""
-        self.channel.call("receive_shares", int(owner_id), column,
-                          np.asarray(values, dtype=np.int64), kind.value)
+        values = as_shares(values, self.params.modulus_of(kind),
+                           f"owner {owner_id}'s {kind.value} column "
+                           f"{column!r}")
+        self.channel.call("receive_shares", int(owner_id), column, values,
+                          kind.value)
 
     def owners_with(self, column: str) -> list[int]:
         """Owner ids that outsourced ``column`` on the hosted store."""
@@ -139,51 +149,51 @@ class RemoteServer:
 
     def fetch_additive(self, column: str, owner_ids=None) -> LazyShares:
         return LazyShares(self.channel, "fetch_additive", column,
-                          list(owner_ids) if owner_ids is not None else None)
+                          list(owner_ids) if owner_ids is not None else None,
+                          self.params.modulus_of(ShareKind.ADDITIVE))
 
     def fetch_shamir(self, column: str, owner_ids=None) -> LazyShares:
         return LazyShares(self.channel, "fetch_shamir", column,
-                          list(owner_ids) if owner_ids is not None else None)
+                          list(owner_ids) if owner_ids is not None else None,
+                          self.params.modulus_of(ShareKind.SHAMIR))
 
     # -- 1-D kernels ----------------------------------------------------------
 
     def psi_round(self, column, num_threads: int = 1, owner_ids=None,
                   shares=None):
-        return self.channel.call("psi_round", column, num_threads,
-                                 self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
+        return self._group_out(self.channel.call(
+            "psi_round", column, num_threads, self._owners(owner_ids),
+            shares=_wire_shares(shares)))
 
     def verification_round(self, column, num_threads: int = 1, owner_ids=None,
                            shares=None):
-        return self.channel.call("verification_round", column, num_threads,
-                                 self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
+        return self._group_out(self.channel.call(
+            "verification_round", column, num_threads,
+            self._owners(owner_ids), shares=_wire_shares(shares)))
 
     def psu_round(self, column, query_nonce: int, num_threads: int = 1,
                   owner_ids=None, shares=None):
-        return self.channel.call("psu_round", column, int(query_nonce),
-                                 num_threads, self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
+        return self._additive_out(self.channel.call(
+            "psu_round", column, int(query_nonce), num_threads,
+            self._owners(owner_ids), shares=_wire_shares(shares)))
 
     def count_round(self, column, num_threads: int = 1, owner_ids=None,
                     shares=None, use_pf_s2: bool = False):
-        return self.channel.call("count_round", column, num_threads,
-                                 self._owners(owner_ids),
-                                 shares=_wire_shares(shares),
-                                 use_pf_s2=bool(use_pf_s2))
+        return self._group_out(self.channel.call(
+            "count_round", column, num_threads, self._owners(owner_ids),
+            shares=_wire_shares(shares), use_pf_s2=bool(use_pf_s2)))
 
     def count_verification_round(self, column, num_threads: int = 1,
                                  owner_ids=None, shares=None):
-        return self.channel.call("count_verification_round", column,
-                                 num_threads, self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
+        return self._group_out(self.channel.call(
+            "count_verification_round", column, num_threads,
+            self._owners(owner_ids), shares=_wire_shares(shares)))
 
     def aggregate_round(self, column, z_share, num_threads: int = 1,
                         owner_ids=None, shares=None):
-        return self.channel.call("aggregate_round", column,
-                                 np.asarray(z_share, dtype=np.int64),
-                                 num_threads, self._owners(owner_ids),
-                                 shares=_wire_shares(shares))
+        return self._shamir_out(self.channel.call(
+            "aggregate_round", column, self._z(z_share), num_threads,
+            self._owners(owner_ids), shares=_wire_shares(shares)))
 
     # -- span fan-out ---------------------------------------------------------
 
@@ -245,13 +255,13 @@ class RemoteServer:
         bounds = self._span_bounds(self.params.pf.size, num_shards,
                                    pool_only=True) if columns else None
         if bounds is not None:
-            return self._scatter_psi(columns, owner_ids,
-                                     self._flags(subtract_m), bounds)
-        return self.channel.call(
+            return self._group_out(self._scatter_psi(
+                columns, owner_ids, self._flags(subtract_m), bounds))
+        return self._group_out(self.channel.call(
             "psi_round_batch", columns, num_threads,
             self._owners(owner_ids),
             subtract_m=self._flags(subtract_m),
-            num_shards=num_shards)
+            num_shards=num_shards))
 
     def psi_cells_round_batch(self, columns, cells, num_threads: int = 1,
                               owner_ids=None, subtract_m=None,
@@ -283,11 +293,12 @@ class RemoteServer:
                  (0, hi - lo))
                 for lo, hi in bounds
             ]
-            return self._scatter_spans("psi_cells_round_batch", frames)
-        return self.channel.call(
+            return self._group_out(
+                self._scatter_spans("psi_cells_round_batch", frames))
+        return self._group_out(self.channel.call(
             "psi_cells_round_batch", list(columns), cells, num_threads,
             self._owners(owner_ids), subtract_m=self._flags(subtract_m),
-            num_shards=num_shards)
+            num_shards=num_shards))
 
     def count_round_batch(self, columns, num_threads: int = 1, owner_ids=None,
                           subtract_m=None, use_pf_s2=None, shard_plan=None):
@@ -310,18 +321,18 @@ class RemoteServer:
             if len(flags) != len(columns):
                 raise ProtocolError(
                     "use_pf_s2 flags must match the column count")
-            out = self._scatter_psi(columns, owner_ids,
-                                    self._flags(subtract_m), bounds)
+            out = self._group_out(self._scatter_psi(
+                columns, owner_ids, self._flags(subtract_m), bounds))
             for row, flag in enumerate(flags):
                 pf = self.params.pf_s2 if flag else self.params.pf_s1
                 out[row] = pf.apply(out[row])
             return out
-        return self.channel.call(
+        return self._group_out(self.channel.call(
             "count_round_batch", columns, num_threads,
             self._owners(owner_ids),
             subtract_m=self._flags(subtract_m),
             use_pf_s2=self._flags(use_pf_s2),
-            num_shards=num_shards)
+            num_shards=num_shards))
 
     def psu_round_batch(self, columns, query_nonces, num_threads: int = 1,
                         owner_ids=None, permute=None, shard_plan=None):
@@ -344,7 +355,8 @@ class RemoteServer:
                   "k": {}}, (lo, hi))
                 for lo, hi in bounds
             ]
-            out = self._scatter_spans("psu_round_batch", frames)
+            out = self._additive_out(
+                self._scatter_spans("psu_round_batch", frames))
             flags = self._flags(permute)
             if flags is not None:
                 if len(flags) != len(columns):
@@ -354,10 +366,10 @@ class RemoteServer:
                     if flag:
                         out[row] = self.params.pf_s1.apply(out[row])
             return out
-        return self.channel.call(
+        return self._additive_out(self.channel.call(
             "psu_round_batch", columns, nonces, num_threads,
             self._owners(owner_ids), permute=self._flags(permute),
-            num_shards=num_shards)
+            num_shards=num_shards))
 
     def aggregate_round_batch(self, columns, z_matrix, num_threads: int = 1,
                               owner_ids=None, shard_plan=None):
@@ -368,7 +380,7 @@ class RemoteServer:
         instead of being replicated per member.
         """
         columns = list(columns)
-        z_matrix = np.asarray(z_matrix, dtype=np.int64)
+        z_matrix = self._z(z_matrix)
         num_shards = self._shards(shard_plan)
         bounds = None
         if columns and z_matrix.ndim == 2 and z_matrix.shape[0] == len(columns):
@@ -381,10 +393,11 @@ class RemoteServer:
                   "k": {}}, (lo, hi))
                 for lo, hi in bounds
             ]
-            return self._scatter_spans("aggregate_round_batch", frames)
-        return self.channel.call(
+            return self._shamir_out(
+                self._scatter_spans("aggregate_round_batch", frames))
+        return self._shamir_out(self.channel.call(
             "aggregate_round_batch", columns, z_matrix, num_threads,
-            self._owners(owner_ids), num_shards=num_shards)
+            self._owners(owner_ids), num_shards=num_shards))
 
     # -- extrema machinery ----------------------------------------------------
 
@@ -429,6 +442,25 @@ class RemoteServer:
         self.channel.call("close")
 
     # -- marshalling helpers --------------------------------------------------
+    #
+    # Every kernel reply is a received stream: it must arrive at exactly
+    # the width of its modulus with every value below it, or the call
+    # fails with a ProtocolError — never a silent wrap or widening.
+
+    def _group_out(self, out):
+        return check_stream(out, self.params.group.eta_prime,
+                            f"server {self.index}'s group-element output")
+
+    def _additive_out(self, out):
+        return check_stream(out, self.params.delta,
+                            f"server {self.index}'s PSU output")
+
+    def _shamir_out(self, out):
+        return check_stream(out, self.params.field_prime,
+                            f"server {self.index}'s aggregation output")
+
+    def _z(self, z):
+        return as_shares(z, self.params.field_prime, "indicator shares")
 
     @staticmethod
     def _owners(owner_ids):

@@ -5,12 +5,18 @@ sees cleartext, never addresses another server, and executes identical
 instruction sequences regardless of the data (access-pattern hiding): all
 kernels are branch-free sweeps over the full χ length ``b``.
 
-Each server equation is written once, as a numpy span builder with the
-same signature and ``kernel(lo, hi)`` contract as its compiled twin in
-:mod:`repro.kernels`:
+Every stored column and every output row is held at the width of its
+modulus (:mod:`repro.crypto.widths`): χ shares and PSU outputs mod δ
+(uint8 by default), PSI/verification/count outputs mod η' (uint16),
+aggregation shares, z shares and outputs mod p (uint32).
+:meth:`PrismServer.receive_shares` admits a column only as residues of
+its modulus.  Each server equation is written once, as a numpy span
+builder with the same signature and ``kernel(lo, hi)`` contract as its
+compiled twin in :mod:`repro.kernels`:
 
 * :func:`numpy_psi_sweep` — Eq. 3 (PSI) and Eq. 7 (its verification
-  stream over the complement table), optionally over a cell subset.
+  stream over the complement table), optionally over a cell subset: a
+  share sum gathered from a folded table.
 * :func:`numpy_psu_sweep` — Eq. 18: masked additive sums with the
   common PRG stream.
 * :func:`numpy_agg_sweep` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
@@ -42,6 +48,7 @@ from repro import kernels
 from repro.core.params import ServerParams
 from repro.core.sharding import ShardRuntime
 from repro.crypto.prg import SeededPRG
+from repro.crypto.widths import as_shares, share_dtype
 from repro.data.storage import ServerStore, ShareKind
 from repro.exceptions import ProtocolError
 from repro.network.message import Endpoint, Role
@@ -49,32 +56,47 @@ from repro.network.message import Endpoint, Role
 # -- one span builder per equation ---------------------------------------------
 
 
-def numpy_psi_sweep(share_lists, m_rows, delta: int, table: np.ndarray,
-                    out: np.ndarray, cells: np.ndarray | None = None):
-    """Eq. 3/7: ``out[q, i] = g^((Σ_j A(x_i)_j ⊖ m_rows[q]) mod δ) mod η'``.
+def _sum_dtype(share_lists) -> np.dtype:
+    """An accumulator for any row's share sum: wide enough for a sum of
+    maximal values of the shares' dtype, so no sum can wrap."""
+    return share_dtype(max((len(row) * np.iinfo(row[0].dtype).max
+                            for row in share_lists if len(row)),
+                           default=0) + 1)
 
-    Row ``q`` sums its owners' additive shares ``share_lists[q]``,
-    subtracts this server's share of the owner count (Eq. 3, PSI) or
-    nothing (Eq. 7, the verification stream over the complement table —
-    the same sweep shape, so the two are indistinguishable) and looks
-    the exponent up in the group's power table.  With ``cells`` the span
+
+def numpy_psi_sweep(share_lists, tables: np.ndarray, out: np.ndarray,
+                    cells: np.ndarray | None = None):
+    """Eq. 3/7: ``out[q, i] = tables[q, Σ_j A(x_i)_j]``.
+
+    Row ``q`` sums its owners' additive shares ``share_lists[q]`` (each a
+    residue mod δ) into an accumulator no sum can wrap, then
+    gathers from its folded table (:meth:`ServerGroupView.folded_tables`),
+    whose entry ``k`` is ``g^((k ⊖ A(m)) mod δ) mod η'`` for the row's
+    share of the owner count (Eq. 3, PSI) or for zero (Eq. 7, the
+    verification stream over the complement table — the same sweep
+    shape, so the two are indistinguishable).  With ``cells`` the span
     indexes the cells array and gathers those χ cells (the bucketized
     per-level sweep); without it the span indexes χ directly.  numpy
     twin of :func:`repro.kernels.psi_sweep`.
+
+    Raises:
+        ProtocolError: when a share sum overruns the folded table (a
+            stored share outside ``[0, δ)``).
     """
-    m_col = np.asarray(m_rows, dtype=np.int64).reshape(-1, 1)
+    width = tables.shape[1]
+    acc_dtype = _sum_dtype(share_lists)
 
     def kernel(lo: int, hi: int) -> None:
         index = slice(lo, hi) if cells is None else cells[lo:hi]
-        acc = np.zeros((len(share_lists), hi - lo), dtype=np.int64)
-        for row, row_shares in zip(acc, share_lists):
+        acc = np.empty(hi - lo, dtype=acc_dtype)
+        for q, row_shares in enumerate(share_lists):
+            acc.fill(0)
             for s in row_shares:
-                row += s[index]
-        # m shares each < δ stay far below int64 overflow, so one
-        # reduction after the ⊖ A(m) suffices.
-        acc -= m_col
-        np.mod(acc, delta, out=acc)
-        out[:, lo:hi] = table[acc]
+                acc += s[index]
+            if acc.size and acc.max() >= width:
+                raise ProtocolError("additive share sum outside the folded "
+                                    "Eq. 3 table: a share is not mod δ")
+            np.take(tables[q], acc, out=out[q, lo:hi])
     return kernel
 
 
@@ -83,24 +105,26 @@ def numpy_psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
     """Eq. 18: ``out[q, i] = (Σ_j A(x_i)_j mod δ) · rand_q[i] mod δ``.
 
     ``share_lists`` holds the *distinct* columns' share vectors, summed
-    into the scratch rows of ``acc``; ``row_map[q]`` names the ``acc``
-    row of output row ``q`` and ``keys[q]`` its mask stream, whose draws
-    ``rand_q[i] ∈ [1, δ)`` both servers derive from the common PRG seed.
-    Owners adding the two outputs get ``(Σ_j x_ij) · rand[i] mod δ`` —
-    zero iff no owner holds the value.  ``draw_base`` offsets the draws
-    when the arrays are span-local, so every span seeks the absolute
-    stream.  numpy twin of :func:`repro.kernels.psu_sweep`.
+    (in a dtype that cannot wrap) and reduced into the scratch rows of
+    ``acc``; ``row_map[q]`` names the ``acc`` row of output row
+    ``q`` and ``keys[q]`` its mask stream, whose draws ``rand_q[i] ∈
+    [1, δ)`` both servers derive from the common PRG seed.  Owners
+    adding the two outputs get ``(Σ_j x_ij) · rand[i] mod δ`` — zero iff
+    no owner holds the value.  ``draw_base`` offsets the draws when the
+    arrays are span-local, so every span seeks the absolute stream.
+    numpy twin of :func:`repro.kernels.psu_sweep`.
     """
     row_map = np.asarray(row_map, dtype=np.int64)
     prgs = [SeededPRG.from_key(key) for key in keys]
+    sum_dtype = _sum_dtype(share_lists)
 
     def kernel(lo: int, hi: int) -> None:
         local = acc[:, lo:hi]
-        local.fill(0)
         for row, col_shares in zip(local, share_lists):
+            total = np.zeros(hi - lo, dtype=sum_dtype)
             for s in col_shares:
-                row += s[lo:hi]
-        np.mod(local, delta, out=local)
+                total += s[lo:hi]
+            np.remainder(total, delta, out=row)
         rand = np.stack([prg.integers_at(draw_base + lo, hi - lo, 1, delta)
                          for prg in prgs])
         out[:, lo:hi] = np.mod(local[row_map] * rand, delta)
@@ -114,26 +138,27 @@ def numpy_agg_sweep(share_lists, z_matrix: np.ndarray, p: int,
     ``z_matrix[q]`` is this server's Shamir share of row ``q``'s 0/1
     intersection indicator; the product of two degree-1 shares is a
     degree-2 share, which owners reconstruct with all three servers.
+    Each product of two field elements (uint32) is formed in uint64.
     numpy twin of :func:`repro.kernels.agg_sweep`.
     """
     def kernel(lo: int, hi: int) -> None:
-        local = out[:, lo:hi]
-        local.fill(0)
-        for q, (row, row_shares) in enumerate(zip(local, share_lists)):
+        acc = np.empty(hi - lo, dtype=np.uint64)
+        term = np.empty_like(acc)
+        for q, row_shares in enumerate(share_lists):
             z = z_matrix[q, lo:hi]
+            acc.fill(0)
             for s in row_shares:
-                # p < 2**31 keeps each product below 2**62; reduce per term.
-                row += np.mod(s[lo:hi] * z, p)
-                np.mod(row, p, out=row)
+                np.multiply(s[lo:hi], z, out=term, dtype=np.uint64)
+                np.remainder(term, p, out=term)
+                acc += term
+            np.remainder(acc, p, out=out[q, lo:hi])
     return kernel
 
 
-def psi_sweep(share_lists, m_rows, delta, table, out, cells=None):
+def psi_sweep(share_lists, tables, out, cells=None):
     """The Eq. 3/7 span kernel: compiled where the tier engages, else numpy."""
-    return (kernels.psi_sweep(share_lists, m_rows, delta, table, out,
-                              cells=cells)
-            or numpy_psi_sweep(share_lists, m_rows, delta, table, out,
-                               cells=cells))
+    return (kernels.psi_sweep(share_lists, tables, out, cells=cells)
+            or numpy_psi_sweep(share_lists, tables, out, cells=cells))
 
 
 def psu_sweep(share_lists, acc, row_map, keys, delta, out, draw_base=0):
@@ -212,7 +237,18 @@ class PrismServer:
 
     def receive_shares(self, owner_id: int, column: str, values: np.ndarray,
                        kind: ShareKind) -> None:
-        """Accept an outsourced share vector from an owner (Phase 1)."""
+        """Accept an outsourced share vector from an owner (Phase 1).
+
+        The column is stored at the width of its modulus (δ for additive
+        shares, the field prime for Shamir shares).
+
+        Raises:
+            ProtocolError: naming the owner and column, when ``values``
+                is not an integer vector of residues in ``[0, modulus)``.
+        """
+        values = as_shares(values, self.params.modulus_of(kind),
+                           f"owner {owner_id}'s {kind.value} column "
+                           f"{column!r}")
         self.store.put(owner_id, column, values, kind)
 
     def owners_with(self, column: str) -> list[int]:
@@ -238,15 +274,22 @@ class PrismServer:
     # -- row sweeps shared by the 1-D and batched kernels ----------------------
 
     @staticmethod
-    def _check_uniform(columns, share_lists) -> tuple[int, int]:
+    def _check_uniform(columns, share_lists,
+                       dtype: np.dtype) -> tuple[int, int]:
         """Validate a fused sweep's inputs; returns (num_owners, b).
 
-        Every column must be held by the same owner set and have the same
-        χ length — a fused sweep sums a fixed set of share vectors per
-        row, so mixed shapes are a planner bug.  The kernels slice the
-        stored 1-D vectors chunk by chunk rather than stacking them into
-        per-owner matrices: no copies of the χ table are materialised.
+        Every column must be held by the same owner set, have the same χ
+        length and be stored at ``dtype``, the width of its modulus — a
+        fused sweep sums a fixed set of share vectors per row, so mixed
+        shapes are a planner bug.  The kernels slice the stored 1-D
+        vectors chunk by chunk rather than stacking them into per-owner
+        matrices: no copies of the χ table are materialised.
         """
+        widths = {s.dtype for row in share_lists for s in row}
+        if widths - {dtype}:
+            raise ProtocolError(
+                f"batched sweep over {list(columns)!r} needs {dtype} "
+                f"shares; got {sorted(map(str, widths))}")
         counts = {len(s) for s in share_lists}
         if len(counts) != 1:
             raise ProtocolError(
@@ -294,16 +337,18 @@ class PrismServer:
                   chunks: int, cells: np.ndarray | None = None) -> np.ndarray:
         """The rows of a fused Eq. 3 / Eq. 7 sweep over χ (or ``cells``),
         then tampered."""
-        num_owners, b = self._check_uniform(columns, share_lists)
+        params = self.params
+        num_owners, b = self._check_uniform(columns, share_lists,
+                                            params.additive_dtype)
         if cells is not None and cells.size and (
                 int(cells.min()) < 0 or int(cells.max()) >= b):
             raise ProtocolError(f"cell indices out of range for χ length {b}")
         n = b if cells is None else cells.shape[0]
-        m_rows = self._batch_m_shares(subtract_m, num_owners, owner_ids)
-        out = np.empty((len(columns), n), dtype=np.int64)
-        self.runtime.run(psi_sweep(share_lists, m_rows, self.params.delta,
-                                   self.params.group.power_table, out, cells),
-                         n, chunks)
+        tables = params.group.folded_tables(
+            self._batch_m_shares(subtract_m, num_owners, owner_ids),
+            num_owners)
+        out = np.empty((len(columns), n), dtype=params.group_dtype)
+        self.runtime.run(psi_sweep(share_lists, tables, out, cells), n, chunks)
         kinds = ["psi" if flag else "verification" for flag in subtract_m]
         return self._tamper_rows(out, kinds, columns)
 
@@ -318,34 +363,47 @@ class PrismServer:
         """
         uniq = list(dict.fromkeys(columns))
         row_map = [uniq.index(c) for c in columns]
-        _, n = self._check_uniform(uniq, share_lists)
-        acc = np.empty((len(uniq), n), dtype=np.int64)
-        out = np.empty((len(columns), n), dtype=np.int64)
+        dtype = self.params.additive_dtype
+        _, n = self._check_uniform(uniq, share_lists, dtype)
+        acc = np.empty((len(uniq), n), dtype=dtype)
+        out = np.empty((len(columns), n), dtype=dtype)
         self.runtime.run(psu_sweep(share_lists, acc, row_map,
                                    self._psu_keys(query_nonces),
                                    self.params.delta, out), n, chunks)
         return self._tamper_rows(out, ["psu"] * len(columns), columns)
 
+    def admit_z(self, z_matrix) -> np.ndarray:
+        """A querier's indicator shares as field elements at their width.
+
+        ALIGNED matters for wire-decoded z matrices: the codec hands out
+        zero-copy frame views, which the compiled sweeps (and fast numpy
+        paths) want re-packed once, here.
+
+        Raises:
+            ProtocolError: for a non-integer matrix or a value outside
+                ``[0, p)``.
+        """
+        z_matrix = as_shares(z_matrix, self.params.field_prime,
+                             "indicator share matrix")
+        return np.require(z_matrix, requirements=["ALIGNED", "C_CONTIGUOUS"])
+
     def _agg_rows(self, columns, share_lists, z_matrix,
                   chunks: int) -> np.ndarray:
         """The rows of a fused Eq. 11 sweep, then tampered."""
-        # ALIGNED matters for wire-decoded z matrices: the codec hands
-        # out zero-copy frame views, which the compiled sweeps (and fast
-        # numpy paths) want re-packed once, here.
-        z_matrix = np.require(z_matrix, dtype=np.int64,
-                              requirements=["ALIGNED", "C_CONTIGUOUS"])
+        z_matrix = self.admit_z(z_matrix)
         if z_matrix.ndim != 2 or z_matrix.shape[0] != len(columns):
             raise ProtocolError(
                 f"z matrix of shape {z_matrix.shape} does not stack one row "
                 f"per column ({len(columns)} expected)"
             )
-        _, n = self._check_uniform(columns, share_lists)
+        dtype = self.params.shamir_dtype
+        _, n = self._check_uniform(columns, share_lists, dtype)
         if z_matrix.shape[1] != n:
             raise ProtocolError(
                 f"z vector length {z_matrix.shape[1]} does not match column "
                 f"length {n}"
             )
-        out = np.empty((len(columns), n), dtype=np.int64)
+        out = np.empty((len(columns), n), dtype=dtype)
         self.runtime.run(agg_sweep(share_lists, z_matrix,
                                    self.params.field_prime, out), n, chunks)
         return self._tamper_rows(out, ["aggregate"] * len(columns), columns)

@@ -2,11 +2,14 @@
 
 The three batched server kernels (Eq. 3/7 PSI, Eq. 18 PSU, Eq. 11
 aggregation) and the counter-mode PRG stream are numpy/hashlib-bound;
-this package puts the same per-element int64 arithmetic below the
-interpreter.  It is an *equivalence-pinned drop-in*: every compiled
-span computes bit-identically to the numpy reference (same wraparound,
-same floored-mod reduction points, same SHA-256 stream), which
-``tests/test_kernels.py`` pins per kernel family × shard count.
+this package puts the same per-element arithmetic below the
+interpreter, over the same narrow operands: every share vector is
+held at the width of its modulus (:mod:`repro.crypto.widths`), and
+sums and products are formed in a type wide enough never to wrap.  It
+is an *equivalence-pinned drop-in*: every compiled span computes
+bit-identically to the numpy reference (same folded Eq. 3 tables, same
+reductions, same SHA-256 stream), which ``tests/test_kernels.py`` pins
+per kernel family × width × shard count.
 
 Selection ladder:
 
@@ -19,9 +22,12 @@ Selection ladder:
    big-endian host falls back *transparently* to numpy.
 3. **Crossover** — sweeps shorter than :data:`NATIVE_MIN_SPAN` stay on
    numpy, where per-call ctypes overhead would eat the win.
-4. **Eligibility** — every operand must be an aligned C-contiguous
-   int64 vector; anything else (sliced matrices, unaligned wire views)
-   falls back per sweep.
+4. **Eligibility** — every operand must be aligned, C-contiguous and
+   of a width the spans take: uint8/uint16 χ shares with uint16/uint32
+   group-element tables and outputs (Eq. 3/7), one residue width for
+   shares, scratch and output (Eq. 18), uint32 field elements (Eq. 11),
+   int64 cell indices.  Anything else (sliced matrices, unaligned wire
+   views, a width no span takes) falls back per sweep.
 
 The sweep *builders* below return a ``kernel(lo, hi)`` chunk closure
 writing into a caller-provided output matrix, or ``None`` when any rung
@@ -44,6 +50,7 @@ import os
 
 import numpy as np
 
+from repro.exceptions import ProtocolError
 from repro.kernels import cbackend
 
 #: Sweep lengths below this stay on numpy: the per-row ctypes call
@@ -125,32 +132,43 @@ def prg_fill(key: bytes, start: int, n: int) -> bytes | None:
 
 # -- sweep builders -----------------------------------------------------------
 
-def _vec_ok(a: np.ndarray) -> bool:
+#: Operand widths the compiled spans take, per role.
+_SHARE_ADDITIVE = (np.dtype(np.uint8), np.dtype(np.uint16))
+_GROUP = (np.dtype(np.uint16), np.dtype(np.uint32))
+_RESIDUE = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
+_FIELD = (np.dtype(np.uint32),)
+
+
+def _vec_ok(a, dtypes) -> bool:
     return (isinstance(a, np.ndarray) and a.ndim == 1
-            and a.dtype == np.int64 and a.flags.c_contiguous
+            and a.dtype in dtypes and a.flags.c_contiguous
             and a.flags.aligned)
 
 
-def _row_ptrs(share_lists) -> list | None:
-    """Per-row ctypes pointer arrays over the share vectors, or ``None``."""
+def _matrix_ok(a, dtype: np.dtype) -> bool:
+    """Row-contiguous 2-D operand of exactly ``dtype``."""
+    return (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == dtype
+            and a.flags.aligned and a.strides[1] == a.itemsize)
+
+
+def _row_ptrs(share_lists, dtype: np.dtype) -> list | None:
+    """Per-row ctypes pointer arrays over ``dtype`` share vectors, or
+    ``None``."""
     ptrs = []
     for row_shares in share_lists:
-        if not all(_vec_ok(s) for s in row_shares):
+        if not all(_vec_ok(s, (dtype,)) for s in row_shares):
             return None
         ptrs.append((ctypes.c_void_p * max(1, len(row_shares)))(
             *[s.ctypes.data for s in row_shares]))
     return ptrs
 
 
-def _out_ok(out: np.ndarray) -> bool:
-    return (out.dtype == np.int64 and out.flags.c_contiguous
-            and out.flags.aligned and out.flags.writeable)
-
-
-def _sweep_lib(out: np.ndarray):
+def _sweep_lib(out: np.ndarray, dtypes):
     """The library if this sweep clears the mode/crossover/output rungs."""
     lib = native_lib()
-    if lib is None or not _out_ok(out) or out.shape[-1] < NATIVE_MIN_SPAN:
+    if (lib is None or out.dtype not in dtypes or not out.flags.c_contiguous
+            or not out.flags.aligned or not out.flags.writeable
+            or out.shape[-1] < NATIVE_MIN_SPAN):
         return None
     return lib
 
@@ -159,38 +177,43 @@ def _row_addr(matrix: np.ndarray, row: int) -> int:
     return matrix.ctypes.data + row * matrix.strides[0]
 
 
-def psi_sweep(share_lists, m_rows, delta: int, table: np.ndarray,
-              out: np.ndarray, cells: np.ndarray | None = None):
+def _first_dtype(share_lists):
+    return next((s.dtype for row in share_lists for s in row
+                 if isinstance(s, np.ndarray)), None)
+
+
+def psi_sweep(share_lists, tables: np.ndarray, out: np.ndarray,
+              cells: np.ndarray | None = None):
     """Chunk closure for the fused Eq. 3 / Eq. 7 sweep, or ``None``.
 
-    With ``cells`` the span indexes the cells array (the bucketized
-    per-level sweep); without it the span indexes χ directly.
+    ``tables[q]`` is row ``q``'s folded table (indexed by the raw share
+    sum, at ``out``'s dtype).  With ``cells`` the span indexes the cells
+    array (the bucketized per-level sweep); without it the span indexes
+    χ directly.
     """
-    lib = _sweep_lib(out)
-    if lib is None or not _vec_ok(table) or len(table) < delta:
+    lib = _sweep_lib(out, _GROUP)
+    share_dtype = _first_dtype(share_lists)
+    if (lib is None or share_dtype not in _SHARE_ADDITIVE
+            or not _matrix_ok(tables, out.dtype)
+            or tables.shape[0] != out.shape[0]):
         return None
-    if cells is not None and not _vec_ok(cells):
+    if cells is not None and not _vec_ok(cells, (np.dtype(np.int64),)):
         return None
-    ptrs = _row_ptrs(share_lists)
+    ptrs = _row_ptrs(share_lists, share_dtype)
     if ptrs is None:
         return None
-    m_flat = [int(v) for v in np.ravel(np.asarray(m_rows))]
     counts = [len(row) for row in share_lists]
-    table_addr = table.ctypes.data
+    cells_addr = None if cells is None else cells.ctypes.data
+    width, out_size = tables.shape[1], out.itemsize
 
-    if cells is None:
-        def kernel(lo: int, hi: int) -> None:
-            for q, row_ptrs in enumerate(ptrs):
-                lib.repro_psi_span(row_ptrs, counts[q], lo, hi, m_flat[q],
-                                   delta, table_addr, _row_addr(out, q))
-    else:
-        cells_addr = cells.ctypes.data
-
-        def kernel(lo: int, hi: int) -> None:
-            for q, row_ptrs in enumerate(ptrs):
-                lib.repro_psi_cells_span(row_ptrs, counts[q], cells_addr,
-                                         lo, hi, m_flat[q], delta,
-                                         table_addr, _row_addr(out, q))
+    def kernel(lo: int, hi: int) -> None:
+        for q, row_ptrs in enumerate(ptrs):
+            if lib.repro_psi_span(row_ptrs, counts[q], share_dtype.itemsize,
+                                  cells_addr, lo, hi, _row_addr(tables, q),
+                                  width, out_size, _row_addr(out, q)):
+                raise ProtocolError(
+                    "additive share sum outside the folded Eq. 3 table: "
+                    "a share is not mod δ")
     return kernel
 
 
@@ -200,44 +223,44 @@ def psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
 
     ``share_lists`` holds the *unique* columns' share vectors summed
     into ``acc`` rows; ``row_map[q]`` names the acc row for output row
-    ``q`` and ``keys[q]`` its 32-byte mask-stream key.  ``draw_base``
-    offsets the mask draws (non-zero when the caller hands span-local
-    arrays, as the entity host's span requests do) so shards keep
-    seeking the absolute stream exactly like ``SeededPRG.integers_at``.
+    ``q`` and ``keys[q]`` its 32-byte mask-stream key.  Shares, ``acc``
+    and ``out`` are residues mod δ of one width.  ``draw_base`` offsets
+    the mask draws (non-zero when the caller hands span-local arrays, as
+    the entity host's span requests do) so shards keep seeking the
+    absolute stream exactly like ``SeededPRG.integers_at``.
     """
     if delta < 2:
         return None
-    lib = _sweep_lib(out)
-    if lib is None or not _out_ok(acc):
+    lib = _sweep_lib(out, _RESIDUE)
+    if (lib is None or acc.dtype != out.dtype or not acc.flags.c_contiguous
+            or not acc.flags.aligned or not acc.flags.writeable):
         return None
-    ptrs = _row_ptrs(share_lists)
+    ptrs = _row_ptrs(share_lists, out.dtype)
     if ptrs is None:
         return None
     counts = [len(row) for row in share_lists]
     rows = [int(u) for u in row_map]
+    size = out.itemsize
 
     def kernel(lo: int, hi: int) -> None:
         for u, col_ptrs in enumerate(ptrs):
-            lib.repro_sum_mod_span(col_ptrs, counts[u], lo, hi, delta,
+            lib.repro_sum_mod_span(col_ptrs, counts[u], size, lo, hi, delta,
                                    _row_addr(acc, u))
         for q, u in enumerate(rows):
-            lib.repro_psu_span(_row_addr(acc, u), lo, hi, keys[q],
+            lib.repro_psu_span(_row_addr(acc, u), size, lo, hi, keys[q],
                                draw_base, delta, _row_addr(out, q))
     return kernel
 
 
 def agg_sweep(share_lists, z_matrix: np.ndarray, p: int, out: np.ndarray):
-    """Chunk closure for the fused Eq. 11 sweep, or ``None``."""
-    lib = _sweep_lib(out)
-    if lib is None:
+    """Chunk closure for the fused Eq. 11 sweep over uint32 field
+    elements, or ``None``."""
+    lib = _sweep_lib(out, _FIELD)
+    # Row-contiguous is enough: the z views are 2-D column slices whose
+    # rows stay contiguous (stride = itemsize).
+    if lib is None or not _matrix_ok(z_matrix, out.dtype):
         return None
-    # Row-contiguous is enough: the shared-scratch z views are 2-D
-    # column slices whose rows stay contiguous (stride = itemsize).
-    if not (isinstance(z_matrix, np.ndarray) and z_matrix.ndim == 2
-            and z_matrix.dtype == np.int64 and z_matrix.flags.aligned
-            and z_matrix.strides[1] == z_matrix.itemsize):
-        return None
-    ptrs = _row_ptrs(share_lists)
+    ptrs = _row_ptrs(share_lists, out.dtype)
     if ptrs is None:
         return None
     counts = [len(row) for row in share_lists]

@@ -25,24 +25,19 @@ _SOURCE = Path(__file__).with_name("native.c")
 #: the fallback path); unset → first of ``cc``/``gcc``/``clang`` found.
 CC_ENV = "REPRO_KERNELS_CC"
 
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+
 _FUNCTIONS = {
-    # name -> argtypes (all pointers travel as raw addresses)
-    "repro_prg_fill": [ctypes.c_char_p, ctypes.c_uint64, ctypes.c_uint64,
-                       ctypes.c_void_p],
-    "repro_sum_mod_span": [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                           ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p],
-    "repro_psi_span": [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_void_p],
-    "repro_psi_cells_span": [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                             ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p],
-    "repro_psu_span": [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_char_p, ctypes.c_uint64, ctypes.c_int64,
-                       ctypes.c_void_p],
-    "repro_agg_span": [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_void_p],
+    # name -> (restype, argtypes); all pointers travel as raw addresses
+    "repro_prg_fill": (None, [ctypes.c_char_p, ctypes.c_uint64,
+                              ctypes.c_uint64, _PTR]),
+    "repro_sum_mod_span": (None, [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR]),
+    "repro_psi_span": (ctypes.c_int, [_PTR, _I64, _I64, _PTR, _I64, _I64,
+                                      _PTR, _I64, _I64, _PTR]),
+    "repro_psu_span": (None, [_PTR, _I64, _I64, _I64, ctypes.c_char_p,
+                              ctypes.c_uint64, _I64, _PTR]),
+    "repro_agg_span": (None, [_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR]),
 }
 
 
@@ -91,7 +86,7 @@ def load() -> ctypes.CDLL | None:
     """The compiled kernel library, or ``None`` when unavailable.
 
     Gated on little-endian hosts: the C draw extraction and the
-    zero-copy int64 wire views both assume LE layout.
+    zero-copy wire views both assume LE layout.
     """
     if sys.byteorder != "little":
         return None
@@ -100,10 +95,10 @@ def load() -> ctypes.CDLL | None:
         return None
     try:
         lib = ctypes.CDLL(str(target))
-        for name, argtypes in _FUNCTIONS.items():
+        for name, (restype, argtypes) in _FUNCTIONS.items():
             fn = getattr(lib, name)
             fn.argtypes = argtypes
-            fn.restype = None
+            fn.restype = restype
     except (OSError, AttributeError):
         return None
     return lib

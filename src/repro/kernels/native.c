@@ -1,12 +1,16 @@
 /* Compiled sweep kernels for the Prism reproduction.
  *
- * Each function mirrors one fused numpy sweep *bit for bit*:
+ * Each function mirrors one numpy span builder of
+ * repro/entities/server.py *bit for bit*:
  *
- *   - int64 additions/multiplications wrap exactly like numpy's int64
- *     (we accumulate in uint64_t, whose wraparound is defined behaviour
- *     and identical to two's-complement int64);
- *   - reductions use floored modulo (numpy's np.mod), not C's truncated
- *     `%`, and happen at exactly the points the numpy kernels reduce;
+ *   - every operand is an unsigned vector at the width of its modulus
+ *     (uint8/uint16 additive shares, uint16/uint32 group elements,
+ *     uint32 Shamir shares); sums and products are formed in a type
+ *     wide enough that they never wrap, so plain unsigned arithmetic
+ *     computes exactly what numpy computes;
+ *   - the Eq. 3 / Eq. 7 sweep gathers from a folded table indexed by
+ *     the raw share sum (the caller folded the "minus A(m), mod delta"
+ *     into it), so it needs no division per element;
  *   - the PSU mask stream is the same SHA-256 counter-mode stream as
  *     `SeededPRG`: block c = SHA256(key32 || LE64(c)), 8 little-endian
  *     bytes per draw, `(raw % span) + low`.  Draw offsets are absolute,
@@ -230,75 +234,63 @@ static void prg_block_ctr(uint8_t block[64], uint64_t counter,
     }
 }
 
-/* numpy's np.mod: floored modulo, non-negative for positive modulus. */
-static inline int64_t floormod(int64_t x, int64_t m) {
-    int64_t r = x % m;
-    return r < 0 ? r + m : r;
-}
-
-/* Exact floored modulo by the Mersenne prime M = 2^31 - 1 without a
- * division: 2^31 ≡ 1 (mod M), so x = (x>>31)*2^31 + (x&M) ≡ (x>>31) +
- * (x&M).  Arithmetic shift makes the identity hold for negative x too
- * (x>>31 is floor(x / 2^31)).  Two folds bring any int64 into
- * [-2, M+1]; the conditionals finish the reduction. */
-static inline int64_t mod_mersenne31(int64_t x) {
-    const int64_t M = ((int64_t)1 << 31) - 1;
+/* Exact reduction of a product of two field elements (each below
+ * M = 2^31 - 1, so x < 2^62) by the Mersenne prime without a division:
+ * 2^31 = 1 (mod M), so x = (x>>31)*2^31 + (x&M) = (x>>31) + (x&M).
+ * Two folds bring x below M + 2; one conditional subtract finishes. */
+static inline uint64_t mod_mersenne31(uint64_t x) {
+    const uint64_t M = ((uint64_t)1 << 31) - 1;
     x = (x >> 31) + (x & M);
     x = (x >> 31) + (x & M);
-    if (x >= M) x -= M;
-    if (x < 0) x += M;
-    return x;
+    return x >= M ? x - M : x;
 }
 
 /* ---- Eq. 11 Mersenne-31 span (scalar + AVX-512) ---------------------- */
 
-typedef void (*agg_mersenne_fn)(const int64_t **shares, int64_t nshares,
-                                const int64_t *z, int64_t lo, int64_t hi,
-                                int64_t *out);
+typedef void (*agg_mersenne_fn)(const uint32_t **shares, int64_t nshares,
+                                const uint32_t *z, int64_t lo, int64_t hi,
+                                uint32_t *out);
 
-/* Scalar Mersenne-31 aggregation span; same reduction points as the
- * generic loop, division-free. */
-static void agg_mersenne_span(const int64_t **shares, int64_t nshares,
-                              const int64_t *z, int64_t lo, int64_t hi,
-                              int64_t *out) {
-    const int64_t M = ((int64_t)1 << 31) - 1;
+/* Scalar Mersenne-31 aggregation span, division-free. */
+static void agg_mersenne_span(const uint32_t **shares, int64_t nshares,
+                              const uint32_t *z, int64_t lo, int64_t hi,
+                              uint32_t *out) {
+    const uint64_t M = ((uint64_t)1 << 31) - 1;
     int64_t i, j;
     for (i = lo; i < hi; i++) {
-        int64_t acc = 0;
-        int64_t zi = z[i];
+        uint64_t acc = 0;
+        uint64_t zi = z[i];
         for (j = 0; j < nshares; j++) {
-            int64_t x = (int64_t)((uint64_t)shares[j][i] * (uint64_t)zi);
-            x = mod_mersenne31(x);
-            acc += x;
+            acc += mod_mersenne31((uint64_t)shares[j][i] * zi);
             if (acc >= M)
                 acc -= M;
         }
-        out[i] = acc;
+        out[i] = (uint32_t)acc;
     }
 }
 
 #ifdef REPRO_SHA_NI_COMPILED
 /* Share-major traversal with branchless reduction so gcc can
- * auto-vectorize the row loop (vpmullq + 64-bit shifts need AVX-512DQ).
- * Per element the (j-ordered) reduction sequence is identical to the
- * scalar span, so results stay bit-identical. */
+ * auto-vectorize the row loop: the uint32 x uint32 -> uint64 product
+ * is vpmuludq.  The partial sums stay below 2M < 2^32, so they live
+ * in the uint32 output row between passes. */
 __attribute__((target("avx512f,avx512dq,avx512vl")))
-static void agg_mersenne_span_avx512(const int64_t **shares, int64_t nshares,
-                                     const int64_t *z, int64_t lo, int64_t hi,
-                                     int64_t *out) {
-    const int64_t M = ((int64_t)1 << 31) - 1;
+static void agg_mersenne_span_avx512(const uint32_t **shares,
+                                     int64_t nshares, const uint32_t *z,
+                                     int64_t lo, int64_t hi,
+                                     uint32_t *out) {
+    const uint64_t M = ((uint64_t)1 << 31) - 1;
     int64_t i, j;
-    memset(out + lo, 0, (size_t)(hi - lo) * sizeof(int64_t));
+    memset(out + lo, 0, (size_t)(hi - lo) * sizeof(uint32_t));
     for (j = 0; j < nshares; j++) {
-        const int64_t *s = shares[j];
+        const uint32_t *s = shares[j];
         for (i = lo; i < hi; i++) {
-            int64_t x = (int64_t)((uint64_t)s[i] * (uint64_t)z[i]);
+            uint64_t x = (uint64_t)s[i] * (uint64_t)z[i];
             x = (x >> 31) + (x & M);
             x = (x >> 31) + (x & M);
-            x -= M & -(int64_t)(x >= M);
-            x += M & (x >> 63);
-            int64_t acc = out[i] + x;
-            out[i] = acc - (M & -(int64_t)(acc >= M));
+            x -= M & -(uint64_t)(x >= M);
+            uint64_t acc = (uint64_t)out[i] + x;
+            out[i] = (uint32_t)(acc - (M & -(uint64_t)(acc >= M)));
         }
     }
 }
@@ -332,6 +324,164 @@ static agg_mersenne_fn resolve_agg_mersenne(void) {
 
 static agg_mersenne_fn agg_mersenne_best = 0;
 
+/* ---- Eq. 3 / Eq. 7 folded-table spans -------------------------------- */
+
+/* Elements per accumulator block: the block's sums stay in L1 while
+ * every share is added into them, share-major (Eq. 3/7 and Eq. 18). */
+#define PSI_BLOCK 2048
+
+/* One instantiation per (share type S, accumulator A, output O):
+ * sum the shares of [lo, hi) (gathered through `cells` when non-null)
+ * block by block into A, then out[i] = table[sum].  Returns -1 without
+ * gathering when a sum overruns the table (a share outside [0, delta)),
+ * so a malformed store can never read out of bounds. */
+#define DEFINE_PSI_SPAN(NAME, S, A, O)                                     \
+static int NAME(const void **shares_v, int64_t nshares,                    \
+                const int64_t *cells, int64_t lo, int64_t hi,              \
+                const void *table_v, int64_t table_len, void *out_v) {     \
+    const S **shares = (const S **)shares_v;                               \
+    const O *table = (const O *)table_v;                                   \
+    O *out = (O *)out_v;                                                   \
+    const A last = (A)(table_len - 1);                                     \
+    A acc[PSI_BLOCK];                                                      \
+    int64_t base, k, j;                                                    \
+    for (base = lo; base < hi; base += PSI_BLOCK) {                        \
+        int64_t n = hi - base < PSI_BLOCK ? hi - base : PSI_BLOCK;         \
+        A over = 0;                                                        \
+        memset(acc, 0, (size_t)n * sizeof(A));                             \
+        for (j = 0; j < nshares; j++) {                                    \
+            const S *s = shares[j];                                        \
+            if (cells) {                                                   \
+                const int64_t *c = cells + base;                           \
+                for (k = 0; k < n; k++)                                    \
+                    acc[k] += s[c[k]];                                     \
+            } else {                                                       \
+                const S *sp = s + base;                                    \
+                for (k = 0; k < n; k++)                                    \
+                    acc[k] += sp[k];                                       \
+            }                                                              \
+        }                                                                  \
+        for (k = 0; k < n; k++)                                            \
+            over |= (A)(acc[k] > last);                                    \
+        if (over)                                                          \
+            return -1;                                                     \
+        for (k = 0; k < n; k++)                                            \
+            out[base + k] = table[acc[k]];                                 \
+    }                                                                      \
+    return 0;                                                              \
+}
+
+DEFINE_PSI_SPAN(psi_u8_a16_o16, uint8_t, uint16_t, uint16_t)
+DEFINE_PSI_SPAN(psi_u8_a16_o32, uint8_t, uint16_t, uint32_t)
+DEFINE_PSI_SPAN(psi_u8_a32_o16, uint8_t, uint32_t, uint16_t)
+DEFINE_PSI_SPAN(psi_u8_a32_o32, uint8_t, uint32_t, uint32_t)
+DEFINE_PSI_SPAN(psi_u16_a16_o16, uint16_t, uint16_t, uint16_t)
+DEFINE_PSI_SPAN(psi_u16_a16_o32, uint16_t, uint16_t, uint32_t)
+DEFINE_PSI_SPAN(psi_u16_a32_o16, uint16_t, uint32_t, uint16_t)
+DEFINE_PSI_SPAN(psi_u16_a32_o32, uint16_t, uint32_t, uint32_t)
+
+/* ---- division-free remainders ----------------------------------------- */
+
+/* Exact a mod d by multiplication (Lemire, Kaser & Kurz, "Faster
+ * Remainder by Direct Computation", 2019): with M = ceil(2^F / d) and
+ * F >= bits(a) + bits(d), a mod d = floor((M * a mod 2^F) * d / 2^F).
+ * F = 64 serves 32-bit a with 32-bit d; F = 128 serves 64-bit a with
+ * 32-bit d.  d = 1 wraps M to 0, which correctly yields 0. */
+typedef struct {
+    uint64_t d;
+#ifdef __SIZEOF_INT128__
+    uint64_t m64;
+    unsigned __int128 m128;
+#endif
+} divisor_t;
+
+static divisor_t divisor_of(uint64_t d) {
+    divisor_t v;
+    v.d = d;
+#ifdef __SIZEOF_INT128__
+    v.m64 = UINT64_MAX / d + 1;
+    v.m128 = ~(unsigned __int128)0 / d + 1;
+#endif
+    return v;
+}
+
+static inline uint64_t mod32(uint64_t a, const divisor_t *v) {
+#ifdef __SIZEOF_INT128__
+    return (uint64_t)(((unsigned __int128)(v->m64 * a) * v->d) >> 64);
+#else
+    return a % v->d;
+#endif
+}
+
+static inline uint64_t mod64(uint64_t a, const divisor_t *v) {
+#ifdef __SIZEOF_INT128__
+    unsigned __int128 low = v->m128 * a;
+    unsigned __int128 t = (unsigned __int128)(uint64_t)low * v->d;
+    unsigned __int128 u = (unsigned __int128)(uint64_t)(low >> 64) * v->d
+                          + (t >> 64);
+    return (uint64_t)(u >> 64);
+#else
+    return a % v->d;
+#endif
+}
+
+/* ---- Eq. 18 spans ---------------------------------------------------- */
+
+/* One instantiation per residue type S, with W the unsigned type that
+ * holds a sum of shares and a product of two residues, and MODW the
+ * remainder that fits W (mod32 while residues fit 16 bits). */
+#define DEFINE_PSU_SPANS(SUFFIX, S, W, MODW)                                \
+static void sum_mod_##SUFFIX(const void **shares_v, int64_t nshares,       \
+                             int64_t lo, int64_t hi, int64_t modulus,      \
+                             void *out_v) {                                \
+    const S **shares = (const S **)shares_v;                               \
+    S *out = (S *)out_v;                                                   \
+    const divisor_t v = divisor_of((uint64_t)modulus);                     \
+    W acc[PSI_BLOCK];                                                      \
+    int64_t base, k, j;                                                    \
+    for (base = lo; base < hi; base += PSI_BLOCK) {                        \
+        int64_t n = hi - base < PSI_BLOCK ? hi - base : PSI_BLOCK;         \
+        memset(acc, 0, (size_t)n * sizeof(W));                             \
+        for (j = 0; j < nshares; j++) {                                    \
+            const S *sp = shares[j] + base;                                \
+            for (k = 0; k < n; k++)                                        \
+                acc[k] += sp[k];                                           \
+        }                                                                  \
+        for (k = 0; k < n; k++)                                            \
+            out[base + k] = (S)MODW(acc[k], &v);                           \
+    }                                                                      \
+}                                                                          \
+static void psu_##SUFFIX(const void *summed_v, int64_t lo, int64_t hi,     \
+                         const uint8_t *key, uint64_t draw_base,           \
+                         int64_t delta, void *out_v) {                     \
+    const S *summed = (const S *)summed_v;                                 \
+    S *out = (S *)out_v;                                                   \
+    const divisor_t span = divisor_of((uint64_t)(delta - 1));              \
+    const divisor_t d = divisor_of((uint64_t)delta);                       \
+    uint8_t msg[64];                                                       \
+    uint8_t block[32];                                                     \
+    uint64_t have_block = 0;                                               \
+    uint64_t blk = 0;                                                      \
+    int64_t i;                                                             \
+    prg_block_init(key, msg);                                              \
+    for (i = lo; i < hi; i++) {                                            \
+        uint64_t dr = draw_base + (uint64_t)i;                             \
+        uint64_t b = dr >> 2;  /* four u64 draws per 32-byte block */      \
+        uint64_t raw;                                                      \
+        if (!have_block || b != blk) {                                     \
+            prg_block_ctr(msg, b, block);                                  \
+            blk = b;                                                       \
+            have_block = 1;                                                \
+        }                                                                  \
+        memcpy(&raw, block + 8 * (dr & 3), 8);                             \
+        out[i] = (S)MODW((W)summed[i] * (W)(mod64(raw, &span) + 1), &d);   \
+    }                                                                      \
+}
+
+DEFINE_PSU_SPANS(u8, uint8_t, uint32_t, mod32)
+DEFINE_PSU_SPANS(u16, uint16_t, uint32_t, mod32)
+DEFINE_PSU_SPANS(u32, uint32_t, uint64_t, mod64)
+
 /* ---- exported kernels ------------------------------------------------ */
 
 /* Stream bytes [start, start + nbytes) of the counter-mode generator. */
@@ -359,93 +509,70 @@ void repro_prg_fill(const uint8_t *key, uint64_t start, uint64_t nbytes,
     }
 }
 
-/* out[i] = (sum_j shares[j][i]) mod m  over i in [lo, hi). */
-void repro_sum_mod_span(const int64_t **shares, int64_t nshares,
+/* Fused Eq. 3 / Eq. 7 row span: out[i] = table[sum_j shares[j][c(i)]],
+ * c(i) = cells[i] when `cells` is non-null, else i.  `share_size` is
+ * 1 or 2 bytes, `out_size` (also the table's) 2 or 4; the accumulator
+ * is uint16 whenever nshares maximal shares fit it, so no sum wraps.
+ * Returns 0, or -1 when a share sum overruns the table. */
+int repro_psi_span(const void **shares, int64_t nshares, int64_t share_size,
+                   const int64_t *cells, int64_t lo, int64_t hi,
+                   const void *table, int64_t table_len, int64_t out_size,
+                   void *out) {
+    int wide = nshares * (share_size == 1 ? 0xFF : 0xFFFF) > 0xFFFF;
+    if (share_size == 1) {
+        if (out_size == 2)
+            return (wide ? psi_u8_a32_o16 : psi_u8_a16_o16)(
+                shares, nshares, cells, lo, hi, table, table_len, out);
+        return (wide ? psi_u8_a32_o32 : psi_u8_a16_o32)(
+            shares, nshares, cells, lo, hi, table, table_len, out);
+    }
+    if (out_size == 2)
+        return (wide ? psi_u16_a32_o16 : psi_u16_a16_o16)(
+            shares, nshares, cells, lo, hi, table, table_len, out);
+    return (wide ? psi_u16_a32_o32 : psi_u16_a16_o32)(
+        shares, nshares, cells, lo, hi, table, table_len, out);
+}
+
+/* out[i] = (sum_j shares[j][i]) mod m over i in [lo, hi); shares and
+ * out are `size`-byte unsigned residues. */
+void repro_sum_mod_span(const void **shares, int64_t nshares, int64_t size,
                         int64_t lo, int64_t hi, int64_t modulus,
-                        int64_t *out) {
-    int64_t i, j;
-    for (i = lo; i < hi; i++) {
-        uint64_t acc = 0;
-        for (j = 0; j < nshares; j++)
-            acc += (uint64_t)shares[j][i];
-        out[i] = floormod((int64_t)acc, modulus);
-    }
-}
-
-/* Fused Eq. 3 / Eq. 7 row span:
- * out[i] = table[(sum_j shares[j][i] - m_share) mod delta]. */
-void repro_psi_span(const int64_t **shares, int64_t nshares,
-                    int64_t lo, int64_t hi, int64_t m_share, int64_t delta,
-                    const int64_t *table, int64_t *out) {
-    int64_t i, j;
-    for (i = lo; i < hi; i++) {
-        uint64_t acc = 0;
-        for (j = 0; j < nshares; j++)
-            acc += (uint64_t)shares[j][i];
-        acc -= (uint64_t)m_share;
-        out[i] = table[floormod((int64_t)acc, delta)];
-    }
-}
-
-/* Cell-restricted repro_psi_span: the span indexes the cells array,
- * the gathered cells index the full share vectors. */
-void repro_psi_cells_span(const int64_t **shares, int64_t nshares,
-                          const int64_t *cells, int64_t lo, int64_t hi,
-                          int64_t m_share, int64_t delta,
-                          const int64_t *table, int64_t *out) {
-    int64_t i, j;
-    for (i = lo; i < hi; i++) {
-        int64_t cell = cells[i];
-        uint64_t acc = 0;
-        for (j = 0; j < nshares; j++)
-            acc += (uint64_t)shares[j][cell];
-        acc -= (uint64_t)m_share;
-        out[i] = table[floormod((int64_t)acc, delta)];
-    }
+                        void *out) {
+    if (size == 1)
+        sum_mod_u8(shares, nshares, lo, hi, modulus, out);
+    else if (size == 2)
+        sum_mod_u16(shares, nshares, lo, hi, modulus, out);
+    else
+        sum_mod_u32(shares, nshares, lo, hi, modulus, out);
 }
 
 /* Eq. 18 row span with the mask stream generated in place:
  * out[i] = (summed[i] * ((draw(draw_base + i) % (delta-1)) + 1)) mod delta,
  * where draw(d) is u64 little-endian bytes [8d, 8d+8) of the stream —
- * exactly SeededPRG.integers_at(draw_base + lo, hi - lo, 1, delta). */
-void repro_psu_span(const int64_t *summed, int64_t lo, int64_t hi,
+ * exactly SeededPRG.integers_at(draw_base + lo, hi - lo, 1, delta).
+ * `summed` and `out` are `size`-byte residues mod delta. */
+void repro_psu_span(const void *summed, int64_t size, int64_t lo, int64_t hi,
                     const uint8_t *key, uint64_t draw_base, int64_t delta,
-                    int64_t *out) {
-    uint64_t span = (uint64_t)(delta - 1);
-    uint8_t msg[64];
-    uint8_t block[32];
-    uint64_t have_block = 0;
-    uint64_t blk = 0;
-    int64_t i;
-    prg_block_init(key, msg);
-    for (i = lo; i < hi; i++) {
-        uint64_t d = draw_base + (uint64_t)i;
-        uint64_t b = d >> 2;  /* four u64 draws per 32-byte block */
-        uint64_t raw;
-        int64_t mask;
-        if (!have_block || b != blk) {
-            prg_block_ctr(msg, b, block);
-            blk = b;
-            have_block = 1;
-        }
-        memcpy(&raw, block + 8 * (d & 3), 8);
-        mask = (int64_t)(raw % span) + 1;
-        out[i] = floormod(
-            (int64_t)((uint64_t)summed[i] * (uint64_t)mask), delta);
-    }
+                    void *out) {
+    if (size == 1)
+        psu_u8(summed, lo, hi, key, draw_base, delta, out);
+    else if (size == 2)
+        psu_u16(summed, lo, hi, key, draw_base, delta, out);
+    else
+        psu_u32(summed, lo, hi, key, draw_base, delta, out);
 }
 
-/* Fused Eq. 11 row span with numpy's per-term reduction order:
- * acc starts at 0; per share j: acc = (acc + (s[i]*z[i] mod p)) mod p. */
-void repro_agg_span(const int64_t **shares, int64_t nshares,
-                    const int64_t *z, int64_t lo, int64_t hi, int64_t p,
-                    int64_t *out) {
+/* Fused Eq. 11 row span over uint32 field elements:
+ * out[i] = sum_j (s_j[i] * z[i] mod p) mod p, each product in uint64. */
+void repro_agg_span(const uint32_t **shares, int64_t nshares,
+                    const uint32_t *z, int64_t lo, int64_t hi, int64_t p,
+                    uint32_t *out) {
     int64_t i, j;
     if (p == ((int64_t)1 << 31) - 1) {
-        /* The repo's field prime.  The Mersenne fold computes the same
-         * floored modulo as the generic loop, division-free; each
-         * per-term accumulate stays below 2p, so one conditional
-         * subtract is the whole reduction. */
+        /* The repo's field prime: the Mersenne fold reduces each
+         * product division-free, and each per-term accumulate stays
+         * below 2p, so one conditional subtract is the whole
+         * reduction. */
         if (!agg_mersenne_best)
             agg_mersenne_best = resolve_agg_mersenne();
         agg_mersenne_best(shares, nshares, z, lo, hi, out);
@@ -453,12 +580,9 @@ void repro_agg_span(const int64_t **shares, int64_t nshares,
     }
     for (i = lo; i < hi; i++) {
         uint64_t acc = 0;
-        int64_t zi = z[i];
-        for (j = 0; j < nshares; j++) {
-            int64_t prod = (int64_t)((uint64_t)shares[j][i] * (uint64_t)zi);
-            acc += (uint64_t)floormod(prod, p);
-            acc = (uint64_t)floormod((int64_t)acc, p);
-        }
-        out[i] = (int64_t)acc;
+        uint64_t zi = z[i];
+        for (j = 0; j < nshares; j++)
+            acc += (uint64_t)shares[j][i] * zi % (uint64_t)p;
+        out[i] = (uint32_t)(acc % (uint64_t)p);
     }
 }

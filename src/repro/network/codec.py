@@ -4,8 +4,11 @@ The in-process transport can hand numpy arrays around by reference, but a
 deployable system ships bytes.  This codec defines a compact, versioned
 binary encoding for every payload type the protocols send:
 
-* int64 share vectors (the χ/aggregation streams),
-* int64 share matrices (the fused multi-query batch streams, 2-D),
+* integer share vectors (the χ/aggregation streams) and share matrices
+  (the fused multi-query batch streams, 2-D), each tagged with its
+  dtype so a stream travels at the width of its modulus (uint8 χ
+  shares, uint16 group elements, uint32 Shamir shares by default) and
+  decodes to exactly that dtype,
 * arbitrary-precision integers (extrema shares),
 * lists of big ints (announcer arrays, fpos vectors),
 * share-pair tuples and string-keyed dicts of any of the above,
@@ -14,7 +17,9 @@ binary encoding for every payload type the protocols send:
   the owner-keyed share dicts of the extrema rounds).
 
 Layout: 1 magic byte ``0x5A``, 1 version byte, 1 type tag, then the
-type-specific body.  All integers are little-endian.  The transport's
+type-specific body.  An array body starts with a dtype byte (an index
+into :data:`WIRE_DTYPES`) before its shape.  All integers are
+little-endian.  The transport's
 ``serialize=True`` mode round-trips every transfer through this codec,
 so the accounting becomes the true wire size and any non-serialisable
 payload is caught immediately.
@@ -45,14 +50,44 @@ import numpy as np
 
 from repro.exceptions import ProtocolError
 
-#: Zero-copy decode is only valid where the wire layout (little-endian
-#: int64) *is* the host layout; big-endian hosts take the byteswapping
-#: copy path.
+#: Zero-copy decode is only valid where the wire layout (little-endian)
+#: *is* the host layout; big-endian hosts take the byteswapping copy
+#: path.
 _NATIVE_LE = sys.byteorder == "little"
 
+#: The integer dtypes an array may travel as; an array's dtype byte is
+#: its index here.  Non-integer arrays never travel: the codec refuses
+#: them instead of truncating floats or reinterpreting bits.
+WIRE_DTYPES = tuple(np.dtype(t).newbyteorder("<") for t in (
+    np.uint8, np.uint16, np.uint32, np.uint64,
+    np.int8, np.int16, np.int32, np.int64))
+_DTYPE_CODES = {(dt.kind, dt.itemsize): code
+                for code, dt in enumerate(WIRE_DTYPES)}
 
-def _decode_i64(blob, offset: int, count: int) -> np.ndarray:
-    """``count`` int64s at ``offset`` — a zero-copy view when possible.
+
+def _wire_array(payload: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(dtype code, little-endian contiguous copy-or-view)`` of an array.
+
+    Raises:
+        ProtocolError: for a non-integer dtype.
+    """
+    code = _DTYPE_CODES.get((payload.dtype.kind, payload.dtype.itemsize))
+    if code is None:
+        raise ProtocolError(
+            f"only integer arrays travel on the wire, not {payload.dtype}")
+    return code, np.ascontiguousarray(payload, dtype=WIRE_DTYPES[code])
+
+
+def _wire_dtype(code: int) -> np.dtype:
+    if code >= len(WIRE_DTYPES):
+        raise ProtocolError(f"unknown wire dtype byte {code}")
+    return WIRE_DTYPES[code]
+
+
+def _decode_array(blob, offset: int, dtype: np.dtype,
+                  count: int) -> np.ndarray:
+    """``count`` elements of ``dtype`` at ``offset`` — a zero-copy view
+    when possible.
 
     On little-endian hosts an immutable ``bytes`` blob backs the
     returned (read-only) array directly: decoding a share vector costs
@@ -64,12 +99,15 @@ def _decode_i64(blob, offset: int, count: int) -> np.ndarray:
     on the hot path.
     """
     if _NATIVE_LE and isinstance(blob, bytes):
-        return np.frombuffer(blob, dtype=np.int64, count=count, offset=offset)
+        return np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     return np.frombuffer(
-        blob[offset:offset + 8 * count], dtype="<i8").astype(np.int64)
+        blob[offset:offset + dtype.itemsize * count],
+        dtype=dtype).astype(dtype.newbyteorder("="))
 
 MAGIC = 0x5A
-VERSION = 1
+#: Version 2 added the dtype byte to array bodies, so a version-1 peer
+#: fails loudly instead of misreading a share stream.
+VERSION = 2
 
 #: Frame-envelope magic (distinct from the payload magic so a stray
 #: payload blob can never be mistaken for a framed request).
@@ -134,12 +172,13 @@ _MAP_KEY_TYPES = (bool, int, str, bytes, float, type(None))
 def encode(payload, arena=None) -> bytes:
     """Encode a protocol payload to bytes.
 
-    With ``arena`` (a :class:`repro.network.shm.ShmArena`), large int64
+    With ``arena`` (a :class:`repro.network.shm.ShmArena`), large
     arrays land in the shared pages and the returned bytes carry only
     references — same-host channels skip shipping array bodies.
 
     Raises:
-        ProtocolError: for unsupported payload types.
+        ProtocolError: for unsupported payload types, including arrays
+            of a non-integer dtype.
     """
     return struct.pack("<BB", MAGIC, VERSION) + _encode_body(
         payload, arena=arena)
@@ -153,27 +192,24 @@ def _encode_body(payload, depth: int = 0, arena=None) -> bytes:
     if payload is None:
         return struct.pack("<B", _TAG_NONE)
     if isinstance(payload, np.ndarray):
-        if payload.ndim == 2:
-            contiguous = np.ascontiguousarray(payload, dtype=np.int64)
-            if arena is not None and contiguous.nbytes >= _SHM_MIN_BYTES:
-                shm_offset = arena.write_array(contiguous)
-                if shm_offset is not None:
-                    return struct.pack("<BQQQ", _TAG_MATRIX_SHM, shm_offset,
-                                       payload.shape[0], payload.shape[1])
-            return struct.pack("<BQQ", _TAG_MATRIX, payload.shape[0],
-                               payload.shape[1]) + contiguous.tobytes()
-        if payload.ndim != 1:
+        if payload.ndim not in (1, 2):
             raise ProtocolError(
                 "only 1-D share vectors and 2-D batch matrices travel on "
                 "the wire"
             )
-        contiguous = np.ascontiguousarray(payload, dtype=np.int64)
+        code, contiguous = _wire_array(payload)
         if arena is not None and contiguous.nbytes >= _SHM_MIN_BYTES:
             shm_offset = arena.write_array(contiguous)
             if shm_offset is not None:
-                return struct.pack("<BQQ", _TAG_VECTOR_SHM, shm_offset,
-                                   payload.shape[0])
-        return struct.pack("<BQ", _TAG_VECTOR,
+                if payload.ndim == 2:
+                    return struct.pack("<BBQQQ", _TAG_MATRIX_SHM, code,
+                                       shm_offset, *payload.shape)
+                return struct.pack("<BBQQ", _TAG_VECTOR_SHM, code,
+                                   shm_offset, payload.shape[0])
+        if payload.ndim == 2:
+            return struct.pack("<BBQQ", _TAG_MATRIX, code,
+                               *payload.shape) + contiguous.tobytes()
+        return struct.pack("<BBQ", _TAG_VECTOR, code,
                            payload.shape[0]) + contiguous.tobytes()
     if isinstance(payload, (bool, np.bool_)):
         # A dedicated tag: booleans round-trip as booleans, never as
@@ -277,44 +313,36 @@ def _decode_body(blob: bytes, offset: int, depth: int = 0, arena=None):
         except struct.error:
             raise ProtocolError("truncated float") from None
         return value, offset + 8
-    if tag == _TAG_VECTOR:
+    if tag in (_TAG_VECTOR, _TAG_MATRIX):
+        matrix = tag == _TAG_MATRIX
         try:
-            (length,) = struct.unpack_from("<Q", blob, offset)
+            code, *shape = struct.unpack_from("<BQQ" if matrix else "<BQ",
+                                              blob, offset)
         except struct.error:
-            raise ProtocolError("truncated share-vector header") from None
-        offset += 8
-        end = offset + 8 * length
+            raise ProtocolError("truncated share-array header") from None
+        dtype = _wire_dtype(code)
+        offset += 17 if matrix else 9
+        count = shape[0] * shape[1] if matrix else shape[0]
+        end = offset + dtype.itemsize * count
         if end > len(blob):
-            raise ProtocolError("truncated share vector")
-        return _decode_i64(blob, offset, length), end
-    if tag == _TAG_MATRIX:
-        try:
-            rows, cols = struct.unpack_from("<QQ", blob, offset)
-        except struct.error:
-            raise ProtocolError("truncated share matrix header") from None
-        offset += 16
-        end = offset + 8 * rows * cols
-        if end > len(blob):
-            raise ProtocolError("truncated share matrix")
-        matrix = _decode_i64(blob, offset, rows * cols)
-        return matrix.reshape(rows, cols), end
+            raise ProtocolError("truncated share array")
+        return _decode_array(blob, offset, dtype, count).reshape(shape), end
     if tag in (_TAG_VECTOR_SHM, _TAG_MATRIX_SHM):
         if arena is None:
             raise ProtocolError(
                 "shared-memory frame decoded without an arena: shm "
                 "references must never cross a host boundary")
+        matrix = tag == _TAG_MATRIX_SHM
         try:
-            if tag == _TAG_VECTOR_SHM:
-                shm_offset, length = struct.unpack_from("<QQ", blob, offset)
-                offset += 16
-                return arena.read_array(shm_offset, length), offset
-            shm_offset, rows, cols = struct.unpack_from("<QQQ", blob, offset)
-            offset += 24
-            matrix = arena.read_array(shm_offset, rows * cols)
-            return matrix.reshape(rows, cols), offset
+            code, shm_offset, *shape = struct.unpack_from(
+                "<BQQQ" if matrix else "<BQQ", blob, offset)
         except struct.error:
             raise ProtocolError(
                 "truncated shared-memory reference") from None
+        offset += 25 if matrix else 17
+        count = shape[0] * shape[1] if matrix else shape[0]
+        array = arena.read_array(shm_offset, count, _wire_dtype(code))
+        return array.reshape(shape), offset
     if tag == _TAG_BIGINT:
         try:
             negative, length = struct.unpack_from("<BQ", blob, offset)

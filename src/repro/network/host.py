@@ -38,6 +38,7 @@ import threading
 import numpy as np
 
 from repro.core.sharding import ShardPlan
+from repro.crypto.widths import check_stream
 from repro.data.storage import ShareKind
 from repro.entities.server import PrismServer, agg_sweep, psi_sweep, psu_sweep
 from repro.exceptions import ProtocolError
@@ -85,6 +86,10 @@ _SHARDED_KERNELS = frozenset({
     "psu_round_batch", "aggregate_round_batch",
 })
 
+#: Kernels whose second positional argument is the querier's indicator
+#: share matrix (vector), which must arrive at the field prime's width.
+_Z_KERNELS = frozenset({"aggregate_round", "aggregate_round_batch"})
+
 #: Kernels servable span-scoped (the frame envelope names the span).
 _SPAN_KERNELS = frozenset({
     "psi_round_batch", "psi_cells_round_batch", "psu_round_batch",
@@ -120,9 +125,18 @@ class ServerAdapter:
         kwargs = dict(body.get("k", {}))
         if kind not in SERVER_METHODS:
             raise ProtocolError(f"unknown server RPC {kind!r}")
-        if kind == "receive_shares":
-            # The wire carries the ShareKind as its string value.
+        params = self.server.params
+        if kind == "receive_shares" and len(args) == 4:
+            # The wire carries the ShareKind as its string value, and the
+            # vector at exactly the width of its modulus.
             args[3] = ShareKind(args[3])
+            check_stream(args[2], params.modulus_of(args[3]),
+                         f"owner {args[0]}'s {args[3].value} column "
+                         f"{args[1]!r}")
+        if (kind in _Z_KERNELS and len(args) > 1
+                and isinstance(args[1], np.ndarray)):
+            check_stream(args[1], params.field_prime,
+                         "indicator share matrix")
         if kind in _SHARDED_KERNELS:
             num_shards = kwargs.pop("num_shards", None)
             if num_shards is not None and int(num_shards) > 1:
@@ -196,8 +210,10 @@ class ServerAdapter:
         n = b if cells is None else len(cells)
         if hi > n:
             raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {n}")
-        m_rows = server._batch_m_shares(list(subtract_m), len(owners[0]),
-                                        owner_ids)
+        params = server.params
+        tables = params.group.folded_tables(
+            server._batch_m_shares(list(subtract_m), len(owners[0]),
+                                   owner_ids), len(owners[0]))
         if cells is None:
             share_lists = self._span_slices(server, columns, owners, lo, hi)
         else:
@@ -210,9 +226,9 @@ class ServerAdapter:
                             for owner in col_owners]
                            for column, col_owners in zip(columns, owners)]
             cells = cells[lo:hi]
-        out = np.empty((len(columns), hi - lo), dtype=np.int64)
-        psi_sweep(share_lists, m_rows, server.params.delta,
-                  server.params.group.power_table, out, cells)(0, hi - lo)
+        server._check_uniform(columns, share_lists, params.additive_dtype)
+        out = np.empty((len(columns), hi - lo), dtype=params.group_dtype)
+        psi_sweep(share_lists, tables, out, cells)(0, hi - lo)
         return out
 
     @staticmethod
@@ -278,8 +294,10 @@ class ServerAdapter:
         if hi > b:
             raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {b}")
         share_lists = self._span_slices(server, uniq, owners, lo, hi)
-        acc = np.empty((len(uniq), hi - lo), dtype=np.int64)
-        out = np.empty((len(columns), hi - lo), dtype=np.int64)
+        dtype = server.params.additive_dtype
+        server._check_uniform(uniq, share_lists, dtype)
+        acc = np.empty((len(uniq), hi - lo), dtype=dtype)
+        out = np.empty((len(columns), hi - lo), dtype=dtype)
         psu_sweep(share_lists, acc, row_map, server._psu_keys(nonces),
                   server.params.delta, out, draw_base=lo)(0, hi - lo)
         return out
@@ -293,7 +311,7 @@ class ServerAdapter:
         """
         if len(args) < 2:
             raise ProtocolError("malformed span request: no z matrix")
-        z_block = np.asarray(args[1], dtype=np.int64)
+        z_block = server.admit_z(args[1])
         if z_block.ndim != 2 or z_block.shape != (len(columns), hi - lo):
             raise ProtocolError(
                 f"z block of shape {z_block.shape} does not cover span "
@@ -305,7 +323,9 @@ class ServerAdapter:
         if hi > b:
             raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {b}")
         share_lists = self._span_slices(server, columns, owners, lo, hi)
-        out = np.empty((len(columns), hi - lo), dtype=np.int64)
+        dtype = server.params.shamir_dtype
+        server._check_uniform(columns, share_lists, dtype)
+        out = np.empty((len(columns), hi - lo), dtype=dtype)
         agg_sweep(share_lists, z_block, server.params.field_prime,
                   out)(0, hi - lo)
         return out

@@ -5,8 +5,9 @@ vector still rode the socketpair: ``encode`` copied the array into the
 frame, the kernel copied the frame twice, and decode copied it back
 out — four traversals of data that parent and child could simply
 share.  A :class:`ShmArena` is an anonymous ``MAP_SHARED`` mmap created
-*before* the fork, so both processes see the same pages: large int64
-payloads are written straight into the arena (one copy in) and the
+*before* the fork, so both processes see the same pages: large integer
+arrays (at whatever width their dtype tag names) are written straight
+into the arena (one copy in) and the
 socket frame carries a 24-byte ``(offset, shape)`` reference
 (:data:`repro.network.codec._TAG_VECTOR_SHM`); the decoder copies the
 span back out of the arena (one copy out).  Two copies and a
@@ -70,7 +71,7 @@ class ShmArena:
         return start
 
     def write_array(self, values: np.ndarray) -> int | None:
-        """Copy a contiguous int64 array in; returns its offset or ``None``.
+        """Copy a contiguous array in; returns its offset or ``None``.
 
         The single copy-in: the array's buffer lands directly in the
         shared pages (no intermediate ``tobytes`` allocation).
@@ -84,21 +85,23 @@ class ShmArena:
         self._mm[offset:offset + nbytes] = memoryview(values).cast("B")
         return offset
 
-    def read_array(self, offset: int, count: int) -> np.ndarray:
-        """Copy ``count`` int64s out (the arena is per-frame scratch).
+    def read_array(self, offset: int, count: int,
+                   dtype: np.dtype) -> np.ndarray:
+        """Copy ``count`` elements of ``dtype`` out (the arena is
+        per-frame scratch).
 
         Raises:
             ProtocolError: when the reference leaves the arena — a
                 corrupt or adversarial frame, never a caller bug.
         """
-        end = offset + 8 * count
+        end = offset + dtype.itemsize * count
         if offset < 0 or end > self.size:
             raise ProtocolError(
                 f"shared-memory reference [{offset}, {end}) leaves the "
                 f"{self.size}-byte arena")
-        out = np.frombuffer(self._mm, dtype=np.int64, count=count,
+        out = np.frombuffer(self._mm, dtype=dtype, count=count,
                             offset=offset)
-        return out.copy()
+        return out.astype(dtype.newbyteorder("="))
 
     def close(self) -> None:
         if not self._closed:

@@ -156,7 +156,7 @@ def result_to_wire(result) -> dict:
         return {
             "type": "SetResult",
             "values": list(result.values),
-            "membership": np.asarray(result.membership).astype(np.int64),
+            "membership": np.asarray(result.membership).astype(np.uint8),
             "timings": _timings_to_wire(result.timings),
             "traffic": dict(result.traffic or {}),
             "verified": bool(result.verified),

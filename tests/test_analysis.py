@@ -190,6 +190,45 @@ class TestCostModel:
         predicted = CostModel(2, 32).outsourcing(1, with_verification=True)
         assert measured == predicted
 
+    def test_verified_psu_bytes_exact(self):
+        # A uint8 PSU stream (mod δ) plus a uint16 Eq. 7 stream (mod η').
+        system = build([{1, 5}, {5, 9}], with_verification=True)
+        system.transport.reset()
+        result = system.psu("k", verify=True)
+        predicted = CostModel(2, 32).psu(verify=True)
+        assert predicted.server_to_owner_bytes == 2 * 2 * 32 * (1 + 2)
+        assert result.traffic["server_to_owner_bytes"] == \
+            predicted.server_to_owner_bytes
+
+    def test_default_widths(self):
+        model = CostModel(3, 32)
+        assert (model.additive_bytes, model.group_bytes,
+                model.shamir_bytes) == (1, 2, 4)
+        assert model.psi().server_to_owner_bytes == 2 * 3 * 32 * 2
+        assert model.psu().server_to_owner_bytes == 2 * 3 * 32 * 1
+
+    def test_delta_257_widens_the_additive_streams(self):
+        relations = [Relation(f"o{i}", {"k": [1, 2, 5], "v": [3, 4, 6]})
+                     for i in range(2)]
+        system = PrismSystem(relations, Domain("k", DOMAIN32), seed=2,
+                             delta=257)
+        system.outsource("k", ("v",), with_verification=True)
+        model = CostModel(2, 32, delta=257)
+        assert (model.additive_bytes, model.group_bytes,
+                model.shamir_bytes) == (2, 2, 4)
+        measured = system.transport.stats.summary()["owner_to_server_bytes"]
+        assert measured == model.outsourcing(1, with_verification=True)
+        for query, predicted in (
+                (lambda: system.psi("k", verify=True), model.psi(True)),
+                (lambda: system.psu("k", verify=True), model.psu(True)),
+                (lambda: system.psi_sum("k", "v")["v"], model.aggregate(1))):
+            system.transport.reset()
+            traffic = query().traffic
+            assert traffic["server_to_owner_bytes"] == \
+                predicted.server_to_owner_bytes
+            assert traffic["owner_to_server_bytes"] == \
+                predicted.owner_to_server_bytes
+
     def test_linear_in_m_and_b(self):
         small = CostModel(10, 1000).psi()
         double_m = CostModel(20, 1000).psi()

@@ -12,6 +12,8 @@ from repro.exceptions import ProtocolError
 from repro.network.codec import (
     FULL_SPAN,
     MAGIC,
+    VERSION,
+    WIRE_DTYPES,
     decode,
     decode_frame,
     encode,
@@ -93,7 +95,7 @@ class TestValidation:
 
     def test_unknown_tag(self):
         import struct
-        blob = struct.pack("<BBB", MAGIC, 1, 200)
+        blob = struct.pack("<BBB", MAGIC, VERSION, 200)
         with pytest.raises(ProtocolError):
             decode(blob)
 
@@ -186,12 +188,13 @@ class TestSerializedTransportConformance:
         system.psi("k")
         measured = system.transport.stats.summary()["server_to_owner_bytes"]
         # The unified execution path ships every query as a batch of one,
-        # so each server's output is a (1, b) matrix whose wire framing
-        # is 19 bytes per message (magic, version, tag, rows, cols) on
-        # top of the model's raw share bytes.
+        # so each server's output is a (1, b) uint16 matrix whose wire
+        # framing is 20 bytes per message (magic, version, tag, dtype,
+        # rows, cols) on top of the model's raw share bytes.
         predicted = CostModel(3, 8).psi()
+        assert predicted.server_to_owner_bytes == 2 * 3 * 8 * 2
         messages = 2 * 3  # 2 servers broadcast to 3 owners
-        assert measured == predicted.server_to_owner_bytes + 19 * messages
+        assert measured == predicted.server_to_owner_bytes + 20 * messages
 
 
 # -- satellite hardening: fuzz/property coverage for every tag ---------------
@@ -210,13 +213,23 @@ scalars = st.one_of(
     st.binary(max_size=20),
 )
 
-vectors = st.lists(
-    st.integers(-(2**63), 2**63 - 1), max_size=16
-).map(lambda v: np.asarray(v, dtype=np.int64))
+def _arrays_of(dtype, shape):
+    info = np.iinfo(dtype)
+    return st.lists(st.integers(int(info.min), int(info.max)),
+                    min_size=int(np.prod(shape)),
+                    max_size=int(np.prod(shape))).map(
+        lambda v: np.asarray(v, dtype=dtype).reshape(shape))
 
-matrices = st.tuples(
-    st.integers(0, 4), st.integers(0, 4), st.integers(-(2**40), 2**40)
-).map(lambda rc: np.full((rc[0], rc[1]), rc[2], dtype=np.int64))
+
+#: Every wire dtype tag, narrow share widths first.
+wire_dtypes = st.sampled_from(WIRE_DTYPES)
+
+vectors = st.tuples(wire_dtypes, st.integers(0, 16)).flatmap(
+    lambda dn: _arrays_of(dn[0], (dn[1],)))
+
+matrices = st.tuples(wire_dtypes, st.integers(0, 4),
+                     st.integers(0, 4)).flatmap(
+    lambda drc: _arrays_of(drc[0], (drc[1], drc[2])))
 
 
 def payloads(depth=2):
@@ -238,6 +251,7 @@ def assert_payload_equal(left, right):
     if isinstance(left, np.ndarray):
         assert isinstance(right, np.ndarray)
         assert left.shape == right.shape
+        assert left.dtype == right.dtype
         assert np.array_equal(left, right)
         return
     assert type(right) is type(left) or (
@@ -298,7 +312,7 @@ class TestDecoderHardening:
     @settings(max_examples=300, deadline=None)
     def test_garbage_with_valid_header(self, body):
         try:
-            decode(struct.pack("<BB", MAGIC, 1) + body)
+            decode(struct.pack("<BB", MAGIC, VERSION) + body)
         except ProtocolError:
             pass
 
@@ -315,17 +329,17 @@ class TestDecoderHardening:
     def test_unknown_tag_raises(self):
         for tag in (0, 13, 57, 255):
             with pytest.raises(ProtocolError):
-                decode(struct.pack("<BBB", MAGIC, 1, tag))
+                decode(struct.pack("<BBB", MAGIC, VERSION, tag))
 
     def test_non_utf8_string_raises(self):
-        blob = struct.pack("<BBBQ", MAGIC, 1, 7, 2) + b"\xff\xfe"
+        blob = struct.pack("<BBBQ", MAGIC, VERSION, 7, 2) + b"\xff\xfe"
         with pytest.raises(ProtocolError):
             decode(blob)
 
     def test_depth_bomb_raises_not_recurses(self):
         # 2000 nested single-item lists: must hit the depth cap, not
         # the interpreter's recursion limit.
-        bomb = struct.pack("<BB", MAGIC, 1)
+        bomb = struct.pack("<BB", MAGIC, VERSION)
         bomb += struct.pack("<BQ", 3, 1) * 2000 + struct.pack("<B", 6)
         with pytest.raises(ProtocolError):
             decode(bomb)
@@ -338,19 +352,93 @@ class TestDecoderHardening:
             encode(payload)
 
     def test_huge_vector_length_raises(self):
-        blob = struct.pack("<BBBQ", MAGIC, 1, 1, 2**60)
+        blob = struct.pack("<BBBBQ", MAGIC, VERSION, 1, 7, 2**60)
         with pytest.raises(ProtocolError):
             decode(blob)
 
     def test_huge_matrix_header_raises(self):
-        blob = struct.pack("<BBBQQ", MAGIC, 1, 8, 2**32, 2**32)
+        blob = struct.pack("<BBBBQQ", MAGIC, VERSION, 8, 7, 2**32, 2**32)
         with pytest.raises(ProtocolError):
             decode(blob)
 
     def test_bad_bool_byte_raises(self):
-        blob = struct.pack("<BBBB", MAGIC, 1, 9, 7)
+        blob = struct.pack("<BBBB", MAGIC, VERSION, 9, 7)
         with pytest.raises(ProtocolError):
             decode(blob)
+
+
+class TestDtypeTags:
+    """Arrays travel at their own width and decode to exactly it."""
+
+    @pytest.mark.parametrize("dtype", WIRE_DTYPES, ids=str)
+    def test_every_width_roundtrips_exactly(self, dtype):
+        info = np.iinfo(dtype)
+        vec = np.asarray([info.min, 0, 1, info.max], dtype=dtype)
+        out = decode(encode(vec))
+        assert out.dtype == dtype.newbyteorder("=")
+        np.testing.assert_array_equal(out, vec)
+        matrix = np.tile(vec, (3, 1))
+        out = decode(encode(matrix))
+        assert out.dtype == dtype.newbyteorder("=")
+        np.testing.assert_array_equal(out, matrix)
+
+    def test_uint64_above_int64_is_not_reinterpreted(self):
+        vec = np.asarray([2**63 + 5], dtype=np.uint64)
+        out = decode(encode(vec))
+        assert out.dtype == np.uint64 and int(out[0]) == 2**63 + 5
+
+    def test_narrow_vectors_cost_their_width(self):
+        for dtype, itemsize in ((np.uint8, 1), (np.uint16, 2),
+                                (np.uint32, 4)):
+            vec = np.arange(100, dtype=dtype)
+            # magic, version, tag, dtype byte, u64 length, then the body.
+            assert len(encode(vec)) == 12 + 100 * itemsize
+
+    def test_big_endian_input_travels_little_endian(self):
+        vec = np.asarray([1, 2, 70000], dtype=">u4")
+        out = decode(encode(vec))
+        assert out.dtype == np.uint32
+        np.testing.assert_array_equal(out, [1, 2, 70000])
+
+    @pytest.mark.parametrize("array", [
+        np.asarray([0.7, 2.9]),
+        np.asarray([0.5], dtype=np.float32),
+        np.asarray([True, False]),
+        np.asarray([1 + 2j]),
+        np.asarray([1, 2], dtype=object),
+        np.zeros((2, 2), dtype=np.float64),
+    ], ids=["float64", "float32", "bool", "complex", "object", "matrix"])
+    def test_non_integer_arrays_are_refused(self, array):
+        with pytest.raises(ProtocolError, match="integer"):
+            encode(array)
+        with pytest.raises(ProtocolError, match="integer"):
+            encode_frame("m", 1, FULL_SPAN, {"a": [array]})
+
+    @pytest.mark.parametrize("dtype", WIRE_DTYPES[:3], ids=str)
+    def test_truncated_narrow_frames_raise(self, dtype):
+        for payload in (np.arange(7, dtype=dtype),
+                        np.arange(6, dtype=dtype).reshape(2, 3)):
+            blob = encode(payload)
+            for cut in range(len(blob)):
+                with pytest.raises(ProtocolError):
+                    decode(blob[:cut])
+
+    @pytest.mark.parametrize("tag_offset,payload", [
+        (3, np.arange(4, dtype=np.uint16)),
+        (3, np.arange(6, dtype=np.uint16).reshape(2, 3)),
+    ], ids=["vector", "matrix"])
+    def test_wrong_dtype_byte_raises(self, tag_offset, payload):
+        blob = bytearray(encode(payload))
+        for code in (len(WIRE_DTYPES), 57, 255):
+            blob[tag_offset] = code
+            with pytest.raises(ProtocolError, match="dtype"):
+                decode(bytes(blob))
+        # A valid code of another width mislabels the body: the decoder
+        # comes up short or long, never with a silently re-cut array.
+        for code in (0, 2, 3):
+            blob[tag_offset] = code
+            with pytest.raises(ProtocolError):
+                decode(bytes(blob))
 
 
 class TestFrames:
@@ -641,10 +729,50 @@ class TestShmFrames:
 
     def test_out_of_bounds_reference_rejected(self):
         arena = self._arena(size=4096)
+        u16 = np.dtype("<u2")
         with pytest.raises(ProtocolError, match="arena"):
-            arena.read_array(offset=4000, count=100)
+            arena.read_array(offset=4000, count=100, dtype=u16)
         with pytest.raises(ProtocolError, match="arena"):
-            arena.read_array(offset=-8, count=1)
+            arena.read_array(offset=-8, count=1, dtype=u16)
+        # The bound is in bytes: 48 uint16s at 4000 fit, 49 do not.
+        assert arena.read_array(offset=4000, count=48, dtype=u16).size == 48
+        with pytest.raises(ProtocolError, match="arena"):
+            arena.read_array(offset=4000, count=49, dtype=u16)
+        arena.close()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_narrow_arrays_ride_the_arena(self, dtype):
+        arena = self._arena()
+        vec = (np.arange(6000) % 200).astype(dtype)
+        matrix = vec[:4800].reshape(3, 1600)
+        for payload in (vec, matrix):
+            blob = encode_frame("m", 6, FULL_SPAN, payload, arena=arena)
+            assert len(blob) < 256
+            out = decode_frame(blob, arena=arena).payload
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, payload)
+            arena.reset()
+        arena.close()
+
+    def test_narrow_shm_reference_hardening(self):
+        arena = self._arena(size=1 << 14)
+        vec = np.arange(4096, dtype=np.uint16)
+        blob = bytearray(encode_frame("m", 7, FULL_SPAN, vec, arena=arena))
+        # Every strict prefix of the reference is a typed error.
+        for cut in range(len(blob)):
+            with pytest.raises(ProtocolError):
+                decode_frame(bytes(blob[:cut]), arena=arena)
+        # The dtype byte follows the shm tag: an unknown code is refused,
+        # and a wider code pushes the reference past the arena's end.
+        # A vector reference closes the frame: tag, dtype, offset, length.
+        tag_at = len(blob) - 18
+        assert blob[tag_at] == 13  # the shared-memory vector tag
+        blob[tag_at + 1] = 200
+        with pytest.raises(ProtocolError, match="dtype"):
+            decode_frame(bytes(blob), arena=arena)
+        blob[tag_at + 1] = WIRE_DTYPES.index(np.dtype("<u8"))
+        with pytest.raises(ProtocolError, match="arena"):
+            decode_frame(bytes(blob), arena=arena)
         arena.close()
 
     def test_reset_reuses_the_arena(self):

@@ -477,7 +477,7 @@ class TestSpanKernels:
         server = system.servers[0]
         adapter = ServerAdapter(server)
         rng = np.random.default_rng(11)
-        z = rng.integers(0, 1 << 20, size=(2, 8), dtype=np.int64)
+        z = rng.integers(0, 1 << 20, size=(2, 8)).astype(np.uint32)
         full = server.aggregate_round_batch(["amt", "amt"], z)
         parts = []
         for span in ((0, 4), (4, 8)):
@@ -697,26 +697,27 @@ class TestShmDeployment:
     def test_large_payloads_skip_the_socket(self):
         """Above the shm threshold, share vectors ride the arena: the
         socket traffic collapses to constant-size reference frames."""
-        def relations_512():
+        def relations():
             return [
                 Relation("a", {"k": list(range(1, 301))}),
                 Relation("b", {"k": list(range(151, 451))}),
                 Relation("c", {"k": list(range(101, 401))}),
             ]
 
-        def build_512(deployment):
+        def build_4096(deployment):
+            # 4096 one-byte χ shares clear the arena's 2 KiB threshold.
             return PrismSystem.build(
-                relations_512(), Domain.integer_range("k", 512), "k",
+                relations(), Domain.integer_range("k", 4096), "k",
                 with_verification=True, seed=3, deployment=deployment)
 
         results, sent = {}, {}
         for mode in ("subprocess", "shm"):
-            with build_512(mode) as system:
+            with build_4096(mode) as system:
                 psi = system.psi("k", verify=True)
                 results[mode] = (sorted(psi.values),
                                  psi.membership.tolist(), psi.verified)
                 sent[mode] = system.channel_stats()["bytes_sent"]
         assert results["shm"] == results["subprocess"]
-        # Outsourcing ships 512-cell share vectors per owner; through
+        # Outsourcing ships 4096-cell share vectors per owner; through
         # the arena each costs a ~30-byte frame instead of ~4 KB.
         assert sent["shm"] < sent["subprocess"] / 2

@@ -4,8 +4,9 @@ The acceptance bar of the default C backend (``repro.kernels``): every
 compiled sweep — fused PSI/verification (Eq. 3/7), PSU masking
 (Eq. 18), Shamir aggregation (Eq. 11) — and the counter-mode PRG
 stream compute **bit-identically** to the numpy/hashlib reference
-kernels, including int64 wraparound, floored-mod reduction points and
-the SHA-256 block stream.  Pinned three ways:
+kernels over narrow share widths (uint8/uint16 additive shares,
+uint16/uint32 group elements, uint32 field elements), including the
+folded Eq. 3 tables, the Mersenne fold and the SHA-256 block stream.  Pinned three ways:
 
 * unit level — each sweep builder's ``kernel(lo, hi)`` closure, and
   its numpy twin in :mod:`repro.entities.server`, against a
@@ -39,12 +40,15 @@ from test_multihost_matrix import (
 )
 
 from repro import kernels
+from repro.core.params import ServerGroupView
 from repro.crypto.prg import SeededPRG
+from repro.crypto.widths import share_dtype
 from repro.entities.server import (
     numpy_agg_sweep,
     numpy_psi_sweep,
     numpy_psu_sweep,
 )
+from repro.exceptions import ProtocolError
 from repro.kernels import cbackend
 
 compiled_available = kernels.available()
@@ -52,7 +56,8 @@ needs_cc = pytest.mark.skipif(
     not compiled_available,
     reason="compiled kernel tier unavailable (no C toolchain)")
 
-DELTA = 2039
+DELTA = 2039  # uint16 shares; the width tests add δ = 101 (uint8)
+ETA_PRIME = 7891  # uint16 group elements
 PRIME = 2_147_483_647  # the Shamir field prime (Eq. 11)
 
 
@@ -66,12 +71,18 @@ def compiled():
     kernels.configure(None)
 
 
-def _share_lists(rng, rows, owners, n, low=-2**62, high=2**62):
-    """Per-row owner share vectors, spanning most of int64 so the
-    accumulator genuinely wraps — the compiled sweep must wrap the same
-    way numpy does."""
-    return [[rng.integers(low, high, size=n, dtype=np.int64)
+def _share_lists(rng, rows, owners, n, modulus=DELTA):
+    """Per-row owner share vectors: residues mod ``modulus`` at its
+    width, exactly as the server stores them."""
+    return [[rng.integers(0, modulus, size=n).astype(share_dtype(modulus))
              for _ in range(owners)] for _ in range(rows)]
+
+
+def _tables(table, m_rows, owners, delta=DELTA, eta_prime=ETA_PRIME):
+    """The per-row folded Eq. 3 tables the server hands the sweep."""
+    view = ServerGroupView(delta=delta, eta_prime=eta_prime, g=0,
+                           power_table=table)
+    return view.folded_tables(m_rows, owners)
 
 
 def _chunked(kernel, n, splits=(0.3, 0.7)):
@@ -81,7 +92,10 @@ def _chunked(kernel, n, splits=(0.3, 0.7)):
         kernel(lo, hi)
 
 
-# -- numpy replicas of the server equations -----------------------------------
+# -- int64 replicas of the server equations ------------------------------------
+#
+# Written straight from the paper (sum, ⊖ A(m), mod δ, table lookup) in
+# int64, so they also pin the folded tables and narrow accumulators.
 
 
 def psi_reference(share_lists, m_flat, delta, table, cells=None):
@@ -111,12 +125,12 @@ def psu_reference(share_lists, row_map, nonces, seed, delta):
 
 def agg_reference(share_lists, z_matrix, p):
     n = share_lists[0][0].shape[0]
-    acc = np.zeros((len(share_lists), n), dtype=np.int64)
+    acc = np.zeros((len(share_lists), n), dtype=object)
     for q, row_shares in enumerate(share_lists):
         for s in row_shares:
-            acc[q] += np.mod(s * z_matrix[q], p)
-            np.mod(acc[q], p, out=acc[q])
-    return acc
+            acc[q] = (acc[q] + s.astype(object) * z_matrix[q].astype(object)
+                      ) % p
+    return acc.astype(np.int64)
 
 
 def _stream_reference(key, start, n):
@@ -129,19 +143,26 @@ def _stream_reference(key, start, n):
 
 # -- unit-level sweep equivalence ----------------------------------------------
 
+#: (δ, η') pairs covering every compiled PSI width: uint8 and uint16
+#: shares, uint16 and uint32 outputs.
+PSI_WIDTHS = [(101, ETA_PRIME), (DELTA, ETA_PRIME), (101, 70_001),
+              (DELTA, 70_001)]
+
 
 class TestSweepBitIdentity:
-    def test_psi_sweep(self, compiled):
+    @pytest.mark.parametrize("delta,eta_prime", PSI_WIDTHS)
+    def test_psi_sweep(self, compiled, delta, eta_prime):
         rng = np.random.default_rng(11)
         n = 1500
-        shares = _share_lists(rng, rows=3, owners=3, n=n)
-        table = rng.permutation(DELTA).astype(np.int64)
-        m_rows = np.array([[777], [0], [-12345]], dtype=np.int64)
-        out = np.empty((3, n), dtype=np.int64)
-        kernel = kernels.psi_sweep(shares, m_rows, DELTA, table, out)
+        shares = _share_lists(rng, rows=3, owners=3, n=n, modulus=delta)
+        table = rng.permutation(eta_prime)[:delta].astype(np.int64)
+        m_rows = np.array([[77], [0], [delta - 1]], dtype=np.int64)
+        tables = _tables(table, m_rows, 3, delta, eta_prime)
+        out = np.empty((3, n), dtype=share_dtype(eta_prime))
+        kernel = kernels.psi_sweep(shares, tables, out)
         assert kernel is not None, "compiled sweep must engage"
         _chunked(kernel, n)
-        expected = psi_reference(shares, m_rows.ravel(), DELTA, table)
+        expected = psi_reference(shares, m_rows.ravel(), delta, table)
         np.testing.assert_array_equal(out, expected)
 
     def test_psi_cells_sweep(self, compiled):
@@ -151,8 +172,8 @@ class TestSweepBitIdentity:
         cells = rng.choice(b, size=n, replace=False).astype(np.int64)
         table = rng.permutation(DELTA).astype(np.int64)
         m_rows = np.array([[5], [0]], dtype=np.int64)
-        out = np.empty((2, n), dtype=np.int64)
-        kernel = kernels.psi_sweep(shares, m_rows, DELTA, table, out,
+        out = np.empty((2, n), dtype=share_dtype(ETA_PRIME))
+        kernel = kernels.psi_sweep(shares, _tables(table, m_rows, 2), out,
                                    cells=cells)
         assert kernel is not None
         _chunked(kernel, n)
@@ -160,20 +181,41 @@ class TestSweepBitIdentity:
                                  cells=cells)
         np.testing.assert_array_equal(out, expected)
 
-    def test_psu_sweep(self, compiled):
+    @pytest.mark.parametrize("builder", [kernels.psi_sweep, numpy_psi_sweep])
+    def test_psi_share_outside_delta_is_refused(self, builder):
+        """A stored share ≥ δ would overrun the folded table: both tiers
+        refuse it rather than read out of bounds."""
+        if builder is kernels.psi_sweep and not compiled_available:
+            pytest.skip("compiled kernel tier unavailable (no C toolchain)")
+        kernels.configure("c" if compiled_available else "off")
+        try:
+            n = 1024
+            shares = _share_lists(np.random.default_rng(5), 1, 2, n)
+            shares[0][1][n // 2] = DELTA + 7
+            shares[0][0][n // 3] = np.iinfo(np.uint16).max
+            table = np.arange(DELTA, dtype=np.int64)
+            out = np.empty((1, n), dtype=np.uint16)
+            kernel = builder(shares, _tables(table, [[0]], 2), out)
+            with pytest.raises(ProtocolError, match="folded"):
+                kernel(0, n)
+        finally:
+            kernels.configure(None)
+
+    @pytest.mark.parametrize("delta", [101, DELTA, 65_537])
+    def test_psu_sweep(self, compiled, delta):
         rng = np.random.default_rng(13)
         n, seed = 1600, 42
-        shares = _share_lists(rng, rows=2, owners=3, n=n)
+        shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=delta)
         nonces = [1, 2, 3]
         row_map = np.array([0, 1, 0], dtype=np.int64)
         keys = [SeededPRG(seed, f"psu-{nonce}").key_bytes
                 for nonce in nonces]
-        acc = np.zeros((2, n), dtype=np.int64)
-        out = np.empty((3, n), dtype=np.int64)
-        kernel = kernels.psu_sweep(shares, acc, row_map, keys, DELTA, out)
+        acc = np.zeros((2, n), dtype=share_dtype(delta))
+        out = np.empty((3, n), dtype=share_dtype(delta))
+        kernel = kernels.psu_sweep(shares, acc, row_map, keys, delta, out)
         assert kernel is not None
         _chunked(kernel, n)
-        expected = psu_reference(shares, row_map, nonces, seed, DELTA)
+        expected = psu_reference(shares, row_map, nonces, seed, delta)
         np.testing.assert_array_equal(out, expected)
 
     def test_psu_sweep_draw_base_seeks_the_mask_stream(self, compiled):
@@ -194,8 +236,8 @@ class TestSweepBitIdentity:
         full = psu_reference(shares, row_map, nonces, seed, DELTA)
         local_shares = [[np.ascontiguousarray(s[base:base + span])
                          for s in shares[0]]]
-        acc = np.zeros((1, span), dtype=np.int64)
-        out = np.empty((1, span), dtype=np.int64)
+        acc = np.zeros((1, span), dtype=share_dtype(DELTA))
+        out = np.empty((1, span), dtype=share_dtype(DELTA))
         kernel = kernels.psu_sweep(local_shares, acc, row_map, keys, DELTA,
                                    out, draw_base=base)
         assert kernel is not None
@@ -205,9 +247,9 @@ class TestSweepBitIdentity:
     def test_agg_sweep(self, compiled):
         rng = np.random.default_rng(15)
         n = 1500
-        shares = _share_lists(rng, rows=2, owners=3, n=n, low=0, high=PRIME)
-        z_matrix = rng.integers(0, PRIME, size=(2, n), dtype=np.int64)
-        out = np.zeros((2, n), dtype=np.int64)
+        shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=PRIME)
+        z_matrix = rng.integers(0, PRIME, size=(2, n)).astype(np.uint32)
+        out = np.zeros((2, n), dtype=np.uint32)
         kernel = kernels.agg_sweep(shares, z_matrix, PRIME, out)
         assert kernel is not None
         _chunked(kernel, n)
@@ -215,13 +257,16 @@ class TestSweepBitIdentity:
         np.testing.assert_array_equal(out, expected)
 
     def test_agg_sweep_extreme_values_hit_the_mersenne_fold(self, compiled):
-        """Negative / wrapping products through the division-free
-        Mersenne-31 fast path must still match numpy exactly."""
+        """The largest field elements (products just below 2^62) through
+        the division-free Mersenne-31 fast path must still match."""
         rng = np.random.default_rng(16)
         n = 1200
-        shares = _share_lists(rng, rows=2, owners=3, n=n)  # full ±2^62 range
-        z_matrix = rng.integers(-PRIME, PRIME, size=(2, n), dtype=np.int64)
-        out = np.zeros((2, n), dtype=np.int64)
+        shares = [[rng.integers(PRIME - 64, PRIME, size=n).astype(np.uint32)
+                   for _ in range(3)] for _ in range(2)]
+        shares[1][0][:5] = 0
+        z_matrix = rng.integers(PRIME - 64, PRIME,
+                                size=(2, n)).astype(np.uint32)
+        out = np.zeros((2, n), dtype=np.uint32)
         kernel = kernels.agg_sweep(shares, z_matrix, PRIME, out)
         assert kernel is not None
         _chunked(kernel, n)
@@ -232,9 +277,9 @@ class TestSweepBitIdentity:
         """A non-Mersenne prime pins the generic division branch."""
         rng = np.random.default_rng(17)
         n, p = 1100, 2_147_483_629
-        shares = _share_lists(rng, rows=1, owners=4, n=n)
-        z_matrix = rng.integers(0, p, size=(1, n), dtype=np.int64)
-        out = np.zeros((1, n), dtype=np.int64)
+        shares = _share_lists(rng, rows=1, owners=4, n=n, modulus=p)
+        z_matrix = rng.integers(0, p, size=(1, n)).astype(np.uint32)
+        out = np.zeros((1, n), dtype=np.uint32)
         kernel = kernels.agg_sweep(shares, z_matrix, p, out)
         assert kernel is not None
         _chunked(kernel, n)
@@ -247,45 +292,48 @@ class TestNumpyTwins:
     same signature, seams invisible, outputs and scratch written (never
     read), span-local arrays seeking the absolute PSU stream."""
 
-    def test_psi_twin(self):
+    @pytest.mark.parametrize("delta,eta_prime", PSI_WIDTHS)
+    def test_psi_twin(self, delta, eta_prime):
         rng = np.random.default_rng(21)
         n = 700
-        shares = _share_lists(rng, rows=3, owners=3, n=n)
-        table = rng.permutation(DELTA).astype(np.int64)
-        m_rows = np.array([[777], [0], [-12345]], dtype=np.int64)
+        shares = _share_lists(rng, rows=3, owners=3, n=n, modulus=delta)
+        table = rng.permutation(eta_prime)[:delta].astype(np.int64)
+        m_rows = np.array([[77], [0], [delta - 1]], dtype=np.int64)
+        tables = _tables(table, m_rows, 3, delta, eta_prime)
         cells = rng.permutation(n)[:400].astype(np.int64)
         for gather in (None, cells):
-            out = np.full((3, n if gather is None else len(gather)), -1,
-                          dtype=np.int64)
-            _chunked(numpy_psi_sweep(shares, m_rows, DELTA, table, out,
-                                     cells=gather), out.shape[1])
+            out = np.full((3, n if gather is None else len(gather)), 9,
+                          dtype=share_dtype(eta_prime))
+            _chunked(numpy_psi_sweep(shares, tables, out, cells=gather),
+                     out.shape[1])
             np.testing.assert_array_equal(
-                out, psi_reference(shares, m_rows.ravel(), DELTA, table,
+                out, psi_reference(shares, m_rows.ravel(), delta, table,
                                    cells=gather))
 
-    def test_psu_twin_seeks_the_mask_stream(self):
+    @pytest.mark.parametrize("delta", [101, DELTA, 65_537])
+    def test_psu_twin_seeks_the_mask_stream(self, delta):
         rng = np.random.default_rng(22)
         n, seed, base, span = 900, 9, 217, 500
-        shares = _share_lists(rng, rows=2, owners=3, n=n)
+        shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=delta)
         nonces = [1, 2, 3]
         row_map = np.array([0, 1, 0], dtype=np.int64)
         keys = [SeededPRG(seed, f"psu-{nonce}").key_bytes
                 for nonce in nonces]
-        full = psu_reference(shares, row_map, nonces, seed, DELTA)
+        full = psu_reference(shares, row_map, nonces, seed, delta)
         local = [[np.ascontiguousarray(s[base:base + span]) for s in row]
                  for row in shares]
-        acc = np.full((2, span), 5, dtype=np.int64)
-        out = np.full((3, span), -1, dtype=np.int64)
-        _chunked(numpy_psu_sweep(local, acc, row_map, keys, DELTA, out,
+        acc = np.full((2, span), 5, dtype=share_dtype(delta))
+        out = np.full((3, span), 9, dtype=share_dtype(delta))
+        _chunked(numpy_psu_sweep(local, acc, row_map, keys, delta, out,
                                  draw_base=base), span)
         np.testing.assert_array_equal(out, full[:, base:base + span])
 
     def test_agg_twin(self):
         rng = np.random.default_rng(23)
         n = 600
-        shares = _share_lists(rng, rows=2, owners=3, n=n)
-        z_matrix = rng.integers(-PRIME, PRIME, size=(2, n), dtype=np.int64)
-        out = np.full((2, n), 7, dtype=np.int64)
+        shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=PRIME)
+        z_matrix = rng.integers(0, PRIME, size=(2, n)).astype(np.uint32)
+        out = np.full((2, n), 7, dtype=np.uint32)
         _chunked(numpy_agg_sweep(shares, z_matrix, PRIME, out), n)
         np.testing.assert_array_equal(out,
                                       agg_reference(shares, z_matrix, PRIME))
@@ -294,14 +342,18 @@ class TestNumpyTwins:
 # -- the selection ladder -------------------------------------------------------
 
 
+def _psi_operands(n, share=np.uint16):
+    shares = [[np.zeros(n, dtype=share)]]
+    tables = _tables(np.arange(DELTA, dtype=np.int64), [[0]], 1)
+    return shares, tables, np.empty((1, n), dtype=np.uint16)
+
+
 class TestSelectionLadder:
     def test_mode_off_disables_builders(self):
         assert kernels.configure("off") == "numpy"
         try:
-            out = np.empty((1, 4096), dtype=np.int64)
-            table = np.arange(DELTA, dtype=np.int64)
-            shares = [[np.zeros(4096, dtype=np.int64)]]
-            assert kernels.psi_sweep(shares, [[0]], DELTA, table, out) is None
+            shares, tables, out = _psi_operands(4096)
+            assert kernels.psi_sweep(shares, tables, out) is None
             assert not kernels.enabled()
         finally:
             kernels.configure(None)
@@ -333,21 +385,20 @@ class TestSelectionLadder:
         assert kernels.native_lib() is not None
 
     def test_below_crossover_stays_on_numpy(self, compiled):
-        n = kernels.NATIVE_MIN_SPAN - 1
-        out = np.empty((1, n), dtype=np.int64)
-        table = np.arange(DELTA, dtype=np.int64)
-        shares = [[np.zeros(n, dtype=np.int64)]]
-        assert kernels.psi_sweep(shares, [[0]], DELTA, table, out) is None
+        shares, tables, out = _psi_operands(kernels.NATIVE_MIN_SPAN - 1)
+        assert kernels.psi_sweep(shares, tables, out) is None
 
     def test_ineligible_operand_falls_back_per_sweep(self, compiled):
         n = 2048
-        out = np.empty((1, n), dtype=np.int64)
-        table = np.arange(DELTA, dtype=np.int64)
-        strided = np.zeros(2 * n, dtype=np.int64)[::2]  # not contiguous
-        assert kernels.psi_sweep([[strided]], [[0]], DELTA, table,
-                                 out) is None
-        floats = [[np.zeros(n, dtype=np.float64)]]  # wrong dtype
-        assert kernels.psi_sweep(floats, [[0]], DELTA, table, out) is None
+        shares, tables, out = _psi_operands(n)
+        assert kernels.psi_sweep(shares, tables, out) is not None
+        strided = np.zeros(2 * n, dtype=np.uint16)[::2]  # not contiguous
+        assert kernels.psi_sweep([[strided]], tables, out) is None
+        for dtype in (np.float64, np.int64):  # not a share width
+            wrong = [[np.zeros(n, dtype=dtype)]]
+            assert kernels.psi_sweep(wrong, tables, out) is None
+        wide_out = np.empty((1, n), dtype=np.int64)
+        assert kernels.psi_sweep(shares, tables, wide_out) is None
 
     def test_forced_fallback_without_a_compiler(self, monkeypatch, tmp_path):
         """No compiler + empty cache: ``configure("c")`` stays on numpy

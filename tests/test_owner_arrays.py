@@ -310,7 +310,7 @@ def _store_digest(system) -> str:
                 stored = store.get(owner, column)
                 digest.update(f"{index}/{owner}/{column}/"
                               f"{stored.kind.name}".encode())
-                digest.update(stored.values.tobytes())
+                digest.update(stored.values.astype("<i8").tobytes())
     return digest.hexdigest()
 
 

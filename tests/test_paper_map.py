@@ -39,9 +39,10 @@ def _function_docstrings():
 
 
 def _c_span_headings():
-    """(kernel name, heading comment) of every exported span kernel."""
+    """(kernel name, heading comment) of every exported span kernel
+    (a span returns nothing, or an int status)."""
     text = (SRC / "kernels" / "native.c").read_text(encoding="utf-8")
-    pattern = r"/\*((?:(?!\*/).)*)\*/\s*void\s+(repro_\w+_span)\s*\("
+    pattern = r"/\*((?:(?!\*/).)*)\*/\s*(?:void|int)\s+(repro_\w+_span)\s*\("
     return [(m.group(2), m.group(1))
             for m in re.finditer(pattern, text, re.S)]
 

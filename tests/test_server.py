@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.sharding import shard_bounds
 from repro.data.domain import Domain
+from repro.data.storage import ShareKind
 from repro.data.relation import Relation
 from repro.entities.initiator import Initiator
 from repro.entities.owner import DBOwner
@@ -144,3 +145,40 @@ class TestExtremaRounds:
     def test_forward_passthrough(self):
         _, _, servers = deploy([{1}, {1}])
         assert servers[0].forward("payload") == "payload"
+
+
+class TestReceiveShares:
+    """Phase 1 admits a column only as residues of its modulus, stored at
+    the width of that modulus — never truncated, wrapped or widened."""
+
+    def _server(self):
+        _, _, servers = deploy([{1}, {1}])
+        return servers[0]
+
+    def test_columns_stored_at_the_width_of_their_modulus(self):
+        server = self._server()
+        assert server.store.get(0, "A").values.dtype == np.uint8
+        server.receive_shares(0, "S", np.asarray([0, 7, 2**31 - 2]),
+                              ShareKind.SHAMIR)
+        stored = server.store.get(0, "S").values
+        assert stored.dtype == np.uint32
+        assert stored.tolist() == [0, 7, 2**31 - 2]
+
+    def test_non_integer_shares_raise_naming_owner_and_column(self):
+        server = self._server()
+        with pytest.raises(ProtocolError, match=r"owner 0.*'OK'.*float64"):
+            server.receive_shares(0, "OK", np.array([0.9, 300.5]),
+                                  ShareKind.ADDITIVE)
+        assert not server.store.has(0, "OK")
+
+    @pytest.mark.parametrize("values,kind", [
+        ([0, 101], ShareKind.ADDITIVE),     # δ = 101
+        ([-1, 5], ShareKind.ADDITIVE),
+        ([0, 2**31 - 1], ShareKind.SHAMIR),  # the field prime itself
+        ([2**40], ShareKind.SHAMIR),
+    ])
+    def test_out_of_range_shares_raise(self, values, kind):
+        server = self._server()
+        with pytest.raises(ProtocolError, match=r"owner 3.*'X'.*outside"):
+            server.receive_shares(3, "X", np.asarray(values), kind)
+        assert not server.store.has(3, "X")

@@ -64,7 +64,13 @@ class TestStore:
     def test_nbytes_positive(self, store):
         assert store.nbytes == 3 * 3 * 8
 
-    def test_values_cast_to_int64(self):
+    def test_values_keep_their_integer_width(self):
         s = ServerStore()
-        s.put(0, "c", np.asarray([1.0, 2.0]), ShareKind.ADDITIVE)
-        assert s.get(0, "c").values.dtype == np.int64
+        s.put(0, "c", np.asarray([1, 2], dtype=np.uint8), ShareKind.ADDITIVE)
+        assert s.get(0, "c").values.dtype == np.uint8
+
+    def test_non_integer_values_rejected(self):
+        s = ServerStore()
+        with pytest.raises(ProtocolError, match="integers"):
+            s.put(0, "c", np.asarray([0.9, 300.5]), ShareKind.ADDITIVE)
+        assert not s.has(0, "c")
