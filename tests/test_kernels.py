@@ -143,15 +143,24 @@ def _stream_reference(key, start, n):
 
 # -- unit-level sweep equivalence ----------------------------------------------
 
-#: (δ, η') pairs covering every compiled PSI width: uint8 and uint16
-#: shares, uint16 and uint32 outputs.
-PSI_WIDTHS = [(101, ETA_PRIME), (DELTA, ETA_PRIME), (101, 70_001),
-              (DELTA, 70_001)]
+#: (δ, η') pairs that, with the default (DELTA, ETA_PRIME), cover every
+#: compiled PSI width: uint8 and uint16 shares, uint16 and uint32 outputs.
+OTHER_PSI_WIDTHS = [(101, ETA_PRIME), (101, 70_001), (DELTA, 70_001)]
+#: PSU moduli that, with the default DELTA, cover uint8, uint16 and
+#: uint32 residues.
+OTHER_PSU_DELTAS = [101, 65_537]
 
 
 class TestSweepBitIdentity:
-    @pytest.mark.parametrize("delta,eta_prime", PSI_WIDTHS)
-    def test_psi_sweep(self, compiled, delta, eta_prime):
+    def test_psi_sweep(self, compiled):
+        self._psi_sweep(DELTA, ETA_PRIME)
+
+    @pytest.mark.parametrize("delta,eta_prime", OTHER_PSI_WIDTHS)
+    def test_psi_sweep_other_widths(self, compiled, delta, eta_prime):
+        self._psi_sweep(delta, eta_prime)
+
+    @staticmethod
+    def _psi_sweep(delta, eta_prime):
         rng = np.random.default_rng(11)
         n = 1500
         shares = _share_lists(rng, rows=3, owners=3, n=n, modulus=delta)
@@ -201,8 +210,15 @@ class TestSweepBitIdentity:
         finally:
             kernels.configure(None)
 
-    @pytest.mark.parametrize("delta", [101, DELTA, 65_537])
-    def test_psu_sweep(self, compiled, delta):
+    def test_psu_sweep(self, compiled):
+        self._psu_sweep(DELTA)
+
+    @pytest.mark.parametrize("delta", OTHER_PSU_DELTAS)
+    def test_psu_sweep_other_widths(self, compiled, delta):
+        self._psu_sweep(delta)
+
+    @staticmethod
+    def _psu_sweep(delta):
         rng = np.random.default_rng(13)
         n, seed = 1600, 42
         shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=delta)
@@ -292,8 +308,15 @@ class TestNumpyTwins:
     same signature, seams invisible, outputs and scratch written (never
     read), span-local arrays seeking the absolute PSU stream."""
 
-    @pytest.mark.parametrize("delta,eta_prime", PSI_WIDTHS)
-    def test_psi_twin(self, delta, eta_prime):
+    def test_psi_twin(self):
+        self._psi_twin(DELTA, ETA_PRIME)
+
+    @pytest.mark.parametrize("delta,eta_prime", OTHER_PSI_WIDTHS)
+    def test_psi_twin_other_widths(self, delta, eta_prime):
+        self._psi_twin(delta, eta_prime)
+
+    @staticmethod
+    def _psi_twin(delta, eta_prime):
         rng = np.random.default_rng(21)
         n = 700
         shares = _share_lists(rng, rows=3, owners=3, n=n, modulus=delta)
@@ -310,8 +333,15 @@ class TestNumpyTwins:
                 out, psi_reference(shares, m_rows.ravel(), delta, table,
                                    cells=gather))
 
-    @pytest.mark.parametrize("delta", [101, DELTA, 65_537])
-    def test_psu_twin_seeks_the_mask_stream(self, delta):
+    def test_psu_twin_seeks_the_mask_stream(self):
+        self._psu_twin(DELTA)
+
+    @pytest.mark.parametrize("delta", OTHER_PSU_DELTAS)
+    def test_psu_twin_other_widths(self, delta):
+        self._psu_twin(delta)
+
+    @staticmethod
+    def _psu_twin(delta):
         rng = np.random.default_rng(22)
         n, seed, base, span = 900, 9, 217, 500
         shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=delta)
