@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.crypto.primes import find_eta_for_delta, next_prime
+from repro.crypto.groups import DEFAULT_ALPHA
 from repro.crypto.shamir import DEFAULT_FIELD_PRIME
 from repro.crypto.widths import share_dtype
+from repro.entities.initiator import group_moduli
 from repro.exceptions import QueryError
 
 #: Bytes the traffic accounting charges for one big-int extrema share
@@ -53,26 +54,24 @@ class CostModel:
     Args:
         num_owners: ``m``.
         domain_size: ``b`` (χ-table length).
-        delta, alpha, field_prime: the moduli, derived exactly as
-            :class:`~repro.entities.initiator.Initiator` derives them
-            (``delta=None`` picks the smallest prime above
-            ``max(m, 100)``); they set each stream's width.
+        delta: the deployment's additive-group prime (``None``: the
+            Initiator's default).  The moduli follow from it as the
+            Initiator derives them
+            (:func:`~repro.entities.initiator.group_moduli`, the default
+            ``alpha`` and field prime) and set each stream's width.
     """
 
     def __init__(self, num_owners: int, domain_size: int,
-                 delta: int | None = None, alpha: int = 13,
-                 field_prime: int = DEFAULT_FIELD_PRIME):
+                 delta: int | None = None):
         if num_owners < 2 or domain_size < 1:
             raise QueryError("need m >= 2 owners and a non-empty domain")
         self.m = num_owners
         self.b = domain_size
-        delta = delta if delta is not None else next_prime(
-            max(num_owners, 100))
-        eta_prime = alpha * find_eta_for_delta(delta, minimum=delta)
+        delta, eta = group_moduli(num_owners, delta)
         #: Bytes per element of each stream family.
         self.additive_bytes = share_dtype(delta).itemsize
-        self.group_bytes = share_dtype(eta_prime).itemsize
-        self.shamir_bytes = share_dtype(field_prime).itemsize
+        self.group_bytes = share_dtype(DEFAULT_ALPHA * eta).itemsize
+        self.shamir_bytes = share_dtype(DEFAULT_FIELD_PRIME).itemsize
 
     def _broadcast(self, width: int) -> int:
         """Bytes of one stream that 2 servers broadcast to m owners."""

@@ -45,6 +45,7 @@ from repro.core.results import (
     SetResult,
 )
 from repro.core.sharding import ShardPlan, attach_sharding, auto_shard_plan
+from repro.crypto.groups import DEFAULT_ALPHA
 from repro.crypto.shamir import DEFAULT_FIELD_PRIME
 from repro.data.domain import Domain, ProductDomain
 from repro.data.relation import Relation
@@ -165,7 +166,7 @@ class PrismSystem:
     def __init__(self, relations: list[Relation], domain: Domain | ProductDomain,
                  seed: int = 0, num_threads: int = 1,
                  num_shards: int | str = 1,
-                 delta: int | None = None, alpha: int = 13,
+                 delta: int | None = None, alpha: int = DEFAULT_ALPHA,
                  field_prime: int = DEFAULT_FIELD_PRIME,
                  value_bound: int = 10_000,
                  server_factories: dict | None = None,

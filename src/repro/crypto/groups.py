@@ -20,6 +20,9 @@ import numpy as np
 from repro.crypto.primes import factorize, is_prime
 from repro.exceptions import ParameterError
 
+#: Default multiplier hiding ``eta`` inside ``eta' = alpha * eta``.
+DEFAULT_ALPHA = 13
+
 
 def element_order(x: int, modulus: int, group_order: int) -> int:
     """Multiplicative order of ``x`` modulo a prime ``modulus``.
@@ -96,7 +99,8 @@ class CyclicGroup:
         g: subgroup generator.
     """
 
-    def __init__(self, delta: int, eta: int, alpha: int = 13, g: int | None = None):
+    def __init__(self, delta: int, eta: int, alpha: int = DEFAULT_ALPHA,
+                 g: int | None = None):
         if alpha <= 1:
             raise ParameterError("alpha must exceed 1 so eta' != eta")
         if (eta - 1) % delta != 0:

@@ -82,36 +82,11 @@ class ShamirSharing:
             self._rng.integers(0, self.prime, size=secrets.shape, dtype=np.int64)
             for _ in range(self.degree)
         ]
-        if self.degree == 1 and self._int64_ok:
-            return self._line_shares(secrets, coeffs[0])
         shares = []
         for point in range(1, self.num_shares + 1):
             powers = [pow(point, k, self.prime)
                       for k in range(1, self.degree + 1)]
             shares.append(self._combine([secrets] + coeffs, [1] + powers))
-        return shares
-
-    def _line_shares(self, secrets: np.ndarray,
-                     slope: np.ndarray) -> list[np.ndarray]:
-        """``f(1), f(2), …`` of ``f(x) = secrets + slope·x`` by repeated
-        addition: each step adds one field element to another, so a
-        conditional subtract replaces the division of a general
-        :meth:`_combine` and the values stay exact.
-
-        The subtract is branch-free: in the unsigned work dtype,
-        ``v − p`` wraps above ``v`` exactly when ``v < p``, so
-        ``min(v, v − p)`` is ``v mod p`` for every ``v < 2p``.
-        """
-        work = share_dtype(2 * self.prime - 1)
-        step = slope.astype(work)
-        value = secrets.astype(work)
-        wrapped = np.empty_like(value)
-        shares = []
-        for _ in range(self.num_shares):
-            value += step
-            np.subtract(value, self.prime, out=wrapped)
-            np.minimum(value, wrapped, out=value)
-            shares.append(value.astype(self.dtype))
         return shares
 
     def share_scalar(self, secret: int) -> list[int]:

@@ -26,7 +26,7 @@ from repro.core.params import (
     ServerGroupView,
     ServerParams,
 )
-from repro.crypto.groups import CyclicGroup
+from repro.crypto.groups import DEFAULT_ALPHA, CyclicGroup
 from repro.crypto.permutation import Permutation, equation1_quadruple
 from repro.crypto.polynomial import OrderPreservingPolynomial
 from repro.crypto.primes import find_eta_for_delta, is_prime, next_prime
@@ -34,6 +34,27 @@ from repro.crypto.prg import derive_seed
 from repro.crypto.shamir import DEFAULT_FIELD_PRIME
 from repro.data.domain import Domain, ProductDomain
 from repro.exceptions import ParameterError
+
+
+def group_moduli(num_owners: int, delta: int | None = None) -> tuple[int, int]:
+    """The additive-group prime ``delta`` and the group prime ``eta``.
+
+    ``delta=None`` picks the smallest prime above ``max(m, 100)``; ``eta``
+    is the smallest prime ``>= delta`` with ``delta | eta - 1``.  The
+    :class:`Initiator` and the cost model both derive the moduli here.
+
+    Raises:
+        ParameterError: if ``delta`` is not a prime above ``num_owners``.
+    """
+    delta = delta if delta is not None else next_prime(max(num_owners, 100))
+    if not is_prime(delta):
+        raise ParameterError(f"delta={delta} must be prime")
+    if delta <= num_owners:
+        raise ParameterError(
+            f"delta={delta} must exceed the owner count {num_owners} "
+            f"(the χ-cell sums live in [0, m])"
+        )
+    return delta, find_eta_for_delta(delta, minimum=delta)
 
 
 class IndicatorShareCache:
@@ -156,7 +177,8 @@ class Initiator:
     """
 
     def __init__(self, num_owners: int, domain: Domain | ProductDomain,
-                 seed: int = 0, delta: int | None = None, alpha: int = 13,
+                 seed: int = 0, delta: int | None = None,
+                 alpha: int = DEFAULT_ALPHA,
                  field_prime: int = DEFAULT_FIELD_PRIME,
                  value_bound: int = 10_000):
         if num_owners < 2:
@@ -164,15 +186,7 @@ class Initiator:
         self.num_owners = num_owners
         self.domain = domain
         self.seed = seed
-        self.delta = delta if delta is not None else next_prime(max(num_owners, 100))
-        if not is_prime(self.delta):
-            raise ParameterError(f"delta={self.delta} must be prime")
-        if self.delta <= num_owners:
-            raise ParameterError(
-                f"delta={self.delta} must exceed the owner count {num_owners} "
-                f"(the χ-cell sums live in [0, m])"
-            )
-        eta = find_eta_for_delta(self.delta, minimum=self.delta)
+        self.delta, eta = group_moduli(num_owners, delta)
         self.group = CyclicGroup(self.delta, eta, alpha=alpha)
         self.field_prime = field_prime
         self.value_bound = value_bound

@@ -120,8 +120,9 @@ def numpy_psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
 
     def kernel(lo: int, hi: int) -> None:
         local = acc[:, lo:hi]
+        total = np.empty(hi - lo, dtype=sum_dtype)
         for row, col_shares in zip(local, share_lists):
-            total = np.zeros(hi - lo, dtype=sum_dtype)
+            total.fill(0)
             for s in col_shares:
                 total += s[lo:hi]
             np.remainder(total, delta, out=row)

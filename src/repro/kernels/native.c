@@ -380,63 +380,16 @@ DEFINE_PSI_SPAN(psi_u16_a16_o32, uint16_t, uint16_t, uint32_t)
 DEFINE_PSI_SPAN(psi_u16_a32_o16, uint16_t, uint32_t, uint16_t)
 DEFINE_PSI_SPAN(psi_u16_a32_o32, uint16_t, uint32_t, uint32_t)
 
-/* ---- division-free remainders ----------------------------------------- */
-
-/* Exact a mod d by multiplication (Lemire, Kaser & Kurz, "Faster
- * Remainder by Direct Computation", 2019): with M = ceil(2^F / d) and
- * F >= bits(a) + bits(d), a mod d = floor((M * a mod 2^F) * d / 2^F).
- * F = 64 serves 32-bit a with 32-bit d; F = 128 serves 64-bit a with
- * 32-bit d.  d = 1 wraps M to 0, which correctly yields 0. */
-typedef struct {
-    uint64_t d;
-#ifdef __SIZEOF_INT128__
-    uint64_t m64;
-    unsigned __int128 m128;
-#endif
-} divisor_t;
-
-static divisor_t divisor_of(uint64_t d) {
-    divisor_t v;
-    v.d = d;
-#ifdef __SIZEOF_INT128__
-    v.m64 = UINT64_MAX / d + 1;
-    v.m128 = ~(unsigned __int128)0 / d + 1;
-#endif
-    return v;
-}
-
-static inline uint64_t mod32(uint64_t a, const divisor_t *v) {
-#ifdef __SIZEOF_INT128__
-    return (uint64_t)(((unsigned __int128)(v->m64 * a) * v->d) >> 64);
-#else
-    return a % v->d;
-#endif
-}
-
-static inline uint64_t mod64(uint64_t a, const divisor_t *v) {
-#ifdef __SIZEOF_INT128__
-    unsigned __int128 low = v->m128 * a;
-    unsigned __int128 t = (unsigned __int128)(uint64_t)low * v->d;
-    unsigned __int128 u = (unsigned __int128)(uint64_t)(low >> 64) * v->d
-                          + (t >> 64);
-    return (uint64_t)(u >> 64);
-#else
-    return a % v->d;
-#endif
-}
-
 /* ---- Eq. 18 spans ---------------------------------------------------- */
 
 /* One instantiation per residue type S, with W the unsigned type that
- * holds a sum of shares and a product of two residues, and MODW the
- * remainder that fits W (mod32 while residues fit 16 bits). */
-#define DEFINE_PSU_SPANS(SUFFIX, S, W, MODW)                                \
+ * holds a sum of shares and a product of two residues. */
+#define DEFINE_PSU_SPANS(SUFFIX, S, W)                                      \
 static void sum_mod_##SUFFIX(const void **shares_v, int64_t nshares,       \
                              int64_t lo, int64_t hi, int64_t modulus,      \
                              void *out_v) {                                \
     const S **shares = (const S **)shares_v;                               \
     S *out = (S *)out_v;                                                   \
-    const divisor_t v = divisor_of((uint64_t)modulus);                     \
     W acc[PSI_BLOCK];                                                      \
     int64_t base, k, j;                                                    \
     for (base = lo; base < hi; base += PSI_BLOCK) {                        \
@@ -448,7 +401,7 @@ static void sum_mod_##SUFFIX(const void **shares_v, int64_t nshares,       \
                 acc[k] += sp[k];                                           \
         }                                                                  \
         for (k = 0; k < n; k++)                                            \
-            out[base + k] = (S)MODW(acc[k], &v);                           \
+            out[base + k] = (S)(acc[k] % (W)modulus);                      \
     }                                                                      \
 }                                                                          \
 static void psu_##SUFFIX(const void *summed_v, int64_t lo, int64_t hi,     \
@@ -456,8 +409,7 @@ static void psu_##SUFFIX(const void *summed_v, int64_t lo, int64_t hi,     \
                          int64_t delta, void *out_v) {                     \
     const S *summed = (const S *)summed_v;                                 \
     S *out = (S *)out_v;                                                   \
-    const divisor_t span = divisor_of((uint64_t)(delta - 1));              \
-    const divisor_t d = divisor_of((uint64_t)delta);                       \
+    const uint64_t span = (uint64_t)(delta - 1);                           \
     uint8_t msg[64];                                                       \
     uint8_t block[32];                                                     \
     uint64_t have_block = 0;                                               \
@@ -474,13 +426,13 @@ static void psu_##SUFFIX(const void *summed_v, int64_t lo, int64_t hi,     \
             have_block = 1;                                                \
         }                                                                  \
         memcpy(&raw, block + 8 * (dr & 3), 8);                             \
-        out[i] = (S)MODW((W)summed[i] * (W)(mod64(raw, &span) + 1), &d);   \
+        out[i] = (S)((W)summed[i] * (W)(raw % span + 1) % (W)delta);       \
     }                                                                      \
 }
 
-DEFINE_PSU_SPANS(u8, uint8_t, uint32_t, mod32)
-DEFINE_PSU_SPANS(u16, uint16_t, uint32_t, mod32)
-DEFINE_PSU_SPANS(u32, uint32_t, uint64_t, mod64)
+DEFINE_PSU_SPANS(u8, uint8_t, uint32_t)
+DEFINE_PSU_SPANS(u16, uint16_t, uint32_t)
+DEFINE_PSU_SPANS(u32, uint32_t, uint64_t)
 
 /* ---- exported kernels ------------------------------------------------ */
 
