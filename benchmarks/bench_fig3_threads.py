@@ -12,15 +12,16 @@ OPERATIONS = ("PSI", "PSU", "PSI Count", "PSI Sum", "PSI Avg")
 
 
 def _run(system, op, threads):
+    # A server thread is one span of the deployment's shard runtime.
     if op == "PSI":
-        return system.psi("OK", num_threads=threads)
+        return system.psi("OK", num_shards=threads)
     if op == "PSU":
-        return system.psu("OK", num_threads=threads)
+        return system.psu("OK", num_shards=threads)
     if op == "PSI Count":
-        return system.psi_count("OK", num_threads=threads)
+        return system.psi_count("OK", num_shards=threads)
     if op == "PSI Sum":
-        return system.psi_sum("OK", "DT", num_threads=threads)
-    return system.psi_average("OK", "DT", num_threads=threads)
+        return system.psi_sum("OK", "DT", num_shards=threads)
+    return system.psi_average("OK", "DT", num_shards=threads)
 
 
 @pytest.mark.parametrize("threads", THREAD_COUNTS)

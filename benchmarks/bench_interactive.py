@@ -47,8 +47,8 @@ from repro.network.host import launch_forked_hosts, processes_available
 def programs_for(system):
     """The fixed interactive workload: one program per kind.
 
-    ``shard_plan=None`` means each program runs under the deployment's
-    own default plan — exactly what ``num_shards=`` on the system set.
+    ``num_shards=None`` means each program runs at the deployment's own
+    default span count — exactly what ``num_shards=`` on the system set.
     """
     return [
         ExtremaProgram(system, "OK", "DT", kind="max"),

@@ -46,7 +46,6 @@ import numpy as np
 
 from repro import kernels
 from repro.bench.harness import build_system
-from repro.core.sharding import ShardPlan
 from repro.crypto.prg import SeededPRG
 
 FAMILIES = ("psi", "psu", "agg", "prg")
@@ -66,20 +65,18 @@ def measure_families(system, repeats: int) -> dict[str, float]:
     server = system.servers[0]
     shamir_server = system.servers[2]
     b = system.domain.size
-    plan = ShardPlan(1)
     z = SeededPRG(123, "bench-z").integers(b, 0, system.initiator.field_prime)
     # Indicator shares travel at the field prime's width (uint32).
     z_matrix = np.asarray([z], dtype=shamir_server.params.shamir_dtype)
 
     def run_psi():
-        server.psi_round_batch(["OK"], shard_plan=plan)
+        server.psi_round_batch(["OK"], num_shards=1)
 
     def run_psu():
-        server.psu_round_batch(["OK"], [system.next_nonce()],
-                               shard_plan=plan)
+        server.psu_round_batch(["OK"], [system.next_nonce()], num_shards=1)
 
     def run_agg():
-        shamir_server.aggregate_round_batch(["DT"], z_matrix, shard_plan=plan)
+        shamir_server.aggregate_round_batch(["DT"], z_matrix, num_shards=1)
 
     prg = SeededPRG(42, "bench-prg")
 

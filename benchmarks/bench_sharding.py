@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import kernels
 from repro.bench.harness import build_system
-from repro.core.sharding import ShardPlan, usable_cpus
+from repro.core.sharding import usable_cpus
 from repro.crypto.prg import SeededPRG
 
 
@@ -58,8 +58,9 @@ def best_of(fn, repeats: int) -> float:
     return min(times)
 
 
-def measure_kernels(system, plan, repeats: int) -> dict[str, float]:
-    """Single-query wall time per kernel family under one shard plan."""
+def measure_kernels(system, num_shards: int,
+                    repeats: int) -> dict[str, float]:
+    """Single-query wall time per kernel family at one shard count."""
     server = system.servers[0]
     shamir_server = system.servers[2]
     b = system.domain.size
@@ -67,13 +68,15 @@ def measure_kernels(system, plan, repeats: int) -> dict[str, float]:
     z_matrix = np.asarray([z], dtype=shamir_server.params.shamir_dtype)
 
     def run_psi():
-        server.psi_round_batch(["OK"], shard_plan=plan)
+        server.psi_round_batch(["OK"], num_shards=num_shards)
 
     def run_psu():
-        server.psu_round_batch(["OK"], [system.next_nonce()], shard_plan=plan)
+        server.psu_round_batch(["OK"], [system.next_nonce()],
+                               num_shards=num_shards)
 
     def run_agg():
-        shamir_server.aggregate_round_batch(["DT"], z_matrix, shard_plan=plan)
+        shamir_server.aggregate_round_batch(["DT"], z_matrix,
+                                            num_shards=num_shards)
 
     for warmup in (run_psi, run_psu, run_agg):  # start the pool, fill caches
         warmup()
@@ -124,8 +127,7 @@ def main(argv=None) -> int:
                 continue
             rows_per_sec[tier] = {}
             for num_shards in shard_counts:
-                timings = measure_kernels(system, ShardPlan(num_shards),
-                                          args.repeats)
+                timings = measure_kernels(system, num_shards, args.repeats)
                 for family, seconds in timings.items():
                     rows_per_sec[tier].setdefault(
                         family, {})[str(num_shards)] = b / seconds

@@ -28,7 +28,6 @@ from repro.api import (
 )
 from repro.core.batch import BatchQuery, QueryBatch, run_batch
 from repro.core.query import parse_query, run_query
-from repro.core.sharding import ShardPlan
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -86,7 +85,6 @@ __all__ = [
     "QueryError",
     "Relation",
     "SetResult",
-    "ShardPlan",
     "ShareError",
     "VerificationError",
     "parse_query",

@@ -75,11 +75,10 @@ def _plan_is_interactive(plan) -> bool:
 class _Submission:
     """One queued :meth:`PrismClient.submit` call."""
 
-    __slots__ = ("query", "num_threads", "num_shards", "future")
+    __slots__ = ("query", "num_shards", "future")
 
-    def __init__(self, query, num_threads, num_shards):
+    def __init__(self, query, num_shards):
         self.query = query
-        self.num_threads = num_threads
         self.num_shards = num_shards
         self.future: Future = Future()
 
@@ -99,20 +98,16 @@ class PrismClient:
 
     Args:
         system: a deployed (outsourced) :class:`PrismSystem`.
-        num_threads: default server-side thread count for this session
-            (``None``: the system's own default).
-        num_shards: default χ-shard count for this session (``None``:
+        num_shards: default span count for this session (``None``:
             the system's own default; ``"auto"``: resolve per call from
             the χ length and core count).
         coalesce_window: seconds the scheduler waits after waking so
             concurrent :meth:`submit` calls land in the same fused tick.
     """
 
-    def __init__(self, system, num_threads: int | None = None,
-                 num_shards: int | str | None = None,
+    def __init__(self, system, num_shards: int | str | None = None,
                  coalesce_window: float = 0.002):
         self.system = system
-        self.num_threads = num_threads
         self.num_shards = num_shards
         self.coalesce_window = coalesce_window
         self.planner = Planner()
@@ -146,7 +141,6 @@ class PrismClient:
     @classmethod
     def connect(cls, *args, relations=None, domain=None, psi_attribute=None,
                 agg_attributes=(),
-                num_threads: int | None = None,
                 num_shards: int | str | None = None,
                 deployment: str | None = None, **build_kwargs
                 ) -> "PrismClient":
@@ -208,12 +202,12 @@ class PrismClient:
         system = PrismSystem.build(relations, domain, psi_attribute,
                                    agg_attributes=agg_attributes,
                                    **build_kwargs)
-        return cls(system, num_threads=num_threads)
+        return cls(system)
 
     # -- queries --------------------------------------------------------------
 
-    def execute(self, query, num_threads: int | None = None,
-                num_shards: int | None = None, **runner_options):
+    def execute(self, query, num_shards: int | str | None = None,
+                **runner_options):
         """Run one query of any supported form.
 
         SQL strings may carry an ``EXPLAIN`` prefix, in which case the
@@ -227,19 +221,17 @@ class PrismClient:
             plan = self.planner.lower(query)
             with self._accounted([plan]):
                 return self.executor.execute(
-                    plan, num_threads=self._threads(num_threads),
-                    num_shards=self._shards(num_shards),
+                    plan, num_shards=self._shards(num_shards),
                     **runner_options)
 
-    def execute_many(self, queries, num_threads: int | None = None,
-                     num_shards: int | None = None) -> list:
+    def execute_many(self, queries,
+                     num_shards: int | str | None = None) -> list:
         """Run many queries; batchable units fuse into one server batch."""
         with self._exec_lock:
             plans = self.planner.lower_many(queries)
             with self._accounted(plans):
                 return self.executor.execute_many(
-                    plans, num_threads=self._threads(num_threads),
-                    num_shards=self._shards(num_shards))
+                    plans, num_shards=self._shards(num_shards))
 
     def explain(self, query) -> str:
         """The plan's description + dispatch routes, without executing."""
@@ -257,8 +249,8 @@ class PrismClient:
 
     # -- concurrent submission ------------------------------------------------
 
-    def submit(self, query, num_threads: int | None = None,
-               num_shards: int | None = None) -> Future:
+    def submit(self, query,
+               num_shards: int | str | None = None) -> Future:
         """Queue one query for coalesced execution; returns a future.
 
         Safe to call from any thread.  All batchable submissions in
@@ -279,8 +271,7 @@ class PrismClient:
                 except Exception as exc:  # lowering errors -> the future
                     future.set_exception(exc)
                 return future
-        submission = _Submission(query, self._threads(num_threads),
-                                 self._shards(num_shards))
+        submission = _Submission(query, self._shards(num_shards))
         with self._cond:
             if self._closing:
                 raise RuntimeError("client is closed; no new submissions")
@@ -386,7 +377,7 @@ class PrismClient:
         # One drain = one tick, however many option groups (or fallback
         # re-runs) it takes; max_coalesced tracks the largest fused batch.
         self._ticks += 1
-        groups: dict[tuple, list[tuple[_Submission, object]]] = {}
+        groups: dict[object, list[tuple[_Submission, object]]] = {}
         for submission in items:
             try:
                 plan = self.planner.lower(submission.query)
@@ -397,33 +388,30 @@ class PrismClient:
                 try:
                     with self._exec_lock:
                         program = self.executor.program(
-                            plan, num_threads=submission.num_threads,
-                            num_shards=submission.num_shards)
+                            plan, num_shards=submission.num_shards)
                 except Exception as exc:
                     submission.future.set_exception(exc)
                     continue
                 self._jobs.append(_Job(submission, program))
                 self._interactive_jobs += 1
                 continue
-            key = (submission.num_threads, submission.num_shards)
-            groups.setdefault(key, []).append((submission, plan))
+            groups.setdefault(submission.num_shards, []).append(
+                (submission, plan))
         if groups:
             self._max_coalesced = max(
                 self._max_coalesced, max(len(m) for m in groups.values()))
-        for (num_threads, num_shards), members in groups.items():
+        for num_shards, members in groups.items():
             try:
                 with self._exec_lock:
                     plans = [plan for _, plan in members]
                     with self._accounted(plans):
                         results = self.executor.execute_many(
-                            plans, num_threads=num_threads,
-                            num_shards=num_shards)
+                            plans, num_shards=num_shards)
             except Exception:
                 # One bad query must not fail its tick-mates: fall back
                 # to individual execution so the exception lands only on
                 # the future(s) that earned it.
-                self._run_individually([m for m, _ in members],
-                                       num_threads, num_shards)
+                self._run_individually([m for m, _ in members], num_shards)
                 continue
             for (member, _), result in zip(members, results):
                 member.future.set_result(result)
@@ -480,24 +468,20 @@ class PrismClient:
         self._interactive_units += program.interactive_units
         job.submission.future.set_result(result)
 
-    def _run_individually(self, members, num_threads, num_shards) -> None:
+    def _run_individually(self, members, num_shards) -> None:
         for member in members:
             try:
                 with self._exec_lock:
                     plan = self.planner.lower(member.query)
                     with self._accounted([plan]):
                         result = self.executor.execute(
-                            plan, num_threads=num_threads,
-                            num_shards=num_shards)
+                            plan, num_shards=num_shards)
             except Exception as exc:
                 member.future.set_exception(exc)
             else:
                 member.future.set_result(result)
 
     # -- session accounting ---------------------------------------------------
-
-    def _threads(self, num_threads: int | None) -> int | None:
-        return num_threads if num_threads is not None else self.num_threads
 
     def _shards(self, num_shards: int | str | None) -> int | str | None:
         return num_shards if num_shards is not None else self.num_shards

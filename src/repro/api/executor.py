@@ -35,6 +35,7 @@ from repro.core.interactive import (
     ExtremaProgram,
     MedianProgram,
 )
+from repro.core.sharding import resolve_shards
 from repro.exceptions import ProtocolError, QueryError
 
 #: Unit kind → AGG function it computes (inverse of the plan lowering).
@@ -50,29 +51,24 @@ BATCHED = "batched"
 
 
 def _extrema_program(kind):
-    def factory(system, plan, unit, num_threads, num_shards, options):
+    def factory(system, plan, unit, num_shards, options):
         return ExtremaProgram(system, plan.attribute, unit.agg_attributes[0],
                               kind=kind, reveal_holders=plan.reveal_holders,
-                              verify=plan.verify, num_threads=num_threads,
-                              querier=plan.querier,
-                              shard_plan=system.shard_plan_for(num_shards),
-                              **options)
+                              verify=plan.verify, querier=plan.querier,
+                              num_shards=num_shards, **options)
     return factory
 
 
-def _median_program(system, plan, unit, num_threads, num_shards, options):
+def _median_program(system, plan, unit, num_shards, options):
     return MedianProgram(system, plan.attribute, unit.agg_attributes[0],
-                         verify=plan.verify, num_threads=num_threads,
-                         querier=plan.querier,
-                         shard_plan=system.shard_plan_for(num_shards),
-                         **options)
+                         verify=plan.verify, querier=plan.querier,
+                         num_shards=num_shards, **options)
 
 
-def _bucketized_program(system, plan, unit, num_threads, num_shards, options):
+def _bucketized_program(system, plan, unit, num_shards, options):
     return BucketizedPsiProgram(system, plan.attribute,
                                 system.bucket_tree(plan.attribute),
-                                num_threads=num_threads, querier=plan.querier,
-                                shard_plan=system.shard_plan_for(num_shards),
+                                querier=plan.querier, num_shards=num_shards,
                                 **options)
 
 
@@ -106,11 +102,11 @@ class Executor:
 
     # -- public surface -------------------------------------------------------
 
-    def execute(self, query, num_threads: int | None = None,
-                num_shards: int | str | None = None, **runner_options):
+    def execute(self, query, num_shards: int | str | None = None,
+                **runner_options):
         """Lower and run one query; returns its canonical-shape result.
 
-        ``num_shards`` overrides the deployment's χ-shard count for this
+        ``num_shards`` overrides the deployment's span count for this
         call — for the batchable units' fused sweeps *and* for the
         interactive units' per-round sweeps (the PSI round of
         MAX/MIN/MEDIAN, every bucketized level); ``"auto"`` resolves it
@@ -123,17 +119,15 @@ class Executor:
         bucketized PSI); a fully-batchable plan rejects them.
         """
         plan = self.planner.lower(query)
-        return self._run([plan], num_threads, runner_options,
-                         num_shards=num_shards)[0]
+        return self._run([plan], runner_options, num_shards)[0]
 
-    def execute_many(self, queries, num_threads: int | None = None,
+    def execute_many(self, queries,
                      num_shards: int | str | None = None) -> list:
         """Run many queries; batchable units fuse into one QueryBatch."""
         plans = self.planner.lower_many(queries)
-        return self._run(plans, num_threads, {}, num_shards=num_shards)
+        return self._run(plans, {}, num_shards)
 
-    def program(self, query, num_threads: int | None = None,
-                num_shards: int | str | None = None,
+    def program(self, query, num_shards: int | str | None = None,
                 **runner_options) -> "QueryProgram":
         """Lower one query into a steppable :class:`QueryProgram`.
 
@@ -146,8 +140,7 @@ class Executor:
         drivers over the same machinery.
         """
         plan = self.planner.lower(query)
-        return QueryProgram(self, plan, num_threads=num_threads,
-                            num_shards=num_shards,
+        return QueryProgram(self, plan, num_shards=num_shards,
                             runner_options=runner_options)
 
     def explain(self, query) -> str:
@@ -222,8 +215,8 @@ class Executor:
 
     # -- execution ------------------------------------------------------------
 
-    def _run(self, plans: list[LogicalPlan], num_threads, runner_options,
-             num_shards=None):
+    def _run(self, plans: list[LogicalPlan], runner_options, num_shards):
+        num_shards = resolve_shards(num_shards, self.system.domain.size)
         batch_specs: list[BatchQuery] = []
         layouts: list[list[tuple[PlanUnit, int | None]]] = []
         interactive_total = 0
@@ -246,7 +239,6 @@ class Executor:
         fusion = {"fused_rows": 0, "rows_deduplicated": 0}
         if batch_specs:
             batch = QueryBatch(self.system, batch_specs,
-                               num_threads=num_threads,
                                num_shards=num_shards)
             batch_results = batch.execute()
             plan_stats = batch.stats.get("plan", {})
@@ -269,8 +261,7 @@ class Executor:
                     # functions (the client scheduler interleaves these
                     # same rounds with fused batch ticks).
                     program = DISPATCH[unit.kind](
-                        self.system, plan, unit, num_threads, num_shards,
-                        runner_options)
+                        self.system, plan, unit, num_shards, runner_options)
                     while not program.done:
                         program.step()
                     unit_results.append(program.result())
@@ -323,13 +314,12 @@ class QueryProgram:
     """
 
     def __init__(self, executor: Executor, plan: LogicalPlan,
-                 num_threads: int | None = None,
                  num_shards: int | str | None = None,
                  runner_options: dict | None = None):
         self.executor = executor
         self.plan = plan
-        self.num_threads = num_threads
-        self.num_shards = num_shards
+        self.num_shards = resolve_shards(num_shards,
+                                         executor.system.domain.size)
         options = dict(runner_options or {})
         self._entries: list[tuple[PlanUnit, int | None]] = []
         self._batch_specs: list[BatchQuery] = []
@@ -341,8 +331,7 @@ class QueryProgram:
                 self._entries.append((unit, len(self._batch_specs) - 1))
             else:
                 self._programs.append(route(
-                    executor.system, plan, unit, num_threads, num_shards,
-                    options))
+                    executor.system, plan, unit, num_shards, options))
                 self._entries.append((unit, None))
         if options and not self._programs:
             raise QueryError(
@@ -373,7 +362,6 @@ class QueryProgram:
         if self._batch_specs and self._batch_results is None:
             self._batch_results = QueryBatch(
                 self.executor.system, self._batch_specs,
-                num_threads=self.num_threads,
                 num_shards=self.num_shards).execute()
             return
         for program in self._programs:

@@ -33,25 +33,25 @@ EXP1_OPERATIONS = ("PSI", "PSU", "PSI Count", "PSI Sum", "PSI Avg",
                    "PSI Median", "PSI Max")
 
 
-def _run_operation(system, op: str, num_threads: int, common=None):
-    """Run one Fig.-3 operation; returns its PhaseTimings."""
+def _run_operation(system, op: str, threads: int, common=None):
+    """Run one Fig.-3 operation on ``threads`` server sweep spans;
+    returns its PhaseTimings."""
     if op == "PSI":
-        return system.psi("OK", num_threads=num_threads).timings
+        return system.psi("OK", num_shards=threads).timings
     if op == "PSU":
-        return system.psu("OK", num_threads=num_threads).timings
+        return system.psu("OK", num_shards=threads).timings
     if op == "PSI Count":
-        return system.psi_count("OK", num_threads=num_threads).timings
+        return system.psi_count("OK", num_shards=threads).timings
     if op == "PSI Sum":
-        return system.psi_sum("OK", "DT",
-                              num_threads=num_threads)["DT"].timings
+        return system.psi_sum("OK", "DT", num_shards=threads)["DT"].timings
     if op == "PSI Avg":
         return system.psi_average("OK", "DT",
-                                  num_threads=num_threads)["DT"].timings
+                                  num_shards=threads)["DT"].timings
     if op == "PSI Median":
-        return system.psi_median("OK", "PK", num_threads=num_threads,
+        return system.psi_median("OK", "PK", num_shards=threads,
                                  common_values=common).timings
     if op == "PSI Max":
-        return system.psi_max("OK", "PK", num_threads=num_threads,
+        return system.psi_max("OK", "PK", num_shards=threads,
                               common_values=common).timings
     raise ValueError(f"unknown operation {op!r}")
 
@@ -60,7 +60,9 @@ def exp1_threads(domain_size: int | None = None, num_owners: int = 10,
                  thread_counts=(1, 2, 3, 4, 5), seed: int = 7) -> dict:
     """Fig. 3: operation latency vs server thread count (10 owners).
 
-    For the extrema/median rows the PSI round runs threaded and the
+    A server thread is one span of the deployment's shard runtime, so
+    each thread count runs as the per-call ``num_shards``.  For the
+    extrema/median rows the PSI round runs threaded and the
     announcer round runs once (single common value, per the §6.3
     exposition), so the threading effect shows on the dominant kernel.
     """
@@ -71,30 +73,22 @@ def exp1_threads(domain_size: int | None = None, num_owners: int = 10,
     series: dict[str, list] = {op: [] for op in EXP1_OPERATIONS}
     series["Data Fetch Time"] = []
     for threads in thread_counts:
-        # The unified execution path folds data fetch into the fused
-        # sweep, so the paper's separate fetch phase is probed via the
-        # sequential runner (which still times it apart) — reusing the
-        # run the extrema rows need anyway.
-        fetch_probe = None
         for op in EXP1_OPERATIONS:
             needs_common = op in ("PSI Median", "PSI Max")
             timings = _run_operation(system, op, threads,
                                      common if needs_common else None)
-            # PSI max/median with explicit common values skip the PSI
-            # round; add it back so the row reflects the full query.
+            total = timings.server_seconds
             if needs_common:
-                psi_t = run_psi(system, "OK", num_threads=threads).timings
-                total = (timings.server_seconds + timings.announcer_seconds
-                         + psi_t.server_seconds)
-                if fetch_probe is None:
-                    fetch_probe = psi_t.fetch_seconds
-            else:
-                total = timings.server_seconds
+                # PSI max/median with explicit common values skip the
+                # PSI round; add back the PSI row at this thread count
+                # so the row reflects the full query.
+                total += timings.announcer_seconds + series["PSI"][-1][1]
             series[op].append((threads, total))
-        if fetch_probe is None:
-            fetch_probe = run_psi(system, "OK",
-                                  num_threads=threads).timings.fetch_seconds
-        series["Data Fetch Time"].append((threads, fetch_probe))
+        # The unified execution path folds data fetch into the fused
+        # sweep, so the paper's separate fetch phase is probed via the
+        # sequential runner, which still times it apart.
+        series["Data Fetch Time"].append(
+            (threads, run_psi(system, "OK").timings.fetch_seconds))
     text = format_series(
         series, "threads", "time (s)",
         title=f"Fig. 3 — Prism multi-threaded performance "

@@ -51,7 +51,7 @@ def build_system(num_owners: int = DEFAULT_OWNERS,
                  domain_size: int | None = None,
                  agg_attributes: tuple = ("DT", "PK", "LN", "SK"),
                  with_verification: bool = False,
-                 num_threads: int = 1, seed: int = 7,
+                 seed: int = 7,
                  rows_per_owner: int | None = None,
                  **system_kwargs) -> PrismSystem:
     """A ready-to-query deployment over synthetic LineItem fragments.
@@ -67,8 +67,7 @@ def build_system(num_owners: int = DEFAULT_OWNERS,
     relations = generate_fleet(num_owners, domain, rows, seed=seed)
     return PrismSystem.build(
         relations, domain, "OK", agg_attributes=agg_attributes,
-        with_verification=with_verification, num_threads=num_threads,
-        seed=seed,
+        with_verification=with_verification, seed=seed,
         # LineItem values are small; per-group sums stay far below this.
         value_bound=100_000,
         **system_kwargs,

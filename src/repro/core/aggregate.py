@@ -77,15 +77,14 @@ def indicator_shares(system, owner, column: str, owner_ids, member,
     return shares
 
 
-def _indicator_round(system, attribute, over: str, num_threads, querier,
-                     owner_ids):
+def _indicator_round(system, attribute, over: str, querier, owner_ids):
     """Round 1: run PSI or PSU and return (membership, timings-so-far)."""
     if over == "psi":
-        round1 = run_psi(system, attribute, num_threads=num_threads,
-                         querier=querier, owner_ids=owner_ids)
+        round1 = run_psi(system, attribute, querier=querier,
+                         owner_ids=owner_ids)
     elif over == "psu":
-        round1 = run_psu(system, attribute, num_threads=num_threads,
-                         querier=querier, owner_ids=owner_ids)
+        round1 = run_psu(system, attribute, querier=querier,
+                         owner_ids=owner_ids)
     else:
         raise ProtocolError(f"unknown set operation {over!r}")
     return round1
@@ -93,7 +92,7 @@ def _indicator_round(system, attribute, over: str, num_threads, querier,
 
 def run_aggregate(system, attribute: str, agg_attributes,
                   op: str = "sum", over: str = "psi", verify: bool = False,
-                  num_threads: int | None = None, querier: int = 0,
+                  *, querier: int = 0,
                   owner_ids: list[int] | None = None) -> dict:
     """Sum or average of one or more attributes over PSI/PSU groups.
 
@@ -105,7 +104,6 @@ def run_aggregate(system, attribute: str, agg_attributes,
         op: ``"sum"`` or ``"avg"``.
         over: ``"psi"`` or ``"psu"``.
         verify: run the permuted-copy consistency check.
-        num_threads: server-side threads.
         querier: the owner that generates the ``z`` shares.
         owner_ids: restrict to a subset of owners.
 
@@ -118,13 +116,11 @@ def run_aggregate(system, attribute: str, agg_attributes,
         agg_attributes = [agg_attributes]
     if not agg_attributes:
         raise ProtocolError("no aggregation attributes given")
-    threads = num_threads if num_threads is not None else system.num_threads
     transport = system.transport
     owner = system.owners[querier]
     require_decodable(owner.params.domain, f"{over}-{op}")
 
-    round1 = _indicator_round(system, attribute, over, threads, querier,
-                              owner_ids)
+    round1 = _indicator_round(system, attribute, over, querier, owner_ids)
     timings = round1.timings
     member = round1.membership
 
@@ -153,7 +149,7 @@ def run_aggregate(system, attribute: str, agg_attributes,
             with timings.measure("fetch"):
                 shares = server.fetch_shamir(agg, owner_ids)
             with timings.measure("server"):
-                out = server.aggregate_round(agg, z, threads, owner_ids, shares)
+                out = server.aggregate_round(agg, z, owner_ids, shares)
             transport.broadcast(server.endpoint,
                                 [o.endpoint for o in system.owners],
                                 f"agg-{agg}", out)
@@ -163,8 +159,8 @@ def run_aggregate(system, attribute: str, agg_attributes,
                 with timings.measure("fetch"):
                     vshares = server.fetch_shamir("v" + agg, owner_ids)
                 with timings.measure("server"):
-                    vout = server.aggregate_round("v" + agg, vz, threads,
-                                                  owner_ids, vshares)
+                    vout = server.aggregate_round("v" + agg, vz, owner_ids,
+                                                  vshares)
                 transport.broadcast(server.endpoint,
                                     [o.endpoint for o in system.owners],
                                     f"vagg-{agg}", vout)
@@ -173,8 +169,8 @@ def run_aggregate(system, attribute: str, agg_attributes,
             with timings.measure("fetch"):
                 cshares = server.fetch_shamir(count_column, owner_ids)
             with timings.measure("server"):
-                cout = server.aggregate_round(count_column, z, threads,
-                                              owner_ids, cshares)
+                cout = server.aggregate_round(count_column, z, owner_ids,
+                                              cshares)
             transport.broadcast(server.endpoint,
                                 [o.endpoint for o in system.owners],
                                 "agg-count", cout)

@@ -54,6 +54,7 @@ from repro.core.results import (
     PhaseTimings,
     SetResult,
 )
+from repro.core.sharding import resolve_shards
 from repro.exceptions import QueryError, VerificationError
 from repro.network.message import batch_kind
 
@@ -183,7 +184,7 @@ class BatchQuery:
                    agg_attributes=unit.agg_attributes, verify=plan.verify,
                    owner_ids=plan.owner_ids, querier=plan.querier)
 
-    def run_sequential(self, system, num_threads: int | None = None):
+    def run_sequential(self, system):
         """Execute this query through the sequential 1-D runners.
 
         The batch engine's correctness oracle: ``run_batch`` must return
@@ -197,7 +198,7 @@ class BatchQuery:
         from repro.core.count import run_psi_count, run_psu_count
         from repro.core.psi import run_psi
         from repro.core.psu import run_psu
-        kwargs = {"num_threads": num_threads, "querier": self.querier,
+        kwargs = {"querier": self.querier,
                   "owner_ids": list(self.owner_ids)
                   if self.owner_ids is not None else None}
         if self.kind == "psi":
@@ -243,11 +244,10 @@ class QueryBatch:
         system: a :class:`~repro.core.system.PrismSystem`.
         queries: an iterable of :class:`BatchQuery` (or SQL strings,
             :class:`QueryPlan` objects, or keyword dicts).
-        num_threads: server-side thread count (default: system setting).
-        num_shards: χ-table shard count for this batch (default: system
-            setting, i.e. the servers' own shard plans; ``1`` forces the
-            unsharded thread sweep for this batch only; ``"auto"``
-            resolves from the χ length and core count).  Under a
+        num_shards: span count of this batch's sweeps (default: the
+            servers' deployment default; ``1`` forces the unsharded
+            sweep for this batch only; ``"auto"`` resolves from the χ
+            length and core count).  Under a
             non-local deployment the count travels over the channel and
             the entity hosts shard the sweep themselves.
 
@@ -256,14 +256,12 @@ class QueryBatch:
     indicator-cache counters.
     """
 
-    def __init__(self, system, queries, num_threads: int | None = None,
+    def __init__(self, system, queries,
                  num_shards: int | str | None = None):
         self.system = system
         self.queries = [BatchQuery.coerce(q) for q in queries]
-        self.num_threads = (num_threads if num_threads is not None
-                            else system.num_threads)
-        # None = defer to each server's deployment-default shard plan.
-        self.shard_plan = system.shard_plan_for(num_shards)
+        # None = defer to each server's deployment-default span count.
+        self.num_shards = resolve_shards(num_shards, system.domain.size)
         self.timings = PhaseTimings()
         self.stats: dict = {}
         self._plan_built = False
@@ -457,17 +455,16 @@ class QueryBatch:
                 if family == "psi":
                     thunks = [
                         lambda server=server: server.psi_round_batch(
-                            columns, self.num_threads, owner_ids,
-                            subtract_m=subtract, shard_plan=self.shard_plan)
+                            columns, owner_ids, subtract_m=subtract,
+                            num_shards=self.num_shards)
                         for server in servers
                     ]
                 else:
                     pf2 = [flags[1] for _, *flags in ordered]
                     thunks = [
                         lambda server=server: server.count_round_batch(
-                            columns, self.num_threads, owner_ids,
-                            subtract_m=subtract, use_pf_s2=pf2,
-                            shard_plan=self.shard_plan)
+                            columns, owner_ids, subtract_m=subtract,
+                            use_pf_s2=pf2, num_shards=self.num_shards)
                         for server in servers
                     ]
                 for s_index, out in enumerate(
@@ -488,8 +485,8 @@ class QueryBatch:
             servers = system.servers[:2]
             thunks = [
                 lambda server=server: server.psu_round_batch(
-                    columns, nonces, self.num_threads, owner_ids,
-                    permute=permute, shard_plan=self.shard_plan)
+                    columns, nonces, owner_ids, permute=permute,
+                    num_shards=self.num_shards)
                 for server in servers
             ]
             for s_index, out in enumerate(
@@ -642,8 +639,7 @@ class QueryBatch:
                 z_matrices.append(z_matrix)
             thunks = [
                 lambda server=server, z=z: server.aggregate_round_batch(
-                    columns, z, self.num_threads, owner_ids,
-                    shard_plan=self.shard_plan)
+                    columns, z, owner_ids, num_shards=self.num_shards)
                 for server, z in zip(servers, z_matrices)
             ]
             outs = self._sweep_servers(servers, thunks)
@@ -702,8 +698,7 @@ class QueryBatch:
         return results
 
 
-def run_batch(system, queries, num_threads: int | None = None,
-              num_shards: int | None = None) -> list:
+def run_batch(system, queries, num_shards: int | str | None = None) -> list:
     """Plan and execute a batch of queries; results in input order.
 
     Each element of ``queries`` may be a :class:`BatchQuery`, a Table-4
@@ -712,5 +707,4 @@ def run_batch(system, queries, num_threads: int | None = None,
     would return (see :class:`QueryBatch` for the shared-metadata
     caveats).
     """
-    return QueryBatch(system, queries, num_threads=num_threads,
-                      num_shards=num_shards).execute()
+    return QueryBatch(system, queries, num_shards=num_shards).execute()

@@ -112,10 +112,10 @@ def outsource_bucketized(system, attribute, fanout: int) -> BucketTree:
 
 
 def run_bucketized_psi(system, attribute, tree: BucketTree,
-                       num_threads: int | None = None,
-                       querier: int = 0,
+                       *, querier: int = 0,
                        announcer_driven: bool = False,
-                       shard_plan=None) -> tuple[SetResult, dict]:
+                       num_shards: int | None = None
+                       ) -> tuple[SetResult, dict]:
     """Multi-round bucketized PSI (§6.6 Steps 1b–3).
 
     With ``announcer_driven=True`` the per-level outputs go to the
@@ -128,7 +128,7 @@ def run_bucketized_psi(system, attribute, tree: BucketTree,
 
     Each level's sweep runs through the sharded cell-restricted kernel
     (:meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`),
-    so a deployment's shard plan (or the ``shard_plan`` override)
+    so a deployment's span count (or the ``num_shards`` override)
     parallelises the traversal; the round loop itself lives in
     :class:`~repro.core.interactive.BucketizedPsiProgram`, of which this
     function is a thin driver.
@@ -140,9 +140,9 @@ def run_bucketized_psi(system, attribute, tree: BucketTree,
     """
     from repro.core.interactive import BucketizedPsiProgram
     return BucketizedPsiProgram(system, attribute, tree,
-                                num_threads=num_threads, querier=querier,
+                                querier=querier,
                                 announcer_driven=announcer_driven,
-                                shard_plan=shard_plan).run()
+                                num_shards=num_shards).run()
 
 
 def simulate_actual_domain_size(num_leaves: int, fanout: int,

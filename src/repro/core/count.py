@@ -23,14 +23,13 @@ from repro.core.results import CountResult, PhaseTimings
 
 
 def run_psi_count(system, attribute: str | tuple, verify: bool = False,
-                  num_threads: int | None = None, querier: int = 0,
+                  *, querier: int = 0,
                   owner_ids: list[int] | None = None) -> CountResult:
     """Cardinality of the intersection, revealing nothing else.
 
     With ``verify=True`` the Eq. (1)-paired complement stream is checked;
     requires the system to have been outsourced ``with_verification``.
     """
-    threads = num_threads if num_threads is not None else system.num_threads
     base = psi_column_name(attribute)
     # Verified counts read the pre-permuted columns; plain counts read the
     # ordinary χ column (servers permute either way).
@@ -48,9 +47,9 @@ def run_psi_count(system, attribute: str | tuple, verify: bool = False,
             vshares = (server.fetch_additive("cv" + base, owner_ids)
                        if verify else None)
         with timings.measure("server"):
-            out = server.count_round(column, threads, owner_ids, shares)
-            vout = (server.count_verification_round("cv" + base, threads,
-                                                    owner_ids, vshares)
+            out = server.count_round(column, owner_ids, shares)
+            vout = (server.count_verification_round("cv" + base, owner_ids,
+                                                    vshares)
                     if verify else None)
         receivers = [o.endpoint for o in system.owners]
         transport.broadcast(server.endpoint, receivers, "count-output", out)
@@ -70,14 +69,13 @@ def run_psi_count(system, attribute: str | tuple, verify: bool = False,
 
 
 def run_psu_count(system, attribute: str | tuple,
-                  num_threads: int | None = None, querier: int = 0,
+                  *, querier: int = 0,
                   owner_ids: list[int] | None = None) -> CountResult:
     """Cardinality of the union, revealing nothing else.
 
     Servers permute the PSU output with ``PF_s1`` before transmission, the
     exact §6.5 trick applied to Eq. 18 output.
     """
-    threads = num_threads if num_threads is not None else system.num_threads
     column = psi_column_name(attribute)
     nonce = system.next_nonce()
     timings = PhaseTimings()
@@ -90,7 +88,7 @@ def run_psu_count(system, attribute: str | tuple,
         with timings.measure("fetch"):
             shares = server.fetch_additive(column, owner_ids)
         with timings.measure("server"):
-            out = server.psu_round(column, nonce, threads, owner_ids, shares)
+            out = server.psu_round(column, nonce, owner_ids, shares)
             out = server.params.pf_s1.apply(out)
         transport.broadcast(server.endpoint,
                             [o.endpoint for o in system.owners],

@@ -38,9 +38,9 @@ from repro.exceptions import QueryError
 
 def run_extrema(system, attribute: str, agg_attribute: str,
                 kind: str = "max", reveal_holders: bool = True,
-                verify: bool = False,
-                num_threads: int | None = None, querier: int = 0,
-                common_values=None, shard_plan=None) -> ExtremaResult:
+                verify: bool = False, *, querier: int = 0,
+                common_values=None,
+                num_shards: int | None = None) -> ExtremaResult:
     """Max or min of ``agg_attribute`` per common value of ``attribute``.
 
     Args:
@@ -56,13 +56,11 @@ def run_extrema(system, attribute: str, agg_attribute: str,
             values it never sees in the clear.  (Ties may announce a
             different permuted index each round, so only the extremum
             value is compared.)
-        num_threads: server-side threads for the PSI round.
         querier: owner used for PSI bookkeeping.
         common_values: skip the PSI round and use these values (lets
             benches isolate round-2 cost).
-        shard_plan: per-call :class:`~repro.core.sharding.ShardPlan`
-            override for the PSI sweep (``None``: the deployment's
-            default plan).
+        num_shards: span count of the PSI sweep (``None``: the
+            deployment's default).
 
     Returns:
         An :class:`ExtremaResult` with the extremum (and holders) per
@@ -70,20 +68,15 @@ def run_extrema(system, attribute: str, agg_attribute: str,
     """
     return ExtremaProgram(system, attribute, agg_attribute, kind=kind,
                           reveal_holders=reveal_holders, verify=verify,
-                          num_threads=num_threads, querier=querier,
-                          common_values=common_values,
-                          shard_plan=shard_plan).run()
+                          querier=querier, common_values=common_values,
+                          num_shards=num_shards).run()
 
 
 def run_median(system, attribute: str, agg_attribute: str,
-               num_threads: int | None = None, querier: int = 0,
-               common_values=None, shard_plan=None,
+               *, querier: int = 0, common_values=None,
+               num_shards: int | None = None,
                verify: bool = False) -> MedianResult:
     """Median across owners of per-owner group totals (§6.4).
-
-    New parameters are appended, so historical positional callers
-    (``run_median(system, a, x, 4)`` meaning four threads) keep their
-    meaning.
 
     Raises:
         QueryError: when ``verify=True`` — the median protocol has no
@@ -95,9 +88,8 @@ def run_median(system, attribute: str, agg_attribute: str,
     if verify:
         raise QueryError("MEDIAN has no verification stream")
     return MedianProgram(system, attribute, agg_attribute,
-                         num_threads=num_threads, querier=querier,
-                         common_values=common_values,
-                         shard_plan=shard_plan).run()
+                         querier=querier, common_values=common_values,
+                         num_shards=num_shards).run()
 
 
 def extrema_reference(relations, attribute: str, agg_attribute: str,

@@ -22,7 +22,7 @@ This module makes both facts structural:
   :meth:`~repro.entities.server.PrismServer.psi_round_batch` and each
   bucket-tree level via
   :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`, so a
-  deployment's :class:`~repro.core.sharding.ShardPlan` — thread pool,
+  deployment's span count — thread pool,
   the post-sweep tamper seam of malicious server subclasses,
   span-scoped RPC frames on remote deployments — applies to
   interactive traffic exactly as it does to batch traffic.  Outputs are
@@ -164,12 +164,11 @@ class InteractiveProgram:
 # -- shared round-1 sweep ------------------------------------------------------
 
 
-def sharded_psi_round(system, attribute, num_threads, shard_plan, timings,
-                      querier: int):
+def sharded_psi_round(system, attribute, num_shards, timings, querier: int):
     """Round 1 of an interactive kernel: the Eq. 3 sweep, shard-parallel.
 
     Dispatches through :meth:`psi_round_batch` (a batch of one row), so
-    the deployment's shard plan — or ``shard_plan`` as a per-call
+    the deployment's span count — or ``num_shards`` as a per-call
     override — applies, with the full fallback ladder; the output row is
     bit-identical to the historical 1-D ``psi_round`` sweep.  Returns
     the decoded common values, exactly as the owners learn them.
@@ -182,8 +181,8 @@ def sharded_psi_round(system, attribute, num_threads, shard_plan, timings,
     outputs = []
     for server in system.servers[:2]:
         with timings.measure("server"):
-            out = server.psi_round_batch([column], num_threads,
-                                         shard_plan=shard_plan)[0]
+            out = server.psi_round_batch([column],
+                                         num_shards=num_shards)[0]
         transport.broadcast(server.endpoint, receivers, "psi-output", out)
         outputs.append(out)
     with timings.measure("owner"):
@@ -266,14 +265,14 @@ class ExtremaProgram(InteractiveProgram):
     Each per-value round runs Steps 3–5 (plus the optional verification
     re-blinding and the Steps 5b–7 identity round) for one common value.
     Argument semantics match :func:`repro.core.extrema.run_extrema`;
-    ``shard_plan`` overrides the deployment's χ-shard plan for the PSI
+    ``num_shards`` overrides the deployment's span count for the PSI
     sweep (``None`` keeps the servers' default).
     """
 
     def __init__(self, system, attribute, agg_attribute, kind: str = "max",
                  reveal_holders: bool = True, verify: bool = False,
-                 num_threads: int | None = None, querier: int = 0,
-                 common_values=None, shard_plan=None):
+                 *, querier: int = 0, common_values=None,
+                 num_shards: int | None = None):
         super().__init__()
         if kind not in ("max", "min"):
             raise ProtocolError(f"unknown extremum kind {kind!r}")
@@ -283,11 +282,9 @@ class ExtremaProgram(InteractiveProgram):
         self.kind = kind
         self.reveal_holders = reveal_holders
         self.verify = verify
-        self.num_threads = (num_threads if num_threads is not None
-                            else system.num_threads)
         self.querier = querier
         self.common_values = common_values
-        self.shard_plan = shard_plan
+        self.num_shards = num_shards
         self.timings = PhaseTimings()
         # Committed per-round state (survives a mid-round resume; a
         # value present here is never re-run).
@@ -302,8 +299,8 @@ class ExtremaProgram(InteractiveProgram):
         kind = self.kind
         if self.common_values is None:
             self.common_values = sharded_psi_round(
-                system, self.attribute, self.num_threads, self.shard_plan,
-                timings, self.querier)
+                system, self.attribute, self.num_shards, timings,
+                self.querier)
             yield
 
         per_value = self._per_value
@@ -383,19 +380,17 @@ class MedianProgram(InteractiveProgram):
     """
 
     def __init__(self, system, attribute, agg_attribute,
-                 verify: bool = False, num_threads: int | None = None,
-                 querier: int = 0, common_values=None, shard_plan=None):
+                 verify: bool = False, *, querier: int = 0,
+                 common_values=None, num_shards: int | None = None):
         super().__init__()
         if verify:
             raise QueryError("MEDIAN has no verification stream")
         self.system = system
         self.attribute = attribute
         self.agg_attribute = agg_attribute
-        self.num_threads = (num_threads if num_threads is not None
-                            else system.num_threads)
         self.querier = querier
         self.common_values = common_values
-        self.shard_plan = shard_plan
+        self.num_shards = num_shards
         self.timings = PhaseTimings()
         self._per_value: dict = {}
 
@@ -406,8 +401,8 @@ class MedianProgram(InteractiveProgram):
         timings = self.timings
         if self.common_values is None:
             self.common_values = sharded_psi_round(
-                system, self.attribute, self.num_threads, self.shard_plan,
-                timings, self.querier)
+                system, self.attribute, self.num_shards, timings,
+                self.querier)
             yield
 
         per_value = self._per_value
@@ -441,7 +436,7 @@ class BucketizedPsiProgram(InteractiveProgram):
     Each level's sweep runs through
     :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`
     restricted to the active nodes — shard-parallel under the
-    deployment's (or the per-call) shard plan, server-side on remote
+    deployment's (or the per-call) span count, server-side on remote
     deployments (the active cell indices travel, never the χ shares),
     and bit-identical to the historical slice-then-sweep path.  The
     result is the ``(SetResult, stats)`` pair of
@@ -449,17 +444,15 @@ class BucketizedPsiProgram(InteractiveProgram):
     """
 
     def __init__(self, system, attribute, tree: BucketTree,
-                 num_threads: int | None = None, querier: int = 0,
-                 announcer_driven: bool = False, shard_plan=None):
+                 *, querier: int = 0, announcer_driven: bool = False,
+                 num_shards: int | None = None):
         super().__init__()
         self.system = system
         self.attribute = attribute
         self.tree = tree
-        self.num_threads = (num_threads if num_threads is not None
-                            else system.num_threads)
         self.querier = querier
         self.announcer_driven = announcer_driven
-        self.shard_plan = shard_plan
+        self.num_shards = num_shards
         self.timings = PhaseTimings()
         # Committed per-round cursor: which level runs next and which
         # nodes are active there.  Counters commit with the cursor at
@@ -493,8 +486,7 @@ class BucketizedPsiProgram(InteractiveProgram):
             for server in system.servers[:2]:
                 with timings.measure("server"):
                     out = server.psi_cells_round_batch(
-                        [column], active, self.num_threads,
-                        shard_plan=self.shard_plan)[0]
+                        [column], active, num_shards=self.num_shards)[0]
                 for receiver in receivers:
                     transport.transfer(server.endpoint, receiver,
                                        f"bucketized-output-L{level}", out)

@@ -27,18 +27,17 @@ def psi_column_name(attribute: str | tuple, prefix: str = "") -> str:
 
 
 def run_psi(system, attribute: str | tuple, verify: bool = False,
-            num_threads: int | None = None, querier: int = 0,
+            *, querier: int = 0,
             owner_ids: list[int] | None = None) -> SetResult:
     """Execute a PSI query over the outsourced χ shares.
 
     Args:
         system: a :class:`~repro.core.system.PrismSystem` (or anything with
-            owners/servers/transport/num_threads).
+            owners/servers/transport).
         attribute: the PSI attribute ``A_c`` (or attribute tuple for
             multi-attribute PSI, §6.6).
         verify: also run and check the §5.2 verification stream; raises
             :class:`~repro.exceptions.VerificationError` on tampering.
-        num_threads: server-side thread count (default: system setting).
         querier: which owner finalises/decodes the result (all owners
             receive it; one representative does the bookkeeping here).
         owner_ids: restrict the query to a subset of owners (m becomes the
@@ -47,7 +46,6 @@ def run_psi(system, attribute: str | tuple, verify: bool = False,
     Returns:
         A :class:`SetResult` whose ``values`` are the intersection.
     """
-    threads = num_threads if num_threads is not None else system.num_threads
     column = psi_column_name(attribute)
     timings = PhaseTimings()
     transport = system.transport
@@ -63,9 +61,9 @@ def run_psi(system, attribute: str | tuple, verify: bool = False,
             vshares = (server.fetch_additive("v" + column, owner_ids)
                        if verify else None)
         with timings.measure("server"):
-            out = server.psi_round(column, threads, owner_ids, shares)
-            vout = (server.verification_round("v" + column, threads,
-                                              owner_ids, vshares)
+            out = server.psi_round(column, owner_ids, shares)
+            vout = (server.verification_round("v" + column, owner_ids,
+                                              vshares)
                     if verify else None)
         receivers = [o.endpoint for o in system.owners]
         transport.broadcast(server.endpoint, receivers, "psi-output", out)

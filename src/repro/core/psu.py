@@ -28,8 +28,7 @@ from repro.exceptions import ProtocolError, VerificationError
 
 
 def run_psu(system, attribute: str | tuple, verify: bool = False,
-            num_threads: int | None = None,
-            querier: int = 0, owner_ids: list[int] | None = None,
+            *, querier: int = 0, owner_ids: list[int] | None = None,
             query_nonce: int | None = None) -> SetResult:
     """Execute a PSU query over the outsourced χ shares.
 
@@ -39,7 +38,6 @@ def run_psu(system, attribute: str | tuple, verify: bool = False,
         verify: also run the complement-stream consistency check; raises
             :class:`~repro.exceptions.VerificationError` on tampering.
             Requires outsourcing ``with_verification``.
-        num_threads: server-side thread count (default: system setting).
         querier: owner that finalises the result.
         owner_ids: restrict to a subset of owners.
         query_nonce: freshness value for the mask stream; defaults to a
@@ -48,7 +46,6 @@ def run_psu(system, attribute: str | tuple, verify: bool = False,
     Returns:
         A :class:`SetResult` whose ``values`` are the union.
     """
-    threads = num_threads if num_threads is not None else system.num_threads
     column = psi_column_name(attribute)
     nonce = query_nonce if query_nonce is not None else system.next_nonce()
     timings = PhaseTimings()
@@ -64,10 +61,9 @@ def run_psu(system, attribute: str | tuple, verify: bool = False,
             vshares = (server.fetch_additive("v" + column, owner_ids)
                        if verify else None)
         with timings.measure("server"):
-            out = server.psu_round(column, nonce, threads, owner_ids, shares)
+            out = server.psu_round(column, nonce, owner_ids, shares)
             # The "nobody holds it" stream: Eq. 3 over the complement.
-            vout = (server.psi_round("v" + column, threads, owner_ids,
-                                     vshares)
+            vout = (server.psi_round("v" + column, owner_ids, vshares)
                     if verify else None)
         receivers = [o.endpoint for o in system.owners]
         transport.broadcast(server.endpoint, receivers, "psu-output", out)

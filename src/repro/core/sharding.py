@@ -6,10 +6,9 @@ cell of each input vector.  This module partitions those sweeps into
 contiguous shards and runs each shard as a ``kernel(lo, hi)`` span
 closure on a *persistent* thread pool, one pool per deployment:
 
-* :func:`shard_bounds` / :class:`ShardPlan` — the shard decomposition.
-  A plan is the shard count the batched server kernels
-  (:meth:`~repro.entities.server.PrismServer.psi_round_batch` and
-  friends) accept as a per-call override.
+* :func:`shard_bounds` — the shard decomposition of a sweep into
+  ``num_shards`` contiguous spans, the one parallelism setting every
+  layer carries (Exp 1's server "threads" are these spans).
 * :class:`ShardRuntime` — the thread pool.  The span closures are the
   compiled sweeps of :mod:`repro.kernels` (ctypes releases the GIL for
   each C call) or their numpy twins in :mod:`repro.entities.server`
@@ -18,9 +17,10 @@ closure on a *persistent* thread pool, one pool per deployment:
   share vectors in place, never over a stale snapshot.
 * :func:`usable_cpus` / :func:`auto_shard_plan` — the
   ``num_shards="auto"`` heuristic, sized to the CPUs this process may
-  run on.
-* :func:`attach_sharding` — wires one runtime + default plan onto a
-  deployment's servers (what ``PrismSystem`` calls).
+  run on; :func:`resolve_shards` turns any ``num_shards`` setting into
+  a span count.
+* :func:`attach_sharding` — wires one runtime + default span count onto
+  a deployment's servers (what ``PrismSystem`` calls).
 
 Bit-identity: every output cell depends only on the same cell of each
 input vector, so a span kernel computes over ``[lo, hi)`` exactly what
@@ -30,10 +30,12 @@ bit-identical to the unsharded sweep for every shard count.
 
 from __future__ import annotations
 
-import dataclasses
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+
+from repro.exceptions import ParameterError
 
 
 def shard_bounds(n: int, num_shards: int) -> list[tuple[int, int]]:
@@ -55,22 +57,6 @@ def usable_cpus() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardPlan:
-    """A shard decomposition handed to the batched server kernels.
-
-    Attributes:
-        num_shards: contiguous χ shards per sweep (``<= 1`` disables
-            sharding — useful as an explicit per-call override).
-    """
-
-    num_shards: int
-
-    def bounds(self, n: int) -> list[tuple[int, int]]:
-        """The shard spans of a length-``n`` sweep."""
-        return shard_bounds(n, self.num_shards)
 
 
 class ShardRuntime:
@@ -182,18 +168,36 @@ def auto_shard_plan(rows: int, cpu_count: int | None = None) -> int:
     return max(1, min(cpus, rows // AUTO_ROWS_PER_SHARD))
 
 
+def resolve_shards(num_shards, rows: int) -> int | None:
+    """The span count a ``num_shards`` setting names for a χ length.
+
+    ``None`` stays ``None`` (defer to the deployment default);
+    ``"auto"`` resolves through :func:`auto_shard_plan`; an ``int`` of
+    at least 1 (never a ``bool``) is taken as is.
+
+    Raises:
+        ParameterError: naming the value, for anything else.
+    """
+    if num_shards is None:
+        return None
+    if num_shards == "auto":
+        return auto_shard_plan(rows)
+    if (isinstance(num_shards, numbers.Integral)
+            and not isinstance(num_shards, bool) and num_shards >= 1):
+        return int(num_shards)
+    raise ParameterError(f"num_shards must be 'auto' or an int >= 1, "
+                         f"got {num_shards!r}")
+
+
 def attach_sharding(servers, num_shards: int) -> ShardRuntime:
     """Wire one shared :class:`ShardRuntime` onto a set of local servers.
 
     Every server sweeps on the returned runtime, whose
-    :meth:`~ShardRuntime.close` the caller owns.  ``num_shards > 1``
-    also sets each server's default shard plan and marks its store
-    shard-aware (contiguous partition bookkeeping).
+    :meth:`~ShardRuntime.close` the caller owns, in ``num_shards``
+    spans by default.
     """
     runtime = ShardRuntime()
-    plan = ShardPlan(num_shards) if num_shards > 1 else None
     for server in servers:
         server.runtime = runtime
-        server.shard_plan = plan
-        server.store.configure_sharding(num_shards)
+        server.num_shards = num_shards
     return runtime

@@ -44,7 +44,7 @@ from repro.core.results import (
     MedianResult,
     SetResult,
 )
-from repro.core.sharding import ShardPlan, attach_sharding, auto_shard_plan
+from repro.core.sharding import attach_sharding, resolve_shards
 from repro.crypto.groups import DEFAULT_ALPHA
 from repro.crypto.shamir import DEFAULT_FIELD_PRIME
 from repro.data.domain import Domain, ProductDomain
@@ -112,11 +112,11 @@ class PrismSystem:
         relations: one private relation per owner.
         domain: the PSI/PSU attribute domain.
         seed: master seed for all parameters and share randomness.
-        num_threads: default server-side thread count.
-        num_shards: default χ-table shard count.  ``> 1`` partitions every
-            share vector into that many contiguous shards and runs the
-            batched kernels shard-parallel on a persistent thread pool
-            shared by all three servers.  ``"auto"`` picks the shard
+        num_shards: default span count of every server sweep (an ``int``
+            of at least 1).  ``> 1`` partitions every share vector into
+            that many contiguous shards and runs the kernels
+            shard-parallel on a persistent thread pool shared by all
+            three servers.  ``"auto"`` picks the shard
             count from the χ length and the CPUs this process may use,
             with the threshold measured by
             ``benchmarks/bench_sharding.py``
@@ -164,8 +164,7 @@ class PrismSystem:
     """
 
     def __init__(self, relations: list[Relation], domain: Domain | ProductDomain,
-                 seed: int = 0, num_threads: int = 1,
-                 num_shards: int | str = 1,
+                 seed: int = 0, num_shards: int | str = 1,
                  delta: int | None = None, alpha: int = DEFAULT_ALPHA,
                  field_prime: int = DEFAULT_FIELD_PRIME,
                  value_bound: int = 10_000,
@@ -177,8 +176,12 @@ class PrismSystem:
         from repro.network.rpc import Deployment
         if len(relations) < 2:
             raise ParameterError("Prism needs at least two owners")
+        if num_shards is None:
+            raise ParameterError("num_shards=None defers to a deployment "
+                                 "default; a deployment needs 'auto' or "
+                                 "an int >= 1")
         self.domain = domain
-        self.num_threads = num_threads
+        self.num_shards = resolve_shards(num_shards, domain.size)
         self.rpc_timeout = rpc_timeout
         self.deployment = Deployment.parse(deployment,
                                            num_servers=NUM_SERVERS)
@@ -218,21 +221,16 @@ class PrismSystem:
         self._nonce = 0
         self._nonce_lock = threading.Lock()
         self._bucket_trees: dict[str, BucketTree] = {}
-        if num_shards == "auto":
-            self.num_shards = auto_shard_plan(domain.size)
-        else:
-            self.num_shards = max(1, int(num_shards))
         self._shard_runtime = None
         if self.deployment.is_local:
             self._shard_runtime = attach_sharding(self.servers,
                                                   self.num_shards)
-        elif self.num_shards > 1:
+        else:
             # Remote stores are out of reach of a local thread pool:
-            # ship the shard *count* as each proxy's default plan and let
-            # the hosts execute it (bit-identical either way).
-            plan = ShardPlan(self.num_shards)
+            # each proxy ships the shard count and the hosts execute it
+            # (bit-identical either way).
             for server in self.servers:
-                server.shard_plan = plan
+                server.num_shards = self.num_shards
 
     def _connect_servers(self, factories: dict) -> list:
         """Build the server proxies of a non-local deployment."""
@@ -370,27 +368,6 @@ class PrismSystem:
             self._nonce += 1
             return self._nonce
 
-    # -- sharded execution ----------------------------------------------------
-
-    def shard_plan_for(self, num_shards: int | str | None
-                       ) -> ShardPlan | None:
-        """A per-call :class:`ShardPlan` override for the batched kernels.
-
-        ``None`` keeps the servers' deployment default; ``<= 1`` returns
-        a one-shard plan (disables sharding for the call); ``> 1`` splits
-        the call's sweeps into that many shards on the deployment's
-        thread pool.  ``"auto"`` resolves the shard count from the χ
-        length and the usable CPUs
-        (:func:`repro.core.sharding.auto_shard_plan`).  On non-local
-        deployments the shard count travels over the channel and the
-        entity hosts execute it.
-        """
-        if num_shards is None:
-            return None
-        if num_shards == "auto":
-            num_shards = auto_shard_plan(self.domain.size)
-        return ShardPlan(max(1, int(num_shards)))
-
     def close(self) -> None:
         """Release execution resources: pools, and — remotely — channels.
 
@@ -471,14 +448,12 @@ class PrismSystem:
     def relations(self) -> list[Relation]:
         return [owner.relation for owner in self.owners]
 
-    def client(self, num_threads: int | None = None,
-               num_shards: int | str | None = None):
+    def client(self, num_shards: int | str | None = None):
         """Open a session-style :class:`repro.api.PrismClient` on this
         deployment (per-session query/traffic stats, ``EXPLAIN``, fluent
         builders, concurrent ``submit`` with batch coalescing)."""
         from repro.api.client import PrismClient
-        return PrismClient(self, num_threads=num_threads,
-                           num_shards=num_shards)
+        return PrismClient(self, num_shards=num_shards)
 
     # -- the unified execution path -------------------------------------------
 
@@ -495,8 +470,8 @@ class PrismSystem:
             self._executor = Executor(self)
         return self._executor
 
-    def run_batch(self, queries, num_threads: int | None = None,
-                  num_shards: int | None = None) -> list:
+    def run_batch(self, queries,
+                  num_shards: int | str | None = None) -> list:
         """Execute many queries as fused server sweeps (Phase 2–4 at once).
 
         The batch planner groups the queries by kernel family and runs
@@ -514,23 +489,19 @@ class PrismSystem:
         Args:
             queries: iterable of :class:`~repro.core.batch.BatchQuery`,
                 Table-4 SQL strings, parsed query plans, or keyword dicts.
-            num_threads: server-side thread count (default: system
-                setting).
-            num_shards: χ-table shard count for this batch (default:
+            num_shards: span count of this batch's sweeps (default:
                 system setting; ``1`` forces the unsharded sweep).
 
         Returns:
             One result object per query, in input order.
         """
-        return QueryBatch(self, queries, num_threads=num_threads,
-                          num_shards=num_shards).execute()
+        return QueryBatch(self, queries, num_shards=num_shards).execute()
 
     def _lower(self, set_op, attribute, kwargs, aggregates=(), verify=False,
                reveal_holders=True, bucketized=False):
-        """Lower legacy method arguments to (plan, num_threads, options)."""
+        """Lower legacy method arguments to (plan, options)."""
         from repro.api.plan import LogicalPlan
         kwargs = dict(kwargs)
-        num_threads = kwargs.pop("num_threads", None)
         querier = kwargs.pop("querier", 0)
         owner_ids = kwargs.pop("owner_ids", None)
         plan = LogicalPlan(
@@ -540,7 +511,7 @@ class PrismSystem:
             owner_ids=tuple(owner_ids) if owner_ids is not None else None,
             querier=querier,
         )
-        return plan, num_threads, kwargs
+        return plan, kwargs
 
     def _summary(self, set_op, fn, attribute, agg_attributes, verify,
                  kwargs) -> dict[str, AggregateResult]:
@@ -549,10 +520,10 @@ class PrismSystem:
             agg_attributes = [agg_attributes]
         if not agg_attributes:
             raise ProtocolError("no aggregation attributes given")
-        plan, num_threads, options = self._lower(
+        plan, options = self._lower(
             set_op, attribute, kwargs,
             aggregates=tuple((fn, a) for a in agg_attributes), verify=verify)
-        out = self.executor.execute(plan, num_threads=num_threads, **options)
+        out = self.executor.execute(plan, **options)
         attrs = list(dict.fromkeys(agg_attributes))
         if len(attrs) == 1:
             return {attrs[0]: out}
@@ -562,28 +533,26 @@ class PrismSystem:
 
     def psi(self, attribute, verify: bool = False, **kwargs) -> SetResult:
         """Private set intersection over ``attribute`` (§5.1/§5.2)."""
-        plan, num_threads, options = self._lower("psi", attribute, kwargs,
-                                                 verify=verify)
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        plan, options = self._lower("psi", attribute, kwargs, verify=verify)
+        return self.executor.execute(plan, **options)
 
     def psu(self, attribute, verify: bool = False, **kwargs) -> SetResult:
         """Private set union over ``attribute`` (§7), optionally verified."""
-        plan, num_threads, options = self._lower("psu", attribute, kwargs,
-                                                 verify=verify)
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        plan, options = self._lower("psu", attribute, kwargs, verify=verify)
+        return self.executor.execute(plan, **options)
 
     def psi_count(self, attribute, verify: bool = False, **kwargs) -> CountResult:
         """Intersection cardinality only (§6.5)."""
-        plan, num_threads, options = self._lower(
+        plan, options = self._lower(
             "psi", attribute, kwargs, aggregates=(("COUNT", None),),
             verify=verify)
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        return self.executor.execute(plan, **options)
 
     def psu_count(self, attribute, **kwargs) -> CountResult:
         """Union cardinality only (§6.5 applied to PSU)."""
-        plan, num_threads, options = self._lower(
+        plan, options = self._lower(
             "psu", attribute, kwargs, aggregates=(("COUNT", None),))
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        return self.executor.execute(plan, **options)
 
     # -- summary aggregations ----------------------------------------------------
 
@@ -620,18 +589,18 @@ class PrismSystem:
         ``verify=True`` reruns the announcer round under fresh blinding
         and requires agreement (the re-blinding consistency check).
         """
-        plan, num_threads, options = self._lower(
+        plan, options = self._lower(
             "psi", attribute, kwargs, aggregates=(("MAX", agg_attribute),),
             verify=verify, reveal_holders=reveal_holders)
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        return self.executor.execute(plan, **options)
 
     def psi_min(self, attribute, agg_attribute, reveal_holders: bool = True,
                 verify: bool = False, **kwargs) -> ExtremaResult:
         """Minimum per common value (§6.3 with FindMin)."""
-        plan, num_threads, options = self._lower(
+        plan, options = self._lower(
             "psi", attribute, kwargs, aggregates=(("MIN", agg_attribute),),
             verify=verify, reveal_holders=reveal_holders)
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        return self.executor.execute(plan, **options)
 
     def psi_median(self, attribute, agg_attribute, verify: bool = False,
                    **kwargs) -> MedianResult:
@@ -642,15 +611,15 @@ class PrismSystem:
         the plan IR and :func:`~repro.core.extrema.run_median` produce,
         so every path fails alike.
         """
-        plan, num_threads, options = self._lower(
+        plan, options = self._lower(
             "psi", attribute, kwargs, aggregates=(("MEDIAN", agg_attribute),),
             verify=verify)
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        return self.executor.execute(plan, **options)
 
     # -- bucketized PSI -------------------------------------------------------------
 
     def bucketized_psi(self, attribute, **kwargs) -> tuple[SetResult, dict]:
         """Bucketized PSI (§6.6); requires :meth:`outsource_bucketized`."""
-        plan, num_threads, options = self._lower("psi", attribute, kwargs,
-                                                 bucketized=True)
-        return self.executor.execute(plan, num_threads=num_threads, **options)
+        plan, options = self._lower("psi", attribute, kwargs,
+                                    bucketized=True)
+        return self.executor.execute(plan, **options)

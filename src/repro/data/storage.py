@@ -17,11 +17,8 @@ share list once, not once per row group — and the cache is dropped on
 every :meth:`~ServerStore.put`, which also bumps
 :attr:`~ServerStore.version`.
 
-A store can additionally be marked *shard-aware*
-(:meth:`~ServerStore.configure_sharding`): the sharded execution layer
-(:mod:`repro.core.sharding`) then reads every χ-length vector as
-``num_shards`` contiguous partitions through
-:meth:`~ServerStore.shard_slice`.
+A span-scoped sweep reads one contiguous χ partition of a vector
+through :meth:`~ServerStore.shard_slice`.
 """
 
 from __future__ import annotations
@@ -79,7 +76,6 @@ class ServerStore:
     def __init__(self):
         self._data: dict[tuple[int, str], StoredColumn] = {}
         self._version = 0
-        self._num_shards = 1  # deployment bookkeeping; see configure_sharding
         # (column, kind, resolved owner tuple) -> list of share vectors.
         self._fetch_cache: dict[tuple, list[np.ndarray]] = {}
         self._fetch_hits = 0
@@ -93,19 +89,6 @@ class ServerStore:
         compare versions to decide whether their view is stale.
         """
         return self._version
-
-    @property
-    def num_shards(self) -> int:
-        """Contiguous χ partitions this store is configured for."""
-        return self._num_shards
-
-    def configure_sharding(self, num_shards: int) -> None:
-        """Mark the store shard-aware: reads arrive as ``num_shards``
-        contiguous partitions per vector (see :meth:`shard_slice`).  The
-        span *decomposition* itself lives in the execution layer
-        (:func:`repro.core.sharding.shard_bounds`), which sits above the
-        data layer."""
-        self._num_shards = max(1, int(num_shards))
 
     def shard_slice(self, owner_id: int, column: str, lo: int,
                     hi: int) -> np.ndarray:

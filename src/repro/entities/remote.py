@@ -21,11 +21,10 @@ Two deliberate translations happen at this boundary:
   the store memoises fetches); if the caller actually *reads* the
   shares (the bucketized runner slices active nodes), the handle
   materialises them over the wire on first access.
-* **Shard plans become shard counts.**  A local thread pool cannot
-  reach a remote store; the proxy ships the
-  :class:`~repro.core.sharding.ShardPlan`'s shard *count* and the host
-  executes it on its own pool — bit-identical by the sharding layer's
-  span contract.
+* **Shard counts travel.**  A local thread pool cannot reach a remote
+  store; the proxy ships a sweep's ``num_shards`` and the host executes
+  it on its own pool — bit-identical by the sharding layer's span
+  contract.
 """
 
 from __future__ import annotations
@@ -118,9 +117,9 @@ class RemoteServer:
         self.params = params
         self.channel = channel
         self.endpoint = Endpoint(Role.SERVER, index)
-        #: Deployment-default shard plan (shard *count* only; the
+        #: Deployment-default span count of the batched sweeps (the
         #: runtime, if any, lives host-side).
-        self.shard_plan = None
+        self.num_shards = 1
         #: Whether sharded cell-restricted sweeps may be issued as
         #: span-scoped RPC frames (one request per shard span,
         #: concatenated client-side).  Only sound against an unmodified
@@ -159,40 +158,36 @@ class RemoteServer:
 
     # -- 1-D kernels ----------------------------------------------------------
 
-    def psi_round(self, column, num_threads: int = 1, owner_ids=None,
-                  shares=None):
+    def psi_round(self, column, owner_ids=None, shares=None):
         return self._group_out(self.channel.call(
-            "psi_round", column, num_threads, self._owners(owner_ids),
+            "psi_round", column, self._owners(owner_ids),
             shares=_wire_shares(shares)))
 
-    def verification_round(self, column, num_threads: int = 1, owner_ids=None,
-                           shares=None):
+    def verification_round(self, column, owner_ids=None, shares=None):
         return self._group_out(self.channel.call(
-            "verification_round", column, num_threads,
-            self._owners(owner_ids), shares=_wire_shares(shares)))
+            "verification_round", column, self._owners(owner_ids),
+            shares=_wire_shares(shares)))
 
-    def psu_round(self, column, query_nonce: int, num_threads: int = 1,
-                  owner_ids=None, shares=None):
+    def psu_round(self, column, query_nonce: int, owner_ids=None,
+                  shares=None):
         return self._additive_out(self.channel.call(
-            "psu_round", column, int(query_nonce), num_threads,
-            self._owners(owner_ids), shares=_wire_shares(shares)))
+            "psu_round", column, int(query_nonce), self._owners(owner_ids),
+            shares=_wire_shares(shares)))
 
-    def count_round(self, column, num_threads: int = 1, owner_ids=None,
-                    shares=None, use_pf_s2: bool = False):
+    def count_round(self, column, owner_ids=None, shares=None,
+                    use_pf_s2: bool = False):
         return self._group_out(self.channel.call(
-            "count_round", column, num_threads, self._owners(owner_ids),
+            "count_round", column, self._owners(owner_ids),
             shares=_wire_shares(shares), use_pf_s2=bool(use_pf_s2)))
 
-    def count_verification_round(self, column, num_threads: int = 1,
-                                 owner_ids=None, shares=None):
+    def count_verification_round(self, column, owner_ids=None, shares=None):
         return self._group_out(self.channel.call(
-            "count_verification_round", column, num_threads,
-            self._owners(owner_ids), shares=_wire_shares(shares)))
+            "count_verification_round", column, self._owners(owner_ids),
+            shares=_wire_shares(shares)))
 
-    def aggregate_round(self, column, z_share, num_threads: int = 1,
-                        owner_ids=None, shares=None):
+    def aggregate_round(self, column, z_share, owner_ids=None, shares=None):
         return self._shamir_out(self.channel.call(
-            "aggregate_round", column, self._z(z_share), num_threads,
+            "aggregate_round", column, self._z(z_share),
             self._owners(owner_ids), shares=_wire_shares(shares)))
 
     # -- span fan-out ---------------------------------------------------------
@@ -205,14 +200,14 @@ class RemoteServer:
         decomposition is only worth its frames when the channel can
         serve them concurrently — always when it fans out over a host
         pool, and (for the cell-restricted bucketized sweeps,
-        ``pool_only=False``) when an explicit shard plan asks for
-        span-scoped wire traffic on a single host.  Every span must
+        ``pool_only=False``) when a shard count asks for span-scoped
+        wire traffic on a single host.  Every span must
         clear the :data:`SPAN_DISPATCH_MIN_CELLS` floor.
         """
         if not self.span_dispatch or length <= 0:
             return None
         fan_out = int(getattr(self.channel, "fan_out", 1) or 1)
-        fan = max(num_shards or 1, fan_out)
+        fan = max(num_shards, fan_out)
         if pool_only and fan_out <= 1:
             return None
         if fan <= 1 or fan > length or length < fan * SPAN_DISPATCH_MIN_CELLS:
@@ -230,7 +225,7 @@ class RemoteServer:
 
     def _scatter_psi(self, columns, owner_ids, subtract_m, bounds):
         frames = [
-            ({"a": [columns, 1, self._owners(owner_ids)],
+            ({"a": [columns, self._owners(owner_ids)],
               "k": {"subtract_m": subtract_m}}, (lo, hi))
             for lo, hi in bounds
         ]
@@ -238,8 +233,8 @@ class RemoteServer:
 
     # -- fused 2-D kernels ----------------------------------------------------
 
-    def psi_round_batch(self, columns, num_threads: int = 1, owner_ids=None,
-                        subtract_m=None, shard_plan=None):
+    def psi_round_batch(self, columns, owner_ids=None, subtract_m=None,
+                        num_shards: int | None = None):
         """Fused Eq. 3 / Eq. 7 sweep, fanned out across a host pool.
 
         Over a pooled channel against an unmodified host
@@ -251,25 +246,22 @@ class RemoteServer:
         permutes the χ table, so ``params.pf.size`` *is* b.
         """
         columns = list(columns)
-        num_shards = self._shards(shard_plan)
+        num_shards = self._shards(num_shards)
         bounds = self._span_bounds(self.params.pf.size, num_shards,
                                    pool_only=True) if columns else None
         if bounds is not None:
             return self._group_out(self._scatter_psi(
                 columns, owner_ids, self._flags(subtract_m), bounds))
         return self._group_out(self.channel.call(
-            "psi_round_batch", columns, num_threads,
-            self._owners(owner_ids),
-            subtract_m=self._flags(subtract_m),
-            num_shards=num_shards))
+            "psi_round_batch", columns, self._owners(owner_ids),
+            subtract_m=self._flags(subtract_m), num_shards=num_shards))
 
-    def psi_cells_round_batch(self, columns, cells, num_threads: int = 1,
-                              owner_ids=None, subtract_m=None,
-                              shard_plan=None):
+    def psi_cells_round_batch(self, columns, cells, owner_ids=None,
+                              subtract_m=None, num_shards: int | None = None):
         """Cell-restricted Eq. 3 sweep; only the cell *indices* travel.
 
         The bucketized per-level rounds call this instead of
-        materialising χ shares client-side.  Under a shard plan or a
+        materialising χ shares client-side.  Under a shard count or a
         host pool against an unmodified host (:attr:`span_dispatch`),
         the sweep is issued as one span-scoped RPC frame per shard of
         the cells array — scattered concurrently across the channel
@@ -279,7 +271,7 @@ class RemoteServer:
         locally (bit-identical either way).
         """
         cells = np.asarray(cells, dtype=np.int64)
-        num_shards = self._shards(shard_plan)
+        num_shards = self._shards(num_shards)
         bounds = self._span_bounds(int(cells.size), num_shards,
                                    pool_only=False) if len(columns) else None
         if bounds is not None:
@@ -287,7 +279,7 @@ class RemoteServer:
             # (span over the slice), so a cell index travels and is
             # validated exactly once across the shard frames.
             frames = [
-                ({"a": [list(columns), cells[lo:hi], num_threads,
+                ({"a": [list(columns), cells[lo:hi],
                         self._owners(owner_ids)],
                   "k": {"subtract_m": self._flags(subtract_m)}},
                  (0, hi - lo))
@@ -296,12 +288,12 @@ class RemoteServer:
             return self._group_out(
                 self._scatter_spans("psi_cells_round_batch", frames))
         return self._group_out(self.channel.call(
-            "psi_cells_round_batch", list(columns), cells, num_threads,
+            "psi_cells_round_batch", list(columns), cells,
             self._owners(owner_ids), subtract_m=self._flags(subtract_m),
             num_shards=num_shards))
 
-    def count_round_batch(self, columns, num_threads: int = 1, owner_ids=None,
-                          subtract_m=None, use_pf_s2=None, shard_plan=None):
+    def count_round_batch(self, columns, owner_ids=None, subtract_m=None,
+                          use_pf_s2=None, num_shards: int | None = None):
         """Fused §6.5 sweep: pooled fan-out + client-side permutation.
 
         The §6.5 sweep is the Eq. 3 sweep followed by a *post-sweep*
@@ -313,7 +305,7 @@ class RemoteServer:
         permutation commutes with span concatenation by construction.
         """
         columns = list(columns)
-        num_shards = self._shards(shard_plan)
+        num_shards = self._shards(num_shards)
         bounds = self._span_bounds(self.params.pf.size, num_shards,
                                    pool_only=True) if columns else None
         if bounds is not None:
@@ -328,14 +320,13 @@ class RemoteServer:
                 out[row] = pf.apply(out[row])
             return out
         return self._group_out(self.channel.call(
-            "count_round_batch", columns, num_threads,
-            self._owners(owner_ids),
+            "count_round_batch", columns, self._owners(owner_ids),
             subtract_m=self._flags(subtract_m),
             use_pf_s2=self._flags(use_pf_s2),
             num_shards=num_shards))
 
-    def psu_round_batch(self, columns, query_nonces, num_threads: int = 1,
-                        owner_ids=None, permute=None, shard_plan=None):
+    def psu_round_batch(self, columns, query_nonces, owner_ids=None,
+                        permute=None, num_shards: int | None = None):
         """Fused Eq. 18 sweep, fanned out across a host pool.
 
         Span frames request the *unpermuted* masked sweep (each host
@@ -346,12 +337,12 @@ class RemoteServer:
         """
         columns = list(columns)
         nonces = [int(nonce) for nonce in query_nonces]
-        num_shards = self._shards(shard_plan)
+        num_shards = self._shards(num_shards)
         bounds = self._span_bounds(self.params.pf.size, num_shards,
                                    pool_only=True) if columns else None
         if bounds is not None:
             frames = [
-                ({"a": [columns, nonces, 1, self._owners(owner_ids)],
+                ({"a": [columns, nonces, self._owners(owner_ids)],
                   "k": {}}, (lo, hi))
                 for lo, hi in bounds
             ]
@@ -367,12 +358,11 @@ class RemoteServer:
                         out[row] = self.params.pf_s1.apply(out[row])
             return out
         return self._additive_out(self.channel.call(
-            "psu_round_batch", columns, nonces, num_threads,
-            self._owners(owner_ids), permute=self._flags(permute),
-            num_shards=num_shards))
+            "psu_round_batch", columns, nonces, self._owners(owner_ids),
+            permute=self._flags(permute), num_shards=num_shards))
 
-    def aggregate_round_batch(self, columns, z_matrix, num_threads: int = 1,
-                              owner_ids=None, shard_plan=None):
+    def aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
+                              num_shards: int | None = None):
         """Fused Eq. 11 sweep, fanned out across a host pool.
 
         Each span frame ships only its own slice of the querier-dealt
@@ -381,14 +371,14 @@ class RemoteServer:
         """
         columns = list(columns)
         z_matrix = self._z(z_matrix)
-        num_shards = self._shards(shard_plan)
+        num_shards = self._shards(num_shards)
         bounds = None
         if columns and z_matrix.ndim == 2 and z_matrix.shape[0] == len(columns):
             bounds = self._span_bounds(int(z_matrix.shape[1]), num_shards,
                                        pool_only=True)
         if bounds is not None:
             frames = [
-                ({"a": [columns, z_matrix[:, lo:hi], 1,
+                ({"a": [columns, z_matrix[:, lo:hi],
                         self._owners(owner_ids)],
                   "k": {}}, (lo, hi))
                 for lo, hi in bounds
@@ -396,7 +386,7 @@ class RemoteServer:
             return self._shamir_out(
                 self._scatter_spans("aggregate_round_batch", frames))
         return self._shamir_out(self.channel.call(
-            "aggregate_round_batch", columns, z_matrix, num_threads,
+            "aggregate_round_batch", columns, z_matrix,
             self._owners(owner_ids), num_shards=num_shards))
 
     # -- extrema machinery ----------------------------------------------------
@@ -470,8 +460,5 @@ class RemoteServer:
     def _flags(flags):
         return [bool(flag) for flag in flags] if flags is not None else None
 
-    def _shards(self, shard_plan):
-        plan = shard_plan if shard_plan is not None else self.shard_plan
-        if plan is None or plan.num_shards <= 1:
-            return None
-        return int(plan.num_shards)
+    def _shards(self, num_shards: int | None) -> int:
+        return num_shards or self.num_shards

@@ -30,11 +30,12 @@ run as a batch of one) and the entity host's span-scoped requests.
 :meth:`~PrismServer.extrema_collect` / :meth:`~PrismServer.fpos_round`
 the §6.3 max machinery.
 
-The sweeps accept a ``num_threads`` argument (and the batched kernels a
-:class:`~repro.core.sharding.ShardPlan`) and split the χ table into
-contiguous spans on the deployment's *persistent* thread pool
+Every sweep splits the χ table into contiguous spans on the
+deployment's *persistent* thread pool
 (:class:`~repro.core.sharding.ShardRuntime`), bit-identically for every
-span count; Exp 1 (Fig. 3) sweeps the thread count.  Malicious servers
+span count: :attr:`PrismServer.num_shards` spans by default, or the
+batched kernels' per-call ``num_shards``; Exp 1 (Fig. 3) sweeps it as
+the server thread count.  Malicious servers
 override one post-sweep seam, :meth:`PrismServer.tamper`, which every
 sweep calls once per output row, so fault injection runs the same
 kernels as honest deployments.
@@ -189,10 +190,10 @@ class PrismServer:
         self.params = params
         self.store = ServerStore()
         self.endpoint = Endpoint(Role.SERVER, index)
-        #: Default :class:`~repro.core.sharding.ShardPlan` for the batched
-        #: kernels (set by ``attach_sharding``; ``None`` = unsharded).
-        self.shard_plan = None
-        #: The thread pool every chunked sweep runs on (``attach_sharding``
+        #: Span count of every sweep that names none (the deployment
+        #: default, set by ``attach_sharding``).
+        self.num_shards = 1
+        #: The thread pool every sweep runs on (``attach_sharding``
         #: replaces it with the deployment's shared runtime).
         self.runtime = ShardRuntime()
 
@@ -205,13 +206,6 @@ class PrismServer:
         pool).
         """
         self.runtime.close()
-
-    def _sweep_chunks(self, num_threads: int, shard_plan) -> int:
-        """Span count of a sweep: the thread count or the shard count of
-        ``shard_plan`` (default: the server's own plan), whichever is
-        larger."""
-        plan = shard_plan if shard_plan is not None else self.shard_plan
-        return max(num_threads, plan.num_shards if plan is not None else 1)
 
     def tamper(self, kind: str, column: str, row: np.ndarray) -> np.ndarray:
         """The post-sweep seam: an honest server returns ``row`` untouched.
@@ -335,7 +329,8 @@ class PrismServer:
                 for nonce in query_nonces]
 
     def _psi_rows(self, columns, share_lists, subtract_m, owner_ids,
-                  chunks: int, cells: np.ndarray | None = None) -> np.ndarray:
+                  num_shards: int | None = None,
+                  cells: np.ndarray | None = None) -> np.ndarray:
         """The rows of a fused Eq. 3 / Eq. 7 sweep over χ (or ``cells``),
         then tampered."""
         params = self.params
@@ -349,12 +344,13 @@ class PrismServer:
             self._batch_m_shares(subtract_m, num_owners, owner_ids),
             num_owners)
         out = np.empty((len(columns), n), dtype=params.group_dtype)
-        self.runtime.run(psi_sweep(share_lists, tables, out, cells), n, chunks)
+        self.runtime.run(psi_sweep(share_lists, tables, out, cells), n,
+                         num_shards or self.num_shards)
         kinds = ["psi" if flag else "verification" for flag in subtract_m]
         return self._tamper_rows(out, kinds, columns)
 
     def _psu_rows(self, columns, query_nonces, share_lists,
-                  chunks: int) -> np.ndarray:
+                  num_shards: int | None = None) -> np.ndarray:
         """The rows of a fused Eq. 18 sweep, then tampered.
 
         ``share_lists`` holds one entry per *distinct* column, in order
@@ -370,7 +366,8 @@ class PrismServer:
         out = np.empty((len(columns), n), dtype=dtype)
         self.runtime.run(psu_sweep(share_lists, acc, row_map,
                                    self._psu_keys(query_nonces),
-                                   self.params.delta, out), n, chunks)
+                                   self.params.delta, out), n,
+                         num_shards or self.num_shards)
         return self._tamper_rows(out, ["psu"] * len(columns), columns)
 
     def admit_z(self, z_matrix) -> np.ndarray:
@@ -389,7 +386,7 @@ class PrismServer:
         return np.require(z_matrix, requirements=["ALIGNED", "C_CONTIGUOUS"])
 
     def _agg_rows(self, columns, share_lists, z_matrix,
-                  chunks: int) -> np.ndarray:
+                  num_shards: int | None = None) -> np.ndarray:
         """The rows of a fused Eq. 11 sweep, then tampered."""
         z_matrix = self.admit_z(z_matrix)
         if z_matrix.ndim != 2 or z_matrix.shape[0] != len(columns):
@@ -406,7 +403,8 @@ class PrismServer:
             )
         out = np.empty((len(columns), n), dtype=dtype)
         self.runtime.run(agg_sweep(share_lists, z_matrix,
-                                   self.params.field_prime, out), n, chunks)
+                                   self.params.field_prime, out), n,
+                         num_shards or self.num_shards)
         return self._tamper_rows(out, ["aggregate"] * len(columns), columns)
 
     # -- 1-D kernels (a batch of one) ------------------------------------------
@@ -415,16 +413,14 @@ class PrismServer:
     # :meth:`fetch_shamir`) so the caller can time the data-fetch step
     # separately, as Exp 1 does.
 
-    def psi_round(self, column: str, num_threads: int = 1,
-                  owner_ids: list[int] | None = None,
+    def psi_round(self, column: str, owner_ids: list[int] | None = None,
                   shares: list[np.ndarray] | None = None) -> np.ndarray:
         """The oblivious PSI kernel (Eq. 3) over all owners' χ shares."""
         if shares is None:
             shares = self.fetch_additive(column, owner_ids)
-        return self._psi_rows([column], [shares], [True], owner_ids,
-                              self._sweep_chunks(num_threads, None))[0]
+        return self._psi_rows([column], [shares], [True], owner_ids)[0]
 
-    def verification_round(self, column: str, num_threads: int = 1,
+    def verification_round(self, column: str,
                            owner_ids: list[int] | None = None,
                            shares: list[np.ndarray] | None = None) -> np.ndarray:
         """The verification kernel (Eq. 7) over the complement table.
@@ -434,20 +430,17 @@ class PrismServer:
         """
         if shares is None:
             shares = self.fetch_additive(column, owner_ids)
-        return self._psi_rows([column], [shares], [False], owner_ids,
-                              self._sweep_chunks(num_threads, None))[0]
+        return self._psi_rows([column], [shares], [False], owner_ids)[0]
 
-    def psu_round(self, column: str, query_nonce: int, num_threads: int = 1,
+    def psu_round(self, column: str, query_nonce: int,
                   owner_ids: list[int] | None = None,
                   shares: list[np.ndarray] | None = None) -> np.ndarray:
         """The PSU kernel (Eq. 18), masked with the ``query_nonce`` stream."""
         if shares is None:
             shares = self.fetch_additive(column, owner_ids)
-        return self._psu_rows([column], [query_nonce], [shares],
-                              self._sweep_chunks(num_threads, None))[0]
+        return self._psu_rows([column], [query_nonce], [shares])[0]
 
-    def count_round(self, column: str, num_threads: int = 1,
-                    owner_ids: list[int] | None = None,
+    def count_round(self, column: str, owner_ids: list[int] | None = None,
                     shares: list[np.ndarray] | None = None,
                     use_pf_s2: bool = False) -> np.ndarray:
         """§6.5: PSI output permuted server-side before leaving the server.
@@ -460,20 +453,19 @@ class PrismServer:
         ``PF_db2``): by Eq. (1) both arrive permuted by the same unknown
         ``PF_i``, so the owner can pair cells without learning positions.
         """
-        out = self.psi_round(column, num_threads, owner_ids, shares)
+        out = self.psi_round(column, owner_ids, shares)
         pf = self.params.pf_s2 if use_pf_s2 else self.params.pf_s1
         return pf.apply(out)
 
-    def count_verification_round(self, column: str, num_threads: int = 1,
+    def count_verification_round(self, column: str,
                                  owner_ids: list[int] | None = None,
                                  shares: list[np.ndarray] | None = None
                                  ) -> np.ndarray:
         """Complement stream for count verification, permuted by ``PF_s2``."""
-        out = self.verification_round(column, num_threads, owner_ids, shares)
+        out = self.verification_round(column, owner_ids, shares)
         return self.params.pf_s2.apply(out)
 
     def aggregate_round(self, column: str, z_share: np.ndarray,
-                        num_threads: int = 1,
                         owner_ids: list[int] | None = None,
                         shares: list[np.ndarray] | None = None) -> np.ndarray:
         """The aggregation kernel (Eq. 11) against one indicator share.
@@ -483,8 +475,8 @@ class PrismServer:
         """
         if shares is None:
             shares = self.fetch_shamir(column, owner_ids)
-        return self._agg_rows([column], [shares], np.asarray(z_share)[None],
-                              self._sweep_chunks(num_threads, None))[0]
+        return self._agg_rows([column], [shares],
+                              np.asarray(z_share)[None])[0]
 
     # -- batched 2-D kernels (multi-query fused sweeps) ------------------------
 
@@ -496,9 +488,9 @@ class PrismServer:
             raise ProtocolError(f"{name} flags must match the column count")
         return list(flags)
 
-    def psi_round_batch(self, columns, num_threads: int = 1,
-                        owner_ids: list[int] | None = None,
-                        subtract_m=None, shard_plan=None) -> np.ndarray:
+    def psi_round_batch(self, columns, owner_ids: list[int] | None = None,
+                        subtract_m=None,
+                        num_shards: int | None = None) -> np.ndarray:
         """Fused multi-query Eq. 3 / Eq. 7 sweep (2-D :meth:`psi_round`).
 
         Row ``q`` of the returned ``(Q, b)`` matrix is bit-identical to
@@ -509,7 +501,7 @@ class PrismServer:
         access-pattern hiding is preserved — the instruction sequence
         depends only on the batch shape, never on the data.
 
-        ``shard_plan`` (default: the server's own plan) runs the sweep
+        ``num_shards`` (default: :attr:`num_shards`) spans run
         shard-parallel on the deployment's thread pool; outputs stay
         bit-identical to the unsharded sweep for every shard count.
         """
@@ -518,11 +510,12 @@ class PrismServer:
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
         return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
-                              self._sweep_chunks(num_threads, shard_plan))
+                              num_shards)
 
-    def psi_cells_round_batch(self, columns, cells, num_threads: int = 1,
+    def psi_cells_round_batch(self, columns, cells,
                               owner_ids: list[int] | None = None,
-                              subtract_m=None, shard_plan=None) -> np.ndarray:
+                              subtract_m=None,
+                              num_shards: int | None = None) -> np.ndarray:
         """Fused Eq. 3 / Eq. 7 sweep restricted to a subset of χ cells.
 
         Row ``q`` of the returned ``(Q, len(cells))`` matrix equals
@@ -533,7 +526,7 @@ class PrismServer:
         computed, which is the whole point of the bucket tree.
 
         ``cells`` is a 1-D array of χ cell indices, in output order.
-        ``shard_plan`` decomposes the *cells array* into contiguous
+        ``num_shards`` decomposes the *cells array* into contiguous
         shards and runs them on the deployment's thread pool, like
         :meth:`psi_round_batch`.
         """
@@ -547,13 +540,11 @@ class PrismServer:
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
         return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
-                              self._sweep_chunks(num_threads, shard_plan),
-                              cells)
+                              num_shards, cells)
 
-    def count_round_batch(self, columns, num_threads: int = 1,
-                          owner_ids: list[int] | None = None,
+    def count_round_batch(self, columns, owner_ids: list[int] | None = None,
                           subtract_m=None, use_pf_s2=None,
-                          shard_plan=None) -> np.ndarray:
+                          num_shards: int | None = None) -> np.ndarray:
         """Fused multi-query §6.5 sweep (2-D :meth:`count_round`).
 
         Data-stream rows (``subtract_m`` true, the default) leave permuted
@@ -564,16 +555,17 @@ class PrismServer:
         if not len(columns):
             raise ProtocolError("batched count sweep needs at least one column")
         use_pf_s2 = self._row_flags(use_pf_s2, columns, "use_pf_s2", False)
-        out = self.psi_round_batch(columns, num_threads, owner_ids, subtract_m,
-                                   shard_plan=shard_plan)
+        out = self.psi_round_batch(columns, owner_ids, subtract_m,
+                                   num_shards=num_shards)
         for row, flag in enumerate(use_pf_s2):
             pf = self.params.pf_s2 if flag else self.params.pf_s1
             out[row] = pf.apply(out[row])
         return out
 
-    def psu_round_batch(self, columns, query_nonces, num_threads: int = 1,
+    def psu_round_batch(self, columns, query_nonces,
                         owner_ids: list[int] | None = None,
-                        permute=None, shard_plan=None) -> np.ndarray:
+                        permute=None,
+                        num_shards: int | None = None) -> np.ndarray:
         """Fused multi-query Eq. 18 sweep (2-D :meth:`psu_round`).
 
         Row ``q`` equals ``psu_round(columns[q], query_nonces[q])`` — each
@@ -594,30 +586,27 @@ class PrismServer:
         permute = self._row_flags(permute, columns, "permute", False)
         share_lists = [self.fetch_additive(c, owner_ids)
                        for c in dict.fromkeys(columns)]
-        out = self._psu_rows(columns, query_nonces, share_lists,
-                             self._sweep_chunks(num_threads, shard_plan))
+        out = self._psu_rows(columns, query_nonces, share_lists, num_shards)
         for row, flag in enumerate(permute):
             if flag:
                 out[row] = self.params.pf_s1.apply(out[row])
         return out
 
     def aggregate_round_batch(self, columns, z_matrix: np.ndarray,
-                              num_threads: int = 1,
                               owner_ids: list[int] | None = None,
-                              shard_plan=None) -> np.ndarray:
+                              num_shards: int | None = None) -> np.ndarray:
         """Fused multi-query Eq. 11 sweep (2-D :meth:`aggregate_round`).
 
         ``z_matrix`` stacks one indicator-share vector per query row;
         ``columns[q]`` names the Shamir aggregation column row ``q``
         multiplies into.  Row ``q`` is bit-identical to
-        ``aggregate_round(columns[q], z_matrix[q])``; a ``shard_plan``
-        runs the sweep shard-parallel.
+        ``aggregate_round(columns[q], z_matrix[q])``; ``num_shards``
+        overrides the sweep's span count.
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
         share_lists = [self.fetch_shamir(c, owner_ids) for c in columns]
-        return self._agg_rows(columns, share_lists, z_matrix,
-                              self._sweep_chunks(num_threads, shard_plan))
+        return self._agg_rows(columns, share_lists, z_matrix, num_shards)
 
     # -- extrema machinery (§6.3) ---------------------------------------------
 

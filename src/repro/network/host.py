@@ -22,7 +22,8 @@ fused sweep — span-local share slices swept by the same span kernel
 selectors the server's own sweeps run (:func:`~repro.entities.server.
 psi_sweep` and friends) — which is the hook a multi-connection distributed dispatcher shards
 sweeps across hosts with.  Whole-sweep requests may instead carry a
-``num_shards`` keyword, which the host honours on its own thread pool.
+``num_shards`` keyword, which the kernel honours on the host's own
+thread pool.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import threading
 
 import numpy as np
 
-from repro.core.sharding import ShardPlan
 from repro.crypto.widths import check_stream
 from repro.data.storage import ShareKind
 from repro.entities.server import PrismServer, agg_sweep, psi_sweep, psu_sweep
@@ -78,12 +78,6 @@ SERVER_METHODS = frozenset({
     "fpos_round",
     "forward",
     "close",
-})
-
-#: Kernels that accept a per-call shard plan (shipped as ``num_shards``).
-_SHARDED_KERNELS = frozenset({
-    "psi_round_batch", "psi_cells_round_batch", "count_round_batch",
-    "psu_round_batch", "aggregate_round_batch",
 })
 
 #: Kernels whose second positional argument is the querier's indicator
@@ -137,12 +131,6 @@ class ServerAdapter:
                 and isinstance(args[1], np.ndarray)):
             check_stream(args[1], params.field_prime,
                          "indicator share matrix")
-        if kind in _SHARDED_KERNELS:
-            num_shards = kwargs.pop("num_shards", None)
-            if num_shards is not None and int(num_shards) > 1:
-                # The host shards on its own thread pool; outputs are
-                # bit-identical for every shard count.
-                kwargs["shard_plan"] = ShardPlan(int(num_shards))
         if message.span != FULL_SPAN:
             # Every span-scoped request goes through the span path,
             # which loudly rejects unsupported kinds — silently
@@ -188,14 +176,14 @@ class ServerAdapter:
             return self._agg_span(server, columns, args, kwargs, lo, hi)
         cells = None
         if kind == "psi_cells_round_batch":
-            # (columns, cells, num_threads, owner_ids) positionally.
+            # (columns, cells, owner_ids, subtract_m) positionally.
             cells = args[1] if len(args) > 1 else kwargs.get("cells")
             if cells is None:
                 raise ProtocolError("malformed span request: no cells")
             cells = np.asarray(cells, dtype=np.int64)
-            owner_slot, flag_slot = 3, 4
-        else:
             owner_slot, flag_slot = 2, 3
+        else:
+            owner_slot, flag_slot = 1, 2
         owner_ids = kwargs.get("owner_ids")
         if owner_ids is None and len(args) > owner_slot:
             owner_ids = args[owner_slot]
@@ -264,9 +252,9 @@ class ServerAdapter:
     def _psu_span(self, server, columns, args, kwargs, lo, hi):
         """One span of the *unpermuted* fused Eq. 18 sweep.
 
-        ``(columns, query_nonces, num_threads, owner_ids)``
-        positionally.  Mirrors ``psu_round_batch``'s dedup: share sums
-        are computed once per distinct column and broadcast by row_map;
+        ``(columns, query_nonces, owner_ids, permute)`` positionally.
+        Mirrors ``psu_round_batch``'s dedup: share sums are computed
+        once per distinct column and broadcast by row_map;
         each row's mask span is derived by seeking the counter-mode PRG
         (bit-identical to slicing the full stream).  The post-sweep
         ``PF_s1`` of permute-flagged rows is *not* span-local, so span
@@ -279,15 +267,15 @@ class ServerAdapter:
         if len(nonces) != len(columns):
             raise ProtocolError("query_nonces must match the column count")
         permute = kwargs.get("permute")
-        if permute is None and len(args) > 4:
-            permute = args[4]
+        if permute is None and len(args) > 3:
+            permute = args[3]
         if permute is not None and any(permute):
             raise ProtocolError(
                 "span-scoped PSU serves the unpermuted sweep; the "
                 "dispatcher applies PF_s1 after concatenation")
         owner_ids = kwargs.get("owner_ids")
-        if owner_ids is None and len(args) > 3:
-            owner_ids = args[3]
+        if owner_ids is None and len(args) > 2:
+            owner_ids = args[2]
         uniq = list(dict.fromkeys(columns))
         row_map = [uniq.index(column) for column in columns]
         owners, b = self._span_owners(server, uniq, owner_ids)
@@ -305,7 +293,7 @@ class ServerAdapter:
     def _agg_span(self, server, columns, args, kwargs, lo, hi):
         """One span of the fused Eq. 11 sweep.
 
-        ``(columns, z_block, num_threads, owner_ids)`` positionally —
+        ``(columns, z_block, owner_ids)`` positionally —
         the frame ships only *this span's* slice of the querier-dealt
         indicator-share matrix, so the z traffic shards with the sweep.
         """
@@ -317,8 +305,8 @@ class ServerAdapter:
                 f"z block of shape {z_block.shape} does not cover span "
                 f"({lo}, {hi}) for {len(columns)} rows")
         owner_ids = kwargs.get("owner_ids")
-        if owner_ids is None and len(args) > 3:
-            owner_ids = args[3]
+        if owner_ids is None and len(args) > 2:
+            owner_ids = args[2]
         owners, b = self._span_owners(server, columns, owner_ids)
         if hi > b:
             raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {b}")

@@ -127,9 +127,7 @@ class GatewayClient:
 
     # -- queries --------------------------------------------------------------
 
-    def submit(self, query, dataset: str | None = None,
-               num_threads: int | None = None,
-               num_shards: int | None = None) -> GatewayFuture:
+    def submit(self, query, dataset: str | None = None) -> GatewayFuture:
         """Pipeline one query; returns a future-like reply handle.
 
         All submissions in flight at the gateway dataset's next drain
@@ -138,10 +136,6 @@ class GatewayClient:
         """
         payload = {"dataset": self._dataset(dataset),
                    "query": proto.query_to_wire(query, self.planner)}
-        if num_threads is not None:
-            payload["num_threads"] = int(num_threads)
-        if num_shards is not None:
-            payload["num_shards"] = num_shards
         try:
             pending = self._conn.request(RpcMessage(proto.QUERY, payload))
         except ConnectionLost as exc:
@@ -151,9 +145,7 @@ class GatewayClient:
         self._queries += 1
         return GatewayFuture(pending, self.request_timeout, self.address)
 
-    def execute(self, query, dataset: str | None = None,
-                num_threads: int | None = None,
-                num_shards: int | None = None):
+    def execute(self, query, dataset: str | None = None):
         """Run one query of any supported form, blocking for its result.
 
         SQL strings may carry an ``EXPLAIN`` prefix, in which case the
@@ -164,8 +156,7 @@ class GatewayClient:
             was_explain, rest = split_explain(query)
             if was_explain:
                 return self.explain(rest, dataset=dataset)
-        return self.submit(query, dataset=dataset, num_threads=num_threads,
-                           num_shards=num_shards).result()
+        return self.submit(query, dataset=dataset).result()
 
     def execute_many(self, queries, dataset: str | None = None) -> list:
         """Run many queries; all are pipelined before any reply is read."""

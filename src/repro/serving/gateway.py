@@ -434,10 +434,7 @@ class Gateway:
         dataset, query = self._resolve_query(tenant, payload)
         self.admission.admit(tenant)
         try:
-            future = dataset.client.submit(
-                query,
-                num_threads=payload.get("num_threads"),
-                num_shards=payload.get("num_shards"))
+            future = dataset.client.submit(query)
         except BaseException:
             self.admission.release()
             raise
@@ -461,6 +458,12 @@ class Gateway:
         """Authorize the dataset ref and re-hydrate the wire query."""
         if not isinstance(payload, dict) or "dataset" not in payload:
             raise ProtocolError("query payload must name a dataset")
+        extra = set(payload) - {"dataset", "query"}
+        if extra:
+            # Execution options such as the sweeps' span count belong to
+            # the dataset's deployment, never to one tenant's request.
+            raise ProtocolError(
+                f"query payload carries unsupported fields {sorted(extra)}")
         dataset = self.registry.resolve(tenant, payload["dataset"])
         return dataset, proto.query_from_wire(payload.get("query"))
 

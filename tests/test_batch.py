@@ -126,8 +126,8 @@ def test_batch_accepts_sql_and_dicts():
 
 
 def test_batch_threads_match_single_thread():
-    single = build_hospitals().run_batch(MIXED_QUERIES, num_threads=1)
-    threaded = build_hospitals().run_batch(MIXED_QUERIES, num_threads=4)
+    single = build_hospitals().run_batch(MIXED_QUERIES, num_shards=1)
+    threaded = build_hospitals().run_batch(MIXED_QUERIES, num_shards=4)
     for query, a, b in zip(MIXED_QUERIES, single, threaded):
         assert_results_equal(query, a, b)
 

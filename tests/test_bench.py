@@ -68,6 +68,28 @@ class TestExperimentsTinyScale:
         for points in payload["series"].values():
             assert len(points) == 2
 
+    def test_exp1_threads_set_the_sweep_span_count(self, monkeypatch):
+        """Fig. 3's thread axis reaches the servers: 2 threads split the
+        sweeps into spans on the shard runtime, 1 thread does not."""
+        from repro.bench import experiments
+        from repro.core import sharding
+        monkeypatch.setattr(sharding, "usable_cpus", lambda: 4)
+        systems = []
+
+        def capture(**kwargs):
+            systems.append(build_system(**kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(experiments, "build_system", capture)
+        dispatches = {}
+        for threads in (1, 2):
+            exp1_threads(domain_size=128, num_owners=3,
+                         thread_counts=(threads,))
+            with systems[-1] as system:
+                dispatches[threads] = system._shard_runtime.dispatches
+        assert dispatches[1] == 0
+        assert dispatches[2] > 0
+
     def test_exp2(self):
         payload = exp2_multiattr(domain_sizes=[64], attr_counts=(1, 2),
                                  num_owners=3)

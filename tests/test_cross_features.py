@@ -33,7 +33,7 @@ class TestThreadsTimesVerification:
     def test_threaded_verified_psi(self):
         system = PrismSystem.build(
             rel_fleet([{1, 2, 9}, {2, 9, 30}]), Domain("k", DOMAIN32), "k",
-            with_verification=True, num_threads=4, seed=1)
+            with_verification=True, num_shards=4, seed=1)
         result = system.psi("k", verify=True)
         assert result.verified
         assert set(result.values) == {2, 9}
@@ -42,7 +42,7 @@ class TestThreadsTimesVerification:
         system = PrismSystem.build(
             rel_fleet([{1, 2}, {2, 3}], with_values=True),
             Domain("k", DOMAIN32), "k", agg_attributes=("v",),
-            with_verification=True, num_threads=3, seed=1)
+            with_verification=True, num_shards=3, seed=1)
         result = system.psi_sum("k", "v", verify=True)["v"]
         assert result.verified
 
@@ -97,7 +97,7 @@ class TestBucketizedTimesThreads:
     def test_threaded_bucketized(self):
         system = PrismSystem.build(
             rel_fleet([{4, 7, 30}, {7, 30, 31}]), Domain("k", DOMAIN32),
-            "k", num_threads=4, seed=7)
+            "k", num_shards=4, seed=7)
         system.outsource_bucketized("k", fanout=4)
         result, _ = system.bucketized_psi("k")
         assert set(result.values) == {7, 30}

@@ -450,7 +450,7 @@ class TestSpanKernels:
         for span in ((0, 3), (3, 8)):
             reply = adapter.dispatch(RpcMessage(
                 "psi_round_batch",
-                {"a": [["k", "k"], 1, None],
+                {"a": [["k", "k"], None],
                  "k": {"subtract_m": [True, False]}}, span=span))
             assert reply.kind == "__result__"
             parts.append(reply.payload)
@@ -466,7 +466,7 @@ class TestSpanKernels:
         for span in ((0, 5), (5, 8)):
             reply = adapter.dispatch(RpcMessage(
                 "psu_round_batch",
-                {"a": [["k", "k"], [5, 9], 1, None], "k": {}}, span=span))
+                {"a": [["k", "k"], [5, 9], None], "k": {}}, span=span))
             assert reply.kind == "__result__"
             parts.append(reply.payload)
         assert np.array_equal(np.concatenate(parts, axis=1), full)
@@ -484,7 +484,7 @@ class TestSpanKernels:
             lo, hi = span
             reply = adapter.dispatch(RpcMessage(
                 "aggregate_round_batch",
-                {"a": [["amt", "amt"], z[:, lo:hi], 1, None], "k": {}},
+                {"a": [["amt", "amt"], z[:, lo:hi], None], "k": {}},
                 span=span))
             assert reply.kind == "__result__"
             parts.append(reply.payload)
@@ -572,13 +572,12 @@ class TestHostServing:
         proxy = RemoteServer(0, params, channel)
         assert proxy.ping()["entity"] == "server"
         # Ship the local twin's shares, then sweep remotely — sharded,
-        # so the host builds its local plan from the shipped count.
+        # so the host sweeps at the shipped shard count.
         local = system.servers[0]
         for owner_id in range(3):
             stored = local.store.get(owner_id, "k")
             proxy.receive_shares(owner_id, "k", stored.values, stored.kind)
-        from repro.core.sharding import ShardPlan
-        out = proxy.psi_round_batch(["k"], shard_plan=ShardPlan(2))
+        out = proxy.psi_round_batch(["k"], num_shards=2)
         assert np.array_equal(out, local.psi_round_batch(["k"]))
         channel.close()
         system.close()

@@ -227,6 +227,24 @@ class TestTenancy:
             with pytest.raises(QueryError, match="no dataset named"):
                 client.execute(PSI_SQL, dataset="nope")
 
+    @pytest.mark.parametrize("field", ["num_shards", "num_threads"])
+    def test_query_may_not_set_server_span_count(self, gateway, field):
+        """The dataset's deployment owns its sweeps' span count: a raw
+        QUERY frame naming one is refused typed, and nothing runs."""
+        from repro.network.rpc import RpcMessage
+        from repro.serving import session as proto
+        funnel = gateway.registry.resolve("alpha", "hospital").client
+        with _connect(gateway) as client:
+            payload = {"dataset": "hospital",
+                       "query": proto.query_to_wire(PSI_SQL, client.planner),
+                       field: 65536}
+            with pytest.raises(ProtocolError, match=field):
+                client._conn.request(
+                    RpcMessage(proto.QUERY, payload)).result(10.0)
+            assert funnel.stats["scheduler"]["submitted"] == 0
+            # The session stays usable for well-formed queries.
+            assert client.execute(PSI_SQL).values
+
     def test_shared_dataset_crosses_tenants(self, gateway,
                                             hospital_relations,
                                             disease_domain):

@@ -127,7 +127,7 @@ class TestTcpShardMatrix:
             assert server.span_dispatch
             cells = np.asarray([1, 2, 3, 5, 8, 13], dtype=np.int64)
             full = server.psi_cells_round_batch(["k"], cells)
-            payload = {"a": [["k"], cells, 1, None], "k": {}}
+            payload = {"a": [["k"], cells, None], "k": {}}
             halves = [
                 server.channel.send(RpcMessage(
                     "psi_cells_round_batch", payload, span=span)).payload

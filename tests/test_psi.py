@@ -72,7 +72,7 @@ class TestPsiCorrectness:
         sets = [set(range(1, 13)), set(range(6, 17))]
         base = make_system(sets, domain_values=DOMAIN16).psi("A").values
         threaded = make_system(sets, domain_values=DOMAIN16).psi(
-            "A", num_threads=4).values
+            "A", num_shards=4).values
         assert base == threaded
 
 

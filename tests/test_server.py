@@ -62,9 +62,11 @@ class TestPsiKernel:
 
     def test_thread_counts_agree(self):
         _, _, servers = deploy([set(range(1, 40)), set(range(20, 60))])
-        base = servers[0].psi_round("A", num_threads=1)
+        base = servers[0].psi_round("A")
         for threads in (2, 3, 8):
-            assert np.array_equal(servers[0].psi_round("A", threads), base)
+            assert np.array_equal(
+                servers[0].psi_round_batch(["A"], num_shards=threads)[0],
+                base)
 
     def test_subset_m_shares_sum(self):
         initiator, _, servers = deploy([{1, 2}, {2, 3}, {3, 4}])

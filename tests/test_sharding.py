@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -22,14 +23,14 @@ import pytest
 from repro import BatchQuery, Domain, PrismSystem, Relation
 from repro.core import sharding
 from repro.core.sharding import (
-    ShardPlan,
     ShardRuntime,
     attach_sharding,
+    resolve_shards,
     shard_bounds,
 )
 from repro.entities.adversary import SkipCellsServer
 from repro.entities.server import PrismServer
-from repro.exceptions import VerificationError
+from repro.exceptions import ParameterError, VerificationError
 
 
 def build_fleet(num_shards: int = 1, num_values: int = 41, **kwargs):
@@ -230,23 +231,18 @@ class TestShardBounds:
     def test_never_more_shards_than_cells(self):
         assert len(shard_bounds(3, 10)) <= 3
 
-    def test_plan_bounds(self):
-        plan = ShardPlan(4)
-        assert plan.bounds(8) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
 
 def test_attach_sharding_wires_servers_and_store():
     with build_fleet() as system:
         runtime = attach_sharding(system.servers, 3)
         try:
             assert all(s.runtime is runtime for s in system.servers)
-            assert all(s.shard_plan.num_shards == 3 for s in system.servers)
-            assert all(s.store.num_shards == 3 for s in system.servers)
+            assert all(s.num_shards == 3 for s in system.servers)
             store = system.servers[0].store
             whole = store.get(0, "A").values
             spans = [store.shard_slice(0, "A", lo, hi)
-                     for lo, hi in system.servers[0].shard_plan.bounds(
-                         whole.shape[0])]
+                     for lo, hi in shard_bounds(
+                         whole.shape[0], system.servers[0].num_shards)]
             assert len(spans) == 3
             assert np.array_equal(np.concatenate(spans), whole)
         finally:
@@ -316,15 +312,15 @@ def test_server_reuses_one_thread_pool_across_calls(monkeypatch):
         assert runtime is system._shard_runtime  # shared by the deployment
         assert all(s.runtime is runtime for s in system.servers)
         assert runtime._pool is None
-        server.psi_round("A", num_threads=2)
+        server.psi_round_batch(["A"], num_shards=2)
         pool = runtime._pool
         assert pool is not None
-        server.psi_round("A", num_threads=2)
+        server.psi_round_batch(["A"], num_shards=2)
         assert runtime._pool is pool  # not rebuilt per call
-        server.psi_round("A", num_threads=4)
+        server.psi_round_batch(["A"], num_shards=4)
         assert runtime._pool is not pool  # grown once, then persistent
         grown = runtime._pool
-        server.psi_round("A", num_threads=3)
+        server.psi_round_batch(["A"], num_shards=3)
         assert runtime._pool is grown
         server.close()
         assert runtime._pool is None
@@ -461,7 +457,7 @@ class TestAutoShards:
             assert sorted(system.psi("A").values) == [2, 3]
             # The per-call "auto" resolution must agree with the
             # construction-time one (same χ length, same heuristic).
-            assert system.shard_plan_for("auto").num_shards == \
+            assert resolve_shards("auto", system.domain.size) == \
                 system.num_shards
         finally:
             system.close()
@@ -473,5 +469,34 @@ class TestAutoShards:
                 result = client.execute(
                     "SELECT A FROM o0 INTERSECT SELECT A FROM o1")
                 assert sorted(result.values) == [2]
+        finally:
+            system.close()
+
+    BAD_SHARD_COUNTS = [2.7, 0, -3, True, False, "Auto", "2", 2.0]
+
+    @pytest.mark.parametrize("value", BAD_SHARD_COUNTS + [None])
+    def test_build_rejects_malformed_counts(self, value):
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            make_system([{1, 2}, {2, 3}], num_shards=value)
+
+    @pytest.mark.parametrize("value", BAD_SHARD_COUNTS)
+    def test_per_call_rejects_malformed_counts(self, value):
+        system = make_system([{1, 2}, {2, 3}])
+        try:
+            for call in (lambda: system.psi("A", num_shards=value),
+                         lambda: system.run_batch([BatchQuery("psi", "A")],
+                                                  num_shards=value)):
+                with pytest.raises(ParameterError,
+                                   match=re.escape(repr(value))):
+                    call()
+        finally:
+            system.close()
+
+    def test_per_call_none_keeps_the_deployment_default(self):
+        assert resolve_shards(None, 10**6) is None
+        assert resolve_shards(3, 10) == 3
+        system = make_system([{1, 2}, {2, 3}], num_shards=2)
+        try:
+            assert system.psi("A", num_shards=None).values == [2]
         finally:
             system.close()
