@@ -1,8 +1,9 @@
 """Batched multi-query execution: per-query latency amortisation.
 
 Not a paper artefact — this benchmark supports the serving-engine
-extension (:meth:`PrismSystem.run_batch`): N concurrent queries fused
-into one server sweep per kernel family instead of N independent sweeps.
+extension (:meth:`Executor.execute_many`): N concurrent queries fused
+into one server sweep per kernel family instead of N independent sweeps
+(the baseline runs one unfused ``Executor.execute`` per query).
 
 Expected shape: batches dominated by indicator sweeps (PSI / counts) and
 by overlapping aggregations amortise ~3-4x per query, because fused rows
@@ -22,8 +23,8 @@ import time
 
 import pytest
 
+from repro import Q
 from repro.bench.harness import build_system
-from repro.core.batch import BatchQuery, QueryBatch
 
 
 def batch_domain() -> int:
@@ -38,33 +39,38 @@ def system():
 
 
 MIXED_QUERIES = [
-    BatchQuery("psi", "OK"),
-    BatchQuery("psi_count", "OK"),
-    BatchQuery("psi", "OK"),
-    BatchQuery("psi_count", "OK"),
-    BatchQuery("psu", "OK"),
-    BatchQuery("psu_count", "OK"),
-    BatchQuery("psi_sum", "OK", agg_attributes=("DT",)),
-    BatchQuery("psi_average", "OK", agg_attributes=("PK",)),
-    BatchQuery("psi_sum", "OK", agg_attributes=("PK",)),
-    BatchQuery("psi", "OK"),
+    Q.psi("OK"),
+    Q.psi("OK").count(),
+    Q.psi("OK"),
+    Q.psi("OK").count(),
+    Q.psu("OK"),
+    Q.psu("OK").count(),
+    Q.psi("OK").sum("DT"),
+    Q.psi("OK").avg("PK"),
+    Q.psi("OK").sum("PK"),
+    Q.psi("OK"),
 ]
 
 SET_QUERIES = [
-    BatchQuery("psi", "OK"),
-    BatchQuery("psi_count", "OK"),
+    Q.psi("OK"),
+    Q.psi("OK").count(),
 ] * 5
 
 AGG_QUERIES = [
-    BatchQuery("psi_sum", "OK", agg_attributes=("DT",)),
-    BatchQuery("psi_sum", "OK", agg_attributes=("PK",)),
-    BatchQuery("psi_average", "OK", agg_attributes=("DT",)),
-    BatchQuery("psi_average", "OK", agg_attributes=("PK",)),
+    Q.psi("OK").sum("DT"),
+    Q.psi("OK").sum("PK"),
+    Q.psi("OK").avg("DT"),
+    Q.psi("OK").avg("PK"),
 ] * 2
 
 
 def run_sequential(system, queries):
-    return [q.run_sequential(system) for q in queries]
+    """One unfused batch-of-one per query."""
+    return [system.executor.execute(q) for q in queries]
+
+
+def run_fused(system, queries):
+    return system.executor.execute_many(queries)
 
 
 def test_sequential_loop_mixed(benchmark, system):
@@ -74,7 +80,7 @@ def test_sequential_loop_mixed(benchmark, system):
 
 def test_fused_batch_mixed(benchmark, system):
     benchmark.group = "batch-mixed"
-    benchmark(system.run_batch, MIXED_QUERIES)
+    benchmark(run_fused, system, MIXED_QUERIES)
 
 
 def test_sequential_loop_set_queries(benchmark, system):
@@ -84,7 +90,7 @@ def test_sequential_loop_set_queries(benchmark, system):
 
 def test_fused_batch_set_queries(benchmark, system):
     benchmark.group = "batch-set"
-    benchmark(system.run_batch, SET_QUERIES)
+    benchmark(run_fused, system, SET_QUERIES)
 
 
 def test_sequential_loop_aggregations(benchmark, system):
@@ -94,7 +100,7 @@ def test_sequential_loop_aggregations(benchmark, system):
 
 def test_fused_batch_aggregations(benchmark, system):
     benchmark.group = "batch-agg"
-    benchmark(system.run_batch, AGG_QUERIES)
+    benchmark(run_fused, system, AGG_QUERIES)
 
 
 def test_batch_amortization_report(system, capsys):
@@ -123,15 +129,14 @@ def test_batch_amortization_report(system, capsys):
                               ("set-heavy", SET_QUERIES),
                               ("agg-heavy", AGG_QUERIES)):
             seq = best_of(lambda: run_sequential(system, queries))
-            fused = best_of(lambda: system.run_batch(queries))
+            fused = best_of(lambda: run_fused(system, queries))
             speedups[name] = seq / fused
             print(f"  {name:10s} sequential {seq / len(queries) * 1e3:7.2f} "
                   f"ms/query   fused {fused / len(queries) * 1e3:7.2f} "
                   f"ms/query   speedup {seq / fused:5.2f}x")
 
-    batch = QueryBatch(system, MIXED_QUERIES)
-    batch.execute()
-    assert batch.stats["plan"]["rows_deduplicated"] > 0
+    run_fused(system, MIXED_QUERIES)
+    assert system.executor.last_dispatch["rows_deduplicated"] > 0
     # Sweep-dominated mixes must show clear per-query amortisation; the
     # mixed bound stays loose because PSU mask streams are per-query.
     assert speedups["set-heavy"] > 1.5

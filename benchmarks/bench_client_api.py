@@ -7,8 +7,7 @@ single queries (batch of one) as well as for fused multi-query
 submission through ``PrismClient.execute_many``.
 
 Expected shape: ``unified-single`` within a few percent of
-``runner-single`` (the sweep dominates; lowering is dict work), and
-``client-many`` tracking ``run_batch`` exactly (same engine underneath).
+``runner-single`` (the sweep dominates; lowering is dict work).
 """
 
 from __future__ import annotations
@@ -74,16 +73,3 @@ def test_client_execute_many(benchmark, system, client):
     benchmark.group = "client-many"
     benchmark(client.execute_many, FLUENT_QUERIES)
 
-
-def test_run_batch_reference(benchmark, system):
-    """The same workload through the raw batch layer."""
-    benchmark.group = "client-many"
-    specs = [
-        {"kind": "psi", "attribute": "OK"},
-        {"kind": "psi_count", "attribute": "OK"},
-        {"kind": "psu", "attribute": "OK"},
-        {"kind": "psi_sum", "attribute": "OK", "agg_attributes": ("DT",)},
-        {"kind": "psi_average", "attribute": "OK", "agg_attributes": ("PK",)},
-        {"kind": "psi_sum", "attribute": "OK", "agg_attributes": ("DT", "PK")},
-    ]
-    benchmark(system.run_batch, specs)

@@ -4,7 +4,7 @@ subprocess / tcp channels.
 Not a paper artefact — this benchmark supports the pluggable-deployment
 layer (:mod:`repro.network.rpc`).  It runs one fixed mixed workload
 (PSI, PSU, counts, SUM — the batchable Table-4 kinds, fused per tick by
-``run_batch``) against the *same* data under each deployment mode and
+``Executor.execute_many``) against the *same* data under each deployment mode and
 reports:
 
 * ``rows_per_sec`` — χ cells swept per second (b × kernel rows /
@@ -35,6 +35,7 @@ import os
 import sys
 import time
 
+from repro import Q
 from repro.bench.harness import build_system
 from repro.network.host import (
     launch_forked_pools,
@@ -43,17 +44,17 @@ from repro.network.host import (
 )
 
 
-def workload(queries_per_kind: int) -> list[dict]:
+def workload(queries_per_kind: int) -> list[Q]:
     """A mixed batchable workload, identical across deployment modes."""
     kinds = [
-        {"kind": "psi", "attribute": "OK"},
-        {"kind": "psu", "attribute": "OK"},
-        {"kind": "psi_count", "attribute": "OK"},
-        {"kind": "psu_count", "attribute": "OK"},
-        {"kind": "psi_sum", "attribute": "OK", "agg_attributes": ("DT",)},
-        {"kind": "psi_average", "attribute": "OK", "agg_attributes": ("DT",)},
+        Q.psi("OK"),
+        Q.psu("OK"),
+        Q.psi("OK").count(),
+        Q.psu("OK").count(),
+        Q.psi("OK").sum("DT"),
+        Q.psi("OK").avg("DT"),
     ]
-    return [dict(kind) for _ in range(queries_per_kind) for kind in kinds]
+    return kinds * queries_per_kind
 
 
 def bench_mode(mode: str, spec: str, args) -> dict:
@@ -62,13 +63,13 @@ def bench_mode(mode: str, spec: str, args) -> dict:
                           agg_attributes=("DT",), seed=7,
                           deployment=spec)
     queries = workload(args.queries_per_kind)
-    system.run_batch(queries[:6])  # warm caches / channels / pools
+    system.executor.execute_many(queries[:6])  # warm caches / channels / pools
     wire_before = system.channel_stats()
     model_before = system.transport.stats.total_bytes
     best = float("inf")
     for _ in range(args.repeats):
         start = time.perf_counter()
-        results = system.run_batch(queries)
+        results = system.executor.execute_many(queries)
         best = min(best, time.perf_counter() - start)
         assert len(results) == len(queries)
     wire_after = system.channel_stats()

@@ -31,6 +31,7 @@ import signal
 import sys
 import time
 
+from repro import Q
 from repro.bench.harness import build_system
 from repro.network.host import (
     launch_forked_pools,
@@ -42,17 +43,17 @@ from repro.network.supervisor import HostSupervisor
 POOL_SIZE = 2
 
 
-def workload(queries_per_kind: int) -> list[dict]:
+def workload(queries_per_kind: int) -> list[Q]:
     """The bench_deployment batchable mix, identical across phases."""
     kinds = [
-        {"kind": "psi", "attribute": "OK"},
-        {"kind": "psu", "attribute": "OK"},
-        {"kind": "psi_count", "attribute": "OK"},
-        {"kind": "psu_count", "attribute": "OK"},
-        {"kind": "psi_sum", "attribute": "OK", "agg_attributes": ("DT",)},
-        {"kind": "psi_average", "attribute": "OK", "agg_attributes": ("DT",)},
+        Q.psi("OK"),
+        Q.psu("OK"),
+        Q.psi("OK").count(),
+        Q.psu("OK").count(),
+        Q.psi("OK").sum("DT"),
+        Q.psi("OK").avg("DT"),
     ]
-    return [dict(kind) for _ in range(queries_per_kind) for kind in kinds]
+    return kinds * queries_per_kind
 
 
 def time_passes(system, queries, repeats: int) -> float:
@@ -60,7 +61,7 @@ def time_passes(system, queries, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        results = system.run_batch(queries)
+        results = system.executor.execute_many(queries)
         best = min(best, time.perf_counter() - start)
         assert len(results) == len(queries)
     return best
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
             deployment=pools_spec(pools), rpc_timeout=120.0)
         supervisor = HostSupervisor(system, pools, processes,
                                     poll_interval=0.05).start()
-        system.run_batch(queries[:6])  # warm caches / channels / pools
+        system.executor.execute_many(queries[:6])  # warm caches / channels / pools
 
         healthy = time_passes(system, queries, args.repeats)
 
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(10)
         start = time.perf_counter()
-        results = system.run_batch(queries)
+        results = system.executor.execute_many(queries)
         failover_latency = time.perf_counter() - start
         assert len(results) == len(queries)
         assert system.pool_health()["status"] == "degraded"

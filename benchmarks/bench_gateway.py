@@ -35,6 +35,7 @@ import sys
 import threading
 import time
 
+from repro import Q
 from repro.bench.harness import generate_fleet, lineitem_domain
 from repro.serving import Gateway, GatewayClient
 
@@ -42,12 +43,12 @@ TENANTS = {"tok-alpha": "alpha", "tok-beta": "beta"}
 DATASET = "alpha/lineitem"
 
 WORKLOAD = [
-    {"kind": "psi", "attribute": "OK"},
-    {"kind": "psu", "attribute": "OK"},
-    {"kind": "psi_count", "attribute": "OK"},
-    {"kind": "psu_count", "attribute": "OK"},
-    {"kind": "psi_sum", "attribute": "OK", "agg_attributes": ("DT",)},
-    {"kind": "psi_average", "attribute": "OK", "agg_attributes": ("DT",)},
+    Q.psi("OK"),
+    Q.psu("OK"),
+    Q.psi("OK").count(),
+    Q.psu("OK").count(),
+    Q.psi("OK").sum("DT"),
+    Q.psi("OK").avg("DT"),
 ]
 
 
@@ -63,7 +64,7 @@ def run_clients(port: int, num_clients: int, queries_each: int) -> float:
                                dataset=DATASET) as client:
                 barrier.wait(timeout=60)
                 for index in range(queries_each):
-                    client.execute(dict(WORKLOAD[index % len(WORKLOAD)]))
+                    client.execute(WORKLOAD[index % len(WORKLOAD)])
         except Exception as exc:  # pragma: no cover - reported below
             errors.append((worker, exc))
             barrier.abort()

@@ -1,17 +1,20 @@
 """Batched multi-query execution: one fused sweep per kernel family.
 
 A serving deployment rarely answers one query at a time.  This example
-submits a mixed batch — PSI, PSU, counts, sums, an average — through
-``PrismSystem.run_batch``: the planner groups the queries by kernel
-family, deduplicates rows that read the same χ column, executes each
-family as a single fused 2-D server sweep, and reuses dealt
-indicator shares from the initiator's cache.  Results are identical to
-calling the per-query methods one by one.
+submits a mixed batch — PSI, PSU, counts, sums, an average — to the
+batch engine: each query is lowered to a ``LogicalPlan``, and
+``QueryBatch`` groups the plans' units by kernel family, deduplicates
+rows that read the same χ column, executes each family as a single
+fused 2-D server sweep, and reuses dealt indicator shares from the
+initiator's cache.  Results are identical to calling the per-query
+methods one by one.  ``client.execute_many`` (or
+``system.executor.execute_many``) runs exactly this engine underneath;
+the example drives ``QueryBatch`` directly to show its statistics.
 
 Run:  python examples/batch_queries.py
 """
 
-from repro import BatchQuery, Domain, PrismSystem, Relation
+from repro import Domain, Planner, PrismSystem, Q, Relation
 from repro.core.batch import QueryBatch
 
 # The paper's running example (Tables 1-3): three hospitals.
@@ -43,20 +46,24 @@ system = PrismSystem.build(
     seed=2021,
 )
 
-# A mixed batch: queries can be BatchQuery objects or Table-4 SQL.
+# A mixed batch: queries can be fluent builders or Table-4 SQL.
 queries = [
-    BatchQuery("psi", "disease", verify=True),
-    BatchQuery("psu", "disease"),
-    BatchQuery("psi_count", "disease"),
-    BatchQuery("psu_count", "disease"),
-    BatchQuery("psi_sum", "disease", agg_attributes=("cost",)),
-    BatchQuery("psi_average", "disease", agg_attributes=("cost", "age")),
-    BatchQuery("psi_sum", "disease", agg_attributes=("age",)),
+    Q.psi("disease").verify(),
+    Q.psu("disease"),
+    Q.psi("disease").count(),
+    Q.psu("disease").count(),
+    Q.psi("disease").sum("cost"),
+    Q.psi("disease").avg("cost", "age"),
+    Q.psi("disease").sum("age"),
     "SELECT disease FROM h1 INTERSECT SELECT disease FROM h2 "
     "INTERSECT SELECT disease FROM h3",
 ]
 
-batch = QueryBatch(system, queries)
+# The engine consumes (plan, unit) pairs; each of these plans has one
+# unit, and SUM/AVG units return attribute-keyed results.
+plans = Planner().lower_many(queries)
+batch = QueryBatch(system, [(plan, unit) for plan in plans
+                            for unit in plan.units()])
 results = batch.execute()
 
 print("== One fused batch, eight queries ==")
@@ -81,8 +88,8 @@ print(f"fused aggregation sweeps   : {batch.stats['aggregate_sweeps']}")
 print(f"indicator-share cache      : {batch.stats['cache']}")
 
 # Overlapping follow-up queries hit the cache outright.
-system.run_batch([
-    BatchQuery("psi_sum", "disease", agg_attributes=("cost",)),
-    BatchQuery("psi_average", "disease", agg_attributes=("age",)),
+system.executor.execute_many([
+    Q.psi("disease").sum("cost"),
+    Q.psi("disease").avg("age"),
 ])
 print(f"after a follow-up batch    : {system.initiator.indicator_cache.stats}")

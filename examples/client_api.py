@@ -2,8 +2,8 @@
 
 The same deployment as the quickstart, driven through
 :class:`repro.PrismClient`: Table-4 SQL (with multi-aggregate
-projections and EXPLAIN), the fluent ``Q`` builder, keyword dicts, and
-fused multi-query submission — all lowering to one ``LogicalPlan`` and
+projections and EXPLAIN), the fluent ``Q`` builder, and fused
+multi-query submission — all lowering to one ``LogicalPlan`` and
 executing through the batched server kernels.
 
 Run:  python examples/client_api.py
@@ -76,7 +76,7 @@ psi, count, cost_sum = client.execute_many([
     Q.psi("disease").verify(),
     "SELECT COUNT(disease) FROM h1 UNION SELECT COUNT(disease) FROM h2 "
     "UNION SELECT COUNT(disease) FROM h3",
-    {"kind": "psi_sum", "attribute": "disease", "agg_attributes": ("cost",)},
+    Q.psi("disease").sum("cost"),
 ])
 print("fused:", psi.values, count.count, cost_sum.per_value)
 
@@ -101,8 +101,6 @@ assert any(kind.startswith("batch:") for kind in kinds)
 # system.psi("disease")             -> client.execute(Q.psi("disease"))
 # system.psi_sum("disease", "cost") -> client.execute(Q.psi("disease").sum("cost"))
 # system.psi_max("disease", "age")  -> client.execute(Q.psi("disease").max("age"))
-# run_query(system, sql)            -> client.execute(sql)
-# system.run_batch([...])           -> client.execute_many([...])
 # (The PrismSystem methods still work — they are shims over this path.)
 
 print("client_api example OK")

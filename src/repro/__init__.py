@@ -4,14 +4,13 @@ Multi-Owner Outsourced Databases* (Li et al., SIGMOD 2021).
 Public API highlights:
 
 * :class:`repro.PrismClient` — the session-style query API: every query
-  form (SQL, fluent :class:`repro.Q` builders, dicts, legacy specs)
-  lowers to one :class:`repro.LogicalPlan` IR and runs through one
-  executor (:mod:`repro.api`).
+  form (Table-4 SQL with multi-aggregate projections and the
+  ``EXPLAIN`` prefix, or fluent :class:`repro.Q` builders) lowers to
+  one :class:`repro.LogicalPlan` IR and runs through one executor
+  (:mod:`repro.api`).
 * :class:`repro.PrismSystem` — a full in-process deployment (owners,
   servers, announcer) with one method per supported query.
 * :class:`repro.Relation` / :class:`repro.Domain` — the data substrate.
-* :func:`repro.run_query` — the SQL dialect of Table 4 (with
-  multi-aggregate projections and the ``EXPLAIN`` prefix).
 * :mod:`repro.baselines` — from-scratch comparison systems (Paillier,
   Freedman PSI, Bloom-filter PSI, plaintext).
 * :mod:`repro.bench` — the experiment harness regenerating every figure
@@ -26,8 +25,7 @@ from repro.api import (
     Q,
     parse_sql,
 )
-from repro.core.batch import BatchQuery, QueryBatch, run_batch
-from repro.core.query import parse_query, run_query
+from repro.core.batch import QueryBatch
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -60,7 +58,6 @@ __all__ = [
     "AdmissionError",
     "AggregateResult",
     "AuthError",
-    "BatchQuery",
     "CountResult",
     "Deployment",
     "Domain",
@@ -87,11 +84,8 @@ __all__ = [
     "SetResult",
     "ShareError",
     "VerificationError",
-    "parse_query",
     "parse_sql",
     "read_relation_csv",
-    "run_batch",
-    "run_query",
     "write_relation_csv",
     "__version__",
 ]

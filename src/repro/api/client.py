@@ -14,8 +14,8 @@ executor path and keeps per-session accounting::
     client.execute_many([Q.psi("disease"), Q.psu("disease").count()])
     client.stats  # queries by kind, batched vs interactive units, traffic
 
-Every query — SQL, builder, dict, legacy spec — reaches the same
-executor, so single queries run through the fused batch kernels and the
+Every query — SQL string, :class:`~repro.api.builder.Q` builder or
+:class:`~repro.api.plan.LogicalPlan` — reaches the same executor, so single queries run through the fused batch kernels and the
 indicator-share cache exactly like explicit batches do.
 
 Concurrent submission

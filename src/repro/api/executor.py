@@ -1,13 +1,14 @@
 """One executor for every logical plan.
 
-Every :class:`~repro.api.plan.LogicalPlan` — however it was expressed —
-runs through a single dispatch table:
+Every :class:`~repro.api.plan.LogicalPlan` — whether it came from SQL, a
+:class:`~repro.api.builder.Q` builder or a ``PrismSystem`` method — runs
+through a single dispatch table:
 
-* **Batchable units** (``psi``, ``psu``, counts, SUM/AVG) are lowered to
-  :class:`~repro.core.batch.BatchQuery` rows and executed through
-  :class:`~repro.core.batch.QueryBatch` — *single queries run as a batch
-  of one*, so the fused 2-D server kernels and the indicator-share cache
-  serve all traffic, not just explicit batches.
+* **Batchable units** (``psi``, ``psu``, counts, SUM/AVG) are handed to
+  :class:`~repro.core.batch.QueryBatch` as ``(plan, unit)`` pairs —
+  *single queries run as a batch of one*, so the fused 2-D server
+  kernels and the indicator-share cache serve all traffic, not just
+  explicit batches.
 * **Interactive units** (MAX/MIN/MEDIAN, bucketized PSI) cannot be
   expressed as data-independent fused sweeps; the same dispatch table
   routes them to their announcer-interactive runners.
@@ -26,10 +27,12 @@ Result shapes (the canonical API surface):
 
 from __future__ import annotations
 
+import numbers
+
 from repro.api.plan import LogicalPlan, PlanUnit
 from repro.api.planner import Planner
 from repro.core.batch import KINDS as BATCHABLE_KINDS
-from repro.core.batch import BatchQuery, QueryBatch
+from repro.core.batch import QueryBatch
 from repro.core.interactive import (
     BucketizedPsiProgram,
     ExtremaProgram,
@@ -119,13 +122,13 @@ class Executor:
         bucketized PSI); a fully-batchable plan rejects them.
         """
         plan = self.planner.lower(query)
-        return self._run([plan], runner_options, num_shards)[0]
+        return self._run([plan], num_shards, runner_options)[0]
 
     def execute_many(self, queries,
                      num_shards: int | str | None = None) -> list:
         """Run many queries; batchable units fuse into one QueryBatch."""
         plans = self.planner.lower_many(queries)
-        return self._run(plans, {}, num_shards)
+        return self._run(plans, num_shards, {})
 
     def program(self, query, num_shards: int | str | None = None,
                 **runner_options) -> "QueryProgram":
@@ -140,7 +143,7 @@ class Executor:
         drivers over the same machinery.
         """
         plan = self.planner.lower(query)
-        return QueryProgram(self, plan, num_shards=num_shards,
+        return QueryProgram(self, [plan], num_shards=num_shards,
                             runner_options=runner_options)
 
     def explain(self, query) -> str:
@@ -153,14 +156,16 @@ class Executor:
         are visible before committing to the query.
         """
         plan = self.planner.lower(query)
-        routes = ", ".join(
+        routes = self._unit_routes(plan)
+        text = plan.describe() + " [" + ", ".join(
             f"{unit.kind}→"
-            f"{'fused batch kernel' if self._route(unit) is BATCHED else 'interactive runner'}"
-            for unit in plan.units()
-        )
-        text = f"{plan.describe()} [{routes}]"
-        stats = self.plan_stats([plan])
-        if stats is not None:
+            f"{'fused batch kernel' if route is BATCHED else 'interactive runner'}"
+            for unit, route in routes
+        ) + "]"
+        batched = [(plan, unit) for unit, route in routes
+                   if route is BATCHED]
+        if batched:
+            stats = QueryBatch(self.system, batched).plan()
             # Aggregate plans additionally run Eq. 11 sweeps, whose row
             # count depends on cache state at execution time; the
             # pre-execution number is the indicator-sweep count.
@@ -172,197 +177,150 @@ class Executor:
             )
         return text
 
-    def plan_stats(self, plans) -> dict | None:
-        """:meth:`QueryBatch.plan` summary for the batchable units of
-        ``plans`` (lowered), or ``None`` when nothing is batchable.
-        Purely a planning pass — no servers are touched."""
-        specs = [
-            self._to_batch_query(plan, unit)
-            for plan in plans
-            for unit in plan.units()
-            if self._route(unit) is BATCHED
-        ]
-        if not specs:
-            return None
-        return QueryBatch(self.system, specs).plan()
+    # -- routing and execution ------------------------------------------------
 
-    @staticmethod
-    def _route(unit: PlanUnit):
-        route = DISPATCH.get(unit.kind)
-        if route is None:
-            hint = (" (MAX/MIN/MEDIAN are only supported over PSI)"
-                    if unit.kind.startswith("psu_") else "")
-            raise QueryError(f"no dispatch route for {unit.kind!r}{hint}")
-        return route
-
-    @classmethod
-    def _unit_routes(cls, plan: LogicalPlan) -> list[tuple[PlanUnit, object]]:
+    def _unit_routes(self, plan: LogicalPlan) -> list[tuple[PlanUnit, object]]:
         """``(unit, route)`` pairs with the shared per-plan validation.
 
-        The one place unit routing and its preconditions live: both the
-        one-shot ``_run`` path and the steppable :class:`QueryProgram`
-        consume this, so they can never disagree on what a plan's units
-        need.
+        The one place unit routing and its preconditions live — EXPLAIN,
+        the one-shot drivers and the steppable :class:`QueryProgram` all
+        go through here, so a plan naming an owner the deployment does
+        not have fails before any nonce is drawn or message sent.
         """
+        owners = len(self.system.owners)
+        if not _is_owner(plan.querier, owners):
+            raise QueryError(f"querier {plan.querier!r} is not an owner "
+                             f"index in [0, {owners})")
+        if plan.owner_ids is not None and not (
+                plan.owner_ids
+                and all(_is_owner(i, owners) for i in plan.owner_ids)):
+            raise QueryError(f"owner_ids {plan.owner_ids!r} must be a "
+                             f"non-empty set of owner indices in "
+                             f"[0, {owners})")
         entries = []
         for unit in plan.units():
-            route = cls._route(unit)
+            route = DISPATCH.get(unit.kind)
+            if route is None:
+                hint = (" (MAX/MIN/MEDIAN are only supported over PSI)"
+                        if unit.kind.startswith("psu_") else "")
+                raise QueryError(
+                    f"no dispatch route for {unit.kind!r}{hint}")
             if route is not BATCHED and plan.owner_ids is not None:
                 raise QueryError(
                     f"{unit.kind} does not support owner subsets")
             entries.append((unit, route))
         return entries
 
-    # -- execution ------------------------------------------------------------
+    def _run(self, plans: list[LogicalPlan], num_shards, runner_options):
+        """Drive one :class:`QueryProgram` over ``plans`` to completion."""
+        program = QueryProgram(self, plans, num_shards=num_shards,
+                               runner_options=runner_options)
+        while not program.done:
+            program.step()
+        self.last_dispatch = program.dispatch_stats()
+        return program.results()
 
-    def _run(self, plans: list[LogicalPlan], runner_options, num_shards):
-        num_shards = resolve_shards(num_shards, self.system.domain.size)
-        batch_specs: list[BatchQuery] = []
-        layouts: list[list[tuple[PlanUnit, int | None]]] = []
-        interactive_total = 0
-        for plan in plans:
-            entries: list[tuple[PlanUnit, int | None]] = []
-            for unit, route in self._unit_routes(plan):
-                if route is BATCHED:
-                    batch_specs.append(self._to_batch_query(plan, unit))
-                    entries.append((unit, len(batch_specs) - 1))
-                else:
-                    interactive_total += 1
-                    entries.append((unit, None))
-            layouts.append(entries)
-        if runner_options and interactive_total == 0:
-            raise QueryError(
-                f"unsupported options {sorted(runner_options)} — the plan "
-                f"has no interactive units to forward them to"
-            )
-        batch_results: list = []
-        fusion = {"fused_rows": 0, "rows_deduplicated": 0}
-        if batch_specs:
-            batch = QueryBatch(self.system, batch_specs,
-                               num_shards=num_shards)
-            batch_results = batch.execute()
-            plan_stats = batch.stats.get("plan", {})
-            fusion = {
-                "fused_rows": plan_stats.get("fused_rows", 0),
-                "rows_deduplicated": plan_stats.get("rows_deduplicated", 0),
-            }
-        self.last_dispatch = {"batched_units": len(batch_specs),
-                              "interactive_units": interactive_total,
-                              **fusion}
-        results = []
-        for plan, entries in zip(plans, layouts):
-            unit_results = []
-            for unit, batch_index in entries:
-                if batch_index is not None:
-                    unit_results.append(batch_results[batch_index])
-                else:
-                    # The executor owns the round loop: the interactive
-                    # kernels are state machines, not self-driving
-                    # functions (the client scheduler interleaves these
-                    # same rounds with fused batch ticks).
-                    program = DISPATCH[unit.kind](
-                        self.system, plan, unit, num_shards, runner_options)
-                    while not program.done:
-                        program.step()
-                    unit_results.append(program.result())
-            results.append(self._shape(plan, entries, unit_results))
-        return results
 
-    @staticmethod
-    def _to_batch_query(plan: LogicalPlan, unit: PlanUnit) -> BatchQuery:
-        return BatchQuery(kind=unit.kind, attribute=plan.attribute,
-                          agg_attributes=unit.agg_attributes,
-                          verify=plan.verify, owner_ids=plan.owner_ids,
-                          querier=plan.querier)
+def _shape(plan: LogicalPlan, unit_results):
+    """One plan's canonical-shape result from ``(unit, result)`` pairs."""
+    if not plan.aggregates:
+        return unit_results[0][1]
+    by_aggregate: dict[tuple, object] = {}
+    for unit, result in unit_results:
+        fn = _UNIT_FN[unit.kind]
+        if fn == "COUNT":
+            by_aggregate[("COUNT", None)] = result
+        elif fn in ("SUM", "AVG"):
+            for attr in unit.agg_attributes:
+                by_aggregate[(fn, attr)] = result[attr]
+        else:
+            by_aggregate[(fn, unit.agg_attributes[0])] = result
+    if len(plan.aggregates) == 1:
+        return by_aggregate[plan.aggregates[0]]
+    return {plan.result_key(fn, attr): by_aggregate[(fn, attr)]
+            for fn, attr in plan.aggregates}
 
-    # -- result shaping -------------------------------------------------------
 
-    def _shape(self, plan: LogicalPlan, entries, unit_results):
-        if not plan.aggregates:
-            return unit_results[0]
-        by_aggregate: dict[tuple, object] = {}
-        for (unit, _), result in zip(entries, unit_results):
-            fn = _UNIT_FN[unit.kind]
-            if fn == "COUNT":
-                by_aggregate[("COUNT", None)] = result
-            elif fn in ("SUM", "AVG"):
-                for attr in unit.agg_attributes:
-                    by_aggregate[(fn, attr)] = result[attr]
-            else:
-                by_aggregate[(fn, unit.agg_attributes[0])] = result
-        if len(plan.aggregates) == 1:
-            return by_aggregate[plan.aggregates[0]]
-        return {plan.result_key(fn, attr): by_aggregate[(fn, attr)]
-                for fn, attr in plan.aggregates}
+def _is_owner(value, owners: int) -> bool:
+    return isinstance(value, numbers.Integral) and 0 <= value < owners
 
 
 class QueryProgram:
-    """One lowered plan as a steppable execution.
+    """Lowered plans as one steppable execution.
 
-    The plan's batchable units execute together (as one
+    The batchable units of every plan execute together (as one
     :class:`QueryBatch`) in the first step; each subsequent step
     advances exactly one round of one interactive unit.  The round
-    state lives on the plan's
+    state lives on the plans'
     :class:`~repro.core.interactive.InteractiveProgram` objects, so a
     driver — the client scheduler — can interleave the rounds of many
     in-flight programs with fused batch ticks.
 
-    Drivers call :meth:`step` until :attr:`done`, then :meth:`result`
-    for the plan's canonical-shape result.  Validation (owner subsets,
-    stray runner options, unknown routes) happens at construction, so a
-    malformed submission fails before any server is touched.
+    Drivers call :meth:`step` until :attr:`done`, then :meth:`results`
+    (one canonical-shape result per plan) or, for the single-plan
+    programs :meth:`Executor.program` builds, :meth:`result`.
+    Validation (owner indices and subsets, stray runner options,
+    unknown routes) happens at construction, so a malformed submission
+    fails before any server is touched.
     """
 
-    def __init__(self, executor: Executor, plan: LogicalPlan,
+    def __init__(self, executor: Executor, plans: list[LogicalPlan],
                  num_shards: int | str | None = None,
                  runner_options: dict | None = None):
         self.executor = executor
-        self.plan = plan
-        self.num_shards = resolve_shards(num_shards,
-                                         executor.system.domain.size)
+        self.plans = list(plans)
+        num_shards = resolve_shards(num_shards, executor.system.domain.size)
         options = dict(runner_options or {})
-        self._entries: list[tuple[PlanUnit, int | None]] = []
-        self._batch_specs: list[BatchQuery] = []
-        self._batch_results: list | None = None
+        # Per plan: (unit, slot) pairs, where the slot is an index into
+        # the batch's units or the interactive program computing the unit.
+        self._layouts: list[list[tuple[PlanUnit, object]]] = []
+        batched: list[tuple[LogicalPlan, PlanUnit]] = []
         self._programs = []
-        for unit, route in executor._unit_routes(plan):
-            if route is BATCHED:
-                self._batch_specs.append(executor._to_batch_query(plan, unit))
-                self._entries.append((unit, len(self._batch_specs) - 1))
-            else:
-                self._programs.append(route(
-                    executor.system, plan, unit, num_shards, options))
-                self._entries.append((unit, None))
+        for plan in self.plans:
+            layout = []
+            for unit, route in executor._unit_routes(plan):
+                if route is BATCHED:
+                    layout.append((unit, len(batched)))
+                    batched.append((plan, unit))
+                else:
+                    program = route(executor.system, plan, unit, num_shards,
+                                    options)
+                    layout.append((unit, program))
+                    self._programs.append(program)
+            self._layouts.append(layout)
         if options and not self._programs:
             raise QueryError(
                 f"unsupported options {sorted(options)} — the plan has no "
                 f"interactive units to forward them to"
             )
+        self._batch = (QueryBatch(executor.system, batched,
+                                  num_shards=num_shards)
+                       if batched else None)
+        self._batch_results: list | None = None
+
+    @property
+    def plan(self) -> LogicalPlan:
+        """The plan of a single-plan program."""
+        (plan,) = self.plans
+        return plan
 
     @property
     def batched_units(self) -> int:
-        return len(self._batch_specs)
+        return len(self._batch.units) if self._batch is not None else 0
 
     @property
     def interactive_units(self) -> int:
         return len(self._programs)
 
     @property
-    def rounds_completed(self) -> int:
-        """Interactive rounds executed so far, across all units."""
-        return sum(program.rounds_completed for program in self._programs)
-
-    @property
     def done(self) -> bool:
-        batch_done = self._batch_results is not None or not self._batch_specs
+        batch_done = self._batch is None or self._batch_results is not None
         return batch_done and all(p.done for p in self._programs)
 
     def step(self) -> None:
         """Advance one quantum: the fused batch, or one interactive round."""
-        if self._batch_specs and self._batch_results is None:
-            self._batch_results = QueryBatch(
-                self.executor.system, self._batch_specs,
-                num_shards=self.num_shards).execute()
+        if self._batch is not None and self._batch_results is None:
+            self._batch_results = self._batch.execute()
             return
         for program in self._programs:
             if not program.done:
@@ -370,15 +328,27 @@ class QueryProgram:
                 return
         raise ProtocolError("query program already finished")
 
-    def result(self):
-        """The plan's canonical-shape result (only once :attr:`done`)."""
+    def dispatch_stats(self) -> dict:
+        """Unit routing and fusion counters (``Executor.last_dispatch``)."""
+        plan_stats = (self._batch.stats.get("plan", {})
+                      if self._batch is not None else {})
+        return {"batched_units": self.batched_units,
+                "interactive_units": self.interactive_units,
+                "fused_rows": plan_stats.get("fused_rows", 0),
+                "rows_deduplicated": plan_stats.get("rows_deduplicated", 0)}
+
+    def results(self) -> list:
+        """One canonical-shape result per plan (only once :attr:`done`)."""
         if not self.done:
             raise ProtocolError("query program still has rounds to run")
-        unit_results = []
-        interactive = iter(self._programs)
-        for unit, batch_index in self._entries:
-            if batch_index is not None:
-                unit_results.append(self._batch_results[batch_index])
-            else:
-                unit_results.append(next(interactive).result())
-        return self.executor._shape(self.plan, self._entries, unit_results)
+        return [
+            _shape(plan, [(unit, self._batch_results[slot]
+                           if isinstance(slot, int) else slot.result())
+                          for unit, slot in layout])
+            for plan, layout in zip(self.plans, self._layouts)
+        ]
+
+    def result(self):
+        """The result of a single-plan program (only once :attr:`done`)."""
+        (result,) = self.results()
+        return result

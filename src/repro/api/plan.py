@@ -1,8 +1,7 @@
 """The logical query-plan IR — one description for every Prism query.
 
 Every way of expressing a query (the Table-4 SQL dialect, the fluent
-builder :class:`~repro.api.builder.Q`, the legacy ``PrismSystem``
-methods, keyword dicts, :class:`~repro.core.batch.BatchQuery` specs)
+builder :class:`~repro.api.builder.Q`, the ``PrismSystem`` methods)
 lowers to a single frozen :class:`LogicalPlan`, and a single
 :class:`~repro.api.executor.Executor` runs every plan.  The IR is purely
 *logical*: it records what is asked (set operation, attribute,
@@ -42,7 +41,7 @@ class PlanUnit:
 
 @dataclasses.dataclass(frozen=True)
 class LogicalPlan:
-    """A fully-validated logical Prism query (supersedes ``QueryPlan``).
+    """A fully-validated logical Prism query.
 
     Attributes:
         set_op: ``"psi"`` or ``"psu"``.
@@ -119,10 +118,8 @@ class LogicalPlan:
         return tuple(normalized)
 
     def _validate(self) -> None:
-        # NOTE: extrema/median over PSU is *not* rejected here — the IR
-        # stays purely descriptive and the executor's dispatch table has
-        # no route for ``psu_max``-style units, so the error surfaces at
-        # execution (matching the legacy QueryPlan.execute contract).
+        # Extrema/median over PSU is *not* rejected here: the executor's
+        # dispatch table has no route for ``psu_max``-style units.
         for fn, attr in self.aggregates:
             if fn == "MEDIAN" and self.verify:
                 raise QueryError("MEDIAN has no verification stream")

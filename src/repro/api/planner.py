@@ -1,15 +1,9 @@
 """Lowering every query form to the :class:`LogicalPlan` IR.
 
-The :class:`Planner` is the single front door: SQL strings, fluent
-builders, keyword dicts, already-built plans, and both legacy spec
-types (:class:`~repro.core.query.QueryPlan`,
-:class:`~repro.core.batch.BatchQuery`) all lower to the same IR — so
-one executor, one feature surface, no per-entry-point drift.
-
-Lowering is where the legacy ``QueryPlan.execute`` verification bug
-dies: the ``verify`` flag is carried for every kind that supports it
-(including PSU and MAX/MIN, which the old dispatch silently dropped);
-kinds with no verification stream reject it loudly instead.
+The :class:`Planner` is the single front door: Table-4 SQL strings,
+fluent :class:`Q` builders and already-built plans all lower to the same
+IR — so one executor, one feature surface, no per-entry-point drift.
+Anything else is rejected with :class:`~repro.exceptions.QueryError`.
 """
 
 from __future__ import annotations
@@ -19,75 +13,23 @@ from repro.api.plan import LogicalPlan
 from repro.api.sql import parse_sql
 from repro.exceptions import QueryError
 
-#: BatchQuery kind → (set_op, aggregate function or None).
-_BATCH_KINDS = {
-    "psi": ("psi", None),
-    "psu": ("psu", None),
-    "psi_count": ("psi", "COUNT"),
-    "psu_count": ("psu", "COUNT"),
-    "psi_sum": ("psi", "SUM"),
-    "psu_sum": ("psu", "SUM"),
-    "psi_average": ("psi", "AVG"),
-    "psu_average": ("psu", "AVG"),
-}
-
 
 class Planner:
-    """Lowers any supported query form to a :class:`LogicalPlan`."""
+    """Lowers a :class:`LogicalPlan`, :class:`Q` or SQL string."""
 
     def lower(self, query) -> LogicalPlan:
-        """Lower one query of any supported form.
-
-        Accepts a :class:`LogicalPlan` (returned as-is), a fluent
-        :class:`Q` builder, a Table-4 SQL string, a keyword dict
-        (:class:`LogicalPlan` fields, or ``kind=``-style
-        :class:`BatchQuery` fields), or a legacy
-        :class:`~repro.core.query.QueryPlan` /
-        :class:`~repro.core.batch.BatchQuery` spec.
-        """
+        """Lower one query: a plan (returned as-is), a builder, or SQL."""
         if isinstance(query, LogicalPlan):
             return query
         if isinstance(query, Q):
             return query.plan()
         if isinstance(query, str):
             return parse_sql(query)
-        if isinstance(query, dict):
-            if "kind" in query:
-                from repro.core.batch import BatchQuery
-                return self._lower_batch_query(BatchQuery(**query))
-            return LogicalPlan(**query)
-        # Legacy spec types, imported lazily (they import this package's
-        # siblings for their own shims).
-        from repro.core.batch import BatchQuery
-        from repro.core.query import QueryPlan
-        if isinstance(query, QueryPlan):
-            return self._lower_query_plan(query)
-        if isinstance(query, BatchQuery):
-            return self._lower_batch_query(query)
         raise QueryError(
-            f"cannot interpret {type(query).__name__} as a Prism query"
+            f"cannot interpret {type(query).__name__} as a Prism query; "
+            f"expected a LogicalPlan, a Q builder or a SQL string"
         )
 
     def lower_many(self, queries) -> list[LogicalPlan]:
         """Lower an iterable of queries, preserving order."""
         return [self.lower(q) for q in queries]
-
-    # -- legacy specs ---------------------------------------------------------
-
-    def _lower_query_plan(self, plan) -> LogicalPlan:
-        aggregates = () if plan.aggregate is None else (plan.aggregate,)
-        return LogicalPlan(set_op=plan.set_op, attribute=plan.attribute,
-                           aggregates=aggregates, verify=plan.verify,
-                           tables=plan.tables)
-
-    def _lower_batch_query(self, query) -> LogicalPlan:
-        set_op, fn = _BATCH_KINDS[query.kind]
-        if fn is None:
-            aggregates = ()
-        elif fn == "COUNT":
-            aggregates = (("COUNT", None),)
-        else:
-            aggregates = tuple((fn, a) for a in query.agg_attributes)
-        return LogicalPlan(set_op=set_op, attribute=query.attribute,
-                           aggregates=aggregates, verify=query.verify,
-                           owner_ids=query.owner_ids, querier=query.querier)

@@ -57,8 +57,8 @@ def parse_sql(sql: str) -> LogicalPlan:
     if _EXPLAIN_RE.match(sql):
         raise QueryError(
             "EXPLAIN is a client-level prefix; strip it with "
-            "split_explain() (or submit via PrismClient.execute / "
-            "run_query, which handle it)"
+            "split_explain() (or submit via PrismClient.execute, which "
+            "handles it)"
         )
     text = " ".join(sql.strip().rstrip(";").split())
     verify = False

@@ -1,7 +1,7 @@
 """Core Prism protocols and the high-level system facade."""
 
 from repro.core.aggregate import aggregate_reference, run_aggregate
-from repro.core.batch import BatchQuery, QueryBatch, run_batch
+from repro.core.batch import QueryBatch
 from repro.core.bucketized import (
     BucketTree,
     run_bucketized_psi,
@@ -28,7 +28,6 @@ from repro.core.params import (
 )
 from repro.core.psi import psi_reference, run_psi
 from repro.core.psu import psu_reference, run_psu
-from repro.core.query import QueryPlan, parse_query, run_query
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -42,7 +41,6 @@ from repro.core.system import NUM_SERVERS, PrismSystem
 __all__ = [
     "AggregateResult",
     "AnnouncerParams",
-    "BatchQuery",
     "BucketTree",
     "BucketizedPsiProgram",
     "CountResult",
@@ -56,18 +54,15 @@ __all__ = [
     "PhaseTimings",
     "PrismSystem",
     "QueryBatch",
-    "QueryPlan",
     "ServerGroupView",
     "ServerParams",
     "SetResult",
     "aggregate_reference",
     "extrema_reference",
     "median_reference",
-    "parse_query",
     "psi_reference",
     "psu_reference",
     "run_aggregate",
-    "run_batch",
     "run_bucketized_psi",
     "run_extrema",
     "run_median",
@@ -75,6 +70,5 @@ __all__ = [
     "run_psi_count",
     "run_psu",
     "run_psu_count",
-    "run_query",
     "simulate_actual_domain_size",
 ]

@@ -7,9 +7,12 @@ Python/numpy dispatch cost of its own sweep, and queries that touch the
 same stored column redo identical work.  This module turns N heterogeneous
 queries into a handful of *fused* sweeps:
 
-1. :class:`BatchQuery` normalises one query request (kind, attribute,
-   aggregation attributes, verification, owner subset, querier).
-2. :class:`QueryBatch` plans the batch: every query is expanded into the
+1. The caller lowers each query to a
+   :class:`~repro.api.plan.LogicalPlan` and hands over its batchable
+   ``(plan, unit)`` pairs: the unit names the kind and aggregation
+   attributes, the plan the attribute, verification, owner subset and
+   querier.
+2. :class:`QueryBatch` plans the batch: every unit is expanded into the
    kernel rows it needs, rows are deduplicated, and rows are grouped by
    **kernel family** — PSI/verification sweeps (Eq. 3 / Eq. 7), count
    sweeps (§6.5), PSU sweeps (Eq. 18), and aggregation sweeps (Eq. 11).
@@ -30,7 +33,8 @@ overlapping queries skip the Shamir dealing round entirely.
 
 Extrema (max/min) and median queries are announcer-interactive — their
 per-common-value rounds cannot be fused into a data-independent sweep —
-and are therefore not batchable; submit them through the per-query API.
+and are therefore not batchable; the executor routes them to the
+interactive programs of :mod:`repro.core.interactive`.
 
 Caveats on result metadata: all results of one batch share a single
 :class:`~repro.core.results.PhaseTimings` object (family sweeps are timed
@@ -47,7 +51,6 @@ import numpy as np
 
 from repro.core.aggregate import indicator_shares, require_decodable
 from repro.core.psi import psi_column_name
-from repro.core.query import QueryPlan, parse_query
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -58,165 +61,12 @@ from repro.core.sharding import resolve_shards
 from repro.exceptions import QueryError, VerificationError
 from repro.network.message import batch_kind
 
-#: Set-query kinds (one indicator sweep, no Shamir round).
-SET_KINDS = ("psi", "psu", "psi_count", "psu_count")
-#: Aggregation kinds (indicator sweep + Eq. 11 round).
-AGG_KINDS = ("psi_sum", "psi_average", "psu_sum", "psu_average")
-#: Every batchable query kind.
-KINDS = SET_KINDS + AGG_KINDS
+#: Every batchable unit kind: the set/count kinds (one indicator
+#: sweep) and the aggregation kinds (indicator sweep + Eq. 11 round).
+KINDS = ("psi", "psu", "psi_count", "psu_count",
+         "psi_sum", "psi_average", "psu_sum", "psu_average")
 
 _PSU_BASED = ("psu", "psu_count", "psu_sum", "psu_average")
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchQuery:
-    """One normalised query request inside a batch.
-
-    Attributes:
-        kind: one of :data:`KINDS` (``psi``, ``psu``, ``psi_count``,
-            ``psu_count``, ``psi_sum``, ``psi_average``, ``psu_sum``,
-            ``psu_average``).
-        attribute: the set-operation attribute ``A_c`` (or tuple for
-            multi-attribute PSI).
-        agg_attributes: attributes to aggregate (required for the
-            aggregation kinds, forbidden otherwise).
-        verify: run the per-kind verification stream where the sequential
-            API supports it.
-        owner_ids: restrict the query to a subset of owners.
-        querier: the owner that finalises (and, for aggregations, deals
-            the indicator shares).
-    """
-
-    kind: str
-    attribute: str | tuple
-    agg_attributes: tuple = ()
-    verify: bool = False
-    owner_ids: tuple | None = None
-    querier: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise QueryError(
-                f"unknown batch query kind {self.kind!r}; expected one of "
-                f"{', '.join(KINDS)} (extrema/median are announcer-"
-                f"interactive and not batchable)"
-            )
-        if isinstance(self.attribute, list):
-            object.__setattr__(self, "attribute", tuple(self.attribute))
-        agg = self.agg_attributes
-        if isinstance(agg, str):
-            agg = (agg,)
-        object.__setattr__(self, "agg_attributes", tuple(agg))
-        if self.owner_ids is not None:
-            object.__setattr__(self, "owner_ids", tuple(self.owner_ids))
-        if self.kind in AGG_KINDS and not self.agg_attributes:
-            raise QueryError(f"{self.kind} needs at least one agg attribute")
-        if self.kind in SET_KINDS and self.agg_attributes:
-            raise QueryError(f"{self.kind} takes no aggregation attributes")
-        if self.kind == "psu_count" and self.verify:
-            raise QueryError("psu_count has no verification stream")
-
-    @property
-    def column(self) -> str:
-        """The stored χ column this query's indicator sweep reads."""
-        return psi_column_name(self.attribute)
-
-    @classmethod
-    def coerce(cls, query) -> "BatchQuery":
-        """Accept a BatchQuery, SQL string, plan (legacy or IR), or dict."""
-        if isinstance(query, cls):
-            return query
-        if isinstance(query, str):
-            return cls.from_plan(parse_query(query))
-        if isinstance(query, QueryPlan):
-            return cls.from_plan(query)
-        if isinstance(query, dict):
-            return cls(**query)
-        from repro.api.builder import Q
-        from repro.api.plan import LogicalPlan
-        if isinstance(query, Q):
-            query = query.plan()
-        if isinstance(query, LogicalPlan):
-            return cls.from_logical(query)
-        raise QueryError(
-            f"cannot interpret {type(query).__name__} as a batch query"
-        )
-
-    @classmethod
-    def from_plan(cls, plan: QueryPlan) -> "BatchQuery":
-        """Translate a parsed Table-4 statement into a batch query.
-
-        The ``verify`` flag is carried for every kind (the legacy
-        dispatch dropped it for PSU); kinds with no verification stream
-        (PSU-Count) reject it loudly in :meth:`__post_init__` instead of
-        dropping it silently.
-        """
-        if plan.aggregate is None:
-            return cls(kind=plan.set_op, attribute=plan.attribute,
-                       verify=plan.verify)
-        fn, attr = plan.aggregate
-        if fn == "COUNT":
-            return cls(kind=f"{plan.set_op}_count", attribute=plan.attribute,
-                       verify=plan.verify)
-        if fn == "SUM":
-            return cls(kind=f"{plan.set_op}_sum", attribute=plan.attribute,
-                       agg_attributes=(attr,), verify=plan.verify)
-        if fn == "AVG":
-            return cls(kind=f"{plan.set_op}_average",
-                       attribute=plan.attribute, agg_attributes=(attr,),
-                       verify=plan.verify)
-        raise QueryError(
-            f"{fn} queries are announcer-interactive and not batchable; "
-            f"run them through the per-query API"
-        )
-
-    @classmethod
-    def from_logical(cls, plan) -> "BatchQuery":
-        """Translate a single-unit batchable :class:`LogicalPlan`."""
-        units = plan.units()
-        if len(units) != 1 or units[0].kind not in KINDS:
-            raise QueryError(
-                f"plan {plan.describe()!r} does not lower to one batchable "
-                f"query; submit it through the Executor / PrismClient"
-            )
-        unit = units[0]
-        return cls(kind=unit.kind, attribute=plan.attribute,
-                   agg_attributes=unit.agg_attributes, verify=plan.verify,
-                   owner_ids=plan.owner_ids, querier=plan.querier)
-
-    def run_sequential(self, system):
-        """Execute this query through the sequential 1-D runners.
-
-        The batch engine's correctness oracle: ``run_batch`` must return
-        results identical to mapping this over the batch.  Calls the
-        runners directly — NOT the ``PrismSystem`` methods, which are
-        themselves shims over the batched path since the unified-API
-        redesign (going through them would compare the batch engine
-        against itself).
-        """
-        from repro.core.aggregate import run_aggregate
-        from repro.core.count import run_psi_count, run_psu_count
-        from repro.core.psi import run_psi
-        from repro.core.psu import run_psu
-        kwargs = {"querier": self.querier,
-                  "owner_ids": list(self.owner_ids)
-                  if self.owner_ids is not None else None}
-        if self.kind == "psi":
-            return run_psi(system, self.attribute, verify=self.verify,
-                           **kwargs)
-        if self.kind == "psu":
-            return run_psu(system, self.attribute, verify=self.verify,
-                           **kwargs)
-        if self.kind == "psi_count":
-            return run_psi_count(system, self.attribute, verify=self.verify,
-                                 **kwargs)
-        if self.kind == "psu_count":
-            return run_psu_count(system, self.attribute, **kwargs)
-        over, op = self.kind.split("_")
-        return run_aggregate(system, self.attribute,
-                             list(self.agg_attributes),
-                             op="avg" if op == "average" else "sum",
-                             over=over, verify=self.verify, **kwargs)
 
 
 @dataclasses.dataclass
@@ -242,8 +92,10 @@ class QueryBatch:
 
     Args:
         system: a :class:`~repro.core.system.PrismSystem`.
-        queries: an iterable of :class:`BatchQuery` (or SQL strings,
-            :class:`QueryPlan` objects, or keyword dicts).
+        units: ``(plan, unit)`` pairs — a
+            :class:`~repro.api.plan.LogicalPlan` and one of its batchable
+            :class:`~repro.api.plan.PlanUnit` objects (``unit.kind`` in
+            :data:`KINDS`).  Read by attribute only.
         num_shards: span count of this batch's sweeps (default: the
             servers' deployment default; ``1`` forces the unsharded
             sweep for this batch only; ``"auto"`` resolves from the χ
@@ -256,10 +108,15 @@ class QueryBatch:
     indicator-cache counters.
     """
 
-    def __init__(self, system, queries,
+    def __init__(self, system, units,
                  num_shards: int | str | None = None):
         self.system = system
-        self.queries = [BatchQuery.coerce(q) for q in queries]
+        self.units = list(units)
+        for _, unit in self.units:
+            if unit.kind not in KINDS:
+                raise QueryError(
+                    f"{unit.kind!r} is not a batchable unit; expected one "
+                    f"of {', '.join(KINDS)}")
         # None = defer to each server's deployment-default span count.
         self.num_shards = resolve_shards(num_shards, system.domain.size)
         self.timings = PhaseTimings()
@@ -302,39 +159,40 @@ class QueryBatch:
             self._psu_order.append((group, len(rows) - 1))
             return len(rows) - 1
 
-        for query in self.queries:
-            group = query.owner_ids
-            base = query.column
+        for plan, unit in self.units:
+            kind = unit.kind
+            group = plan.owner_ids
+            base = psi_column_name(plan.attribute)
             handle: dict = {"group": group}
-            if query.kind == "psi":
+            if kind == "psi":
                 requested += 1
                 handle["data"] = ("psi", psi_row(group, base, True))
-                if query.verify:
+                if plan.verify:
                     requested += 1
                     handle["proof"] = ("psi", psi_row(group, "v" + base, False))
-            elif query.kind == "psu":
+            elif kind == "psu":
                 requested += 1
                 handle["data"] = ("psu", psu_row(group, base, False))
-                if query.verify:
+                if plan.verify:
                     requested += 1
                     # The "nobody holds it" stream: Eq. 3 over the complement.
                     handle["proof"] = ("psi", psi_row(group, "v" + base, True))
-            elif query.kind == "psi_count":
+            elif kind == "psi_count":
                 requested += 1
-                column = ("c" + base) if query.verify else base
+                column = ("c" + base) if plan.verify else base
                 handle["data"] = ("count", count_row(group, column, True, False))
-                if query.verify:
+                if plan.verify:
                     requested += 1
                     handle["proof"] = (
                         "count", count_row(group, "cv" + base, False, True))
-            elif query.kind == "psu_count":
+            elif kind == "psu_count":
                 requested += 1
                 handle["data"] = ("psu", psu_row(group, base, True))
             else:  # aggregation kinds: round 1 is an unverified PSI/PSU.
-                owner = self.system.owners[query.querier]
-                require_decodable(owner.params.domain, query.kind)
+                owner = self.system.owners[plan.querier]
+                require_decodable(owner.params.domain, kind)
                 requested += 1
-                if query.kind in _PSU_BASED:
+                if kind in _PSU_BASED:
                     handle["data"] = ("psu", psu_row(group, base, False))
                 else:
                     handle["data"] = ("psi", psi_row(group, base, True))
@@ -350,7 +208,7 @@ class QueryBatch:
             for rows in family_rows.values() if rows
         )
         summary = {
-            "queries": len(self.queries),
+            "queries": len(self.units),
             "psi_rows": sum(len(r) for r in self._psi_rows.values()),
             "count_rows": sum(len(r) for r in self._count_rows.values()),
             "psu_rows": sum(len(r) for r in self._psu_rows.values()),
@@ -369,8 +227,13 @@ class QueryBatch:
     # -- execution ------------------------------------------------------------
 
     def execute(self) -> list:
-        """Run the batch; returns one result per query, in input order."""
-        if not self.queries:
+        """Run the batch; returns one result per unit, in input order.
+
+        Set and count units yield a :class:`SetResult` /
+        :class:`CountResult`; SUM/AVG units an attribute-keyed dict of
+        :class:`AggregateResult` (the executor shapes these per plan).
+        """
+        if not self.units:
             return []
         self.plan()
         # Fresh timings per execution: result objects of one run share a
@@ -384,14 +247,14 @@ class QueryBatch:
         for group, row in self._psu_order:
             self._psu_nonces[group][row] = self.system.next_nonce()
         outputs = self._run_indicator_sweeps()
-        results: list = [None] * len(self.queries)
+        results: list = [None] * len(self.units)
         members: dict[int, np.ndarray] = {}
         # One traffic snapshot per phase: batched results share metadata.
         traffic = self.system.transport.stats.summary()
         with self.timings.measure("owner"):
-            for index, query in enumerate(self.queries):
-                member = self._finalize_indicator(index, query, outputs,
-                                                  results, traffic)
+            for index in range(len(self.units)):
+                member = self._finalize_indicator(index, outputs, results,
+                                                  traffic)
                 if member is not None:
                     members[index] = member
         self._run_aggregate_sweeps(members, results)
@@ -505,35 +368,37 @@ class QueryBatch:
         return (outputs[(family, group, 0)][row],
                 outputs[(family, group, 1)][row])
 
-    def _finalize_indicator(self, index, query, outputs, results, traffic):
+    def _finalize_indicator(self, index, outputs, results, traffic):
         """Per-query owner math — identical to the sequential runners.
 
         Fills ``results[index]`` for set queries; returns the membership
         vector for aggregation queries (finalised later).
         """
         system = self.system
-        owner = system.owners[query.querier]
+        plan, unit = self.units[index]
+        kind = unit.kind
+        owner = system.owners[plan.querier]
         handle = self._handles[index]
         group = handle["group"]
         r0, r1 = self._rows(handle["data"], group, outputs)
 
-        if query.kind == "psi":
+        if kind == "psi":
             fop = owner.finalize_psi(r0, r1)
             member = owner.psi_membership(fop)
             verified = False
-            if query.verify:
+            if plan.verify:
                 v0, v1 = self._rows(handle["proof"], group, outputs)
                 owner.verify_psi(fop, v0, v1)
                 verified = True
-            values = owner.decode_cells(member, query.attribute)
+            values = owner.decode_cells(member, plan.attribute)
             results[index] = SetResult(values=values, membership=member,
                                        timings=self.timings, traffic=traffic,
                                        verified=verified)
             return None
-        if query.kind == "psu":
+        if kind == "psu":
             member = owner.finalize_psu(r0, r1)
             verified = False
-            if query.verify:
+            if plan.verify:
                 v0, v1 = self._rows(handle["proof"], group, outputs)
                 absent_fop = owner.finalize_psi(v0, v1)
                 absent = owner.params.pf_db1.invert(absent_fop) == 1
@@ -545,27 +410,27 @@ class QueryBatch:
                         failed_cells=bad.tolist(),
                     )
                 verified = True
-            values = owner.decode_cells(member, query.attribute)
+            values = owner.decode_cells(member, plan.attribute)
             results[index] = SetResult(values=values, membership=member,
                                        timings=self.timings, traffic=traffic,
                                        verified=verified)
             return None
-        if query.kind == "psi_count":
+        if kind == "psi_count":
             fop = owner.finalize_psi(r0, r1)
             count = int(np.count_nonzero(fop == 1))
-            if query.verify:
+            if plan.verify:
                 owner.verify_count(fop, *self._rows(handle["proof"], group,
                                                     outputs))
             results[index] = CountResult(count=count, timings=self.timings,
                                          traffic=traffic)
             return None
-        if query.kind == "psu_count":
+        if kind == "psu_count":
             member = owner.finalize_psu(r0, r1)
             results[index] = CountResult(count=int(np.count_nonzero(member)),
                                          timings=self.timings, traffic=traffic)
             return None
         # Aggregation kinds: round 1 only establishes the membership.
-        if query.kind in _PSU_BASED:
+        if kind in _PSU_BASED:
             return owner.finalize_psu(r0, r1)
         return owner.psi_membership(owner.finalize_psi(r0, r1))
 
@@ -591,15 +456,15 @@ class QueryBatch:
 
         with self.timings.measure("owner"):
             for index, member in members.items():
-                query = self.queries[index]
-                owner = system.owners[query.querier]
-                owner_ids = self._owner_list(query.owner_ids)
-                base = query.column
+                plan, unit = self.units[index]
+                owner = system.owners[plan.querier]
+                owner_ids = self._owner_list(plan.owner_ids)
+                base = psi_column_name(plan.attribute)
                 z = indicator_shares(system, owner, base, owner_ids, member)
                 vz = (indicator_shares(system, owner, base, owner_ids,
                                        member, permuted=True)
-                      if query.verify else None)
-                group_key = (query.owner_ids, query.querier)
+                      if plan.verify else None)
+                group_key = (plan.owner_ids, plan.querier)
                 rows = groups.setdefault(group_key, [])
                 keys = row_keys.setdefault(group_key, {})
                 claims = uses.setdefault(group_key, [])
@@ -615,11 +480,11 @@ class QueryBatch:
                         deduped += 1
                     claims.append(_AggUse(index, purpose, agg, row))
 
-                for agg in query.agg_attributes:
+                for agg in unit.agg_attributes:
                     claim(agg, z, "sum", agg)
-                    if query.verify:
+                    if plan.verify:
                         claim("v" + agg, vz, "vsum", agg)
-                if query.kind.endswith("average"):
+                if unit.kind.endswith("average"):
                     claim("a" + base, z, "count", None)
 
         sweeps = 0
@@ -669,18 +534,18 @@ class QueryBatch:
     def _assemble_aggregate(self, index, member, row_totals, traffic) -> dict:
         """Per-query AggregateResult assembly (sequential-identical math)."""
         system = self.system
-        query = self.queries[index]
-        owner = system.owners[query.querier]
+        plan, unit = self.units[index]
+        owner = system.owners[plan.querier]
         sums = dict(row_totals.get((index, "sum"), []))
         vsums = dict(row_totals.get((index, "vsum"), []))
         count_rows = row_totals.get((index, "count"), [])
         counts = count_rows[0][1] if count_rows else None
 
         results: dict[str, AggregateResult] = {}
-        for agg in query.agg_attributes:
+        for agg in unit.agg_attributes:
             totals = sums[agg]
             verified = False
-            if query.verify:
+            if plan.verify:
                 vtotals = vsums[agg]
                 expect = owner.params.pf_db1.apply(totals)
                 bad = np.nonzero(vtotals != expect)[0]
@@ -697,14 +562,3 @@ class QueryBatch:
                                            traffic=traffic, verified=verified)
         return results
 
-
-def run_batch(system, queries, num_shards: int | str | None = None) -> list:
-    """Plan and execute a batch of queries; results in input order.
-
-    Each element of ``queries`` may be a :class:`BatchQuery`, a Table-4
-    SQL string, a parsed :class:`~repro.core.query.QueryPlan`, or a
-    keyword dict.  Results are exactly what the sequential per-query API
-    would return (see :class:`QueryBatch` for the shared-metadata
-    caveats).
-    """
-    return QueryBatch(system, queries, num_shards=num_shards).execute()

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.batch import QueryBatch
 from repro.core.bucketized import (
     BucketTree,
     outsource_bucketized,
@@ -361,7 +360,7 @@ class PrismSystem:
         """Fresh query nonce (PSU mask stream freshness).
 
         Locked: concurrent submitters (``client.submit`` from many
-        threads, parallel ``run_batch`` calls) must never draw the same
+        threads, parallel ``execute_many`` calls) must never draw the same
         nonce — a duplicate would replay an Eq. 18 mask stream.
         """
         with self._nonce_lock:
@@ -469,33 +468,6 @@ class PrismSystem:
             from repro.api.executor import Executor
             self._executor = Executor(self)
         return self._executor
-
-    def run_batch(self, queries,
-                  num_shards: int | str | None = None) -> list:
-        """Execute many queries as fused server sweeps (Phase 2–4 at once).
-
-        The batch planner groups the queries by kernel family and runs
-        each family as a single chunked 2-D pass over the χ table instead
-        of one pass per query; results are identical to calling the
-        per-query methods one by one.  See :mod:`repro.core.batch` for
-        what is batchable (extrema/median are not) and for the shared
-        timings/traffic caveats.  This is the raw batch layer — it keeps
-        the legacy per-kind result shapes (aggregations always return an
-        attribute-keyed dict); :meth:`repro.api.Executor.execute_many`
-        and :meth:`repro.api.PrismClient.execute_many` accept richer
-        query forms (fluent builders, multi-aggregate plans) on top of
-        the same engine.
-
-        Args:
-            queries: iterable of :class:`~repro.core.batch.BatchQuery`,
-                Table-4 SQL strings, parsed query plans, or keyword dicts.
-            num_shards: span count of this batch's sweeps (default:
-                system setting; ``1`` forces the unsharded sweep).
-
-        Returns:
-            One result object per query, in input order.
-        """
-        return QueryBatch(self, queries, num_shards=num_shards).execute()
 
     def _lower(self, set_op, attribute, kwargs, aggregates=(), verify=False,
                reveal_holders=True, bucketized=False):

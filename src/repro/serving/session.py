@@ -8,9 +8,9 @@ method — an entity host refuses them, and the gateway refuses
 un-prefixed kinds.  This module defines the verbs and the wire forms of
 everything a session moves:
 
-* **queries** — SQL strings travel verbatim; every richer form (fluent
-  :class:`~repro.api.builder.Q` builders, dicts, legacy specs) is
-  lowered client-side to the frozen :class:`~repro.api.plan.LogicalPlan`
+* **queries** — SQL strings travel verbatim; fluent
+  :class:`~repro.api.builder.Q` builders and plans are lowered
+  client-side to the frozen :class:`~repro.api.plan.LogicalPlan`
   IR and shipped as its field dict (:func:`plan_to_wire`), so the
   gateway re-hydrates exactly the plan the client built;
 * **results** — every canonical result shape

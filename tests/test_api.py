@@ -2,9 +2,10 @@
 
 The contract under test (the api_redesign acceptance criteria):
 
-* every Table-4 query kind, expressed as SQL, fluent builder, legacy
-  method call, or batch-of-one, lowers to the *same* ``LogicalPlan`` and
-  returns bit-identical results through the unified executor;
+* every Table-4 query kind, expressed as SQL, fluent builder, or
+  ``PrismSystem`` method call, lowers to the *same* ``LogicalPlan`` and
+  returns bit-identical results through the unified executor — and, for
+  the batchable kinds, bit-identical to the sequential 1-D runners;
 * single set/count/sum/avg queries demonstrably run through the fused
   batch kernels (asserted via the TrafficStats message-kind counters);
 * the ``verify`` flag is carried everywhere the legacy dispatch dropped
@@ -13,28 +14,23 @@ The contract under test (the api_redesign acceptance criteria):
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from reference import canonical, run_reference
 
 from repro import (
-    AggregateResult,
-    BatchQuery,
-    CountResult,
     Domain,
-    ExtremaResult,
     LogicalPlan,
-    MedianResult,
     Planner,
     PrismClient,
     PrismSystem,
     Q,
     QueryError,
     Relation,
-    SetResult,
     VerificationError,
-    parse_query,
     parse_sql,
-    run_query,
 )
 from repro.entities.adversary import InjectFakeServer
 from repro.network.message import is_batch_kind
@@ -73,139 +69,116 @@ def branches(projection, op, n=3):
         f"SELECT {projection} FROM h{i + 1}" for i in range(n))
 
 
-def canonical(result):
-    """A comparable, bit-exact fingerprint of any result object."""
-    if isinstance(result, SetResult):
-        return ("set", tuple(result.values), result.membership.tolist(),
-                result.verified)
-    if isinstance(result, CountResult):
-        return ("count", result.count)
-    if isinstance(result, AggregateResult):
-        return ("agg", sorted(result.per_value.items()), result.verified)
-    if isinstance(result, ExtremaResult):
-        return ("extrema", sorted(result.per_value.items()),
-                sorted((k, tuple(v)) for k, v in result.holders.items()))
-    if isinstance(result, MedianResult):
-        return ("median", sorted(result.per_value.items()))
-    raise AssertionError(f"unexpected result type {type(result).__name__}")
+def run_sql(system, sql):
+    return PrismClient(system).execute(sql)
 
 
-#: (name, sql, builder, legacy-method runner, batch spec or None).
+#: (name, sql, builder, PrismSystem-method runner).
 CASES = [
     ("psi",
      branches("disease", "psi"),
      Q.psi("disease"),
-     lambda s: s.psi("disease"),
-     BatchQuery("psi", "disease")),
+     lambda s: s.psi("disease")),
     ("psi_verify",
      branches("disease", "psi") + " VERIFY",
      Q.psi("disease").verify(),
-     lambda s: s.psi("disease", verify=True),
-     BatchQuery("psi", "disease", verify=True)),
+     lambda s: s.psi("disease", verify=True)),
     ("psu",
      branches("disease", "psu"),
      Q.psu("disease"),
-     lambda s: s.psu("disease"),
-     BatchQuery("psu", "disease")),
+     lambda s: s.psu("disease")),
     ("psu_verify",
      branches("disease", "psu") + " VERIFY",
      Q.psu("disease").verify(),
-     lambda s: s.psu("disease", verify=True),
-     BatchQuery("psu", "disease", verify=True)),
+     lambda s: s.psu("disease", verify=True)),
     ("psi_count",
      branches("COUNT(disease)", "psi"),
      Q.psi("disease").count(),
-     lambda s: s.psi_count("disease"),
-     BatchQuery("psi_count", "disease")),
+     lambda s: s.psi_count("disease")),
     ("psi_count_verify",
      branches("COUNT(disease)", "psi") + " VERIFY",
      Q.psi("disease").count().verify(),
-     lambda s: s.psi_count("disease", verify=True),
-     BatchQuery("psi_count", "disease", verify=True)),
+     lambda s: s.psi_count("disease", verify=True)),
     ("psu_count",
      branches("COUNT(disease)", "psu"),
      Q.psu("disease").count(),
-     lambda s: s.psu_count("disease"),
-     BatchQuery("psu_count", "disease")),
+     lambda s: s.psu_count("disease")),
     ("psi_sum",
      branches("disease, SUM(cost)", "psi"),
      Q.psi("disease").sum("cost"),
-     lambda s: s.psi_sum("disease", "cost")["cost"],
-     BatchQuery("psi_sum", "disease", agg_attributes=("cost",))),
+     lambda s: s.psi_sum("disease", "cost")["cost"]),
     ("psi_sum_verify",
      branches("disease, SUM(cost)", "psi") + " VERIFY",
      Q.psi("disease").sum("cost").verify(),
-     lambda s: s.psi_sum("disease", "cost", verify=True)["cost"],
-     BatchQuery("psi_sum", "disease", agg_attributes=("cost",), verify=True)),
+     lambda s: s.psi_sum("disease", "cost", verify=True)["cost"]),
     ("psi_average",
      branches("disease, AVG(age)", "psi"),
      Q.psi("disease").avg("age"),
-     lambda s: s.psi_average("disease", "age")["age"],
-     BatchQuery("psi_average", "disease", agg_attributes=("age",))),
+     lambda s: s.psi_average("disease", "age")["age"]),
     ("psu_sum",
      branches("disease, SUM(cost)", "psu"),
      Q.psu("disease").sum("cost"),
-     lambda s: s.psu_sum("disease", "cost")["cost"],
-     BatchQuery("psu_sum", "disease", agg_attributes=("cost",))),
+     lambda s: s.psu_sum("disease", "cost")["cost"]),
     ("psu_average",
      branches("disease, AVG(cost)", "psu"),
      Q.psu("disease").avg("cost"),
-     lambda s: s.psu_average("disease", "cost")["cost"],
-     BatchQuery("psu_average", "disease", agg_attributes=("cost",))),
+     lambda s: s.psu_average("disease", "cost")["cost"]),
     ("psi_max",
      branches("disease, MAX(age)", "psi"),
      Q.psi("disease").max("age"),
-     lambda s: s.psi_max("disease", "age"),
-     None),
+     lambda s: s.psi_max("disease", "age")),
     ("psi_min",
      branches("disease, MIN(age)", "psi"),
      Q.psi("disease").min("age"),
-     lambda s: s.psi_min("disease", "age"),
-     None),
+     lambda s: s.psi_min("disease", "age")),
     ("psi_median",
      branches("disease, MEDIAN(cost)", "psi"),
      Q.psi("disease").median("cost"),
-     lambda s: s.psi_median("disease", "cost"),
-     None),
+     lambda s: s.psi_median("disease", "cost")),
 ]
 
 CASE_IDS = [case[0] for case in CASES]
+#: CASES before this index are batchable (one fused-sweep unit each).
+BATCHABLE_CASES = CASE_IDS.index("psi_max")
 
 
 class TestLowering:
     """Every form of one query lowers to the same LogicalPlan."""
 
-    @pytest.mark.parametrize("name,sql,builder,method,batch", CASES,
+    @pytest.mark.parametrize("name,sql,builder,method", CASES,
                              ids=CASE_IDS)
     def test_sql_and_builder_lower_identically(self, name, sql, builder,
-                                               method, batch):
+                                               method):
         assert parse_sql(sql) == builder.plan()
 
-    @pytest.mark.parametrize("name,sql,builder,method,batch", CASES,
+    @pytest.mark.parametrize("name,sql,builder,method", CASES,
                              ids=CASE_IDS)
-    def test_legacy_query_plan_lowers_identically(self, name, sql, builder,
-                                                  method, batch):
-        assert Planner().lower(parse_query(sql)) == builder.plan()
+    def test_method_form_lowers_identically(self, name, sql, builder,
+                                            method, monkeypatch):
+        system = build_hospitals()
+        plans = []
+        monkeypatch.setattr(system.executor, "execute",
+                            lambda plan, **options: plans.append(plan))
+        method(system)
+        assert plans == [builder.plan()]
 
-    @pytest.mark.parametrize("name,sql,builder,method,batch", CASES,
-                             ids=CASE_IDS)
-    def test_legacy_batch_query_lowers_identically(self, name, sql, builder,
-                                                   method, batch):
-        if batch is None:
-            pytest.skip("extrema/median have no BatchQuery form")
-        assert Planner().lower(batch) == builder.plan()
+    @pytest.mark.parametrize("name,sql,builder,method",
+                             CASES[:BATCHABLE_CASES],
+                             ids=CASE_IDS[:BATCHABLE_CASES])
+    def test_units_name_the_batch_kind(self, name, sql, builder, method):
+        (unit,) = parse_sql(sql).units()
+        assert unit.kind == name.removesuffix("_verify")
 
-    def test_keyword_dicts_lower_both_styles(self):
-        planner = Planner()
-        ir_style = planner.lower({"set_op": "psi", "attribute": "disease",
-                                  "aggregates": (("SUM", "cost"),),
-                                  "verify": True})
-        batch_style = planner.lower({"kind": "psi_sum",
-                                     "attribute": "disease",
-                                     "agg_attributes": ("cost",),
-                                     "verify": True})
-        assert ir_style == batch_style == \
-            Q.psi("disease").sum("cost").verify().plan()
+    @pytest.mark.parametrize("query", [
+        {"set_op": "psi", "attribute": "disease"},
+        {"kind": "psi_sum", "attribute": "disease",
+         "agg_attributes": ("cost",)},
+        ("psi", "disease"),
+        42,
+    ], ids=["ir-dict", "kind-dict", "tuple", "int"])
+    def test_other_forms_rejected(self, query):
+        with pytest.raises(QueryError, match="cannot interpret"):
+            Planner().lower(query)
 
     def test_tables_are_metadata_only(self):
         with_tables = parse_sql(branches("disease", "psi"))
@@ -216,18 +189,21 @@ class TestLowering:
 class TestEquivalence:
     """All forms return bit-identical results on identical deployments."""
 
-    @pytest.mark.parametrize("name,sql,builder,method,batch", CASES,
+    @pytest.mark.parametrize("name,sql,builder,method", CASES,
                              ids=CASE_IDS)
-    def test_forms_bit_identical(self, name, sql, builder, method, batch):
+    def test_forms_bit_identical(self, name, sql, builder, method):
         results = [
-            canonical(run_query(build_hospitals(), sql)),
+            canonical(run_sql(build_hospitals(), sql)),
             canonical(PrismClient(build_hospitals()).execute(builder)),
             canonical(method(build_hospitals())),
         ]
-        if batch is not None:
-            out = build_hospitals().run_batch([batch])[0]
-            if isinstance(out, dict):  # raw batch layer: attr-keyed dicts
-                out = out[batch.agg_attributes[0]]
+        if name in CASE_IDS[:BATCHABLE_CASES]:
+            # The sequential 1-D runner: the batch engine's oracle.
+            plan = builder.plan()
+            (unit,) = plan.units()
+            out = run_reference(build_hospitals(), plan, unit)
+            if unit.agg_attributes:  # per-unit shape: attribute-keyed
+                out = out[unit.agg_attributes[0]]
             results.append(canonical(out))
         assert all(r == results[0] for r in results[1:])
 
@@ -280,14 +256,14 @@ class TestVerifyCarriedEverywhere:
     """Regression: the legacy dispatch dropped verify for PSU and MAX/MIN."""
 
     def test_psu_sql_verify_is_honoured(self):
-        result = run_query(build_hospitals(),
-                           branches("disease", "psu") + " VERIFY")
+        result = run_sql(build_hospitals(),
+                         branches("disease", "psu") + " VERIFY")
         assert result.verified
 
     def test_psu_query_plan_execute_carries_verify(self):
-        plan = parse_query(branches("disease", "psu") + " VERIFY")
+        plan = parse_sql(branches("disease", "psu") + " VERIFY")
         assert plan.verify
-        assert plan.execute(build_hospitals()).verified
+        assert build_hospitals().executor.execute(plan).verified
 
     def test_psu_sql_verify_detects_tampering(self):
         # Previously VERIFY on a UNION silently ran unverified, so a
@@ -302,7 +278,7 @@ class TestVerifyCarriedEverywhere:
             server_factories={
                 0: lambda i, p: InjectFakeServer(i, p, cells=(0, 3))})
         with pytest.raises(VerificationError):
-            run_query(system, "SELECT k FROM a UNION SELECT k FROM b VERIFY")
+            run_sql(system, "SELECT k FROM a UNION SELECT k FROM b VERIFY")
 
     @pytest.mark.parametrize("fn", ["MAX", "MIN"])
     def test_extrema_lowering_carries_verify(self, fn):
@@ -313,8 +289,8 @@ class TestVerifyCarriedEverywhere:
 
     def test_extrema_sql_verify_executes(self):
         # The re-blinding consistency check runs and passes when honest.
-        result = run_query(build_hospitals(),
-                           branches("disease, MAX(age)", "psi") + " VERIFY")
+        result = run_sql(build_hospitals(),
+                         branches("disease, MAX(age)", "psi") + " VERIFY")
         assert result.per_value == {"Cancer": 8}
 
     def test_median_verify_rejected_loudly(self):
@@ -329,7 +305,7 @@ class TestVerifyCarriedEverywhere:
         factories = {0: lambda i, p: InjectFakeServer(i, p, cells=(0,))}
         sql = branches("disease", "psi") + " VERIFY"
         with pytest.raises(VerificationError):
-            run_query(build_hospitals(server_factories=factories), sql)
+            run_sql(build_hospitals(server_factories=factories), sql)
         with pytest.raises(VerificationError):
             PrismClient(build_hospitals(server_factories=factories)) \
                 .execute(Q.psi("disease").verify())
@@ -344,17 +320,13 @@ class TestMultiAggregate:
     SQL = branches("disease, SUM(cost), AVG(age)", "psi")
 
     def test_multi_aggregate_results_match_singles(self):
-        combined = run_query(build_hospitals(), self.SQL)
+        combined = run_sql(build_hospitals(), self.SQL)
         assert set(combined) == {"SUM(cost)", "AVG(age)"}
         reference = build_hospitals()
         assert combined["SUM(cost)"].per_value == \
             reference.psi_sum("disease", "cost")["cost"].per_value
         assert combined["AVG(age)"].per_value == \
             reference.psi_average("disease", "age")["age"].per_value
-
-    def test_legacy_parse_query_rejects_multi_aggregate(self):
-        with pytest.raises(QueryError):
-            parse_query(self.SQL)
 
     def test_builder_mixes_sweep_and_interactive_units(self):
         result = PrismClient(build_hospitals()).execute(
@@ -372,7 +344,7 @@ class TestExplain:
     def test_explain_prefix_returns_description(self):
         system = build_hospitals()
         system.transport.reset()
-        text = run_query(system, "EXPLAIN " + branches("disease", "psi"))
+        text = run_sql(system, "EXPLAIN " + branches("disease", "psi"))
         assert isinstance(text, str)
         assert "PSI" in text and "3 owners" in text
         assert system.transport.stats.total_messages == 0  # nothing ran
@@ -381,8 +353,8 @@ class TestExplain:
         # EXPLAIN resolves routes through the same dispatch table, so a
         # PSU extrema plan fails with QueryError, not a raw KeyError.
         with pytest.raises(QueryError):
-            run_query(build_hospitals(),
-                      "EXPLAIN " + branches("disease, MAX(age)", "psu"))
+            run_sql(build_hospitals(),
+                    "EXPLAIN " + branches("disease, MAX(age)", "psu"))
 
     def test_explain_names_the_route(self):
         client = PrismClient(build_hospitals())
@@ -445,14 +417,34 @@ class TestExecutorDispatch:
         results = client.execute_many([
             Q.psi("disease").verify(),
             branches("COUNT(disease)", "psu"),
-            {"kind": "psi_sum", "attribute": "disease",
-             "agg_attributes": ("cost",)},
+            LogicalPlan(set_op="psi", attribute="disease",
+                        aggregates=(("SUM", "cost"),)),
             Q.psi("disease").median("cost"),
         ])
         assert results[0].values == ["Cancer"]
         assert results[1].count == 3
         assert results[2].per_value == {"Cancer": 1400}
         assert results[3].per_value == {"Cancer": 300}
+
+    @pytest.mark.parametrize("field,value", [
+        ("querier", -1), ("querier", 3), ("owner_ids", ()),
+        ("owner_ids", (0, 3)),
+    ], ids=["querier=-1", "querier=m", "owner_ids=()", "owner_ids=(0,m)"])
+    @pytest.mark.parametrize("aggregates", [(), (("SUM", "cost"),),
+                                            (("MAX", "age"),)],
+                             ids=["psi", "sum", "max"])
+    def test_owner_indices_checked_before_any_message(self, field, value,
+                                                      aggregates):
+        """An owner index outside [0, m) fails typed, before any round."""
+        system = build_hospitals()
+        plan = LogicalPlan(set_op="psi", attribute="disease",
+                           aggregates=aggregates, **{field: value})
+        nonce = system._nonce
+        system.transport.reset()
+        with pytest.raises(QueryError, match=re.escape(repr(value))):
+            system.executor.execute(plan)
+        assert system.transport.stats.total_messages == 0
+        assert system._nonce == nonce
 
     def test_runner_options_rejected_for_fully_batched_plans(self):
         with pytest.raises(QueryError):
@@ -529,6 +521,6 @@ class TestPlanValidation:
         assert plan.units()[0].agg_attributes == ("cost", "age")
 
     def test_membership_identical_across_forms(self):
-        a = run_query(build_hospitals(), branches("disease", "psi"))
+        a = run_sql(build_hospitals(), branches("disease", "psi"))
         b = build_hospitals().psi("disease")
         assert np.array_equal(a.membership, b.membership)

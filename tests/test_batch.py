@@ -1,8 +1,9 @@
 """The batched multi-query execution engine (repro.core.batch).
 
-The contract under test: a fused batch returns results *identical* to
-running the same queries one by one through the sequential API, while
-executing fewer server sweeps and reusing dealt indicator shares.
+The contract under test: a fused batch of ``(LogicalPlan, PlanUnit)``
+pairs returns results *identical* to running the same units one by one
+through the sequential 1-D runners, while executing fewer server sweeps
+and reusing dealt indicator shares.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import BatchQuery, Domain, PrismSystem, QueryError, Relation
+from reference import batch_units, run_reference
+
+from repro import Domain, LogicalPlan, PrismSystem, Q, QueryError, Relation
 from repro.core.batch import QueryBatch
 from repro.exceptions import VerificationError
 
@@ -42,29 +45,34 @@ def build_hospitals(**kwargs):
                              with_verification=True, seed=11, **kwargs)
 
 
-MIXED_QUERIES = [
-    BatchQuery("psi", "disease", verify=True),
-    BatchQuery("psu", "disease"),
-    BatchQuery("psi_count", "disease", verify=True),
-    BatchQuery("psu_count", "disease"),
-    BatchQuery("psi_sum", "disease", agg_attributes=("cost",), verify=True),
-    BatchQuery("psi_average", "disease", agg_attributes=("cost", "age")),
-    BatchQuery("psu_sum", "disease", agg_attributes=("cost",)),
-    BatchQuery("psi", "disease"),
-    BatchQuery("psi_sum", "disease", agg_attributes=("age",)),
-    BatchQuery("psi_count", "disease"),
-]
+MIXED_QUERIES = batch_units([
+    Q.psi("disease").verify(),
+    Q.psu("disease"),
+    Q.psi("disease").count().verify(),
+    Q.psu("disease").count(),
+    Q.psi("disease").sum("cost").verify(),
+    Q.psi("disease").avg("cost", "age"),
+    Q.psu("disease").sum("cost"),
+    Q.psi("disease"),
+    Q.psi("disease").sum("age"),
+    Q.psi("disease").count(),
+])
 
 
-def assert_results_equal(query, sequential, batched):
-    if query.kind in ("psi", "psu"):
+def execute_batch(system, units, num_shards=None):
+    return QueryBatch(system, units, num_shards=num_shards).execute()
+
+
+def assert_results_equal(entry, sequential, batched):
+    _, unit = entry
+    if unit.kind in ("psi", "psu"):
         assert batched.values == sequential.values
         assert np.array_equal(batched.membership, sequential.membership)
         assert batched.verified == sequential.verified
-    elif query.kind.endswith("count"):
+    elif unit.kind.endswith("count"):
         assert batched.count == sequential.count
     else:
-        for agg in query.agg_attributes:
+        for agg in unit.agg_attributes:
             assert batched[agg].per_value == sequential[agg].per_value
             assert batched[agg].verified == sequential[agg].verified
 
@@ -74,8 +82,9 @@ def assert_results_equal(query, sequential, batched):
 
 def test_mixed_batch_matches_sequential():
     """A fused batch of >= 8 mixed queries is result-identical to the loop."""
-    sequential = [q.run_sequential(build_hospitals()) for q in MIXED_QUERIES]
-    batched = build_hospitals().run_batch(MIXED_QUERIES)
+    sequential = [run_reference(build_hospitals(), *entry)
+                  for entry in MIXED_QUERIES]
+    batched = execute_batch(build_hospitals(), MIXED_QUERIES)
     assert len(batched) == len(MIXED_QUERIES) >= 8
     for query, seq, bat in zip(MIXED_QUERIES, sequential, batched):
         assert_results_equal(query, seq, bat)
@@ -84,40 +93,42 @@ def test_mixed_batch_matches_sequential():
 def test_batch_on_same_system_matches_sequential_on_same_system():
     """Batch after sequential on one deployment still agrees (fresh nonces)."""
     system = build_hospitals()
-    sequential = [q.run_sequential(system) for q in MIXED_QUERIES]
-    batched = system.run_batch(MIXED_QUERIES)
+    sequential = [run_reference(system, *entry) for entry in MIXED_QUERIES]
+    batched = execute_batch(system, MIXED_QUERIES)
     for query, seq, bat in zip(MIXED_QUERIES, sequential, batched):
         assert_results_equal(query, seq, bat)
 
 
 def test_batch_through_wire_codec():
     """serialize_transport exercises the 2-D matrix wire encoding."""
-    batched = build_hospitals(serialize_transport=True).run_batch(MIXED_QUERIES)
-    reference = [q.run_sequential(build_hospitals()) for q in MIXED_QUERIES]
+    batched = execute_batch(build_hospitals(serialize_transport=True),
+                        MIXED_QUERIES)
+    reference = [run_reference(build_hospitals(), *entry)
+                 for entry in MIXED_QUERIES]
     for query, seq, bat in zip(MIXED_QUERIES, reference, batched):
         assert_results_equal(query, seq, bat)
 
 
 def test_batch_owner_subset():
-    queries = [
-        BatchQuery("psi", "disease", owner_ids=(0, 1)),
-        BatchQuery("psi_sum", "disease", agg_attributes=("cost",),
-                   owner_ids=(0, 1)),
-        BatchQuery("psu_count", "disease", owner_ids=(0, 2)),
-    ]
-    sequential = [q.run_sequential(build_hospitals()) for q in queries]
-    batched = build_hospitals().run_batch(queries)
+    queries = batch_units([
+        Q.psi("disease").owners((0, 1)),
+        Q.psi("disease").sum("cost").owners((0, 1)),
+        Q.psu("disease").count().owners((0, 2)),
+    ])
+    sequential = [run_reference(build_hospitals(), *entry)
+                  for entry in queries]
+    batched = execute_batch(build_hospitals(), queries)
     for query, seq, bat in zip(queries, sequential, batched):
         assert_results_equal(query, seq, bat)
 
 
-def test_batch_accepts_sql_and_dicts():
+def test_batch_accepts_sql_and_builders():
     sql = ("SELECT disease FROM h1 INTERSECT SELECT disease FROM h2 "
            "INTERSECT SELECT disease FROM h3")
-    results = build_hospitals().run_batch([
+    results = build_hospitals().executor.execute_many([
         sql,
-        {"kind": "psi_count", "attribute": "disease"},
-        BatchQuery("psu", "disease"),
+        Q.psi("disease").count(),
+        LogicalPlan(set_op="psu", attribute="disease"),
     ])
     reference = build_hospitals()
     assert results[0].values == reference.psi("disease").values
@@ -126,8 +137,8 @@ def test_batch_accepts_sql_and_dicts():
 
 
 def test_batch_threads_match_single_thread():
-    single = build_hospitals().run_batch(MIXED_QUERIES, num_shards=1)
-    threaded = build_hospitals().run_batch(MIXED_QUERIES, num_shards=4)
+    single = execute_batch(build_hospitals(), MIXED_QUERIES, num_shards=1)
+    threaded = execute_batch(build_hospitals(), MIXED_QUERIES, num_shards=4)
     for query, a, b in zip(MIXED_QUERIES, single, threaded):
         assert_results_equal(query, a, b)
 
@@ -136,38 +147,41 @@ def test_batch_threads_match_single_thread():
 
 
 def test_empty_batch():
-    assert build_hospitals().run_batch([]) == []
+    assert execute_batch(build_hospitals(), []) == []
 
 
 def test_single_query_batch():
     system = build_hospitals()
-    (result,) = system.run_batch([BatchQuery("psi", "disease", verify=True)])
+    (result,) = execute_batch(system, batch_units([Q.psi("disease").verify()]))
     assert result.values == build_hospitals().psi("disease").values
     assert result.verified
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(QueryError):
-        BatchQuery("psi_max", "disease")
+        QueryBatch(build_hospitals(),
+                   batch_units([Q.psi("disease").max("age")]))
 
 
 def test_agg_kind_requires_agg_attributes():
     with pytest.raises(QueryError):
-        BatchQuery("psi_sum", "disease")
+        LogicalPlan(set_op="psi", attribute="disease",
+                    aggregates=(("SUM", None),))
     with pytest.raises(QueryError):
-        BatchQuery("psi", "disease", agg_attributes=("cost",))
+        LogicalPlan(set_op="psi", attribute="disease",
+                    aggregates=(("COUNT", "cost"),))
 
 
 def test_psu_count_has_no_verification():
     with pytest.raises(QueryError):
-        BatchQuery("psu_count", "disease", verify=True)
+        Q.psu("disease").count().verify().plan()
 
 
 def test_extrema_sql_not_batchable():
     sql = ("SELECT disease, MAX(age) FROM h1 INTERSECT "
            "SELECT disease, MAX(age) FROM h2")
     with pytest.raises(QueryError):
-        BatchQuery.coerce(sql)
+        QueryBatch(build_hospitals(), batch_units([sql]))
 
 
 def test_batch_detects_tampering():
@@ -180,7 +194,7 @@ def test_batch_detects_tampering():
     tampered[0] = (tampered[0] + 1) % system.initiator.delta
     server.store.put(0, column, tampered, stored.kind)
     with pytest.raises(VerificationError):
-        system.run_batch([BatchQuery("psi", "disease", verify=True)])
+        execute_batch(system, batch_units([Q.psi("disease").verify()]))
 
 
 # -- planner accounting -------------------------------------------------------
@@ -188,11 +202,11 @@ def test_batch_detects_tampering():
 
 def test_plan_deduplicates_shared_rows():
     system = build_hospitals()
-    batch = QueryBatch(system, [
-        BatchQuery("psi", "disease"),
-        BatchQuery("psi", "disease"),
-        BatchQuery("psi_sum", "disease", agg_attributes=("cost",)),
-    ])
+    batch = QueryBatch(system, batch_units([
+        Q.psi("disease"),
+        Q.psi("disease"),
+        Q.psi("disease").sum("cost"),
+    ]))
     plan = batch.plan()
     # All three queries share the single Eq. 3 sweep row over 'disease'.
     assert plan["psi_rows"] == 1
@@ -202,10 +216,7 @@ def test_plan_deduplicates_shared_rows():
 def test_psu_rows_never_deduplicated():
     """Each PSU query keeps its own nonce/mask stream, even when repeated."""
     system = build_hospitals()
-    batch = QueryBatch(system, [
-        BatchQuery("psu", "disease"),
-        BatchQuery("psu", "disease"),
-    ])
+    batch = QueryBatch(system, batch_units([Q.psu("disease")] * 2))
     assert batch.plan()["psu_rows"] == 2
 
 
@@ -226,17 +237,15 @@ def test_cache_hits_on_overlapping_aggregations():
     system = build_hospitals()
     cache = system.initiator.indicator_cache
     assert cache.stats["entries"] == 0
-    system.run_batch([
-        BatchQuery("psi_sum", "disease", agg_attributes=("cost",)),
-        BatchQuery("psi_average", "disease", agg_attributes=("cost", "age")),
+    system.executor.execute_many([
+        Q.psi("disease").sum("cost"),
+        Q.psi("disease").avg("cost", "age"),
     ])
     first = cache.stats
     assert first["misses"] >= 1
     assert first["hits"] >= 1  # the average reuses the sum's z shares
 
-    system.run_batch([
-        BatchQuery("psi_sum", "disease", agg_attributes=("age",)),
-    ])
+    system.executor.execute_many([Q.psi("disease").sum("age")])
     second = cache.stats
     assert second["hits"] > first["hits"]
     assert second["misses"] == first["misses"]  # pure hit, no new dealing
@@ -284,8 +293,8 @@ def test_cache_evicts_oldest_at_capacity():
 def test_reexecuted_batch_draws_fresh_psu_nonces():
     """Re-running one plan must never replay an Eq. 18 mask stream."""
     system = build_hospitals()
-    batch = QueryBatch(system, [BatchQuery("psu", "disease"),
-                                BatchQuery("psu_count", "disease")])
+    batch = QueryBatch(system, batch_units([Q.psu("disease"),
+                                            Q.psu("disease").count()]))
     first = batch.execute()
     nonce_after_first = system._nonce
     second = batch.execute()
@@ -297,10 +306,10 @@ def test_reexecuted_batch_draws_fresh_psu_nonces():
 def test_distinct_memberships_never_collide():
     """PSI and PSU indicators over the same column get distinct entries."""
     system = build_hospitals()
-    batch_results = system.run_batch([
-        BatchQuery("psi_sum", "disease", agg_attributes=("cost",)),
-        BatchQuery("psu_sum", "disease", agg_attributes=("cost",)),
-    ])
+    batch_results = execute_batch(system, batch_units([
+        Q.psi("disease").sum("cost"),
+        Q.psu("disease").sum("cost"),
+    ]))
     psi_values = set(batch_results[0]["cost"].per_value)
     psu_values = set(batch_results[1]["cost"].per_value)
     assert psi_values == {"Cancer"}

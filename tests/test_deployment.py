@@ -202,19 +202,18 @@ class TestSubprocessDeployment:
 
     def test_batch_and_builder_surfaces(self, expected_table4):
         with build("subprocess") as system:
-            batch = system.run_batch([
+            batch = system.executor.execute_many([
                 "SELECT k FROM a INTERSECT SELECT k FROM b",
-                {"kind": "psu_count", "attribute": "k"},
+                Q.psu("k").count(),
                 Q.psi("k").sum("amt"),
             ])
             assert sorted(batch[0].values) == expected_table4["psi_values"]
             assert batch[1].count == expected_table4["psu_count"]
-            # run_batch keeps the legacy attribute-keyed aggregate shape.
-            assert batch[2]["amt"].per_value == expected_table4["sum"]
+            assert batch[2].per_value == expected_table4["sum"]
 
     def test_sharded_batch_over_channel(self, expected_table4):
         with build("subprocess") as system:
-            result = system.run_batch(
+            result = system.executor.execute_many(
                 ["SELECT k FROM a INTERSECT SELECT k FROM b"], num_shards=2)
             assert sorted(result[0].values) == expected_table4["psi_values"]
 
@@ -345,7 +344,7 @@ class TestTcpDeployment:
 
     def test_sharded_batch_over_socket(self, tcp_hosts, expected_table4):
         with build(tcp_hosts, num_shards=2) as system:
-            batch = system.run_batch([
+            batch = system.executor.execute_many([
                 "SELECT k FROM a INTERSECT SELECT k FROM b",
                 "SELECT k FROM a UNION SELECT k FROM b",
             ])

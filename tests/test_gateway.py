@@ -245,6 +245,20 @@ class TestTenancy:
             # The session stays usable for well-formed queries.
             assert client.execute(PSI_SQL).values
 
+    def test_out_of_range_querier_refused_typed(self, gateway):
+        """A remote plan naming a querier outside [0, m) comes back as a
+        typed QueryError, and nothing runs on the dataset."""
+        funnel = gateway.registry.resolve("alpha", "hospital").client
+        transport = funnel.system.transport.stats
+        messages = transport.total_messages
+        with _connect(gateway) as client:
+            with pytest.raises(QueryError, match="querier -1"):
+                client.execute(Q.psi("disease").querier(-1))
+            assert transport.total_messages == messages
+            assert funnel.stats["queries"] == 0
+            # The session stays usable for well-formed queries.
+            assert client.execute(PSI_SQL).values
+
     def test_shared_dataset_crosses_tenants(self, gateway,
                                             hospital_relations,
                                             disease_domain):

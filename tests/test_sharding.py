@@ -19,9 +19,11 @@ import threading
 
 import numpy as np
 import pytest
+from reference import batch_units, canonical
 
-from repro import BatchQuery, Domain, PrismSystem, Relation
+from repro import Domain, PrismSystem, Q, Relation
 from repro.core import sharding
+from repro.core.batch import QueryBatch
 from repro.core.sharding import (
     ShardRuntime,
     attach_sharding,
@@ -50,28 +52,24 @@ def build_fleet(num_shards: int = 1, num_values: int = 41, **kwargs):
 
 #: One query per batchable Table-4 kind (the equivalence matrix).
 TABLE4_QUERIES = [
-    BatchQuery("psi", "A", verify=True),
-    BatchQuery("psu", "A", verify=True),
-    BatchQuery("psi_count", "A", verify=True),
-    BatchQuery("psu_count", "A"),
-    BatchQuery("psi_sum", "A", agg_attributes=("cost",), verify=True),
-    BatchQuery("psi_average", "A", agg_attributes=("cost",)),
-    BatchQuery("psu_sum", "A", agg_attributes=("cost",)),
-    BatchQuery("psu_average", "A", agg_attributes=("cost",)),
+    Q.psi("A").verify(),
+    Q.psu("A").verify(),
+    Q.psi("A").count().verify(),
+    Q.psu("A").count(),
+    Q.psi("A").sum("cost").verify(),
+    Q.psi("A").avg("cost"),
+    Q.psu("A").sum("cost"),
+    Q.psu("A").avg("cost"),
 ]
 
 
-def assert_identical(query, reference, sharded):
-    if query.kind in ("psi", "psu"):
-        assert sharded.values == reference.values
-        assert np.array_equal(sharded.membership, reference.membership)
-        assert sharded.verified == reference.verified
-    elif query.kind.endswith("count"):
-        assert sharded.count == reference.count
-    else:
-        for agg in query.agg_attributes:
-            assert sharded[agg].per_value == reference[agg].per_value
-            assert sharded[agg].verified == reference[agg].verified
+def execute_many(system, queries, num_shards=None):
+    """All queries' units fused into one QueryBatch."""
+    return system.executor.execute_many(queries, num_shards=num_shards)
+
+
+def assert_identical(reference, sharded):
+    assert canonical(sharded) == canonical(reference)
 
 
 # -- bit-identity across shard counts -----------------------------------------
@@ -80,28 +78,28 @@ def assert_identical(query, reference, sharded):
 @pytest.mark.parametrize("num_shards", [1, 2, 7])
 def test_sharded_batch_bit_identical_for_every_kind(num_shards):
     """Acceptance: every Table-4 kind, num_shards in {1, 2, 7}."""
-    reference = build_fleet().run_batch(TABLE4_QUERIES)
+    reference = execute_many(build_fleet(), TABLE4_QUERIES)
     with build_fleet(num_shards=num_shards) as system:
-        sharded = system.run_batch(TABLE4_QUERIES)
-        for query, ref, out in zip(TABLE4_QUERIES, reference, sharded):
-            assert_identical(query, ref, out)
+        sharded = execute_many(system, TABLE4_QUERIES)
+        for ref, out in zip(reference, sharded, strict=True):
+            assert_identical(ref, out)
         if num_shards > 1:
             # The sweeps really ran as more than one span.
             assert system._shard_runtime.dispatches > 0
 
 
 def test_per_call_num_shards_override():
-    """run_batch(num_shards=...) shards an unsharded deployment per call."""
-    reference = build_fleet().run_batch(TABLE4_QUERIES)
+    """execute_many(num_shards=...) shards an unsharded deployment per call."""
+    reference = execute_many(build_fleet(), TABLE4_QUERIES)
     with build_fleet() as system:
-        sharded = system.run_batch(TABLE4_QUERIES, num_shards=3)
-        for query, ref, out in zip(TABLE4_QUERIES, reference, sharded):
-            assert_identical(query, ref, out)
+        sharded = execute_many(system, TABLE4_QUERIES, num_shards=3)
+        for ref, out in zip(reference, sharded, strict=True):
+            assert_identical(ref, out)
         assert system._shard_runtime.dispatches > 0
         # And num_shards=1 on a sharded system forces the thread sweep.
     with build_fleet(num_shards=4) as system:
         before = system._shard_runtime.dispatches
-        system.run_batch(TABLE4_QUERIES, num_shards=1)
+        execute_many(system, TABLE4_QUERIES, num_shards=1)
         assert system._shard_runtime.dispatches == before
 
 
@@ -127,22 +125,22 @@ def test_sequential_queries_use_deployment_shard_plan():
 
 
 SUBSET_QUERIES = [
-    BatchQuery("psi", "A", owner_ids=(0, 1)),
-    BatchQuery("psu", "A", owner_ids=(0, 2)),
-    BatchQuery("psi_count", "A", owner_ids=(1, 2)),
-    BatchQuery("psi_sum", "A", agg_attributes=("cost",), owner_ids=(0, 1)),
-    BatchQuery("psu_count", "A", owner_ids=(0, 1)),
+    Q.psi("A").owners((0, 1)),
+    Q.psu("A").owners((0, 2)),
+    Q.psi("A").count().owners((1, 2)),
+    Q.psi("A").sum("cost").owners((0, 1)),
+    Q.psu("A").count().owners((0, 1)),
 ]
 
 
 def test_owner_subsets_sharded_and_unsharded_identical():
     """Subset-owner queries: bit-identical results AND identical traffic."""
     base = build_fleet()
-    unsharded = base.run_batch(SUBSET_QUERIES)
+    unsharded = execute_many(base, SUBSET_QUERIES)
     with build_fleet(num_shards=5) as system:
-        sharded = system.run_batch(SUBSET_QUERIES)
-        for query, ref, out in zip(SUBSET_QUERIES, unsharded, sharded):
-            assert_identical(query, ref, out)
+        sharded = execute_many(system, SUBSET_QUERIES)
+        for ref, out in zip(unsharded, sharded, strict=True):
+            assert_identical(ref, out)
         assert system._shard_runtime.dispatches > 0
         # Sharding is server-internal: the wire protocol must not change.
         assert (system.transport.stats.messages_by_kind
@@ -152,9 +150,9 @@ def test_owner_subsets_sharded_and_unsharded_identical():
 def test_subset_and_full_owner_sets_agree_on_membership():
     """The full set as an explicit subset equals owner_ids=None, sharded."""
     with build_fleet(num_shards=3) as system:
-        full = system.run_batch([BatchQuery("psi", "A")])[0]
-        explicit = system.run_batch(
-            [BatchQuery("psi", "A", owner_ids=(0, 1, 2))])[0]
+        full = execute_many(system, [Q.psi("A")])[0]
+        explicit = execute_many(
+            system, [Q.psi("A").owners((0, 1, 2))])[0]
         assert np.array_equal(full.membership, explicit.membership)
 
 
@@ -253,7 +251,7 @@ def test_concurrent_dispatches_do_not_cross_wires(monkeypatch):
     """More callers than CPUs share one deployment pool: each must get
     its own query's rows back, bit-identical to a serial run."""
     monkeypatch.setattr(sharding, "usable_cpus", lambda: 4)
-    expected = build_fleet().run_batch(TABLE4_QUERIES)
+    expected = execute_many(build_fleet(), TABLE4_QUERIES)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -265,7 +263,7 @@ def test_concurrent_dispatches_do_not_cross_wires(monkeypatch):
             def caller(slot):
                 try:
                     barrier.wait(timeout=60)
-                    results[slot] = system.run_batch(TABLE4_QUERIES)
+                    results[slot] = execute_many(system, TABLE4_QUERIES)
                 except Exception as exc:  # pragma: no cover - failure detail
                     errors.append(exc)
 
@@ -278,8 +276,8 @@ def test_concurrent_dispatches_do_not_cross_wires(monkeypatch):
             assert not any(thread.is_alive() for thread in threads)
             assert not errors
             for outcome in results:
-                for query, ref, out in zip(TABLE4_QUERIES, expected, outcome):
-                    assert_identical(query, ref, out)
+                for ref, out in zip(expected, outcome, strict=True):
+                    assert_identical(ref, out)
     finally:
         sys.setswitchinterval(interval)
 
@@ -329,11 +327,11 @@ def test_server_reuses_one_thread_pool_across_calls(monkeypatch):
 def test_pool_is_sized_to_usable_cpus(monkeypatch):
     """Seven shards on one usable CPU run inline: no pool thread at all."""
     monkeypatch.setattr(sharding, "usable_cpus", lambda: 1)
-    reference = build_fleet().run_batch(TABLE4_QUERIES)
+    reference = execute_many(build_fleet(), TABLE4_QUERIES)
     with build_fleet(num_shards=7) as system:
-        sharded = system.run_batch(TABLE4_QUERIES)
-        for query, ref, out in zip(TABLE4_QUERIES, reference, sharded):
-            assert_identical(query, ref, out)
+        sharded = execute_many(system, TABLE4_QUERIES)
+        for ref, out in zip(reference, sharded, strict=True):
+            assert_identical(ref, out)
         assert system._shard_runtime.dispatches > 0
         assert system._shard_runtime._pool is None
 
@@ -361,14 +359,14 @@ def test_local_deployment_forks_nothing_and_leaves_nothing(monkeypatch,
 
     system = build_fleet(num_shards=num_shards)
     try:
-        first = system.run_batch(TABLE4_QUERIES)
+        first = execute_many(system, TABLE4_QUERIES)
         assert not forked()
         system.outsource("A", ("cost",), with_verification=True)
         assert not forked()
-        again = system.run_batch(TABLE4_QUERIES)
+        again = execute_many(system, TABLE4_QUERIES)
         assert not forked()
-        for query, ref, out in zip(TABLE4_QUERIES, first, again):
-            assert_identical(query, ref, out)
+        for ref, out in zip(first, again, strict=True):
+            assert_identical(ref, out)
     finally:
         system.close()
     assert not forked()
@@ -421,10 +419,10 @@ class TestFetchMemo:
     def test_batch_fetches_each_column_once_per_owner_set(self):
         with build_fleet() as system:
             store = system.servers[0].store
-            system.run_batch([
-                BatchQuery("psi", "A", verify=True),
-                BatchQuery("psi", "A"),
-                BatchQuery("psi_count", "A"),
+            execute_many(system, [
+                Q.psi("A").verify(),
+                Q.psi("A"),
+                Q.psi("A").count(),
             ])
             info = store.fetch_cache_info()
             assert info["misses"] == info["entries"]
@@ -484,8 +482,8 @@ class TestAutoShards:
         system = make_system([{1, 2}, {2, 3}])
         try:
             for call in (lambda: system.psi("A", num_shards=value),
-                         lambda: system.run_batch([BatchQuery("psi", "A")],
-                                                  num_shards=value)):
+                         lambda: QueryBatch(system, batch_units([Q.psi("A")]),
+                                            num_shards=value)):
                 with pytest.raises(ParameterError,
                                    match=re.escape(repr(value))):
                     call()
