@@ -15,6 +15,7 @@ from repro.core.bucketized import simulate_actual_domain_size
 
 @pytest.fixture(scope="module")
 def kernel_inputs(system10):
+    """The server, and its shares for the naive baseline's own sweep."""
     server = system10.servers[0]
     shares = server.fetch_additive("OK")
     return server, shares
@@ -22,8 +23,8 @@ def kernel_inputs(system10):
 
 def test_ablation_kernel_power_table(benchmark, kernel_inputs):
     benchmark.group = "ablation:kernel"
-    server, shares = kernel_inputs
-    benchmark(server.psi_round, "OK", 1, None, shares)
+    server, _ = kernel_inputs
+    benchmark(server.psi_round_batch, ["OK"], num_shards=1)
 
 
 def test_ablation_kernel_direct_modexp(benchmark, kernel_inputs):
@@ -56,5 +57,5 @@ def test_ablation_bucket_fanout(benchmark, fanout):
 @pytest.mark.parametrize("threads", (1, 2, 8))
 def test_ablation_thread_chunking(benchmark, kernel_inputs, threads):
     benchmark.group = "ablation:threads"
-    server, shares = kernel_inputs
-    benchmark(server.psi_round, "OK", threads, None, shares)
+    server, _ = kernel_inputs
+    benchmark(server.psi_round_batch, ["OK"], num_shards=threads)

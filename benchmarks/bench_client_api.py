@@ -1,13 +1,13 @@
-"""Unified-path dispatch overhead: plan IR + executor vs raw runners.
+"""Unified-path dispatch overhead: plan IR + executor + batch engine.
 
-Not a paper artefact — this benchmark guards the api_redesign: routing
-every query through lowering → LogicalPlan → Executor → QueryBatch must
-cost only microseconds of planning on top of the kernel sweeps, for
-single queries (batch of one) as well as for fused multi-query
-submission through ``PrismClient.execute_many``.
+Not a paper artefact — this benchmark guards the one execution path:
+routing every query through lowering → LogicalPlan → Executor →
+QueryBatch must cost only microseconds of planning on top of the kernel
+sweeps, for single queries (batch of one) as well as for fused
+multi-query submission through ``PrismClient.execute_many``.
 
-Expected shape: ``unified-single`` within a few percent of
-``runner-single`` (the sweep dominates; lowering is dict work).
+Expected shape: ``planning`` is microseconds of dict work, a small
+fraction of ``single-psi`` (the sweep dominates).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 
 from repro import PrismClient, Q
 from repro.bench.harness import build_system
-from repro.core.psi import run_psi
 
 
 def client_domain() -> int:
@@ -45,12 +44,6 @@ FLUENT_QUERIES = [
     Q.psi("OK").avg("PK"),
     Q.psi("OK").sum("DT", "PK"),
 ]
-
-
-def test_runner_single_psi(benchmark, system):
-    """Baseline: the sequential 1-D runner, bypassing the unified path."""
-    benchmark.group = "single-psi"
-    benchmark(run_psi, system, "OK")
 
 
 def test_unified_single_psi(benchmark, system):

@@ -10,7 +10,7 @@ import pytest
 
 @pytest.fixture(scope="module")
 def psi_outputs(system10):
-    return [s.psi_round("OK") for s in system10.servers[:2]]
+    return [s.psi_round_batch(["OK"])[0] for s in system10.servers[:2]]
 
 
 def test_table14_psi_owner_finalize(benchmark, system10, psi_outputs):
@@ -38,7 +38,7 @@ def test_table14_count_owner_finalize(benchmark, system10, psi_outputs):
 
 def test_table14_psu_owner_finalize(benchmark, system10):
     benchmark.group = "table14"
-    outputs = [s.psu_round("OK", query_nonce=1)
+    outputs = [s.psu_round_batch(["OK"], [1])[0]
                for s in system10.servers[:2]]
     owner = system10.owners[0]
     benchmark(lambda: owner.decode_cells(owner.finalize_psu(*outputs)))
@@ -50,7 +50,7 @@ def test_table14_sum_owner_finalize(benchmark, system10, psi_outputs):
     fop = owner.finalize_psi(psi_outputs[0], psi_outputs[1])
     member = owner.psi_membership(fop)
     z_shares = owner.make_z_shares(member)
-    outputs = [srv.aggregate_round("DT", z)
+    outputs = [srv.aggregate_round_batch(["DT"], z[None])[0]
                for srv, z in zip(system10.servers[:3], z_shares)]
     benchmark(owner.finalize_aggregate, outputs)
 

@@ -1,13 +1,12 @@
 """Core Prism protocols and the high-level system facade."""
 
-from repro.core.aggregate import aggregate_reference, run_aggregate
+from repro.core.aggregate import aggregate_reference
 from repro.core.batch import QueryBatch
 from repro.core.bucketized import (
     BucketTree,
     run_bucketized_psi,
     simulate_actual_domain_size,
 )
-from repro.core.count import run_psi_count, run_psu_count
 from repro.core.extrema import (
     extrema_reference,
     median_reference,
@@ -26,8 +25,8 @@ from repro.core.params import (
     ServerGroupView,
     ServerParams,
 )
-from repro.core.psi import psi_reference, run_psi
-from repro.core.psu import psu_reference, run_psu
+from repro.core.psi import psi_reference
+from repro.core.psu import psu_reference
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -62,13 +61,8 @@ __all__ = [
     "median_reference",
     "psi_reference",
     "psu_reference",
-    "run_aggregate",
     "run_bucketized_psi",
     "run_extrema",
     "run_median",
-    "run_psi",
-    "run_psi_count",
-    "run_psu",
-    "run_psu_count",
     "simulate_actual_domain_size",
 ]

@@ -1,11 +1,12 @@
-"""Batched multi-query execution — the serving-engine path.
+"""The query engine: every batchable query runs through here.
 
-The per-query API (:meth:`~repro.core.system.PrismSystem.psi` and
-friends) runs one full server sweep over the χ table per query.  Under
-concurrent load that is wasteful twice over: every query pays the fixed
+Every SQL, ``Q``, :class:`~repro.core.system.PrismSystem` and gateway
+query lowers to ``(plan, unit)`` pairs and runs as a :class:`QueryBatch`;
+a single query is a batch of one.  Running N queries one sweep each
+would be wasteful twice over: every query would pay the fixed
 Python/numpy dispatch cost of its own sweep, and queries that touch the
-same stored column redo identical work.  This module turns N heterogeneous
-queries into a handful of *fused* sweeps:
+same stored column would redo identical work.  This module turns N
+heterogeneous queries into a handful of *fused* sweeps:
 
 1. The caller lowers each query to a
    :class:`~repro.api.plan.LogicalPlan` and hands over its batchable
@@ -22,9 +23,11 @@ queries into a handful of *fused* sweeps:
    (:meth:`~repro.entities.server.PrismServer.psi_round_batch` etc.), so
    access-pattern hiding is preserved — the servers' instruction sequence
    depends on the batch shape only, never on the data.
-4. Owner-side finalisation reuses the exact per-query math of the
-   sequential runners, so every result is bit-identical to what the
-   sequential API returns for the same query.
+4. Owners finalise each query from its own rows
+   (:meth:`QueryBatch._finalize_indicator`,
+   :meth:`QueryBatch._assemble_aggregate`, where the §5–§7 owner math
+   lives), so a unit's result is the same whether it runs alone or
+   fused with others.
 
 Aggregation queries additionally route their Phase-2 indicator-share
 generation through the initiator's
@@ -39,8 +42,7 @@ interactive programs of :mod:`repro.core.interactive`.
 Caveats on result metadata: all results of one batch share a single
 :class:`~repro.core.results.PhaseTimings` object (family sweeps are timed
 once, not per query, and the data-fetch step is folded into server time),
-and ``traffic`` summaries are cumulative transport counters exactly as in
-the sequential API.
+and ``traffic`` summaries are cumulative transport counters.
 """
 
 from __future__ import annotations
@@ -240,8 +242,8 @@ class QueryBatch:
         # PhaseTimings instance, which a later run must not mutate.
         self.timings = PhaseTimings()
         # Fresh Eq. 18 nonces per execution, drawn in query-submission
-        # order (matching the sequential loop); re-running the same plan
-        # must never replay a mask stream.
+        # order; re-running the same plan must never replay a mask
+        # stream.
         self._psu_nonces = {group: [None] * len(rows)
                             for group, rows in self._psu_rows.items()}
         for group, row in self._psu_order:
@@ -369,10 +371,41 @@ class QueryBatch:
                 outputs[(family, group, 1)][row])
 
     def _finalize_indicator(self, index, outputs, results, traffic):
-        """Per-query owner math — identical to the sequential runners.
+        """Per-query owner math of the one-round kinds.
 
-        Fills ``results[index]`` for set queries; returns the membership
-        vector for aggregation queries (finalised later).
+        **PSI** (§5.1): each owner multiplies the two servers' Eq. 3
+        rows pointwise modulo ``eta`` (Eq. 4) and reads off the cells
+        equal to 1.  Its verification stream (§5.2) is the Eq. 7 sweep
+        over the ``PF_db1``-permuted complement table; the owner
+        un-permutes it and checks ``r1 * r2 == 1 (mod eta)`` per cell
+        (Eq. 8–10), which detects skipped, replayed and injected cells.
+
+        **PSU** (§7): the owner adds the two Eq. 18 rows modulo
+        ``delta`` (Eq. 19): zero means no owner holds the value, any
+        nonzero (masked) value that at least one does — without
+        revealing *how many*.  Its verification stream is the Eq. 3
+        sweep, *with* the ``⊖ A(m)`` term, over the ``PF_db1``-permuted
+        complement table ``vA``: that cell equals 1 iff every owner
+        holds the complement, i.e. iff *no* owner holds the value, so
+        union membership must be its exact negation, cell by cell.  A
+        server tampering with the PSU stream cannot patch the
+        complement stream consistently because ``PF_db1`` hides the
+        complement's cell positions (the 1/b² argument of §5.2).
+
+        **Counts** (§6.5): the servers permute the PSI (or PSU) rows
+        with ``PF_s1``, unknown to owners, before they leave the server;
+        owners still count the ones but can no longer map positions
+        back to domain values.  Verified PSI-Count uses the Eq. (1)
+        quadruple: the data stream runs over χ pre-permuted with
+        ``PF_db1`` (column ``cA``) and leaves permuted by ``PF_s1``,
+        the complement stream over χ̄ pre-permuted with ``PF_db2``
+        (column ``cvA``) and leaves permuted by ``PF_s2``.  Both arrive
+        permuted by the same unknown ``PF_i``, so the owner pairs cell
+        *i* of the result with cell *i* of the proof and checks
+        ``r1 * r2 == 1 (mod eta)`` without learning any positions.
+
+        Fills ``results[index]`` for set and count queries; returns the
+        membership vector for aggregation queries (finalised later).
         """
         system = self.system
         plan, unit = self.units[index]
@@ -532,7 +565,26 @@ class QueryBatch:
                                                           row_totals, traffic)
 
     def _assemble_aggregate(self, index, member, row_totals, traffic) -> dict:
-        """Per-query AggregateResult assembly (sequential-identical math)."""
+        """Per-query owner math of the two-round aggregations (§6.1–6.2).
+
+        Round 1 (a PSI or PSU row, finalised by
+        :meth:`_finalize_indicator`) establishes which cells are in the
+        result set; the querier rebuilds the 0/1 indicator ``z`` from
+        it and deals degree-1 Shamir shares of ``z`` to the three
+        servers.  In round 2 each server computes
+        ``Σ_j S(x_i2)_j × S(z_i)`` per cell (Eq. 11); owners reconstruct
+        the degree-2 totals by Lagrange interpolation at the three
+        points.  Average also aggregates the per-owner tuple-count
+        column ``aA`` (the paper's ``aOK``) and divides.
+
+        Verification (the full version's Table 11 ``v`` columns): owners
+        also outsourced ``PF_db1``-permuted copies of each aggregation
+        column, and the querier deals a second indicator, ``z``
+        permuted by ``PF_db1``.  The verified totals must equal the
+        ``PF_db1``-permuted primary totals cell by cell; a server
+        dropping or replaying Eq. 11 cells cannot fake the pair without
+        knowing ``PF_db1``.
+        """
         system = self.system
         plan, unit = self.units[index]
         owner = system.owners[plan.querier]

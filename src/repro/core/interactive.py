@@ -169,9 +169,8 @@ def sharded_psi_round(system, attribute, num_shards, timings, querier: int):
 
     Dispatches through :meth:`psi_round_batch` (a batch of one row), so
     the deployment's span count — or ``num_shards`` as a per-call
-    override — applies, with the full fallback ladder; the output row is
-    bit-identical to the historical 1-D ``psi_round`` sweep.  Returns
-    the decoded common values, exactly as the owners learn them.
+    override — applies, with the full fallback ladder.  Returns the
+    decoded common values, exactly as the owners learn them.
     """
     transport = system.transport
     column = psi_column_name(attribute)

@@ -1,4 +1,4 @@
-"""Result objects returned by the protocol runners.
+"""Result objects returned by the query engine and interactive programs.
 
 Every result carries a :class:`PhaseTimings` breakdown (server vs owner vs
 announcer wall time) and the transport's traffic summary, because the
@@ -38,10 +38,6 @@ class PhaseTimings:
     @property
     def announcer_seconds(self) -> float:
         return self.seconds.get("announcer", 0.0)
-
-    @property
-    def fetch_seconds(self) -> float:
-        return self.seconds.get("fetch", 0.0)
 
     @property
     def total_seconds(self) -> float:

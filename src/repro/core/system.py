@@ -11,9 +11,10 @@ its arguments to a :class:`~repro.api.plan.LogicalPlan` and runs it
 through the single :class:`~repro.api.executor.Executor`, so *every*
 query — including a lone ``system.psi(...)`` call — executes as a batch
 of one through the fused 2-D server kernels and the indicator-share
-cache.  Results are bit-identical to the historical per-query runners
-(pinned by ``tests/test_batch.py`` and ``tests/test_api.py``).  For a
-session-style surface with per-session stats, use
+cache.  Results match the plaintext oracles and their wire transcripts
+are pinned (``tests/test_batch.py``, ``tests/test_api.py``,
+``tests/test_golden_transcripts.py``).  For a session-style surface
+with per-session stats, use
 :meth:`client` / :class:`repro.api.PrismClient`.
 
 Typical use::

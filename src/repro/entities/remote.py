@@ -2,29 +2,21 @@
 
 :class:`RemoteServer` mirrors the callable surface of
 :class:`~repro.entities.server.PrismServer` — the storage interface,
-the 1-D and fused 2-D kernels, the extrema machinery — and forwards
-every call through a :class:`~repro.network.rpc.Channel` as a framed
-RPC.  The orchestration layer (:mod:`repro.core`) therefore runs
-unchanged whether ``system.servers[i]`` is an in-process server object
-or a proxy to an entity three sockets away; results are bit-identical
-because the hosted entity executes the very same kernels over the very
-same shares.
+the fused 2-D kernels, the extrema machinery — and forwards every call
+through a :class:`~repro.network.rpc.Channel` as a framed RPC.  The
+orchestration layer (:mod:`repro.core`) therefore runs unchanged
+whether ``system.servers[i]`` is an in-process server object or a proxy
+to an entity three sockets away; results are bit-identical because the
+hosted entity executes the very same kernels over the very same shares.
 
-Two deliberate translations happen at this boundary:
-
-* **Fetches are lazy.**  The sequential runners fetch share lists
-  client-side only to hand them straight back to the same server's
-  kernel; shipping the full χ table both ways would be absurd.
-  :meth:`RemoteServer.fetch_additive` returns a :class:`LazyShares`
-  handle instead — if the caller only passes it back to a kernel, the
-  proxy sends ``shares=None`` and the host re-fetches locally (free:
-  the store memoises fetches); if the caller actually *reads* the
-  shares (the bucketized runner slices active nodes), the handle
-  materialises them over the wire on first access.
-* **Shard counts travel.**  A local thread pool cannot reach a remote
-  store; the proxy ships a sweep's ``num_shards`` and the host executes
-  it on its own pool — bit-identical by the sharding layer's span
-  contract.
+Kernel calls name their columns, never ship shares: the host fetches
+them from its own store.  :meth:`RemoteServer.fetch_additive` /
+:meth:`~RemoteServer.fetch_shamir` bring a column's shares over the wire
+for a caller that reads them, each checked to arrive at the width of
+its modulus.  Shard counts travel: a local thread pool cannot reach a
+remote store, so the proxy ships a sweep's ``num_shards`` and the host
+executes it on its own pool — bit-identical by the sharding layer's
+span contract.
 """
 
 from __future__ import annotations
@@ -36,52 +28,6 @@ from repro.crypto.widths import as_shares, check_stream
 from repro.data.storage import ShareKind
 from repro.exceptions import ProtocolError
 from repro.network.message import Endpoint, Role
-
-
-class LazyShares:
-    """A deferred server-side share fetch (see module docstring)."""
-
-    def __init__(self, channel, method: str, column: str, owner_ids,
-                 modulus: int):
-        self._channel = channel
-        self._method = method
-        self._column = column
-        self._owner_ids = owner_ids
-        self._modulus = modulus
-        self._data: list | None = None
-
-    @property
-    def materialized(self) -> bool:
-        return self._data is not None
-
-    def materialize(self) -> list:
-        """Fetch the share vectors over the wire (memoised)."""
-        if self._data is None:
-            self._data = [
-                check_stream(share, self._modulus,
-                             f"fetched share of column {self._column!r}")
-                for share in self._channel.call(
-                    self._method, self._column, self._owner_ids)]
-        return self._data
-
-    def __iter__(self):
-        return iter(self.materialize())
-
-    def __len__(self) -> int:
-        return len(self.materialize())
-
-    def __getitem__(self, index):
-        return self.materialize()[index]
-
-
-def _wire_shares(shares):
-    """What a kernel call ships for its ``shares`` argument."""
-    if shares is None:
-        return None
-    if isinstance(shares, LazyShares):
-        # Never materialised client-side: let the host fetch locally.
-        return shares._data
-    return list(shares)
 
 
 #: Minimum active cells *per shard* before a sharded remote sweep is
@@ -102,9 +48,9 @@ class RemoteServer:
     Args:
         index: server id (mirrors the remote entity's).
         params: the server's §4 knowledge view.  Kept client-side too:
-            the orchestrator performs a few server-side steps itself in
-            the sequential runners (e.g. the ``PF_s1`` permutation of
-            PSU-Count), and the initiator dealt these parameters in the
+            a pooled dispatch applies the post-sweep ``PF_s1`` /
+            ``PF_s2`` permutations itself after concatenating span
+            replies, and the initiator dealt these parameters in the
             first place.
         channel: the :class:`~repro.network.rpc.Channel` to the host.
     """
@@ -146,49 +92,20 @@ class RemoteServer:
         """Owner ids that outsourced ``column`` on the hosted store."""
         return list(self.channel.call("owners_with", column))
 
-    def fetch_additive(self, column: str, owner_ids=None) -> LazyShares:
-        return LazyShares(self.channel, "fetch_additive", column,
-                          list(owner_ids) if owner_ids is not None else None,
-                          self.params.modulus_of(ShareKind.ADDITIVE))
+    def fetch_additive(self, column: str, owner_ids=None) -> list:
+        return self._fetch("fetch_additive", ShareKind.ADDITIVE, column,
+                           owner_ids)
 
-    def fetch_shamir(self, column: str, owner_ids=None) -> LazyShares:
-        return LazyShares(self.channel, "fetch_shamir", column,
-                          list(owner_ids) if owner_ids is not None else None,
-                          self.params.modulus_of(ShareKind.SHAMIR))
+    def fetch_shamir(self, column: str, owner_ids=None) -> list:
+        return self._fetch("fetch_shamir", ShareKind.SHAMIR, column,
+                           owner_ids)
 
-    # -- 1-D kernels ----------------------------------------------------------
-
-    def psi_round(self, column, owner_ids=None, shares=None):
-        return self._group_out(self.channel.call(
-            "psi_round", column, self._owners(owner_ids),
-            shares=_wire_shares(shares)))
-
-    def verification_round(self, column, owner_ids=None, shares=None):
-        return self._group_out(self.channel.call(
-            "verification_round", column, self._owners(owner_ids),
-            shares=_wire_shares(shares)))
-
-    def psu_round(self, column, query_nonce: int, owner_ids=None,
-                  shares=None):
-        return self._additive_out(self.channel.call(
-            "psu_round", column, int(query_nonce), self._owners(owner_ids),
-            shares=_wire_shares(shares)))
-
-    def count_round(self, column, owner_ids=None, shares=None,
-                    use_pf_s2: bool = False):
-        return self._group_out(self.channel.call(
-            "count_round", column, self._owners(owner_ids),
-            shares=_wire_shares(shares), use_pf_s2=bool(use_pf_s2)))
-
-    def count_verification_round(self, column, owner_ids=None, shares=None):
-        return self._group_out(self.channel.call(
-            "count_verification_round", column, self._owners(owner_ids),
-            shares=_wire_shares(shares)))
-
-    def aggregate_round(self, column, z_share, owner_ids=None, shares=None):
-        return self._shamir_out(self.channel.call(
-            "aggregate_round", column, self._z(z_share),
-            self._owners(owner_ids), shares=_wire_shares(shares)))
+    def _fetch(self, method: str, kind, column: str, owner_ids) -> list:
+        modulus = self.params.modulus_of(kind)
+        return [check_stream(share, modulus,
+                             f"fetched share of column {column!r}")
+                for share in self.channel.call(method, column,
+                                               self._owners(owner_ids))]
 
     # -- span fan-out ---------------------------------------------------------
 
@@ -299,10 +216,10 @@ class RemoteServer:
         The §6.5 sweep is the Eq. 3 sweep followed by a *post-sweep*
         row permutation (``PF_s1`` / ``PF_s2``) — not span-local, so a
         pooled dispatch fans out the psi spans and applies the
-        permutation after concatenation, exactly as the sequential
-        runners already do with the very parameters the initiator
-        dealt this proxy (see the class docstring).  Bit-identical: the
-        permutation commutes with span concatenation by construction.
+        permutation after concatenation, with the very parameters the
+        initiator dealt this proxy (see the class docstring).
+        Bit-identical: the permutation commutes with span concatenation
+        by construction.
         """
         columns = list(columns)
         num_shards = self._shards(num_shards)

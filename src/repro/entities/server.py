@@ -22,11 +22,11 @@ compiled twin in :mod:`repro.kernels`:
 * :func:`numpy_agg_sweep` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
 
 :func:`psi_sweep`, :func:`psu_sweep` and :func:`agg_sweep` are the only
-places that choose the compiled kernel or its numpy twin.  Every server
-path runs them: the fused 2-D kernels (:meth:`PrismServer.psi_round_batch`
-and friends), the 1-D kernels (:meth:`~PrismServer.psi_round` and friends
-run as a batch of one) and the entity host's span-scoped requests.
-:meth:`~PrismServer.count_round` adds the §6.5 ``PF_s1`` permutation and
+places that choose the compiled kernel or its numpy twin.  Both server
+paths run them: the fused 2-D kernels (:meth:`PrismServer.psi_round_batch`
+and friends; one query is a batch of one row) and the entity host's
+span-scoped requests.  :meth:`~PrismServer.count_round_batch` adds the
+§6.5 ``PF_s1`` / ``PF_s2`` permutations and
 :meth:`~PrismServer.extrema_collect` / :meth:`~PrismServer.fpos_round`
 the §6.3 max machinery.
 
@@ -34,7 +34,7 @@ Every sweep splits the χ table into contiguous spans on the
 deployment's *persistent* thread pool
 (:class:`~repro.core.sharding.ShardRuntime`), bit-identically for every
 span count: :attr:`PrismServer.num_shards` spans by default, or the
-batched kernels' per-call ``num_shards``; Exp 1 (Fig. 3) sweeps it as
+kernels' per-call ``num_shards``; Exp 1 (Fig. 3) sweeps it as
 the server thread count.  Malicious servers
 override one post-sweep seam, :meth:`PrismServer.tamper`, which every
 sweep calls once per output row, so fault injection runs the same
@@ -266,7 +266,7 @@ class PrismServer:
         """Data-fetch step: all owners' Shamir shares of a column."""
         return self.store.fetch_column(column, ShareKind.SHAMIR, owner_ids)
 
-    # -- row sweeps shared by the 1-D and batched kernels ----------------------
+    # -- sweep plumbing -------------------------------------------------------
 
     @staticmethod
     def _check_uniform(columns, share_lists,
@@ -349,27 +349,6 @@ class PrismServer:
         kinds = ["psi" if flag else "verification" for flag in subtract_m]
         return self._tamper_rows(out, kinds, columns)
 
-    def _psu_rows(self, columns, query_nonces, share_lists,
-                  num_shards: int | None = None) -> np.ndarray:
-        """The rows of a fused Eq. 18 sweep, then tampered.
-
-        ``share_lists`` holds one entry per *distinct* column, in order
-        of first appearance: the owner-share sums are computed once per
-        distinct column and broadcast across the rows that reference it,
-        while every row keeps its own fresh mask stream.
-        """
-        uniq = list(dict.fromkeys(columns))
-        row_map = [uniq.index(c) for c in columns]
-        dtype = self.params.additive_dtype
-        _, n = self._check_uniform(uniq, share_lists, dtype)
-        acc = np.empty((len(uniq), n), dtype=dtype)
-        out = np.empty((len(columns), n), dtype=dtype)
-        self.runtime.run(psu_sweep(share_lists, acc, row_map,
-                                   self._psu_keys(query_nonces),
-                                   self.params.delta, out), n,
-                         num_shards or self.num_shards)
-        return self._tamper_rows(out, ["psu"] * len(columns), columns)
-
     def admit_z(self, z_matrix) -> np.ndarray:
         """A querier's indicator shares as field elements at their width.
 
@@ -385,99 +364,6 @@ class PrismServer:
                              "indicator share matrix")
         return np.require(z_matrix, requirements=["ALIGNED", "C_CONTIGUOUS"])
 
-    def _agg_rows(self, columns, share_lists, z_matrix,
-                  num_shards: int | None = None) -> np.ndarray:
-        """The rows of a fused Eq. 11 sweep, then tampered."""
-        z_matrix = self.admit_z(z_matrix)
-        if z_matrix.ndim != 2 or z_matrix.shape[0] != len(columns):
-            raise ProtocolError(
-                f"z matrix of shape {z_matrix.shape} does not stack one row "
-                f"per column ({len(columns)} expected)"
-            )
-        dtype = self.params.shamir_dtype
-        _, n = self._check_uniform(columns, share_lists, dtype)
-        if z_matrix.shape[1] != n:
-            raise ProtocolError(
-                f"z vector length {z_matrix.shape[1]} does not match column "
-                f"length {n}"
-            )
-        out = np.empty((len(columns), n), dtype=dtype)
-        self.runtime.run(agg_sweep(share_lists, z_matrix,
-                                   self.params.field_prime, out), n,
-                         num_shards or self.num_shards)
-        return self._tamper_rows(out, ["aggregate"] * len(columns), columns)
-
-    # -- 1-D kernels (a batch of one) ------------------------------------------
-    #
-    # ``shares`` may be pre-fetched (via :meth:`fetch_additive` /
-    # :meth:`fetch_shamir`) so the caller can time the data-fetch step
-    # separately, as Exp 1 does.
-
-    def psi_round(self, column: str, owner_ids: list[int] | None = None,
-                  shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """The oblivious PSI kernel (Eq. 3) over all owners' χ shares."""
-        if shares is None:
-            shares = self.fetch_additive(column, owner_ids)
-        return self._psi_rows([column], [shares], [True], owner_ids)[0]
-
-    def verification_round(self, column: str,
-                           owner_ids: list[int] | None = None,
-                           shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """The verification kernel (Eq. 7) over the complement table.
-
-        Identical sweep shape as :meth:`psi_round` (no ⊖ A(m) term), so a
-        server cannot distinguish verification traffic from PSI traffic.
-        """
-        if shares is None:
-            shares = self.fetch_additive(column, owner_ids)
-        return self._psi_rows([column], [shares], [False], owner_ids)[0]
-
-    def psu_round(self, column: str, query_nonce: int,
-                  owner_ids: list[int] | None = None,
-                  shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """The PSU kernel (Eq. 18), masked with the ``query_nonce`` stream."""
-        if shares is None:
-            shares = self.fetch_additive(column, owner_ids)
-        return self._psu_rows([column], [query_nonce], [shares])[0]
-
-    def count_round(self, column: str, owner_ids: list[int] | None = None,
-                    shares: list[np.ndarray] | None = None,
-                    use_pf_s2: bool = False) -> np.ndarray:
-        """§6.5: PSI output permuted server-side before leaving the server.
-
-        Owners can still count the ones (the cardinality) but can no longer
-        map positions back to domain values, because ``PF_s1`` is unknown
-        to them.  Count *verification* pairs a ``PF_s1``-permuted data
-        stream (over χ pre-permuted with ``PF_db1``) with a
-        ``PF_s2``-permuted complement stream (over χ̄ pre-permuted with
-        ``PF_db2``): by Eq. (1) both arrive permuted by the same unknown
-        ``PF_i``, so the owner can pair cells without learning positions.
-        """
-        out = self.psi_round(column, owner_ids, shares)
-        pf = self.params.pf_s2 if use_pf_s2 else self.params.pf_s1
-        return pf.apply(out)
-
-    def count_verification_round(self, column: str,
-                                 owner_ids: list[int] | None = None,
-                                 shares: list[np.ndarray] | None = None
-                                 ) -> np.ndarray:
-        """Complement stream for count verification, permuted by ``PF_s2``."""
-        out = self.verification_round(column, owner_ids, shares)
-        return self.params.pf_s2.apply(out)
-
-    def aggregate_round(self, column: str, z_share: np.ndarray,
-                        owner_ids: list[int] | None = None,
-                        shares: list[np.ndarray] | None = None) -> np.ndarray:
-        """The aggregation kernel (Eq. 11) against one indicator share.
-
-        ``z_share`` is this server's Shamir share of the querier's 0/1
-        intersection-indicator vector.
-        """
-        if shares is None:
-            shares = self.fetch_shamir(column, owner_ids)
-        return self._agg_rows([column], [shares],
-                              np.asarray(z_share)[None])[0]
-
     # -- batched 2-D kernels (multi-query fused sweeps) ------------------------
 
     @staticmethod
@@ -491,15 +377,18 @@ class PrismServer:
     def psi_round_batch(self, columns, owner_ids: list[int] | None = None,
                         subtract_m=None,
                         num_shards: int | None = None) -> np.ndarray:
-        """Fused multi-query Eq. 3 / Eq. 7 sweep (2-D :meth:`psi_round`).
+        """Fused multi-query Eq. 3 / Eq. 7 sweep.
 
-        Row ``q`` of the returned ``(Q, b)`` matrix is bit-identical to
-        ``psi_round(columns[q])`` when ``subtract_m[q]`` is true (the
-        default) and to ``verification_round(columns[q])`` otherwise, but
-        all rows are produced by a *single* chunked pass over the χ
-        length.  The sweep stays branch-free over the full table, so
-        access-pattern hiding is preserved — the instruction sequence
-        depends only on the batch shape, never on the data.
+        Row ``q`` of the returned ``(Q, b)`` matrix is the PSI kernel
+        (Eq. 3) over ``columns[q]`` when ``subtract_m[q]`` is true (the
+        default) and the verification kernel (Eq. 7, no ``⊖ A(m)``
+        term, over the complement table) otherwise — the same sweep
+        shape, so a server cannot tell verification traffic from PSI
+        traffic.  All rows are produced by a *single* chunked pass over
+        the χ length and each equals its row swept alone.  The sweep
+        stays branch-free over the full table, so access-pattern hiding
+        is preserved — the instruction sequence depends only on the
+        batch shape, never on the data.
 
         ``num_shards`` (default: :attr:`num_shards`) spans run
         shard-parallel on the deployment's thread pool; outputs stay
@@ -545,12 +434,14 @@ class PrismServer:
     def count_round_batch(self, columns, owner_ids: list[int] | None = None,
                           subtract_m=None, use_pf_s2=None,
                           num_shards: int | None = None) -> np.ndarray:
-        """Fused multi-query §6.5 sweep (2-D :meth:`count_round`).
+        """Fused multi-query §6.5 sweep: PSI rows permuted server-side.
 
-        Data-stream rows (``subtract_m`` true, the default) leave permuted
-        by ``PF_s1``; complement-proof rows (``subtract_m`` false with
-        ``use_pf_s2`` true) by ``PF_s2`` — exactly the Eq. (1) pairing of
-        :meth:`count_round` / :meth:`count_verification_round`, per row.
+        Owners can still count the ones (the cardinality) but can no
+        longer map positions back to domain values, because ``PF_s1``
+        is unknown to them.  Data-stream rows (``subtract_m`` true, the
+        default) leave permuted by ``PF_s1``; complement-proof rows
+        (``subtract_m`` false with ``use_pf_s2`` true) by ``PF_s2`` —
+        the Eq. (1) pairing of count verification, per row.
         """
         if not len(columns):
             raise ProtocolError("batched count sweep needs at least one column")
@@ -566,10 +457,11 @@ class PrismServer:
                         owner_ids: list[int] | None = None,
                         permute=None,
                         num_shards: int | None = None) -> np.ndarray:
-        """Fused multi-query Eq. 18 sweep (2-D :meth:`psu_round`).
+        """Fused multi-query Eq. 18 sweep.
 
-        Row ``q`` equals ``psu_round(columns[q], query_nonces[q])`` — each
-        query keeps its own fresh mask stream — but the owner-share sums
+        Row ``q`` is the PSU kernel over ``columns[q]``, masked with the
+        ``query_nonces[q]`` stream — each query keeps its own fresh mask
+        stream — but the owner-share sums
         are computed once per *distinct* column and broadcast across the
         rows that reference it.  ``permute[q]`` additionally applies
         ``PF_s1`` to row ``q`` (the PSU-Count path).
@@ -584,9 +476,20 @@ class PrismServer:
         if len(query_nonces) != len(columns):
             raise ProtocolError("query_nonces must match the column count")
         permute = self._row_flags(permute, columns, "permute", False)
-        share_lists = [self.fetch_additive(c, owner_ids)
-                       for c in dict.fromkeys(columns)]
-        out = self._psu_rows(columns, query_nonces, share_lists, num_shards)
+        # The owner-share sums are computed once per distinct column, in
+        # order of first appearance, and broadcast across its rows.
+        uniq = list(dict.fromkeys(columns))
+        share_lists = [self.fetch_additive(c, owner_ids) for c in uniq]
+        dtype = self.params.additive_dtype
+        _, n = self._check_uniform(uniq, share_lists, dtype)
+        acc = np.empty((len(uniq), n), dtype=dtype)
+        out = np.empty((len(columns), n), dtype=dtype)
+        self.runtime.run(psu_sweep(share_lists, acc,
+                                   [uniq.index(c) for c in columns],
+                                   self._psu_keys(query_nonces),
+                                   self.params.delta, out), n,
+                         num_shards or self.num_shards)
+        out = self._tamper_rows(out, ["psu"] * len(columns), columns)
         for row, flag in enumerate(permute):
             if flag:
                 out[row] = self.params.pf_s1.apply(out[row])
@@ -595,18 +498,35 @@ class PrismServer:
     def aggregate_round_batch(self, columns, z_matrix: np.ndarray,
                               owner_ids: list[int] | None = None,
                               num_shards: int | None = None) -> np.ndarray:
-        """Fused multi-query Eq. 11 sweep (2-D :meth:`aggregate_round`).
+        """Fused multi-query Eq. 11 sweep.
 
-        ``z_matrix`` stacks one indicator-share vector per query row;
+        ``z_matrix`` stacks one indicator-share vector per query row:
+        this server's Shamir share of a querier's 0/1 result indicator.
         ``columns[q]`` names the Shamir aggregation column row ``q``
-        multiplies into.  Row ``q`` is bit-identical to
-        ``aggregate_round(columns[q], z_matrix[q])``; ``num_shards``
-        overrides the sweep's span count.
+        multiplies into; ``num_shards`` overrides the sweep's span
+        count.
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
         share_lists = [self.fetch_shamir(c, owner_ids) for c in columns]
-        return self._agg_rows(columns, share_lists, z_matrix, num_shards)
+        z_matrix = self.admit_z(z_matrix)
+        if z_matrix.ndim != 2 or z_matrix.shape[0] != len(columns):
+            raise ProtocolError(
+                f"z matrix of shape {z_matrix.shape} does not stack one row "
+                f"per column ({len(columns)} expected)"
+            )
+        dtype = self.params.shamir_dtype
+        _, n = self._check_uniform(columns, share_lists, dtype)
+        if z_matrix.shape[1] != n:
+            raise ProtocolError(
+                f"z vector length {z_matrix.shape[1]} does not match column "
+                f"length {n}"
+            )
+        out = np.empty((len(columns), n), dtype=dtype)
+        self.runtime.run(agg_sweep(share_lists, z_matrix,
+                                   self.params.field_prime, out), n,
+                         num_shards or self.num_shards)
+        return self._tamper_rows(out, ["aggregate"] * len(columns), columns)
 
     # -- extrema machinery (§6.3) ---------------------------------------------
 

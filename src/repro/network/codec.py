@@ -410,9 +410,9 @@ class Frame:
     """One decoded request/response envelope.
 
     Attributes:
-        kind: the message kind — an entity method name (``"psi_round"``)
-            or a reserved control kind (``"__construct__"``,
-            ``"__result__"``, ``"__error__"``, ...).
+        kind: the message kind — an entity method name
+            (``"psi_round_batch"``) or a reserved control kind
+            (``"__construct__"``, ``"__result__"``, ``"__error__"``, ...).
         correlation_id: pairs a response to its request on a channel
             that multiplexes concurrent queries (the coalescing
             scheduler and direct callers share one connection).

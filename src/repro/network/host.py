@@ -63,12 +63,6 @@ SERVER_METHODS = frozenset({
     "owners_with",
     "fetch_additive",
     "fetch_shamir",
-    "psi_round",
-    "verification_round",
-    "psu_round",
-    "count_round",
-    "count_verification_round",
-    "aggregate_round",
     "psi_round_batch",
     "psi_cells_round_batch",
     "count_round_batch",
@@ -79,10 +73,6 @@ SERVER_METHODS = frozenset({
     "forward",
     "close",
 })
-
-#: Kernels whose second positional argument is the querier's indicator
-#: share matrix (vector), which must arrive at the field prime's width.
-_Z_KERNELS = frozenset({"aggregate_round", "aggregate_round_batch"})
 
 #: Kernels servable span-scoped (the frame envelope names the span).
 _SPAN_KERNELS = frozenset({
@@ -127,8 +117,10 @@ class ServerAdapter:
             check_stream(args[2], params.modulus_of(args[3]),
                          f"owner {args[0]}'s {args[3].value} column "
                          f"{args[1]!r}")
-        if (kind in _Z_KERNELS and len(args) > 1
+        if (kind == "aggregate_round_batch" and len(args) > 1
                 and isinstance(args[1], np.ndarray)):
+            # The querier's indicator share matrix, at the field
+            # prime's width.
             check_stream(args[1], params.field_prime,
                          "indicator share matrix")
         if message.span != FULL_SPAN:

@@ -1,19 +1,21 @@
-"""Shared test helpers: batch units of lowered queries, the 1-D oracle.
+"""Shared test helpers: batch units, the plaintext oracle, fingerprints.
 
 The batch engine consumes ``(LogicalPlan, PlanUnit)`` pairs;
-:func:`batch_units` lowers SQL / ``Q`` / plans into them.
-:func:`run_reference` runs one such unit through the sequential 1-D
-runners — the oracle the fused batch must match bit for bit.
-:func:`canonical` is a comparable fingerprint of any result shape.
+:func:`batch_units` lowers SQL / ``Q`` / plans into them.  Two checks
+need no second protocol: :func:`assert_matches_plaintext` compares a
+unit's result with the true answer computed in the clear, and
+:func:`run_alone` runs one unit as a batch of one — what a fused batch
+must equal unit by unit.  :func:`canonical` is a comparable fingerprint
+of any result shape.
 """
 
 from __future__ import annotations
 
 from repro import Planner
-from repro.core.aggregate import run_aggregate
-from repro.core.count import run_psi_count, run_psu_count
-from repro.core.psi import run_psi
-from repro.core.psu import run_psu
+from repro.core.aggregate import aggregate_reference
+from repro.core.batch import QueryBatch
+from repro.core.psi import psi_reference
+from repro.core.psu import psu_reference
 from repro.core.results import (
     AggregateResult,
     CountResult,
@@ -29,30 +31,44 @@ def batch_units(queries) -> list:
             for unit in plan.units()]
 
 
-def run_reference(system, plan, unit):
-    """Execute one batchable unit through the sequential 1-D runners.
+def run_alone(system, plan, unit):
+    """One unit run as a batch of one; the per-unit result shape."""
+    return QueryBatch(system, [(plan, unit)]).execute()[0]
 
-    Calls the runners directly — NOT the ``PrismSystem`` methods, which
-    run through the batch engine themselves (going through them would
-    compare the engine against itself).  Returns the batch engine's
-    per-unit shape (aggregations: an attribute-keyed dict).
+
+def plaintext(relations, plan, unit):
+    """The true result of one batchable unit, computed in the clear.
+
+    Set kinds give the value set, counts its size, aggregations an
+    attribute-keyed dict of per-value totals (or averages).
     """
-    kwargs = {"querier": plan.querier,
-              "owner_ids": list(plan.owner_ids)
-              if plan.owner_ids is not None else None}
-    if unit.kind == "psi":
-        return run_psi(system, plan.attribute, verify=plan.verify, **kwargs)
-    if unit.kind == "psu":
-        return run_psu(system, plan.attribute, verify=plan.verify, **kwargs)
-    if unit.kind == "psi_count":
-        return run_psi_count(system, plan.attribute, verify=plan.verify,
-                             **kwargs)
-    if unit.kind == "psu_count":
-        return run_psu_count(system, plan.attribute, **kwargs)
-    over, op = unit.kind.split("_")
-    return run_aggregate(system, plan.attribute, list(unit.agg_attributes),
-                         op="avg" if op == "average" else "sum", over=over,
-                         verify=plan.verify, **kwargs)
+    if plan.owner_ids is not None:
+        relations = [relations[i] for i in plan.owner_ids]
+    over, _, op = unit.kind.partition("_")
+    reference = psi_reference if over == "psi" else psu_reference
+    values = reference(relations, plan.attribute)
+    if not op:
+        return values
+    if op == "count":
+        return len(values)
+    return {agg: aggregate_reference(relations, plan.attribute, agg, values,
+                                     op="avg" if op == "average" else "sum")
+            for agg in unit.agg_attributes}
+
+
+def assert_matches_plaintext(result, relations, plan, unit):
+    """A unit's result (per-unit shape) equals the plaintext answer."""
+    expected = plaintext(relations, plan, unit)
+    if unit.kind in ("psi", "psu"):
+        assert set(result.values) == expected
+        assert result.verified == plan.verify
+    elif unit.kind.endswith("count"):
+        assert result.count == expected
+    else:
+        assert set(result) == set(expected)
+        for agg, per_value in expected.items():
+            assert result[agg].per_value == per_value, agg
+            assert result[agg].verified == plan.verify
 
 
 def canonical(result):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Domain, PrismSystem, Relation
-from repro.core.aggregate import aggregate_reference, run_aggregate
-from repro.exceptions import ProtocolError
+from repro.core.aggregate import aggregate_reference
+from repro.exceptions import ProtocolError, QueryError
 
 
 def value_system(rows_per_owner, seed=0, with_verification=False):
@@ -118,21 +118,29 @@ class TestPsuAggregates:
         assert result.per_value[11] == 8
 
 
+def refused_before_any_round(system, run, error, match):
+    """``run`` raises ``error`` without sending a single message."""
+    stats = system.transport.stats
+    before = (stats.total_messages, stats.total_bytes)
+    with pytest.raises(error, match=match):
+        run()
+    assert (stats.total_messages, stats.total_bytes) == before
+
+
 class TestValidation:
     def test_unknown_op(self):
         system = value_system(OWNERS)
-        with pytest.raises(ProtocolError):
-            run_aggregate(system, "k", "v1", op="median")
-
-    def test_unknown_set_op(self):
-        system = value_system(OWNERS)
-        with pytest.raises(ProtocolError):
-            run_aggregate(system, "k", "v1", over="xor")
+        sql = " INTERSECT ".join(f"SELECT k, STDDEV(v1) FROM o{i}"
+                                 for i in range(3))
+        refused_before_any_round(
+            system, lambda: system.executor.execute(sql), QueryError,
+            "must be aggregates")
 
     def test_no_attributes(self):
         system = value_system(OWNERS)
-        with pytest.raises(ProtocolError):
-            run_aggregate(system, "k", [])
+        refused_before_any_round(
+            system, lambda: system.psi_sum("k", []), ProtocolError,
+            "no aggregation attributes")
 
     def test_two_rounds_recorded(self):
         system = value_system(OWNERS)

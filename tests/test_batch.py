@@ -1,17 +1,21 @@
 """The batched multi-query execution engine (repro.core.batch).
 
 The contract under test: a fused batch of ``(LogicalPlan, PlanUnit)``
-pairs returns results *identical* to running the same units one by one
-through the sequential 1-D runners, while executing fewer server sweeps
+pairs returns the plaintext answer for every unit, *identical* to running
+each unit alone as a batch of one, while executing fewer server sweeps
 and reusing dealt indicator shares.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from reference import batch_units, run_reference
+from reference import (
+    assert_matches_plaintext,
+    batch_units,
+    canonical,
+    run_alone,
+)
 
 from repro import Domain, LogicalPlan, PrismSystem, Q, QueryError, Relation
 from repro.core.batch import QueryBatch
@@ -63,50 +67,40 @@ def execute_batch(system, units, num_shards=None):
     return QueryBatch(system, units, num_shards=num_shards).execute()
 
 
-def assert_results_equal(entry, sequential, batched):
-    _, unit = entry
-    if unit.kind in ("psi", "psu"):
-        assert batched.values == sequential.values
-        assert np.array_equal(batched.membership, sequential.membership)
-        assert batched.verified == sequential.verified
-    elif unit.kind.endswith("count"):
-        assert batched.count == sequential.count
-    else:
-        for agg in unit.agg_attributes:
-            assert batched[agg].per_value == sequential[agg].per_value
-            assert batched[agg].verified == sequential[agg].verified
+def assert_fused_equals_alone(units, batched, relations):
+    """Each result is the plaintext answer and equals its unit run alone
+    on a fresh deployment."""
+    assert len(batched) == len(units)
+    for (plan, unit), result in zip(units, batched):
+        assert_matches_plaintext(result, relations, plan, unit)
+        assert canonical(result) == canonical(
+            run_alone(build_hospitals(), plan, unit))
 
 
-# -- equality with the sequential path ---------------------------------------
+# -- equality with the plaintext answer and with each unit alone -------------
 
 
 def test_mixed_batch_matches_sequential():
-    """A fused batch of >= 8 mixed queries is result-identical to the loop."""
-    sequential = [run_reference(build_hospitals(), *entry)
-                  for entry in MIXED_QUERIES]
-    batched = execute_batch(build_hospitals(), MIXED_QUERIES)
-    assert len(batched) == len(MIXED_QUERIES) >= 8
-    for query, seq, bat in zip(MIXED_QUERIES, sequential, batched):
-        assert_results_equal(query, seq, bat)
+    """A fused batch of >= 8 mixed queries equals its units run alone."""
+    system = build_hospitals()
+    batched = execute_batch(system, MIXED_QUERIES)
+    assert len(batched) >= 8
+    assert_fused_equals_alone(MIXED_QUERIES, batched, system.relations)
 
 
 def test_batch_on_same_system_matches_sequential_on_same_system():
-    """Batch after sequential on one deployment still agrees (fresh nonces)."""
+    """Units alone, then the batch, on one deployment agree (fresh nonces)."""
     system = build_hospitals()
-    sequential = [run_reference(system, *entry) for entry in MIXED_QUERIES]
+    alone = [canonical(run_alone(system, *entry)) for entry in MIXED_QUERIES]
     batched = execute_batch(system, MIXED_QUERIES)
-    for query, seq, bat in zip(MIXED_QUERIES, sequential, batched):
-        assert_results_equal(query, seq, bat)
+    assert [canonical(result) for result in batched] == alone
 
 
 def test_batch_through_wire_codec():
     """serialize_transport exercises the 2-D matrix wire encoding."""
-    batched = execute_batch(build_hospitals(serialize_transport=True),
-                        MIXED_QUERIES)
-    reference = [run_reference(build_hospitals(), *entry)
-                 for entry in MIXED_QUERIES]
-    for query, seq, bat in zip(MIXED_QUERIES, reference, batched):
-        assert_results_equal(query, seq, bat)
+    system = build_hospitals(serialize_transport=True)
+    batched = execute_batch(system, MIXED_QUERIES)
+    assert_fused_equals_alone(MIXED_QUERIES, batched, system.relations)
 
 
 def test_batch_owner_subset():
@@ -115,11 +109,9 @@ def test_batch_owner_subset():
         Q.psi("disease").sum("cost").owners((0, 1)),
         Q.psu("disease").count().owners((0, 2)),
     ])
-    sequential = [run_reference(build_hospitals(), *entry)
-                  for entry in queries]
-    batched = execute_batch(build_hospitals(), queries)
-    for query, seq, bat in zip(queries, sequential, batched):
-        assert_results_equal(query, seq, bat)
+    system = build_hospitals()
+    batched = execute_batch(system, queries)
+    assert_fused_equals_alone(queries, batched, system.relations)
 
 
 def test_batch_accepts_sql_and_builders():
@@ -139,8 +131,8 @@ def test_batch_accepts_sql_and_builders():
 def test_batch_threads_match_single_thread():
     single = execute_batch(build_hospitals(), MIXED_QUERIES, num_shards=1)
     threaded = execute_batch(build_hospitals(), MIXED_QUERIES, num_shards=4)
-    for query, a, b in zip(MIXED_QUERIES, single, threaded):
-        assert_results_equal(query, a, b)
+    assert ([canonical(result) for result in single]
+            == [canonical(result) for result in threaded])
 
 
 # -- edge cases ---------------------------------------------------------------

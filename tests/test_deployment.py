@@ -31,7 +31,7 @@ from repro.entities.adversary import (
     InjectFakeServer,
     SkipCellsServer,
 )
-from repro.entities.remote import LazyShares, RemoteServer
+from repro.entities.remote import RemoteServer
 from repro.entities.server import PrismServer
 from repro.network.host import ServerAdapter, launch_forked_hosts
 from repro.network.rpc import (
@@ -149,8 +149,8 @@ class TestInProcessChannel:
 
     def test_call_matches_direct(self):
         system, channel = self.make_channel()
-        direct = system.servers[0].psi_round("k")
-        assert np.array_equal(channel.call("psi_round", "k"), direct)
+        direct = system.servers[0].psi_round_batch(["k"])
+        assert np.array_equal(channel.call("psi_round_batch", ["k"]), direct)
         assert channel.stats["requests"] == 1
         system.close()
 
@@ -181,13 +181,14 @@ class TestInProcessChannel:
         system, channel = self.make_channel(serialize=True)
         raw = system.servers[0]
         proxy = RemoteServer(0, raw.params, channel)
-        assert np.array_equal(proxy.psi_round("k"), raw.psi_round("k"))
+        assert np.array_equal(proxy.psi_round_batch(["k"]),
+                              raw.psi_round_batch(["k"]))
         assert proxy.owners_with("k") == raw.owners_with("k")
-        shares = proxy.fetch_additive("k")
-        assert isinstance(shares, LazyShares)
-        assert not shares.materialized
-        assert len(shares) == 3  # materialises over the channel
-        assert np.array_equal(shares[0], raw.fetch_additive("k")[0])
+        shares = proxy.fetch_additive("k")  # fetched over the channel
+        assert len(shares) == 3
+        for fetched, stored in zip(shares, raw.fetch_additive("k")):
+            assert fetched.dtype == stored.dtype
+            assert np.array_equal(fetched, stored)
         system.close()
 
 
@@ -376,7 +377,7 @@ class TestSubprocessChannel:
             lambda: PrismServer(0, system.initiator.server_params(0)))
         channel.close()
         with pytest.raises(ProtocolError):
-            channel.call("psi_round", "k")
+            channel.call("psi_round_batch", ["k"])
         system.close()
 
 

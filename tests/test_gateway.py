@@ -122,7 +122,7 @@ class TestSessionBasics:
             from repro.network.rpc import RpcMessage
             with pytest.raises(ProtocolError, match="not a gateway"):
                 client._conn.request(
-                    RpcMessage("psi_round", None)).result(10.0)
+                    RpcMessage("psi_round_batch", None)).result(10.0)
 
     def test_ping_and_healthz(self, gateway):
         with _connect(gateway) as client:
@@ -304,7 +304,8 @@ class TestTenancy:
 
 class TestAdmission:
     def test_token_bucket_refuses_then_refills(self):
-        bucket = TokenBucket(rate=1000.0, burst=2.0)
+        # Slow enough that no token refills between the three calls.
+        bucket = TokenBucket(rate=20.0, burst=2.0)
         assert bucket.try_acquire() is None
         assert bucket.try_acquire() is None
         retry = bucket.try_acquire()

@@ -233,17 +233,6 @@ def test_hashed_domain_aggregation_refused_before_any_round(kind):
     assert (stats.total_messages, stats.total_bytes) == before
 
 
-def test_hashed_domain_sequential_aggregate_refused_before_any_round():
-    from repro.core.aggregate import run_aggregate
-    domain = HashedDomain("v", 64, seed=1)
-    system = _agg_system([{"v": [1, 2], "x": [3, 4]}] * 3, domain=domain)
-    stats = system.transport.stats
-    before = (stats.total_messages, stats.total_bytes)
-    with pytest.raises(QueryError, match="hashed"):
-        run_aggregate(system, "v", "x")
-    assert (stats.total_messages, stats.total_bytes) == before
-
-
 # -- indicator-cache keys -------------------------------------------------------
 
 

@@ -116,7 +116,8 @@ class TestFullProtocolOnPaperTables:
         # The fop vector for non-common cells must be non-one group
         # elements (the paper's "values 5 and 4 correspond to zero").
         s = hospital_system
-        outputs = [srv.psi_round("disease") for srv in s.servers[:2]]
+        outputs = [srv.psi_round_batch(["disease"])[0]
+                   for srv in s.servers[:2]]
         fop = s.owners[0].finalize_psi(outputs[0], outputs[1])
         assert fop[0] == 1
         assert fop[1] != 1 and fop[2] != 1

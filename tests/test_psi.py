@@ -125,7 +125,7 @@ class TestPsiProperties:
         # fop values for absent cells are group elements != 1.
         system = make_system([{1}, {2}], domain_values=DOMAIN16)
         owner = system.owners[0]
-        out = [s.psi_round("A") for s in system.servers[:2]]
+        out = [s.psi_round_batch(["A"])[0] for s in system.servers[:2]]
         fop = owner.finalize_psi(out[0], out[1])
         assert (fop != 1).all()
 

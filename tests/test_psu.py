@@ -72,8 +72,8 @@ class TestPsuPrivacyShape:
         # multiplicities themselves for all cells (masking happened).
         sets = [{1, 2}, {2}, {2}]
         system = make_system(sets, domain_values=DOMAIN16)
-        out0 = system.servers[0].psu_round("A", query_nonce=99)
-        out1 = system.servers[1].psu_round("A", query_nonce=99)
+        out0 = system.servers[0].psu_round_batch(["A"], [99])[0]
+        out1 = system.servers[1].psu_round_batch(["A"], [99])[0]
         delta = system.initiator.delta
         combined = (out0 + out1) % delta
         # Cell of value 2 would be 3 without masking; with masking it is

@@ -27,9 +27,9 @@ class TestPhaseTimings:
 
     def test_measure_context_manager(self):
         t = PhaseTimings()
-        with t.measure("fetch"):
+        with t.measure("server"):
             time.sleep(0.01)
-        assert t.fetch_seconds >= 0.005
+        assert t.server_seconds >= 0.005
 
     def test_measure_propagates_exceptions(self):
         t = PhaseTimings()

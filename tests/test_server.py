@@ -57,12 +57,12 @@ class TestPsiKernel:
                 e = (total - m_share) % delta
                 expect.append(pow(initiator.group.g, e,
                                   initiator.group.eta_prime))
-            out = server.psi_round("A")
+            out = server.psi_round_batch(["A"])[0]
             assert out.tolist() == expect
 
     def test_thread_counts_agree(self):
         _, _, servers = deploy([set(range(1, 40)), set(range(20, 60))])
-        base = servers[0].psi_round("A")
+        base = servers[0].psi_round_batch(["A"])[0]
         for threads in (2, 3, 8):
             assert np.array_equal(
                 servers[0].psi_round_batch(["A"], num_shards=threads)[0],
@@ -77,7 +77,7 @@ class TestPsiKernel:
 
     def test_output_in_eta_prime_range(self):
         _, _, servers = deploy([{1, 2}, {2, 3}])
-        out = servers[0].psi_round("A")
+        out = servers[0].psi_round_batch(["A"])[0]
         assert out.min() >= 0
         assert out.max() < servers[0].params.group.eta_prime
 
@@ -92,33 +92,38 @@ class TestOtherKernels:
                       sum(int(s[i]) for s in shares) % delta,
                       initiator.group.eta_prime)
                   for i in range(len(shares[0]))]
-        assert server.verification_round("vA").tolist() == expect
+        out = server.psi_round_batch(["vA"], subtract_m=[False])[0]
+        assert out.tolist() == expect
 
     def test_psu_masks_agree_across_servers(self):
         initiator, _, servers = deploy([{1, 3}, {3, 5}])
         delta = initiator.delta
-        out0 = servers[0].psu_round("A", query_nonce=5)
-        out1 = servers[1].psu_round("A", query_nonce=5)
+        out0 = servers[0].psu_round_batch(["A"], [5])[0]
+        out1 = servers[1].psu_round_batch(["A"], [5])[0]
         member = (out0 + out1) % delta != 0
         assert member.tolist() == [True, True, True]  # domain {1,3,5}
 
     def test_psu_nonce_changes_masks(self):
         _, _, servers = deploy([{1, 3}, {3, 5}])
-        a = servers[0].psu_round("A", query_nonce=1)
-        b = servers[0].psu_round("A", query_nonce=2)
+        a, b = servers[0].psu_round_batch(["A", "A"], [1, 2])
         assert not np.array_equal(a, b)
 
     def test_count_round_is_permuted_psi(self):
         _, _, servers = deploy([{1, 2, 3}, {2, 3, 4}])
         server = servers[0]
-        psi = server.psi_round("A")
-        count = server.count_round("A")
+        psi = server.psi_round_batch(["A"])[0]
+        count = server.count_round_batch(["A"])[0]
         assert np.array_equal(count, server.params.pf_s1.apply(psi))
 
     def test_aggregate_round_length_mismatch(self):
         _, _, servers = deploy([{1}, {1}])
-        with pytest.raises(ProtocolError):
-            servers[0].aggregate_round("A", np.zeros(5, dtype=np.int64))
+        server = servers[0]
+        for owner in range(2):
+            server.receive_shares(owner, "x", np.zeros(1, dtype=np.uint32),
+                                  ShareKind.SHAMIR)
+        with pytest.raises(ProtocolError, match="does not match column"):
+            server.aggregate_round_batch(["x"],
+                                         np.zeros((1, 5), dtype=np.uint32))
 
 
 class TestExtremaRounds:

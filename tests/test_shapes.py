@@ -14,6 +14,7 @@ from repro.bench.experiments import (
     exp5_bucketization,
     exp6_comparison,
 )
+from repro.bench.harness import build_system
 from repro.bench.shapes import (
     is_linear_increasing,
     is_monotone_decreasing,
@@ -22,6 +23,7 @@ from repro.bench.shapes import (
     ratio,
 )
 from repro.exceptions import ParameterError
+from repro.network.message import batch_kind
 
 
 class TestHelpers:
@@ -90,6 +92,22 @@ class TestTable12Shape:
         sums = [min(r[i] for r in runs) for i in range(4)]
         points = list(zip((1, 2, 3, 4), sums))
         assert is_linear_increasing(points, min_r=0.85)
+
+    def test_sum_rows_and_output_bytes_scale_with_attributes(self):
+        # The counter form of the fit above: a SUM over k attributes runs
+        # k Eq. 11 rows and ships k times the k = 1 output bytes.
+        system = build_system(num_owners=4, domain_size=2048)
+        attrs = ("DT", "PK", "LN", "SK")
+        output_bytes = {}
+        for k in (1, 2, 3, 4):
+            system.transport.reset(retain_messages=1000)
+            system.psi_sum("OK", list(attrs[:k]))
+            outputs = [m for m in system.transport.stats.messages
+                       if "agg-output" in m.kind]
+            assert {m.kind for m in outputs} == {batch_kind("agg-output", k)}
+            output_bytes[k] = sum(m.nbytes for m in outputs)
+        assert output_bytes[1] > 0
+        assert output_bytes == {k: k * output_bytes[1] for k in (1, 2, 3, 4)}
 
     def test_time_grows_with_domain(self):
         payload = exp2_multiattr(domain_sizes=[1024, 4096],

@@ -123,8 +123,9 @@ class TestDetectionProbability:
         # streams; with the complement un-permuted, the forged proof pairs
         # up.  We emulate by checking that cell 0's own proof is valid.
         system = adversarial_system({})
-        out = [s.psi_round("k") for s in system.servers[:2]]
-        vout = [s.verification_round("vk") for s in system.servers[:2]]
+        out, vout = zip(*(s.psi_round_batch(["k", "vk"],
+                                            subtract_m=[True, False])
+                          for s in system.servers[:2]))
         owner = system.owners[0]
         eta = owner.params.eta
         fop0 = int(out[0][0]) * int(out[1][0]) % eta

@@ -274,7 +274,7 @@ def _remote(reply):
      "outside"),
     ("aggregate_round_batch", (["DT"], np.zeros((1, 8), dtype=np.uint32)),
      np.zeros((1, 8), dtype=np.uint64), "expected uint32"),
-    ("psi_round", ("OK",), [1, 2], "arrived as list"),
+    ("psi_round_batch", (["OK"],), [[1, 2]], "arrived as list"),
 ])
 def test_remote_replies_must_arrive_at_their_width(method, args, reply,
                                                    match):
