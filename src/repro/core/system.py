@@ -102,6 +102,19 @@ def _callable_factory(factory):
     return factory
 
 
+def _pool_event_hook(transport):
+    """Dispatch-layer health transitions → ``transport``'s event counters.
+
+    Closes over the transport, not the system: a hook bound to the
+    system would make every channel ↔ system pair a reference cycle, so
+    a closed deployment's shares and tables would stay in memory until
+    a full garbage collection.
+    """
+    def hook(event: str, member: str) -> None:
+        transport.stats.count_event(f"pool-{event}")
+    return hook
+
+
 class PrismSystem:
     """A complete in-process Prism deployment.
 
@@ -155,12 +168,11 @@ class PrismSystem:
             wire codec (conformance mode; slower, byte-exact accounting).
         rpc_timeout: per-request timeout in seconds for tcp channels
             (``None``: wait forever).  A host that hangs past the
-            deadline fails the request with a typed error instead of
-            deadlocking the query —
-            :class:`~repro.exceptions.QueryError` naming the member
-            from a host pool,
-            :class:`~repro.network.dispatch.ConnectionLost` (a
-            :class:`~repro.exceptions.ProtocolError`) single-host.
+            deadline is ejected from its role's pool and the request
+            fails over; once no member answers, a typed
+            :class:`~repro.exceptions.QueryError` naming the pool
+            surfaces instead of a deadlocked query — for a single-host
+            role, the first time its host fails.
     """
 
     def __init__(self, relations: list[Relation], domain: Domain | ProductDomain,
@@ -235,7 +247,7 @@ class PrismSystem:
     def _connect_servers(self, factories: dict) -> list:
         """Build the server proxies of a non-local deployment."""
         from repro.entities.remote import RemoteServer
-        from repro.network.dispatch import PooledChannel, SocketChannel
+        from repro.network.dispatch import PooledChannel
         from repro.network.rpc import (
             CONSTRUCT,
             RpcMessage,
@@ -264,18 +276,13 @@ class PrismSystem:
                     self._channels.append(channel)
                 else:
                     server_class, ctor_kwargs = _server_spec(factory)
-                    pool = self.deployment.pools[i]
-                    if len(pool) > 1:
-                        # Every pool member hosts a full replica of this
-                        # server role; the CONSTRUCT below broadcasts.
-                        channel = PooledChannel.connect(
-                            pool, request_timeout=self.rpc_timeout)
-                    else:
-                        host, port = pool[0]
-                        channel = SocketChannel.connect(
-                            host, port, request_timeout=self.rpc_timeout)
-                    if hasattr(channel, "on_event"):
-                        channel.on_event = self._pool_event
+                    # Every pool member (one, for a single-host role)
+                    # hosts a full replica of this server role; the
+                    # CONSTRUCT below broadcasts.
+                    channel = PooledChannel.connect(
+                        self.deployment.pools[i],
+                        request_timeout=self.rpc_timeout)
+                    channel.on_event = _pool_event_hook(self.transport)
                     self._channels.append(channel)
                     channel.send(RpcMessage(CONSTRUCT, {
                         "entity": "server",
@@ -285,11 +292,11 @@ class PrismSystem:
                         "kwargs": ctor_kwargs,
                     }))
                 proxy = RemoteServer(i, params, channel)
-                # Span-scoped sweep dispatch reads the hosted store
-                # directly, bypassing the server's methods, so it is only
-                # sound against an unmodified base-class server — which
-                # the system knows statically: no custom factory for
-                # this index means the host runs a plain PrismServer.
+                # Hosts serve span-scoped sweeps only for an unmodified
+                # base-class server (a subclass's tamper seam may depend
+                # on absolute positions, which a span window shifts) —
+                # which the system knows statically: no custom factory
+                # for this index means a plain PrismServer.
                 proxy.span_dispatch = i not in factories
                 servers.append(proxy)
         except BaseException:
@@ -301,10 +308,6 @@ class PrismSystem:
             self._channels.clear()
             raise
         return servers
-
-    def _pool_event(self, event: str, member: str) -> None:
-        """Dispatch-layer health transitions → transport event counters."""
-        self.transport.stats.count_event(f"pool-{event}")
 
     # -- lifecycle ------------------------------------------------------------
 

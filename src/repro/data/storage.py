@@ -16,9 +16,6 @@ explicit full-owner tuple hash to the same resolved key) assembles each
 share list once, not once per row group — and the cache is dropped on
 every :meth:`~ServerStore.put`, which also bumps
 :attr:`~ServerStore.version`.
-
-A span-scoped sweep reads one contiguous χ partition of a vector
-through :meth:`~ServerStore.shard_slice`.
 """
 
 from __future__ import annotations
@@ -89,15 +86,6 @@ class ServerStore:
         compare versions to decide whether their view is stale.
         """
         return self._version
-
-    def shard_slice(self, owner_id: int, column: str, lo: int,
-                    hi: int) -> np.ndarray:
-        """One contiguous χ span of one owner's column (zero-copy view).
-
-        The read a span-scoped sweep performs: each shard span reads
-        exactly its ``[lo, hi)`` partition of every input vector.
-        """
-        return self.get(owner_id, column).values[lo:hi]
 
     def put(self, owner_id: int, column: str, values: np.ndarray,
             kind: ShareKind) -> None:

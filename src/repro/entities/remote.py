@@ -32,13 +32,14 @@ from repro.network.message import Endpoint, Role
 
 #: Minimum active cells *per shard* before a sharded remote sweep is
 #: split into span-scoped frames.  Below this, one whole-sweep RPC
-#: shipping ``num_shards`` is strictly cheaper: the channel admits one
-#: in-flight request, so span frames serialise into ``num_shards``
-#: round-trips while the host can thread-shard a whole sweep itself.
-#: Span frames earn their round-trips only when each span carries real
-#: work (or once a multi-connection dispatcher spreads them over
-#: several hosts).  Tests lower this to exercise the span path end to
-#: end at toy sizes.
+#: shipping ``num_shards`` is strictly cheaper: the channel pipelines
+#: the frames, but :meth:`~repro.network.host.EntityHost.serve_stream`
+#: serves a connection's frames one after another, so on one host span
+#: frames cost ``num_shards`` round-trips while the host can
+#: thread-shard a whole sweep itself.  Span frames earn their
+#: round-trips only when each span carries real work (or when a host
+#: pool spreads them over several hosts).  Tests lower this to exercise
+#: the span path end to end at toy sizes.
 SPAN_DISPATCH_MIN_CELLS = 2048
 
 
@@ -68,11 +69,12 @@ class RemoteServer:
         self.num_shards = 1
         #: Whether sharded cell-restricted sweeps may be issued as
         #: span-scoped RPC frames (one request per shard span,
-        #: concatenated client-side).  Only sound against an unmodified
-        #: base-class server — the span path reads the hosted store
-        #: directly and must never bypass a malicious / instrumented
-        #: subclass — so :class:`~repro.core.system.PrismSystem` enables
-        #: it exactly for the servers it built without a custom factory.
+        #: concatenated client-side).  Hosts serve span frames only for
+        #: an unmodified base-class server — a malicious / instrumented
+        #: subclass's seam may depend on absolute positions, which a
+        #: span window shifts — so :class:`~repro.core.system.PrismSystem`
+        #: enables it exactly for the servers it built without a custom
+        #: factory.
         self.span_dispatch = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

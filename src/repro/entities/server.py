@@ -22,11 +22,12 @@ compiled twin in :mod:`repro.kernels`:
 * :func:`numpy_agg_sweep` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
 
 :func:`psi_sweep`, :func:`psu_sweep` and :func:`agg_sweep` are the only
-places that choose the compiled kernel or its numpy twin.  Both server
-paths run them: the fused 2-D kernels (:meth:`PrismServer.psi_round_batch`
-and friends; one query is a batch of one row) and the entity host's
-span-scoped requests.  :meth:`~PrismServer.count_round_batch` adds the
-§6.5 ``PF_s1`` / ``PF_s2`` permutations and
+places that choose the compiled kernel or its numpy twin, and the fused
+2-D kernels (:meth:`PrismServer.psi_round_batch` and friends; one query
+is a batch of one row) are the only places that set them up.  The
+entity host's span-scoped frames run those same kernels with a ``span``
+window of their output columns.  :meth:`~PrismServer.count_round_batch`
+adds the §6.5 ``PF_s1`` / ``PF_s2`` permutations and
 :meth:`~PrismServer.extrema_collect` / :meth:`~PrismServer.fpos_round`
 the §6.3 max machinery.
 
@@ -280,23 +281,38 @@ class PrismServer:
         vectors chunk by chunk rather than stacking them into per-owner
         matrices: no copies of the χ table are materialised.
         """
-        widths = {s.dtype for row in share_lists for s in row}
-        if widths - {dtype}:
-            raise ProtocolError(
-                f"batched sweep over {list(columns)!r} needs {dtype} "
-                f"shares; got {sorted(map(str, widths))}")
         counts = {len(s) for s in share_lists}
         if len(counts) != 1:
             raise ProtocolError(
                 f"batched sweep needs a uniform owner set across columns "
                 f"{list(columns)!r}; got share counts {sorted(counts)}"
             )
+        widths = {s.dtype for row in share_lists for s in row}
+        if widths - {dtype}:
+            raise ProtocolError(
+                f"batched sweep over {list(columns)!r} needs {dtype} "
+                f"shares; got {sorted(map(str, widths))}")
         lengths = {s[0].shape[0] for s in share_lists}
         if len(lengths) != 1:
             raise ProtocolError(
                 f"batched sweep needs equal-length columns; got {sorted(lengths)}"
             )
         return counts.pop(), lengths.pop()
+
+    @staticmethod
+    def _window(span, n: int) -> tuple[int, int]:
+        """The output columns ``[lo, hi)`` of a length-``n`` sweep that a
+        span-scoped frame asks for.
+
+        Refused before any slicing: numpy would silently truncate a
+        window past the end, and a concatenating dispatcher would then
+        assemble a short sweep.
+        """
+        lo, hi = (int(bound) for bound in span)
+        if not 0 <= lo < hi <= n:
+            raise ProtocolError(
+                f"span ({lo}, {hi}) is empty or exceeds sweep length {n}")
+        return lo, hi
 
     def _subset_m_share(self, subset_size: int) -> int:
         """Additive share of a subset owner count, derived like A(m).
@@ -330,9 +346,10 @@ class PrismServer:
 
     def _psi_rows(self, columns, share_lists, subtract_m, owner_ids,
                   num_shards: int | None = None,
-                  cells: np.ndarray | None = None) -> np.ndarray:
+                  cells: np.ndarray | None = None,
+                  span=None) -> np.ndarray:
         """The rows of a fused Eq. 3 / Eq. 7 sweep over χ (or ``cells``),
-        then tampered."""
+        then tampered; ``span`` keeps only its window of the columns."""
         params = self.params
         num_owners, b = self._check_uniform(columns, share_lists,
                                             params.additive_dtype)
@@ -340,6 +357,15 @@ class PrismServer:
                 int(cells.min()) < 0 or int(cells.max()) >= b):
             raise ProtocolError(f"cell indices out of range for χ length {b}")
         n = b if cells is None else cells.shape[0]
+        if span is not None:
+            lo, hi = self._window(span, n)
+            if cells is None:
+                share_lists = [[s[lo:hi] for s in row] for row in share_lists]
+            else:
+                # Cell-local: the window indexes the cells array, which
+                # still gathers from the full share vectors.
+                cells = cells[lo:hi]
+            n = hi - lo
         tables = params.group.folded_tables(
             self._batch_m_shares(subtract_m, num_owners, owner_ids),
             num_owners)
@@ -375,8 +401,8 @@ class PrismServer:
         return list(flags)
 
     def psi_round_batch(self, columns, owner_ids: list[int] | None = None,
-                        subtract_m=None,
-                        num_shards: int | None = None) -> np.ndarray:
+                        subtract_m=None, num_shards: int | None = None,
+                        *, span=None) -> np.ndarray:
         """Fused multi-query Eq. 3 / Eq. 7 sweep.
 
         Row ``q`` of the returned ``(Q, b)`` matrix is the PSI kernel
@@ -393,18 +419,23 @@ class PrismServer:
         ``num_shards`` (default: :attr:`num_shards`) spans run
         shard-parallel on the deployment's thread pool; outputs stay
         bit-identical to the unsharded sweep for every shard count.
+
+        ``span = (lo, hi)`` computes only output columns ``[lo, hi)``
+        (the entity host sets it from a span-scoped frame's envelope);
+        concatenated windows equal the whole sweep bit for bit.
         """
         if not len(columns):
             raise ProtocolError("batched PSI sweep needs at least one column")
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
         return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
-                              num_shards)
+                              num_shards, span=span)
 
     def psi_cells_round_batch(self, columns, cells,
                               owner_ids: list[int] | None = None,
                               subtract_m=None,
-                              num_shards: int | None = None) -> np.ndarray:
+                              num_shards: int | None = None,
+                              *, span=None) -> np.ndarray:
         """Fused Eq. 3 / Eq. 7 sweep restricted to a subset of χ cells.
 
         Row ``q`` of the returned ``(Q, len(cells))`` matrix equals
@@ -417,7 +448,8 @@ class PrismServer:
         ``cells`` is a 1-D array of χ cell indices, in output order.
         ``num_shards`` decomposes the *cells array* into contiguous
         shards and runs them on the deployment's thread pool, like
-        :meth:`psi_round_batch`.
+        :meth:`psi_round_batch`; ``span`` is a window of the cells
+        array.
         """
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 1:
@@ -429,7 +461,7 @@ class PrismServer:
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
         return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
-                              num_shards, cells)
+                              num_shards, cells, span)
 
     def count_round_batch(self, columns, owner_ids: list[int] | None = None,
                           subtract_m=None, use_pf_s2=None,
@@ -455,8 +487,8 @@ class PrismServer:
 
     def psu_round_batch(self, columns, query_nonces,
                         owner_ids: list[int] | None = None,
-                        permute=None,
-                        num_shards: int | None = None) -> np.ndarray:
+                        permute=None, num_shards: int | None = None,
+                        *, span=None) -> np.ndarray:
         """Fused multi-query Eq. 18 sweep.
 
         Row ``q`` is the PSU kernel over ``columns[q]``, masked with the
@@ -469,25 +501,37 @@ class PrismServer:
         Each span seeks the common counter-mode PRG to its own span of
         every row's Eq. 18 mask stream, so mask generation — the
         dominant PSU cost — shards along with the sweep, bit-identically
-        to slicing the full-length stream.
+        to slicing the full-length stream.  A ``span`` window seeks the
+        same way (``draw_base``); it serves the unpermuted sweep, since
+        ``PF_s1`` is not span-local: the dispatcher permutes after
+        concatenation.
         """
         if not len(columns):
             raise ProtocolError("batched PSU sweep needs at least one column")
         if len(query_nonces) != len(columns):
             raise ProtocolError("query_nonces must match the column count")
         permute = self._row_flags(permute, columns, "permute", False)
+        if span is not None and any(permute):
+            raise ProtocolError(
+                "span-scoped PSU serves the unpermuted sweep; the "
+                "dispatcher applies PF_s1 after concatenation")
         # The owner-share sums are computed once per distinct column, in
         # order of first appearance, and broadcast across its rows.
         uniq = list(dict.fromkeys(columns))
         share_lists = [self.fetch_additive(c, owner_ids) for c in uniq]
         dtype = self.params.additive_dtype
         _, n = self._check_uniform(uniq, share_lists, dtype)
+        lo = 0
+        if span is not None:
+            lo, hi = self._window(span, n)
+            share_lists = [[s[lo:hi] for s in row] for row in share_lists]
+            n = hi - lo
         acc = np.empty((len(uniq), n), dtype=dtype)
         out = np.empty((len(columns), n), dtype=dtype)
         self.runtime.run(psu_sweep(share_lists, acc,
                                    [uniq.index(c) for c in columns],
                                    self._psu_keys(query_nonces),
-                                   self.params.delta, out), n,
+                                   self.params.delta, out, draw_base=lo), n,
                          num_shards or self.num_shards)
         out = self._tamper_rows(out, ["psu"] * len(columns), columns)
         for row, flag in enumerate(permute):
@@ -497,14 +541,17 @@ class PrismServer:
 
     def aggregate_round_batch(self, columns, z_matrix: np.ndarray,
                               owner_ids: list[int] | None = None,
-                              num_shards: int | None = None) -> np.ndarray:
+                              num_shards: int | None = None,
+                              *, span=None) -> np.ndarray:
         """Fused multi-query Eq. 11 sweep.
 
         ``z_matrix`` stacks one indicator-share vector per query row:
         this server's Shamir share of a querier's 0/1 result indicator.
         ``columns[q]`` names the Shamir aggregation column row ``q``
         multiplies into; ``num_shards`` overrides the sweep's span
-        count.
+        count.  Under a ``span`` window ``z_matrix`` is that window's
+        block of exactly ``hi - lo`` columns, so the z traffic shards
+        with the sweep.
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
@@ -517,11 +564,16 @@ class PrismServer:
             )
         dtype = self.params.shamir_dtype
         _, n = self._check_uniform(columns, share_lists, dtype)
+        if span is not None:
+            lo, hi = self._window(span, n)
+            share_lists = [[s[lo:hi] for s in row] for row in share_lists]
+            n = hi - lo
         if z_matrix.shape[1] != n:
             raise ProtocolError(
                 f"z vector length {z_matrix.shape[1]} does not match column "
-                f"length {n}"
-            )
+                f"length {n}" if span is None else
+                f"z block of shape {z_matrix.shape} does not cover span "
+                f"{tuple(span)}")
         out = np.empty((len(columns), n), dtype=dtype)
         self.runtime.run(agg_sweep(share_lists, z_matrix,
                                    self.params.field_prime, out), n,

@@ -4,7 +4,7 @@ Beyond the in-process transport simulation, this package carries the
 deployment surface: the framed RPC envelope
 (:func:`repro.network.codec.encode_frame`), the pluggable
 :class:`~repro.network.rpc.Channel` implementations (in-process,
-forked subprocess, TCP sockets), and the standalone entity host
+forked subprocess, pools of TCP hosts), and the standalone entity host
 (:mod:`repro.network.host`, the ``repro-entity-host`` executable).
 """
 
@@ -13,7 +13,6 @@ from repro.network.dispatch import (
     ConnectionLost,
     DispatchLoop,
     PooledChannel,
-    SocketChannel,
 )
 from repro.network.message import Endpoint, Message, Role, payload_nbytes
 from repro.network.rpc import (
@@ -38,7 +37,6 @@ __all__ = [
     "PooledChannel",
     "RpcMessage",
     "Role",
-    "SocketChannel",
     "SubprocessChannel",
     "TrafficStats",
     "decode",

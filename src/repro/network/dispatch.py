@@ -1,13 +1,10 @@
 """Async multi-host dispatch: one selector loop, many multiplexed peers.
 
-PR 5's :class:`~repro.network.rpc.SocketChannel` admitted one in-flight
-request per connection: every RPC was a blocking round trip, so the
-three server roles were swept strictly one after another and a span
-decomposition serialised into span-count round trips.  This module
-rebuilds the TCP transport on a single background *dispatch loop*
-(:class:`DispatchLoop`, a ``selectors``-driven thread shared by every
-connection in the process) with three properties the scale-out story
-needs:
+Every TCP server role is reached through one class,
+:class:`PooledChannel`, whose pool may hold a single host.  It runs on a
+single background *dispatch loop* (:class:`DispatchLoop`, a
+``selectors``-driven thread shared by every connection in the process)
+with three properties the scale-out story needs:
 
 * **Request pipelining** — a caller may issue any number of requests on
   one connection before collecting replies; frames queue in an outbox
@@ -28,15 +25,18 @@ needs:
 
 Transport-level failures (EOF, reset, timeout) raise
 :class:`ConnectionLost` — a :class:`~repro.exceptions.ProtocolError`
-subclass, so existing handlers keep working.  A *pooled* role
-self-heals instead of failing: reads and span sweeps are idempotent
-(every replica holds identical state because :data:`BROADCAST_KINDS`
-reach all members), so :class:`PooledChannel` retransmits a lost frame
-to a surviving member, ejects the dead one behind a circuit breaker
-with half-open probing (replaying the journaled state broadcasts into
-a rejoining host), and degrades down to any pool size ≥ 1 before
-surfacing a typed :class:`~repro.exceptions.QueryError` naming the
-exhausted pool.
+subclass — on a connection.  A role self-heals instead of failing:
+reads and span sweeps are idempotent (every replica holds identical
+state because :data:`BROADCAST_KINDS` reach all members), so
+:class:`PooledChannel` retransmits a lost frame to a surviving member,
+ejects the dead one behind a circuit breaker with half-open probing
+(replaying the journaled state broadcasts into a rejoining host), and
+degrades down to any pool size ≥ 1 before surfacing a typed
+:class:`~repro.exceptions.QueryError` naming the exhausted pool.  A
+pool of one has no survivor to fail over to: its host's death surfaces
+that :class:`~repro.exceptions.QueryError`, and a probe or a
+:class:`~repro.network.supervisor.HostSupervisor` respawn rejoins the
+seat warm.
 """
 
 from __future__ import annotations
@@ -601,126 +601,6 @@ def _connect_retry(host: str, port: int, timeout: float) -> socket.socket:
         f"cannot reach entity host at {host}:{port}: {last_error}")
 
 
-class SocketChannel(Channel):
-    """Channel to one ``repro-entity-host`` over TCP, on the dispatch loop.
-
-    Keeps the blocking :meth:`send` contract of the PR 4 channel (and
-    its error semantics — :class:`ConnectionLost` *is* a
-    ``ProtocolError``), but requests pipeline: :meth:`send_async`
-    returns a :class:`PendingReply` immediately, and :meth:`scatter`
-    issues a whole span decomposition before collecting any reply.
-    """
-
-    def __init__(self, conn: _MuxConnection, address: tuple[str, int],
-                 request_timeout: float | None = None,
-                 probe_timeout: float | None = PROBE_TIMEOUT):
-        self._conn = conn
-        self.address = address
-        self.request_timeout = request_timeout
-        self.probe_timeout = probe_timeout
-        #: State-establishing frames, in send order, for warm re-seed of
-        #: a supervisor-respawned host (see :meth:`rejoin`).
-        self.journal: list[RpcMessage] = []
-
-    @classmethod
-    def connect(cls, host: str, port: int, timeout: float = 10.0,
-                request_timeout: float | None = None,
-                probe_timeout: float | None = PROBE_TIMEOUT,
-                ) -> "SocketChannel":
-        """Connect, retrying until ``timeout`` (hosts may still be booting)."""
-        sock = _connect_retry(host, port, timeout)
-        conn = _MuxConnection(sock, f"{host}:{port}", DispatchLoop.shared())
-        return cls(conn, (host, port), request_timeout, probe_timeout)
-
-    @property
-    def fan_out(self) -> int:
-        return 1
-
-    @property
-    def closed(self) -> bool:
-        return self._conn.closed
-
-    def send(self, message: RpcMessage) -> RpcMessage:
-        timeout = self.request_timeout
-        if message.kind in LIFECYCLE_KINDS:
-            timeout = _lifecycle_timeout(self.request_timeout,
-                                         self.probe_timeout)
-        return self.send_async(message).result(timeout)
-
-    def send_async(self, message: RpcMessage) -> PendingReply:
-        """Pipeline one request; returns immediately.
-
-        Journaled kinds compact: a frame superseded by this one (same
-        :func:`_journal_key`) is dropped, keeping the journal bounded
-        by the number of *distinct* stored columns rather than the
-        total number of outsourcing rounds.
-        """
-        if message.kind in JOURNAL_KINDS:
-            key = _journal_key(message)
-            if key is not None:
-                for index, old in enumerate(self.journal):
-                    if _journal_key(old) == key:
-                        del self.journal[index]
-                        break
-            self.journal.append(message)
-        return self._conn.request(message)
-
-    def scatter(self, messages) -> list[RpcMessage]:
-        """Issue every request before collecting any reply (pipelined)."""
-        pendings = [self._conn.request(message) for message in messages]
-        return [pending.result(self.request_timeout) for pending in pendings]
-
-    def shutdown_remote(self) -> None:
-        """Ask the remote host process to exit, then close the channel."""
-        try:
-            self.send(RpcMessage(SHUTDOWN))
-        except (ProtocolError, OSError):
-            pass
-        self.close()
-
-    def close(self) -> None:
-        if not self._conn.closed:
-            self._conn.close()
-
-    def rejoin(self, slot: int = 0, address: tuple[str, int] | None = None,
-               warm_from: int = 0,
-               connect_timeout: float = PROBE_CONNECT_TIMEOUT) -> None:
-        """Reconnect to a (respawned) host, replaying the journal.
-
-        A pool-of-one role has exactly one seat, so ``slot`` is
-        ignored; the interface matches :meth:`PooledChannel.rejoin` so
-        a supervisor heals both channel shapes uniformly.
-        """
-        host, port = address if address is not None else self.address
-        sock = _connect_retry(host, int(port), connect_timeout)
-        conn = _MuxConnection(sock, f"{host}:{port}", DispatchLoop.shared())
-        try:
-            _replay_journal(conn, self.journal[warm_from:],
-                            self.request_timeout)
-            conn.request(RpcMessage(PING)).result(
-                _lifecycle_timeout(self.request_timeout, self.probe_timeout))
-        except BaseException:
-            conn.close()
-            raise
-        old, self._conn = self._conn, conn
-        self.address = (host, int(port))
-        if not old.closed:
-            old.close()
-
-    def health(self) -> dict:
-        return {
-            "status": "down" if self._conn.closed else "ok",
-            "members_up": 0 if self._conn.closed else 1,
-            "members_ejected": 1 if self._conn.closed else 0,
-            "members": [{"address": self._conn.label,
-                         "state": "down" if self._conn.closed else "up"}],
-        }
-
-    @property
-    def stats(self) -> dict:
-        return self._conn.stats
-
-
 class _PoolMember:
     """One seat in a host pool: a connection plus its failover state.
 
@@ -871,6 +751,12 @@ class PooledChannel(Channel):
     def closed(self) -> bool:
         return self._closed
 
+    def _check_open(self) -> None:
+        """Refuse work after :meth:`close`: a rejoin would reopen sockets
+        that nothing closes again."""
+        if self._closed:
+            raise ProtocolError("channel is closed")
+
     # -- member liveness ------------------------------------------------------
 
     def _emit(self, event: str, member: _PoolMember) -> None:
@@ -981,6 +867,7 @@ class PooledChannel(Channel):
         broadcasts land concurrently the replay loops until the journal
         is caught up.
         """
+        self._check_open()
         member = self._members[slot]
         host, port = address if address is not None else member.address
         sock = _connect_retry(host, int(port), connect_timeout)
@@ -1004,6 +891,7 @@ class PooledChannel(Channel):
                     if (self._journal_seqs
                             and self._journal_seqs[-1] > applied_seq):
                         continue  # a broadcast raced the ping; catch up
+                    self._check_open()  # close() raced the replay
                     old = member.replace_conn(conn, (host, int(port)))
                     member.journal_applied = applied_seq
                     member.ejected_at = None
@@ -1044,6 +932,7 @@ class PooledChannel(Channel):
         self._emit("failover", member)
 
     def send(self, message: RpcMessage) -> RpcMessage:
+        self._check_open()
         self._maybe_probe()
         if message.kind in BROADCAST_KINDS:
             return self._broadcast(message)
@@ -1067,6 +956,7 @@ class PooledChannel(Channel):
         spans are idempotent reads, so the collected sweep stays
         bit-identical.
         """
+        self._check_open()
         self._maybe_probe()
         entries = [(message, *self._issue(message)) for message in messages]
         with self._lock:
@@ -1167,7 +1057,8 @@ class PooledChannel(Channel):
         self.close()
 
     def close(self) -> None:
-        self._closed = True
+        with self._lock:
+            self._closed = True
         for member in self._members:
             if not member.conn.closed:
                 member.conn.close()

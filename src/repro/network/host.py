@@ -17,13 +17,14 @@ the ``InProcessChannel`` calls it directly, so behaviour is identical
 from zero-copy to real sockets.
 
 Span-scoped requests: a kernel request whose frame envelope names a
-shard span ``(lo, hi)`` computes only that contiguous χ span of the
-fused sweep — span-local share slices swept by the same span kernel
-selectors the server's own sweeps run (:func:`~repro.entities.server.
-psi_sweep` and friends) — which is the hook a multi-connection distributed dispatcher shards
-sweeps across hosts with.  Whole-sweep requests may instead carry a
-``num_shards`` keyword, which the kernel honours on the host's own
-thread pool.
+shard span ``(lo, hi)`` runs the hosted server's own fused kernel
+(:meth:`~repro.entities.server.PrismServer.psi_round_batch` and
+friends) with that ``span`` window, so it computes only that contiguous
+span of the sweep's output columns.  That is the hook
+:class:`~repro.network.dispatch.PooledChannel` shards one sweep across
+a host pool with.  Only the adapter sets the window, from the envelope.
+Whole-sweep requests may instead carry a ``num_shards`` keyword, which
+the kernel honours on the host's own thread pool.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.crypto.widths import check_stream
 from repro.data.storage import ShareKind
-from repro.entities.server import PrismServer, agg_sweep, psi_sweep, psu_sweep
+from repro.entities.server import PrismServer
 from repro.exceptions import ProtocolError
 from repro.network.codec import FULL_SPAN, decode_frame, encode_frame
 from repro.network.rpc import (
@@ -123,192 +124,26 @@ class ServerAdapter:
             # prime's width.
             check_stream(args[1], params.field_prime,
                          "indicator share matrix")
+        if "span" in kwargs:
+            raise ProtocolError(
+                "a sweep's span travels in the frame envelope, not the "
+                "payload")
         if message.span != FULL_SPAN:
-            # Every span-scoped request goes through the span path,
-            # which loudly rejects unsupported kinds — silently
-            # returning a full sweep labeled with a span would corrupt
-            # a concatenating dispatcher.
-            return self._span_request(kind, args, kwargs, message.span)
-        return getattr(self.server, kind)(*args, **kwargs)
-
-    def _span_request(self, kind, args, kwargs, span):
-        """One contiguous span of a fused sweep (see module docstring).
-
-        Supported for every batchable sweep family: whole-χ Eq. 3 /
-        Eq. 7 (``psi_round_batch``), cell-restricted
-        (``psi_cells_round_batch``, span over the cells array), Eq. 18
-        (``psu_round_batch``, serving the *unpermuted* masked sweep —
-        the dispatcher applies the post-sweep ``PF_s1`` after
-        concatenation, with the very parameters the initiator dealt
-        it), and Eq. 11 (``aggregate_round_batch``, the frame carrying
-        this span's slice of the z matrix).  The span kernel reads the
-        store directly, bypassing the server's methods and its
-        :meth:`~repro.entities.server.PrismServer.tamper` seam, so it
-        refuses any server but an unmodified :class:`PrismServer` — a
-        malicious or instrumented one must keep misbehaving per call,
-        never be silently bypassed by span dispatch.
-        """
-        if kind not in _SPAN_KERNELS:
-            raise ProtocolError(
-                f"span-scoped execution is not supported for {kind!r}; "
-                f"send a whole-sweep request with num_shards instead"
-            )
-        server = self.server
-        if type(server) is not PrismServer or "tamper" in vars(server):
-            raise ProtocolError(
-                "span-scoped execution requires an unmodified server"
-            )
-        columns = list(args[0]) if args else list(kwargs.get("columns", ()))
-        if not columns:
-            raise ProtocolError("malformed span request")
-        lo, hi = span
-        if kind == "psu_round_batch":
-            return self._psu_span(server, columns, args, kwargs, lo, hi)
-        if kind == "aggregate_round_batch":
-            return self._agg_span(server, columns, args, kwargs, lo, hi)
-        cells = None
-        if kind == "psi_cells_round_batch":
-            # (columns, cells, owner_ids, subtract_m) positionally.
-            cells = args[1] if len(args) > 1 else kwargs.get("cells")
-            if cells is None:
-                raise ProtocolError("malformed span request: no cells")
-            cells = np.asarray(cells, dtype=np.int64)
-            owner_slot, flag_slot = 2, 3
-        else:
-            owner_slot, flag_slot = 1, 2
-        owner_ids = kwargs.get("owner_ids")
-        if owner_ids is None and len(args) > owner_slot:
-            owner_ids = args[owner_slot]
-        subtract_m = kwargs.get("subtract_m")
-        if subtract_m is None and len(args) > flag_slot:
-            subtract_m = args[flag_slot]
-        if subtract_m is None:
-            subtract_m = [True] * len(columns)
-        if len(subtract_m) != len(columns):
-            raise ProtocolError("malformed span request")
-        owners, b = self._span_owners(server, columns, owner_ids)
-        n = b if cells is None else len(cells)
-        if hi > n:
-            raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {n}")
-        params = server.params
-        tables = params.group.folded_tables(
-            server._batch_m_shares(list(subtract_m), len(owners[0]),
-                                   owner_ids), len(owners[0]))
-        if cells is None:
-            share_lists = self._span_slices(server, columns, owners, lo, hi)
-        else:
-            if cells.size and (int(cells.min()) < 0 or int(cells.max()) >= b):
+            # Silently returning a full sweep labeled with a span would
+            # corrupt a concatenating dispatcher: unsupported kinds fail.
+            if kind not in _SPAN_KERNELS:
                 raise ProtocolError(
-                    f"cell indices out of range for χ length {b}")
-            # The kernel is cell-local: the span indexes the cells array
-            # and gathers from the full share vectors.
-            share_lists = [[server.store.get(owner, column).values
-                            for owner in col_owners]
-                           for column, col_owners in zip(columns, owners)]
-            cells = cells[lo:hi]
-        server._check_uniform(columns, share_lists, params.additive_dtype)
-        out = np.empty((len(columns), hi - lo), dtype=params.group_dtype)
-        psi_sweep(share_lists, tables, out, cells)(0, hi - lo)
-        return out
-
-    @staticmethod
-    def _span_owners(server, columns, owner_ids):
-        """Per-column owner lists + the uniform χ length for a span.
-
-        Mirrors the kernels' ``_check_uniform``: a fused span sums a
-        fixed set of share vectors per row, so mixed owner sets or
-        lengths must fail loudly — never corrupt a concatenating
-        dispatcher.
-        """
-        owners = [list(owner_ids) if owner_ids is not None
-                  else server.store.owners_with(column)
-                  for column in columns]
-        counts = {len(col_owners) for col_owners in owners}
-        if len(counts) != 1:
-            raise ProtocolError(
-                "span request needs a uniform owner set across columns")
-        lengths = {server.store.get(col_owners[0], column).values.shape[0]
-                   for column, col_owners in zip(columns, owners)}
-        if len(lengths) != 1:
-            raise ProtocolError(
-                "span request needs equal-length columns")
-        return owners, lengths.pop()
-
-    @staticmethod
-    def _span_slices(server, columns, owners, lo, hi):
-        """Per-column lists of the owners' ``[lo, hi)`` share slices."""
-        return [[server.store.shard_slice(owner, column, lo, hi)
-                 for owner in col_owners]
-                for column, col_owners in zip(columns, owners)]
-
-    def _psu_span(self, server, columns, args, kwargs, lo, hi):
-        """One span of the *unpermuted* fused Eq. 18 sweep.
-
-        ``(columns, query_nonces, owner_ids, permute)`` positionally.
-        Mirrors ``psu_round_batch``'s dedup: share sums are computed
-        once per distinct column and broadcast by row_map;
-        each row's mask span is derived by seeking the counter-mode PRG
-        (bit-identical to slicing the full stream).  The post-sweep
-        ``PF_s1`` of permute-flagged rows is *not* span-local, so span
-        requests must not ask for it — the dispatcher permutes after
-        concatenation.
-        """
-        if len(args) < 2:
-            raise ProtocolError("malformed span request: no query nonces")
-        nonces = [int(nonce) for nonce in args[1]]
-        if len(nonces) != len(columns):
-            raise ProtocolError("query_nonces must match the column count")
-        permute = kwargs.get("permute")
-        if permute is None and len(args) > 3:
-            permute = args[3]
-        if permute is not None and any(permute):
-            raise ProtocolError(
-                "span-scoped PSU serves the unpermuted sweep; the "
-                "dispatcher applies PF_s1 after concatenation")
-        owner_ids = kwargs.get("owner_ids")
-        if owner_ids is None and len(args) > 2:
-            owner_ids = args[2]
-        uniq = list(dict.fromkeys(columns))
-        row_map = [uniq.index(column) for column in columns]
-        owners, b = self._span_owners(server, uniq, owner_ids)
-        if hi > b:
-            raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {b}")
-        share_lists = self._span_slices(server, uniq, owners, lo, hi)
-        dtype = server.params.additive_dtype
-        server._check_uniform(uniq, share_lists, dtype)
-        acc = np.empty((len(uniq), hi - lo), dtype=dtype)
-        out = np.empty((len(columns), hi - lo), dtype=dtype)
-        psu_sweep(share_lists, acc, row_map, server._psu_keys(nonces),
-                  server.params.delta, out, draw_base=lo)(0, hi - lo)
-        return out
-
-    def _agg_span(self, server, columns, args, kwargs, lo, hi):
-        """One span of the fused Eq. 11 sweep.
-
-        ``(columns, z_block, owner_ids)`` positionally —
-        the frame ships only *this span's* slice of the querier-dealt
-        indicator-share matrix, so the z traffic shards with the sweep.
-        """
-        if len(args) < 2:
-            raise ProtocolError("malformed span request: no z matrix")
-        z_block = server.admit_z(args[1])
-        if z_block.ndim != 2 or z_block.shape != (len(columns), hi - lo):
-            raise ProtocolError(
-                f"z block of shape {z_block.shape} does not cover span "
-                f"({lo}, {hi}) for {len(columns)} rows")
-        owner_ids = kwargs.get("owner_ids")
-        if owner_ids is None and len(args) > 2:
-            owner_ids = args[2]
-        owners, b = self._span_owners(server, columns, owner_ids)
-        if hi > b:
-            raise ProtocolError(f"span ({lo}, {hi}) exceeds sweep length {b}")
-        share_lists = self._span_slices(server, columns, owners, lo, hi)
-        dtype = server.params.shamir_dtype
-        server._check_uniform(columns, share_lists, dtype)
-        out = np.empty((len(columns), hi - lo), dtype=dtype)
-        agg_sweep(share_lists, z_block, server.params.field_prime,
-                  out)(0, hi - lo)
-        return out
+                    f"span-scoped execution is not supported for {kind!r}; "
+                    f"send a whole-sweep request with num_shards instead")
+            # A tampering server must misbehave over the whole sweep it
+            # would have served: its seam may depend on absolute
+            # positions, which a window shifts.
+            server = self.server
+            if type(server) is not PrismServer or "tamper" in vars(server):
+                raise ProtocolError(
+                    "span-scoped execution requires an unmodified server")
+            kwargs["span"] = message.span
+        return getattr(self.server, kind)(*args, **kwargs)
 
 
 def adapter_for(entity) -> ServerAdapter:

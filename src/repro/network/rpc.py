@@ -11,11 +11,11 @@ the entity's reply.  Three implementations cover the deployment ladder:
   round-tripped through the codec for conformance testing).
 * :class:`SubprocessChannel` — the entity is hosted in a forked worker
   process; frames travel over a socketpair.
-* :class:`SocketChannel` — the entity is hosted by a standalone
-  ``repro-entity-host`` process (:mod:`repro.network.host`) and frames
-  travel length-prefixed over TCP, multiplexed on the shared dispatch
-  loop of :mod:`repro.network.dispatch` (which also provides
-  :class:`~repro.network.dispatch.PooledChannel` for host *pools*).
+* :class:`~repro.network.dispatch.PooledChannel` — the entity is
+  hosted by a pool of one or more standalone ``repro-entity-host``
+  processes (:mod:`repro.network.host`) and frames travel
+  length-prefixed over TCP, multiplexed on the shared dispatch loop of
+  :mod:`repro.network.dispatch`.
 
 Every message is wrapped in the codec's framed envelope
 (:func:`repro.network.codec.encode_frame`): kind, correlation id, shard
@@ -147,19 +147,6 @@ class Deployment:
     @property
     def is_local(self) -> bool:
         return self.mode == "local"
-
-    @property
-    def addresses(self) -> tuple[tuple[str, int], ...]:
-        """One ``(host, port)`` per role: each pool's first member.
-
-        The pre-pool shape — everything that only needs *a* host per
-        role (and every caller written before pools) keeps working.
-        """
-        return tuple(pool[0] for pool in self.pools)
-
-    @property
-    def pool_sizes(self) -> tuple[int, ...]:
-        return tuple(len(pool) for pool in self.pools)
 
     @classmethod
     def parse(cls, spec, num_servers: int = 3) -> "Deployment":
@@ -487,17 +474,6 @@ class SubprocessChannel(_StreamChannel):
         for arena in (self._tx_arena, self._rx_arena):
             if arena is not None:
                 arena.close()
-
-
-def __getattr__(name: str):
-    # TCP channels live on the shared dispatch loop
-    # (:mod:`repro.network.dispatch`), which imports this module for
-    # the wire primitives; re-export them lazily to avoid the cycle.
-    if name in ("SocketChannel", "PooledChannel", "ConnectionLost",
-                "DispatchLoop"):
-        from repro.network import dispatch
-        return getattr(dispatch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- parameter views over the wire -------------------------------------------

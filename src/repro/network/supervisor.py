@@ -12,10 +12,9 @@ a fresh ephemeral port, and hands the new address to the role channel's
 *warm*, holding the exact replica state of its siblings, and re-enters
 rotation.
 
-The supervisor heals both channel shapes through one interface:
-:meth:`PooledChannel.rejoin` re-binds one seat of a pool,
-:meth:`SocketChannel.rejoin` replaces a pool-of-one role's only
-connection.
+Every TCP role is a :class:`~repro.network.dispatch.PooledChannel`,
+so one call heals every seat: :meth:`PooledChannel.rejoin` re-binds one
+seat of a pool, including a single-host role's only seat.
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class TestDeploymentSpec:
     def test_tcp_parses_three_addresses(self):
         spec = Deployment.parse("tcp://a:1,b:2,c:3")
         assert spec.mode == "tcp"
-        assert spec.addresses == (("a", 1), ("b", 2), ("c", 3))
+        assert spec.pools == ((("a", 1),), (("b", 2),), (("c", 3),))
 
     def test_tcp_needs_one_address_per_server(self):
         with pytest.raises(ParameterError):
@@ -422,6 +422,17 @@ class TestServerAdapter:
         assert "span" in reply.payload["message"]
         system.close()
 
+    def test_span_window_only_from_the_envelope(self):
+        # The kernels' window is set by the adapter from the frame
+        # envelope; a payload naming one would skip the span checks.
+        system = build("local")
+        adapter = ServerAdapter(system.servers[0])
+        reply = adapter.dispatch(RpcMessage(
+            "psi_round_batch", {"a": [["k"]], "k": {"span": (0, 4)}}))
+        assert reply.kind == "__error__"
+        assert "frame envelope" in reply.payload["message"]
+        system.close()
+
     def test_span_psu_rejects_permute_flags(self):
         # Span-scoped PSU serves the unpermuted sweep; a frame asking
         # the host to permute a span would corrupt the concatenation.
@@ -494,11 +505,13 @@ class TestSpanKernels:
     @pytest.mark.parametrize("kind,payload,message", [
         ("psu_round_batch", {"a": [["k"], [1, 2]], "k": {}},
          "query_nonces must match"),
-        ("psu_round_batch", {"a": [["k"]], "k": {}}, "no query nonces"),
-        ("aggregate_round_batch", {"a": [["amt"]], "k": {}}, "no z matrix"),
+        ("psu_round_batch", {"a": [["k"]], "k": {}},
+         "required positional argument: 'query_nonces'"),
+        ("aggregate_round_batch", {"a": [["amt"]], "k": {}},
+         "required positional argument: 'z_matrix'"),
         ("aggregate_round_batch",
          {"a": [["amt"], [[1, 2, 3]]], "k": {}}, "does not cover span"),
-        ("psi_round_batch", {"a": [[]], "k": {}}, "malformed"),
+        ("psi_round_batch", {"a": [[]], "k": {}}, "at least one column"),
     ])
     def test_malformed_span_requests_rejected(self, kind, payload, message):
         system = build("local")
@@ -514,6 +527,9 @@ class TestSpanKernels:
         for kind, payload in [
             ("psi_round_batch", {"a": [["k"]], "k": {}}),
             ("psu_round_batch", {"a": [["k"], [1]], "k": {}}),
+            ("psi_cells_round_batch", {"a": [["k"], [0, 1, 2]], "k": {}}),
+            ("aggregate_round_batch",
+             {"a": [["amt"], np.zeros((1, 99), dtype=np.uint32)], "k": {}}),
         ]:
             reply = adapter.dispatch(RpcMessage(kind, payload, span=(0, 99)))
             assert reply.kind == "__error__"
@@ -548,18 +564,18 @@ class TestHostServing:
         assert ready.wait(5)
         yield ports[0], thread
         if thread.is_alive():
-            from repro.network.dispatch import SocketChannel
-            SocketChannel.connect("127.0.0.1", ports[0]).shutdown_remote()
+            from repro.network.dispatch import PooledChannel
+            PooledChannel.connect([("127.0.0.1", ports[0])]).shutdown_remote()
             thread.join(timeout=5)
         assert not thread.is_alive()
 
     def test_bootstrap_and_kernel_cycle(self, served_host):
-        from repro.network.dispatch import SocketChannel
+        from repro.network.dispatch import PooledChannel
         from repro.network.rpc import CONSTRUCT, server_params_to_wire
 
         port, _ = served_host
         system = build("local")
-        channel = SocketChannel.connect("127.0.0.1", port)
+        channel = PooledChannel.connect([("127.0.0.1", port)])
         # Kernel requests before construction fail typed, never hang.
         with pytest.raises(ProtocolError, match="no entity constructed"):
             channel.call("owners_with", "k")
@@ -583,11 +599,11 @@ class TestHostServing:
         system.close()
 
     def test_construct_payload_validation(self, served_host):
-        from repro.network.dispatch import SocketChannel
+        from repro.network.dispatch import PooledChannel
         from repro.network.rpc import CONSTRUCT
 
         port, _ = served_host
-        channel = SocketChannel.connect("127.0.0.1", port)
+        channel = PooledChannel.connect([("127.0.0.1", port)])
         for payload, message in [
             (None, "must be a dict"),
             ({"entity": "owner"}, "cannot host entity kind"),
@@ -628,10 +644,10 @@ class TestHostServing:
         conn.close()
 
     def test_shutdown_request_stops_the_host(self, served_host):
-        from repro.network.dispatch import SocketChannel
+        from repro.network.dispatch import PooledChannel
 
         port, thread = served_host
-        SocketChannel.connect("127.0.0.1", port).shutdown_remote()
+        PooledChannel.connect([("127.0.0.1", port)]).shutdown_remote()
         thread.join(timeout=5)
         assert not thread.is_alive()
 

@@ -27,10 +27,18 @@ import signal
 
 import pytest
 
-from repro import Domain, PrismSystem, QueryError, Relation, VerificationError
+from repro import (
+    Domain,
+    PrismSystem,
+    ProtocolError,
+    QueryError,
+    Relation,
+    VerificationError,
+)
 from repro.entities import remote
 from repro.entities.adversary import InjectFakeServer, SkipCellsServer
 from repro.network.host import launch_forked_pools, pools_spec
+from repro.network.rpc import PING, RpcMessage
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -155,7 +163,7 @@ class TestMultiHostMatrix:
         """
         pool_size, spec = pooled_hosts
         if pool_size == 1:
-            pytest.skip("single-member pools use the plain socket channel")
+            pytest.skip("a single-member pool sends whole sweeps")
         with build(spec, num_shards=num_shards) as system:
             assert run_batchable(system) == expected["batch"]
             for channel in system._channels:
@@ -248,6 +256,32 @@ class TestPoolFaults:
                 with pytest.raises(QueryError, match="server pool member"):
                     system.psi("k", querier=0)
                 assert system._channels[0].health()["status"] == "down"
+        finally:
+            for process in processes:
+                process.terminate()
+            for process in processes:
+                process.join(timeout=10)
+
+    def test_closed_channel_stays_closed(self, expected):
+        """After close(), no send, scatter or rejoin reopens a socket."""
+        pools, processes = launch_forked_pools([2, 1, 1])
+        try:
+            system = build(pools_spec(pools))
+            assert system.psi("k", querier=0).membership.tolist() == \
+                expected["batch"]["psi"]
+            system.close()
+            with pytest.raises(ProtocolError, match="channel is closed"):
+                system.psi("k", querier=0)
+            for channel in system._channels:
+                with pytest.raises(ProtocolError, match="channel is closed"):
+                    channel.send(RpcMessage(PING))
+                with pytest.raises(ProtocolError, match="channel is closed"):
+                    channel.scatter([RpcMessage(PING)])
+                with pytest.raises(ProtocolError, match="channel is closed"):
+                    channel.rejoin(0)
+                health = channel.health()
+                assert health["rejoins"] == 0
+                assert health["members_up"] == 0
         finally:
             for process in processes:
                 process.terminate()

@@ -29,7 +29,7 @@ from test_multihost_matrix import (
     run_interactive,
 )
 
-from repro import GatewayClient, ProtocolError
+from repro import GatewayClient, ProtocolError, QueryError
 from repro.exceptions import GatewayDisconnected
 from repro.network.host import launch_forked_pools, pools_spec
 from repro.network.supervisor import HostSupervisor
@@ -214,6 +214,41 @@ class TestSupervisedRecovery:
                    and time.monotonic() < deadline):
                 time.sleep(0.05)
             assert not any(p.is_alive() for p in all_processes)
+        finally:
+            if supervisor is not None:
+                supervisor.close()
+            _reap(all_processes)
+
+    def test_supervised_pool_of_one_heals(self, expected):
+        """A single-host role's death fails typed, then rejoins warm."""
+        pools, processes = launch_forked_pools([1, 1, 1])
+        supervisor = None
+        all_processes = list(processes)
+        try:
+            with build(pools_spec(pools), rpc_timeout=60.0) as system:
+                # Driven by poll(), not a watch thread: the failure is
+                # observed before any respawn can hide it.
+                supervisor = HostSupervisor(system, pools, processes)
+                assert run_batchable(system) == expected["batch"]
+                victim = supervisor.process_for(1, 0)
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(10)
+                started = time.monotonic()
+                with pytest.raises(QueryError, match="server pool member"):
+                    system.psi("k", querier=0)
+                assert time.monotonic() - started < 10  # far below rpc_timeout
+                assert system.pool_health()["status"] == "down"
+                supervisor.poll()
+                assert supervisor.stats["respawns"] == 1
+                channel = system._channels[1]
+                assert channel.health()["rejoins"] == 1
+                events = system.transport.stats.events
+                assert events["pool-eject"] >= 1
+                assert events["pool-rejoin"] == events["pool-respawn"] == 1
+                # Warm: the journal replay re-created the role's shares.
+                assert run_batchable(system) == expected["batch"]
+                assert system.pool_health()["status"] == "ok"
+                all_processes = supervisor.processes
         finally:
             if supervisor is not None:
                 supervisor.close()

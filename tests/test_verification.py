@@ -14,6 +14,7 @@ from repro.entities.adversary import (
 from repro.entities.server import PrismServer
 from repro.exceptions import ProtocolError
 from repro.network.host import ServerAdapter
+from repro.network.rpc import ERROR, RpcMessage
 
 DOMAIN = list(range(1, 25))
 SETS = [{1, 2, 5, 9, 14}, {2, 5, 9, 17}, {2, 5, 20}]
@@ -202,13 +203,17 @@ class TestAdversariesRunTheFusedKernel:
 
 
 class TestSpanRequestsRefuseTamperingServers:
-    """Span requests read the store directly, past the tamper seam, so the
-    host serves them only for an unmodified honest server."""
+    """A tamper seam may depend on absolute positions, which a span
+    window shifts, so the host serves span frames only for an
+    unmodified honest server."""
 
     @staticmethod
     def _span(server, lo=0, hi=8):
-        return ServerAdapter(server)._span_request(
-            "psi_round_batch", [["k"]], {}, (lo, hi))
+        reply = ServerAdapter(server).dispatch(RpcMessage(
+            "psi_round_batch", {"a": [["k"]], "k": {}}, span=(lo, hi)))
+        if reply.kind == ERROR:
+            raise ProtocolError(reply.payload["message"])
+        return reply.payload
 
     def test_honest_server_serves_a_span(self):
         server = adversarial_system({}).servers[0]
