@@ -15,14 +15,20 @@ heterogeneous queries into a handful of *fused* sweeps:
    querier.
 2. :class:`QueryBatch` plans the batch: every unit is expanded into the
    kernel rows it needs, rows are deduplicated, and rows are grouped by
-   **kernel family** — PSI/verification sweeps (Eq. 3 / Eq. 7), count
-   sweeps (§6.5), PSU sweeps (Eq. 18), and aggregation sweeps (Eq. 11).
-3. Each family executes as a *single* fused server call per owner group:
-   the per-query share vectors are stacked into a 2-D matrix and the
-   server makes one chunked, branch-free pass over the χ length
-   (:meth:`~repro.entities.server.PrismServer.psi_round_batch` etc.), so
-   access-pattern hiding is preserved — the servers' instruction sequence
-   depends on the batch shape only, never on the data.
+   **kernel family** and owner group — PSI/verification sweeps (Eq. 3 /
+   Eq. 7), count sweeps (§6.5: Eq. 3 rows permuted by ``PF_s1`` /
+   ``PF_s2``), PSU sweeps (Eq. 18), and aggregation sweeps (Eq. 11).
+3. Each (family, owner group) becomes one fused sweep: its rows stacked
+   into a 2-D matrix over which the server makes one chunked,
+   branch-free pass over the χ length, so access-pattern hiding is
+   preserved — the servers' instruction sequence depends on the batch
+   shape only, never on the data.  The protocol has two rounds and the
+   engine sends each as one request per server: every indicator sweep
+   travels in one
+   :meth:`~repro.entities.server.PrismServer.indicator_round` call per
+   additive server, every Eq. 11 sweep of a querier's owner group in
+   one :meth:`~repro.entities.server.PrismServer.aggregate_round_batch`
+   call per server.
 4. Owners finalise each query from its own rows
    (:meth:`QueryBatch._finalize_indicator`,
    :meth:`QueryBatch._assemble_aggregate`, where the §5–§7 owner math
@@ -69,6 +75,10 @@ KINDS = ("psi", "psu", "psi_count", "psu_count",
          "psi_sum", "psi_average", "psu_sum", "psu_average")
 
 _PSU_BASED = ("psu", "psu_count", "psu_sum", "psu_average")
+
+#: Round-1 sweep families, in the order the round runs and broadcasts
+#: them.
+_FAMILIES = ("psi", "count", "psu")
 
 
 @dataclasses.dataclass
@@ -124,10 +134,8 @@ class QueryBatch:
         self.timings = PhaseTimings()
         self.stats: dict = {}
         self._plan_built = False
-        # family → owner-group → row-key → row index (dedup maps).
-        self._psi_rows: dict = {}
-        self._count_rows: dict = {}
-        self._psu_rows: dict = {}
+        # (family, owner group) → row key → row index (dedup maps).
+        self._rows: dict = {}
         # PSU rows in query-submission order, for per-execution nonce
         # draws (Eq. 18 masks must be fresh on every run).
         self._psu_order: list[tuple] = []
@@ -147,19 +155,18 @@ class QueryBatch:
             return self.stats["plan"]
         requested = 0
 
-        def psi_row(group, column, subtract):
-            rows = self._psi_rows.setdefault(group, {})
-            return rows.setdefault((column, subtract), len(rows))
-
-        def count_row(group, column, subtract, pf2):
-            rows = self._count_rows.setdefault(group, {})
-            return rows.setdefault((column, subtract, pf2), len(rows))
-
-        def psu_row(group, column, permute):
-            rows = self._psu_rows.setdefault(group, [])
-            rows.append((column, permute))
-            self._psu_order.append((group, len(rows) - 1))
-            return len(rows) - 1
+        def row(family, group, column, subtract=True, permute=None):
+            """Claim a kernel row; returns its ``(family, index)`` handle."""
+            nonlocal requested
+            requested += 1
+            rows = self._rows.setdefault((family, group), {})
+            key = (column, subtract, permute)
+            if family == "psu":
+                # Never deduplicated: each PSU row masks with its own
+                # fresh nonce.
+                key += (len(rows),)
+                self._psu_order.append((group, len(rows)))
+            return family, rows.setdefault(key, len(rows))
 
         for plan, unit in self.units:
             kind = unit.kind
@@ -167,60 +174,46 @@ class QueryBatch:
             base = psi_column_name(plan.attribute)
             handle: dict = {"group": group}
             if kind == "psi":
-                requested += 1
-                handle["data"] = ("psi", psi_row(group, base, True))
+                handle["data"] = row("psi", group, base)
                 if plan.verify:
-                    requested += 1
-                    handle["proof"] = ("psi", psi_row(group, "v" + base, False))
+                    handle["proof"] = row("psi", group, "v" + base,
+                                          subtract=False)
             elif kind == "psu":
-                requested += 1
-                handle["data"] = ("psu", psu_row(group, base, False))
+                handle["data"] = row("psu", group, base)
                 if plan.verify:
-                    requested += 1
                     # The "nobody holds it" stream: Eq. 3 over the complement.
-                    handle["proof"] = ("psi", psi_row(group, "v" + base, True))
+                    handle["proof"] = row("psi", group, "v" + base)
             elif kind == "psi_count":
-                requested += 1
                 column = ("c" + base) if plan.verify else base
-                handle["data"] = ("count", count_row(group, column, True, False))
+                handle["data"] = row("count", group, column, permute="pf_s1")
                 if plan.verify:
-                    requested += 1
-                    handle["proof"] = (
-                        "count", count_row(group, "cv" + base, False, True))
+                    handle["proof"] = row("count", group, "cv" + base,
+                                          subtract=False, permute="pf_s2")
             elif kind == "psu_count":
-                requested += 1
-                handle["data"] = ("psu", psu_row(group, base, True))
+                handle["data"] = row("psu", group, base, permute="pf_s1")
             else:  # aggregation kinds: round 1 is an unverified PSI/PSU.
                 owner = self.system.owners[plan.querier]
                 require_decodable(owner.params.domain, kind)
-                requested += 1
-                if kind in _PSU_BASED:
-                    handle["data"] = ("psu", psu_row(group, base, False))
-                else:
-                    handle["data"] = ("psi", psi_row(group, base, True))
+                handle["data"] = row("psu" if kind in _PSU_BASED else "psi",
+                                     group, base)
             self._handles.append(handle)
 
-        fused = (sum(len(r) for r in self._psi_rows.values())
-                 + sum(len(r) for r in self._count_rows.values())
-                 + sum(len(r) for r in self._psu_rows.values()))
-        groups = sum(
-            1
-            for family_rows in (self._psi_rows, self._count_rows,
-                                self._psu_rows)
-            for rows in family_rows.values() if rows
-        )
+        per_family = {family: sum(len(rows) for (f, _), rows
+                                  in self._rows.items() if f == family)
+                      for family in _FAMILIES}
+        fused = sum(per_family.values())
         summary = {
             "queries": len(self.units),
-            "psi_rows": sum(len(r) for r in self._psi_rows.values()),
-            "count_rows": sum(len(r) for r in self._count_rows.values()),
-            "psu_rows": sum(len(r) for r in self._psu_rows.values()),
+            "psi_rows": per_family["psi"],
+            "count_rows": per_family["count"],
+            "psu_rows": per_family["psu"],
             "rows_requested": requested,
             "fused_rows": fused,
             "rows_deduplicated": requested - fused,
             # Each (family, owner-group) fuses into one sweep on each of
             # the two additive-share servers; known before execution, so
             # EXPLAIN can report it without running the query.
-            "indicator_sweeps_planned": 2 * groups,
+            "indicator_sweeps_planned": 2 * len(self._rows),
         }
         self.stats["plan"] = summary
         self._plan_built = True
@@ -245,7 +238,8 @@ class QueryBatch:
         # order; re-running the same plan must never replay a mask
         # stream.
         self._psu_nonces = {group: [None] * len(rows)
-                            for group, rows in self._psu_rows.items()}
+                            for (family, group), rows in self._rows.items()
+                            if family == "psu"}
         for group, row in self._psu_order:
             self._psu_nonces[group][row] = self.system.next_nonce()
         outputs = self._run_indicator_sweeps()
@@ -297,74 +291,55 @@ class QueryBatch:
         return outs
 
     def _run_indicator_sweeps(self) -> dict:
-        """One fused sweep per family per owner group, on both servers.
+        """Round 1: one :meth:`indicator_round` request per additive server.
+
+        The round carries one sweep per (family, owner group) — PSI
+        groups, then count groups (PSI sweeps with permuted rows), then
+        PSU groups — and both servers run it; their outputs are then
+        broadcast sweep by sweep, server 0 before server 1.
 
         Returns ``outputs[(family, group, server_index)]`` → (Q, b) matrix.
         """
         system = self.system
         transport = system.transport
+        keys = sorted(self._rows, key=lambda key: _FAMILIES.index(key[0]))
+        sweeps = [self._sweep(family, group) for family, group in keys]
+        self.stats["indicator_sweeps"] = 2 * len(sweeps)
+        if not sweeps:
+            return {}
+        transport.begin_round("batch-indicator")
+        servers = system.servers[:2]
+        replies = self._sweep_servers(servers, [
+            lambda server=server: server.indicator_round(
+                sweeps, num_shards=self.num_shards)
+            for server in servers
+        ])
         receivers = [o.endpoint for o in system.owners]
         outputs: dict = {}
-        sweeps = 0
-        for family, groups in (("psi", self._psi_rows),
-                               ("count", self._count_rows)):
-            for group, rows in groups.items():
-                if not rows:
-                    continue
-                transport.begin_round(f"batch-{family}")
-                ordered = sorted(rows, key=rows.get)
-                columns = [c for c, *_ in ordered]
-                subtract = [flags[0] for _, *flags in ordered]
-                owner_ids = self._owner_list(group)
-                servers = system.servers[:2]
-                if family == "psi":
-                    thunks = [
-                        lambda server=server: server.psi_round_batch(
-                            columns, owner_ids, subtract_m=subtract,
-                            num_shards=self.num_shards)
-                        for server in servers
-                    ]
-                else:
-                    pf2 = [flags[1] for _, *flags in ordered]
-                    thunks = [
-                        lambda server=server: server.count_round_batch(
-                            columns, owner_ids, subtract_m=subtract,
-                            use_pf_s2=pf2, num_shards=self.num_shards)
-                        for server in servers
-                    ]
-                for s_index, out in enumerate(
-                        self._sweep_servers(servers, thunks)):
-                    sweeps += 1
-                    transport.broadcast(
-                        servers[s_index].endpoint, receivers,
-                        batch_kind(f"{family}-output", len(columns)), out)
-                    outputs[(family, group, s_index)] = out
-        for group, rows in self._psu_rows.items():
-            if not rows:
-                continue
-            transport.begin_round("batch-psu")
-            columns = [c for c, _ in rows]
-            nonces = self._psu_nonces[group]
-            permute = [p for _, p in rows]
-            owner_ids = self._owner_list(group)
-            servers = system.servers[:2]
-            thunks = [
-                lambda server=server: server.psu_round_batch(
-                    columns, nonces, owner_ids, permute=permute,
-                    num_shards=self.num_shards)
-                for server in servers
-            ]
-            for s_index, out in enumerate(
-                    self._sweep_servers(servers, thunks)):
-                sweeps += 1
-                transport.broadcast(servers[s_index].endpoint, receivers,
-                                    batch_kind("psu-output", len(columns)),
-                                    out)
-                outputs[("psu", group, s_index)] = out
-        self.stats["indicator_sweeps"] = sweeps
+        for index, (family, group) in enumerate(keys):
+            for s_index, server in enumerate(servers):
+                out = replies[s_index][index]
+                transport.broadcast(
+                    server.endpoint, receivers,
+                    batch_kind(f"{family}-output",
+                               len(sweeps[index]["columns"])), out)
+                outputs[(family, group, s_index)] = out
         return outputs
 
-    def _rows(self, handle_entry, group, outputs):
+    def _sweep(self, family, group) -> dict:
+        """One (family, owner group)'s :meth:`indicator_round` sweep."""
+        rows = list(self._rows[(family, group)])  # in row-index order
+        sweep = {"family": "psu" if family == "psu" else "psi",
+                 "columns": [column for column, *_ in rows],
+                 "owner_ids": self._owner_list(group),
+                 "permute": [key[2] for key in rows]}
+        if family == "psu":
+            sweep["nonces"] = self._psu_nonces[group]
+        else:
+            sweep["subtract_m"] = [key[1] for key in rows]
+        return sweep
+
+    def _handle_rows(self, handle_entry, group, outputs):
         """The two servers' output rows behind one per-query handle."""
         family, row = handle_entry
         return (outputs[(family, group, 0)][row],
@@ -413,14 +388,14 @@ class QueryBatch:
         owner = system.owners[plan.querier]
         handle = self._handles[index]
         group = handle["group"]
-        r0, r1 = self._rows(handle["data"], group, outputs)
+        r0, r1 = self._handle_rows(handle["data"], group, outputs)
 
         if kind == "psi":
             fop = owner.finalize_psi(r0, r1)
             member = owner.psi_membership(fop)
             verified = False
             if plan.verify:
-                v0, v1 = self._rows(handle["proof"], group, outputs)
+                v0, v1 = self._handle_rows(handle["proof"], group, outputs)
                 owner.verify_psi(fop, v0, v1)
                 verified = True
             values = owner.decode_cells(member, plan.attribute)
@@ -432,7 +407,7 @@ class QueryBatch:
             member = owner.finalize_psu(r0, r1)
             verified = False
             if plan.verify:
-                v0, v1 = self._rows(handle["proof"], group, outputs)
+                v0, v1 = self._handle_rows(handle["proof"], group, outputs)
                 absent_fop = owner.finalize_psi(v0, v1)
                 absent = owner.params.pf_db1.invert(absent_fop) == 1
                 bad = np.nonzero(member == absent)[0]
@@ -452,8 +427,8 @@ class QueryBatch:
             fop = owner.finalize_psi(r0, r1)
             count = int(np.count_nonzero(fop == 1))
             if plan.verify:
-                owner.verify_count(fop, *self._rows(handle["proof"], group,
-                                                    outputs))
+                owner.verify_count(fop, *self._handle_rows(
+                    handle["proof"], group, outputs))
             results[index] = CountResult(count=count, timings=self.timings,
                                          traffic=traffic)
             return None

@@ -18,8 +18,8 @@ This module makes both facts structural:
   ``run_bucketized_psi`` entry points are thin drivers over the same
   programs.
 * The per-round sweeps dispatch through the sharded batch kernels:
-  round 1 (PSI) runs via
-  :meth:`~repro.entities.server.PrismServer.psi_round_batch` and each
+  round 1 (PSI) runs as a one-sweep
+  :meth:`~repro.entities.server.PrismServer.indicator_round` and each
   bucket-tree level via
   :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`, so a
   deployment's span count — thread pool,
@@ -167,21 +167,23 @@ class InteractiveProgram:
 def sharded_psi_round(system, attribute, num_shards, timings, querier: int):
     """Round 1 of an interactive kernel: the Eq. 3 sweep, shard-parallel.
 
-    Dispatches through :meth:`psi_round_batch` (a batch of one row), so
-    the deployment's span count — or ``num_shards`` as a per-call
-    override — applies, with the full fallback ladder.  Returns the
-    decoded common values, exactly as the owners learn them.
+    Dispatches through :meth:`indicator_round` (one PSI sweep of one
+    row, one frame per server remotely), so the deployment's span count
+    — or ``num_shards`` as a per-call override — applies, with the full
+    fallback ladder.  Returns the decoded common values, exactly as the
+    owners learn them.
     """
     transport = system.transport
     column = psi_column_name(attribute)
     owner = system.owners[querier]
     receivers = [o.endpoint for o in system.owners]
     transport.begin_round("psi")
+    sweep = {"family": "psi", "columns": [column]}
     outputs = []
     for server in system.servers[:2]:
         with timings.measure("server"):
-            out = server.psi_round_batch([column],
-                                         num_shards=num_shards)[0]
+            out = server.indicator_round([sweep],
+                                         num_shards=num_shards)[0][0]
         transport.broadcast(server.endpoint, receivers, "psi-output", out)
         outputs.append(out)
     with timings.measure("owner"):

@@ -381,6 +381,10 @@ class PrismSystem:
         hosts keep running for the next client), after which the system
         can no longer query.
         """
+        # The executor refers back to this system; dropping it breaks
+        # the cycle, so a closed system (shares, tables) is freed with
+        # its last reference.  A reused local system rebuilds it lazily.
+        self._executor = None
         if self.supervisor is not None:
             # Stop the watch loop *before* closing channels: a respawn
             # racing the teardown would resurrect a host we are about

@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.params import ServerParams
 from repro.crypto.widths import as_shares, check_stream
 from repro.data.storage import ShareKind
+from repro.entities.server import permute_rows
 from repro.exceptions import ProtocolError
 from repro.network.message import Endpoint, Role
 
@@ -134,46 +135,57 @@ class RemoteServer:
         from repro.core.sharding import shard_bounds
         return shard_bounds(int(length), fan)
 
-    def _scatter_spans(self, kind: str, frames):
-        """Issue span frames concurrently; concatenate replies in order."""
+    def _scatter(self, kind: str, frames) -> list:
+        """Issue span frames concurrently; replies' payloads in order."""
         from repro.network.rpc import RpcMessage
         messages = [RpcMessage(kind, payload, span=span)
                     for payload, span in frames]
-        replies = self.channel.scatter(messages)
-        return np.concatenate([reply.payload for reply in replies], axis=1)
-
-    def _scatter_psi(self, columns, owner_ids, subtract_m, bounds):
-        frames = [
-            ({"a": [columns, self._owners(owner_ids)],
-              "k": {"subtract_m": subtract_m}}, (lo, hi))
-            for lo, hi in bounds
-        ]
-        return self._scatter_spans("psi_round_batch", frames)
+        return [reply.payload for reply in self.channel.scatter(messages)]
 
     # -- fused 2-D kernels ----------------------------------------------------
 
-    def psi_round_batch(self, columns, owner_ids=None, subtract_m=None,
-                        num_shards: int | None = None):
-        """Fused Eq. 3 / Eq. 7 sweep, fanned out across a host pool.
+    def indicator_round(self, sweeps, num_shards: int | None = None):
+        """Round 1 in one frame: every Eq. 3/7 and Eq. 18 sweep together.
 
-        Over a pooled channel against an unmodified host
+        ``sweeps`` are :meth:`PrismServer.indicator_round
+        <repro.entities.server.PrismServer.indicator_round>` dicts; the
+        host runs them in order and replies one matrix per sweep.  Over
+        a pooled channel against an unmodified host
         (:attr:`span_dispatch`), the χ length splits into one
         span-scoped frame per pool member (or per shard, whichever is
-        finer) and the concurrent replies concatenate bit-identically
-        to the whole sweep — the sharding layer's span contract, now
-        spanning hosts.  The χ length is known client-side: ``PF``
-        permutes the χ table, so ``params.pf.size`` *is* b.
+        finer), each carrying the whole round *unpermuted*.  Each
+        sweep's replies concatenate bit-identically to the whole sweep
+        — the sharding layer's span contract, now spanning hosts — and
+        each row's ``PF_s1`` / ``PF_s2`` then applies once, here, with
+        the very parameters the initiator dealt this proxy.  The χ
+        length is known client-side: ``PF`` permutes the χ table, so
+        ``params.pf.size`` *is* b.
         """
-        columns = list(columns)
+        sweeps = list(sweeps)
         num_shards = self._shards(num_shards)
         bounds = self._span_bounds(self.params.pf.size, num_shards,
-                                   pool_only=True) if columns else None
-        if bounds is not None:
-            return self._group_out(self._scatter_psi(
-                columns, owner_ids, self._flags(subtract_m), bounds))
-        return self._group_out(self.channel.call(
-            "psi_round_batch", columns, self._owners(owner_ids),
-            subtract_m=self._flags(subtract_m), num_shards=num_shards))
+                                   pool_only=True) if sweeps else None
+        if bounds is None:
+            replies = [self.channel.call("indicator_round", sweeps,
+                                         num_shards=num_shards)]
+        else:
+            unpermuted = [dict(sweep, permute=None) for sweep in sweeps]
+            replies = self._scatter("indicator_round", [
+                ({"a": [unpermuted], "k": {}}, span) for span in bounds])
+        if not all(isinstance(reply, list) and len(reply) == len(sweeps)
+                   for reply in replies):
+            raise ProtocolError(
+                f"an indicator round of {len(sweeps)} sweeps needs one "
+                f"output per sweep in a list")
+        outs = []
+        for index, sweep in enumerate(sweeps):
+            parts = [reply[index] for reply in replies]
+            out = np.concatenate(parts, axis=1) if bounds else parts[0]
+            out = (self._additive_out(out) if sweep.get("family") == "psu"
+                   else self._group_out(out))
+            outs.append(permute_rows(self.params, out, sweep.get("permute"))
+                        if bounds else out)
+        return outs
 
     def psi_cells_round_batch(self, columns, cells, owner_ids=None,
                               subtract_m=None, num_shards: int | None = None):
@@ -205,80 +217,12 @@ class RemoteServer:
                 for lo, hi in bounds
             ]
             return self._group_out(
-                self._scatter_spans("psi_cells_round_batch", frames))
+                np.concatenate(self._scatter("psi_cells_round_batch", frames),
+                               axis=1))
         return self._group_out(self.channel.call(
             "psi_cells_round_batch", list(columns), cells,
             self._owners(owner_ids), subtract_m=self._flags(subtract_m),
             num_shards=num_shards))
-
-    def count_round_batch(self, columns, owner_ids=None, subtract_m=None,
-                          use_pf_s2=None, num_shards: int | None = None):
-        """Fused §6.5 sweep: pooled fan-out + client-side permutation.
-
-        The §6.5 sweep is the Eq. 3 sweep followed by a *post-sweep*
-        row permutation (``PF_s1`` / ``PF_s2``) — not span-local, so a
-        pooled dispatch fans out the psi spans and applies the
-        permutation after concatenation, with the very parameters the
-        initiator dealt this proxy (see the class docstring).
-        Bit-identical: the permutation commutes with span concatenation
-        by construction.
-        """
-        columns = list(columns)
-        num_shards = self._shards(num_shards)
-        bounds = self._span_bounds(self.params.pf.size, num_shards,
-                                   pool_only=True) if columns else None
-        if bounds is not None:
-            flags = self._flags(use_pf_s2) or [False] * len(columns)
-            if len(flags) != len(columns):
-                raise ProtocolError(
-                    "use_pf_s2 flags must match the column count")
-            out = self._group_out(self._scatter_psi(
-                columns, owner_ids, self._flags(subtract_m), bounds))
-            for row, flag in enumerate(flags):
-                pf = self.params.pf_s2 if flag else self.params.pf_s1
-                out[row] = pf.apply(out[row])
-            return out
-        return self._group_out(self.channel.call(
-            "count_round_batch", columns, self._owners(owner_ids),
-            subtract_m=self._flags(subtract_m),
-            use_pf_s2=self._flags(use_pf_s2),
-            num_shards=num_shards))
-
-    def psu_round_batch(self, columns, query_nonces, owner_ids=None,
-                        permute=None, num_shards: int | None = None):
-        """Fused Eq. 18 sweep, fanned out across a host pool.
-
-        Span frames request the *unpermuted* masked sweep (each host
-        seeks the counter-mode PRG to its own span of every row's mask
-        stream); the post-sweep ``PF_s1`` of permute-flagged rows is
-        applied after concatenation, mirroring the host kernel's own
-        order of operations.
-        """
-        columns = list(columns)
-        nonces = [int(nonce) for nonce in query_nonces]
-        num_shards = self._shards(num_shards)
-        bounds = self._span_bounds(self.params.pf.size, num_shards,
-                                   pool_only=True) if columns else None
-        if bounds is not None:
-            frames = [
-                ({"a": [columns, nonces, self._owners(owner_ids)],
-                  "k": {}}, (lo, hi))
-                for lo, hi in bounds
-            ]
-            out = self._additive_out(
-                self._scatter_spans("psu_round_batch", frames))
-            flags = self._flags(permute)
-            if flags is not None:
-                if len(flags) != len(columns):
-                    raise ProtocolError(
-                        "permute flags must match the column count")
-                for row, flag in enumerate(flags):
-                    if flag:
-                        out[row] = self.params.pf_s1.apply(out[row])
-            return out
-        return self._additive_out(self.channel.call(
-            "psu_round_batch", columns, nonces, self._owners(owner_ids),
-            permute=self._flags(permute), num_shards=num_shards))
 
     def aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
                               num_shards: int | None = None):
@@ -303,7 +247,8 @@ class RemoteServer:
                 for lo, hi in bounds
             ]
             return self._shamir_out(
-                self._scatter_spans("aggregate_round_batch", frames))
+                np.concatenate(self._scatter("aggregate_round_batch", frames),
+                               axis=1))
         return self._shamir_out(self.channel.call(
             "aggregate_round_batch", columns, z_matrix,
             self._owners(owner_ids), num_shards=num_shards))

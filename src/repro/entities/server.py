@@ -24,12 +24,15 @@ compiled twin in :mod:`repro.kernels`:
 :func:`psi_sweep`, :func:`psu_sweep` and :func:`agg_sweep` are the only
 places that choose the compiled kernel or its numpy twin, and the fused
 2-D kernels (:meth:`PrismServer.psi_round_batch` and friends; one query
-is a batch of one row) are the only places that set them up.  The
-entity host's span-scoped frames run those same kernels with a ``span``
-window of their output columns.  :meth:`~PrismServer.count_round_batch`
-adds the §6.5 ``PF_s1`` / ``PF_s2`` permutations and
+is a batch of one row) are the only places that set them up.
+:meth:`PrismServer.indicator_round` runs a whole round 1 — every Eq. 3/7
+and Eq. 18 sweep of a batch, in order — as one call, so a remote server
+takes one frame per round.  A §6.5 count sweep is an Eq. 3 sweep whose
+rows leave permuted by ``PF_s1`` / ``PF_s2`` (:func:`permute_rows`).
+The entity host's span-scoped frames run those same kernels with a
+``span`` window of their output columns.
 :meth:`~PrismServer.extrema_collect` / :meth:`~PrismServer.fpos_round`
-the §6.3 max machinery.
+hold the §6.3 max machinery.
 
 Every sweep splits the χ table into contiguous spans on the
 deployment's *persistent* thread pool
@@ -176,6 +179,38 @@ def agg_sweep(share_lists, z_matrix, p, out):
     """The Eq. 11 span kernel: compiled where the tier engages, else numpy."""
     return (kernels.agg_sweep(share_lists, z_matrix, p, out)
             or numpy_agg_sweep(share_lists, z_matrix, p, out))
+
+
+def permute_rows(params: ServerParams, out: np.ndarray, permute,
+                 span=None) -> np.ndarray:
+    """Apply each row's post-sweep permutation, after the tamper seam.
+
+    ``permute[q]`` is ``None``, ``"pf_s1"`` or ``"pf_s2"`` (§6.5: a
+    count's data stream leaves permuted by ``PF_s1``, its complement
+    proof by ``PF_s2``); ``permute=None`` leaves every row as swept.
+
+    Raises:
+        ProtocolError: for a list whose length is not the row count,
+            another name, or a permuted row of a ``span`` window (a
+            permutation is not span-local: the dispatcher applies it
+            after concatenation).
+    """
+    if permute is None:
+        return out
+    if len(permute) != len(out):
+        raise ProtocolError("permute flags must match the column count")
+    for row, name in enumerate(permute):
+        if name is None:
+            continue
+        if not isinstance(name, str) or name not in ("pf_s1", "pf_s2"):
+            raise ProtocolError(f"unknown row permutation {name!r}; "
+                                f"expected None, 'pf_s1' or 'pf_s2'")
+        if span is not None:
+            raise ProtocolError(
+                "a span frame serves the unpermuted sweep; the dispatcher "
+                "permutes after concatenation")
+        out[row] = getattr(params, name).apply(out[row])
+    return out
 
 
 class PrismServer:
@@ -400,8 +435,46 @@ class PrismServer:
             raise ProtocolError(f"{name} flags must match the column count")
         return list(flags)
 
+    def indicator_round(self, sweeps, num_shards: int | None = None,
+                        *, span=None) -> list[np.ndarray]:
+        """Round 1 of a batch: its Eq. 3/7 and Eq. 18 sweeps, in order.
+
+        Each sweep is a dict of its ``family`` and that kernel's
+        arguments: ``"psi"`` runs :meth:`psi_round_batch` (``columns``,
+        ``owner_ids``, ``subtract_m``, ``permute``), ``"psu"``
+        :meth:`psu_round_batch` (``columns``, ``nonces``, ``owner_ids``,
+        ``permute``).  Returns one output matrix per sweep, each equal
+        to its kernel called alone, so the ``tamper`` seam sees the
+        same rows in the same order.  A remote server takes the whole
+        round as one frame; a ``span`` windows every sweep.
+
+        Raises:
+            ProtocolError: for an empty round, an unknown family or any
+                malformed sweep.
+        """
+        if not isinstance(sweeps, (list, tuple)) or not sweeps:
+            raise ProtocolError("an indicator round needs a list of sweeps")
+        families = [sweep.get("family") if isinstance(sweep, dict) else None
+                    for sweep in sweeps]
+        if any(family not in ("psi", "psu") for family in families):
+            raise ProtocolError(f"indicator sweep family must be 'psi' or "
+                                f"'psu'; got {families}")
+        return [
+            self.psi_round_batch(sweep.get("columns", ()),
+                                 sweep.get("owner_ids"),
+                                 sweep.get("subtract_m"),
+                                 sweep.get("permute"), num_shards, span=span)
+            if family == "psi" else
+            self.psu_round_batch(sweep.get("columns", ()),
+                                 sweep.get("nonces", ()),
+                                 sweep.get("owner_ids"),
+                                 sweep.get("permute"), num_shards, span=span)
+            for family, sweep in zip(families, sweeps)
+        ]
+
     def psi_round_batch(self, columns, owner_ids: list[int] | None = None,
-                        subtract_m=None, num_shards: int | None = None,
+                        subtract_m=None, permute=None,
+                        num_shards: int | None = None,
                         *, span=None) -> np.ndarray:
         """Fused multi-query Eq. 3 / Eq. 7 sweep.
 
@@ -416,20 +489,29 @@ class PrismServer:
         is preserved — the instruction sequence depends only on the
         batch shape, never on the data.
 
+        ``permute[q]`` (``None``, ``"pf_s1"`` or ``"pf_s2"``) permutes
+        row ``q`` after the ``tamper`` seam: a §6.5 count sweep is this
+        sweep with its data rows permuted by ``PF_s1`` and its
+        complement-proof rows by ``PF_s2`` — the Eq. (1) pairing of
+        count verification.  Owners can still count the ones but can
+        no longer map positions back to domain values.
+
         ``num_shards`` (default: :attr:`num_shards`) spans run
         shard-parallel on the deployment's thread pool; outputs stay
         bit-identical to the unsharded sweep for every shard count.
 
         ``span = (lo, hi)`` computes only output columns ``[lo, hi)``
-        (the entity host sets it from a span-scoped frame's envelope);
-        concatenated windows equal the whole sweep bit for bit.
+        of the unpermuted sweep (the entity host sets it from a
+        span-scoped frame's envelope); concatenated windows equal the
+        whole sweep bit for bit.
         """
         if not len(columns):
             raise ProtocolError("batched PSI sweep needs at least one column")
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
-        return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
-                              num_shards, span=span)
+        return permute_rows(self.params, self._psi_rows(
+            columns, share_lists, subtract_m, owner_ids, num_shards,
+            span=span), permute, span)
 
     def psi_cells_round_batch(self, columns, cells,
                               owner_ids: list[int] | None = None,
@@ -463,28 +545,6 @@ class PrismServer:
         return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
                               num_shards, cells, span)
 
-    def count_round_batch(self, columns, owner_ids: list[int] | None = None,
-                          subtract_m=None, use_pf_s2=None,
-                          num_shards: int | None = None) -> np.ndarray:
-        """Fused multi-query §6.5 sweep: PSI rows permuted server-side.
-
-        Owners can still count the ones (the cardinality) but can no
-        longer map positions back to domain values, because ``PF_s1``
-        is unknown to them.  Data-stream rows (``subtract_m`` true, the
-        default) leave permuted by ``PF_s1``; complement-proof rows
-        (``subtract_m`` false with ``use_pf_s2`` true) by ``PF_s2`` —
-        the Eq. (1) pairing of count verification, per row.
-        """
-        if not len(columns):
-            raise ProtocolError("batched count sweep needs at least one column")
-        use_pf_s2 = self._row_flags(use_pf_s2, columns, "use_pf_s2", False)
-        out = self.psi_round_batch(columns, owner_ids, subtract_m,
-                                   num_shards=num_shards)
-        for row, flag in enumerate(use_pf_s2):
-            pf = self.params.pf_s2 if flag else self.params.pf_s1
-            out[row] = pf.apply(out[row])
-        return out
-
     def psu_round_batch(self, columns, query_nonces,
                         owner_ids: list[int] | None = None,
                         permute=None, num_shards: int | None = None,
@@ -495,8 +555,9 @@ class PrismServer:
         ``query_nonces[q]`` stream — each query keeps its own fresh mask
         stream — but the owner-share sums
         are computed once per *distinct* column and broadcast across the
-        rows that reference it.  ``permute[q]`` additionally applies
-        ``PF_s1`` to row ``q`` (the PSU-Count path).
+        rows that reference it.  ``permute[q]`` permutes row ``q``
+        after the ``tamper`` seam, as in :meth:`psi_round_batch`
+        (``"pf_s1"``: the PSU-Count path).
 
         Each span seeks the common counter-mode PRG to its own span of
         every row's Eq. 18 mask stream, so mask generation — the
@@ -510,11 +571,6 @@ class PrismServer:
             raise ProtocolError("batched PSU sweep needs at least one column")
         if len(query_nonces) != len(columns):
             raise ProtocolError("query_nonces must match the column count")
-        permute = self._row_flags(permute, columns, "permute", False)
-        if span is not None and any(permute):
-            raise ProtocolError(
-                "span-scoped PSU serves the unpermuted sweep; the "
-                "dispatcher applies PF_s1 after concatenation")
         # The owner-share sums are computed once per distinct column, in
         # order of first appearance, and broadcast across its rows.
         uniq = list(dict.fromkeys(columns))
@@ -533,11 +589,8 @@ class PrismServer:
                                    self._psu_keys(query_nonces),
                                    self.params.delta, out, draw_base=lo), n,
                          num_shards or self.num_shards)
-        out = self._tamper_rows(out, ["psu"] * len(columns), columns)
-        for row, flag in enumerate(permute):
-            if flag:
-                out[row] = self.params.pf_s1.apply(out[row])
-        return out
+        return permute_rows(self.params, self._tamper_rows(
+            out, ["psu"] * len(columns), columns), permute, span)
 
     def aggregate_round_batch(self, columns, z_matrix: np.ndarray,
                               owner_ids: list[int] | None = None,

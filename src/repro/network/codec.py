@@ -213,8 +213,8 @@ def _encode_body(payload, depth: int = 0, arena=None) -> bytes:
                            payload.shape[0]) + contiguous.tobytes()
     if isinstance(payload, (bool, np.bool_)):
         # A dedicated tag: booleans round-trip as booleans, never as
-        # 0/1 ints (the kernel flag lists — subtract_m, use_pf_s2,
-        # permute — are semantically boolean on the RPC surface).
+        # 0/1 ints (the kernel flag list subtract_m is semantically
+        # boolean on the RPC surface).
         return struct.pack("<BB", _TAG_BOOL, 1 if payload else 0)
     if isinstance(payload, (int, np.integer)):
         payload = int(payload)
@@ -411,7 +411,7 @@ class Frame:
 
     Attributes:
         kind: the message kind — an entity method name
-            (``"psi_round_batch"``) or a reserved control kind
+            (``"indicator_round"``) or a reserved control kind
             (``"__construct__"``, ``"__result__"``, ``"__error__"``, ...).
         correlation_id: pairs a response to its request on a channel
             that multiplexes concurrent queries (the coalescing

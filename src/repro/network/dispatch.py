@@ -74,6 +74,10 @@ class ConnectionLost(ProtocolError):
     """The transport under an in-flight request died (EOF/reset/timeout)."""
 
 
+class ReplyTimeout(ConnectionLost):
+    """A reply missed its deadline: the host may be alive but hung."""
+
+
 #: Kinds that must reach *every* member of a host pool: replicas answer
 #: read-only requests interchangeably only because each one received the
 #: same outsourced shares, the same constructed entity, and the same
@@ -548,7 +552,7 @@ class PendingReply:
         try:
             blob = self._future.result(timeout)
         except FutureTimeout:
-            lost = ConnectionLost(
+            lost = ReplyTimeout(
                 f"request {self._kind!r} to entity host {self._conn.label} "
                 f"timed out after {timeout:.1f}s")
             self._conn.connection_lost(lost)
@@ -803,18 +807,22 @@ class PooledChannel(Channel):
         ordered = live[start:] + live[:start]
         return min(ordered, key=lambda member: member.conn.in_flight)
 
-    def _pick_live(self, last_error) -> _PoolMember:
+    def _pick_live(self, last_error, hung=()) -> _PoolMember:
         """A live member, resurrecting ejected seats before giving up.
 
         Degrading "to any pool size ≥ 1" means an exhausted pool tries
         every ejected seat immediately (ignoring breaker timers) before
-        surfacing the failure.
+        surfacing the failure — except the ``hung`` slots, which timed
+        out in the current call: a rejoin would replay the journal into
+        the same stalled host and wait out another deadline.  The
+        breaker's probe or a supervisor brings those back.
         """
         member = self._pick()
         if member is not None:
             return member
         for seat in sorted((m for m in self._members
-                            if m.ejected_at is not None),
+                            if m.ejected_at is not None
+                            and m.slot not in hung),
                            key=lambda m: m.probe_at):
             if self._try_rejoin(seat):
                 return seat
@@ -923,8 +931,13 @@ class PooledChannel(Channel):
     def _finish(self, pending: PendingReply, kind: str) -> RpcMessage:
         return pending.result(self._timeout_for(kind))
 
-    def _count_failover(self, member: _PoolMember,
-                        retransmit: bool = False) -> None:
+    def _fail_over(self, member: _PoolMember, exc: ConnectionLost,
+                   hung: set, retransmit: bool = False) -> None:
+        """Eject a seat that failed mid-call and count the failover;
+        a seat that timed out joins the call's ``hung`` slots."""
+        if isinstance(exc, ReplyTimeout):
+            hung.add(member.slot)
+        self._eject(member, exc)
         with self._lock:
             self._failovers += 1
             if retransmit:
@@ -937,8 +950,9 @@ class PooledChannel(Channel):
         if message.kind in BROADCAST_KINDS:
             return self._broadcast(message)
         last_error: Exception | None = None
+        hung: set = set()
         while True:
-            member = self._pick_live(last_error)
+            member = self._pick_live(last_error, hung)
             try:
                 pending = self._request(member, message)
                 return self._finish(pending, message.kind)
@@ -946,8 +960,7 @@ class PooledChannel(Channel):
                 # Reads are idempotent across identical replicas:
                 # eject the dead seat and fail over to a survivor.
                 last_error = exc
-                self._eject(member, exc)
-                self._count_failover(member)
+                self._fail_over(member, exc, hung)
 
     def scatter(self, messages) -> list[RpcMessage]:
         """Fan span frames across the pool; replies in request order.
@@ -958,32 +971,33 @@ class PooledChannel(Channel):
         """
         self._check_open()
         self._maybe_probe()
-        entries = [(message, *self._issue(message)) for message in messages]
+        hung: set = set()
+        entries = [(message, *self._issue(message, hung))
+                   for message in messages]
         with self._lock:
             self._scattered += len(entries)
-        return [self._collect(message, member, pending)
+        return [self._collect(message, member, pending, hung)
                 for message, member, pending in entries]
 
-    def _issue(self, message: RpcMessage) -> tuple[_PoolMember, PendingReply]:
+    def _issue(self, message: RpcMessage,
+               hung: set) -> tuple[_PoolMember, PendingReply]:
         last_error: Exception | None = None
         while True:
-            member = self._pick_live(last_error)
+            member = self._pick_live(last_error, hung)
             try:
                 return member, self._request(member, message)
             except ConnectionLost as exc:
                 last_error = exc
-                self._eject(member, exc)
-                self._count_failover(member)
+                self._fail_over(member, exc, hung)
 
     def _collect(self, message: RpcMessage, member: _PoolMember,
-                 pending: PendingReply) -> RpcMessage:
+                 pending: PendingReply, hung: set) -> RpcMessage:
         while True:
             try:
                 return self._finish(pending, message.kind)
             except ConnectionLost as exc:
-                self._eject(member, exc)
-                self._count_failover(member, retransmit=True)
-                member, pending = self._issue(message)
+                self._fail_over(member, exc, hung, retransmit=True)
+                member, pending = self._issue(message, hung)
 
     def _journal_append(self, message: RpcMessage) -> int:
         """Journal one frame (caller holds ``self._lock``); returns its seq.

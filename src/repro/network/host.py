@@ -16,11 +16,16 @@ The same dispatch adapter backs all three channels: the
 the ``InProcessChannel`` calls it directly, so behaviour is identical
 from zero-copy to real sockets.
 
-Span-scoped requests: a kernel request whose frame envelope names a
-shard span ``(lo, hi)`` runs the hosted server's own fused kernel
-(:meth:`~repro.entities.server.PrismServer.psi_round_batch` and
-friends) with that ``span`` window, so it computes only that contiguous
-span of the sweep's output columns.  That is the hook
+Three kernel verbs reach a hosted server:
+:meth:`~repro.entities.server.PrismServer.indicator_round` (a batch's
+whole round 1, one frame per round),
+:meth:`~repro.entities.server.PrismServer.psi_cells_round_batch` (one
+bucketized level) and
+:meth:`~repro.entities.server.PrismServer.aggregate_round_batch` (the
+Eq. 11 round).  Span-scoped requests: a kernel request whose frame
+envelope names a shard span ``(lo, hi)`` runs the hosted server's own
+fused kernels with that ``span`` window, so it computes only that
+contiguous span of each sweep's output columns.  That is the hook
 :class:`~repro.network.dispatch.PooledChannel` shards one sweep across
 a host pool with.  Only the adapter sets the window, from the envelope.
 Whole-sweep requests may instead carry a ``num_shards`` keyword, which
@@ -64,10 +69,8 @@ SERVER_METHODS = frozenset({
     "owners_with",
     "fetch_additive",
     "fetch_shamir",
-    "psi_round_batch",
+    "indicator_round",
     "psi_cells_round_batch",
-    "count_round_batch",
-    "psu_round_batch",
     "aggregate_round_batch",
     "extrema_collect",
     "fpos_round",
@@ -77,8 +80,7 @@ SERVER_METHODS = frozenset({
 
 #: Kernels servable span-scoped (the frame envelope names the span).
 _SPAN_KERNELS = frozenset({
-    "psi_round_batch", "psi_cells_round_batch", "psu_round_batch",
-    "aggregate_round_batch",
+    "indicator_round", "psi_cells_round_batch", "aggregate_round_batch",
 })
 
 

@@ -199,6 +199,8 @@ class TestCostModel:
         assert predicted.server_to_owner_bytes == 2 * 2 * 32 * (1 + 2)
         assert result.traffic["server_to_owner_bytes"] == \
             predicted.server_to_owner_bytes
+        # The PSU sweep and its Eq. 3 proof sweep share one round.
+        assert result.traffic["rounds"] == predicted.rounds == 1
 
     def test_default_widths(self):
         model = CostModel(3, 32)

@@ -483,6 +483,32 @@ class TestClientSession:
         assert client.stats["traffic"]["messages"] > 0  # traffic still paid
 
 
+class TestSystemLifetime:
+    def test_closed_system_is_freed_without_a_collection(self):
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = build_hospitals()
+            system.psi("disease")  # builds the executor
+            system.close()
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_closed_local_system_rebuilds_its_executor(self):
+        system = build_hospitals()
+        first = system.psi("disease").values
+        system.close()
+        assert system.psi("disease").values == first
+        system.close()
+
+
 class TestPlanValidation:
     def test_unknown_set_op(self):
         with pytest.raises(QueryError):

@@ -222,6 +222,25 @@ def test_fused_sweep_counts():
     assert batch.stats["aggregate_sweeps"] == 3
 
 
+def test_one_round_kinds_report_one_round():
+    """Round 1 is one protocol round however many families it sweeps."""
+    system = build_hospitals()
+    system.transport.reset()
+    results = execute_batch(system, batch_units([
+        Q.psi("disease"), Q.psu("disease"), Q.psi("disease").count(),
+        Q.psi("disease").verify(), Q.psu("disease").verify()]))
+    assert results[0].traffic["rounds"] == 1
+
+
+def test_batch_with_a_sum_reports_two_rounds():
+    system = build_hospitals()
+    system.transport.reset()
+    results = execute_batch(system, batch_units([
+        Q.psi("disease"), Q.psu("disease").count(),
+        Q.psi("disease").sum("cost")]))
+    assert results[2]["cost"].traffic["rounds"] == 2
+
+
 # -- the indicator-share cache ------------------------------------------------
 
 

@@ -46,7 +46,7 @@ class TestPsiCount:
         # single one must (generically) differ from the true cell.
         sets = [{5}, {5}]
         system = make_system(sets, domain_values=DOMAIN16)
-        outputs = [s.count_round_batch(["A"])[0]
+        outputs = [s.psi_round_batch(["A"], permute=["pf_s1"])[0]
                    for s in system.servers[:2]]
         owner = system.owners[0]
         fop = owner.finalize_psi(outputs[0], outputs[1])

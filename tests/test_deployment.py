@@ -53,6 +53,11 @@ def relations():
     ]
 
 
+def sweep(family="psi", *columns, **keys) -> dict:
+    """One :meth:`PrismServer.indicator_round` sweep over ``columns``."""
+    return {"family": family, "columns": list(columns or ("k",)), **keys}
+
+
 def build(deployment="local", seed=3, **kwargs):
     return PrismSystem.build(
         relations(), Domain.integer_range("k", 8), "k",
@@ -150,7 +155,8 @@ class TestInProcessChannel:
     def test_call_matches_direct(self):
         system, channel = self.make_channel()
         direct = system.servers[0].psi_round_batch(["k"])
-        assert np.array_equal(channel.call("psi_round_batch", ["k"]), direct)
+        out, = channel.call("indicator_round", [sweep()])
+        assert np.array_equal(out, direct)
         assert channel.stats["requests"] == 1
         system.close()
 
@@ -158,8 +164,8 @@ class TestInProcessChannel:
         system, channel = self.make_channel(serialize=True)
         direct = system.servers[0].psi_round_batch(["k", "vk"],
                                                    subtract_m=[True, False])
-        out = channel.call("psi_round_batch", ["k", "vk"],
-                           subtract_m=[True, False])
+        out, = channel.call("indicator_round", [
+            sweep("psi", "k", "vk", subtract_m=[True, False])])
         assert np.array_equal(out, direct)
         assert channel.stats["bytes_sent"] > 0
         assert channel.stats["bytes_received"] > direct.nbytes
@@ -181,7 +187,7 @@ class TestInProcessChannel:
         system, channel = self.make_channel(serialize=True)
         raw = system.servers[0]
         proxy = RemoteServer(0, raw.params, channel)
-        assert np.array_equal(proxy.psi_round_batch(["k"]),
+        assert np.array_equal(proxy.indicator_round([sweep()])[0],
                               raw.psi_round_batch(["k"]))
         assert proxy.owners_with("k") == raw.owners_with("k")
         shares = proxy.fetch_additive("k")  # fetched over the channel
@@ -259,6 +265,52 @@ class TestSubprocessDeployment:
             assert stats["bytes_received"] > 0
 
 
+@needs_fork
+class TestFramesPerRound:
+    """Each protocol round is one frame per server: round 1 one
+    ``indicator_round`` per additive server, the Eq. 11 round one
+    ``aggregate_round_batch`` per server."""
+
+    @staticmethod
+    def count_frames(system) -> dict:
+        """Count each kind of frame the system's channels send."""
+        frames: dict = {}
+        for channel in system._channels:
+            def send(message, _send=channel.send):
+                frames[message.kind] = frames.get(message.kind, 0) + 1
+                return _send(message)
+            channel.send = send
+        return frames
+
+    def test_mixed_batch_sends_one_frame_per_server_per_round(
+            self, expected_table4):
+        with build("subprocess") as system:
+            frames = self.count_frames(system)
+            results = system.executor.execute_many([
+                Q.psi("k"), Q.psu("k"), Q.psi("k").count(),
+                Q.psi("k").sum("amt"), Q.psi("k").verify()])
+            assert frames == {"indicator_round": 2,
+                              "aggregate_round_batch": 3}
+            assert sorted(results[0].values) == expected_table4["psi_values"]
+            assert results[3].per_value == expected_table4["sum"]
+            assert results[4].verified
+
+    def test_verified_psu_sends_two_frames(self, expected_table4):
+        with build("subprocess") as system:
+            frames = self.count_frames(system)
+            result = system.psu("k", verify=True)
+            assert frames == {"indicator_round": 2}
+            assert result.traffic["rounds"] == 1
+            assert sorted(result.values) == expected_table4["psu_values"]
+
+    def test_owner_groups_share_the_round(self):
+        with build("subprocess") as system:
+            frames = self.count_frames(system)
+            system.executor.execute_many([Q.psi("k"),
+                                          Q.psi("k").owners((0, 2))])
+            assert frames == {"indicator_round": 2}
+
+
 # -- TCP deployment -----------------------------------------------------------
 
 
@@ -324,14 +376,13 @@ class TestTcpDeployment:
             self, tcp_hosts):
         with build(tcp_hosts) as system:
             server = system.servers[0]
-            full = server.psi_round_batch(["k", "vk"],
-                                          subtract_m=[True, False])
+            both = sweep("psi", "k", "vk", subtract_m=[True, False])
+            full, = server.indicator_round([both])
             b = system.domain.size
-            payload = {"a": [["k", "vk"]],
-                       "k": {"subtract_m": [True, False]}}
+            payload = {"a": [[both]], "k": {}}
             halves = [
                 server.channel.send(RpcMessage(
-                    "psi_round_batch", payload, span=span)).payload
+                    "indicator_round", payload, span=span)).payload[0]
                 for span in ((0, b // 2), (b // 2, b))
             ]
             assert np.array_equal(np.concatenate(halves, axis=1), full)
@@ -341,7 +392,8 @@ class TestTcpDeployment:
                    server_factories={0: SkipCellsServer}) as system:
             with pytest.raises(ProtocolError):
                 system.servers[0].channel.send(RpcMessage(
-                    "psi_round_batch", {"a": [["k"]], "k": {}}, span=(0, 4)))
+                    "indicator_round", {"a": [[sweep()]], "k": {}},
+                    span=(0, 4)))
 
     def test_sharded_batch_over_socket(self, tcp_hosts, expected_table4):
         with build(tcp_hosts, num_shards=2) as system:
@@ -377,7 +429,7 @@ class TestSubprocessChannel:
             lambda: PrismServer(0, system.initiator.server_params(0)))
         channel.close()
         with pytest.raises(ProtocolError):
-            channel.call("psi_round_batch", ["k"])
+            channel.call("indicator_round", [sweep()])
         system.close()
 
 
@@ -405,19 +457,19 @@ class TestServerAdapter:
                          ShareKind.ADDITIVE)
         adapter = ServerAdapter(server)
         reply = adapter.dispatch(RpcMessage(
-            "psi_round_batch", {"a": [["k", "solo"]], "k": {}}, span=(0, 4)))
+            "indicator_round", {"a": [[sweep("psi", "k", "solo")]], "k": {}},
+            span=(0, 4)))
         assert reply.kind == "__error__"
         assert "uniform" in reply.payload["message"]
         system.close()
 
     def test_span_on_unsupported_kernel_rejected(self):
-        # count_round_batch's post-sweep permutation is not span-local,
-        # so it stays whole-sweep-only: the dispatcher fans out psi
-        # spans and permutes client-side instead.
+        # A share fetch is not a sweep: a span frame for it must fail
+        # rather than return the whole column labeled with a span.
         system = build("local")
         adapter = ServerAdapter(system.servers[0])
         reply = adapter.dispatch(RpcMessage(
-            "count_round_batch", {"a": [["k"]], "k": {}}, span=(0, 4)))
+            "fetch_additive", {"a": ["k", None], "k": {}}, span=(0, 4)))
         assert reply.kind == "__error__"
         assert "span" in reply.payload["message"]
         system.close()
@@ -428,22 +480,51 @@ class TestServerAdapter:
         system = build("local")
         adapter = ServerAdapter(system.servers[0])
         reply = adapter.dispatch(RpcMessage(
-            "psi_round_batch", {"a": [["k"]], "k": {"span": (0, 4)}}))
+            "indicator_round", {"a": [[sweep()]], "k": {"span": (0, 4)}}))
         assert reply.kind == "__error__"
         assert "frame envelope" in reply.payload["message"]
         system.close()
 
     def test_span_psu_rejects_permute_flags(self):
-        # Span-scoped PSU serves the unpermuted sweep; a frame asking
-        # the host to permute a span would corrupt the concatenation.
+        # A span frame serves the unpermuted sweep; a frame asking the
+        # host to permute a span would corrupt the concatenation.
+        system = build("local")
+        adapter = ServerAdapter(system.servers[0])
+        for permuted in (sweep("psu", nonces=[1], permute=["pf_s1"]),
+                         sweep("psi", permute=["pf_s2"])):
+            reply = adapter.dispatch(RpcMessage(
+                "indicator_round", {"a": [[permuted]], "k": {}},
+                span=(0, 4)))
+            assert reply.kind == "__error__"
+            assert "unpermuted" in reply.payload["message"]
+        system.close()
+
+
+    @pytest.mark.parametrize("sweeps,message", [
+        ([sweep("count")], "family must be 'psi' or 'psu'"),
+        ([sweep(subtract_m=[True, False])], "subtract_m flags must match"),
+        ([sweep("psu", nonces=[1, 2])], "query_nonces must match"),
+        ([sweep(permute=["pf_s3"])], "unknown row permutation"),
+        ([sweep(), sweep("psu", nonces=[1], permute=[True])],
+         "unknown row permutation"),
+    ])
+    def test_malformed_indicator_rounds_refused(self, sweeps, message):
         system = build("local")
         adapter = ServerAdapter(system.servers[0])
         reply = adapter.dispatch(RpcMessage(
-            "psu_round_batch",
-            {"a": [["k"], [1]], "k": {"permute": [True]}}, span=(0, 4)))
+            "indicator_round", {"a": [sweeps], "k": {}}))
         assert reply.kind == "__error__"
-        assert "unpermuted" in reply.payload["message"]
+        assert reply.payload["type"] == "ProtocolError"
+        assert message in reply.payload["message"]
         system.close()
+
+    @needs_fork
+    def test_malformed_indicator_round_refused_over_the_wire(self):
+        with build("subprocess") as system:
+            with pytest.raises(ProtocolError, match="unknown row perm"):
+                system.servers[0].indicator_round(
+                    [sweep(permute=["pf_s3"])])
+            assert system.psi("k").values  # the host still serves
 
 
 # -- span kernels, in-process -------------------------------------------------
@@ -460,11 +541,12 @@ class TestSpanKernels:
         parts = []
         for span in ((0, 3), (3, 8)):
             reply = adapter.dispatch(RpcMessage(
-                "psi_round_batch",
-                {"a": [["k", "k"], None],
-                 "k": {"subtract_m": [True, False]}}, span=span))
+                "indicator_round",
+                {"a": [[sweep("psi", "k", "k", owner_ids=None,
+                              subtract_m=[True, False])]], "k": {}},
+                span=span))
             assert reply.kind == "__result__"
-            parts.append(reply.payload)
+            parts.append(reply.payload[0])
         assert np.array_equal(np.concatenate(parts, axis=1), full)
         system.close()
 
@@ -476,10 +558,11 @@ class TestSpanKernels:
         parts = []
         for span in ((0, 5), (5, 8)):
             reply = adapter.dispatch(RpcMessage(
-                "psu_round_batch",
-                {"a": [["k", "k"], [5, 9], None], "k": {}}, span=span))
+                "indicator_round",
+                {"a": [[sweep("psu", "k", "k", nonces=[5, 9],
+                              owner_ids=None)]], "k": {}}, span=span))
             assert reply.kind == "__result__"
-            parts.append(reply.payload)
+            parts.append(reply.payload[0])
         assert np.array_equal(np.concatenate(parts, axis=1), full)
         system.close()
 
@@ -502,18 +585,23 @@ class TestSpanKernels:
         assert np.array_equal(np.concatenate(parts, axis=1), full)
         system.close()
 
-    @pytest.mark.parametrize("kind,payload,message", [
-        ("psu_round_batch", {"a": [["k"], [1, 2]], "k": {}},
+    @pytest.mark.parametrize("kernel,payload,message", [
+        ("psu_round_batch", sweep("psu", nonces=[1, 2]),
          "query_nonces must match"),
-        ("psu_round_batch", {"a": [["k"]], "k": {}},
-         "required positional argument: 'query_nonces'"),
+        ("psu_round_batch", sweep("psu"), "query_nonces must match"),
         ("aggregate_round_batch", {"a": [["amt"]], "k": {}},
          "required positional argument: 'z_matrix'"),
         ("aggregate_round_batch",
          {"a": [["amt"], [[1, 2, 3]]], "k": {}}, "does not cover span"),
-        ("psi_round_batch", {"a": [[]], "k": {}}, "at least one column"),
+        ("psi_round_batch", sweep(columns=[]), "at least one column"),
     ])
-    def test_malformed_span_requests_rejected(self, kind, payload, message):
+    def test_malformed_span_requests_rejected(self, kernel, payload,
+                                              message):
+        # The round-1 kernels are reached through an indicator_round
+        # frame carrying one sweep (``payload``).
+        kind = kernel
+        if kernel != "aggregate_round_batch":
+            kind, payload = "indicator_round", {"a": [[payload]], "k": {}}
         system = build("local")
         adapter = ServerAdapter(system.servers[0])
         reply = adapter.dispatch(RpcMessage(kind, payload, span=(0, 4)))
@@ -525,8 +613,9 @@ class TestSpanKernels:
         system = build("local")
         adapter = ServerAdapter(system.servers[0])
         for kind, payload in [
-            ("psi_round_batch", {"a": [["k"]], "k": {}}),
-            ("psu_round_batch", {"a": [["k"], [1]], "k": {}}),
+            ("indicator_round", {"a": [[sweep()]], "k": {}}),
+            ("indicator_round",
+             {"a": [[sweep("psu", nonces=[1])]], "k": {}}),
             ("psi_cells_round_batch", {"a": [["k"], [0, 1, 2]], "k": {}}),
             ("aggregate_round_batch",
              {"a": [["amt"], np.zeros((1, 99), dtype=np.uint32)], "k": {}}),
@@ -593,7 +682,7 @@ class TestHostServing:
         for owner_id in range(3):
             stored = local.store.get(owner_id, "k")
             proxy.receive_shares(owner_id, "k", stored.values, stored.kind)
-        out = proxy.psi_round_batch(["k"], num_shards=2)
+        out, = proxy.indicator_round([sweep()], num_shards=2)
         assert np.array_equal(out, local.psi_round_batch(["k"]))
         channel.close()
         system.close()

@@ -122,7 +122,7 @@ class TestSessionBasics:
             from repro.network.rpc import RpcMessage
             with pytest.raises(ProtocolError, match="not a gateway"):
                 client._conn.request(
-                    RpcMessage("psi_round_batch", None)).result(10.0)
+                    RpcMessage("indicator_round", None)).result(10.0)
 
     def test_ping_and_healthz(self, gateway):
         with _connect(gateway) as client:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -256,6 +257,51 @@ class TestPoolFaults:
                 with pytest.raises(QueryError, match="server pool member"):
                     system.psi("k", querier=0)
                 assert system._channels[0].health()["status"] == "down"
+        finally:
+            for process in processes:
+                process.terminate()
+            for process in processes:
+                process.join(timeout=10)
+
+    def test_hung_last_member_fails_within_one_timeout(self, expected):
+        """A pool whose only member hangs fails after one rpc_timeout: the
+        call that saw the seat time out does not replay the journal
+        into the same stalled host."""
+        pools, processes = launch_forked_pools([1, 1, 1])
+        try:
+            with build(pools_spec(pools), rpc_timeout=1.0) as system:
+                assert system.psi("k", querier=0).membership is not None
+                os.kill(processes[1].pid, signal.SIGSTOP)
+                try:
+                    start = time.monotonic()
+                    with pytest.raises(QueryError, match="server pool"):
+                        system.psi("k", querier=0)
+                    assert time.monotonic() - start < 1.5
+                finally:
+                    os.kill(processes[1].pid, signal.SIGCONT)
+        finally:
+            for process in processes:
+                process.terminate()
+            for process in processes:
+                process.join(timeout=10)
+
+    def test_pool_of_one_heals_a_disconnect_within_the_query(self,
+                                                             expected):
+        """A transport fault on a live host: the seat rejoins at once."""
+        from chaos import ChaosInjector, Fault
+
+        pools, processes = launch_forked_pools([1, 1, 1])
+        try:
+            with build(pools_spec(pools), rpc_timeout=60.0) as system:
+                injector = ChaosInjector(system, pools, processes)
+                # The query's first frame to role 0 is its sweep.
+                injector.arm(Fault(role=0, action="disconnect"))
+                assert system.psi("k", querier=0).membership.tolist() == \
+                    expected["batch"]["psi"]
+                assert injector.fired == 1
+                health = system._channels[0].health()
+                assert health["rejoins"] == 1
+                assert health["status"] == "ok"
         finally:
             for process in processes:
                 process.terminate()

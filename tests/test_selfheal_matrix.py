@@ -76,13 +76,13 @@ class TestSelfHealMatrix:
             with build(pools_spec(pools), num_shards=num_shards,
                        rpc_timeout=60.0) as system:
                 injector = ChaosInjector(system, pools, processes)
-                # Kill the last member of role 0 the moment a PSI sweep
+                # Kill the last member of role 0 the moment a round-1
                 # frame is about to reach it (mid-sweep crash), and the
                 # last member of role 1 when an extrema round first
                 # addresses it (mid-interactive-round crash).
                 injector.arm(
                     Fault(role=0, member=pool_size - 1,
-                          kind="psi_round_batch", action="sigkill"),
+                          kind="indicator_round", action="sigkill"),
                     Fault(role=1, member=pool_size - 1,
                           kind="extrema_collect", action="sigkill"),
                 )
@@ -113,7 +113,7 @@ class TestSelfHealMatrix:
                 # The stall must outlast rpc_timeout: a member that
                 # resumes sooner just replies late-but-in-time and is
                 # never ejected.
-                injector.arm(Fault(role=0, member=1, kind="psi_round*",
+                injector.arm(Fault(role=0, member=1, kind="indicator_round",
                                    action="slow", resume_after=4.0))
                 channel = system._channels[0]
                 # Round-robin eventually addresses the armed seat; the
@@ -146,7 +146,7 @@ class TestSelfHealMatrix:
         try:
             with build(pools_spec(pools), rpc_timeout=60.0) as system:
                 injector = ChaosInjector(system, pools, processes)
-                injector.arm(Fault(role=0, member=0, kind="psi_round*",
+                injector.arm(Fault(role=0, member=0, kind="indicator_round",
                                    action="disconnect"))
                 assert system.psi("k", querier=0).membership.tolist() == \
                     expected["batch"]["psi"]

@@ -112,8 +112,47 @@ class TestOtherKernels:
         _, _, servers = deploy([{1, 2, 3}, {2, 3, 4}])
         server = servers[0]
         psi = server.psi_round_batch(["A"])[0]
-        count = server.count_round_batch(["A"])[0]
+        count = server.psi_round_batch(["A"], permute=["pf_s1"])[0]
         assert np.array_equal(count, server.params.pf_s1.apply(psi))
+        proof = server.psi_round_batch(["A"], permute=["pf_s2"])[0]
+        assert np.array_equal(proof, server.params.pf_s2.apply(psi))
+
+    def test_indicator_round_runs_each_sweep_as_its_kernel(self):
+        _, _, servers = deploy([{1, 2, 3}, {2, 3, 4}])
+        server = servers[0]
+        outs = server.indicator_round([
+            {"family": "psi", "columns": ["A", "A"],
+             "subtract_m": [True, False], "permute": [None, "pf_s2"]},
+            {"family": "psu", "columns": ["A"], "nonces": [7],
+             "permute": ["pf_s1"], "owner_ids": None},
+        ])
+        assert len(outs) == 2
+        assert np.array_equal(outs[0], server.psi_round_batch(
+            ["A", "A"], subtract_m=[True, False], permute=[None, "pf_s2"]))
+        assert np.array_equal(outs[1], server.psu_round_batch(
+            ["A"], [7], permute=["pf_s1"]))
+
+    @pytest.mark.parametrize("sweeps,match", [
+        ([], "list of sweeps"),
+        ([{"family": "count", "columns": ["A"]}], "family"),
+        (["A"], "family"),
+        ([{"family": "psi"}], "at least one column"),
+        ([{"family": "psu", "columns": ["A"]}], "query_nonces must match"),
+        ([{"family": "psi", "columns": ["A"], "subtract_m": [True, True]}],
+         "subtract_m flags must match"),
+        ([{"family": "psu", "columns": ["A"], "nonces": [1, 2]}],
+         "query_nonces must match"),
+        ([{"family": "psi", "columns": ["A"], "permute": [None, None]}],
+         "permute flags must match"),
+        ([{"family": "psi", "columns": ["A"], "permute": [True]}],
+         "unknown row permutation"),
+        ([{"family": "psu", "columns": ["A"], "nonces": [1],
+           "permute": ["pf"]}], "unknown row permutation"),
+    ])
+    def test_malformed_indicator_round_rejected(self, sweeps, match):
+        _, _, servers = deploy([{1, 2, 3}, {2, 3, 4}])
+        with pytest.raises(ProtocolError, match=match):
+            servers[0].indicator_round(sweeps)
 
     def test_aggregate_round_length_mismatch(self):
         _, _, servers = deploy([{1}, {1}])

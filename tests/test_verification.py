@@ -210,10 +210,12 @@ class TestSpanRequestsRefuseTamperingServers:
     @staticmethod
     def _span(server, lo=0, hi=8):
         reply = ServerAdapter(server).dispatch(RpcMessage(
-            "psi_round_batch", {"a": [["k"]], "k": {}}, span=(lo, hi)))
+            "indicator_round",
+            {"a": [[{"family": "psi", "columns": ["k"]}]], "k": {}},
+            span=(lo, hi)))
         if reply.kind == ERROR:
             raise ProtocolError(reply.payload["message"])
-        return reply.payload
+        return reply.payload[0]
 
     def test_honest_server_serves_a_span(self):
         server = adversarial_system({}).servers[0]

@@ -263,25 +263,37 @@ def _remote(reply):
     return RemoteServer(0, params, _CannedChannel(reply)), params
 
 
-@pytest.mark.parametrize("method,args,reply,match", [
-    ("psi_round_batch", (["OK"],), np.zeros((1, 8), dtype=np.int64),
+#: The round-1 kernels' outputs arrive inside an ``indicator_round``
+#: reply, one matrix per sweep.
+ROUND_1 = {"psi_round_batch": {"family": "psi", "columns": ["OK"]},
+           "psu_round_batch": {"family": "psu", "columns": ["OK"],
+                               "nonces": [1]}}
+
+
+@pytest.mark.parametrize("kernel,args,reply,match", [
+    ("psi_round_batch", (), [np.zeros((1, 8), dtype=np.int64)],
      "arrived as int64, expected uint16"),
-    ("psi_round_batch", (["OK"],), np.full((1, 8), 7891, dtype=np.uint16),
+    ("psi_round_batch", (), [np.full((1, 8), 7891, dtype=np.uint16)],
      "outside"),
-    ("psu_round_batch", (["OK"], [1]), np.zeros((1, 8), dtype=np.uint16),
+    ("psu_round_batch", (), [np.zeros((1, 8), dtype=np.uint16)],
      "expected uint8"),
-    ("psu_round_batch", (["OK"], [1]), np.full((1, 8), 101, dtype=np.uint8),
+    ("psu_round_batch", (), [np.full((1, 8), 101, dtype=np.uint8)],
      "outside"),
     ("aggregate_round_batch", (["DT"], np.zeros((1, 8), dtype=np.uint32)),
      np.zeros((1, 8), dtype=np.uint64), "expected uint32"),
-    ("psi_round_batch", (["OK"],), [[1, 2]], "arrived as list"),
+    ("psi_round_batch", (), [[[1, 2]]], "arrived as list"),
+    ("psi_round_batch", (), np.zeros((1, 8), dtype=np.uint16),
+     "one output per sweep"),
 ])
-def test_remote_replies_must_arrive_at_their_width(method, args, reply,
+def test_remote_replies_must_arrive_at_their_width(kernel, args, reply,
                                                    match):
     from repro.exceptions import ProtocolError
     remote, _ = _remote(reply)
     with pytest.raises(ProtocolError, match=match):
-        getattr(remote, method)(*args)
+        if kernel in ROUND_1:
+            remote.indicator_round([ROUND_1[kernel]])
+        else:
+            getattr(remote, kernel)(*args)
 
 
 @pytest.mark.parametrize("values,kind,match", [
