@@ -2,10 +2,13 @@
 
 Not a paper artefact — this benchmark supports the default compiled
 backend (:mod:`repro.kernels`).  It times the three fused server
-kernels (PSI / Eq. 3, PSU / Eq. 18, aggregation / Eq. 11) plus the raw
-counter-mode PRG draw rate as *single-shard* sweeps with the tier off
-(the numpy reference) and on (the C backend), and reports rows per
-second plus the compiled-over-numpy speedup.
+kernels (PSI / Eq. 3, PSU / Eq. 18, aggregation / Eq. 11), the raw
+counter-mode PRG draw rate and the two owner equations (``combine``:
+an owner deals 3 Shamir shares of a column and interpolates a degree-2
+output, §3.1; ``mulmod``: PSI finalisation's Eq. 4 product of two
+uint16 streams) as *single-shard* sweeps with the tier off (the numpy
+reference) and on (the C backend), and reports rows per second plus
+the compiled-over-numpy speedup.
 
 Run as a script (the CI smoke invocation uses a tiny domain)::
 
@@ -18,7 +21,8 @@ arithmetic alone.  Output is machine-readable JSON::
 
     {"b": ..., "num_owners": ..., "backend": "c",
      "rows_per_sec": {"numpy": {"psi": ..., ...}, "c": {...}},
-     "speedup": {"psi": ..., "psu": ..., "agg": ..., "prg": ...}}
+     "speedup": {"psi": ..., "psu": ..., "agg": ..., "prg": ...,
+                 "combine": ..., "mulmod": ...}}
 
 Every operand is at the width of its modulus (uint8 χ shares, uint16
 group elements, uint32 field elements), as the server stores them.
@@ -29,7 +33,9 @@ tier detects it at runtime; without it, expect ~1.5x against OpenSSL's
 own hardware SHA).  Aggregation clears 5x through the division-free
 Mersenne-31 reduction.  The PSI sweep sums uint8 shares into a uint16
 accumulator and gathers from a folded table, with no division per
-cell, in both tiers.  When the backend cannot build
+cell, in both tiers.  ``combine`` includes dealing's int64 coefficient
+draws, which are numpy in both tiers, so it gains less than the
+arithmetic alone.  When the backend cannot build
 (``"backend": "numpy"``), both columns measure the reference and every
 speedup is ~1.0.
 """
@@ -48,7 +54,7 @@ from repro import kernels
 from repro.bench.harness import build_system
 from repro.crypto.prg import SeededPRG
 
-FAMILIES = ("psi", "psu", "agg", "prg")
+FAMILIES = ("psi", "psu", "agg", "prg", "combine", "mulmod")
 
 
 def best_of(fn, repeats: int) -> float:
@@ -83,7 +89,23 @@ def measure_families(system, repeats: int) -> dict[str, float]:
     def run_prg():
         prg.integers(b, 1, 2039)
 
-    runs = {"psi": run_psi, "psu": run_psu, "agg": run_agg, "prg": run_prg}
+    owner = system.owners[0]
+    column = np.asarray(z, dtype=np.uint32)
+    outputs = [np.asarray(s, dtype=np.uint32)
+               for s in owner.shamir_shares_of(column)]
+    eta_prime = server.params.group.eta_prime
+    streams = [SeededPRG(5, f"bench-fop-{i}").integers(b, 0, eta_prime)
+               .astype(server.params.group_dtype) for i in (1, 2)]
+
+    def run_combine():
+        owner.shamir_shares_of(column)
+        owner.finalize_aggregate(outputs)
+
+    def run_mulmod():
+        owner.finalize_psi(*streams)
+
+    runs = {"psi": run_psi, "psu": run_psu, "agg": run_agg, "prg": run_prg,
+            "combine": run_combine, "mulmod": run_mulmod}
     for warmup in runs.values():  # build the library + fill caches
         warmup()
     return {family: best_of(fn, repeats) for family, fn in runs.items()}

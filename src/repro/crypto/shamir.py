@@ -10,35 +10,79 @@ owners' degree-1 data shares by the querier's degree-1 indicator shares
 locally, and the owner interpolates the degree-2 result, with no
 inter-server degree-reduction round.
 
-The default field prime is ``2**31 - 1``: shares are uint32 vectors
+The default field prime is ``2**31 - 1``.  Every field prime lies below
+``2**32``: shares are uint32 vectors
 (:func:`repro.crypto.widths.share_dtype`) and every product of two
 field elements fits the uint64 a kernel widens it to.
+
+Dealing and Lagrange interpolation are one linear combination of share
+vectors, :func:`numpy_combine_span`; ``ShamirSharing._combine`` runs
+its compiled twin (:func:`repro.kernels.combine_span`) where the kernel
+tier engages.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.crypto.primes import is_prime, modinv
 from repro.crypto.widths import share_dtype
 from repro.exceptions import ShareError
 
-#: Largest Mersenne prime below 2**31; products of two field elements fit int64.
+#: The Mersenne prime ``2**31 - 1``; the compiled combine reduces by it
+#: without a division.
 DEFAULT_FIELD_PRIME = 2_147_483_647
 
-#: Largest field prime for which the numpy fast path is sound.
-_INT64_SAFE_LIMIT = 3_037_000_499  # floor(sqrt(2**63 - 1))
+#: Field primes stay below this, so shares are uint32 and a product of
+#: two field elements fits uint64.
+FIELD_PRIME_LIMIT = 2**32
 
 _UINT64_MAX = 2**64 - 1
+
+
+def numpy_combine_span(vectors, weight_rows, p: int, outs):
+    """§3.1: ``outs[r][i] = Σ_k weight_rows[r][k] · vectors[k][i] mod p``.
+
+    The Shamir linear combination: dealing evaluates each cell's
+    polynomial at one point per row (weights ``1, x, x², …`` over the
+    secret and its coefficients), and interpolation at 0 weighs each
+    share by its Lagrange coefficient (one row).  ``vectors`` hold field
+    elements and weights lie in ``[0, p)``.  The products are summed
+    unreduced in uint64 while a running bound shows the sum fits (a
+    weight of 1 adds the vector as is); the sum is reduced only when the
+    next product could overflow it, and once at the end, into the uint32
+    output row.  numpy twin of :func:`repro.kernels.combine_span`.
+    """
+    top = p - 1
+
+    def kernel(lo: int, hi: int) -> None:
+        for weights, out in zip(weight_rows, outs):
+            acc = np.multiply(vectors[0][lo:hi], weights[0],
+                              dtype=np.uint64, casting="unsafe")
+            term = np.empty_like(acc)
+            bound = top * weights[0]
+            for v, k in zip(vectors[1:], weights[1:]):
+                if bound + top * k > _UINT64_MAX:
+                    np.remainder(acc, p, out=acc)
+                    bound = top
+                if k == 1:
+                    np.add(acc, v[lo:hi], out=acc, dtype=np.uint64,
+                           casting="unsafe")
+                else:
+                    np.multiply(v[lo:hi], k, out=term, dtype=np.uint64,
+                                casting="unsafe")
+                    acc += term
+                bound += top * k
+            np.remainder(acc, p, out=out[lo:hi])
+    return kernel
 
 
 class ShamirSharing:
     """Shamir secret sharing over ``F_prime`` with numpy vector support.
 
     Args:
-        prime: field modulus; must be prime.  Primes up to
-            ``sqrt(2**63)`` use the vectorised int64 path; larger primes
-            fall back to exact Python-int arithmetic transparently.
+        prime: field modulus; must be a prime below ``2**32``.
         num_shares: number of evaluation points (servers); points are
             ``1..num_shares``.
         degree: polynomial degree ``d``; any ``d + 1`` shares reconstruct.
@@ -47,6 +91,10 @@ class ShamirSharing:
 
     def __init__(self, prime: int = DEFAULT_FIELD_PRIME, num_shares: int = 3,
                  degree: int = 1, rng: np.random.Generator | None = None):
+        if prime >= FIELD_PRIME_LIMIT:
+            raise ShareError(
+                f"field prime {prime} does not fit uint32 share vectors "
+                f"(must be below 2**32)")
         if not is_prime(prime):
             raise ShareError(f"{prime} is not prime")
         if degree < 1:
@@ -61,9 +109,7 @@ class ShamirSharing:
         self.num_shares = num_shares
         self.degree = degree
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._int64_ok = prime <= _INT64_SAFE_LIMIT
-        #: Width of share vectors on the numpy path (uint32 for every
-        #: prime it accepts).
+        #: Width of share vectors (uint32 for every prime it accepts).
         self.dtype = share_dtype(prime)
 
     # -- sharing ------------------------------------------------------------
@@ -82,12 +128,9 @@ class ShamirSharing:
             self._rng.integers(0, self.prime, size=secrets.shape, dtype=np.int64)
             for _ in range(self.degree)
         ]
-        shares = []
-        for point in range(1, self.num_shares + 1):
-            powers = [pow(point, k, self.prime)
-                      for k in range(1, self.degree + 1)]
-            shares.append(self._combine([secrets] + coeffs, [1] + powers))
-        return shares
+        rows = [[pow(point, k, self.prime) for k in range(self.degree + 1)]
+                for point in range(1, self.num_shares + 1)]
+        return self._combine([secrets] + coeffs, rows)
 
     def share_scalar(self, secret: int) -> list[int]:
         """Share one secret value; returns ``num_shares`` Python ints."""
@@ -141,7 +184,7 @@ class ShamirSharing:
             )
         weights = self.lagrange_weights(points[: degree + 1])
         terms = [self._reduced(s) for s in shares[: degree + 1]]
-        return self._combine(terms, weights)
+        return self._combine(terms, [weights])[0]
 
     def reconstruct_scalar(self, shares: list[int],
                            points: list[int] | None = None,
@@ -154,85 +197,40 @@ class ShamirSharing:
 
     def add_shares(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Share of ``x + y`` from same-point shares of ``x`` and ``y``."""
-        return self._mod_add(self._reduced(a), self._reduced(b))
+        return self._combine([self._reduced(a), self._reduced(b)],
+                             [[1, 1]])[0]
 
     def mul_shares(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Share of ``x * y`` (degree doubles; reconstruct with 2d+1 shares)."""
-        return self._mod_mul(self._reduced(a), self._reduced(b))
+        out = np.multiply(self._reduced(a), self._reduced(b), dtype=np.uint64)
+        np.remainder(out, self.prime, out=out)
+        return out.astype(self.dtype)
 
     # -- field arithmetic helpers --------------------------------------------
 
     def _reduced(self, a) -> np.ndarray:
         """``a`` as field elements of :attr:`dtype`; reduced only when out
         of range."""
-        if not self._int64_ok:
-            a = np.asarray(a, dtype=np.int64)
-            if a.size and (a.min() < 0 or a.max() >= self.prime):
-                return np.mod(a, self.prime)
-            return a
         a = np.asarray(a)
         if a.dtype.kind not in "iu":
             a = a.astype(np.int64)
-        if a.size and (a.min() < 0 or a.max() >= self.prime):
+        if a.size and ((a.dtype.kind == "i" and a.min() < 0)
+                       or a.max() >= self.prime):
             a = np.mod(a, self.prime)
         return a.astype(self.dtype, copy=False)
 
     def _combine(self, vectors: list[np.ndarray],
-                 scalars: list[int]) -> np.ndarray:
-        """``sum_k scalars[k] * vectors[k] mod prime`` over field elements.
-
-        ``vectors`` must hold reduced field elements and ``scalars`` lie
-        in ``[0, prime)``.  On the numpy path the products are summed
-        unreduced in uint64 while a running bound shows the sum fits (a
-        scalar of 1 adds the vector as is); the sum is reduced only when
-        the next product could overflow it, and once at the end, into
-        :attr:`dtype`.
-        """
-        if not self._int64_ok:
-            acc = np.zeros_like(vectors[0])
-            for v, k in zip(vectors, scalars):
-                acc = self._mod_add(acc, self._mod_mul_scalar(v, k))
-            return acc
-        top = self.prime - 1
-        acc = np.multiply(vectors[0], scalars[0], dtype=np.uint64,
-                          casting="unsafe")
-        term = np.empty_like(acc)
-        bound = top * scalars[0]
-        for v, k in zip(vectors[1:], scalars[1:]):
-            if bound + top * k > _UINT64_MAX:
-                np.remainder(acc, self.prime, out=acc)
-                bound = top
-            if k == 1:
-                np.add(acc, v, out=acc, dtype=np.uint64, casting="unsafe")
-            else:
-                np.multiply(v, k, out=term, dtype=np.uint64,
-                            casting="unsafe")
-                acc += term
-            bound += top * k
-        out = np.empty(acc.shape, dtype=self.dtype)
-        np.remainder(acc, self.prime, out=out)
-        return out
-
-    def _mod_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._int64_ok:
-            return self._combine([a, b], [1, 1])
-        return np.mod(a + b, self.prime)
-
-    def _mod_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._int64_ok:
-            out = np.multiply(a, b, dtype=np.uint64)
-            np.remainder(out, self.prime, out=out)
-            return out.astype(self.dtype)
-        flat_a, flat_b = a.ravel(), b.ravel()
-        out = np.fromiter(
-            ((int(x) * int(y)) % self.prime for x, y in zip(flat_a, flat_b)),
-            dtype=object, count=flat_a.size,
-        ).astype(object)
-        return np.asarray(
-            [int(v) for v in out], dtype=np.int64
-        ).reshape(a.shape) if self.prime <= 2**62 else out.reshape(a.shape)
-
-    def _mod_mul_scalar(self, a: np.ndarray, scalar: int) -> np.ndarray:
-        return np.asarray(
-            [(int(v) * scalar) % self.prime for v in a.ravel()], dtype=np.int64
-        ).reshape(a.shape)
+                 weight_rows: list[list[int]]) -> list[np.ndarray]:
+        """One vector ``sum_k row[k] * vectors[k] mod prime`` per weight
+        row, shaped like ``vectors[0]``: the compiled span where the
+        kernel tier engages, else :func:`numpy_combine_span`."""
+        flat = [np.ravel(v) for v in vectors]
+        if len({v.size for v in flat}) != 1:
+            raise ShareError(f"share vectors of lengths "
+                             f"{[v.size for v in flat]} do not line up")
+        n = flat[0].size
+        outs = [np.empty(n, dtype=self.dtype) for _ in weight_rows]
+        kernel = (kernels.combine_span(flat, weight_rows, self.prime, outs)
+                  or numpy_combine_span(flat, weight_rows, self.prime, outs))
+        kernel(0, n)
+        return [out.reshape(np.shape(vectors[0])) for out in outs]

@@ -31,7 +31,7 @@ from repro.crypto.permutation import Permutation, equation1_quadruple
 from repro.crypto.polynomial import OrderPreservingPolynomial
 from repro.crypto.primes import find_eta_for_delta, is_prime, next_prime
 from repro.crypto.prg import derive_seed
-from repro.crypto.shamir import DEFAULT_FIELD_PRIME
+from repro.crypto.shamir import DEFAULT_FIELD_PRIME, FIELD_PRIME_LIMIT
 from repro.data.domain import Domain, ProductDomain
 from repro.exceptions import ParameterError
 
@@ -171,7 +171,8 @@ class Initiator:
             reproducible.
         delta: additive-group prime; default: smallest prime > max(m, 100).
         alpha: multiplier hiding ``eta`` inside ``eta' = alpha * eta``.
-        field_prime: Shamir field prime for aggregation columns.
+        field_prime: Shamir field prime for aggregation columns; below
+            ``2**32``, so shares are uint32 vectors.
         value_bound: inclusive upper bound for aggregation-attribute values;
             sizes the extrema modulus so ``F(M) + r`` never wraps.
     """
@@ -183,6 +184,10 @@ class Initiator:
                  value_bound: int = 10_000):
         if num_owners < 2:
             raise ParameterError("Prism needs at least two DB owners")
+        if field_prime >= FIELD_PRIME_LIMIT:
+            raise ParameterError(
+                f"field_prime={field_prime} must be below 2**32: Shamir "
+                f"shares are uint32 field elements")
         self.num_owners = num_owners
         self.domain = domain
         self.seed = seed

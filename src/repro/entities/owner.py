@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.params import OwnerParams
 from repro.crypto.additive import AdditiveSharing, share_bigint
 from repro.crypto.prg import SeededPRG, derive_seed
@@ -29,18 +30,39 @@ from repro.exceptions import ProtocolError, QueryError, VerificationError
 from repro.network.message import Endpoint, Role
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """``(a mod m) * (b mod m) mod m`` pointwise, at the width of ``m``.
+def numpy_mul_mod_span(a: np.ndarray, b: np.ndarray, modulus: int,
+                       out: np.ndarray):
+    """Eq. 4/8–10: ``out[i] = a[i] · b[i] mod m``.
 
-    Server streams arrive as narrow unsigned residues (uint16 group
+    The owner's one product of two server streams: PSI finalisation
+    (Eq. 4, ``fop``) and the verification proofs (Eq. 8–10, §6.5).
+    Server streams arrive as narrow unsigned values (uint16 group
     elements by default); the product is formed at twice the wider
     factor's width — a uint16·uint16 product fits uint32 — so it never
-    overflows.
+    overflows.  numpy twin of :func:`repro.kernels.mul_mod_span`.
     """
+    wide = _doubled(a, b)
+
+    def kernel(lo: int, hi: int) -> None:
+        product = np.multiply(a[lo:hi], b[lo:hi], dtype=wide)
+        np.remainder(product, modulus, out=product)
+        out[lo:hi] = product
+    return kernel
+
+
+def _mul_mod(a, b, modulus: int) -> np.ndarray:
+    """``(a mod m) * (b mod m) mod m`` pointwise, at the width of ``m``:
+    the compiled span where the kernel tier engages, else
+    :func:`numpy_mul_mod_span`."""
     a, b = _unsigned(a, modulus), _unsigned(b, modulus)
-    out = np.multiply(a, b, dtype=_doubled(a, b))
-    np.remainder(out, modulus, out=out)
-    return out.astype(share_dtype(modulus), copy=False)
+    if a.shape != b.shape:
+        raise ProtocolError(f"streams of shapes {a.shape} and {b.shape} "
+                            f"do not line up cell by cell")
+    out = np.empty(a.size, dtype=share_dtype(modulus))
+    kernel = (kernels.mul_mod_span(a, b, modulus, out)
+              or numpy_mul_mod_span(a, b, modulus, out))
+    kernel(0, out.size)
+    return out
 
 
 def _unsigned(a, modulus: int) -> np.ndarray:
@@ -293,7 +315,8 @@ class DBOwner:
 
     def finalize_psi(self, output_s1: np.ndarray,
                      output_s2: np.ndarray) -> np.ndarray:
-        """Eq. 4: pointwise product mod η; 1 marks a common value.
+        """PSI finalisation (Eq. 4): pointwise product mod η; 1 marks a
+        common value.
 
         Returns the raw ``fop`` vector (callers decide whether to decode
         positions — PSI-Count deliberately cannot).
@@ -346,7 +369,8 @@ class DBOwner:
 
     def verify_psi(self, fop: np.ndarray, vout_s1: np.ndarray,
                    vout_s2: np.ndarray) -> None:
-        """Eq. 8–10: check ``r1 * r2 mod η == 1`` for every cell.
+        """PSI verification (Eq. 8–10): check ``r1 * r2 mod η == 1`` for
+        every cell.
 
         ``vout`` arrives permuted (owners applied ``PF_db1`` to χ̄ before
         sharing); we invert the permutation so cell ``i`` of the proof

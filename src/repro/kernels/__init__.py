@@ -1,9 +1,10 @@
 """Compiled kernel tier: the default C backend for the hot fused sweeps.
 
 The three batched server kernels (Eq. 3/7 PSI, Eq. 18 PSU, Eq. 11
-aggregation) and the counter-mode PRG stream are numpy/hashlib-bound;
-this package puts the same per-element arithmetic below the
-interpreter, over the same narrow operands: every share vector is
+aggregation), the two owner-side field equations (the §3.1 Shamir
+combine behind dealing and Lagrange, and the Eq. 4 / 8–10 product) and
+the counter-mode PRG stream are numpy/hashlib-bound; this package puts
+the same per-element arithmetic below the interpreter, over the same narrow operands: every share vector is
 held at the width of its modulus (:mod:`repro.crypto.widths`), and
 sums and products are formed in a type wide enough never to wrap.  It
 is an *equivalence-pinned drop-in*: every compiled span computes
@@ -26,8 +27,10 @@ Selection ladder:
    of a width the spans take: uint8/uint16 χ shares with uint16/uint32
    group-element tables and outputs (Eq. 3/7), one residue width for
    shares, scratch and output (Eq. 18), uint32 field elements (Eq. 11),
-   int64 cell indices.  Anything else (sliced matrices, unaligned wire
-   views, a width no span takes) falls back per sweep.
+   int64 cell indices; uint32 field elements or the int64 coefficient
+   draws (§3.1 combine); one uint16/uint32 width for both factors and
+   the output (Eq. 4 / 8–10).  Anything else (sliced matrices,
+   unaligned wire views, a width no span takes) falls back per sweep.
 
 The sweep *builders* below return a ``kernel(lo, hi)`` chunk closure
 writing into a caller-provided output matrix, or ``None`` when any rung
@@ -35,8 +38,12 @@ of the ladder says numpy.  Each has a numpy twin with the same
 signature in :mod:`repro.entities.server` (``numpy_psi_sweep`` and
 friends), and one selector per equation there
 (``kernels.psi_sweep(...) or numpy_psi_sweep(...)``) is the only place
-that picks between them.  This package stays an optional plug-in: the
-protocol layer never needs it to compute a sweep.  Closures only read
+that picks between them.  The owner spans follow the same contract:
+:func:`combine_span` is selected in ``ShamirSharing._combine`` against
+:func:`repro.crypto.shamir.numpy_combine_span`, :func:`mul_mod_span` in
+``repro.entities.owner._mul_mod`` against
+:func:`repro.entities.owner.numpy_mul_mod_span`.  This package stays an
+optional plug-in: the protocol layer never needs it to compute a sweep.  Closures only read
 shared state and write disjoint spans, so
 the deployment's thread pool (:class:`repro.core.sharding.ShardRuntime`)
 drives them in parallel (ctypes releases the GIL for the duration of
@@ -269,4 +276,59 @@ def agg_sweep(share_lists, z_matrix: np.ndarray, p: int, out: np.ndarray):
         for q, row_ptrs in enumerate(ptrs):
             lib.repro_agg_span(row_ptrs, counts[q], _row_addr(z_matrix, q),
                                lo, hi, p, _row_addr(out, q))
+    return kernel
+
+
+# -- owner span builders --------------------------------------------------------
+
+#: Combine operands: field elements, or the int64 coefficient draws.
+_COMBINE_IN = (np.dtype(np.uint32), np.dtype(np.int64))
+#: Product operands and output share one of these widths.
+_PRODUCT = (np.dtype(np.uint16), np.dtype(np.uint32))
+
+
+def combine_span(vectors, weight_rows, p: int, outs):
+    """Chunk closure for the §3.1 Shamir combine, or ``None``.
+
+    ``outs[r][i] = Σ_k weight_rows[r][k] · vectors[k][i] mod p`` into
+    uint32 ``outs``; every value and weight must already be a field
+    element of a prime ``p`` below ``2**32``.
+    """
+    n = outs[0].size if outs else 0
+    if (not 1 < p < 2**32 or not outs
+            or any(_sweep_lib(out, _FIELD) is None or out.ndim != 1
+                   or out.size != n for out in outs)
+            or not all(_vec_ok(v, _COMBINE_IN) and v.size == n
+                       for v in vectors)):
+        return None
+    lib = native_lib()
+    count, rows = len(vectors), len(outs)
+    ptrs = (ctypes.c_void_p * count)(*[v.ctypes.data for v in vectors])
+    sizes = (ctypes.c_int64 * count)(*[v.itemsize for v in vectors])
+    scalars = (ctypes.c_uint64 * (rows * count))(
+        *[int(w) for row in weight_rows for w in row])
+    out_ptrs = (ctypes.c_void_p * rows)(*[out.ctypes.data for out in outs])
+
+    def kernel(lo: int, hi: int) -> None:
+        lib.repro_combine_span(ptrs, sizes, count, scalars, rows, lo, hi, p,
+                               out_ptrs)
+    return kernel
+
+
+def mul_mod_span(a: np.ndarray, b: np.ndarray, modulus: int,
+                 out: np.ndarray):
+    """Chunk closure for the Eq. 4 / 8–10 owner product, or ``None``.
+
+    ``out[i] = a[i] · b[i] mod modulus`` with ``a``, ``b`` and ``out``
+    of one uint16 or uint32 width.
+    """
+    lib = _sweep_lib(out, _PRODUCT)
+    if (lib is None or out.ndim != 1
+            or not all(_vec_ok(v, (out.dtype,)) and v.size == out.size
+                       for v in (a, b))):
+        return None
+
+    def kernel(lo: int, hi: int) -> None:
+        lib.repro_mul_mod_span(a.ctypes.data, b.ctypes.data, out.itemsize,
+                               lo, hi, modulus, out.ctypes.data)
     return kernel

@@ -16,6 +16,11 @@
  *     bytes per draw, `(raw % span) + low`.  Draw offsets are absolute,
  *     so shards seek the stream exactly like `integers_at`.
  *
+ * Two owner-side spans mirror the numpy references of
+ * repro/crypto/shamir.py and repro/entities/owner.py the same way: the
+ * Shamir combine (dealing and Lagrange) and the pointwise product of
+ * PSI finalisation and verification.
+ *
  * The Python loader gates this backend on little-endian hosts; the
  * draw extraction below assumes LE layout.
  */
@@ -434,6 +439,102 @@ DEFINE_PSU_SPANS(u8, uint8_t, uint32_t)
 DEFINE_PSU_SPANS(u16, uint16_t, uint32_t)
 DEFINE_PSU_SPANS(u32, uint32_t, uint64_t)
 
+/* ---- owner spans ----------------------------------------------------- */
+
+/* Shamir combine over the Mersenne prime, block by block: each product
+ * w * v (both below 2^32, at most 2^31 - 1 for reduced operands) is
+ * folded once to below 2^33, so a block accumulator of any realistic
+ * term count cannot wrap; one full fold per element finishes.  Every
+ * output row of a block is formed while the block's operands are in
+ * cache, so dealing all shares reads each vector from memory once.  A
+ * vector of `sizes[k] == 8` holds the int64 coefficient draws, whose
+ * values are field elements, so their low 32 bits are the value.
+ * Every loop is branch-free so the compiler vectorizes it; one body
+ * serves each target below. */
+static inline __attribute__((always_inline)) void combine_mersenne_body(
+        const void **vectors, const int64_t *sizes, int64_t nvec,
+        const uint64_t *weights, int64_t nout, int64_t lo, int64_t hi,
+        uint32_t **outs) {
+    const uint64_t M = ((uint64_t)1 << 31) - 1;
+    uint64_t acc[PSI_BLOCK];
+    int64_t base, r, k, j;
+    for (base = lo; base < hi; base += PSI_BLOCK) {
+        int64_t n = hi - base < PSI_BLOCK ? hi - base : PSI_BLOCK;
+        for (r = 0; r < nout; r++) {
+            uint32_t *out = outs[r] + base;
+            memset(acc, 0, (size_t)n * sizeof(uint64_t));
+            for (k = 0; k < nvec; k++) {
+                const uint32_t w = (uint32_t)weights[r * nvec + k];
+                if (sizes[k] == 8) {
+                    const uint64_t *v = (const uint64_t *)vectors[k] + base;
+                    for (j = 0; j < n; j++) {
+                        uint64_t x = (uint64_t)w * (uint32_t)v[j];
+                        acc[j] += (x >> 31) + (x & M);
+                    }
+                } else {
+                    const uint32_t *v = (const uint32_t *)vectors[k] + base;
+                    for (j = 0; j < n; j++) {
+                        uint64_t x = (uint64_t)w * v[j];
+                        acc[j] += (x >> 31) + (x & M);
+                    }
+                }
+            }
+            for (j = 0; j < n; j++) {
+                uint64_t x = acc[j];
+                x = (x >> 31) + (x & M);
+                x = (x >> 31) + (x & M);
+                out[j] = (uint32_t)(x - (M & -(uint64_t)(x >= M)));
+            }
+        }
+    }
+}
+
+typedef void (*combine_fn)(const void **vectors, const int64_t *sizes,
+                           int64_t nvec, const uint64_t *weights,
+                           int64_t nout, int64_t lo, int64_t hi,
+                           uint32_t **outs);
+
+static void combine_mersenne(const void **vectors, const int64_t *sizes,
+                             int64_t nvec, const uint64_t *weights,
+                             int64_t nout, int64_t lo, int64_t hi,
+                             uint32_t **outs) {
+    combine_mersenne_body(vectors, sizes, nvec, weights, nout, lo, hi, outs);
+}
+
+#ifdef REPRO_SHA_NI_COMPILED
+__attribute__((target("avx512f,avx512dq,avx512vl")))
+static void combine_mersenne_avx512(const void **vectors,
+                                    const int64_t *sizes, int64_t nvec,
+                                    const uint64_t *weights, int64_t nout,
+                                    int64_t lo, int64_t hi,
+                                    uint32_t **outs) {
+    combine_mersenne_body(vectors, sizes, nvec, weights, nout, lo, hi, outs);
+}
+#endif
+
+static combine_fn combine_mersenne_best = 0;
+
+/* Any other field prime below 2^32: each product fits uint64 and is
+ * reduced once, so a sum of reduced terms cannot wrap either. */
+static void combine_generic(const void **vectors, const int64_t *sizes,
+                            int64_t nvec, const uint64_t *weights,
+                            int64_t nout, int64_t lo, int64_t hi,
+                            uint64_t p, uint32_t **outs) {
+    int64_t i, r, k;
+    for (i = lo; i < hi; i++) {
+        for (r = 0; r < nout; r++) {
+            uint64_t acc = 0;
+            for (k = 0; k < nvec; k++) {
+                uint64_t v = sizes[k] == 8
+                    ? ((const uint64_t *)vectors[k])[i]
+                    : ((const uint32_t *)vectors[k])[i];
+                acc += weights[r * nvec + k] * v % p;
+            }
+            outs[r][i] = (uint32_t)(acc % p);
+        }
+    }
+}
+
 /* ---- exported kernels ------------------------------------------------ */
 
 /* Stream bytes [start, start + nbytes) of the counter-mode generator. */
@@ -536,5 +637,64 @@ void repro_agg_span(const uint32_t **shares, int64_t nshares,
         for (j = 0; j < nshares; j++)
             acc += (uint64_t)shares[j][i] * zi % (uint64_t)p;
         out[i] = (uint32_t)(acc % (uint64_t)p);
+    }
+}
+
+/* §3.1 Shamir combine span over uint32 field elements:
+ * outs[r][i] = sum_k weights[r][k] * v_k[i] mod p over i in [lo, hi),
+ * the one linear combination behind dealing (row r evaluates each
+ * cell's polynomial at point r + 1) and Lagrange interpolation at 0
+ * (one row).  `weights` is row-major, nout x nvec; `sizes[k]` is 4 for
+ * a uint32 vector or 8 for the int64 coefficient draws; every value and
+ * weight is a field element of a prime p below 2^32. */
+void repro_combine_span(const void **vectors, const int64_t *sizes,
+                        int64_t nvec, const uint64_t *weights, int64_t nout,
+                        int64_t lo, int64_t hi, int64_t p, uint32_t **outs) {
+    if (p == ((int64_t)1 << 31) - 1) {
+        if (!combine_mersenne_best) {
+            combine_mersenne_best = combine_mersenne;
+#ifdef REPRO_SHA_NI_COMPILED
+            if (cpu_has_avx512dq())
+                combine_mersenne_best = combine_mersenne_avx512;
+#endif
+        }
+        combine_mersenne_best(vectors, sizes, nvec, weights, nout, lo, hi,
+                              outs);
+    } else
+        combine_generic(vectors, sizes, nvec, weights, nout, lo, hi,
+                        (uint64_t)p, outs);
+}
+
+/* Eq. 4 / Eq. 8-10 owner product span: out[i] = a[i] * b[i] mod m over
+ * i in [lo, hi).  a, b and out are `size`-byte unsigned values (2 or
+ * 4); the product is formed at twice that width, so it never wraps.
+ * A uint16 product is a 32-bit dividend, reduced without a division by
+ * Lemire's fastmod where the compiler has 128-bit integers (exact for
+ * every 32-bit dividend and divisor: c = floor((2^64 - 1) / m) + 1,
+ * x mod m = ((c * x mod 2^64) * m) >> 64). */
+void repro_mul_mod_span(const void *a, const void *b, int64_t size,
+                        int64_t lo, int64_t hi, int64_t modulus, void *out) {
+    int64_t i;
+    if (size == 2) {
+        const uint16_t *x = (const uint16_t *)a, *y = (const uint16_t *)b;
+        uint16_t *o = (uint16_t *)out;
+#ifdef __SIZEOF_INT128__
+        const uint64_t m = (uint64_t)modulus;
+        const uint64_t c = UINT64_MAX / m + 1;
+        for (i = lo; i < hi; i++) {
+            uint64_t low = c * ((uint32_t)x[i] * y[i]);
+            o[i] = (uint16_t)(((unsigned __int128)low * m) >> 64);
+        }
+#else
+        const uint32_t m = (uint32_t)modulus;
+        for (i = lo; i < hi; i++)
+            o[i] = (uint16_t)((uint32_t)x[i] * y[i] % m);
+#endif
+    } else {
+        const uint32_t *x = (const uint32_t *)a, *y = (const uint32_t *)b;
+        uint32_t *o = (uint32_t *)out;
+        const uint64_t m = (uint64_t)modulus;
+        for (i = lo; i < hi; i++)
+            o[i] = (uint32_t)((uint64_t)x[i] * y[i] % m);
     }
 }

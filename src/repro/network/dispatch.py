@@ -630,6 +630,11 @@ class _PoolMember:
         self.probe_at = 0.0
         self.backoff = EJECT_BACKOFF_BASE
         self.probing = False
+        #: The seat's last failure was a reply timeout: its host may be
+        #: alive but stalled, so only a due breaker probe or a
+        #: supervisor rejoin may try it again (a rejoin would replay the
+        #: journal into the stalled host and wait out another deadline).
+        self.hung = False
         self.failures = 0
         self.reconnects = 0
         self._retired = {"requests": 0, "bytes_sent": 0, "bytes_received": 0}
@@ -774,9 +779,12 @@ class PooledChannel(Channel):
                 _swallow("pool-event-hook", exc)
 
     def _eject(self, member: _PoolMember, exc: Exception) -> None:
-        """Open the circuit breaker on a dead seat (idempotent)."""
+        """Open the circuit breaker on a dead seat (idempotent); a seat
+        that timed out is marked :attr:`_PoolMember.hung`."""
         first = False
         with self._lock:
+            if isinstance(exc, ReplyTimeout):
+                member.hung = True
             if member.ejected_at is None:
                 member.ejected_at = time.monotonic()
                 self._ejections += 1
@@ -807,22 +815,22 @@ class PooledChannel(Channel):
         ordered = live[start:] + live[:start]
         return min(ordered, key=lambda member: member.conn.in_flight)
 
-    def _pick_live(self, last_error, hung=()) -> _PoolMember:
+    def _pick_live(self, last_error) -> _PoolMember:
         """A live member, resurrecting ejected seats before giving up.
 
         Degrading "to any pool size ≥ 1" means an exhausted pool tries
         every ejected seat immediately (ignoring breaker timers) before
-        surfacing the failure — except the ``hung`` slots, which timed
-        out in the current call: a rejoin would replay the journal into
-        the same stalled host and wait out another deadline.  The
-        breaker's probe or a supervisor brings those back.
+        surfacing the failure — except a :attr:`_PoolMember.hung` seat
+        whose breaker probe is not yet due, in this call or any later
+        one.  The breaker's probe or a supervisor brings those back.
         """
         member = self._pick()
         if member is not None:
             return member
+        now = time.monotonic()
         for seat in sorted((m for m in self._members
                             if m.ejected_at is not None
-                            and m.slot not in hung),
+                            and not (m.hung and now < m.probe_at)),
                            key=lambda m: m.probe_at):
             if self._try_rejoin(seat):
                 return seat
@@ -903,6 +911,7 @@ class PooledChannel(Channel):
                     old = member.replace_conn(conn, (host, int(port)))
                     member.journal_applied = applied_seq
                     member.ejected_at = None
+                    member.hung = False
                     member.backoff = EJECT_BACKOFF_BASE
                     self._rejoins += 1
                 break
@@ -932,11 +941,8 @@ class PooledChannel(Channel):
         return pending.result(self._timeout_for(kind))
 
     def _fail_over(self, member: _PoolMember, exc: ConnectionLost,
-                   hung: set, retransmit: bool = False) -> None:
-        """Eject a seat that failed mid-call and count the failover;
-        a seat that timed out joins the call's ``hung`` slots."""
-        if isinstance(exc, ReplyTimeout):
-            hung.add(member.slot)
+                   retransmit: bool = False) -> None:
+        """Eject a seat that failed mid-call and count the failover."""
         self._eject(member, exc)
         with self._lock:
             self._failovers += 1
@@ -950,9 +956,8 @@ class PooledChannel(Channel):
         if message.kind in BROADCAST_KINDS:
             return self._broadcast(message)
         last_error: Exception | None = None
-        hung: set = set()
         while True:
-            member = self._pick_live(last_error, hung)
+            member = self._pick_live(last_error)
             try:
                 pending = self._request(member, message)
                 return self._finish(pending, message.kind)
@@ -960,7 +965,7 @@ class PooledChannel(Channel):
                 # Reads are idempotent across identical replicas:
                 # eject the dead seat and fail over to a survivor.
                 last_error = exc
-                self._fail_over(member, exc, hung)
+                self._fail_over(member, exc)
 
     def scatter(self, messages) -> list[RpcMessage]:
         """Fan span frames across the pool; replies in request order.
@@ -971,33 +976,30 @@ class PooledChannel(Channel):
         """
         self._check_open()
         self._maybe_probe()
-        hung: set = set()
-        entries = [(message, *self._issue(message, hung))
-                   for message in messages]
+        entries = [(message, *self._issue(message)) for message in messages]
         with self._lock:
             self._scattered += len(entries)
-        return [self._collect(message, member, pending, hung)
+        return [self._collect(message, member, pending)
                 for message, member, pending in entries]
 
-    def _issue(self, message: RpcMessage,
-               hung: set) -> tuple[_PoolMember, PendingReply]:
+    def _issue(self, message: RpcMessage) -> tuple[_PoolMember, PendingReply]:
         last_error: Exception | None = None
         while True:
-            member = self._pick_live(last_error, hung)
+            member = self._pick_live(last_error)
             try:
                 return member, self._request(member, message)
             except ConnectionLost as exc:
                 last_error = exc
-                self._fail_over(member, exc, hung)
+                self._fail_over(member, exc)
 
     def _collect(self, message: RpcMessage, member: _PoolMember,
-                 pending: PendingReply, hung: set) -> RpcMessage:
+                 pending: PendingReply) -> RpcMessage:
         while True:
             try:
                 return self._finish(pending, message.kind)
             except ConnectionLost as exc:
-                self._fail_over(member, exc, hung, retransmit=True)
-                member, pending = self._issue(message, hung)
+                self._fail_over(member, exc, retransmit=True)
+                member, pending = self._issue(message)
 
     def _journal_append(self, message: RpcMessage) -> int:
         """Journal one frame (caller holds ``self._lock``); returns its seq.

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Domain, PrismSystem, Relation
 from repro.core.aggregate import aggregate_reference
-from repro.exceptions import ProtocolError, QueryError
+from repro.exceptions import ParameterError, ProtocolError, QueryError
 
 
-def value_system(rows_per_owner, seed=0, with_verification=False):
+def value_system(rows_per_owner, seed=0, with_verification=False,
+                 **kwargs):
     """Owners with (key, v1, v2) rows; domain is keys 1..12."""
     relations = []
     for i, rows in enumerate(rows_per_owner):
@@ -20,7 +21,8 @@ def value_system(rows_per_owner, seed=0, with_verification=False):
     domain = Domain("k", list(range(1, 13)))
     return PrismSystem.build(relations, domain, "k",
                              agg_attributes=("v1", "v2"),
-                             with_verification=with_verification, seed=seed)
+                             with_verification=with_verification, seed=seed,
+                             **kwargs)
 
 
 OWNERS = [
@@ -125,6 +127,21 @@ def refused_before_any_round(system, run, error, match):
     with pytest.raises(error, match=match):
         run()
     assert (stats.total_messages, stats.total_bytes) == before
+
+
+class TestFieldPrime:
+    """Shares are uint32 field elements, so the field prime is below 2**32."""
+
+    @pytest.mark.parametrize("prime", [2**40 + 15, 2**61 - 1])
+    def test_prime_above_32_bits_is_refused_before_sharing(self, prime):
+        with pytest.raises(ParameterError, match="below 2\\*\\*32"):
+            value_system(OWNERS, field_prime=prime)
+
+    def test_largest_32_bit_prime_still_sums(self):
+        system = value_system(OWNERS, with_verification=True,
+                              field_prime=4_294_967_291)
+        result = system.psi_sum("k", "v1", verify=True)["v1"]
+        assert result.per_value == {1: 40, 7: 16}
 
 
 class TestValidation:

@@ -11,7 +11,9 @@ folded Eq. 3 tables, the Mersenne fold and the SHA-256 block stream.  Pinned thr
 * unit level — each sweep builder's ``kernel(lo, hi)`` closure, and
   its numpy twin in :mod:`repro.entities.server`, against a
   hand-written numpy replica of the equation, chunked so the span
-  seams are exercised;
+  seams are exercised; the owner spans (the §3.1 Shamir combine and
+  the Eq. 4 / 8–10 product) against their numpy twins at every length
+  from empty to a scan-sized χ, with the extreme values 0 and p − 1;
 * stream level — ``prg_fill`` / ``integers_at`` against the hashlib
   counter stream at odd offsets, in both backends;
 * system level — every batchable Table-4 kind (verified where
@@ -42,7 +44,9 @@ from test_multihost_matrix import (
 from repro import kernels
 from repro.core.params import ServerGroupView
 from repro.crypto.prg import SeededPRG
+from repro.crypto.shamir import ShamirSharing, numpy_combine_span
 from repro.crypto.widths import share_dtype
+from repro.entities.owner import _mul_mod, numpy_mul_mod_span
 from repro.entities.server import (
     numpy_agg_sweep,
     numpy_psi_sweep,
@@ -369,6 +373,137 @@ class TestNumpyTwins:
                                       agg_reference(shares, z_matrix, PRIME))
 
 
+# -- owner spans ----------------------------------------------------------------
+
+#: Lengths from empty through the crossover to a scan-sized χ.
+OWNER_LENGTHS = [0, 1, kernels.NATIVE_MIN_SPAN - 1, kernels.NATIVE_MIN_SPAN,
+                 262_144]
+#: The largest prime below 2**32: the generic (non-Mersenne) branch.
+PRIME_32 = 4_294_967_291
+_U32, _I64 = np.uint32, np.int64
+
+
+def _lagrange(p, points, degree):
+    return ShamirSharing(prime=p, num_shares=len(points), degree=degree
+                         ).lagrange_weights(points)
+
+
+def _deal(p, degree, points):
+    """Dealing's weight rows: ``1, x, …, x^degree`` per point ``x``."""
+    return [[pow(x, k, p) for k in range(degree + 1)] for x in points]
+
+
+#: case -> (prime, weight rows, vector dtypes).  Dealing combines a
+#: uint32 secret with int64 coefficient draws, one row per point;
+#: Lagrange combines uint32 shares in one row.
+COMBINE_CASES = {
+    "deal-points-1-2-3": (PRIME, _deal(PRIME, 1, [1, 2, 3]), (_U32, _I64)),
+    **{f"deal-point-{x}": (PRIME, _deal(PRIME, 1, [x]), (_U32, _I64))
+       for x in (1, 2, 3)},
+    "lagrange-1-2-3": (PRIME, [_lagrange(PRIME, [1, 2, 3], 2)], (_U32,) * 3),
+    "deal-degree-3-of-5": (PRIME, _deal(PRIME, 3, range(1, 6)),
+                           (_U32,) + (_I64,) * 3),
+    "lagrange-degree-3-of-5": (PRIME, [_lagrange(PRIME, [2, 3, 4, 5], 3)],
+                               (_U32,) * 4),
+    "generic-deal": (PRIME_32, _deal(PRIME_32, 1, [1, 2, 3]), (_U32, _I64)),
+    "generic-lagrange": (PRIME_32, [_lagrange(PRIME_32, [1, 2, 3], 2)],
+                         (_U32,) * 3),
+}
+
+#: case -> (modulus, operand dtype, largest operand value).  PSI
+#: finalisation multiplies uint16 group elements mod η' by default and
+#: reduces mod η (607) with unreduced factors.
+MUL_MOD_CASES = {
+    "uint16-eta-prime": (ETA_PRIME, np.uint16, ETA_PRIME - 1),
+    "uint16-unreduced-eta": (607, np.uint16, ETA_PRIME - 1),
+    "uint32-mersenne": (PRIME, np.uint32, PRIME - 1),
+    "uint32-generic": (PRIME_32, np.uint32, PRIME_32 - 1),
+}
+
+
+def _extreme_vector(rng, n, top, dtype):
+    """Random values in ``[0, top]`` with 0 and ``top`` at the ends."""
+    v = rng.integers(0, top, size=n, endpoint=True).astype(dtype)
+    if n:
+        v[-1] = top
+        v[0] = 0 if n > 1 else top
+    return v
+
+
+@pytest.fixture
+def no_crossover(compiled, monkeypatch):
+    """The compiled tier at every length, so short spans are pinned too."""
+    monkeypatch.setattr(kernels, "NATIVE_MIN_SPAN", 0)
+
+
+class TestOwnerSpans:
+    @pytest.mark.parametrize("n", OWNER_LENGTHS)
+    @pytest.mark.parametrize("case", COMBINE_CASES)
+    def test_combine_span(self, no_crossover, case, n):
+        p, rows, dtypes = COMBINE_CASES[case]
+        rng = np.random.default_rng(31)
+        vectors = [_extreme_vector(rng, n, p - 1, dtype) for dtype in dtypes]
+        outs_c = [np.full(n, 7, dtype=np.uint32) for _ in rows]
+        outs_np = [np.full(n, 9, dtype=np.uint32) for _ in rows]
+        kernel = kernels.combine_span(vectors, rows, p, outs_c)
+        assert kernel is not None
+        _chunked(kernel, n)
+        _chunked(numpy_combine_span(vectors, rows, p, outs_np), n)
+        for weights, out_c, out_np in zip(rows, outs_c, outs_np):
+            np.testing.assert_array_equal(out_c, out_np)
+            if n <= kernels.NATIVE_MIN_SPAN + 1:
+                exact = sum(int(w) * v.astype(object)
+                            for w, v in zip(weights, vectors)) % p
+                np.testing.assert_array_equal(out_np,
+                                              exact.astype(np.int64))
+
+    @pytest.mark.parametrize("n", OWNER_LENGTHS)
+    @pytest.mark.parametrize("case", MUL_MOD_CASES)
+    def test_mul_mod_span(self, no_crossover, case, n):
+        modulus, dtype, top = MUL_MOD_CASES[case]
+        rng = np.random.default_rng(32)
+        a = _extreme_vector(rng, n, top, dtype)
+        b = _extreme_vector(rng, n, top, dtype)
+        out_dtype = share_dtype(modulus)
+        out_c = np.full(n, 7, dtype=out_dtype)
+        out_np = np.full(n, 9, dtype=out_dtype)
+        kernel = kernels.mul_mod_span(a, b, modulus, out_c)
+        assert kernel is not None
+        _chunked(kernel, n)
+        _chunked(numpy_mul_mod_span(a, b, modulus, out_np), n)
+        np.testing.assert_array_equal(out_c, out_np)
+        exact = a.astype(object) * b.astype(object) % modulus
+        np.testing.assert_array_equal(out_np, exact.astype(np.int64))
+
+    def test_selectors_match_across_tiers(self):
+        """``ShamirSharing`` dealing/Lagrange and ``_mul_mod`` give the
+        same bits with the tier off and on, draws included."""
+        n = 4096
+        secrets = _extreme_vector(np.random.default_rng(33), n, PRIME - 1,
+                                  np.uint32)
+        a = _extreme_vector(np.random.default_rng(34), n, ETA_PRIME - 1,
+                            np.uint16)
+        results = []
+        for mode in ("off", "c") if compiled_available else ("off",):
+            kernels.configure(mode)
+            try:
+                scheme = ShamirSharing(rng=np.random.default_rng(35))
+                shares = scheme.share_vector(secrets)
+                product = [scheme.mul_shares(s, s) for s in shares]
+                results.append((shares,
+                                scheme.reconstruct_vector(product, degree=2),
+                                _mul_mod(a, a[::-1].copy(), 607)))
+            finally:
+                kernels.configure(None)
+        for shares, squares, fop in results:
+            for mine, first in zip(shares, results[0][0]):
+                np.testing.assert_array_equal(mine, first)
+            np.testing.assert_array_equal(squares, results[0][1])
+            np.testing.assert_array_equal(fop, results[0][2])
+        np.testing.assert_array_equal(
+            results[0][1], secrets.astype(object) ** 2 % PRIME)
+
+
 # -- the selection ladder -------------------------------------------------------
 
 
@@ -429,6 +564,52 @@ class TestSelectionLadder:
             assert kernels.psi_sweep(wrong, tables, out) is None
         wide_out = np.empty((1, n), dtype=np.int64)
         assert kernels.psi_sweep(shares, tables, wide_out) is None
+
+    def test_owner_spans_below_crossover_stay_on_numpy(self, compiled):
+        for n, engaged in ((kernels.NATIVE_MIN_SPAN - 1, False),
+                           (kernels.NATIVE_MIN_SPAN, True)):
+            v = np.zeros(n, dtype=np.uint32)
+            combine = kernels.combine_span([v, v], [[1, 2]], PRIME,
+                                           [np.empty(n, dtype=np.uint32)])
+            product = kernels.mul_mod_span(v, v, PRIME,
+                                           np.empty(n, dtype=np.uint32))
+            assert (combine is not None) == engaged
+            assert (product is not None) == engaged
+
+    def test_ineligible_owner_operands_fall_back(self, compiled):
+        n = 2048
+        v = np.zeros(n, dtype=np.uint32)
+        out = np.empty(n, dtype=np.uint32)
+        row = [[1, 2]]
+        assert kernels.combine_span([v, v], row, PRIME, [out]) is not None
+        strided = np.zeros(2 * n, dtype=np.uint32)[::2]  # not contiguous
+        assert kernels.combine_span([v, strided], row, PRIME, [out]) is None
+        for dtype in (np.uint16, np.int32, np.uint64, np.float64):
+            wrong = np.zeros(n, dtype=dtype)
+            assert kernels.combine_span([v, wrong], row, PRIME, [out]) \
+                is None
+        assert kernels.combine_span([v, v[:-1]], row, PRIME, [out]) is None
+        assert kernels.combine_span(
+            [v, v], row, PRIME, [np.empty(n, dtype=np.uint64)]) is None
+        assert kernels.combine_span([v, v], [[1, 2]] * 2, PRIME,
+                                    [out, strided]) is None
+        assert kernels.combine_span([v, v], row, 2**61 - 1, [out]) is None
+
+        assert kernels.mul_mod_span(v, v, PRIME, out) is not None
+        assert kernels.mul_mod_span(v, strided, PRIME, out) is None
+        narrow = np.zeros(n, dtype=np.uint16)
+        assert kernels.mul_mod_span(v, narrow, PRIME, out) is None
+        assert kernels.mul_mod_span(narrow, narrow, 607,
+                                    np.empty(n, dtype=np.uint8)) is None
+        tiny = np.zeros(n, dtype=np.uint8)
+        assert kernels.mul_mod_span(tiny, tiny, 101,
+                                    np.empty(n, dtype=np.uint8)) is None
+        # The selector still answers through the numpy twin.
+        a = _extreme_vector(np.random.default_rng(36), 2 * n, ETA_PRIME - 1,
+                            np.uint16)
+        np.testing.assert_array_equal(_mul_mod(a[::2], a[1::2], 607),
+                                      _mul_mod(a[::2].copy(),
+                                               a[1::2].copy(), 607))
 
     def test_forced_fallback_without_a_compiler(self, monkeypatch, tmp_path):
         """No compiler + empty cache: ``configure("c")`` stays on numpy

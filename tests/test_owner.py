@@ -9,7 +9,7 @@ from repro.data.storage import ShareKind
 from repro.entities.initiator import Initiator
 from repro.entities.owner import DBOwner
 from repro.entities.server import PrismServer
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, ShareError
 
 
 @pytest.fixture()
@@ -137,6 +137,19 @@ class TestFinalisation:
         _, owner, _ = setup
         with pytest.raises(ProtocolError):
             owner.finalize_aggregate([np.zeros(3)] * 2)
+
+    def test_misaligned_streams_are_refused(self, setup):
+        """Server streams of different lengths never line up silently."""
+        _, owner, _ = setup
+        short, long = np.ones(3, np.uint16), np.ones(4, np.uint16)
+        with pytest.raises(ProtocolError, match="line up"):
+            owner.finalize_psi(short, long)
+        with pytest.raises(ProtocolError, match="line up"):
+            owner.verify_count(owner.finalize_psi(short, short), long, long)
+        outputs = [np.ones(3, np.uint32), np.ones(4, np.uint32),
+                   np.ones(3, np.uint32)]
+        with pytest.raises(ShareError, match="line up"):
+            owner.finalize_aggregate(outputs)
 
 
 class TestExtremaSteps:

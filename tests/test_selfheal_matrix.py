@@ -140,6 +140,60 @@ class TestSelfHealMatrix:
                 injector.resume_all()
             _reap(processes)
 
+    def test_hung_seat_is_not_revived_by_later_calls(self, expected):
+        """A timed-out seat stays out until its breaker probe is due.
+
+        A SIGSTOPped single host fails one query after ``rpc_timeout``;
+        the next query and ``close()`` must not replay the journal into
+        the still-stopped host and wait out the deadline again.
+        """
+        pools, processes = launch_forked_pools([1, 1, 1])
+        victim = processes[0]
+        stopped = False
+        try:
+            with build(pools_spec(pools), rpc_timeout=1.0) as system:
+                psi = expected["batch"]["psi"]
+                assert system.psi("k", querier=0).membership.tolist() == psi
+                channel = system._channels[0]
+
+                def stop_and_time_out():
+                    nonlocal stopped
+                    os.kill(victim.pid, signal.SIGSTOP)
+                    stopped = True
+                    with pytest.raises(QueryError, match="server pool"):
+                        system.psi("k", querier=0)
+
+                stop_and_time_out()
+                started = time.monotonic()
+                with pytest.raises(QueryError, match="server pool"):
+                    system.psi("k", querier=0)
+                assert time.monotonic() - started < 0.3
+                assert channel.health()["status"] == "down"
+
+                # Resumed, the host is healed by the breaker's probe.
+                os.kill(victim.pid, signal.SIGCONT)
+                stopped = False
+                deadline = time.monotonic() + 20
+                while (channel.health()["status"] != "ok"
+                       and time.monotonic() < deadline):
+                    time.sleep(0.1)
+                    try:
+                        system.psi("k", querier=0)
+                    except QueryError:
+                        pass
+                assert channel.health()["status"] == "ok"
+                assert channel.health()["rejoins"] >= 1
+                assert system.psi("k", querier=0).membership.tolist() == psi
+
+                stop_and_time_out()
+                started = time.monotonic()
+                system.close()
+                assert time.monotonic() - started < 0.3
+        finally:
+            if stopped:
+                os.kill(victim.pid, signal.SIGCONT)
+            _reap(processes)
+
     def test_injected_disconnect_fails_over(self, expected, eager_spans):
         """A pure transport fault (no process touched) fails over too."""
         pools, processes = launch_forked_pools([2, 1, 1])

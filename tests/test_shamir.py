@@ -124,6 +124,23 @@ class TestValidation:
         with pytest.raises(ShareError):
             scheme.reconstruct_vector(shares, points=[1, 2])
 
+    @pytest.mark.parametrize("prime", [2**40 + 15, 2**61 - 1])
+    def test_prime_above_32_bits_rejected(self, prime):
+        # Shares are uint32 vectors whose products must fit uint64.
+        with pytest.raises(ShareError, match="below 2\\*\\*32"):
+            ShamirSharing(prime=prime)
+
+    def test_largest_32_bit_prime_roundtrips(self):
+        p = 4_294_967_291
+        scheme = ShamirSharing(prime=p, rng=np.random.default_rng(5))
+        secrets = np.asarray([0, 1, 12345, p - 1], dtype=np.int64)
+        shares = scheme.share_vector(secrets)
+        assert all(s.dtype == np.uint32 for s in shares)
+        assert np.array_equal(scheme.reconstruct_vector(shares), secrets)
+        product = [scheme.mul_shares(s, s) for s in shares]
+        assert np.array_equal(scheme.reconstruct_vector(product, degree=2),
+                              secrets.astype(object) ** 2 % p)
+
     def test_prime_must_exceed_points(self):
         with pytest.raises(ShareError):
             ShamirSharing(prime=3, num_shares=3, degree=1)
