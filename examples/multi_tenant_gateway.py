@@ -101,9 +101,11 @@ def main() -> None:
             print(f"sessions served: {stats['gateway']['sessions_total']}")
             print(f"shared-dataset queries by tenant: "
                   f"{shared['queries_by_tenant']}")
-            print(f"coalescing: {scheduler['submitted']} submissions in "
-                  f"{scheduler['ticks']} ticks "
-                  f"(largest fused tick: {scheduler['max_coalesced']})")
+            # Tick counts depend on thread timing; print run-invariant
+            # facts only, so the example's output diffs cleanly.
+            print(f"coalescing: {scheduler['submitted']} submissions, "
+                  f"fused into fewer ticks: "
+                  f"{scheduler['ticks'] < scheduler['submitted']}")
             assert scheduler["max_coalesced"] >= 2
     finally:
         gateway.shutdown()

@@ -14,7 +14,13 @@
  *   - the PSU mask stream is the same SHA-256 counter-mode stream as
  *     `SeededPRG`: block c = SHA256(key32 || LE64(c)), 8 little-endian
  *     bytes per draw, `(raw % span) + low`.  Draw offsets are absolute,
- *     so shards seek the stream exactly like `integers_at`.
+ *     so shards seek the stream exactly like `integers_at`.  One
+ *     generator, prg_blocks, writes the stream for both the PRG fill
+ *     and the PSU sweep, in chunks of up to 64 blocks; with SHA-NI it
+ *     hashes four counters at a time so their round chains overlap;
+ *   - the PSU span and its share sum reduce without a division: a
+ *     Barrett quotient estimate is the quotient or one less, so one
+ *     conditional subtract gives the exact remainder (mod_barrett).
  *
  * Two owner-side spans mirror the numpy references of
  * repro/crypto/shamir.py and repro/entities/owner.py the same way: the
@@ -87,124 +93,19 @@ static void sha256_compress(uint32_t state[8], const uint8_t block[64]) {
     state[4] += e; state[5] += f; state[6] += g; state[7] += h;
 }
 
-#ifdef REPRO_SHA_NI_COMPILED
-/* Hardware SHA-256 compression via the SHA-NI extension.  Same
- * interface as the scalar compressor; selected at runtime by CPUID. */
-__attribute__((target("sha,ssse3,sse4.1")))
-static void sha256_compress_ni(uint32_t state[8], const uint8_t block[64]) {
-    const __m128i MASK = _mm_set_epi64x(
-        0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-    __m128i STATE0, STATE1, TMP, MSG;
-    __m128i MSG0, MSG1, MSG2, MSG3;
-
-    /* Load state (a,b,c,d / e,f,g,h) and permute into the layout the
-     * sha256rnds2 instruction expects. */
-    TMP = _mm_loadu_si128((const __m128i *)&state[0]);
-    STATE1 = _mm_loadu_si128((const __m128i *)&state[4]);
-    TMP = _mm_shuffle_epi32(TMP, 0xB1);        /* CDAB */
-    STATE1 = _mm_shuffle_epi32(STATE1, 0x1B);  /* EFGH */
-    STATE0 = _mm_alignr_epi8(TMP, STATE1, 8);  /* ABEF */
-    STATE1 = _mm_blend_epi16(STATE1, TMP, 0xF0); /* CDGH */
-
-    const __m128i ABEF_SAVE = STATE0;
-    const __m128i CDGH_SAVE = STATE1;
-
-    /* Rounds 0-3 */
-    MSG0 = _mm_loadu_si128((const __m128i *)(block + 0));
-    MSG0 = _mm_shuffle_epi8(MSG0, MASK);
-    MSG = _mm_add_epi32(MSG0, _mm_set_epi64x(
-        0xE9B5DBA5B5C0FBCFULL, 0x71374491428A2F98ULL));
-    STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-    MSG = _mm_shuffle_epi32(MSG, 0x0E);
-    STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-
-    /* Rounds 4-7 */
-    MSG1 = _mm_loadu_si128((const __m128i *)(block + 16));
-    MSG1 = _mm_shuffle_epi8(MSG1, MASK);
-    MSG = _mm_add_epi32(MSG1, _mm_set_epi64x(
-        0xAB1C5ED5923F82A4ULL, 0x59F111F13956C25BULL));
-    STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-    MSG = _mm_shuffle_epi32(MSG, 0x0E);
-    STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-    MSG0 = _mm_sha256msg1_epu32(MSG0, MSG1);
-
-    /* Rounds 8-11 */
-    MSG2 = _mm_loadu_si128((const __m128i *)(block + 32));
-    MSG2 = _mm_shuffle_epi8(MSG2, MASK);
-    MSG = _mm_add_epi32(MSG2, _mm_set_epi64x(
-        0x550C7DC3243185BEULL, 0x12835B01D807AA98ULL));
-    STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-    MSG = _mm_shuffle_epi32(MSG, 0x0E);
-    STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-    MSG1 = _mm_sha256msg1_epu32(MSG1, MSG2);
-
-    MSG3 = _mm_loadu_si128((const __m128i *)(block + 48));
-    MSG3 = _mm_shuffle_epi8(MSG3, MASK);
-
-/* One 4-round group with message-schedule updates: CUR feeds the
- * round keys, NXT picks up CUR's tail via alignr + msg2, PRV absorbs
- * CUR through msg1 for a later group. */
-#define QROUND(CUR, NXT, PRV, KHI, KLO)                                  \
-    do {                                                                 \
-        MSG = _mm_add_epi32(CUR, _mm_set_epi64x(KHI, KLO));              \
-        STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);             \
-        TMP = _mm_alignr_epi8(CUR, PRV, 4);                              \
-        NXT = _mm_add_epi32(NXT, TMP);                                   \
-        NXT = _mm_sha256msg2_epu32(NXT, CUR);                            \
-        MSG = _mm_shuffle_epi32(MSG, 0x0E);                              \
-        STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);             \
-        PRV = _mm_sha256msg1_epu32(PRV, CUR);                            \
-    } while (0)
-
-    QROUND(MSG3, MSG0, MSG2, 0xC19BF1749BDC06A7ULL, 0x80DEB1FE72BE5D74ULL);
-    QROUND(MSG0, MSG1, MSG3, 0x240CA1CC0FC19DC6ULL, 0xEFBE4786E49B69C1ULL);
-    QROUND(MSG1, MSG2, MSG0, 0x76F988DA5CB0A9DCULL, 0x4A7484AA2DE92C6FULL);
-    QROUND(MSG2, MSG3, MSG1, 0xBF597FC7B00327C8ULL, 0xA831C66D983E5152ULL);
-    QROUND(MSG3, MSG0, MSG2, 0x1429296706CA6351ULL, 0xD5A79147C6E00BF3ULL);
-    QROUND(MSG0, MSG1, MSG3, 0x53380D134D2C6DFCULL, 0x2E1B213827B70A85ULL);
-    QROUND(MSG1, MSG2, MSG0, 0x92722C8581C2C92EULL, 0x766A0ABB650A7354ULL);
-    QROUND(MSG2, MSG3, MSG1, 0xC76C51A3C24B8B70ULL, 0xA81A664BA2BFE8A1ULL);
-    QROUND(MSG3, MSG0, MSG2, 0x106AA070F40E3585ULL, 0xD6990624D192E819ULL);
-    QROUND(MSG0, MSG1, MSG3, 0x34B0BCB52748774CULL, 0x1E376C0819A4C116ULL);
-    QROUND(MSG1, MSG2, MSG0, 0x682E6FF35B9CCA4FULL, 0x4ED8AA4A391C0CB3ULL);
-    QROUND(MSG2, MSG3, MSG1, 0x8CC7020884C87814ULL, 0x78A5636F748F82EEULL);
-
-#undef QROUND
-
-    /* Rounds 60-63 */
-    MSG = _mm_add_epi32(MSG3, _mm_set_epi64x(
-        0xC67178F2BEF9A3F7ULL, 0xA4506CEB90BEFFFAULL));
-    STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-    MSG = _mm_shuffle_epi32(MSG, 0x0E);
-    STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-
-    STATE0 = _mm_add_epi32(STATE0, ABEF_SAVE);
-    STATE1 = _mm_add_epi32(STATE1, CDGH_SAVE);
-
-    /* Permute back to a,b,c,d / e,f,g,h and store. */
-    TMP = _mm_shuffle_epi32(STATE0, 0x1B);       /* FEBA */
-    STATE1 = _mm_shuffle_epi32(STATE1, 0xB1);    /* DCHG */
-    STATE0 = _mm_blend_epi16(TMP, STATE1, 0xF0); /* DCBA */
-    STATE1 = _mm_alignr_epi8(STATE1, TMP, 8);    /* HGFE */
-    _mm_storeu_si128((__m128i *)&state[0], STATE0);
-    _mm_storeu_si128((__m128i *)&state[4], STATE1);
-}
-#endif /* REPRO_SHA_NI_COMPILED */
-
-typedef void (*sha_compress_fn)(uint32_t state[8], const uint8_t block[64]);
-
-/* Resolve the best available compressor once, lazily. */
-static sha_compress_fn resolve_sha(void) {
+/* Whether the host has the SHA extensions (SHA-NI, CPUID leaf 7). */
+static int cpu_has_sha_ni(void) {
 #ifdef REPRO_SHA_NI_COMPILED
     unsigned int eax, ebx, ecx, edx;
     if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)
         && (ebx & (1u << 29)))
-        return sha256_compress_ni;
+        return 1;
 #endif
-    return sha256_compress;
+    return 0;
 }
 
-static sha_compress_fn sha_compress_best = 0;
+/* 1 when the stream is hashed with SHA-NI; -1 until first asked. */
+static int prg_ni = -1;
 
 /* Stream block c = SHA256(key[32] || LE64(c)).  The 40-byte message
  * pads into a single 64-byte chunk (0x80, zeros, 320-bit BE length),
@@ -217,26 +118,169 @@ static void prg_block_init(const uint8_t *key, uint8_t block[64]) {
     memset(block + 41, 0, 21);
     block[62] = 0x01;  /* message length: 320 bits, big-endian */
     block[63] = 0x40;
-    if (!sha_compress_best)
-        sha_compress_best = resolve_sha();
+    if (prg_ni < 0)
+        prg_ni = cpu_has_sha_ni();
 }
+
+static const uint32_t SHA_IV[8] = {
+    0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+    0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
+};
 
 static void prg_block_ctr(uint8_t block[64], uint64_t counter,
                           uint8_t out[32]) {
-    uint32_t state[8] = {
-        0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-        0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
-    };
+    uint32_t state[8];
     int i;
+    memcpy(state, SHA_IV, sizeof(state));
     for (i = 0; i < 8; i++)
         block[32 + i] = (uint8_t)(counter >> (8 * i));
-    sha_compress_best(state, block);
+    sha256_compress(state, block);
     for (i = 0; i < 8; i++) {
         out[4 * i] = (uint8_t)(state[i] >> 24);
         out[4 * i + 1] = (uint8_t)(state[i] >> 16);
         out[4 * i + 2] = (uint8_t)(state[i] >> 8);
         out[4 * i + 3] = (uint8_t)state[i];
     }
+}
+
+#ifdef REPRO_SHA_NI_COMPILED
+/* Four independent stream blocks through one SHA-NI round sequence.
+ * Each lane's sha256rnds2 waits on its own previous pair, so issuing
+ * the four lanes' rounds side by side overlaps those latency chains.
+ * Round group g (rounds 4g..4g+3) feeds message words CUR, plus the
+ * round constants, to two sha256rnds2; groups 3-14 finish the next
+ * words NXT (alignr + msg2) and groups 1-14 start PRV's (msg1).  The
+ * state lives in the ABEF / CDGH layout sha256rnds2 expects. */
+#define NI_LANES 4
+
+static inline __attribute__((always_inline, target("sha,ssse3,sse4.1")))
+void ni_lanes_group(__m128i S0[NI_LANES], __m128i S1[NI_LANES],
+                    const __m128i CUR[NI_LANES], __m128i NXT[NI_LANES],
+                    __m128i PRV[NI_LANES], int g) {
+    const __m128i K = _mm_loadu_si128((const __m128i *)&SHA_K[4 * g]);
+    __m128i MSG[NI_LANES];
+    int l;
+    for (l = 0; l < NI_LANES; l++) {
+        MSG[l] = _mm_add_epi32(CUR[l], K);
+        S1[l] = _mm_sha256rnds2_epu32(S1[l], S0[l], MSG[l]);
+    }
+    if (g >= 3 && g <= 14)
+        for (l = 0; l < NI_LANES; l++)
+            NXT[l] = _mm_sha256msg2_epu32(
+                _mm_add_epi32(NXT[l], _mm_alignr_epi8(CUR[l], PRV[l], 4)),
+                CUR[l]);
+    for (l = 0; l < NI_LANES; l++)
+        S0[l] = _mm_sha256rnds2_epu32(S0[l], S1[l],
+                                      _mm_shuffle_epi32(MSG[l], 0x0E));
+    if (g >= 1 && g <= 14)
+        for (l = 0; l < NI_LANES; l++)
+            PRV[l] = _mm_sha256msg1_epu32(PRV[l], CUR[l]);
+}
+
+/* Blocks first .. first + n - 1 of the stream `msg` (prepared by
+ * prg_block_init), NI_LANES at a time; a last group of fewer than
+ * NI_LANES blocks hashes spare lanes and stores only the blocks asked
+ * for. */
+__attribute__((target("sha,ssse3,sse4.1")))
+static void prg_blocks_ni(const uint8_t msg[64], uint64_t first,
+                          uint64_t n, uint8_t *out) {
+    const __m128i MASK = _mm_set_epi64x(  /* byte-swap each word */
+        0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    const __m128i M0 = _mm_shuffle_epi8(
+        _mm_loadu_si128((const __m128i *)(msg + 0)), MASK);
+    const __m128i M1 = _mm_shuffle_epi8(
+        _mm_loadu_si128((const __m128i *)(msg + 16)), MASK);
+    const __m128i M3 = _mm_shuffle_epi8(
+        _mm_loadu_si128((const __m128i *)(msg + 48)), MASK);
+    const __m128i TAIL = _mm_loadu_si128((const __m128i *)(msg + 32));
+    /* The IV in the ABEF / CDGH layout sha256rnds2 expects. */
+    __m128i TMP = _mm_shuffle_epi32(
+        _mm_loadu_si128((const __m128i *)&SHA_IV[0]), 0xB1);
+    __m128i CDGH = _mm_shuffle_epi32(
+        _mm_loadu_si128((const __m128i *)&SHA_IV[4]), 0x1B);
+    const __m128i ABEF = _mm_alignr_epi8(TMP, CDGH, 8);
+    CDGH = _mm_blend_epi16(CDGH, TMP, 0xF0);
+    uint64_t j;
+    int l;
+    for (j = 0; j < n; j += NI_LANES) {
+        __m128i S0[NI_LANES], S1[NI_LANES];
+        __m128i W0[NI_LANES], W1[NI_LANES], W2[NI_LANES], W3[NI_LANES];
+        for (l = 0; l < NI_LANES; l++) {
+            S0[l] = ABEF;
+            S1[l] = CDGH;
+            W0[l] = M0;
+            W1[l] = M1;
+            /* Words 8-9 are the little-endian counter, 10-11 padding. */
+            W2[l] = _mm_shuffle_epi8(
+                _mm_insert_epi64(TAIL, (long long)(first + j + l), 0), MASK);
+            W3[l] = M3;
+        }
+        ni_lanes_group(S0, S1, W0, W1, W3, 0);
+        ni_lanes_group(S0, S1, W1, W2, W0, 1);
+        ni_lanes_group(S0, S1, W2, W3, W1, 2);
+        ni_lanes_group(S0, S1, W3, W0, W2, 3);
+        ni_lanes_group(S0, S1, W0, W1, W3, 4);
+        ni_lanes_group(S0, S1, W1, W2, W0, 5);
+        ni_lanes_group(S0, S1, W2, W3, W1, 6);
+        ni_lanes_group(S0, S1, W3, W0, W2, 7);
+        ni_lanes_group(S0, S1, W0, W1, W3, 8);
+        ni_lanes_group(S0, S1, W1, W2, W0, 9);
+        ni_lanes_group(S0, S1, W2, W3, W1, 10);
+        ni_lanes_group(S0, S1, W3, W0, W2, 11);
+        ni_lanes_group(S0, S1, W0, W1, W3, 12);
+        ni_lanes_group(S0, S1, W1, W2, W0, 13);
+        ni_lanes_group(S0, S1, W2, W3, W1, 14);
+        ni_lanes_group(S0, S1, W3, W0, W2, 15);
+        for (l = 0; l < NI_LANES && j + (uint64_t)l < n; l++) {
+            /* Add the IV, permute back to a..d / e..h, store big-endian. */
+            __m128i A = _mm_add_epi32(S0[l], ABEF);
+            __m128i B = _mm_add_epi32(S1[l], CDGH);
+            uint8_t *dst = out + 32 * (j + (uint64_t)l);
+            A = _mm_shuffle_epi32(A, 0x1B);
+            B = _mm_shuffle_epi32(B, 0xB1);
+            _mm_storeu_si128((__m128i *)dst,
+                             _mm_shuffle_epi8(_mm_blend_epi16(A, B, 0xF0),
+                                              MASK));
+            _mm_storeu_si128((__m128i *)(dst + 16),
+                             _mm_shuffle_epi8(_mm_alignr_epi8(B, A, 8),
+                                              MASK));
+        }
+    }
+}
+#endif /* REPRO_SHA_NI_COMPILED */
+
+/* Stream blocks first .. first + n - 1 into out (32 bytes each): the
+ * one generator behind the PRG fill and the PSU mask sweep. */
+static void prg_blocks(uint8_t msg[64], uint64_t first, uint64_t n,
+                       uint8_t *out) {
+    uint64_t j;
+#ifdef REPRO_SHA_NI_COMPILED
+    if (prg_ni) {
+        prg_blocks_ni(msg, first, n, out);
+        return;
+    }
+#endif
+    for (j = 0; j < n; j++)
+        prg_block_ctr(msg, first + j, out + 32 * j);
+}
+
+/* Blocks per prg_blocks call in the fill and sweep loops: 2 KB of
+ * stream on the stack. */
+#define PRG_CHUNK 64
+
+/* x mod d without a division (Barrett).  With c = floor((2^64-1)/d),
+ * q = floor(x*c / 2^64) satisfies x/d - 1 < q <= x/d, since
+ * x*c >= x*(2^64 - d)/d = x*2^64/d - x and x < 2^64.  So q is the
+ * quotient or one less, and x - q*d < 2d needs one conditional
+ * subtract.  Exact for every x < 2^64 and d >= 1. */
+static inline uint64_t mod_barrett(uint64_t x, uint64_t d, uint64_t c) {
+#ifdef __SIZEOF_INT128__
+    uint64_t r = x - (uint64_t)(((unsigned __int128)x * c) >> 64) * d;
+    return r >= d ? r - d : r;
+#else
+    (void)c;
+    return x % d;
+#endif
 }
 
 /* Exact reduction of a product of two field elements (each below
@@ -395,6 +439,7 @@ static void sum_mod_##SUFFIX(const void **shares_v, int64_t nshares,       \
                              void *out_v) {                                \
     const S **shares = (const S **)shares_v;                               \
     S *out = (S *)out_v;                                                   \
+    const uint64_t m = (uint64_t)modulus, cm = UINT64_MAX / m;             \
     W acc[PSI_BLOCK];                                                      \
     int64_t base, k, j;                                                    \
     for (base = lo; base < hi; base += PSI_BLOCK) {                        \
@@ -406,7 +451,7 @@ static void sum_mod_##SUFFIX(const void **shares_v, int64_t nshares,       \
                 acc[k] += sp[k];                                           \
         }                                                                  \
         for (k = 0; k < n; k++)                                            \
-            out[base + k] = (S)(acc[k] % (W)modulus);                      \
+            out[base + k] = (S)mod_barrett(acc[k], m, cm);                 \
     }                                                                      \
 }                                                                          \
 static void psu_##SUFFIX(const void *summed_v, int64_t lo, int64_t hi,     \
@@ -414,24 +459,25 @@ static void psu_##SUFFIX(const void *summed_v, int64_t lo, int64_t hi,     \
                          int64_t delta, void *out_v) {                     \
     const S *summed = (const S *)summed_v;                                 \
     S *out = (S *)out_v;                                                   \
-    const uint64_t span = (uint64_t)(delta - 1);                           \
+    const uint64_t d = (uint64_t)delta, span = d - 1;                      \
+    const uint64_t cd = UINT64_MAX / d, cs = UINT64_MAX / span;            \
+    uint64_t raw[4 * PRG_CHUNK];  /* four u64 draws per 32-byte block */   \
     uint8_t msg[64];                                                       \
-    uint8_t block[32];                                                     \
-    uint64_t have_block = 0;                                               \
-    uint64_t blk = 0;                                                      \
-    int64_t i;                                                             \
+    int64_t i = lo, k;                                                     \
     prg_block_init(key, msg);                                              \
-    for (i = lo; i < hi; i++) {                                            \
-        uint64_t dr = draw_base + (uint64_t)i;                             \
-        uint64_t b = dr >> 2;  /* four u64 draws per 32-byte block */      \
-        uint64_t raw;                                                      \
-        if (!have_block || b != blk) {                                     \
-            prg_block_ctr(msg, b, block);                                  \
-            blk = b;                                                       \
-            have_block = 1;                                                \
+    while (i < hi) {                                                       \
+        uint64_t first = draw_base + (uint64_t)i;                          \
+        int64_t skip = (int64_t)(first & 3);                               \
+        int64_t n = hi - i < 4 * PRG_CHUNK - skip                          \
+            ? hi - i : 4 * PRG_CHUNK - skip;                               \
+        prg_blocks(msg, first >> 2, (uint64_t)(skip + n + 3) >> 2,         \
+                   (uint8_t *)raw);                                        \
+        for (k = 0; k < n; k++) {                                          \
+            uint64_t mask = mod_barrett(raw[skip + k], span, cs) + 1;      \
+            out[i + k] = (S)mod_barrett((uint64_t)summed[i + k] * mask,    \
+                                        d, cd);                            \
         }                                                                  \
-        memcpy(&raw, block + 8 * (dr & 3), 8);                             \
-        out[i] = (S)((W)summed[i] * (W)(raw % span + 1) % (W)delta);       \
+        i += n;                                                            \
     }                                                                      \
 }
 
@@ -541,22 +587,22 @@ static void combine_generic(const void **vectors, const int64_t *sizes,
 void repro_prg_fill(const uint8_t *key, uint64_t start, uint64_t nbytes,
                     uint8_t *out) {
     uint8_t msg[64];
-    uint8_t block[32];
+    uint8_t chunk[32 * PRG_CHUNK];
     uint64_t counter = start / 32;
     uint64_t skip = start % 32;
     uint64_t produced = 0;
     prg_block_init(key, msg);
     while (produced < nbytes) {
-        uint64_t take = 32 - skip;
+        uint64_t blocks = (skip + (nbytes - produced) + 31) / 32;
+        uint64_t take;
+        if (blocks > PRG_CHUNK)
+            blocks = PRG_CHUNK;
+        take = 32 * blocks - skip;
         if (take > nbytes - produced)
             take = nbytes - produced;
-        if (skip == 0 && take == 32) {
-            /* Block-aligned: write straight into the caller's buffer. */
-            prg_block_ctr(msg, counter++, out + produced);
-        } else {
-            prg_block_ctr(msg, counter++, block);
-            memcpy(out + produced, block + skip, take);
-        }
+        prg_blocks(msg, counter, blocks, chunk);
+        memcpy(out + produced, chunk + skip, take);
+        counter += blocks;
         produced += take;
         skip = 0;
     }
@@ -667,34 +713,21 @@ void repro_combine_span(const void **vectors, const int64_t *sizes,
 
 /* Eq. 4 / Eq. 8-10 owner product span: out[i] = a[i] * b[i] mod m over
  * i in [lo, hi).  a, b and out are `size`-byte unsigned values (2 or
- * 4); the product is formed at twice that width, so it never wraps.
- * A uint16 product is a 32-bit dividend, reduced without a division by
- * Lemire's fastmod where the compiler has 128-bit integers (exact for
- * every 32-bit dividend and divisor: c = floor((2^64 - 1) / m) + 1,
- * x mod m = ((c * x mod 2^64) * m) >> 64). */
+ * 4); the product is formed in uint64, so it never wraps, and reduced
+ * without a division (mod_barrett). */
 void repro_mul_mod_span(const void *a, const void *b, int64_t size,
                         int64_t lo, int64_t hi, int64_t modulus, void *out) {
+    const uint64_t m = (uint64_t)modulus, c = UINT64_MAX / m;
     int64_t i;
     if (size == 2) {
         const uint16_t *x = (const uint16_t *)a, *y = (const uint16_t *)b;
         uint16_t *o = (uint16_t *)out;
-#ifdef __SIZEOF_INT128__
-        const uint64_t m = (uint64_t)modulus;
-        const uint64_t c = UINT64_MAX / m + 1;
-        for (i = lo; i < hi; i++) {
-            uint64_t low = c * ((uint32_t)x[i] * y[i]);
-            o[i] = (uint16_t)(((unsigned __int128)low * m) >> 64);
-        }
-#else
-        const uint32_t m = (uint32_t)modulus;
         for (i = lo; i < hi; i++)
-            o[i] = (uint16_t)((uint32_t)x[i] * y[i] % m);
-#endif
+            o[i] = (uint16_t)mod_barrett((uint32_t)x[i] * y[i], m, c);
     } else {
         const uint32_t *x = (const uint32_t *)a, *y = (const uint32_t *)b;
         uint32_t *o = (uint32_t *)out;
-        const uint64_t m = (uint64_t)modulus;
         for (i = lo; i < hi; i++)
-            o[i] = (uint32_t)((uint64_t)x[i] * y[i] % m);
+            o[i] = (uint32_t)mod_barrett((uint64_t)x[i] * y[i], m, c);
     }
 }

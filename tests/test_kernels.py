@@ -673,6 +673,58 @@ class TestPrgStream:
         np.testing.assert_array_equal(draws["off"], draws["c"])
 
 
+# -- stream seams of the compiled generator ------------------------------------
+#
+# The C stream is generated four blocks at a time (one SHA-NI lane
+# group) in chunks of 64 blocks (256 draws), so windows that start or
+# end inside a lane group or a chunk are where a seam would show.
+
+#: Draws per compiled generator chunk: 64 blocks of four u64 draws.
+CHUNK_DRAWS = 4 * 64
+SEAM_STARTS = [0, 1, 31, 32 * 3 + 5]
+SEAM_LENGTHS = [1, 32 * 4 - 1, 32 * 64 + 7, 32 * 200]
+#: uint8, uint16 and uint32 residues; δ = 2 draws masks mod 1, and
+#: 4294967291 puts both Barrett divisors just below 2^32.
+SEAM_DELTAS = [2, 3, 101, 257, 7891, 65_537, 4_294_967_291]
+SEAM_DRAW_BASES = [0, 1, 2, 3, 517]
+
+
+class TestStreamSeams:
+    @pytest.mark.parametrize("start", SEAM_STARTS)
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    def test_prg_fill_window(self, compiled, start, n):
+        key = hashlib.sha256(b"kernel-prg-seams").digest()
+        assert kernels.prg_fill(key, start, n) == \
+            _stream_reference(key, start, n)
+
+    @pytest.mark.parametrize("draw_base", SEAM_DRAW_BASES)
+    @pytest.mark.parametrize("delta", SEAM_DELTAS)
+    def test_psu_span_crosses_chunks(self, compiled, delta, draw_base):
+        """One span call of 2 chunks + 3 draws, and the same cells in
+        uneven chunks, against Eq. 18 over the hashlib stream."""
+        rng = np.random.default_rng(delta % 1000 + draw_base)
+        n = 2 * CHUNK_DRAWS + 3
+        shares = _share_lists(rng, rows=1, owners=3, n=n, modulus=delta)
+        shares[0][0][:2] = delta - 1  # the largest residue, twice
+        key = SeededPRG(delta, f"psu-seam-{draw_base}").key_bytes
+        raw = np.frombuffer(_stream_reference(key, 8 * draw_base, 8 * n),
+                            dtype="<u8")
+        masks = [int(r) % (delta - 1) + 1 for r in raw]
+        summed = [sum(int(s[i]) for s in shares[0]) % delta
+                  for i in range(n)]
+        expected = [x * r % delta for x, r in zip(summed, masks)]
+        for drive in (lambda kernel: kernel(0, n),
+                      lambda kernel: _chunked(kernel, n, (0.2, 0.45, 0.9))):
+            acc = np.zeros((1, n), dtype=share_dtype(delta))
+            out = np.zeros((1, n), dtype=share_dtype(delta))
+            kernel = kernels.psu_sweep(shares, acc, [0], [key], delta, out,
+                                       draw_base=draw_base)
+            assert kernel is not None
+            drive(kernel)
+            np.testing.assert_array_equal(acc[0], summed)
+            assert out[0].tolist() == expected
+
+
 # -- system-level equivalence -----------------------------------------------------
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the deterministic PRG and seed derivation."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +35,32 @@ class TestDeterminism:
         m1 = SeededPRG(99, "psu-7").integers(1000, 1, 113)
         m2 = SeededPRG(99, "psu-7").integers(1000, 1, 113)
         assert np.array_equal(m1, m2)
+
+
+class TestSequentialStream:
+    """Consecutive draws read one stream, whatever the read sizes: the
+    compiled generator fills 64-block (2 KB) chunks four blocks at a
+    time, so these reads start and end inside lane groups and chunks."""
+
+    READS = [1, 31, 2048 - 32, 7, 2048 * 3 + 5, 96, 1]
+
+    @staticmethod
+    def _hashlib_stream(key, n):
+        return b"".join(hashlib.sha256(key + struct.pack("<Q", c)).digest()
+                        for c in range(-(-n // 32)))[:n]
+
+    def test_bytes_across_chunks(self):
+        prg = SeededPRG(77, "chunks")
+        drawn = b"".join(prg.bytes(n) for n in self.READS)
+        assert drawn == self._hashlib_stream(prg.key_bytes, sum(self.READS))
+
+    def test_integers_across_chunks(self):
+        prg = SeededPRG(78, "chunks")
+        counts = [1, 3, 255, 2, 257, 1000]
+        drawn = np.concatenate([prg.integers(n, 1, 101) for n in counts])
+        raw = np.frombuffer(
+            self._hashlib_stream(prg.key_bytes, 8 * sum(counts)), dtype="<u8")
+        assert drawn.tolist() == (raw % np.uint64(100) + 1).tolist()
 
 
 class TestIntegers:

@@ -15,6 +15,7 @@ from repro.bench.experiments import (
     exp6_comparison,
 )
 from repro.bench.harness import build_system
+from repro.entities.server import PrismServer
 from repro.bench.shapes import (
     is_linear_increasing,
     is_monotone_decreasing,
@@ -77,6 +78,34 @@ class TestFig4Shape:
         points = [(m, min(run[i][1] for run in runs))
                   for i, m in enumerate(owner_counts)]
         assert is_linear_increasing(points, min_r=0.85)
+
+    def test_psi_sum_rows_sum_one_share_vector_per_owner(self, monkeypatch):
+        # The counter form of the fit above: at m owners every Eq. 11
+        # row sums exactly m Shamir share vectors on every server.
+        summed = []
+        sweep = PrismServer.aggregate_round_batch
+
+        def counting(server, columns, z_matrix, owner_ids=None, *args,
+                     **kwargs):
+            summed.extend((id(server), len(server.fetch_shamir(c, owner_ids)))
+                          for c in columns)
+            return sweep(server, columns, z_matrix, owner_ids, *args,
+                         **kwargs)
+
+        monkeypatch.setattr(PrismServer, "aggregate_round_batch", counting)
+        owner_counts = (4, 8, 12, 16)
+        totals = []
+        for m in owner_counts:
+            system = build_system(num_owners=m, domain_size=2048)
+            summed.clear()
+            system.psi_sum("OK", "DT")
+            system.close()
+            servers = {server for server, _ in summed}
+            assert len(servers) == 3  # every Shamir server, one row each
+            assert [count for _, count in summed] == [m] * len(servers)
+            totals.append(sum(count for _, count in summed))
+        assert totals == [m * totals[0] // owner_counts[0]
+                          for m in owner_counts]
 
 
 @pytest.mark.usefixtures("reference_tier")
