@@ -1,6 +1,7 @@
 """Unit tests for the initiator and the knowledge-separated views (§4)."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -123,3 +124,29 @@ class TestKnowledgeSeparation:
     def test_pf_owners_sized_to_owner_count(self, initiator):
         assert initiator.owner_params().pf_owners.size == 3
         assert initiator.server_params(0).pf_owners.size == 3
+
+
+#: SHA-256 of each dealt permutation's little-endian int64 mapping for
+#: ``Initiator(5, Domain.integer_range("OK", 262144), seed=7)``.  The
+#: compiled and numpy Fisher–Yates must both reproduce these exactly.
+_PERMUTATION_DIGESTS = {
+    "pf": "1165dbbf5cb396594d01a8d92f1d28514c336c196b2a0afbf9897bbd7b08b3e2",
+    "pf_i": "9f9888e683a507a4b7d3638398e01f5894aa91349743f3d05466dc3996d3a967",
+    "pf_db1": "3419df5006703e693ebb0fbed3308924025322766889334b7a3d4007b0750a41",
+    "pf_db2": "60a6c2322628d1e348e24198c61939814662f75fe2175ce81319de242e32936e",
+    "pf_s1": "05ee895545dcdb9795dc555ec25fa46b157c80be18cf56260d2767580ecde914",
+    "pf_s2": "5500cb3dab0f929654d6a3af6aaf9726639006c6af390ae2ecfc864859871d45",
+}
+
+
+class TestPermutationDigests:
+    @pytest.fixture(scope="class")
+    def dealt(self):
+        init = Initiator(5, Domain.integer_range("OK", 262144), seed=7)
+        return {"pf": init.pf, **init._quadruple}
+
+    @pytest.mark.parametrize("name", sorted(_PERMUTATION_DIGESTS))
+    def test_mapping_matches_pinned_digest(self, dealt, name):
+        mapping = dealt[name].mapping.astype("<i8")
+        assert (hashlib.sha256(mapping.tobytes()).hexdigest()
+                == _PERMUTATION_DIGESTS[name])
