@@ -3,10 +3,13 @@
 Not a paper artefact — this benchmark supports the default compiled
 backend (:mod:`repro.kernels`).  It times the three fused server
 kernels (PSI / Eq. 3, PSU / Eq. 18, aggregation / Eq. 11), the raw
-counter-mode PRG draw rate and the two owner equations (``combine``:
+counter-mode PRG draw rate, the two owner equations (``combine``:
 an owner deals 3 Shamir shares of a column and interpolates a degree-2
 output, §3.1; ``mulmod``: PSI finalisation's Eq. 4 product of two
-uint16 streams) as *single-shard* sweeps with the tier off (the numpy
+uint16 streams) and the initiator's Fisher–Yates (``shuffle``: the
+swaps behind one dealt §4 permutation of length b, fed pre-drawn
+draws, so the C span is timed against the Python loop alone) as
+*single-shard* sweeps with the tier off (the numpy
 reference) and on (the C backend), and reports rows per second plus
 the compiled-over-numpy speedup.
 
@@ -23,7 +26,7 @@ arithmetic alone.  Output is machine-readable JSON::
      "cpu_flags": {"sha_ni": ..., "avx512dq": ...}, "backend": "c",
      "rows_per_sec": {"numpy": {"psi": ..., ...}, "c": {...}},
      "speedup": {"psi": ..., "psu": ..., "agg": ..., "prg": ...,
-                 "combine": ..., "mulmod": ...}}
+                 "combine": ..., "mulmod": ..., "shuffle": ...}}
 
 Every operand is at the width of its modulus (uint8 χ shares, uint16
 group elements, uint32 field elements), as the server stores them.
@@ -38,7 +41,8 @@ Mersenne-31 reduction.  The PSI sweep sums uint8 shares into a uint16
 accumulator and gathers from a folded table, with no division per
 cell, in both tiers.  ``combine`` includes dealing's int64 coefficient
 draws, which are numpy in both tiers, so it gains less than the
-arithmetic alone.  When the backend cannot build
+arithmetic alone.  ``shuffle`` replaces an interpreted loop of b
+swaps, so it gains the most: two orders of magnitude.  When the backend cannot build
 (``"backend": "numpy"``), both columns measure the reference and every
 speedup is ~1.0.
 """
@@ -55,9 +59,9 @@ import numpy as np
 
 from repro import kernels
 from repro.bench.harness import build_system
-from repro.crypto.prg import SeededPRG
+from repro.crypto.prg import SeededPRG, numpy_shuffle
 
-FAMILIES = ("psi", "psu", "agg", "prg", "combine", "mulmod")
+FAMILIES = ("psi", "psu", "agg", "prg", "combine", "mulmod", "shuffle")
 
 
 def best_of(fn, repeats: int) -> float:
@@ -107,8 +111,15 @@ def measure_families(system, repeats: int) -> dict[str, float]:
     def run_mulmod():
         owner.finalize_psi(*streams)
 
+    draws = SeededPRG(9, "bench-shuffle").integers(b - 1, 0, 2**63 - 1)
+
+    def run_shuffle():
+        indices = np.arange(b, dtype=np.int64)
+        (kernels.shuffle(draws, indices) or numpy_shuffle(draws, indices))()
+
     runs = {"psi": run_psi, "psu": run_psu, "agg": run_agg, "prg": run_prg,
-            "combine": run_combine, "mulmod": run_mulmod}
+            "combine": run_combine, "mulmod": run_mulmod,
+            "shuffle": run_shuffle}
     for warmup in runs.values():  # build the library + fill caches
         warmup()
     return {family: best_of(fn, repeats) for family, fn in runs.items()}

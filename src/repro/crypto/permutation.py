@@ -33,8 +33,12 @@ class Permutation:
         if mapping.ndim != 1:
             raise ParameterError("permutation mapping must be 1-D")
         n = mapping.size
-        if n and (np.min(mapping) != 0 or np.max(mapping) != n - 1
-                  or np.unique(mapping).size != n):
+        # The range check guards the scatter (a negative index would
+        # wrap); in range, n values fill every slot iff none repeats.
+        seen = np.zeros(n, dtype=bool)
+        if n and mapping.min() == 0 and mapping.max() == n - 1:
+            seen[mapping] = True
+        if not seen.all():
             raise ParameterError("mapping is not a permutation of range(n)")
         self._mapping = mapping
         self._mapping.setflags(write=False)

@@ -151,16 +151,30 @@ class SeededPRG:
         """A pseudorandom permutation of ``range(n)`` (Fisher–Yates).
 
         Deterministic given the seed, used to derive the permutation
-        functions ``PF``, ``PF_s*`` and ``PF_db*`` of §4.
+        functions ``PF``, ``PF_s*`` and ``PF_db*`` of §4.  The swaps run
+        in C where the kernel tier engages, else :func:`numpy_shuffle`.
         """
         indices = np.arange(n, dtype=np.int64)
         if n <= 1:
             return indices
         draws = self.integers(n - 1, 0, 2**63 - 1)
+        (kernels.shuffle(draws, indices) or numpy_shuffle(draws, indices))()
+        return indices
+
+
+def numpy_shuffle(draws: np.ndarray, indices: np.ndarray):
+    """Fisher–Yates over ``indices`` in place: for ``i`` from ``n - 1``
+    down to 1, swap ``indices[i]`` with ``indices[draws[n-1-i] % (i+1)]``.
+
+    Python-loop twin of :func:`repro.kernels.shuffle`, returned as a
+    closure like it.
+    """
+    def kernel() -> None:
+        n = indices.size
         for i in range(n - 1, 0, -1):
             j = int(draws[n - 1 - i] % (i + 1))
             indices[i], indices[j] = indices[j], indices[i]
-        return indices
+    return kernel
 
 
 def derive_seed(master_seed: int, label: str) -> int:

@@ -133,7 +133,11 @@ def numpy_psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
             np.remainder(total, delta, out=row)
         rand = np.stack([prg.integers_at(draw_base + lo, hi - lo, 1, delta)
                          for prg in prgs])
-        out[:, lo:hi] = np.mod(local[row_map] * rand, delta)
+        # Both factors are below δ < 2**32, so their uint64 product
+        # cannot wrap.
+        product = np.multiply(local[row_map], rand, dtype=np.uint64,
+                              casting="unsafe")
+        out[:, lo:hi] = np.remainder(product, delta, out=product)
     return kernel
 
 

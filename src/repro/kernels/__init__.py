@@ -2,10 +2,12 @@
 
 The three batched server kernels (Eq. 3/7 PSI, Eq. 18 PSU, Eq. 11
 aggregation), the two owner-side field equations (the §3.1 Shamir
-combine behind dealing and Lagrange, and the Eq. 4 / 8–10 product) and
-the counter-mode PRG stream are numpy/hashlib-bound; this package puts
-the same per-element arithmetic below the interpreter, over the same narrow operands: every share vector is
-held at the width of its modulus (:mod:`repro.crypto.widths`), and
+combine behind dealing and Lagrange, and the Eq. 4 / 8–10 product),
+the initiator's Fisher–Yates shuffle behind every dealt permutation
+(§4) and the counter-mode PRG stream are numpy/hashlib- or
+interpreter-bound; this package puts the same per-element arithmetic
+below the interpreter, over the same narrow operands: every share
+vector is held at the width of its modulus (:mod:`repro.crypto.widths`), and
 sums and products are formed in a type wide enough never to wrap.  It
 is an *equivalence-pinned drop-in*: every compiled span computes
 bit-identically to the numpy reference (same folded Eq. 3 tables, same
@@ -29,7 +31,8 @@ Selection ladder:
    shares, scratch and output (Eq. 18), uint32 field elements (Eq. 11),
    int64 cell indices; uint32 field elements or the int64 coefficient
    draws (§3.1 combine); one uint16/uint32 width for both factors and
-   the output (Eq. 4 / 8–10).  Anything else (sliced matrices,
+   the output (Eq. 4 / 8–10); int64 draws and indices (the
+   shuffle).  Anything else (sliced matrices,
    unaligned wire views, a width no span takes) falls back per sweep.
 
 The sweep *builders* below return a ``kernel(lo, hi)`` chunk closure
@@ -42,7 +45,10 @@ that picks between them.  The owner spans follow the same contract:
 :func:`combine_span` is selected in ``ShamirSharing._combine`` against
 :func:`repro.crypto.shamir.numpy_combine_span`, :func:`mul_mod_span` in
 ``repro.entities.owner._mul_mod`` against
-:func:`repro.entities.owner.numpy_mul_mod_span`.  This package stays an
+:func:`repro.entities.owner.numpy_mul_mod_span`, and :func:`shuffle` in
+``SeededPRG.shuffle_indices`` against
+:func:`repro.crypto.prg.numpy_shuffle` (Fisher–Yates is sequential, so
+its closure takes no span).  This package stays an
 optional plug-in: the protocol layer never needs it to compute a sweep.  Closures only read
 shared state and write disjoint spans, so
 the deployment's thread pool (:class:`repro.core.sharding.ShardRuntime`)
@@ -331,4 +337,26 @@ def mul_mod_span(a: np.ndarray, b: np.ndarray, modulus: int,
     def kernel(lo: int, hi: int) -> None:
         lib.repro_mul_mod_span(a.ctypes.data, b.ctypes.data, out.itemsize,
                                lo, hi, modulus, out.ctypes.data)
+    return kernel
+
+
+# -- initiator span -------------------------------------------------------------
+
+_INDEX = (np.dtype(np.int64),)
+
+
+def shuffle(draws: np.ndarray, out: np.ndarray):
+    """Closure running the §4 Fisher–Yates over ``out`` in place, or
+    ``None``.
+
+    ``out`` is the int64 ``arange(n)`` being permuted and ``draws`` the
+    ``n - 1`` non-negative int64 draws that pick each swap.
+    """
+    lib = _sweep_lib(out, _INDEX)
+    if (lib is None or out.ndim != 1 or not _vec_ok(draws, _INDEX)
+            or draws.size != out.size - 1):
+        return None
+
+    def kernel() -> None:
+        lib.repro_shuffle(draws.ctypes.data, out.ctypes.data, out.size)
     return kernel

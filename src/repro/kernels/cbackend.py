@@ -41,6 +41,7 @@ _FUNCTIONS = {
     "repro_combine_span": (None, [_PTR, _PTR, _I64, _PTR, _I64, _I64, _I64,
                                   _I64, _PTR]),
     "repro_mul_mod_span": (None, [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR]),
+    "repro_shuffle": (None, [_PTR, _PTR, _I64]),
 }
 
 

@@ -731,3 +731,16 @@ void repro_mul_mod_span(const void *a, const void *b, int64_t size,
             o[i] = (uint32_t)mod_barrett((uint64_t)x[i] * y[i], m, c);
     }
 }
+
+/* Fisher-Yates over out[0..n) (a caller-filled arange), fed the n - 1
+ * non-negative draws of SeededPRG.shuffle_indices: for i from n-1 down
+ * to 1, j = draws[n-1-i] mod (i + 1), then swap out[i] and out[j]. */
+void repro_shuffle(const int64_t *draws, int64_t *out, int64_t n) {
+    int64_t i;
+    for (i = n - 1; i > 0; i--) {
+        const uint64_t j = (uint64_t)draws[n - 1 - i] % (uint64_t)(i + 1);
+        const int64_t t = out[i];
+        out[i] = out[j];
+        out[j] = t;
+    }
+}

@@ -423,6 +423,36 @@ class TestSubprocessChannel:
             system.close()
         assert not channel.process.is_alive()
 
+    def test_construct_refuses_a_corrupted_permutation(self):
+        """A forked host handed a ``pf`` that is not a permutation
+        answers with a typed ``ParameterError`` and keeps serving: the
+        next, intact construct succeeds."""
+        from repro.network.rpc import CONSTRUCT, server_params_to_wire
+
+        system = build("local")
+        wire = server_params_to_wire(system.initiator.server_params(0))
+        pf = np.asarray(wire["pf"])
+        repeat, negative, too_big = pf.copy(), pf.copy(), pf.copy()
+        repeat[pf == 1] = 0
+        negative[pf == 0] = -1
+        too_big[pf == pf.size - 1] = pf.size
+        channel = SubprocessChannel.spawn(None)
+        try:
+            for corrupted in (repeat, negative, too_big):
+                with pytest.raises(ParameterError,
+                                   match="not a permutation"):
+                    channel.send(RpcMessage(CONSTRUCT, {
+                        "entity": "server", "index": 0,
+                        "params": {**wire, "pf": corrupted}}))
+            reply = channel.send(RpcMessage(CONSTRUCT, {
+                "entity": "server", "index": 0, "params": wire}))
+            assert reply.payload["index"] == 0
+            assert channel.send(RpcMessage("__ping__")).payload["index"] == 0
+        finally:
+            channel.close()
+            system.close()
+        assert not channel.process.is_alive()
+
     def test_closed_channel_refuses_sends(self):
         system = build("local")
         channel = SubprocessChannel.spawn(

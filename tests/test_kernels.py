@@ -43,7 +43,7 @@ from test_multihost_matrix import (
 
 from repro import kernels
 from repro.core.params import ServerGroupView
-from repro.crypto.prg import SeededPRG
+from repro.crypto.prg import SeededPRG, numpy_shuffle
 from repro.crypto.shamir import ShamirSharing, numpy_combine_span
 from repro.crypto.widths import share_dtype
 from repro.entities.owner import _mul_mod, numpy_mul_mod_span
@@ -362,6 +362,37 @@ class TestNumpyTwins:
                                  draw_base=base), span)
         np.testing.assert_array_equal(out, full[:, base:base + span])
 
+    @pytest.mark.parametrize("tier", ["numpy", "c"])
+    def test_psu_tiers_at_the_largest_32_bit_prime(self, tier):
+        """δ² passes 2**63 here: both tiers must form each Eq. 18
+        product without wrapping, as Python integers do."""
+        if tier == "c" and not compiled_available:
+            pytest.skip("compiled kernel tier unavailable (no C toolchain)")
+        delta, n, base = PRIME_32, 600, 311
+        rng = np.random.default_rng(37)
+        shares = _share_lists(rng, rows=1, owners=3, n=n, modulus=delta)
+        shares[0][0][:4] = delta - 1
+        key = SeededPRG(delta, "psu-largest-prime").key_bytes
+        raw = np.frombuffer(_stream_reference(key, 8 * base, 8 * n),
+                            dtype="<u8")
+        summed = [sum(int(s[i]) for s in shares[0]) % delta
+                  for i in range(n)]
+        expected = [x * (int(r) % (delta - 1) + 1) % delta
+                    for x, r in zip(summed, raw)]
+        acc = np.zeros((1, n), dtype=np.uint32)
+        out = np.zeros((1, n), dtype=np.uint32)
+        kernels.configure("off" if tier == "numpy" else "c")
+        try:
+            build = (numpy_psu_sweep if tier == "numpy"
+                     else kernels.psu_sweep)
+            kernel = build(shares, acc, [0], [key], delta, out,
+                           draw_base=base)
+            assert kernel is not None
+            _chunked(kernel, n)
+        finally:
+            kernels.configure(None)
+        assert out[0].tolist() == expected
+
     def test_agg_twin(self):
         rng = np.random.default_rng(23)
         n = 600
@@ -626,6 +657,77 @@ class TestSelectionLadder:
         finally:
             monkeypatch.undo()
             kernels.configure(None)
+
+
+# -- initiator shuffle -------------------------------------------------------------
+
+#: Lengths around the crossover up to a scan-sized domain.
+SHUFFLE_LENGTHS = [2, 511, 512, 513, 4096, 262_144]
+SHUFFLE_SEEDS = [0, 7, 2**40 + 3]
+
+
+def _shuffle_operands(n, seed):
+    draws = SeededPRG(seed, "kernel-shuffle").integers(max(n - 1, 0), 0,
+                                                       2**63 - 1)
+    return draws, np.arange(n, dtype=np.int64)
+
+
+class TestShuffle:
+    """The compiled Fisher–Yates against the Python loop it replaces,
+    fed the same draws."""
+
+    @pytest.mark.parametrize("seed", SHUFFLE_SEEDS)
+    @pytest.mark.parametrize("n", SHUFFLE_LENGTHS)
+    def test_matches_python_loop(self, compiled, n, seed):
+        draws, expected = _shuffle_operands(n, seed)
+        numpy_shuffle(draws, expected)()
+        draws, got = _shuffle_operands(n, seed)
+        kernel = kernels.shuffle(draws, got)
+        assert (kernel is None) == (n < kernels.NATIVE_MIN_SPAN)
+        (kernel or numpy_shuffle(draws, got))()
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            SeededPRG(seed, "kernel-shuffle").shuffle_indices(n), expected)
+
+    @pytest.mark.parametrize("n", [2, 3, kernels.NATIVE_MIN_SPAN - 1])
+    def test_short_spans_match_without_the_crossover(self, no_crossover, n):
+        draws, expected = _shuffle_operands(n, 11)
+        numpy_shuffle(draws, expected)()
+        draws, got = _shuffle_operands(n, 11)
+        kernels.shuffle(draws, got)()
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single_fall_back(self, n):
+        draws, out = _shuffle_operands(n, 5)
+        assert kernels.shuffle(draws, out) is None
+        np.testing.assert_array_equal(
+            SeededPRG(5, "kernel-shuffle").shuffle_indices(n), np.arange(n))
+
+    def test_mode_off_runs_the_python_loop(self):
+        draws, expected = _shuffle_operands(4096, 13)
+        numpy_shuffle(draws, expected)()
+        assert kernels.configure("off") == "numpy"
+        try:
+            assert kernels.shuffle(*_shuffle_operands(4096, 13)) is None
+            np.testing.assert_array_equal(
+                SeededPRG(13, "kernel-shuffle").shuffle_indices(4096),
+                expected)
+        finally:
+            kernels.configure(None)
+
+    def test_ineligible_operands_fall_back(self, compiled):
+        n = 2048
+        draws, out = _shuffle_operands(n, 3)
+        assert kernels.shuffle(draws, out) is not None
+        assert kernels.shuffle(draws[:-1], out) is None
+        assert kernels.shuffle(draws.astype(np.uint64), out) is None
+        assert kernels.shuffle(draws, out.astype(np.int32)) is None
+        strided = np.repeat(draws, 2)[::2]  # not contiguous
+        assert kernels.shuffle(strided, out) is None
+        frozen = out.copy()
+        frozen.setflags(write=False)
+        assert kernels.shuffle(draws, frozen) is None
 
 
 # -- PRG stream equivalence ------------------------------------------------------

@@ -79,9 +79,26 @@ class TestValidation:
         with pytest.raises(ParameterError):
             Permutation(np.asarray([1, 2, 3]))
 
+    @pytest.mark.parametrize("mapping", [
+        [0, 2, 2],        # a repeat with the right min and max
+        [0, 3, 3, 1, 4],  # ... and one with 2 missing mid-range
+        [-1, 0, 1],       # negative: would wrap under fancy indexing
+        [2, 0, 1, -1],
+        [0, 1, 3],        # a value >= n
+    ])
+    def test_invalid_mappings_rejected(self, mapping):
+        with pytest.raises(ParameterError, match="not a permutation"):
+            Permutation(np.asarray(mapping))
+
     def test_2d_rejected(self):
         with pytest.raises(ParameterError):
             Permutation(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ParameterError, match="1-D"):
+            Permutation(np.arange(4).reshape(2, 2))
+
+    def test_empty_and_single_accepted(self):
+        assert Permutation(np.asarray([], dtype=np.int64)).size == 0
+        assert Permutation(np.asarray([0])).size == 1
 
     def test_length_mismatch_on_apply(self):
         p = Permutation.identity(3)

@@ -138,9 +138,22 @@ class TestTable12Shape:
         assert output_bytes[1] > 0
         assert output_bytes == {k: k * output_bytes[1] for k in (1, 2, 3, 4)}
 
-    def test_time_grows_with_domain(self):
+    def test_time_grows_with_domain(self, monkeypatch):
+        # The counter form beside the clock: a SUM over k attributes
+        # makes each of the three Shamir servers sweep exactly k·b Eq. 11
+        # cells, so the work grows linearly in b.
+        swept: dict[PrismServer, int] = {}
+        sweep = PrismServer.aggregate_round_batch
+
+        def counting(server, columns, z_matrix, *args, **kwargs):
+            swept[server] = (swept.get(server, 0)
+                             + len(columns) * z_matrix.shape[1])
+            return sweep(server, columns, z_matrix, *args, **kwargs)
+
+        monkeypatch.setattr(PrismServer, "aggregate_round_batch", counting)
         payload = exp2_multiattr(domain_sizes=[1024, 4096],
                                  attr_counts=(1,), num_owners=4)
+        assert sorted(swept.values()) == [1 * 1024] * 3 + [1 * 4096] * 3
         small = payload["results"][1024]["sum"][0]
         large = payload["results"][4096]["sum"][0]
         assert large > small
