@@ -12,7 +12,13 @@ the report captures what multi-client serving buys:
   coalescing scheduler (1.0 = no cross-client fusion; the acceptance
   bar is > 1.5 at 16 clients);
 * ``rows_deduplicated`` — χ rows the fused plan skipped because
-  concurrent sessions asked for the same sweep.
+  concurrent sessions asked for the same sweep;
+* ``session_codec`` — the frame bytes and the best encode + decode µs
+  of one ``gateway_tcp``-sized answer each: a 2,176-value integer
+  ``SetResult`` over b = 4,096 cells, and 2,176-entry
+  ``AggregateResult`` maps of int sums and of float averages.  Their
+  byte budgets, 8·n + b + 2048 and 16·n + 2048, are what the CI smoke
+  asserts.
 
 Run as a script (the CI smoke uses a tiny domain)::
 
@@ -35,9 +41,15 @@ import sys
 import threading
 import time
 
-from repro import Q
+import numpy as np
+
+from repro import Domain, Q
 from repro.bench.harness import generate_fleet, lineitem_domain
+from repro.core.results import AggregateResult, PhaseTimings, SetResult
+from repro.network.codec import FULL_SPAN, decode_frame, encode_frame
+from repro.network.rpc import RESULT
 from repro.serving import Gateway, GatewayClient
+from repro.serving.session import result_from_wire, result_to_wire
 
 TENANTS = {"tok-alpha": "alpha", "tok-beta": "beta"}
 DATASET = "alpha/lineitem"
@@ -80,6 +92,42 @@ def run_clients(port: int, num_clients: int, queries_each: int) -> float:
     if errors:
         raise RuntimeError(f"client sessions failed: {errors}")
     return time.perf_counter() - start
+
+
+def session_codec(num_cells: int = 4096, num_values: int = 2176,
+                  repeats: int = 20) -> dict:
+    """Frame bytes and best encode + decode µs of one session answer of
+    each shape (the result set of a PSU, of a SUM and of an AVG)."""
+    cells = np.sort(np.random.default_rng(5).choice(
+        num_cells, num_values, replace=False))
+    membership = np.zeros(num_cells, dtype=bool)
+    membership[cells] = True
+    values = Domain.integer_range("OK", num_cells).values_at(cells)
+    timings = PhaseTimings()
+    timings.add("server", 1e-3)
+    timings.add("owner", 1e-4)
+    traffic = {"rounds": 2, "messages": 12, "bytes": 80_000}
+    results = {
+        "set_result": SetResult(values=values, membership=membership,
+                                timings=timings, traffic=traffic),
+        "aggregate_result": AggregateResult(
+            per_value={v: v * 7919 % 100_003 for v in values},
+            timings=timings, traffic=traffic),
+        "average_result": AggregateResult(
+            per_value={v: v * 7919 % 100_003 / 3 for v in values},
+            timings=timings, traffic=traffic),
+    }
+    report = {"b": num_cells, "n": num_values}
+    for name, result in results.items():
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            blob = encode_frame(RESULT, 1, FULL_SPAN, result_to_wire(result))
+            result_from_wire(decode_frame(blob).payload)
+            best = min(best, time.perf_counter() - start)
+        report[name] = {"frame_bytes": len(blob),
+                        "encode_decode_us": best * 1e6}
+    return report
 
 
 def main(argv=None) -> int:
@@ -134,6 +182,10 @@ def main(argv=None) -> int:
     finally:
         gateway.shutdown()
 
+    codec = session_codec()
+    for name in ("set_result", "aggregate_result", "average_result"):
+        print(f"  {name:16s} {codec[name]['frame_bytes']:>7d} B  "
+              f"{codec[name]['encode_decode_us']:8.1f} µs encode+decode")
     out = {
         "b": args.domain,
         "num_owners": args.owners,
@@ -141,6 +193,7 @@ def main(argv=None) -> int:
         "queries_per_client": args.queries,
         "tenants": sorted(set(TENANTS.values())),
         "clients": reports,
+        "session_codec": codec,
     }
     with open(args.out, "w") as handle:
         json.dump(out, handle, indent=2, sort_keys=True)

@@ -49,9 +49,10 @@ class EnumeratedDomainMapper:
     """Bijective value ↔ cell mapping for an explicit domain.
 
     A unit-step ``range`` domain (:meth:`Domain.integer_range
-    <repro.data.domain.Domain.integer_range>`) maps integer arrays by
-    arithmetic, ``value - start``; every other input goes through the
-    value index, one lookup per value.
+    <repro.data.domain.Domain.integer_range>`) is kept as the ``range``
+    and mapped by arithmetic, ``value - start``, so building one costs
+    nothing per value; every other domain goes through a value index,
+    one lookup per value.
 
     Args:
         values: the domain, in a canonical order shared by all owners (the
@@ -59,13 +60,13 @@ class EnumeratedDomainMapper:
     """
 
     def __init__(self, values: Sequence):
-        self._values = list(values)
+        if isinstance(values, range) and values.step == 1:
+            self._values, self._start = values, values.start
+            return
+        self._values, self._start = list(values), None
         self._index = {v: i for i, v in enumerate(self._values)}
         if len(self._index) != len(self._values):
             raise DomainError("domain contains duplicate values")
-        self._start = (values.start
-                       if isinstance(values, range) and values.step == 1
-                       else None)
 
     @property
     def size(self) -> int:
@@ -74,9 +75,27 @@ class EnumeratedDomainMapper:
     def cell_of(self, value) -> int:
         """Cell index of ``value``; raises if outside the domain."""
         try:
+            if self._start is not None:
+                return self._range_cell(value)
             return self._index[value]
         except KeyError:
             raise DomainError(f"value {value!r} not in the declared domain") from None
+
+    def _range_cell(self, value) -> int:
+        """The cell of ``value`` in a range domain, matching a dict lookup:
+        a value equal to an integer of the range (a bool, an integral
+        float, a numpy int) maps to that integer's cell.
+
+        Raises:
+            KeyError: for any other value.
+        """
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(value) from None
+        if number != value or number not in self._values:
+            raise KeyError(value)
+        return number - self._start
 
     def value_of(self, cell: int):
         """Domain value stored at ``cell``."""
@@ -92,9 +111,10 @@ class EnumeratedDomainMapper:
             cells = self._range_cells(values)
             if cells is not None:
                 return cells
-        index = self._index
+        lookup = (self._range_cell if self._start is not None
+                  else self._index.__getitem__)
         try:
-            return np.fromiter((index[v] for v in values), dtype=np.int64,
+            return np.fromiter((lookup(v) for v in values), dtype=np.int64,
                                count=len(values))
         except KeyError as exc:
             raise DomainError(f"value {exc.args[0]!r} not in the declared "

@@ -17,9 +17,24 @@ binary encoding for every payload type the protocols send:
   the owner-keyed share dicts of the extrema rounds).
 
 Layout: 1 magic byte ``0x5A``, 1 version byte, 1 type tag, then the
-type-specific body.  An array body starts with a dtype byte (an index
-into :data:`WIRE_DTYPES`) before its shape.  All integers are
-little-endian.  The transport's
+type-specific body.  All integers are little-endian.
+
+* An array body starts with a dtype byte (an index into
+  :data:`WIRE_DTYPES`) before its shape.
+* A list of exact ``int`` items, all within int64, is a *typed list*:
+  a u64 count, then one int64 body (tag 15).  A list of exact
+  ``float`` items is the same with a float64 body (tag 16).  Both
+  decode to a Python ``list`` of Python scalars.  Any other list —
+  empty, mixed, bools, numpy scalars, ints outside int64 — is a
+  u64 count followed by one tagged item each (tag 3).
+* A dict with string keys is a u64 count of tagged key/value pairs
+  (tag 4).  Any other dict is a *columnar map* (tag 17): its keys
+  list, then its values list, each under the list rule above.  Keys
+  must be hashable scalars.  Tag 12, the per-pair map of older
+  peers, is retired, so such a peer fails loudly with "unknown wire
+  tag" instead of misreading a map.
+
+The transport's
 ``serialize=True`` mode round-trips every transfer through this codec,
 so the accounting becomes the true wire size and any non-serialisable
 payload is caught immediately.
@@ -145,7 +160,7 @@ _TAG_MATRIX = 8
 _TAG_BOOL = 9
 _TAG_FLOAT = 10
 _TAG_BYTES = 11
-_TAG_MAP = 12
+# Tag 12 (per-pair scalar-keyed maps) is retired: see the module docs.
 #: Shared-memory references (same-host deployments only): the array
 #: body lives in a :class:`repro.network.shm.ShmArena` both sides of
 #: the channel mapped before forking; the frame carries ``(offset,
@@ -153,6 +168,13 @@ _TAG_MAP = 12
 #: these tags must never cross a real network boundary.
 _TAG_VECTOR_SHM = 13
 _TAG_MATRIX_SHM = 14
+_TAG_INT_LIST = 15
+_TAG_FLOAT_LIST = 16
+_TAG_COLUMNS = 17
+
+#: The body dtype of each typed-list tag.
+_TYPED_LISTS = {_TAG_INT_LIST: np.dtype("<i8"),
+                _TAG_FLOAT_LIST: np.dtype("<f8")}
 
 #: Arrays below this byte size stay inline even with an arena attached:
 #: the reference + copy-out machinery only beats the inline path once
@@ -164,7 +186,7 @@ _SHM_MIN_BYTES = 2048
 #: driving the decoder into a RecursionError instead of a ProtocolError.
 _MAX_DEPTH = 32
 
-#: Key types a ``_TAG_MAP`` entry may use — hashable scalars only, so a
+#: Key types a ``_TAG_COLUMNS`` map may use — hashable scalars only, so a
 #: decoded map is always a legal Python dict.
 _MAP_KEY_TYPES = (bool, int, str, bytes, float, type(None))
 
@@ -232,8 +254,7 @@ def _encode_body(payload, depth: int = 0, arena=None) -> bytes:
         parts = [_encode_body(item, depth + 1, arena) for item in payload]
         return struct.pack("<BQ", _TAG_TUPLE, len(parts)) + b"".join(parts)
     if isinstance(payload, list):
-        parts = [_encode_body(item, depth + 1, arena) for item in payload]
-        return struct.pack("<BQ", _TAG_LIST, len(parts)) + b"".join(parts)
+        return _encode_list(payload, depth, arena)
     if isinstance(payload, dict):
         if all(isinstance(key, str) for key in payload):
             parts = []
@@ -242,22 +263,45 @@ def _encode_body(payload, depth: int = 0, arena=None) -> bytes:
                 parts.append(_encode_body(value, depth + 1, arena))
             return struct.pack("<BQ", _TAG_DICT, len(payload)) + b"".join(parts)
         # Non-string keys (the extrema rounds key share dicts by owner
-        # id): a generic map whose keys are restricted to hashable
-        # scalars so decoding always yields a legal dict.
-        parts = []
-        for key, value in payload.items():
-            if not isinstance(key, _MAP_KEY_TYPES) and not isinstance(
-                    key, (int, np.integer)):
-                raise ProtocolError(
-                    f"wire maps need scalar keys, not "
-                    f"{type(key).__name__}"
-                )
-            parts.append(_encode_body(key, depth + 1, arena))
-            parts.append(_encode_body(value, depth + 1, arena))
-        return struct.pack("<BQ", _TAG_MAP, len(payload)) + b"".join(parts)
+        # id, results by domain value): columnar, so int keys and
+        # int/float values each travel as one typed body.  Keys are
+        # restricted to hashable scalars so decoding always yields a
+        # legal dict.
+        keys = list(payload)
+        key_kinds = set(map(type, keys))
+        _check_key_kinds(key_kinds, (np.integer,))
+        return (struct.pack("<B", _TAG_COLUMNS)
+                + _encode_list(keys, depth, arena, key_kinds)
+                + _encode_list(list(payload.values()), depth, arena))
     raise ProtocolError(
         f"cannot serialise payload of type {type(payload).__name__}"
     )
+
+
+def _check_key_kinds(kinds, extra=()) -> None:
+    """Raise unless every map key type is a hashable scalar."""
+    for kind in kinds:
+        if not issubclass(kind, _MAP_KEY_TYPES + extra):
+            raise ProtocolError(
+                f"wire maps need scalar keys, not {kind.__name__}")
+
+
+def _encode_list(items: list, depth: int, arena, kinds=None) -> bytes:
+    """A list as one typed body when every item is an exact ``int``
+    within int64 (or an exact ``float``), else one tagged item each.
+    ``kinds`` is the set of item types, when the caller has it."""
+    kinds = set(map(type, items)) if kinds is None else kinds
+    if kinds == {int}:
+        try:
+            return struct.pack(f"<BQ{len(items)}q", _TAG_INT_LIST,
+                               len(items), *items)
+        except struct.error:  # an item outside int64
+            pass
+    elif kinds == {float}:
+        return struct.pack(f"<BQ{len(items)}d", _TAG_FLOAT_LIST, len(items),
+                           *items)
+    parts = [_encode_body(item, depth + 1, arena) for item in items]
+    return struct.pack("<BQ", _TAG_LIST, len(parts)) + b"".join(parts)
 
 
 def _int_to_bytes(value: int) -> bytes:
@@ -369,18 +413,9 @@ def _decode_body(blob: bytes, offset: int, depth: int = 0, arena=None):
             return blob[offset:end].decode("utf-8"), end
         except UnicodeDecodeError:
             raise ProtocolError("string is not valid UTF-8") from None
-    if tag in (_TAG_LIST, _TAG_TUPLE):
-        try:
-            (count,) = struct.unpack_from("<Q", blob, offset)
-        except struct.error:
-            raise ProtocolError("truncated container header") from None
-        offset += 8
-        items = []
-        for _ in range(count):
-            item, offset = _decode_body(blob, offset, depth + 1, arena)
-            items.append(item)
-        return (tuple(items) if tag == _TAG_TUPLE else items), offset
-    if tag in (_TAG_DICT, _TAG_MAP):
+    if tag in _TYPED_LISTS or tag in (_TAG_LIST, _TAG_TUPLE):
+        return _decode_items(blob, offset, tag, depth, arena)
+    if tag == _TAG_DICT:
         try:
             (count,) = struct.unpack_from("<Q", blob, offset)
         except struct.error:
@@ -389,17 +424,54 @@ def _decode_body(blob: bytes, offset: int, depth: int = 0, arena=None):
         out = {}
         for _ in range(count):
             key, offset = _decode_body(blob, offset, depth + 1, arena)
-            if tag == _TAG_DICT and not isinstance(key, str):
+            if not isinstance(key, str):
                 raise ProtocolError("wire dicts use string keys")
-            if tag == _TAG_MAP and not isinstance(key, _MAP_KEY_TYPES):
-                raise ProtocolError(
-                    f"wire maps need scalar keys, not "
-                    f"{type(key).__name__}"
-                )
             value, offset = _decode_body(blob, offset, depth + 1, arena)
             out[key] = value
         return out, offset
+    if tag == _TAG_COLUMNS:
+        keys_start = offset
+        keys, offset = _decode_column(blob, offset, depth, arena)
+        values, offset = _decode_column(blob, offset, depth, arena)
+        if len(keys) != len(values):
+            raise ProtocolError(
+                f"wire map has {len(keys)} keys but {len(values)} values")
+        if blob[keys_start] == _TAG_LIST:  # typed keys are scalars
+            _check_key_kinds(set(map(type, keys)))
+        return dict(zip(keys, values)), offset
     raise ProtocolError(f"unknown wire tag {tag}")
+
+
+def _decode_items(blob, offset: int, tag: int, depth: int, arena):
+    """The body of a typed list, a tagged-item list or a tuple."""
+    try:
+        (count,) = struct.unpack_from("<Q", blob, offset)
+    except struct.error:
+        raise ProtocolError("truncated container header") from None
+    offset += 8
+    dtype = _TYPED_LISTS.get(tag)
+    if dtype is not None:
+        end = offset + dtype.itemsize * count
+        if end > len(blob):
+            raise ProtocolError("truncated typed list")
+        return np.frombuffer(blob, dtype=dtype, count=count,
+                             offset=offset).tolist(), end
+    items = []
+    for _ in range(count):
+        item, offset = _decode_body(blob, offset, depth + 1, arena)
+        items.append(item)
+    return (tuple(items) if tag == _TAG_TUPLE else items), offset
+
+
+def _decode_column(blob, offset: int, depth: int, arena):
+    """One column of a map: a typed or tagged-item list."""
+    try:
+        (tag,) = struct.unpack_from("<B", blob, offset)
+    except struct.error:
+        raise ProtocolError("truncated wire map") from None
+    if tag not in _TYPED_LISTS and tag != _TAG_LIST:
+        raise ProtocolError(f"wire map column has tag {tag}, not a list")
+    return _decode_items(blob, offset + 1, tag, depth, arena)
 
 
 # -- the framed request envelope ---------------------------------------------

@@ -783,3 +783,184 @@ class TestShmFrames:
         arena.reset()
         assert arena.write_array(vec) == first  # per-frame scratch
         arena.close()
+
+
+# -- typed lists and columnar maps ---------------------------------------------
+
+_INT_LIST, _FLOAT_LIST, _COLUMNS = 15, 16, 17
+
+
+def _tag_of(payload) -> int:
+    return encode(payload)[2]
+
+
+class TestTypedBodies:
+    """Int and float lists travel as one packed body; non-string-keyed
+    maps as a keys column and a values column."""
+
+    def test_int_list_exact_size(self):
+        for n in (1, 2, 100, 2176):
+            # magic, version, tag, u64 count, then 8 bytes per item.
+            assert len(encode([0] * n)) == 11 + 8 * n
+        assert len(encode([])) == 11
+
+    def test_int64_edges_stay_typed(self):
+        edges = [2**63 - 1, -(2**63 - 1), -(2**63), 0, -1]
+        assert _tag_of(edges) == _INT_LIST
+        out = decode(encode(edges))
+        assert out == edges
+        assert all(type(v) is int for v in out)
+
+    @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**200])
+    def test_ints_outside_int64_fall_back(self, big):
+        payload = [1, big, -3]
+        assert _tag_of(payload) == 3
+        out = decode(encode(payload))
+        assert out == payload
+        assert all(type(v) is int for v in out)
+
+    def test_bools_keep_their_type(self):
+        payload = [True, 1]
+        assert _tag_of(payload) == 3
+        out = decode(encode(payload))
+        assert out == [True, 1]
+        assert type(out[0]) is bool and type(out[1]) is int
+        flags = decode(encode([True, False]))
+        assert [type(f) for f in flags] == [bool, bool]
+
+    def test_numpy_ints_decode_to_python_ints(self):
+        payload = [np.int64(3), np.uint8(250), np.int32(-7)]
+        assert _tag_of(payload) == 3
+        out = decode(encode(payload))
+        assert out == [3, 250, -7]
+        assert all(type(v) is int for v in out)
+
+    def test_mixed_lists_stay_generic(self):
+        payload = [1, 2.0, "x", None]
+        assert _tag_of(payload) == 3
+        out = decode(encode(payload))
+        assert out == payload
+        assert [type(v) for v in out] == [int, float, str, type(None)]
+
+    def test_float_bits_are_exact(self):
+        nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_DEAD_BEEF))[0]
+        payload = [float("inf"), float("-inf"), -0.0, 0.0, nan, 1e-310,
+                   1.5]
+        assert _tag_of(payload) == _FLOAT_LIST
+        assert len(encode(payload)) == 11 + 8 * len(payload)
+        out = decode(encode(payload))
+        assert all(type(v) is float for v in out)
+        assert ([struct.pack("<d", v) for v in out]
+                == [struct.pack("<d", v) for v in payload])
+
+    def test_int_keyed_map_is_columnar(self):
+        payload = {5: 10, -2: 2**62, 7: 0}
+        blob = encode(payload)
+        assert blob[2] == _COLUMNS
+        # Tag, then two typed lists of three items.
+        assert len(blob) == 3 + 2 * (9 + 8 * 3)
+        out = decode(blob)
+        assert out == payload and list(out) == [5, -2, 7]
+        assert all(type(k) is int and type(v) is int
+                   for k, v in out.items())
+
+    def test_float_valued_map(self):
+        payload = {v: v / 3 for v in range(1, 50)}
+        out = decode(encode(payload))
+        assert out == payload
+        assert all(type(v) is float for v in out.values())
+
+    def test_generic_columns(self):
+        payload = {1: [1, 2], 2.5: "x", None: (3, 4), b"k": {"a": 1},
+                   True: np.arange(3, dtype=np.uint8)}
+        out = decode(encode(payload))
+        assert_payload_equal(payload, out)
+        assert isinstance(out[None], tuple)
+
+    def test_numpy_int_keys_decode_to_python_ints(self):
+        out = decode(encode({np.int64(4): 1, np.uint16(9): 2}))
+        assert out == {4: 1, 9: 2}
+        assert all(type(k) is int for k in out)
+
+    def test_empty_containers_roundtrip(self):
+        for payload in ([], {}, [[]], {1: []}, {"a": {}}):
+            out = decode(encode(payload))
+            assert out == payload
+            assert type(out) is type(payload)
+
+    def test_retired_map_tag_raises(self):
+        # Tag 12 was the per-pair scalar-keyed map.
+        blob = struct.pack("<BBBQ", MAGIC, VERSION, 12, 0)
+        with pytest.raises(ProtocolError, match="unknown wire tag"):
+            decode(blob)
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2, 3, 2**40],
+        [0.5, -1.0, float("nan")],
+        {1: 2, 3: 4},
+        {1: 0.5, 2: 1.5},
+        {1: "a", 2: [3, 4]},
+    ])
+    def test_every_strict_prefix_raises(self, payload):
+        blob = encode(payload)
+        for cut in range(len(blob)):
+            with pytest.raises(ProtocolError):
+                decode(blob[:cut])
+
+    @pytest.mark.parametrize("tag", [_INT_LIST, _FLOAT_LIST])
+    def test_huge_count_raises_before_allocating(self, tag):
+        import tracemalloc
+        blob = struct.pack("<BBBQ", MAGIC, VERSION, tag, 2**60) + bytes(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError):
+                decode(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_huge_map_column_raises(self):
+        blob = (struct.pack("<BBBBQ", MAGIC, VERSION, _COLUMNS, _INT_LIST,
+                            2**60) + bytes(64))
+        with pytest.raises(ProtocolError):
+            decode(blob)
+
+    def test_unequal_columns_raise(self):
+        keys = encode([1, 2, 3])[2:]
+        values = encode([10, 20])[2:]
+        blob = struct.pack("<BBB", MAGIC, VERSION, _COLUMNS) + keys + values
+        with pytest.raises(ProtocolError, match="3 keys but 2 values"):
+            decode(blob)
+
+    @pytest.mark.parametrize("bad_key", [[1], (1, 2), {"a": 1},
+                                         np.arange(2, dtype=np.uint8)])
+    def test_non_scalar_keys_raise(self, bad_key):
+        keys = encode([1, bad_key])[2:]
+        values = encode([10, 20])[2:]
+        blob = struct.pack("<BBB", MAGIC, VERSION, _COLUMNS) + keys + values
+        with pytest.raises(ProtocolError, match="scalar keys"):
+            decode(blob)
+
+    def test_non_list_column_raises(self):
+        keys = encode((1, 2))[2:]  # a tuple is not a map column
+        values = encode([10, 20])[2:]
+        blob = struct.pack("<BBB", MAGIC, VERSION, _COLUMNS) + keys + values
+        with pytest.raises(ProtocolError, match="not a list"):
+            decode(blob)
+
+    def test_encoding_a_non_scalar_key_raises(self):
+        with pytest.raises(ProtocolError, match="scalar keys"):
+            encode({(1, 2): 3})
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1,
+                    max_size=40),
+           st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_typed_property(self, ints, floats):
+        assert _tag_of(ints) == _INT_LIST
+        assert _tag_of(floats) == _FLOAT_LIST
+        out_ints, out_floats = decode(encode([ints, floats]))
+        assert out_ints == ints and out_floats == floats
+        assert all(type(v) is int for v in out_ints)
+        assert all(type(v) is float for v in out_floats)

@@ -28,9 +28,18 @@ from repro import (
     Q,
     QueryError,
 )
-from repro.core.results import CountResult, SetResult
+from repro import Domain
+from repro.core.results import (
+    AggregateResult,
+    CountResult,
+    PhaseTimings,
+    SetResult,
+)
+from repro.network.codec import FULL_SPAN, decode_frame, encode_frame
+from repro.network.rpc import RESULT
 from repro.serving import Gateway, GatewayClient
 from repro.serving.admission import AdmissionController, TokenBucket
+from repro.serving.session import result_from_wire, result_to_wire
 
 PSI_SQL = ("SELECT disease FROM h1 INTERSECT SELECT disease FROM h2 "
            "INTERSECT SELECT disease FROM h3")
@@ -521,3 +530,78 @@ class TestRestartResilience:
                                     direct_client.execute(PSI_SQL))
         finally:
             gw2.shutdown()
+
+
+# -- session result wire size ---------------------------------------------------
+
+#: A ``gateway_tcp``-sized answer: n values out of a b-cell domain.
+_B, _N = 4096, 2176
+
+
+def _timings() -> PhaseTimings:
+    timings = PhaseTimings()
+    for phase, seconds in (("server", 1.2e-3), ("owner", 3.4e-4),
+                           ("announcer", 5.6e-5)):
+        timings.add(phase, seconds)
+    return timings
+
+
+_TRAFFIC = {"rounds": 2, "messages": 12, "bytes": 81_234,
+            "owner_to_server_bytes": 0, "server_to_owner_bytes": 40_960,
+            "server_to_announcer_bytes": 24_576, "server_to_server_bytes": 0}
+
+
+def _result_frame(result) -> tuple[int, object]:
+    blob = encode_frame(RESULT, 7, FULL_SPAN, result_to_wire(result))
+    return len(blob), result_from_wire(decode_frame(blob).payload)
+
+
+def _set_result(domain) -> SetResult:
+    cells = np.sort(np.random.default_rng(5).choice(_B, _N, replace=False))
+    membership = np.zeros(_B, dtype=bool)
+    membership[cells] = True
+    return SetResult(values=domain.values_at(cells), membership=membership,
+                     timings=_timings(), traffic=dict(_TRAFFIC),
+                     verified=True)
+
+
+class TestSessionResultBudget:
+    """Byte budgets for the answers a session ships: a value list costs
+    8 bytes an item and a value → aggregate map 16 bytes an entry, plus
+    a fixed envelope, never a tagged item per element."""
+
+    def test_integer_set_result(self):
+        result = _set_result(Domain.integer_range("OK", _B))
+        nbytes, back = _result_frame(result)
+        assert back.values == result.values
+        assert all(type(v) is int for v in back.values)
+        assert np.array_equal(back.membership, result.membership)
+        assert back.membership.dtype == bool
+        assert back.timings.seconds == result.timings.seconds
+        assert back.traffic == result.traffic and back.verified
+        assert nbytes <= 8 * _N + _B + 2048
+
+    @pytest.mark.parametrize("average", [False, True])
+    def test_aggregate_result(self, average):
+        values = _set_result(Domain.integer_range("OK", _B)).values
+        per_value = {v: (v * 7919 % 100_003) / 3 if average
+                     else v * 7919 % 100_003 for v in values}
+        result = AggregateResult(per_value=per_value, timings=_timings(),
+                                 traffic=dict(_TRAFFIC), verified=True)
+        nbytes, back = _result_frame(result)
+        assert back.per_value == per_value
+        assert list(back.per_value) == values
+        kind = float if average else int
+        assert all(type(k) is int and type(v) is kind
+                   for k, v in back.per_value.items())
+        assert nbytes <= 16 * _N + 2048
+
+    def test_string_domain_set_result(self):
+        domain = Domain("disease", [f"d{i:04d}" for i in range(_B)])
+        result = _set_result(domain)
+        nbytes, back = _result_frame(result)
+        assert back.values == result.values
+        assert all(type(v) is str for v in back.values)
+        assert np.array_equal(back.membership, result.membership)
+        # Strings travel one tagged item each: 1 tag + 8 length + 5.
+        assert nbytes > 14 * _N + _B

@@ -1,5 +1,8 @@
 """Unit tests for domain hashing / value-to-cell mapping."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.crypto.hashing import (
@@ -92,3 +95,78 @@ class TestHashedMapper:
     def test_zero_cells_rejected(self):
         with pytest.raises(DomainError):
             HashedDomainMapper(0)
+
+
+class TestRangeMapperMatchesList:
+    """A unit-step range domain is mapped by arithmetic; it must answer
+    every lookup exactly as the same domain given as a list."""
+
+    RANGE = range(-3, 61)
+
+    @pytest.mark.parametrize("value", [
+        -3, 37, 60,                         # ints, both ends included
+        True, False,                        # bools: the cells of 1 and 0
+        -3.0, 40.0, 40.5, float("nan"), float("inf"),  # floats
+        np.int64(9), np.uint8(12), np.int32(60), np.float64(6.0),
+        -4, 61, -50, 2**80,                 # out of range
+        "5", "x", b"5", None,               # strings and others
+    ])
+    def test_cell_of(self, value):
+        fast = EnumeratedDomainMapper(self.RANGE)
+        slow = EnumeratedDomainMapper(list(self.RANGE))
+        try:
+            expected = slow.cell_of(value)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                fast.cell_of(value)
+            with pytest.raises(DomainError):
+                fast.cells_of([-3, value])
+        else:
+            assert fast.cell_of(value) == expected
+            assert type(fast.cell_of(value)) is int
+            assert fast.cells_of([value, 6]).tolist() == [expected, 9]
+
+    @pytest.mark.parametrize("values", [
+        [-3, 6, 60],
+        np.arange(-3, 61, dtype=np.int64),
+        np.arange(0, 61, dtype=np.uint8),
+        [True, 7.0, np.int16(8)],
+    ])
+    def test_cells_of(self, values):
+        fast = EnumeratedDomainMapper(self.RANGE).cells_of(values)
+        slow = EnumeratedDomainMapper(list(self.RANGE)).cells_of(values)
+        assert fast.dtype == slow.dtype == np.int64
+        assert fast.tolist() == slow.tolist()
+
+    @pytest.mark.parametrize("values", [[-4], np.array([61]), ["5"],
+                                        [5, 5.5], np.array([-10, 5])])
+    def test_cells_of_outside_raises(self, values):
+        for mapper in (EnumeratedDomainMapper(self.RANGE),
+                       EnumeratedDomainMapper(list(self.RANGE))):
+            with pytest.raises(DomainError):
+                mapper.cells_of(values)
+
+    @pytest.mark.parametrize("cells", [[0], [63, 0, 7], np.arange(64),
+                                       np.array([3], dtype=np.uint16)])
+    def test_value_of_and_values_at(self, cells):
+        fast = EnumeratedDomainMapper(self.RANGE)
+        slow = EnumeratedDomainMapper(list(self.RANGE))
+        assert fast.values_at(cells) == slow.values_at(cells)
+        for cell in list(cells):
+            assert fast.value_of(cell) == slow.value_of(cell)
+            assert type(fast.value_of(cell)) is int
+
+    @pytest.mark.parametrize("cell", [-1, 64, 10**9])
+    def test_cells_outside_raise(self, cell):
+        for mapper in (EnumeratedDomainMapper(self.RANGE),
+                       EnumeratedDomainMapper(list(self.RANGE))):
+            with pytest.raises(DomainError):
+                mapper.value_of(cell)
+            with pytest.raises(DomainError):
+                mapper.values_at([cell])
+
+    def test_values_and_size(self):
+        fast = EnumeratedDomainMapper(self.RANGE)
+        assert fast.values() == list(self.RANGE)
+        assert type(fast.values()) is list
+        assert fast.size == 64

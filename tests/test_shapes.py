@@ -5,9 +5,14 @@ qualitative shape the paper's evaluation reports.  Kept separate from the
 micro-unit tests because each costs a second or two.
 """
 
+import builtins
+import sys
+from collections import Counter
+
 import pytest
 
 from repro import kernels
+from repro.bench import experiments
 from repro.bench.experiments import (
     exp2_multiattr,
     exp3_owners,
@@ -197,3 +202,74 @@ class TestTable13Shape:
         assert per_element["bloom"] > per_element["prism"]
         # Prism stays within two orders of magnitude of insecure plaintext.
         assert per_element["prism"] < 100 * per_element["plaintext"]
+
+    def test_ordering_in_modexps_and_cells(self, monkeypatch):
+        # The counter form of the clock test above.  Every module-level
+        # ``pow`` of the package is counted while exp6_comparison times
+        # each system.  Freedman pays ~n Paillier modexps per element
+        # and DH-PSI three per element of either set; Prism pays none,
+        # and sweeps two χ cells per domain value (one per server).
+        modexps: Counter = Counter()
+        phase = {"name": "setup"}
+
+        def counting(module):
+            def pow(base, exp, mod=None):
+                if mod is not None:
+                    modexps[phase["name"], module] += 1
+                return builtins.pow(base, exp, mod)
+            return pow
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and module is not None:
+                monkeypatch.setattr(module, "pow", counting(name),
+                                    raising=False)
+
+        sizes = {}
+        real_timed = experiments.timed
+
+        def labelled(fn, *args, **kwargs):
+            phase["name"] = fn.__name__
+            sizes[fn.__name__] = [len(arg) for arg in args
+                                  if isinstance(arg, (list, set))]
+            try:
+                return real_timed(fn, *args, **kwargs)
+            finally:
+                phase["name"] = "setup"
+
+        monkeypatch.setattr(experiments, "timed", labelled)
+        cells = Counter()
+        sweep = PrismServer.indicator_round
+
+        def swept(server, sweeps, *args, **kwargs):
+            outputs = sweep(server, sweeps, *args, **kwargs)
+            cells[phase["name"]] += sum(out.size for out in outputs)
+            return outputs
+
+        monkeypatch.setattr(PrismServer, "indicator_round", swept)
+        payload = exp6_comparison(prism_domain=2048, freedman_n=32)
+
+        def count(phase_name, module=None):
+            return sum(c for (p, m), c in modexps.items()
+                       if p == phase_name and module in (None, m))
+
+        # Prism: no modexp anywhere in the package, 2 cells per element.
+        b = payload["prism"]["n"]
+        assert count("psi") == 0
+        assert cells == {"psi": 2 * b}
+        # Freedman: 2 per encrypted coefficient (n + 1 of them), n + 2
+        # per server element (Horner, mask, add), 1 per decryption.
+        n = payload["freedman"]["n"]
+        freedman = count("intersect", "repro.baselines.paillier")
+        assert freedman == 2 * (n + 1) + n * (n + 2) + n
+        assert count("intersect") == freedman
+        # DH-PSI: hash-to-group squaring and the own key on both sets,
+        # then the peer's key on both: 3 per element of either set.
+        size_a, size_b = sizes["dh_psi"]
+        assert size_a == payload["dh"]["n"]
+        dh = count("dh_psi", "repro.baselines.dh_psi")
+        assert dh == 3 * (size_a + size_b)
+        per_element = {"prism": count("psi") / b,
+                       "dh": dh / size_a, "freedman": freedman / n}
+        assert per_element["prism"] == 0
+        assert 3 <= per_element["dh"] < per_element["freedman"]
+        assert per_element["freedman"] > n
