@@ -17,17 +17,19 @@ the report captures what multi-client serving buys:
   of one ``gateway_tcp``-sized answer each: a 2,176-value integer
   ``SetResult`` over b = 4,096 cells, and 2,176-entry
   ``AggregateResult`` maps of int sums and of float averages.  Their
-  byte budgets, 8·n + b + 2048 and 16·n + 2048, are what the CI smoke
-  asserts.
+  byte budgets, 8·n + ⌈b/8⌉ + 2048 (the membership travels
+  bit-packed) and 16·n + 2048, are what the CI smoke asserts.
 
-Run as a script (the CI smoke uses a tiny domain)::
+Run as a script; this is the command behind the committed
+``BENCH_gateway.json`` (the CI smoke uses ``--domain 800 --queries 10``)::
 
     PYTHONPATH=src python benchmarks/bench_gateway.py \
-        --domain 2000 --queries 12 --clients 1,4,16 --out BENCH_gateway.json
+        --domain 5000 --queries 18 --clients 1,4,16 --out BENCH_gateway.json
 
 Expected shape: one client serializes its queries, so its ratio sits
-near 1; at 16 clients the 2 ms coalesce window catches most concurrent
-arrivals and the ratio climbs well past the bar, while throughput rises
+near 1 and no tick waits; at 16 clients each tick waits (at most the
+2 ms coalesce window) for as many queries as the last tick took, so the
+ratio climbs well past the bar, while throughput rises
 despite every query crossing a socket — the fused tick amortizes the
 server sweeps exactly as §8's batch experiments do in-process.
 """

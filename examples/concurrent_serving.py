@@ -41,7 +41,8 @@ with PrismSystem.build(
 
         # -- concurrent users: submit() from many threads -------------------
         # hold() pins the scheduler so this demo coalesces deterministically;
-        # in steady state the coalescing window does the same job.
+        # in steady state each tick drains once as many submissions are
+        # queued as the last tick took (or coalesce_window has passed).
         queries = [
             Q.psi("disease"),
             Q.psi("disease").verify(),

@@ -33,9 +33,11 @@ refreshing the same PSI pay for one Eq. 3 sweep::
         futures = [client.submit(q) for q in queries]   # any thread(s)
         results = [f.result() for f in futures]
 
-A short coalescing window (``coalesce_window`` seconds) lets genuinely
-concurrent submitters land in the same tick; :meth:`PrismClient.hold`
-pins the scheduler for deterministic coalescing (tests, bulk loads).  If
+On waking, the scheduler waits until as many submissions are queued as
+the previous tick took, so closed-loop callers whose answers just came
+back fuse again, but never longer than ``coalesce_window`` seconds: a
+lone caller's query drains at once.  :meth:`PrismClient.hold` pins the
+scheduler for deterministic coalescing (tests, bulk loads).  If
 a fused tick fails (e.g. one query's verification trips), the scheduler
 re-runs that tick's queries individually so the failure lands only on
 the offending future.
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from concurrent.futures import Future
 
 from repro.api.executor import BATCHED, DISPATCH, Executor
@@ -101,8 +102,9 @@ class PrismClient:
         num_shards: default span count for this session (``None``:
             the system's own default; ``"auto"``: resolve per call from
             the χ length and core count).
-        coalesce_window: seconds the scheduler waits after waking so
-            concurrent :meth:`submit` calls land in the same fused tick.
+        coalesce_window: upper bound, in seconds, on the scheduler's
+            wait after waking for as many :meth:`submit` calls as the
+            previous tick took; ``0`` drains whatever is queued at once.
     """
 
     def __init__(self, system, num_shards: int | str | None = None,
@@ -133,6 +135,9 @@ class PrismClient:
         self._submitted = 0
         self._ticks = 0
         self._max_coalesced = 0
+        # Submissions the last drain tick took: the next tick waits for
+        # as many (at most coalesce_window) before it drains.
+        self._last_tick = 1
         # Interactive job lane: touched only on the scheduler thread.
         self._jobs: list[_Job] = []
         self._interactive_jobs = 0
@@ -342,21 +347,23 @@ class PrismClient:
                     # Every predicate input (submit, hold-exit, close)
                     # notifies, so an idle scheduler sleeps — no polling.
                     self._cond.wait()
-                closing = self._closing
-            if (drainable and self.coalesce_window and not closing
-                    and not self._jobs):
-                # Give genuinely concurrent submitters a beat to land in
-                # this tick (the whole point of coalescing).  With jobs
-                # in flight the loop already has work — no sleeping.
-                time.sleep(self.coalesce_window)
-            items: list[_Submission] = []
-            if drainable:
-                with self._cond:
-                    if not (self._holds and not self._closing):
-                        items, self._pending = self._pending, []
-                    # else: a hold() arrived during the window — the
-                    # queue is pinned again; held submissions will drain
-                    # in one tick, as promised.
+                if (drainable and self.coalesce_window
+                        and not self._closing and not self._jobs):
+                    # Wait until as many submissions are queued as the
+                    # last tick took (its closed-loop callers are back),
+                    # for at most the window.  With jobs in flight the
+                    # loop already has work — no waiting.
+                    self._cond.wait_for(
+                        lambda: (len(self._pending) >= self._last_tick
+                                 or self._closing),
+                        timeout=self.coalesce_window)
+                # A hold() that arrived during the wait pins the queue
+                # again; held submissions will drain in one tick, as
+                # promised.
+                items: list[_Submission] = []
+                if drainable and not (self._holds and not self._closing):
+                    items, self._pending = self._pending, []
+                    self._last_tick = len(items)
             items = [s for s in items
                      if s.future.set_running_or_notify_cancel()]
             if items:

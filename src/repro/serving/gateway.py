@@ -116,8 +116,10 @@ class Gateway:
             (requests/second and bucket capacity; ``None`` disables).
         tenant_rates: per-tenant ``{tenant: rate}`` or
             ``{tenant: (rate, burst)}`` overrides.
-        coalesce_window: scheduler drain window of each dataset's
-            shared :class:`~repro.api.client.PrismClient`.
+        coalesce_window: upper bound, in seconds, on how long each
+            dataset's shared :class:`~repro.api.client.PrismClient`
+            scheduler waits for the previous tick's submitters to come
+            back before it drains.
         drain_timeout: seconds :meth:`shutdown` waits for in-flight
             requests before closing anyway.
     """

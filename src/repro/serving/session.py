@@ -156,7 +156,9 @@ def result_to_wire(result) -> dict:
         return {
             "type": "SetResult",
             "values": list(result.values),
-            "membership": np.asarray(result.membership).astype(np.uint8),
+            "membership": np.packbits(np.asarray(result.membership,
+                                                 dtype=bool)),
+            "cells": len(result.membership),
             "timings": _timings_to_wire(result.timings),
             "traffic": dict(result.traffic or {}),
             "verified": bool(result.verified),
@@ -212,6 +214,22 @@ def result_to_wire(result) -> dict:
         f"gateway session")
 
 
+def _membership_from_wire(data) -> np.ndarray:
+    """Unpack a ``SetResult`` membership shipped as ``np.packbits``."""
+    cells = int(data["cells"])
+    nbytes = (cells + 7) // 8
+    packed = data["membership"]
+    if (cells < 0 or not isinstance(packed, np.ndarray)
+            or packed.dtype != np.uint8 or packed.ndim != 1
+            or packed.size != nbytes):
+        raise ProtocolError(
+            f"membership of {cells} cells must be {nbytes} packed bytes")
+    bits = np.unpackbits(packed)
+    if bits[cells:].any():
+        raise ProtocolError("membership pad bits must be zero")
+    return bits[:cells].astype(bool)
+
+
 def result_from_wire(data):
     """Inverse of :func:`result_to_wire`.
 
@@ -229,7 +247,7 @@ def result_from_wire(data):
         if kind == "SetResult":
             return SetResult(
                 values=list(data["values"]),
-                membership=np.asarray(data["membership"]).astype(bool),
+                membership=_membership_from_wire(data),
                 timings=_timings_from_wire(data.get("timings")),
                 traffic=dict(data.get("traffic") or {}),
                 verified=bool(data.get("verified", False)),

@@ -579,7 +579,8 @@ class TestSessionResultBudget:
         assert back.membership.dtype == bool
         assert back.timings.seconds == result.timings.seconds
         assert back.traffic == result.traffic and back.verified
-        assert nbytes <= 8 * _N + _B + 2048
+        # The membership travels bit-packed: ceil(b / 8) bytes.
+        assert nbytes <= 8 * _N + (_B + 7) // 8 + 2048
 
     @pytest.mark.parametrize("average", [False, True])
     def test_aggregate_result(self, average):
@@ -604,4 +605,32 @@ class TestSessionResultBudget:
         assert all(type(v) is str for v in back.values)
         assert np.array_equal(back.membership, result.membership)
         # Strings travel one tagged item each: 1 tag + 8 length + 5.
-        assert nbytes > 14 * _N + _B
+        assert nbytes > 14 * _N + (_B + 7) // 8
+
+    @pytest.mark.parametrize("cells", [0, 1, 7, 8, 9, _B])
+    def test_membership_round_trips_at_any_cell_count(self, cells):
+        membership = np.arange(cells) % 3 == 1
+        wire = result_to_wire(SetResult(values=[], membership=membership,
+                                        timings=_timings(), traffic={}))
+        assert wire["membership"].size == (cells + 7) // 8
+        back = result_from_wire(
+            decode_frame(encode_frame(RESULT, 1, FULL_SPAN, wire)).payload)
+        assert back.membership.dtype == bool
+        assert np.array_equal(back.membership, membership)
+
+    @pytest.mark.parametrize("tamper", ["short", "long", "pad", "dtype",
+                                        "list"])
+    def test_malformed_membership_is_a_protocol_error(self, tamper):
+        wire = result_to_wire(SetResult(
+            values=[], membership=np.ones(13, dtype=bool),
+            timings=_timings(), traffic={}))
+        packed = wire["membership"]
+        wire["membership"] = {
+            "short": packed[:1],
+            "long": np.append(packed, np.uint8(0)),
+            "pad": packed | np.array([0, 1], dtype=np.uint8),
+            "dtype": packed.astype(np.uint16),
+            "list": packed.tolist(),
+        }[tamper]
+        with pytest.raises(ProtocolError, match="membership"):
+            result_from_wire(wire)

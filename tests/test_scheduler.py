@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import Domain, PrismSystem, Q, Relation
+from repro import Domain, PrismClient, PrismSystem, Q, Relation
 from repro.core.interactive import ExtremaProgram
 from repro.exceptions import QueryError, VerificationError
 
@@ -100,7 +100,8 @@ def test_submissions_from_many_threads_coalesce():
 
 
 def test_submit_without_hold_still_completes():
-    """The steady-state path: no pinning, the window does the batching."""
+    """The steady-state path: no pinning; each tick drains once as many
+    submissions are queued as the last tick took, or the window passes."""
     system = build_hospitals()
     with system.client() as client:
         futures = [client.submit(Q.psi("disease")) for _ in range(5)]
@@ -109,6 +110,86 @@ def test_submit_without_hold_still_completes():
         stats = client.stats["scheduler"]
         assert stats["submitted"] == 5
         assert 1 <= stats["ticks"] <= 5
+
+
+class TestBoundedCoalescingWait:
+    """The window bounds the wait; it is not slept through.
+
+    On waking, the scheduler waits until as many submissions are queued
+    as the previous tick took, or ``coalesce_window`` passes, or
+    ``close()`` is called.  A 60 s window makes any wait that runs to
+    its bound overrun these tests' 10 s timeouts, so none of them needs
+    a clock.
+    """
+
+    def test_lone_submission_drains_without_waiting_out_the_window(self):
+        system = build_hospitals()
+        with PrismClient(system, coalesce_window=60) as client:
+            future = client.submit(Q.psi("disease"))
+            assert future.result(timeout=10).values == ["Cancer"]
+            assert client.stats["scheduler"]["ticks"] == 1
+
+    def test_last_ticks_submitters_drain_together_once_back(self):
+        system = build_hospitals()
+        with PrismClient(system, coalesce_window=60) as client:
+            with client.hold():
+                held = [client.submit(Q.psi("disease")) for _ in range(2)]
+            for future in held:
+                assert future.result(timeout=10).values == ["Cancer"]
+            barrier = threading.Barrier(2)
+            futures = [None, None]
+
+            def caller(slot):
+                barrier.wait()
+                futures[slot] = client.submit(Q.psu("disease"))
+
+            threads = [threading.Thread(target=caller, args=(slot,))
+                       for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for future in futures:
+                assert sorted(future.result(timeout=10).values) == \
+                    ["Cancer", "Fever", "Heart"]
+            stats = client.stats["scheduler"]
+            assert stats["ticks"] == 2
+            assert stats["max_coalesced"] == 2
+
+    def test_lone_resubmission_after_a_tick_of_two_drains_alone(self):
+        system = build_hospitals()
+        with PrismClient(system, coalesce_window=0.05) as client:
+            with client.hold():
+                held = [client.submit(Q.psi("disease")) for _ in range(2)]
+            for future in held:
+                future.result(timeout=10)
+            # Waits for a second submission that never comes, then
+            # drains alone at the bound.
+            lone = client.submit(Q.psi("disease"))
+            assert lone.result(timeout=10).values == ["Cancer"]
+            assert client.stats["scheduler"]["ticks"] == 2
+            # That tick took one, so the next lone query does not wait:
+            # a 60 s bound would otherwise overrun the timeout.
+            client.coalesce_window = 60
+            again = client.submit(Q.psi("disease"))
+            assert again.result(timeout=10).values == ["Cancer"]
+            assert client.stats["scheduler"]["ticks"] == 3
+
+    def test_close_cuts_the_wait_short_and_drains(self):
+        system = build_hospitals()
+        client = PrismClient(system, coalesce_window=60)
+        with client.hold():
+            held = [client.submit(Q.psi("disease")) for _ in range(2)]
+        for future in held:
+            future.result(timeout=10)
+        # The scheduler now waits for a second submission.
+        pending = client.submit(Q.psu("disease"))
+        closer = threading.Thread(target=client.close)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert sorted(pending.result(timeout=10).values) == \
+            ["Cancer", "Fever", "Heart"]
 
 
 def test_failing_query_poisons_only_its_own_future():
