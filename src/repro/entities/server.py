@@ -18,11 +18,12 @@ compiled twin in :mod:`repro.kernels`:
   stream over the complement table), optionally over a cell subset: a
   share sum gathered from a folded table.
 * :func:`numpy_psu_sweep` — Eq. 18: masked additive sums with the
-  common PRG stream.
+  common PRG stream, over sums from :func:`numpy_sum_sweep`.
 * :func:`numpy_agg_sweep` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
 
-:func:`psi_sweep`, :func:`psu_sweep` and :func:`agg_sweep` are the only
-places that choose the compiled kernel or its numpy twin, and the fused
+:func:`psi_sweep`, :func:`sum_sweep`, :func:`psu_sweep` and
+:func:`agg_sweep` are the only places that choose the compiled kernel
+or its numpy twin, and the fused
 2-D kernels (:meth:`PrismServer.psi_round_batch` and friends; one query
 is a batch of one row) are the only places that set them up.
 :meth:`PrismServer.indicator_round` runs a whole round 1 — every Eq. 3/7
@@ -33,6 +34,17 @@ The entity host's span-scoped frames run those same kernels with a
 ``span`` window of their output columns.
 :meth:`~PrismServer.extrema_collect` / :meth:`~PrismServer.fpos_round`
 hold the §6.3 max machinery.
+
+Each equation's owners enter only through their sum, so a server keeps
+one *owner-summed* vector per ``(column, kind)`` and resolved owner set
+in its store (:meth:`~repro.data.storage.ServerStore.summed`): Σ_j s_j
+mod δ for an additive column, Σ_j s_j mod p for a Shamir column.  The
+first sweep of a store version builds it with the kernels above
+(:meth:`PrismServer._owner_sum`); every later row — whole-χ, ``cells``
+or span window — reads that one vector, with bit-identical outputs.
+The fetch step is unchanged, so access traces do not change either:
+whether a sweep builds or reads depends only on the query shape and the
+store version.
 
 Every sweep splits the χ table into contiguous spans on the
 deployment's *persistent* thread pool
@@ -105,38 +117,47 @@ def numpy_psi_sweep(share_lists, tables: np.ndarray, out: np.ndarray,
     return kernel
 
 
-def numpy_psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
-                    delta: int, out: np.ndarray, draw_base: int = 0):
-    """Eq. 18: ``out[q, i] = (Σ_j A(x_i)_j mod δ) · rand_q[i] mod δ``.
+def numpy_sum_sweep(share_lists, delta: int, out: np.ndarray):
+    """Owner sum mod δ: ``out[u, i] = Σ_j share_lists[u][j][i] mod δ``.
 
-    ``share_lists`` holds the *distinct* columns' share vectors, summed
-    (in a dtype that cannot wrap) and reduced into the scratch rows of
-    ``acc``; ``row_map[q]`` names the ``acc`` row of output row
-    ``q`` and ``keys[q]`` its mask stream, whose draws ``rand_q[i] ∈
-    [1, δ)`` both servers derive from the common PRG seed.  Owners
-    adding the two outputs get ``(Σ_j x_ij) · rand[i] mod δ`` — zero iff
-    no owner holds the value.  ``draw_base`` offsets the draws when the
-    arrays are span-local, so every span seeks the absolute stream.
-    numpy twin of :func:`repro.kernels.psu_sweep`.
+    Each row's shares are summed in a dtype that cannot wrap, then
+    reduced mod δ into ``out``'s row — the additive owner sum of Eq. 18,
+    and how :class:`PrismServer` builds its owner-summed vectors.  numpy
+    twin of :func:`repro.kernels.sum_sweep`.
     """
-    row_map = np.asarray(row_map, dtype=np.int64)
-    prgs = [SeededPRG.from_key(key) for key in keys]
     sum_dtype = _sum_dtype(share_lists)
 
     def kernel(lo: int, hi: int) -> None:
-        local = acc[:, lo:hi]
         total = np.empty(hi - lo, dtype=sum_dtype)
-        for row, col_shares in zip(local, share_lists):
+        for row, col_shares in zip(out, share_lists):
             total.fill(0)
             for s in col_shares:
                 total += s[lo:hi]
-            np.remainder(total, delta, out=row)
+            np.remainder(total, delta, out=row[lo:hi])
+    return kernel
+
+
+def numpy_psu_sweep(summed, keys: list[bytes], delta: int, out: np.ndarray,
+                    draw_base: int = 0):
+    """Eq. 18: ``out[q, i] = (Σ_j A(x_i)_j mod δ) · rand_q[i] mod δ``.
+
+    ``summed[q]`` is output row ``q``'s owner sum mod δ
+    (:func:`numpy_sum_sweep`) and ``keys[q]`` its mask stream, whose
+    draws ``rand_q[i] ∈ [1, δ)`` both servers derive from the common PRG
+    seed.  Owners adding the two outputs get ``(Σ_j x_ij) · rand[i] mod
+    δ`` — zero iff no owner holds the value.  ``draw_base`` offsets the
+    draws when the arrays are span-local, so every span seeks the
+    absolute stream.  numpy twin of :func:`repro.kernels.psu_sweep`.
+    """
+    prgs = [SeededPRG.from_key(key) for key in keys]
+
+    def kernel(lo: int, hi: int) -> None:
         rand = np.stack([prg.integers_at(draw_base + lo, hi - lo, 1, delta)
                          for prg in prgs])
         # Both factors are below δ < 2**32, so their uint64 product
         # cannot wrap.
-        product = np.multiply(local[row_map], rand, dtype=np.uint64,
-                              casting="unsafe")
+        product = np.multiply(np.stack([v[lo:hi] for v in summed]), rand,
+                              dtype=np.uint64, casting="unsafe")
         out[:, lo:hi] = np.remainder(product, delta, out=product)
     return kernel
 
@@ -171,12 +192,17 @@ def psi_sweep(share_lists, tables, out, cells=None):
             or numpy_psi_sweep(share_lists, tables, out, cells=cells))
 
 
-def psu_sweep(share_lists, acc, row_map, keys, delta, out, draw_base=0):
+def sum_sweep(share_lists, delta, out):
+    """The owner-sum span kernel: compiled where the tier engages, else
+    numpy."""
+    return (kernels.sum_sweep(share_lists, delta, out)
+            or numpy_sum_sweep(share_lists, delta, out))
+
+
+def psu_sweep(summed, keys, delta, out, draw_base=0):
     """The Eq. 18 span kernel: compiled where the tier engages, else numpy."""
-    return (kernels.psu_sweep(share_lists, acc, row_map, keys, delta, out,
-                              draw_base=draw_base)
-            or numpy_psu_sweep(share_lists, acc, row_map, keys, delta, out,
-                               draw_base=draw_base))
+    return (kernels.psu_sweep(summed, keys, delta, out, draw_base=draw_base)
+            or numpy_psu_sweep(summed, keys, delta, out, draw_base=draw_base))
 
 
 def agg_sweep(share_lists, z_matrix, p, out):
@@ -383,34 +409,81 @@ class PrismServer:
         return [SeededPRG(self.params.prg_seed, f"psu-{nonce}").key_bytes
                 for nonce in query_nonces]
 
-    def _psi_rows(self, columns, share_lists, subtract_m, owner_ids,
+    def _owner_sum(self, column: str, shares, kind: ShareKind, owner_ids,
+                   version: int, num_shards: int | None) -> np.ndarray:
+        """``column``'s owner-summed vector: the one the store keeps, or
+        one built from the fetched ``shares`` and handed to the store.
+
+        A build runs the existing sweep kernels over χ into a fresh
+        array — the Eq. 18 owner sum mod δ (:func:`sum_sweep`) for an
+        additive column, one Eq. 11 row with z ≡ 1 (:func:`agg_sweep`)
+        for a Shamir column — so the first query of a store version
+        pays the per-owner cost it always did.  The store keeps the
+        vector only if no ``put`` ran since ``version``, read before the
+        fetch.  A row's sweep then gives the same output from this one
+        vector as from every owner's shares: g has order δ, so Eq. 3/7
+        reads the same table entry at ``Σ mod δ`` as at ``Σ``, and
+        Eq. 11 is linear, so ``(Σ_j s_j mod p)·z ≡ Σ_j s_j·z (mod p)``.
+        """
+        kept = self.store.summed(column, kind, owner_ids)
+        if kept is not None:
+            return kept
+        n = shares[0].shape[0]
+        if kind is ShareKind.SHAMIR:
+            out = np.empty((1, n), dtype=self.params.shamir_dtype)
+            kernel = agg_sweep([shares], np.ones_like(out),
+                               self.params.field_prime, out)
+        else:
+            out = np.empty((1, n), dtype=self.params.additive_dtype)
+            kernel = sum_sweep([shares], self.params.delta, out)
+        self.runtime.run(kernel, n, num_shards or self.num_shards)
+        vector = out[0]
+        self.store.keep_summed(column, kind, owner_ids, vector, version)
+        return vector
+
+    def _owner_sums(self, columns, share_lists, kind: ShareKind, owner_ids,
+                    version: int, num_shards: int | None) -> list[np.ndarray]:
+        """One owner-summed vector per row; a repeated column reads the
+        vector its first row kept."""
+        return [self._owner_sum(column, shares, kind, owner_ids, version,
+                                num_shards)
+                for column, shares in zip(columns, share_lists)]
+
+    def _psi_rows(self, columns, subtract_m, owner_ids,
                   num_shards: int | None = None,
                   cells: np.ndarray | None = None,
                   span=None) -> np.ndarray:
         """The rows of a fused Eq. 3 / Eq. 7 sweep over χ (or ``cells``),
-        then tampered; ``span`` keeps only its window of the columns."""
+        then tampered; ``span`` keeps only its window of the columns.
+
+        Every owner's shares are still fetched and checked; the sweep
+        then gathers from each row's owner-summed vector
+        (:meth:`_owner_sum`) through a one-share folded table."""
         params = self.params
+        version = self.store.version
+        share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
         num_owners, b = self._check_uniform(columns, share_lists,
                                             params.additive_dtype)
         if cells is not None and cells.size and (
                 int(cells.min()) < 0 or int(cells.max()) >= b):
             raise ProtocolError(f"cell indices out of range for χ length {b}")
+        summed = self._owner_sums(columns, share_lists, ShareKind.ADDITIVE,
+                                  owner_ids, version, num_shards)
         n = b if cells is None else cells.shape[0]
         if span is not None:
             lo, hi = self._window(span, n)
             if cells is None:
-                share_lists = [[s[lo:hi] for s in row] for row in share_lists]
+                summed = [v[lo:hi] for v in summed]
             else:
                 # Cell-local: the window indexes the cells array, which
-                # still gathers from the full share vectors.
+                # still gathers from the full summed vectors.
                 cells = cells[lo:hi]
             n = hi - lo
         tables = params.group.folded_tables(
-            self._batch_m_shares(subtract_m, num_owners, owner_ids),
-            num_owners)
+            self._batch_m_shares(subtract_m, num_owners, owner_ids), 1)
         out = np.empty((len(columns), n), dtype=params.group_dtype)
-        self.runtime.run(psi_sweep(share_lists, tables, out, cells), n,
-                         num_shards or self.num_shards)
+        self.runtime.run(psi_sweep([[v] for v in summed], tables, out, cells),
+                         n, num_shards or self.num_shards)
         kinds = ["psi" if flag else "verification" for flag in subtract_m]
         return self._tamper_rows(out, kinds, columns)
 
@@ -512,10 +585,9 @@ class PrismServer:
         if not len(columns):
             raise ProtocolError("batched PSI sweep needs at least one column")
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
-        share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
         return permute_rows(self.params, self._psi_rows(
-            columns, share_lists, subtract_m, owner_ids, num_shards,
-            span=span), permute, span)
+            columns, subtract_m, owner_ids, num_shards, span=span),
+            permute, span)
 
     def psi_cells_round_batch(self, columns, cells,
                               owner_ids: list[int] | None = None,
@@ -545,9 +617,8 @@ class PrismServer:
             raise ProtocolError("cell-restricted sweep needs at least one "
                                 "column")
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
-        share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
-        return self._psi_rows(columns, share_lists, subtract_m, owner_ids,
-                              num_shards, cells, span)
+        return self._psi_rows(columns, subtract_m, owner_ids, num_shards,
+                              cells, span)
 
     def psu_round_batch(self, columns, query_nonces,
                         owner_ids: list[int] | None = None,
@@ -557,9 +628,8 @@ class PrismServer:
 
         Row ``q`` is the PSU kernel over ``columns[q]``, masked with the
         ``query_nonces[q]`` stream — each query keeps its own fresh mask
-        stream — but the owner-share sums
-        are computed once per *distinct* column and broadcast across the
-        rows that reference it.  ``permute[q]`` permutes row ``q``
+        stream — over that column's owner-summed vector, which every
+        row naming the column reads.  ``permute[q]`` permutes row ``q``
         after the ``tamper`` seam, as in :meth:`psi_round_batch`
         (``"pf_s1"``: the PSU-Count path).
 
@@ -575,22 +645,21 @@ class PrismServer:
             raise ProtocolError("batched PSU sweep needs at least one column")
         if len(query_nonces) != len(columns):
             raise ProtocolError("query_nonces must match the column count")
-        # The owner-share sums are computed once per distinct column, in
-        # order of first appearance, and broadcast across its rows.
+        # Each distinct column is fetched once, in order of first
+        # appearance, and its owner-summed vector read by all its rows.
         uniq = list(dict.fromkeys(columns))
+        version = self.store.version
         share_lists = [self.fetch_additive(c, owner_ids) for c in uniq]
-        dtype = self.params.additive_dtype
-        _, n = self._check_uniform(uniq, share_lists, dtype)
-        lo = 0
-        if span is not None:
-            lo, hi = self._window(span, n)
-            share_lists = [[s[lo:hi] for s in row] for row in share_lists]
-            n = hi - lo
-        acc = np.empty((len(uniq), n), dtype=dtype)
-        out = np.empty((len(columns), n), dtype=dtype)
-        self.runtime.run(psu_sweep(share_lists, acc,
-                                   [uniq.index(c) for c in columns],
-                                   self._psu_keys(query_nonces),
+        _, n = self._check_uniform(uniq, share_lists,
+                                   self.params.additive_dtype)
+        lo, hi = (0, n) if span is None else self._window(span, n)
+        sums = dict(zip(uniq, self._owner_sums(
+            uniq, share_lists, ShareKind.ADDITIVE, owner_ids, version,
+            num_shards)))
+        summed = [sums[c][lo:hi] for c in columns]
+        n = hi - lo
+        out = np.empty((len(columns), n), dtype=self.params.additive_dtype)
+        self.runtime.run(psu_sweep(summed, self._psu_keys(query_nonces),
                                    self.params.delta, out, draw_base=lo), n,
                          num_shards or self.num_shards)
         return permute_rows(self.params, self._tamper_rows(
@@ -612,6 +681,7 @@ class PrismServer:
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
+        version = self.store.version
         share_lists = [self.fetch_shamir(c, owner_ids) for c in columns]
         z_matrix = self.admit_z(z_matrix)
         if z_matrix.ndim != 2 or z_matrix.shape[0] != len(columns):
@@ -621,18 +691,19 @@ class PrismServer:
             )
         dtype = self.params.shamir_dtype
         _, n = self._check_uniform(columns, share_lists, dtype)
-        if span is not None:
-            lo, hi = self._window(span, n)
-            share_lists = [[s[lo:hi] for s in row] for row in share_lists]
-            n = hi - lo
-        if z_matrix.shape[1] != n:
+        lo, hi = (0, n) if span is None else self._window(span, n)
+        if z_matrix.shape[1] != hi - lo:
             raise ProtocolError(
                 f"z vector length {z_matrix.shape[1]} does not match column "
                 f"length {n}" if span is None else
                 f"z block of shape {z_matrix.shape} does not cover span "
                 f"{tuple(span)}")
+        summed = [v[lo:hi] for v in self._owner_sums(
+            columns, share_lists, ShareKind.SHAMIR, owner_ids, version,
+            num_shards)]
+        n = hi - lo
         out = np.empty((len(columns), n), dtype=dtype)
-        self.runtime.run(agg_sweep(share_lists, z_matrix,
+        self.runtime.run(agg_sweep([[v] for v in summed], z_matrix,
                                    self.params.field_prime, out), n,
                          num_shards or self.num_shards)
         return self._tamper_rows(out, ["aggregate"] * len(columns), columns)

@@ -41,8 +41,12 @@ of the ladder says numpy.  Each has a numpy twin with the same
 signature in :mod:`repro.entities.server` (``numpy_psi_sweep`` and
 friends), and one selector per equation there
 (``kernels.psi_sweep(...) or numpy_psi_sweep(...)``) is the only place
-that picks between them.  The owner spans follow the same contract:
-:func:`combine_span` is selected in ``ShamirSharing._combine`` against
+that picks between them.  :func:`sum_sweep` (the owner sum of Eq. 18,
+over ``repro_sum_mod_span``) and :func:`agg_sweep` with an all-ones z
+row also build each server's owner-summed vectors, which the server
+keeps per store version, so its fused sweeps read one summed vector per
+row rather than every owner's shares.  The owner spans follow the same
+contract: :func:`combine_span` is selected in ``ShamirSharing._combine`` against
 :func:`repro.crypto.shamir.numpy_combine_span`, :func:`mul_mod_span` in
 ``repro.entities.owner._mul_mod`` against
 :func:`repro.entities.owner.numpy_mul_mod_span`, and :func:`shuffle` in
@@ -230,38 +234,54 @@ def psi_sweep(share_lists, tables: np.ndarray, out: np.ndarray,
     return kernel
 
 
-def psu_sweep(share_lists, acc: np.ndarray, row_map, keys: list[bytes],
-              delta: int, out: np.ndarray, draw_base: int = 0):
-    """Chunk closure for the fused Eq. 18 sweep, or ``None``.
+def sum_sweep(share_lists, delta: int, out: np.ndarray):
+    """Chunk closure summing each row's owners mod δ, or ``None``.
 
-    ``share_lists`` holds the *unique* columns' share vectors summed
-    into ``acc`` rows; ``row_map[q]`` names the acc row for output row
-    ``q`` and ``keys[q]`` its 32-byte mask-stream key.  Shares, ``acc``
-    and ``out`` are residues mod δ of one width.  ``draw_base`` offsets
-    the mask draws (non-zero when the caller hands span-local arrays, as
-    the entity host's span requests do) so shards keep seeking the
-    absolute stream exactly like ``SeededPRG.integers_at``.
+    ``out[u, i] = Σ_j share_lists[u][j][i] mod δ``: the owner sum behind
+    Eq. 18, and the step that builds a server's owner-summed additive
+    vectors.  Shares and ``out`` are residues mod δ of one width.
     """
-    if delta < 2:
-        return None
     lib = _sweep_lib(out, _RESIDUE)
-    if (lib is None or acc.dtype != out.dtype or not acc.flags.c_contiguous
-            or not acc.flags.aligned or not acc.flags.writeable):
+    if lib is None or out.ndim != 2 or len(share_lists) != out.shape[0]:
         return None
     ptrs = _row_ptrs(share_lists, out.dtype)
     if ptrs is None:
         return None
     counts = [len(row) for row in share_lists]
-    rows = [int(u) for u in row_map]
     size = out.itemsize
 
     def kernel(lo: int, hi: int) -> None:
         for u, col_ptrs in enumerate(ptrs):
             lib.repro_sum_mod_span(col_ptrs, counts[u], size, lo, hi, delta,
-                                   _row_addr(acc, u))
-        for q, u in enumerate(rows):
-            lib.repro_psu_span(_row_addr(acc, u), size, lo, hi, keys[q],
-                               draw_base, delta, _row_addr(out, q))
+                                   _row_addr(out, u))
+    return kernel
+
+
+def psu_sweep(summed, keys: list[bytes], delta: int, out: np.ndarray,
+              draw_base: int = 0):
+    """Chunk closure for the fused Eq. 18 sweep, or ``None``.
+
+    ``summed[q]`` is output row ``q``'s owner-summed vector (built by
+    :func:`sum_sweep`) and ``keys[q]`` its 32-byte mask-stream key.
+    ``summed`` and ``out`` are residues mod δ of one width.
+    ``draw_base`` offsets the mask draws (non-zero when the caller hands
+    span-local arrays, as the entity host's span requests do) so shards
+    keep seeking the absolute stream exactly like
+    ``SeededPRG.integers_at``.
+    """
+    if delta < 2:
+        return None
+    lib = _sweep_lib(out, _RESIDUE)
+    if (lib is None or len(summed) != out.shape[0]
+            or not all(_vec_ok(v, (out.dtype,)) for v in summed)):
+        return None
+    addrs = [vector.ctypes.data for vector in summed]
+    size = out.itemsize
+
+    def kernel(lo: int, hi: int) -> None:
+        for q, addr in enumerate(addrs):
+            lib.repro_psu_span(addr, size, lo, hi, keys[q], draw_base, delta,
+                               _row_addr(out, q))
     return kernel
 
 

@@ -51,6 +51,7 @@ from repro.entities.server import (
     numpy_agg_sweep,
     numpy_psi_sweep,
     numpy_psu_sweep,
+    numpy_sum_sweep,
 )
 from repro.exceptions import ProtocolError
 from repro.kernels import cbackend
@@ -230,11 +231,14 @@ class TestSweepBitIdentity:
         row_map = np.array([0, 1, 0], dtype=np.int64)
         keys = [SeededPRG(seed, f"psu-{nonce}").key_bytes
                 for nonce in nonces]
-        acc = np.zeros((2, n), dtype=share_dtype(delta))
+        sums = np.zeros((2, n), dtype=share_dtype(delta))
         out = np.empty((3, n), dtype=share_dtype(delta))
-        kernel = kernels.psu_sweep(shares, acc, row_map, keys, delta, out)
-        assert kernel is not None
-        _chunked(kernel, n)
+        add = kernels.sum_sweep(shares, delta, sums)
+        mask = kernels.psu_sweep([sums[u] for u in row_map], keys, delta,
+                                 out)
+        assert add is not None and mask is not None
+        _chunked(add, n)
+        _chunked(mask, n)
         expected = psu_reference(shares, row_map, nonces, seed, delta)
         np.testing.assert_array_equal(out, expected)
 
@@ -256,12 +260,14 @@ class TestSweepBitIdentity:
         full = psu_reference(shares, row_map, nonces, seed, DELTA)
         local_shares = [[np.ascontiguousarray(s[base:base + span])
                          for s in shares[0]]]
-        acc = np.zeros((1, span), dtype=share_dtype(DELTA))
+        sums = np.zeros((1, span), dtype=share_dtype(DELTA))
         out = np.empty((1, span), dtype=share_dtype(DELTA))
-        kernel = kernels.psu_sweep(local_shares, acc, row_map, keys, DELTA,
-                                   out, draw_base=base)
-        assert kernel is not None
-        _chunked(kernel, span)
+        add = kernels.sum_sweep(local_shares, DELTA, sums)
+        mask = kernels.psu_sweep([sums[u] for u in row_map], keys, DELTA,
+                                 out, draw_base=base)
+        assert add is not None and mask is not None
+        _chunked(add, span)
+        _chunked(mask, span)
         np.testing.assert_array_equal(out, full[:, base:base + span])
 
     def test_agg_sweep(self, compiled):
@@ -356,10 +362,11 @@ class TestNumpyTwins:
         full = psu_reference(shares, row_map, nonces, seed, delta)
         local = [[np.ascontiguousarray(s[base:base + span]) for s in row]
                  for row in shares]
-        acc = np.full((2, span), 5, dtype=share_dtype(delta))
+        sums = np.full((2, span), 5, dtype=share_dtype(delta))
         out = np.full((3, span), 9, dtype=share_dtype(delta))
-        _chunked(numpy_psu_sweep(local, acc, row_map, keys, delta, out,
-                                 draw_base=base), span)
+        _chunked(numpy_sum_sweep(local, delta, sums), span)
+        _chunked(numpy_psu_sweep([sums[u] for u in row_map], keys, delta,
+                                 out, draw_base=base), span)
         np.testing.assert_array_equal(out, full[:, base:base + span])
 
     @pytest.mark.parametrize("tier", ["numpy", "c"])
@@ -379,16 +386,18 @@ class TestNumpyTwins:
                   for i in range(n)]
         expected = [x * (int(r) % (delta - 1) + 1) % delta
                     for x, r in zip(summed, raw)]
-        acc = np.zeros((1, n), dtype=np.uint32)
+        sums = np.zeros((1, n), dtype=np.uint32)
         out = np.zeros((1, n), dtype=np.uint32)
         kernels.configure("off" if tier == "numpy" else "c")
         try:
-            build = (numpy_psu_sweep if tier == "numpy"
-                     else kernels.psu_sweep)
-            kernel = build(shares, acc, [0], [key], delta, out,
-                           draw_base=base)
-            assert kernel is not None
-            _chunked(kernel, n)
+            add, mask = ((numpy_sum_sweep, numpy_psu_sweep)
+                         if tier == "numpy"
+                         else (kernels.sum_sweep, kernels.psu_sweep))
+            add = add(shares, delta, sums)
+            mask = mask([sums[0]], [key], delta, out, draw_base=base)
+            assert add is not None and mask is not None
+            _chunked(add, n)
+            _chunked(mask, n)
         finally:
             kernels.configure(None)
         assert out[0].tolist() == expected
@@ -817,13 +826,15 @@ class TestStreamSeams:
         expected = [x * r % delta for x, r in zip(summed, masks)]
         for drive in (lambda kernel: kernel(0, n),
                       lambda kernel: _chunked(kernel, n, (0.2, 0.45, 0.9))):
-            acc = np.zeros((1, n), dtype=share_dtype(delta))
+            sums = np.zeros((1, n), dtype=share_dtype(delta))
             out = np.zeros((1, n), dtype=share_dtype(delta))
-            kernel = kernels.psu_sweep(shares, acc, [0], [key], delta, out,
-                                       draw_base=draw_base)
-            assert kernel is not None
-            drive(kernel)
-            np.testing.assert_array_equal(acc[0], summed)
+            add = kernels.sum_sweep(shares, delta, sums)
+            mask = kernels.psu_sweep([sums[0]], [key], delta, out,
+                                     draw_base=draw_base)
+            assert add is not None and mask is not None
+            drive(add)
+            drive(mask)
+            np.testing.assert_array_equal(sums[0], summed)
             assert out[0].tolist() == expected
 
 

@@ -20,6 +20,8 @@ from repro.bench.experiments import (
     exp6_comparison,
 )
 from repro.bench.harness import build_system
+from repro.data.storage import ShareKind
+from repro.entities import server as server_module
 from repro.entities.server import PrismServer
 from repro.bench.shapes import (
     is_linear_increasing,
@@ -111,6 +113,34 @@ class TestFig4Shape:
             totals.append(sum(count for _, count in summed))
         assert totals == [m * totals[0] // owner_counts[0]
                           for m in owner_counts]
+
+    def test_psi_sum_sums_the_owners_once_per_store_version(self,
+                                                            monkeypatch):
+        # Where the m-linear work now falls: the first psi_sum of a store
+        # version sums exactly m Shamir vectors on each Shamir server, in
+        # one z ≡ 1 Eq. 11 row; a repeat sums none; outsourcing resets.
+        rows = []
+        sweep = server_module.agg_sweep
+
+        def counting(share_lists, z_matrix, p, out):
+            rows.extend((len(shares), bool((z_matrix == 1).all()))
+                        for shares in share_lists)
+            return sweep(share_lists, z_matrix, p, out)
+
+        monkeypatch.setattr(server_module, "agg_sweep", counting)
+        for m in (4, 8, 12):
+            system = build_system(num_owners=m, domain_size=2048)
+            for _ in range(2):
+                rows.clear()
+                system.psi_sum("OK", "DT")
+                assert sorted(rows) == [(1, False)] * 3 + [(m, True)] * 3
+                assert all(server.store.summed("DT", ShareKind.SHAMIR)
+                           is not None for server in system.servers)
+                rows.clear()
+                system.psi_sum("OK", "DT")
+                assert rows == [(1, False)] * 3
+                system.outsource("OK", ("DT",))
+            system.close()
 
 
 @pytest.mark.usefixtures("reference_tier")

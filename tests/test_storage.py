@@ -74,3 +74,46 @@ class TestStore:
         with pytest.raises(ProtocolError, match="integers"):
             s.put(0, "c", np.asarray([0.9, 300.5]), ShareKind.ADDITIVE)
         assert not s.has(0, "c")
+
+
+class TestMemoVersions:
+    """Both memos keep an entry only if no put ran since its inputs were
+    read."""
+
+    def test_fetch_racing_a_put_does_not_cache_the_old_shares(self):
+        new = np.asarray([7, 7, 7])
+
+        class RacingStore(ServerStore):
+            raced = False
+
+            def get(self, owner_id, column):
+                stored = super().get(owner_id, column)
+                if not self.raced:
+                    self.raced = True
+                    self.put(0, "OK", new, ShareKind.ADDITIVE)
+                return stored
+
+        store = RacingStore()
+        store.put(0, "OK", np.asarray([1, 2, 3]), ShareKind.ADDITIVE)
+        store.put(1, "OK", np.asarray([4, 5, 6]), ShareKind.ADDITIVE)
+        store.fetch_column("OK", ShareKind.ADDITIVE)
+        assert store.fetch_column("OK", ShareKind.ADDITIVE)[0].tolist() == \
+            new.tolist()
+
+    def test_summed_vector_kept_only_at_its_version(self, store):
+        version = store.version
+        vector = np.asarray([5, 7, 9])
+        store.put(1, "OK", np.asarray([0, 0, 0]), ShareKind.ADDITIVE)
+        store.keep_summed("OK", ShareKind.ADDITIVE, None, vector, version)
+        assert store.summed("OK", ShareKind.ADDITIVE) is None
+        store.keep_summed("OK", ShareKind.ADDITIVE, None, vector,
+                          store.version)
+        assert store.summed("OK", ShareKind.ADDITIVE) is vector
+        assert store.summed("OK", ShareKind.ADDITIVE, [0]) is None
+        assert store.summed("OK", ShareKind.SHAMIR) is None
+        info = store.fetch_cache_info()
+        assert (info["sums"], info["sum_builds"], info["sum_hits"]) == \
+            (1, 2, 1)
+        store.put(0, "PK", np.asarray([1, 1, 1]), ShareKind.SHAMIR)
+        assert store.fetch_cache_info()["sums"] == 0
+        assert store.summed("OK", ShareKind.ADDITIVE) is None

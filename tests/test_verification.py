@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Domain, PrismSystem, Relation, VerificationError, kernels
+from repro.data.storage import ShareKind
 from repro.entities.adversary import (
     DropAggregateServer,
     FalsifyVerificationServer,
@@ -180,14 +181,20 @@ class TestAdversariesRunTheFusedKernel:
 
     def test_skip_cells_runs_the_compiled_psi_sweep(self, compiled_tier,
                                                     monkeypatch):
+        # The Eq. 3/7 sweep reads the server's owner-summed vectors, the
+        # very arrays its store keeps for the data and proof columns.
         calls = _spy(monkeypatch, "psi_sweep")
         with adversarial_system({0: SkipCellsServer},
                                 domain=WIDE_DOMAIN, num_shards=7) as system:
             with pytest.raises(VerificationError):
                 system.psi("k", verify=True)
-            assert _compiled_sweeps_over(
-                calls, system.servers[0], ["k", "vk"],
-                PrismServer.fetch_additive)
+            store = system.servers[0].store
+            kept = [store.summed(column, ShareKind.ADDITIVE)
+                    for column in ("k", "vk")]
+            assert all(vector is not None for vector in kept)
+            assert [kernel for shares, kernel in calls
+                    if kernel is not None
+                    and any(s is t for s in shares for t in kept)]
 
     def test_drop_aggregate_runs_the_compiled_agg_sweep(self, compiled_tier,
                                                         monkeypatch):

@@ -130,8 +130,8 @@ def tier(request, monkeypatch):
     monkeypatch.setenv(kernels.MODE_ENV, mode)
     assert kernels.configure(None) == ("c" if mode == "c" else "numpy")
     if mode == "c":
-        for name in ("numpy_psi_sweep", "numpy_psu_sweep",
-                     "numpy_agg_sweep"):
+        for name in ("numpy_psi_sweep", "numpy_sum_sweep",
+                     "numpy_psu_sweep", "numpy_agg_sweep"):
             monkeypatch.setattr(server_module, name, _tripwire(name))
     yield mode
     monkeypatch.undo()
