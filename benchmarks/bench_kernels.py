@@ -36,10 +36,12 @@ stream and the raw PRG draws clear 10x on hosts with SHA-NI (the C
 tier detects it at runtime and hashes four stream blocks at a time;
 without it, expect ~1.5x against OpenSSL's own hardware SHA).  The
 report records the host's ``sha_ni`` / ``avx512dq`` flags beside
-``cpu_count``.  Aggregation clears 5x through the division-free
-Mersenne-31 reduction.  The PSI sweep sums uint8 shares into a uint16
-accumulator and gathers from a folded table, with no division per
-cell, in both tiers.  ``combine`` includes dealing's int64 coefficient
+``cpu_count``.  Servers keep owner-summed vectors, so the ``psi``,
+``psu`` and ``agg`` families time one-vector rows after their first
+repeat.  Aggregation gains through the division-free Mersenne-31
+reduction.  The PSI sweep gathers each summed uint8 share from a folded
+table, with no division per cell, in both tiers.  ``combine`` includes
+dealing's int64 coefficient
 draws, which are numpy in both tiers, so it gains less than the
 arithmetic alone.  ``shuffle`` replaces an interpreted loop of b
 swaps, so it gains the most: two orders of magnitude.  When the backend cannot build

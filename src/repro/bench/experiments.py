@@ -106,6 +106,9 @@ def exp2_multiattr(domain_sizes=None, attr_counts=(1, 2, 3, 4),
     payload = {}
     for b in domain_sizes:
         system = build_system(num_owners=num_owners, domain_size=b, seed=seed)
+        # one_common_value's untimed PSI builds OK's owner sums, so each
+        # timed point builds one new Shamir sum per server: its k-th
+        # attribute's.
         common = one_common_value(system)
         sums, maxes = [], []
         for k in attr_counts:

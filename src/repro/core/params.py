@@ -47,17 +47,14 @@ class ServerGroupView:
         """Vectorised ``g ** (e mod delta) mod eta'`` — the Eq. 3 kernel."""
         return self.power_table[np.mod(exponents, self.delta)]
 
-    def folded_tables(self, m_rows, num_shares: int) -> np.ndarray:
-        """Per-row Eq. 3 tables indexed by the raw sum of ``num_shares``
-        additive shares.
+    def folded_tables(self, m_rows) -> np.ndarray:
+        """Per-row Eq. 3 tables indexed by an owner sum mod δ.
 
         Row ``q``, entry ``k`` is ``g^((k − m_rows[q]) mod δ) mod η'`` for
-        ``k ∈ [0, num_shares·(δ − 1)]``: every sum of residues mod δ
-        indexes it directly, so the sweep folds the ``⊖ A(m)`` and the
-        mod-δ reduction into one gather with no division per cell.
-        Entries are at the width of η'.
+        ``k ∈ [0, δ)``: the sweep folds the ``⊖ A(m)`` into one gather
+        with no division per cell.  Entries are at the width of η'.
         """
-        sums = np.arange(num_shares * (self.delta - 1) + 1, dtype=np.int64)
+        sums = np.arange(self.delta, dtype=np.int64)
         m_col = np.asarray(m_rows, dtype=np.int64).reshape(-1, 1)
         return self.power_table[np.mod(sums - m_col, self.delta)].astype(
             share_dtype(self.eta_prime))

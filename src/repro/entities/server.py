@@ -14,12 +14,14 @@ its modulus.  Each server equation is written once, as a numpy span
 builder with the same signature and ``kernel(lo, hi)`` contract as its
 compiled twin in :mod:`repro.kernels`:
 
+* :func:`numpy_sum_sweep` — the owner sum: Σ_j s_j mod δ for an
+  additive column, Σ_j s_j mod p for a Shamir column.
 * :func:`numpy_psi_sweep` — Eq. 3 (PSI) and Eq. 7 (its verification
   stream over the complement table), optionally over a cell subset: a
-  share sum gathered from a folded table.
+  summed share gathered from a folded table.
 * :func:`numpy_psu_sweep` — Eq. 18: masked additive sums with the
-  common PRG stream, over sums from :func:`numpy_sum_sweep`.
-* :func:`numpy_agg_sweep` — Eq. 11: Σ_j Shamir(x2)·Shamir(z) per cell.
+  common PRG stream.
+* :func:`numpy_agg_sweep` — Eq. 11: (Σ_j Shamir(x2)_j)·Shamir(z) per cell.
 
 :func:`psi_sweep`, :func:`sum_sweep`, :func:`psu_sweep` and
 :func:`agg_sweep` are the only places that choose the compiled kernel
@@ -37,11 +39,12 @@ hold the §6.3 max machinery.
 
 Each equation's owners enter only through their sum, so a server keeps
 one *owner-summed* vector per ``(column, kind)`` and resolved owner set
-in its store (:meth:`~repro.data.storage.ServerStore.summed`): Σ_j s_j
-mod δ for an additive column, Σ_j s_j mod p for a Shamir column.  The
-first sweep of a store version builds it with the kernels above
-(:meth:`PrismServer._owner_sum`); every later row — whole-χ, ``cells``
-or span window — reads that one vector, with bit-identical outputs.
+in its store (:meth:`~repro.data.storage.ServerStore.summed`).  The
+first sweep of a store version builds it with :func:`sum_sweep`, the
+only builder that takes per-owner share lists
+(:meth:`PrismServer._owner_sum`); every Eq. 3/7, Eq. 18 and Eq. 11 row
+— whole-χ, ``cells`` or span window — reads that one vector, with
+bit-identical outputs.
 The fetch step is unchanged, so access traces do not change either:
 whether a sweep builds or reads depends only on the query shape and the
 store version.
@@ -73,67 +76,58 @@ from repro.network.message import Endpoint, Role
 # -- one span builder per equation ---------------------------------------------
 
 
-def _sum_dtype(share_lists) -> np.dtype:
-    """An accumulator for any row's share sum: wide enough for a sum of
-    maximal values of the shares' dtype, so no sum can wrap."""
-    return share_dtype(max((len(row) * np.iinfo(row[0].dtype).max
-                            for row in share_lists if len(row)),
-                           default=0) + 1)
-
-
-def numpy_psi_sweep(share_lists, tables: np.ndarray, out: np.ndarray,
+def numpy_psi_sweep(summed, tables: np.ndarray, out: np.ndarray,
                     cells: np.ndarray | None = None):
-    """Eq. 3/7: ``out[q, i] = tables[q, Σ_j A(x_i)_j]``.
+    """Eq. 3/7: ``out[q, i] = tables[q, Σ_j A(x_i)_j mod δ]``.
 
-    Row ``q`` sums its owners' additive shares ``share_lists[q]`` (each a
-    residue mod δ) into an accumulator no sum can wrap, then
-    gathers from its folded table (:meth:`ServerGroupView.folded_tables`),
-    whose entry ``k`` is ``g^((k ⊖ A(m)) mod δ) mod η'`` for the row's
-    share of the owner count (Eq. 3, PSI) or for zero (Eq. 7, the
-    verification stream over the complement table — the same sweep
-    shape, so the two are indistinguishable).  With ``cells`` the span
-    indexes the cells array and gathers those χ cells (the bucketized
-    per-level sweep); without it the span indexes χ directly.  numpy
-    twin of :func:`repro.kernels.psi_sweep`.
+    ``summed[q]`` is row ``q``'s owner sum mod δ (:func:`numpy_sum_sweep`),
+    from which the row gathers through its folded table
+    (:meth:`ServerGroupView.folded_tables`), whose entry ``k`` is
+    ``g^((k ⊖ A(m)) mod δ) mod η'`` for the row's share of the owner
+    count (Eq. 3, PSI) or for zero (Eq. 7, the verification stream over
+    the complement table — the same sweep shape, so the two are
+    indistinguishable).  With ``cells`` the span indexes the cells array
+    and gathers those χ cells (the bucketized per-level sweep); without
+    it the span indexes χ directly.  numpy twin of
+    :func:`repro.kernels.psi_sweep`.
 
     Raises:
-        ProtocolError: when a share sum overruns the folded table (a
-            stored share outside ``[0, δ)``).
+        ProtocolError: when a summed share overruns the folded table (a
+            value outside ``[0, δ)``).
     """
     width = tables.shape[1]
-    acc_dtype = _sum_dtype(share_lists)
 
     def kernel(lo: int, hi: int) -> None:
         index = slice(lo, hi) if cells is None else cells[lo:hi]
-        acc = np.empty(hi - lo, dtype=acc_dtype)
-        for q, row_shares in enumerate(share_lists):
-            acc.fill(0)
-            for s in row_shares:
-                acc += s[index]
-            if acc.size and acc.max() >= width:
-                raise ProtocolError("additive share sum outside the folded "
+        for q, vector in enumerate(summed):
+            values = vector[index]
+            if values.size and values.max() >= width:
+                raise ProtocolError("additive share outside the folded "
                                     "Eq. 3 table: a share is not mod δ")
-            np.take(tables[q], acc, out=out[q, lo:hi])
+            np.take(tables[q], values, out=out[q, lo:hi])
     return kernel
 
 
-def numpy_sum_sweep(share_lists, delta: int, out: np.ndarray):
-    """Owner sum mod δ: ``out[u, i] = Σ_j share_lists[u][j][i] mod δ``.
+def numpy_sum_sweep(share_lists, modulus: int, out: np.ndarray):
+    """Owner sum: ``out[u, i] = Σ_j share_lists[u][j][i] mod modulus``.
 
-    Each row's shares are summed in a dtype that cannot wrap, then
-    reduced mod δ into ``out``'s row — the additive owner sum of Eq. 18,
-    and how :class:`PrismServer` builds its owner-summed vectors.  numpy
-    twin of :func:`repro.kernels.sum_sweep`.
+    Each row keeps a running residue, reduced after every owner's share
+    is added, in a dtype that holds the sum of two residues, so no sum
+    wraps for any owner count.  This is how :class:`PrismServer` builds
+    its owner-summed vectors of both kinds: additive columns mod δ, the
+    owner sum of Eq. 3/7 and Eq. 18, and Shamir columns mod p, the owner
+    sum of Eq. 11.  numpy twin of :func:`repro.kernels.sum_sweep`.
     """
-    sum_dtype = _sum_dtype(share_lists)
+    acc_dtype = share_dtype(2 * modulus - 1)
 
     def kernel(lo: int, hi: int) -> None:
-        total = np.empty(hi - lo, dtype=sum_dtype)
+        total = np.empty(hi - lo, dtype=acc_dtype)
         for row, col_shares in zip(out, share_lists):
             total.fill(0)
             for s in col_shares:
                 total += s[lo:hi]
-            np.remainder(total, delta, out=row[lo:hi])
+                np.remainder(total, modulus, out=total)
+            row[lo:hi] = total
     return kernel
 
 
@@ -162,41 +156,37 @@ def numpy_psu_sweep(summed, keys: list[bytes], delta: int, out: np.ndarray,
     return kernel
 
 
-def numpy_agg_sweep(share_lists, z_matrix: np.ndarray, p: int,
-                    out: np.ndarray):
-    """Eq. 11: ``out[q, i] = Σ_j S(x_i2)_j × S(z_i) mod p``.
+def numpy_agg_sweep(summed, z_matrix: np.ndarray, p: int, out: np.ndarray):
+    """Eq. 11: ``out[q, i] = (Σ_j S(x_i2)_j mod p) × S(z_i) mod p``.
 
-    ``z_matrix[q]`` is this server's Shamir share of row ``q``'s 0/1
-    intersection indicator; the product of two degree-1 shares is a
-    degree-2 share, which owners reconstruct with all three servers.
-    Each product of two field elements (uint32) is formed in uint64.
-    numpy twin of :func:`repro.kernels.agg_sweep`.
+    ``summed[q]`` is row ``q``'s owner sum mod p of a Shamir column
+    (:func:`numpy_sum_sweep`) and ``z_matrix[q]`` this server's Shamir
+    share of the row's 0/1 intersection indicator; the product of two
+    degree-1 shares is a degree-2 share, which owners reconstruct with
+    all three servers.  Eq. 11 is linear in the owners' shares, so
+    ``(Σ_j s_j mod p)·z ≡ Σ_j s_j·z (mod p)``.  Each product of two
+    field elements (uint32) is formed in uint64.  numpy twin of
+    :func:`repro.kernels.agg_sweep`.
     """
     def kernel(lo: int, hi: int) -> None:
-        acc = np.empty(hi - lo, dtype=np.uint64)
-        term = np.empty_like(acc)
-        for q, row_shares in enumerate(share_lists):
-            z = z_matrix[q, lo:hi]
-            acc.fill(0)
-            for s in row_shares:
-                np.multiply(s[lo:hi], z, out=term, dtype=np.uint64)
-                np.remainder(term, p, out=term)
-                acc += term
-            np.remainder(acc, p, out=out[q, lo:hi])
+        for q, vector in enumerate(summed):
+            product = np.multiply(vector[lo:hi], z_matrix[q, lo:hi],
+                                  dtype=np.uint64)
+            np.remainder(product, p, out=out[q, lo:hi])
     return kernel
 
 
-def psi_sweep(share_lists, tables, out, cells=None):
+def psi_sweep(summed, tables, out, cells=None):
     """The Eq. 3/7 span kernel: compiled where the tier engages, else numpy."""
-    return (kernels.psi_sweep(share_lists, tables, out, cells=cells)
-            or numpy_psi_sweep(share_lists, tables, out, cells=cells))
+    return (kernels.psi_sweep(summed, tables, out, cells=cells)
+            or numpy_psi_sweep(summed, tables, out, cells=cells))
 
 
-def sum_sweep(share_lists, delta, out):
+def sum_sweep(share_lists, modulus, out):
     """The owner-sum span kernel: compiled where the tier engages, else
     numpy."""
-    return (kernels.sum_sweep(share_lists, delta, out)
-            or numpy_sum_sweep(share_lists, delta, out))
+    return (kernels.sum_sweep(share_lists, modulus, out)
+            or numpy_sum_sweep(share_lists, modulus, out))
 
 
 def psu_sweep(summed, keys, delta, out, draw_base=0):
@@ -205,10 +195,10 @@ def psu_sweep(summed, keys, delta, out, draw_base=0):
             or numpy_psu_sweep(summed, keys, delta, out, draw_base=draw_base))
 
 
-def agg_sweep(share_lists, z_matrix, p, out):
+def agg_sweep(summed, z_matrix, p, out):
     """The Eq. 11 span kernel: compiled where the tier engages, else numpy."""
-    return (kernels.agg_sweep(share_lists, z_matrix, p, out)
-            or numpy_agg_sweep(share_lists, z_matrix, p, out))
+    return (kernels.agg_sweep(summed, z_matrix, p, out)
+            or numpy_agg_sweep(summed, z_matrix, p, out))
 
 
 def permute_rows(params: ServerParams, out: np.ndarray, permute,
@@ -414,29 +404,24 @@ class PrismServer:
         """``column``'s owner-summed vector: the one the store keeps, or
         one built from the fetched ``shares`` and handed to the store.
 
-        A build runs the existing sweep kernels over χ into a fresh
-        array — the Eq. 18 owner sum mod δ (:func:`sum_sweep`) for an
-        additive column, one Eq. 11 row with z ≡ 1 (:func:`agg_sweep`)
-        for a Shamir column — so the first query of a store version
-        pays the per-owner cost it always did.  The store keeps the
-        vector only if no ``put`` ran since ``version``, read before the
-        fetch.  A row's sweep then gives the same output from this one
-        vector as from every owner's shares: g has order δ, so Eq. 3/7
-        reads the same table entry at ``Σ mod δ`` as at ``Σ``, and
-        Eq. 11 is linear, so ``(Σ_j s_j mod p)·z ≡ Σ_j s_j·z (mod p)``.
+        A build runs :func:`sum_sweep` over χ into a fresh array — mod δ
+        for an additive column, mod p for a Shamir column — so the first
+        query of a store version pays the per-owner cost it always did.
+        The store keeps the vector only if no ``put`` ran since
+        ``version``, read before the fetch.  A row's sweep then gives
+        the same output from this one vector as from every owner's
+        shares: g has order δ, so Eq. 3/7 reads the same table entry at
+        ``Σ mod δ`` as at ``Σ``, and Eq. 11 is linear, so ``(Σ_j s_j mod
+        p)·z ≡ Σ_j s_j·z (mod p)``.
         """
         kept = self.store.summed(column, kind, owner_ids)
         if kept is not None:
             return kept
         n = shares[0].shape[0]
-        if kind is ShareKind.SHAMIR:
-            out = np.empty((1, n), dtype=self.params.shamir_dtype)
-            kernel = agg_sweep([shares], np.ones_like(out),
-                               self.params.field_prime, out)
-        else:
-            out = np.empty((1, n), dtype=self.params.additive_dtype)
-            kernel = sum_sweep([shares], self.params.delta, out)
-        self.runtime.run(kernel, n, num_shards or self.num_shards)
+        modulus = self.params.modulus_of(kind)
+        out = np.empty((1, n), dtype=share_dtype(modulus))
+        self.runtime.run(sum_sweep([shares], modulus, out), n,
+                         num_shards or self.num_shards)
         vector = out[0]
         self.store.keep_summed(column, kind, owner_ids, vector, version)
         return vector
@@ -458,7 +443,7 @@ class PrismServer:
 
         Every owner's shares are still fetched and checked; the sweep
         then gathers from each row's owner-summed vector
-        (:meth:`_owner_sum`) through a one-share folded table."""
+        (:meth:`_owner_sum`) through its folded table."""
         params = self.params
         version = self.store.version
         share_lists = [self.fetch_additive(c, owner_ids) for c in columns]
@@ -480,9 +465,9 @@ class PrismServer:
                 cells = cells[lo:hi]
             n = hi - lo
         tables = params.group.folded_tables(
-            self._batch_m_shares(subtract_m, num_owners, owner_ids), 1)
+            self._batch_m_shares(subtract_m, num_owners, owner_ids))
         out = np.empty((len(columns), n), dtype=params.group_dtype)
-        self.runtime.run(psi_sweep([[v] for v in summed], tables, out, cells),
+        self.runtime.run(psi_sweep(summed, tables, out, cells),
                          n, num_shards or self.num_shards)
         kinds = ["psi" if flag else "verification" for flag in subtract_m]
         return self._tamper_rows(out, kinds, columns)
@@ -703,9 +688,8 @@ class PrismServer:
             num_shards)]
         n = hi - lo
         out = np.empty((len(columns), n), dtype=dtype)
-        self.runtime.run(agg_sweep([[v] for v in summed], z_matrix,
-                                   self.params.field_prime, out), n,
-                         num_shards or self.num_shards)
+        self.runtime.run(agg_sweep(summed, z_matrix, self.params.field_prime,
+                                   out), n, num_shards or self.num_shards)
         return self._tamper_rows(out, ["aggregate"] * len(columns), columns)
 
     # -- extrema machinery (§6.3) ---------------------------------------------

@@ -26,12 +26,14 @@ Selection ladder:
 3. **Crossover** — sweeps shorter than :data:`NATIVE_MIN_SPAN` stay on
    numpy, where per-call ctypes overhead would eat the win.
 4. **Eligibility** — every operand must be aligned, C-contiguous and
-   of a width the spans take: uint8/uint16 χ shares with uint16/uint32
-   group-element tables and outputs (Eq. 3/7), one residue width for
-   shares, scratch and output (Eq. 18), uint32 field elements (Eq. 11),
-   int64 cell indices; uint32 field elements or the int64 coefficient
-   draws (§3.1 combine); one uint16/uint32 width for both factors and
-   the output (Eq. 4 / 8–10); int64 draws and indices (the
+   of a width the spans take: per-owner residues of one width summed
+   into a row of that width (the owner sum: uint8/uint16 mod δ, uint32
+   mod p); one owner-summed vector per row, uint8/uint16 with
+   uint16/uint32 group-element tables and outputs and int64 cell
+   indices (Eq. 3/7), at the output's width (Eq. 18), uint32 with a
+   uint32 z matrix (Eq. 11); uint32 field elements or the int64
+   coefficient draws (§3.1 combine); one uint16/uint32 width for both
+   factors and the output (Eq. 4 / 8–10); int64 draws and indices (the
    shuffle).  Anything else (sliced matrices,
    unaligned wire views, a width no span takes) falls back per sweep.
 
@@ -41,12 +43,13 @@ of the ladder says numpy.  Each has a numpy twin with the same
 signature in :mod:`repro.entities.server` (``numpy_psi_sweep`` and
 friends), and one selector per equation there
 (``kernels.psi_sweep(...) or numpy_psi_sweep(...)``) is the only place
-that picks between them.  :func:`sum_sweep` (the owner sum of Eq. 18,
-over ``repro_sum_mod_span``) and :func:`agg_sweep` with an all-ones z
-row also build each server's owner-summed vectors, which the server
-keeps per store version, so its fused sweeps read one summed vector per
-row rather than every owner's shares.  The owner spans follow the same
-contract: :func:`combine_span` is selected in ``ShamirSharing._combine`` against
+that picks between them.  Every server equation takes a column's
+owners only through their sum, so :func:`sum_sweep` is the only builder
+that takes per-owner share lists: it builds each server's owner-summed
+vectors of both kinds (mod δ and mod p), which the server keeps per
+store version, and every other sweep builder reads one summed vector
+per row.  The owner spans follow the same contract:
+:func:`combine_span` is selected in ``ShamirSharing._combine`` against
 :func:`repro.crypto.shamir.numpy_combine_span`, :func:`mul_mod_span` in
 ``repro.entities.owner._mul_mod`` against
 :func:`repro.entities.owner.numpy_mul_mod_span`, and :func:`shuffle` in
@@ -194,52 +197,46 @@ def _row_addr(matrix: np.ndarray, row: int) -> int:
     return matrix.ctypes.data + row * matrix.strides[0]
 
 
-def _first_dtype(share_lists):
-    return next((s.dtype for row in share_lists for s in row
-                 if isinstance(s, np.ndarray)), None)
-
-
-def psi_sweep(share_lists, tables: np.ndarray, out: np.ndarray,
+def psi_sweep(summed, tables: np.ndarray, out: np.ndarray,
               cells: np.ndarray | None = None):
     """Chunk closure for the fused Eq. 3 / Eq. 7 sweep, or ``None``.
 
-    ``tables[q]`` is row ``q``'s folded table (indexed by the raw share
-    sum, at ``out``'s dtype).  With ``cells`` the span indexes the cells
-    array (the bucketized per-level sweep); without it the span indexes
-    χ directly.
+    ``summed[q]`` is output row ``q``'s owner-summed vector (built by
+    :func:`sum_sweep`) and ``tables[q]`` its folded table (indexed by
+    the summed share, at ``out``'s dtype).  With ``cells`` the span
+    indexes the cells array (the bucketized per-level sweep); without
+    it the span indexes χ directly.
     """
     lib = _sweep_lib(out, _GROUP)
-    share_dtype = _first_dtype(share_lists)
-    if (lib is None or share_dtype not in _SHARE_ADDITIVE
+    if (lib is None or not len(summed) or len(summed) != out.shape[0]
+            or not all(_vec_ok(v, _SHARE_ADDITIVE)
+                       and v.dtype == summed[0].dtype for v in summed)
             or not _matrix_ok(tables, out.dtype)
             or tables.shape[0] != out.shape[0]):
         return None
     if cells is not None and not _vec_ok(cells, (np.dtype(np.int64),)):
         return None
-    ptrs = _row_ptrs(share_lists, share_dtype)
-    if ptrs is None:
-        return None
-    counts = [len(row) for row in share_lists]
+    addrs = [vector.ctypes.data for vector in summed]
     cells_addr = None if cells is None else cells.ctypes.data
-    width, out_size = tables.shape[1], out.itemsize
+    share_size, width = summed[0].itemsize, tables.shape[1]
 
     def kernel(lo: int, hi: int) -> None:
-        for q, row_ptrs in enumerate(ptrs):
-            if lib.repro_psi_span(row_ptrs, counts[q], share_dtype.itemsize,
-                                  cells_addr, lo, hi, _row_addr(tables, q),
-                                  width, out_size, _row_addr(out, q)):
+        for q, addr in enumerate(addrs):
+            if lib.repro_psi_span(addr, share_size, cells_addr, lo, hi,
+                                  _row_addr(tables, q), width, out.itemsize,
+                                  _row_addr(out, q)):
                 raise ProtocolError(
-                    "additive share sum outside the folded Eq. 3 table: "
+                    "additive share outside the folded Eq. 3 table: "
                     "a share is not mod δ")
     return kernel
 
 
-def sum_sweep(share_lists, delta: int, out: np.ndarray):
-    """Chunk closure summing each row's owners mod δ, or ``None``.
+def sum_sweep(share_lists, modulus: int, out: np.ndarray):
+    """Chunk closure summing each row's owners, or ``None``.
 
-    ``out[u, i] = Σ_j share_lists[u][j][i] mod δ``: the owner sum behind
-    Eq. 18, and the step that builds a server's owner-summed additive
-    vectors.  Shares and ``out`` are residues mod δ of one width.
+    ``out[u, i] = Σ_j share_lists[u][j][i] mod modulus``: a server's
+    owner-summed vectors of both kinds, additive columns mod δ and
+    Shamir columns mod p.  Shares and ``out`` are residues of one width.
     """
     lib = _sweep_lib(out, _RESIDUE)
     if lib is None or out.ndim != 2 or len(share_lists) != out.shape[0]:
@@ -252,8 +249,8 @@ def sum_sweep(share_lists, delta: int, out: np.ndarray):
 
     def kernel(lo: int, hi: int) -> None:
         for u, col_ptrs in enumerate(ptrs):
-            lib.repro_sum_mod_span(col_ptrs, counts[u], size, lo, hi, delta,
-                                   _row_addr(out, u))
+            lib.repro_sum_mod_span(col_ptrs, counts[u], size, lo, hi,
+                                   modulus, _row_addr(out, u))
     return kernel
 
 
@@ -285,23 +282,23 @@ def psu_sweep(summed, keys: list[bytes], delta: int, out: np.ndarray,
     return kernel
 
 
-def agg_sweep(share_lists, z_matrix: np.ndarray, p: int, out: np.ndarray):
+def agg_sweep(summed, z_matrix: np.ndarray, p: int, out: np.ndarray):
     """Chunk closure for the fused Eq. 11 sweep over uint32 field
-    elements, or ``None``."""
+    elements, or ``None``: ``out[q, i] = summed[q][i] · z_matrix[q, i]
+    mod p`` over row ``q``'s owner-summed Shamir vector."""
     lib = _sweep_lib(out, _FIELD)
     # Row-contiguous is enough: the z views are 2-D column slices whose
     # rows stay contiguous (stride = itemsize).
-    if lib is None or not _matrix_ok(z_matrix, out.dtype):
+    if (lib is None or len(summed) != out.shape[0]
+            or not all(_vec_ok(v, (out.dtype,)) for v in summed)
+            or not _matrix_ok(z_matrix, out.dtype)):
         return None
-    ptrs = _row_ptrs(share_lists, out.dtype)
-    if ptrs is None:
-        return None
-    counts = [len(row) for row in share_lists]
+    addrs = [vector.ctypes.data for vector in summed]
 
     def kernel(lo: int, hi: int) -> None:
-        for q, row_ptrs in enumerate(ptrs):
-            lib.repro_agg_span(row_ptrs, counts[q], _row_addr(z_matrix, q),
-                               lo, hi, p, _row_addr(out, q))
+        for q, addr in enumerate(addrs):
+            lib.repro_agg_span(addr, _row_addr(z_matrix, q), lo, hi, p,
+                               _row_addr(out, q))
     return kernel
 
 

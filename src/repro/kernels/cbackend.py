@@ -33,11 +33,11 @@ _FUNCTIONS = {
     "repro_prg_fill": (None, [ctypes.c_char_p, ctypes.c_uint64,
                               ctypes.c_uint64, _PTR]),
     "repro_sum_mod_span": (None, [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR]),
-    "repro_psi_span": (ctypes.c_int, [_PTR, _I64, _I64, _PTR, _I64, _I64,
-                                      _PTR, _I64, _I64, _PTR]),
+    "repro_psi_span": (ctypes.c_int, [_PTR, _I64, _PTR, _I64, _I64, _PTR,
+                                      _I64, _I64, _PTR]),
     "repro_psu_span": (None, [_PTR, _I64, _I64, _I64, ctypes.c_char_p,
                               ctypes.c_uint64, _I64, _PTR]),
-    "repro_agg_span": (None, [_PTR, _I64, _PTR, _I64, _I64, _I64, _PTR]),
+    "repro_agg_span": (None, [_PTR, _PTR, _I64, _I64, _I64, _PTR]),
     "repro_combine_span": (None, [_PTR, _PTR, _I64, _PTR, _I64, _I64, _I64,
                                   _I64, _PTR]),
     "repro_mul_mod_span": (None, [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR]),

@@ -8,8 +8,12 @@
  *     uint32 Shamir shares); sums and products are formed in a type
  *     wide enough that they never wrap, so plain unsigned arithmetic
  *     computes exactly what numpy computes;
+ *   - a server's equations take a column's owners only through their
+ *     sum, so one span sums them (repro_sum_mod_span: mod delta for
+ *     additive shares, mod p for Shamir shares) and every other server
+ *     span reads one owner-summed vector per row;
  *   - the Eq. 3 / Eq. 7 sweep gathers from a folded table indexed by
- *     the raw share sum (the caller folded the "minus A(m), mod delta"
+ *     the summed share (the caller folded the "minus A(m), mod delta"
  *     into it), so it needs no division per element;
  *   - the PSU mask stream is the same SHA-256 counter-mode stream as
  *     `SeededPRG`: block c = SHA256(key32 || LE64(c)), 8 little-endian
@@ -18,9 +22,10 @@
  *     generator, prg_blocks, writes the stream for both the PRG fill
  *     and the PSU sweep, in chunks of up to 64 blocks; with SHA-NI it
  *     hashes four counters at a time so their round chains overlap;
- *   - the PSU span and its share sum reduce without a division: a
- *     Barrett quotient estimate is the quotient or one less, so one
- *     conditional subtract gives the exact remainder (mod_barrett).
+ *   - the owner sum, the PSU span and the Eq. 11 span at a generic
+ *     prime reduce without a division: a Barrett quotient estimate is
+ *     the quotient or one less, so one conditional subtract gives the
+ *     exact remainder (mod_barrett).
  *
  * Two owner-side spans mirror the numpy references of
  * repro/crypto/shamir.py and repro/entities/owner.py the same way: the
@@ -283,67 +288,7 @@ static inline uint64_t mod_barrett(uint64_t x, uint64_t d, uint64_t c) {
 #endif
 }
 
-/* Exact reduction of a product of two field elements (each below
- * M = 2^31 - 1, so x < 2^62) by the Mersenne prime without a division:
- * 2^31 = 1 (mod M), so x = (x>>31)*2^31 + (x&M) = (x>>31) + (x&M).
- * Two folds bring x below M + 2; one conditional subtract finishes. */
-static inline uint64_t mod_mersenne31(uint64_t x) {
-    const uint64_t M = ((uint64_t)1 << 31) - 1;
-    x = (x >> 31) + (x & M);
-    x = (x >> 31) + (x & M);
-    return x >= M ? x - M : x;
-}
-
-/* ---- Eq. 11 Mersenne-31 span (scalar + AVX-512) ---------------------- */
-
-typedef void (*agg_mersenne_fn)(const uint32_t **shares, int64_t nshares,
-                                const uint32_t *z, int64_t lo, int64_t hi,
-                                uint32_t *out);
-
-/* Scalar Mersenne-31 aggregation span, division-free. */
-static void agg_mersenne_span(const uint32_t **shares, int64_t nshares,
-                              const uint32_t *z, int64_t lo, int64_t hi,
-                              uint32_t *out) {
-    const uint64_t M = ((uint64_t)1 << 31) - 1;
-    int64_t i, j;
-    for (i = lo; i < hi; i++) {
-        uint64_t acc = 0;
-        uint64_t zi = z[i];
-        for (j = 0; j < nshares; j++) {
-            acc += mod_mersenne31((uint64_t)shares[j][i] * zi);
-            if (acc >= M)
-                acc -= M;
-        }
-        out[i] = (uint32_t)acc;
-    }
-}
-
 #ifdef REPRO_SHA_NI_COMPILED
-/* Share-major traversal with branchless reduction so gcc can
- * auto-vectorize the row loop: the uint32 x uint32 -> uint64 product
- * is vpmuludq.  The partial sums stay below 2M < 2^32, so they live
- * in the uint32 output row between passes. */
-__attribute__((target("avx512f,avx512dq,avx512vl")))
-static void agg_mersenne_span_avx512(const uint32_t **shares,
-                                     int64_t nshares, const uint32_t *z,
-                                     int64_t lo, int64_t hi,
-                                     uint32_t *out) {
-    const uint64_t M = ((uint64_t)1 << 31) - 1;
-    int64_t i, j;
-    memset(out + lo, 0, (size_t)(hi - lo) * sizeof(uint32_t));
-    for (j = 0; j < nshares; j++) {
-        const uint32_t *s = shares[j];
-        for (i = lo; i < hi; i++) {
-            uint64_t x = (uint64_t)s[i] * (uint64_t)z[i];
-            x = (x >> 31) + (x & M);
-            x = (x >> 31) + (x & M);
-            x -= M & -(uint64_t)(x >= M);
-            uint64_t acc = (uint64_t)out[i] + x;
-            out[i] = (uint32_t)(acc - (M & -(uint64_t)(acc >= M)));
-        }
-    }
-}
-
 __attribute__((target("xsave")))
 static uint64_t read_xcr0(void) {
     return __builtin_ia32_xgetbv(0);
@@ -363,71 +308,90 @@ static int cpu_has_avx512dq(void) {
 }
 #endif /* REPRO_SHA_NI_COMPILED */
 
-static agg_mersenne_fn resolve_agg_mersenne(void) {
-#ifdef REPRO_SHA_NI_COMPILED
-    if (cpu_has_avx512dq())
-        return agg_mersenne_span_avx512;
-#endif
-    return agg_mersenne_span;
+/* ---- Eq. 11 Mersenne-31 span ------------------------------------------ */
+
+/* out[i] = s[i] * z[i] mod M, M = 2^31 - 1, without a division: each
+ * factor is below M, so x = s * z < 2^62, and 2^31 = 1 (mod M) gives
+ * x = (x>>31) + (x&M) (mod M).  Two folds bring x below M + 2; one
+ * masked subtract finishes.  The loop has no branch, so the compiler
+ * vectorizes it (the uint32 x uint32 -> uint64 product is vpmuludq);
+ * one body serves each target below. */
+static inline __attribute__((always_inline)) void agg_mersenne_body(
+        const uint32_t *s, const uint32_t *z, int64_t lo, int64_t hi,
+        uint32_t *out) {
+    const uint64_t M = ((uint64_t)1 << 31) - 1;
+    int64_t i;
+    for (i = lo; i < hi; i++) {
+        uint64_t x = (uint64_t)s[i] * z[i];
+        x = (x >> 31) + (x & M);
+        x = (x >> 31) + (x & M);
+        out[i] = (uint32_t)(x - (M & -(uint64_t)(x >= M)));
+    }
 }
 
-static agg_mersenne_fn agg_mersenne_best = 0;
+typedef void (*agg_fn)(const uint32_t *s, const uint32_t *z, int64_t lo,
+                       int64_t hi, uint32_t *out);
+
+static void agg_mersenne(const uint32_t *s, const uint32_t *z, int64_t lo,
+                         int64_t hi, uint32_t *out) {
+    agg_mersenne_body(s, z, lo, hi, out);
+}
+
+#ifdef REPRO_SHA_NI_COMPILED
+__attribute__((target("avx512f,avx512dq,avx512vl")))
+static void agg_mersenne_avx512(const uint32_t *s, const uint32_t *z,
+                                int64_t lo, int64_t hi, uint32_t *out) {
+    agg_mersenne_body(s, z, lo, hi, out);
+}
+#endif
+
+static agg_fn agg_mersenne_best = 0;
 
 /* ---- Eq. 3 / Eq. 7 folded-table spans -------------------------------- */
 
-/* Elements per accumulator block: the block's sums stay in L1 while
- * every share is added into them, share-major (Eq. 3/7 and Eq. 18). */
+/* Elements per block: the Eq. 3/7 span checks and then gathers a block
+ * while it is in L1, and the owner sum and the §3.1 combine accumulate
+ * block by block. */
 #define PSI_BLOCK 2048
 
-/* One instantiation per (share type S, accumulator A, output O):
- * sum the shares of [lo, hi) (gathered through `cells` when non-null)
- * block by block into A, then out[i] = table[sum].  Returns -1 without
- * gathering when a sum overruns the table (a share outside [0, delta)),
- * so a malformed store can never read out of bounds. */
-#define DEFINE_PSI_SPAN(NAME, S, A, O)                                     \
-static int NAME(const void **shares_v, int64_t nshares,                    \
-                const int64_t *cells, int64_t lo, int64_t hi,              \
-                const void *table_v, int64_t table_len, void *out_v) {     \
-    const S **shares = (const S **)shares_v;                               \
+/* One instantiation per (share type S, output type O): out[i] =
+ * table[v(i)] over [lo, hi), v(i) = share[cells[i]] when `cells` is
+ * non-null, else share[i].  Each block's largest value is checked
+ * before the block is gathered; a value outside the table (a share not
+ * mod delta) returns -1, so a malformed store can never read out of
+ * bounds. */
+#define DEFINE_PSI_SPAN(NAME, S, O)                                        \
+static int NAME(const void *share_v, const int64_t *cells, int64_t lo,     \
+                int64_t hi, const void *table_v, int64_t table_len,        \
+                void *out_v) {                                             \
+    const S *share = (const S *)share_v;                                   \
     const O *table = (const O *)table_v;                                   \
     O *out = (O *)out_v;                                                   \
-    const A last = (A)(table_len - 1);                                     \
-    A acc[PSI_BLOCK];                                                      \
-    int64_t base, k, j;                                                    \
+    S gathered[PSI_BLOCK];                                                 \
+    int64_t base, k;                                                       \
     for (base = lo; base < hi; base += PSI_BLOCK) {                        \
         int64_t n = hi - base < PSI_BLOCK ? hi - base : PSI_BLOCK;         \
-        A over = 0;                                                        \
-        memset(acc, 0, (size_t)n * sizeof(A));                             \
-        for (j = 0; j < nshares; j++) {                                    \
-            const S *s = shares[j];                                        \
-            if (cells) {                                                   \
-                const int64_t *c = cells + base;                           \
-                for (k = 0; k < n; k++)                                    \
-                    acc[k] += s[c[k]];                                     \
-            } else {                                                       \
-                const S *sp = s + base;                                    \
-                for (k = 0; k < n; k++)                                    \
-                    acc[k] += sp[k];                                       \
-            }                                                              \
+        const S *v = share + base;                                         \
+        S top = 0;                                                         \
+        if (cells) {                                                       \
+            for (k = 0; k < n; k++)                                        \
+                gathered[k] = share[cells[base + k]];                      \
+            v = gathered;                                                  \
         }                                                                  \
         for (k = 0; k < n; k++)                                            \
-            over |= (A)(acc[k] > last);                                    \
-        if (over)                                                          \
+            top = v[k] > top ? v[k] : top;                                 \
+        if ((int64_t)top >= table_len)                                     \
             return -1;                                                     \
         for (k = 0; k < n; k++)                                            \
-            out[base + k] = table[acc[k]];                                 \
+            out[base + k] = table[v[k]];                                   \
     }                                                                      \
     return 0;                                                              \
 }
 
-DEFINE_PSI_SPAN(psi_u8_a16_o16, uint8_t, uint16_t, uint16_t)
-DEFINE_PSI_SPAN(psi_u8_a16_o32, uint8_t, uint16_t, uint32_t)
-DEFINE_PSI_SPAN(psi_u8_a32_o16, uint8_t, uint32_t, uint16_t)
-DEFINE_PSI_SPAN(psi_u8_a32_o32, uint8_t, uint32_t, uint32_t)
-DEFINE_PSI_SPAN(psi_u16_a16_o16, uint16_t, uint16_t, uint16_t)
-DEFINE_PSI_SPAN(psi_u16_a16_o32, uint16_t, uint16_t, uint32_t)
-DEFINE_PSI_SPAN(psi_u16_a32_o16, uint16_t, uint32_t, uint16_t)
-DEFINE_PSI_SPAN(psi_u16_a32_o32, uint16_t, uint32_t, uint32_t)
+DEFINE_PSI_SPAN(psi_u8_o16, uint8_t, uint16_t)
+DEFINE_PSI_SPAN(psi_u8_o32, uint8_t, uint32_t)
+DEFINE_PSI_SPAN(psi_u16_o16, uint16_t, uint16_t)
+DEFINE_PSI_SPAN(psi_u16_o32, uint16_t, uint32_t)
 
 /* ---- Eq. 18 spans ---------------------------------------------------- */
 
@@ -608,28 +572,19 @@ void repro_prg_fill(const uint8_t *key, uint64_t start, uint64_t nbytes,
     }
 }
 
-/* Fused Eq. 3 / Eq. 7 row span: out[i] = table[sum_j shares[j][c(i)]],
- * c(i) = cells[i] when `cells` is non-null, else i.  `share_size` is
- * 1 or 2 bytes, `out_size` (also the table's) 2 or 4; the accumulator
- * is uint16 whenever nshares maximal shares fit it, so no sum wraps.
- * Returns 0, or -1 when a share sum overruns the table. */
-int repro_psi_span(const void **shares, int64_t nshares, int64_t share_size,
+/* Eq. 3 / Eq. 7 row span over one owner-summed vector: out[i] =
+ * table[share[c(i)]], c(i) = cells[i] when `cells` is non-null, else i.
+ * `share_size` is 1 or 2 bytes, `out_size` (also the table's) 2 or 4.
+ * Returns 0, or -1 when a share overruns the table. */
+int repro_psi_span(const void *share, int64_t share_size,
                    const int64_t *cells, int64_t lo, int64_t hi,
                    const void *table, int64_t table_len, int64_t out_size,
                    void *out) {
-    int wide = nshares * (share_size == 1 ? 0xFF : 0xFFFF) > 0xFFFF;
-    if (share_size == 1) {
-        if (out_size == 2)
-            return (wide ? psi_u8_a32_o16 : psi_u8_a16_o16)(
-                shares, nshares, cells, lo, hi, table, table_len, out);
-        return (wide ? psi_u8_a32_o32 : psi_u8_a16_o32)(
-            shares, nshares, cells, lo, hi, table, table_len, out);
-    }
-    if (out_size == 2)
-        return (wide ? psi_u16_a32_o16 : psi_u16_a16_o16)(
-            shares, nshares, cells, lo, hi, table, table_len, out);
-    return (wide ? psi_u16_a32_o32 : psi_u16_a16_o32)(
-        shares, nshares, cells, lo, hi, table, table_len, out);
+    if (share_size == 1)
+        return (out_size == 2 ? psi_u8_o16 : psi_u8_o32)(
+            share, cells, lo, hi, table, table_len, out);
+    return (out_size == 2 ? psi_u16_o16 : psi_u16_o32)(
+        share, cells, lo, hi, table, table_len, out);
 }
 
 /* out[i] = (sum_j shares[j][i]) mod m over i in [lo, hi); shares and
@@ -661,29 +616,26 @@ void repro_psu_span(const void *summed, int64_t size, int64_t lo, int64_t hi,
         psu_u32(summed, lo, hi, key, draw_base, delta, out);
 }
 
-/* Fused Eq. 11 row span over uint32 field elements:
- * out[i] = sum_j (s_j[i] * z[i] mod p) mod p, each product in uint64. */
-void repro_agg_span(const uint32_t **shares, int64_t nshares,
-                    const uint32_t *z, int64_t lo, int64_t hi, int64_t p,
-                    uint32_t *out) {
-    int64_t i, j;
+/* Eq. 11 row span over one owner-summed vector of uint32 field
+ * elements: out[i] = share[i] * z[i] mod p, the product in uint64. */
+void repro_agg_span(const uint32_t *share, const uint32_t *z, int64_t lo,
+                    int64_t hi, int64_t p, uint32_t *out) {
+    const uint64_t m = (uint64_t)p, c = UINT64_MAX / m;
+    int64_t i;
     if (p == ((int64_t)1 << 31) - 1) {
-        /* The repo's field prime: the Mersenne fold reduces each
-         * product division-free, and each per-term accumulate stays
-         * below 2p, so one conditional subtract is the whole
-         * reduction. */
-        if (!agg_mersenne_best)
-            agg_mersenne_best = resolve_agg_mersenne();
-        agg_mersenne_best(shares, nshares, z, lo, hi, out);
+        /* The repo's field prime: the Mersenne fold, no division. */
+        if (!agg_mersenne_best) {
+            agg_mersenne_best = agg_mersenne;
+#ifdef REPRO_SHA_NI_COMPILED
+            if (cpu_has_avx512dq())
+                agg_mersenne_best = agg_mersenne_avx512;
+#endif
+        }
+        agg_mersenne_best(share, z, lo, hi, out);
         return;
     }
-    for (i = lo; i < hi; i++) {
-        uint64_t acc = 0;
-        uint64_t zi = z[i];
-        for (j = 0; j < nshares; j++)
-            acc += (uint64_t)shares[j][i] * zi % (uint64_t)p;
-        out[i] = (uint32_t)(acc % (uint64_t)p);
-    }
+    for (i = lo; i < hi; i++)
+        out[i] = (uint32_t)mod_barrett((uint64_t)share[i] * z[i], m, c);
 }
 
 /* §3.1 Shamir combine span over uint32 field elements:

@@ -6,7 +6,7 @@ compiled sweep — fused PSI/verification (Eq. 3/7), PSU masking
 stream compute **bit-identically** to the numpy/hashlib reference
 kernels over narrow share widths (uint8/uint16 additive shares,
 uint16/uint32 group elements, uint32 field elements), including the
-folded Eq. 3 tables, the Mersenne fold and the SHA-256 block stream.  Pinned three ways:
+folded Eq. 3 tables, the Mersenne fold and the SHA-256 block stream.  Pinned four ways:
 
 * unit level — each sweep builder's ``kernel(lo, hi)`` closure, and
   its numpy twin in :mod:`repro.entities.server`, against a
@@ -14,6 +14,9 @@ folded Eq. 3 tables, the Mersenne fold and the SHA-256 block stream.  Pinned thr
   seams are exercised; the owner spans (the §3.1 Shamir combine and
   the Eq. 4 / 8–10 product) against their numpy twins at every length
   from empty to a scan-sized χ, with the extreme values 0 and p − 1;
+* equation level — both tiers, through the server's selectors, against
+  the owner sum, Eq. 3/7 and Eq. 11 in Python integers, at the edge
+  moduli, values and lengths (``TestTierParity``, property-based);
 * stream level — ``prg_fill`` / ``integers_at`` against the hashlib
   counter stream at odd offsets, in both backends;
 * system level — every batchable Table-4 kind (verified where
@@ -28,11 +31,15 @@ and queries keep working).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_multihost_matrix import (
     SHARD_COUNTS,
     build,
@@ -46,6 +53,7 @@ from repro.core.params import ServerGroupView
 from repro.crypto.prg import SeededPRG, numpy_shuffle
 from repro.crypto.shamir import ShamirSharing, numpy_combine_span
 from repro.crypto.widths import share_dtype
+from repro.entities import server as server_module
 from repro.entities.owner import _mul_mod, numpy_mul_mod_span
 from repro.entities.server import (
     numpy_agg_sweep,
@@ -83,11 +91,11 @@ def _share_lists(rng, rows, owners, n, modulus=DELTA):
              for _ in range(owners)] for _ in range(rows)]
 
 
-def _tables(table, m_rows, owners, delta=DELTA, eta_prime=ETA_PRIME):
+def _tables(table, m_rows, delta=DELTA, eta_prime=ETA_PRIME):
     """The per-row folded Eq. 3 tables the server hands the sweep."""
     view = ServerGroupView(delta=delta, eta_prime=eta_prime, g=0,
                            power_table=table)
-    return view.folded_tables(m_rows, owners)
+    return view.folded_tables(m_rows)
 
 
 def _chunked(kernel, n, splits=(0.3, 0.7)):
@@ -95,6 +103,19 @@ def _chunked(kernel, n, splits=(0.3, 0.7)):
     bounds = [0, *(int(n * f) for f in splits), n]
     for lo, hi in zip(bounds, bounds[1:]):
         kernel(lo, hi)
+
+
+def _summed(add, share_lists, modulus, splits=(0.3, 0.7)):
+    """Each row's owner sum mod ``modulus`` through the owner-sum
+    builder or selector ``add``, as the server builds the vectors its
+    Eq. 3/7 and Eq. 11 sweeps read.  Callers hold the list while a
+    sweep over it runs: the compiled closures keep raw addresses."""
+    n = share_lists[0][0].shape[0]
+    sums = np.empty((len(share_lists), n), dtype=share_dtype(modulus))
+    kernel = add(share_lists, modulus, sums)
+    assert kernel is not None, "owner-sum sweep must engage"
+    _chunked(kernel, n, splits)
+    return list(sums)
 
 
 # -- int64 replicas of the server equations ------------------------------------
@@ -171,9 +192,10 @@ class TestSweepBitIdentity:
         shares = _share_lists(rng, rows=3, owners=3, n=n, modulus=delta)
         table = rng.permutation(eta_prime)[:delta].astype(np.int64)
         m_rows = np.array([[77], [0], [delta - 1]], dtype=np.int64)
-        tables = _tables(table, m_rows, 3, delta, eta_prime)
+        tables = _tables(table, m_rows, delta, eta_prime)
         out = np.empty((3, n), dtype=share_dtype(eta_prime))
-        kernel = kernels.psi_sweep(shares, tables, out)
+        summed = _summed(kernels.sum_sweep, shares, delta)
+        kernel = kernels.psi_sweep(summed, tables, out)
         assert kernel is not None, "compiled sweep must engage"
         _chunked(kernel, n)
         expected = psi_reference(shares, m_rows.ravel(), delta, table)
@@ -187,7 +209,8 @@ class TestSweepBitIdentity:
         table = rng.permutation(DELTA).astype(np.int64)
         m_rows = np.array([[5], [0]], dtype=np.int64)
         out = np.empty((2, n), dtype=share_dtype(ETA_PRIME))
-        kernel = kernels.psi_sweep(shares, _tables(table, m_rows, 2), out,
+        summed = _summed(kernels.sum_sweep, shares, DELTA)
+        kernel = kernels.psi_sweep(summed, _tables(table, m_rows), out,
                                    cells=cells)
         assert kernel is not None
         _chunked(kernel, n)
@@ -197,21 +220,22 @@ class TestSweepBitIdentity:
 
     @pytest.mark.parametrize("builder", [kernels.psi_sweep, numpy_psi_sweep])
     def test_psi_share_outside_delta_is_refused(self, builder):
-        """A stored share ≥ δ would overrun the folded table: both tiers
+        """A summed share ≥ δ would overrun the folded table: both tiers
         refuse it rather than read out of bounds."""
         if builder is kernels.psi_sweep and not compiled_available:
             pytest.skip("compiled kernel tier unavailable (no C toolchain)")
         kernels.configure("c" if compiled_available else "off")
         try:
             n = 1024
-            shares = _share_lists(np.random.default_rng(5), 1, 2, n)
-            shares[0][1][n // 2] = DELTA + 7
-            shares[0][0][n // 3] = np.iinfo(np.uint16).max
             table = np.arange(DELTA, dtype=np.int64)
-            out = np.empty((1, n), dtype=np.uint16)
-            kernel = builder(shares, _tables(table, [[0]], 2), out)
-            with pytest.raises(ProtocolError, match="folded"):
-                kernel(0, n)
+            for bad in (DELTA, DELTA + 7, np.iinfo(np.uint16).max):
+                summed = np.random.default_rng(5).integers(
+                    0, DELTA, n).astype(np.uint16)
+                summed[n // 2] = bad
+                out = np.empty((1, n), dtype=np.uint16)
+                kernel = builder([summed], _tables(table, [[0]]), out)
+                with pytest.raises(ProtocolError, match="folded"):
+                    kernel(0, n)
         finally:
             kernels.configure(None)
 
@@ -276,7 +300,8 @@ class TestSweepBitIdentity:
         shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=PRIME)
         z_matrix = rng.integers(0, PRIME, size=(2, n)).astype(np.uint32)
         out = np.zeros((2, n), dtype=np.uint32)
-        kernel = kernels.agg_sweep(shares, z_matrix, PRIME, out)
+        summed = _summed(kernels.sum_sweep, shares, PRIME)
+        kernel = kernels.agg_sweep(summed, z_matrix, PRIME, out)
         assert kernel is not None
         _chunked(kernel, n)
         expected = agg_reference(shares, z_matrix, PRIME)
@@ -293,7 +318,8 @@ class TestSweepBitIdentity:
         z_matrix = rng.integers(PRIME - 64, PRIME,
                                 size=(2, n)).astype(np.uint32)
         out = np.zeros((2, n), dtype=np.uint32)
-        kernel = kernels.agg_sweep(shares, z_matrix, PRIME, out)
+        summed = _summed(kernels.sum_sweep, shares, PRIME)
+        kernel = kernels.agg_sweep(summed, z_matrix, PRIME, out)
         assert kernel is not None
         _chunked(kernel, n)
         expected = agg_reference(shares, z_matrix, PRIME)
@@ -306,7 +332,8 @@ class TestSweepBitIdentity:
         shares = _share_lists(rng, rows=1, owners=4, n=n, modulus=p)
         z_matrix = rng.integers(0, p, size=(1, n)).astype(np.uint32)
         out = np.zeros((1, n), dtype=np.uint32)
-        kernel = kernels.agg_sweep(shares, z_matrix, p, out)
+        summed = _summed(kernels.sum_sweep, shares, p)
+        kernel = kernels.agg_sweep(summed, z_matrix, p, out)
         assert kernel is not None
         _chunked(kernel, n)
         expected = agg_reference(shares, z_matrix, p)
@@ -332,12 +359,13 @@ class TestNumpyTwins:
         shares = _share_lists(rng, rows=3, owners=3, n=n, modulus=delta)
         table = rng.permutation(eta_prime)[:delta].astype(np.int64)
         m_rows = np.array([[77], [0], [delta - 1]], dtype=np.int64)
-        tables = _tables(table, m_rows, 3, delta, eta_prime)
+        tables = _tables(table, m_rows, delta, eta_prime)
         cells = rng.permutation(n)[:400].astype(np.int64)
+        summed = _summed(numpy_sum_sweep, shares, delta)
         for gather in (None, cells):
             out = np.full((3, n if gather is None else len(gather)), 9,
                           dtype=share_dtype(eta_prime))
-            _chunked(numpy_psi_sweep(shares, tables, out, cells=gather),
+            _chunked(numpy_psi_sweep(summed, tables, out, cells=gather),
                      out.shape[1])
             np.testing.assert_array_equal(
                 out, psi_reference(shares, m_rows.ravel(), delta, table,
@@ -408,7 +436,8 @@ class TestNumpyTwins:
         shares = _share_lists(rng, rows=2, owners=3, n=n, modulus=PRIME)
         z_matrix = rng.integers(0, PRIME, size=(2, n)).astype(np.uint32)
         out = np.full((2, n), 7, dtype=np.uint32)
-        _chunked(numpy_agg_sweep(shares, z_matrix, PRIME, out), n)
+        summed = _summed(numpy_sum_sweep, shares, PRIME)
+        _chunked(numpy_agg_sweep(summed, z_matrix, PRIME, out), n)
         np.testing.assert_array_equal(out,
                                       agg_reference(shares, z_matrix, PRIME))
 
@@ -544,21 +573,151 @@ class TestOwnerSpans:
             results[0][1], secrets.astype(object) ** 2 % PRIME)
 
 
+# -- tier parity against Python integers ----------------------------------------
+#
+# Each server equation in both tiers, through the selectors the server
+# runs (so the crossover rung is crossed too), against the equation
+# written in Python integers, at the edges of the moduli the code takes.
+
+#: native.c's block length: its Eq. 3/7 span range-checks and gathers,
+#: and its owner sum accumulates, one block of this many cells at a time.
+PSI_BLOCK = 2048
+PARITY_LENGTHS = [1, 2, kernels.NATIVE_MIN_SPAN - 1, kernels.NATIVE_MIN_SPAN,
+                  kernels.NATIVE_MIN_SPAN + 1, PSI_BLOCK - 1, PSI_BLOCK,
+                  PSI_BLOCK + 1, 2 * PSI_BLOCK + 3]
+#: Additive moduli δ: the smallest two, either side of 2⁸, and the
+#: largest prime below 2¹⁶.
+PARITY_DELTAS = [2, 3, 251, 257, 65_521]
+#: Shamir field primes: above 2¹⁶, the Mersenne prime and the largest
+#: prime below 2³².
+PARITY_PRIMES = [65_537, PRIME, PRIME_32]
+#: uint16 and uint32 group elements.
+PARITY_ETA_PRIMES = [ETA_PRIME, 70_001]
+PARITY_G = 5
+TIERS = ["numpy", pytest.param("c", marks=needs_cc)]
+PARITY_SETTINGS = settings(max_examples=30, deadline=None)
+CUTS = st.lists(st.floats(0, 1), max_size=3).map(sorted)
+
+
+@contextlib.contextmanager
+def _on_tier(tier):
+    kernels.configure("off" if tier == "numpy" else "c")
+    try:
+        yield
+    finally:
+        kernels.configure(None)
+
+
+def _engages(tier, n):
+    """Whether the compiled span runs a length-``n`` sweep on ``tier``."""
+    return tier == "c" and n >= kernels.NATIVE_MIN_SPAN
+
+
+def _edge_vector(rng, n, modulus):
+    """Residues mod ``modulus`` at its width, about half of them 0, 1 or
+    ``modulus − 1``."""
+    v = rng.integers(0, modulus, size=n, dtype=np.uint64)
+    pick = rng.integers(0, 6, size=n)
+    for k, value in enumerate((0, 1, modulus - 1)):
+        v[pick == k] = value
+    return v.astype(share_dtype(modulus))
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(delta, eta_prime):
+    return np.array([pow(PARITY_G, k, eta_prime) for k in range(delta)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestTierParity:
+    @PARITY_SETTINGS
+    @given(modulus=st.sampled_from(PARITY_DELTAS + PARITY_PRIMES),
+           n=st.sampled_from(PARITY_LENGTHS), owners=st.integers(1, 5),
+           cuts=CUTS, seed=st.integers(0, 2**32 - 1))
+    def test_owner_sum(self, tier, modulus, n, owners, cuts, seed):
+        """Σ_j s_j mod δ (additive) or mod p (Shamir)."""
+        rng = np.random.default_rng(seed)
+        shares = [[_edge_vector(rng, n, modulus) for _ in range(owners)]
+                  for _ in range(2)]
+        with _on_tier(tier):
+            scratch = np.empty((2, n), dtype=share_dtype(modulus))
+            assert ((kernels.sum_sweep(shares, modulus, scratch) is not None)
+                    == _engages(tier, n))
+            sums = _summed(server_module.sum_sweep, shares, modulus, cuts)
+        assert [v.tolist() for v in sums] == [
+            [sum(int(s[i]) for s in row) % modulus for i in range(n)]
+            for row in shares]
+
+    @PARITY_SETTINGS
+    @given(delta=st.sampled_from(PARITY_DELTAS),
+           eta_prime=st.sampled_from(PARITY_ETA_PRIMES),
+           n=st.sampled_from(PARITY_LENGTHS), owners=st.integers(1, 4),
+           m=st.integers(0, 2**16), gather=st.booleans(), cuts=CUTS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_psi(self, tier, delta, eta_prime, n, owners, m, gather, cuts,
+                 seed):
+        """Eq. 3 (a PSI row, ⊖ m) and Eq. 7 (a verification row, ⊖ 0):
+        g^((Σ_j s_j − m) mod δ) mod η', over χ or over ``cells``."""
+        rng = np.random.default_rng(seed)
+        b = n + 37 if gather else n
+        shares = [[_edge_vector(rng, b, delta) for _ in range(owners)]
+                  for _ in range(2)]
+        cells = rng.integers(0, b, size=n) if gather else None
+        m_rows = [m % delta, 0]
+        view = ServerGroupView(delta=delta, eta_prime=eta_prime, g=PARITY_G,
+                               power_table=_power_table(delta, eta_prime))
+        tables = view.folded_tables([[m_q] for m_q in m_rows])
+        out = np.empty((2, n), dtype=share_dtype(eta_prime))
+        with _on_tier(tier):
+            summed = _summed(server_module.sum_sweep, shares, delta, cuts)
+            assert ((kernels.psi_sweep(summed, tables, out, cells)
+                     is not None) == _engages(tier, n))
+            _chunked(server_module.psi_sweep(summed, tables, out, cells), n,
+                     cuts)
+        index = range(n) if cells is None else cells.tolist()
+        assert out.tolist() == [
+            [pow(PARITY_G, (sum(int(s[c]) for s in row) - m_q) % delta,
+                 eta_prime) for c in index]
+            for row, m_q in zip(shares, m_rows)]
+
+    @PARITY_SETTINGS
+    @given(p=st.sampled_from(PARITY_PRIMES),
+           n=st.sampled_from(PARITY_LENGTHS), owners=st.integers(1, 5),
+           cuts=CUTS, seed=st.integers(0, 2**32 - 1))
+    def test_agg(self, tier, p, n, owners, cuts, seed):
+        """Eq. 11: (Σ_j s_j) · z mod p."""
+        rng = np.random.default_rng(seed)
+        shares = [[_edge_vector(rng, n, p) for _ in range(owners)]
+                  for _ in range(2)]
+        z_matrix = np.stack([_edge_vector(rng, n, p) for _ in range(2)])
+        out = np.empty((2, n), dtype=np.uint32)
+        with _on_tier(tier):
+            summed = _summed(server_module.sum_sweep, shares, p, cuts)
+            assert ((kernels.agg_sweep(summed, z_matrix, p, out) is not None)
+                    == _engages(tier, n))
+            _chunked(server_module.agg_sweep(summed, z_matrix, p, out), n,
+                     cuts)
+        assert out.tolist() == [
+            [sum(int(s[i]) for s in row) * int(z[i]) % p for i in range(n)]
+            for row, z in zip(shares, z_matrix)]
+
+
 # -- the selection ladder -------------------------------------------------------
 
 
 def _psi_operands(n, share=np.uint16):
-    shares = [[np.zeros(n, dtype=share)]]
-    tables = _tables(np.arange(DELTA, dtype=np.int64), [[0]], 1)
-    return shares, tables, np.empty((1, n), dtype=np.uint16)
+    summed = [np.zeros(n, dtype=share)]
+    tables = _tables(np.arange(DELTA, dtype=np.int64), [[0]])
+    return summed, tables, np.empty((1, n), dtype=np.uint16)
 
 
 class TestSelectionLadder:
     def test_mode_off_disables_builders(self):
         assert kernels.configure("off") == "numpy"
         try:
-            shares, tables, out = _psi_operands(4096)
-            assert kernels.psi_sweep(shares, tables, out) is None
+            summed, tables, out = _psi_operands(4096)
+            assert kernels.psi_sweep(summed, tables, out) is None
             assert not kernels.enabled()
         finally:
             kernels.configure(None)
@@ -590,20 +749,20 @@ class TestSelectionLadder:
         assert kernels.native_lib() is not None
 
     def test_below_crossover_stays_on_numpy(self, compiled):
-        shares, tables, out = _psi_operands(kernels.NATIVE_MIN_SPAN - 1)
-        assert kernels.psi_sweep(shares, tables, out) is None
+        summed, tables, out = _psi_operands(kernels.NATIVE_MIN_SPAN - 1)
+        assert kernels.psi_sweep(summed, tables, out) is None
 
     def test_ineligible_operand_falls_back_per_sweep(self, compiled):
         n = 2048
-        shares, tables, out = _psi_operands(n)
-        assert kernels.psi_sweep(shares, tables, out) is not None
+        summed, tables, out = _psi_operands(n)
+        assert kernels.psi_sweep(summed, tables, out) is not None
         strided = np.zeros(2 * n, dtype=np.uint16)[::2]  # not contiguous
-        assert kernels.psi_sweep([[strided]], tables, out) is None
+        assert kernels.psi_sweep([strided], tables, out) is None
         for dtype in (np.float64, np.int64):  # not a share width
-            wrong = [[np.zeros(n, dtype=dtype)]]
+            wrong = [np.zeros(n, dtype=dtype)]
             assert kernels.psi_sweep(wrong, tables, out) is None
         wide_out = np.empty((1, n), dtype=np.int64)
-        assert kernels.psi_sweep(shares, tables, wide_out) is None
+        assert kernels.psi_sweep(summed, tables, wide_out) is None
 
     def test_owner_spans_below_crossover_stay_on_numpy(self, compiled):
         for n, engaged in ((kernels.NATIVE_MIN_SPAN - 1, False),

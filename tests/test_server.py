@@ -277,14 +277,15 @@ def memo_server(delta, num_shards=1, seed=5):
 
 
 def per_owner_psi(server, columns, subtract_m, owner_ids, cells=None):
-    """The Eq. 3/7 selector over every owner's shares, as before the memo."""
+    """The owner-sum and Eq. 3/7 selectors over every owner's shares."""
     shares = [server.fetch_additive(c, owner_ids) for c in columns]
-    m = len(shares[0])
+    sums = np.empty((len(columns), MEMO_B), dtype=server.params.additive_dtype)
+    sum_sweep(shares, server.params.delta, sums)(0, MEMO_B)
     tables = server.params.group.folded_tables(
-        server._batch_m_shares(subtract_m, m, owner_ids), m)
+        server._batch_m_shares(subtract_m, len(shares[0]), owner_ids))
     n = MEMO_B if cells is None else cells.size
     out = np.empty((len(columns), n), dtype=server.params.group_dtype)
-    psi_sweep(shares, tables, out, cells)(0, n)
+    psi_sweep(list(sums), tables, out, cells)(0, n)
     return out
 
 
@@ -300,10 +301,14 @@ def per_owner_psu(server, columns, nonces, owner_ids):
 
 
 def per_owner_agg(server, columns, z_matrix, owner_ids):
-    """The Eq. 11 selector over every owner's shares."""
+    """The owner-sum (mod p) and Eq. 11 selectors over every owner's
+    shares."""
     shares = [server.fetch_shamir(c, owner_ids) for c in columns]
-    out = np.empty(z_matrix.shape, dtype=np.uint32)
-    agg_sweep(shares, z_matrix, server.params.field_prime, out)(0, MEMO_B)
+    p = server.params.field_prime
+    sums = np.empty(z_matrix.shape, dtype=server.params.shamir_dtype)
+    sum_sweep(shares, p, sums)(0, MEMO_B)
+    out = np.empty_like(sums)
+    agg_sweep(list(sums), z_matrix, p, out)(0, MEMO_B)
     return out
 
 

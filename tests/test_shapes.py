@@ -117,28 +117,39 @@ class TestFig4Shape:
     def test_psi_sum_sums_the_owners_once_per_store_version(self,
                                                             monkeypatch):
         # Where the m-linear work now falls: the first psi_sum of a store
-        # version sums exactly m Shamir vectors on each Shamir server, in
-        # one z ≡ 1 Eq. 11 row; a repeat sums none; outsourcing resets.
-        rows = []
-        sweep = server_module.agg_sweep
+        # version sums exactly m Shamir vectors mod p on each Shamir
+        # server, in one owner-sum row; a repeat sums none; outsourcing
+        # resets.  Every Eq. 11 row reads one summed vector.
+        sums, agg_rows = [], []
+        sum_sweep, agg_sweep = server_module.sum_sweep, server_module.agg_sweep
 
-        def counting(share_lists, z_matrix, p, out):
-            rows.extend((len(shares), bool((z_matrix == 1).all()))
-                        for shares in share_lists)
-            return sweep(share_lists, z_matrix, p, out)
+        def counting_sum(share_lists, modulus, out):
+            sums.extend((len(shares), modulus) for shares in share_lists)
+            return sum_sweep(share_lists, modulus, out)
 
-        monkeypatch.setattr(server_module, "agg_sweep", counting)
+        def counting_agg(summed, z_matrix, p, out):
+            agg_rows.append(len(summed))
+            return agg_sweep(summed, z_matrix, p, out)
+
+        monkeypatch.setattr(server_module, "sum_sweep", counting_sum)
+        monkeypatch.setattr(server_module, "agg_sweep", counting_agg)
         for m in (4, 8, 12):
             system = build_system(num_owners=m, domain_size=2048)
+            p = system.initiator.field_prime
             for _ in range(2):
-                rows.clear()
+                sums.clear()
+                agg_rows.clear()
                 system.psi_sum("OK", "DT")
-                assert sorted(rows) == [(1, False)] * 3 + [(m, True)] * 3
+                assert [count for count, modulus in sums
+                        if modulus == p] == [m] * 3
+                assert agg_rows == [1] * 3
                 assert all(server.store.summed("DT", ShareKind.SHAMIR)
                            is not None for server in system.servers)
-                rows.clear()
+                sums.clear()
+                agg_rows.clear()
                 system.psi_sum("OK", "DT")
-                assert rows == [(1, False)] * 3
+                assert sums == []
+                assert agg_rows == [1] * 3
                 system.outsource("OK", ("DT",))
             system.close()
 

@@ -12,7 +12,6 @@ from repro.entities.adversary import (
     ReplaySwapServer,
     SkipCellsServer,
 )
-from repro.entities.server import PrismServer
 from repro.exceptions import ProtocolError
 from repro.network.host import ServerAdapter
 from repro.network.rpc import ERROR, RpcMessage
@@ -153,25 +152,27 @@ def compiled_tier():
 
 
 def _spy(monkeypatch, name):
-    """Record every ``kernels.<name>`` call's share vectors and result."""
+    """Record every ``kernels.<name>`` call's row vectors and result."""
     calls = []
     original = getattr(kernels, name)
 
-    def spy(share_lists, *args, **kwargs):
-        kernel = original(share_lists, *args, **kwargs)
-        calls.append(([s for row in share_lists for s in row], kernel))
+    def spy(summed, *args, **kwargs):
+        kernel = original(summed, *args, **kwargs)
+        calls.append((list(summed), kernel))
         return kernel
 
     monkeypatch.setattr(kernels, name, spy)
     return calls
 
 
-def _compiled_sweeps_over(calls, server, columns, fetch):
-    """Compiled sweeps that read ``server``'s own stored share vectors."""
-    stored = [s for column in columns for s in fetch(server, column)]
-    return [kernel for shares, kernel in calls
+def _compiled_sweeps_over(calls, server, columns, kind):
+    """Compiled sweeps that read the owner-summed vectors ``server``'s
+    store keeps for ``columns`` (a row may be a window of one)."""
+    kept = [server.store.summed(column, kind) for column in columns]
+    assert all(vector is not None for vector in kept)
+    return [kernel for vectors, kernel in calls
             if kernel is not None
-            and any(s is t for s in shares for t in stored)]
+            and any(np.shares_memory(v, k) for v in vectors for k in kept)]
 
 
 class TestAdversariesRunTheFusedKernel:
@@ -188,25 +189,21 @@ class TestAdversariesRunTheFusedKernel:
                                 domain=WIDE_DOMAIN, num_shards=7) as system:
             with pytest.raises(VerificationError):
                 system.psi("k", verify=True)
-            store = system.servers[0].store
-            kept = [store.summed(column, ShareKind.ADDITIVE)
-                    for column in ("k", "vk")]
-            assert all(vector is not None for vector in kept)
-            assert [kernel for shares, kernel in calls
-                    if kernel is not None
-                    and any(s is t for s in shares for t in kept)]
+            assert _compiled_sweeps_over(calls, system.servers[0],
+                                         ["k", "vk"], ShareKind.ADDITIVE)
 
     def test_drop_aggregate_runs_the_compiled_agg_sweep(self, compiled_tier,
                                                         monkeypatch):
+        # The Eq. 11 sweep reads the Shamir owner sums the server's
+        # store keeps for the data and proof columns.
         calls = _spy(monkeypatch, "agg_sweep")
         factory = lambda i, p: DropAggregateServer(i, p, cells=tuple(range(8)))
         with adversarial_system({0: factory}, domain=WIDE_DOMAIN,
                                 num_shards=7) as system:
             with pytest.raises(VerificationError):
                 system.psi_sum("k", "amt", verify=True)
-            assert _compiled_sweeps_over(
-                calls, system.servers[0], ["amt", "vamt"],
-                PrismServer.fetch_shamir)
+            assert _compiled_sweeps_over(calls, system.servers[0],
+                                         ["amt", "vamt"], ShareKind.SHAMIR)
 
 
 class TestSpanRequestsRefuseTamperingServers:
