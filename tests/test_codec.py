@@ -964,3 +964,318 @@ class TestTypedBodies:
         assert out_ints == ints and out_floats == floats
         assert all(type(v) is int for v in out_ints)
         assert all(type(v) is float for v in out_floats)
+
+
+# -- pinned wire bytes ----------------------------------------------------------
+
+
+def _wire_corpus() -> dict:
+    """Payloads covering every tag, named; their encodings are pinned."""
+    corpus = {
+        "none": None,
+        "true": True,
+        "false": False,
+        "bool_list": [True, False, True],
+        "small_ints": [0, 1, -1, 255, 256, -256],
+        "int64_edges": [-(2**63), 2**63 - 1, 0, 7],
+        "int64_one_past_max": [2**63, 0],
+        "int64_one_past_min": [-(2**63) - 1, 1],
+        "negative_int": -12345,
+        "zero": 0,
+        "wide_ints": [2**64, -(2**64), 2**200 + 3],
+        "wide_int": 2**100 - 1,
+        "float": 2.5,
+        "float_list": [0.5, -1.25, 1e300, float("inf"), -0.0],
+        "mixed_list": [1, "a", None, 2.5, True, b"x"],
+        "empty_list": [],
+        "empty_dict": {},
+        "empty_tuple": (),
+        "tuple": (1, (2, 3), "z"),
+        "nested_dict": {"a": {"b": [1, 2], "c": None},
+                        "d": ({"e": 1.5},), "f": [[1], [2.5]]},
+        "int_map": {1: 2, 3: 4, -5: 6},
+        "int_float_map": {10: 0.25, 20: -3.5},
+        "int_str_map": {7: "x", 8: "y"},
+        "mixed_key_map": {1: "a", 2.5: None, None: [1], b"k": True},
+        "bool_key_map": {True: 1, False: 0},
+        "wide_key_map": {2**70: 1, 0: 2},
+        "np_key_map": {np.int64(4): np.int64(5), np.uint8(9): 1},
+        "np_scalars": [np.int64(-3), np.uint8(200), np.uint64(2**64 - 1),
+                       np.float32(1.5), np.float64(-2.25), np.bool_(True),
+                       np.bool_(False), np.int32(-7)],
+        "str": "hello",
+        "long_str": "key-" * 300,
+        "long_int_list": list(range(-600, 600, 3)),
+        "long_mixed_list": [i if i % 7 else str(i) for i in range(300)],
+        "empty_str": "",
+        "unicode_str": "ünïcode χ",
+        "bytes": b"\x00\xffab",
+        "empty_bytes": b"",
+        "bytearray": bytearray(b"xyz"),
+    }
+    for dtype in WIRE_DTYPES:
+        name = dtype.name
+        corpus[f"vector_{name}"] = np.arange(7, dtype=dtype)
+        corpus[f"empty_vector_{name}"] = np.zeros(0, dtype=dtype)
+        corpus[f"matrix_{name}"] = np.arange(12, dtype=dtype).reshape(3, 4)
+    corpus["matrix_fortran"] = np.asfortranarray(
+        np.arange(6, dtype=np.uint16).reshape(2, 3))
+    corpus["vector_big_endian"] = np.arange(5, dtype=">u4")
+    corpus["vector_strided"] = np.arange(10, dtype=np.uint32)[::2]
+    # The gateway session shapes (repro.serving.session).
+    timings = {"server": 0.0125, "owner": 0.0031}
+    traffic = {"messages": 12, "bytes": 40960}
+    corpus["gw_query"] = {
+        "dataset": "alpha/fleet",
+        "query": {"plan": {"kind": "psi_sum", "attribute": "OK",
+                           "agg_attributes": ["DT"], "verify": True,
+                           "owner_ids": None, "querier": 0}}}
+    corpus["gw_set"] = {
+        "type": "SetResult", "values": [3, 17, 42],
+        "membership": np.packbits(np.arange(20) % 3 == 0),
+        "cells": 20, "timings": timings, "traffic": traffic,
+        "verified": True}
+    corpus["gw_set_str_values"] = {
+        "type": "SetResult", "values": ["Cancer", "Flu"],
+        "membership": np.packbits(np.ones(9, dtype=bool)), "cells": 9,
+        "timings": {}, "traffic": {}, "verified": False}
+    corpus["gw_count"] = {"type": "CountResult", "count": 17,
+                          "timings": timings, "traffic": traffic}
+    corpus["gw_aggregate"] = {
+        "type": "AggregateResult", "per_value": {3: 1400, 17: 2**40},
+        "timings": timings, "traffic": traffic, "verified": True}
+    corpus["gw_average"] = {
+        "type": "AggregateResult", "per_value": {3: 12.5, 17: 0.75},
+        "timings": timings, "traffic": traffic, "verified": False}
+    corpus["gw_extrema"] = {
+        "type": "ExtremaResult", "per_value": {3: 99, 17: 5},
+        "holders": {3: [0, 2], 17: [1]}, "timings": timings,
+        "traffic": traffic}
+    corpus["gw_result_map"] = {
+        "type": "ResultMap", "keys": ["SUM(DT)", "COUNT(*)"],
+        "items": {"SUM(DT)": corpus["gw_aggregate"],
+                  "COUNT(*)": corpus["gw_count"]}}
+    corpus["gw_bucketized"] = {
+        "type": "Bucketized", "set": corpus["gw_set"],
+        "stats": {"levels": 3, "cells_swept": 96}}
+    corpus["gw_none"] = {"type": "None"}
+    return corpus
+
+
+def _frame_corpus() -> dict:
+    """Framed requests and replies in the shapes the channels send."""
+    sweep = {"family": "psi", "columns": ["OK", "vOK"],
+             "owner_ids": [0, 1, 2], "permute": [None, "s1"],
+             "subtract_m": [True, False]}
+    return {
+        "indicator_round": ("indicator_round", 7, FULL_SPAN,
+                            {"a": [[sweep]], "k": {"num_shards": 2}}),
+        "indicator_span": ("indicator_round", 8, (0, 4096),
+                           {"a": [[dict(sweep, permute=None)]], "k": {}}),
+        "aggregate_round": ("aggregate_round_batch", 9, (4096, 8192),
+                            {"a": [["DT", "vDT"],
+                                   np.arange(16, dtype=np.uint32)
+                                   .reshape(2, 8), None], "k": {}}),
+        "result_matrix": ("__result__", 7, FULL_SPAN,
+                          [np.arange(24, dtype=np.uint16).reshape(3, 8)]),
+        "error": ("__error__", 0, FULL_SPAN,
+                  {"type": "ProtocolError", "message": "bad frame"}),
+        "ping": ("__ping__", 2**40, FULL_SPAN, None),
+        "gw_query": ("gw:query", 3, FULL_SPAN,
+                     _wire_corpus()["gw_query"]),
+    }
+
+
+#: SHA-256 of ``encode(payload)`` for every :func:`_wire_corpus` entry.
+_PAYLOAD_DIGESTS = {
+    "none":
+        "cdcd8f09bbf9ec82d4b6cbe2b2fe934b15e0dec4a731737d91e3c2b1636d1b42",
+    "true":
+        "ffdef588d09a8a8690e9d19f7681be466cb540669a2b6ed70c0c9c0299db765e",
+    "false":
+        "614613a3beb105501ebeabf583f7ddd8fed33d456fd54d1b07d9b8bd4ab04b95",
+    "bool_list":
+        "e4e401bea42d82ccd58de99616315b254af7613c82f0d320f5f196dd03423c19",
+    "small_ints":
+        "14f29825a65dc49d1653c8d39805bfce9cfb8957437f2c58f16a7098e5fb0425",
+    "int64_edges":
+        "607eb6c8b8bf27f4aaa8cf560944f2762ea44a0466df57a98ea33d30300f5de0",
+    "int64_one_past_max":
+        "df79fcfce2fc84cef77ccc1eac1463f94369e62bba6dd39623c0141eac77d9db",
+    "int64_one_past_min":
+        "558f99ff39fd4973a9b09a11d19bfa900b78dd08f093e06b9a6a135af0275d97",
+    "negative_int":
+        "e9c8add29f563ab1f2ebc9f1a89518de29284299cd41cc328d86b60ab4642f7d",
+    "zero":
+        "49a8cb0c5fa0efdc3a01a469bbe4ea9ca17297c59ae53239831fc6e59193d81d",
+    "wide_ints":
+        "076aa4462f91bb71289537d71da7b09be8240ef3f5189885f8aad58901ea1f9a",
+    "wide_int":
+        "8a34ace718bf20d418499eb60933afdc4fd93a991775f021ca068a3959b927ea",
+    "float":
+        "d7e1431f2425567be1d4e734f640fd426786a83ea9388d2a15bbe6979ed6f843",
+    "float_list":
+        "6f8781220320d76f5e032d8f8fcc1d916c35c4897e273589daa67555975423ba",
+    "mixed_list":
+        "d339a3dac956bd5a189013866e844f27e9cb494b2603db86368239f7c016153e",
+    "empty_list":
+        "7da8bf0c886509b628f07c2ee0e73094b05a745f3d52549ad6e6c666a8530f96",
+    "empty_dict":
+        "6ffa1459183e09e0c1f4f02379c7c81ab905d985975806340a4c990a88aa3e0c",
+    "empty_tuple":
+        "4cdb544ec585c9d43703339994cbbe4314338ede544b2fb2bdea36de5d3d1567",
+    "tuple":
+        "0c43aa538d9eeb9ca92047892c2a7c2c6258cd0bd79c7d16e84911d283aabd98",
+    "nested_dict":
+        "c1c5a9cd379c91f357fa3f6b47be0d296dd0f7b394caac44650a930813c3c4be",
+    "int_map":
+        "2bb51c8c13729c3fd6d74c397f7188f750db44551b32a5ecf37e9a82a0134a90",
+    "int_float_map":
+        "5c22a57588aa1ea0088ead705ab125ce1f74ed20007387705e4fab04f49797a4",
+    "int_str_map":
+        "5e7e38b5eacbd9555556e5640a1ddb357c7418445e3d23d660f3fee05bf06bf6",
+    "mixed_key_map":
+        "ab20e3c51d5d9823e487eb496ac9ef07ee55420dda309a813b2074fa9b81a6df",
+    "bool_key_map":
+        "f1dd53becd9a7d72dd99c4c184bbfa07a62972fb8f89d4f7635c202e1e6dad69",
+    "wide_key_map":
+        "001836a518fab5dd05894c3b1ea4d6ab664e33e0a594cfda04986772e52fca59",
+    "np_key_map":
+        "cccecf06d3be61f993ef3801a36245b1a48a11d0e57da0241cdbd10c4613a390",
+    "np_scalars":
+        "d1e0fb51ce02ba7720a5fd6ed0a449d3cc7326650931f7b2cecd347446c44ab4",
+    "str":
+        "f7b0d58ac5585772ae1c41230812c0979a42453799b892a408c747ff2029e39b",
+    "long_str":
+        "b549882c88cc3df1d161920623e4954a6065dd9b76c8bc4c8b62f93c96187e97",
+    "long_int_list":
+        "e977b1e905714632ab8b6609453bd22c88b9048bcfcb39d3aa347433e606adb6",
+    "long_mixed_list":
+        "7fb564b30d30d67dd008fe10579d74d2638eb3dd94a5ccf496a3b3b771c56ba5",
+    "empty_str":
+        "f4cf83b3d449cf89f6ab28f8d73c2bc3da14298b813cbf687027883a94569023",
+    "unicode_str":
+        "1e8327cb8247c3ae531d971c847fb162e98435f2ab2008483066d7caa500abf4",
+    "bytes":
+        "f63673c16475a3322cbda97719816095502f48ec64ab2a4d597ffaa76c92de73",
+    "empty_bytes":
+        "4a069a94f5845926e3d9537541930b9b03954a18d2da5034119ec17f22a7b404",
+    "bytearray":
+        "7b10139c99b9391c004cf6eaa285547bacfafcd7bd5503c7c7bc2bd4b8748f18",
+    "vector_uint8":
+        "03f5cb978e1d8fdaef2563e7a9bf3138cfb21dae904abfcd562caf0514cd206f",
+    "empty_vector_uint8":
+        "991cffe5efafa929d1e79bbe1040328e601b00a545ff46c4e0194abd95d73819",
+    "matrix_uint8":
+        "20596b037b5e9fffb482631e4fb2a64dfce129cb9fc9d65cab709bde4284ffa0",
+    "vector_uint16":
+        "91e6a31dcfc1e6831264b04cad1ddb69b3ed73f9230fa0af6626a9e12e9e4212",
+    "empty_vector_uint16":
+        "7c9109e07857a0d85a53a6b5e41d90de9c7725710bbbf6ad44cc07cdbf767a1f",
+    "matrix_uint16":
+        "9fe9864f6ee5e6f9ab7eb009d77ea5f1821130413a3ae5ce838d6a207fabe99b",
+    "vector_uint32":
+        "0d60fbf60805f07915d79ee1e55f338038b121202a2cdeb5ec473459dbeca81d",
+    "empty_vector_uint32":
+        "1a4b93c71b826cc55d8ea0104e263360450037df66295819afe4f68157505eb6",
+    "matrix_uint32":
+        "f62a93add665d6b6d377dca3d5d2e49e9974f7fbfec34a44008ca6506f265912",
+    "vector_uint64":
+        "d697af4649cdf18d62c47db6043f3c6b006a5ac0879052b4d2841bdf0e268130",
+    "empty_vector_uint64":
+        "3b0e07db19c1caa7edbf6cbc065b8761b62d5820d8e3ef57c49bd8427ce7b92b",
+    "matrix_uint64":
+        "18e6f9a1a8d5fb7bfdfdf1e62bc93121caff52284f276756aa3f01c5f757222d",
+    "vector_int8":
+        "5b1e5d6bfd2888e303ccfb66b565eddfec9b2745f189ebc7fae64484bf1c9a3f",
+    "empty_vector_int8":
+        "162b5a2cd7491ae1cc2740f83976ddebb17fa1cdef09368adbf2937e8e76f12c",
+    "matrix_int8":
+        "bf8a96bbdef4ab30fdedc456cc46b485e66dd8d73e7b08018178744c7e67a169",
+    "vector_int16":
+        "8033fcd88166628020b1320047fcf4d3df599e27cc3316cb0be2e455e82d09ec",
+    "empty_vector_int16":
+        "8a2cbd7e9b10960815b4ad980fff00a5c2ee7fa74b2e8f2a9f36a7cfcd7ef24e",
+    "matrix_int16":
+        "cd20abd52fd68be39f3f9ccc431c5c70d6fc3c51664509a9d2e2f66513318b6e",
+    "vector_int32":
+        "6d374ba7b9a71100d355d10a3849b6be3d802553afc22b2edcd166f1fc0cffad",
+    "empty_vector_int32":
+        "4eb6437a05f91e0f80fdbc3e4c3c4abc217fdf27a6ecaadde3064a28c9a5cc04",
+    "matrix_int32":
+        "8fce1dd47894ed070199cccb8940fb33f2f0bfc2329fae5cda428695905bf4be",
+    "vector_int64":
+        "ca99b2f436d7abb6c252f3f1e774d68deef2d5580e50f3894ebcf37abacb1cba",
+    "empty_vector_int64":
+        "1e155f53e01c76351ddb09ec03f1324dd9f79874c1887351db2950768d7e46d8",
+    "matrix_int64":
+        "18a5c9179e24254b284e2f4e779db5c889f333998ac852cbfb02028e46f63f59",
+    "matrix_fortran":
+        "90ac2372aaa1ff23e22277cc11ec841c77549bd32857c6d0f44211c5e90dbd65",
+    "vector_big_endian":
+        "3dbea0fc2721c80e778e1e282396a6f33b996cd0ef80fb68caea0f6931bb170e",
+    "vector_strided":
+        "a535c9b6b6684d028eaaadd43571c70d1fa5b29a101170715738abc351368d79",
+    "gw_query":
+        "ba25c39914fbe8ca0f32de891c0cf6b3a815299e05b2fc3cfc6606678a62aeee",
+    "gw_set":
+        "cbf0bcb9e4d67bb69267b3fd7a9f8f349cef88506fb7afbec08ee9da88a46e38",
+    "gw_set_str_values":
+        "0c8e58cfbbe22067235a457151629f404f8013f23d57ba6a45e0c508546065cc",
+    "gw_count":
+        "2b7cb7bdddffb5be4bcb3d59f563b0157b6a90e3237d9db23411d566d807c3e5",
+    "gw_aggregate":
+        "b16866a279010efae7d6a75a52e899c18b4ca81fd0fed01922269032271b2d3c",
+    "gw_average":
+        "28b9c32aa5beda94036f8934f092815f49580fe753bcda6b838a26b47c066cc7",
+    "gw_extrema":
+        "0fb72f89f1482831025f574e916e3f00af82685778ce4793e96764070dc308e9",
+    "gw_result_map":
+        "d4656d55e2afc8eb64667321a97a4d5bf984730d925e944257de8cdbdfa14b1a",
+    "gw_bucketized":
+        "fe27e349f8da9acc247bf794ce590f380fd9bd2cec5d2617d9b180e614df1e9c",
+    "gw_none":
+        "09e80d53425cb078fce7922c92b39c8693d151a78b0dd55e638b28e3dac56cae",
+}
+
+#: SHA-256 of ``encode_frame(*args)`` for every :func:`_frame_corpus` entry.
+_FRAME_DIGESTS = {
+    "indicator_round":
+        "46073dfdb303539ea28727f2edf61ef50ef256b83fcc2ac34b077d4552a38d77",
+    "indicator_span":
+        "6a65ed4f7beb809834d5a539da9bf689ce523374c9bcfaac429bee60c3abca44",
+    "aggregate_round":
+        "83e417464d94494692e19046fe8947cc0870e662f7b696e20630e51f9c9fffe5",
+    "result_matrix":
+        "bf1de0bb5158f3615856e04e211013eda2e312cb7c52f0a6e6619c4901cff470",
+    "error":
+        "9ad230e5e4a0286aae79457f8ee606607bd3f6280396cdf1217a3c45b5b6112b",
+    "ping":
+        "d19b25d49815182b01be6833ebe8419b2bbfadec5fc5ef51177fcd3ebca2095d",
+    "gw_query":
+        "28bc628e329919d613654622f2ecb15e2fa54eb3a63acc297a9c4b6fea77d173",
+}
+
+
+class TestWireDigests:
+    """The wire bytes themselves are pinned, not only round trips.
+
+    A codec rewrite must reproduce every byte: peers and golden
+    transcripts depend on the encoding, not on what it decodes to.
+    """
+
+    def test_corpus_is_pinned(self):
+        assert set(_wire_corpus()) == set(_PAYLOAD_DIGESTS)
+        assert set(_frame_corpus()) == set(_FRAME_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(_PAYLOAD_DIGESTS))
+    def test_payload_bytes(self, name):
+        import hashlib
+        blob = encode(_wire_corpus()[name])
+        assert hashlib.sha256(blob).hexdigest() == _PAYLOAD_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(_FRAME_DIGESTS))
+    def test_frame_bytes(self, name):
+        import hashlib
+        blob = encode_frame(*_frame_corpus()[name])
+        assert hashlib.sha256(blob).hexdigest() == _FRAME_DIGESTS[name]
