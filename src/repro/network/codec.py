@@ -57,6 +57,7 @@ channel layer, which is what actually writes sockets.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import struct
 import sys
@@ -172,10 +173,6 @@ _TAG_INT_LIST = 15
 _TAG_FLOAT_LIST = 16
 _TAG_COLUMNS = 17
 
-#: The body dtype of each typed-list tag.
-_TYPED_LISTS = {_TAG_INT_LIST: np.dtype("<i8"),
-                _TAG_FLOAT_LIST: np.dtype("<f8")}
-
 #: Arrays below this byte size stay inline even with an arena attached:
 #: the reference + copy-out machinery only beats the inline path once
 #: the memcpy dominates the per-frame overhead.
@@ -191,6 +188,52 @@ _MAX_DEPTH = 32
 _MAP_KEY_TYPES = (bool, int, str, bytes, float, type(None))
 
 
+# Precompiled layouts, named by their format.
+_Q = struct.Struct("<Q")
+_d = struct.Struct("<d")
+_BQ = struct.Struct("<BQ")
+_Bd = struct.Struct("<Bd")
+_BBQ = struct.Struct("<BBQ")
+_BQQ = struct.Struct("<BQQ")
+_BBQQ = struct.Struct("<BBQQ")
+_BQQQ = struct.Struct("<BQQQ")
+_BBQQQ = struct.Struct("<BBQQQ")
+
+_PAYLOAD_HEADER = bytes([MAGIC, VERSION])
+_NONE_BYTES = bytes([_TAG_NONE])
+_TRUE_BYTES = bytes([_TAG_BOOL, 1])
+_FALSE_BYTES = bytes([_TAG_BOOL, 0])
+_COLUMNS_BYTES = bytes([_TAG_COLUMNS])
+_STR_TAG_BYTE = bytes([_TAG_STR])
+
+#: ``array`` typecodes of the typed-list bodies (int64 and float64).
+_TYPED_LIST_CODES = {_TAG_INT_LIST: "q", _TAG_FLOAT_LIST: "d"}
+
+
+def _int_to_bytes(value: int) -> bytes:
+    value = abs(value)
+    length = max(1, (value.bit_length() + 7) // 8)
+    return value.to_bytes(length, "little")
+
+
+def _bigint_bytes(value: int) -> bytes:
+    raw = _int_to_bytes(value)
+    return _BBQ.pack(_TAG_BIGINT, 1 if value < 0 else 0,
+                             len(raw)) + raw
+
+
+#: Pre-encoded small ints (flags, counts, owner ids, shard counts).
+_SMALL_INT_MIN, _SMALL_INT_MAX = -256, 1024
+_SMALL_INTS = [_bigint_bytes(value)
+               for value in range(_SMALL_INT_MIN, _SMALL_INT_MAX)]
+
+#: Encoded short strings (dict keys, kinds, column names), filled on
+#: first use; bounded so arbitrary user strings cannot grow it forever.
+_STR_CACHE: dict[str, bytes] = {}
+_STR_CACHE_MAX_LEN = 64
+_STR_CACHE_MAX_ENTRIES = 4096
+
+
 def encode(payload, arena=None) -> bytes:
     """Encode a protocol payload to bytes.
 
@@ -202,80 +245,202 @@ def encode(payload, arena=None) -> bytes:
         ProtocolError: for unsupported payload types, including arrays
             of a non-integer dtype.
     """
-    return struct.pack("<BB", MAGIC, VERSION) + _encode_body(
-        payload, arena=arena)
+    out = [_PAYLOAD_HEADER]
+    _encode_into(payload, out, 0, arena)
+    return b"".join(out)
 
 
-def _encode_body(payload, depth: int = 0, arena=None) -> bytes:
+def _encode_into(payload, out: list, depth: int, arena) -> None:
+    """Append ``payload``'s tagged body to ``out``.
+
+    Exact types dispatch through :data:`_ENCODERS`; anything else
+    (numpy scalars, subclasses) is normalised by :func:`_encode_other`.
+    """
     if depth > _MAX_DEPTH:
-        raise ProtocolError(
-            f"payload nesting exceeds the wire depth limit ({_MAX_DEPTH})"
-        )
-    if payload is None:
-        return struct.pack("<B", _TAG_NONE)
-    if isinstance(payload, np.ndarray):
-        if payload.ndim not in (1, 2):
-            raise ProtocolError(
-                "only 1-D share vectors and 2-D batch matrices travel on "
-                "the wire"
-            )
-        code, contiguous = _wire_array(payload)
-        if arena is not None and contiguous.nbytes >= _SHM_MIN_BYTES:
-            shm_offset = arena.write_array(contiguous)
-            if shm_offset is not None:
-                if payload.ndim == 2:
-                    return struct.pack("<BBQQQ", _TAG_MATRIX_SHM, code,
-                                       shm_offset, *payload.shape)
-                return struct.pack("<BBQQ", _TAG_VECTOR_SHM, code,
-                                   shm_offset, payload.shape[0])
-        if payload.ndim == 2:
-            return struct.pack("<BBQQ", _TAG_MATRIX, code,
-                               *payload.shape) + contiguous.tobytes()
-        return struct.pack("<BBQ", _TAG_VECTOR, code,
-                           payload.shape[0]) + contiguous.tobytes()
-    if isinstance(payload, (bool, np.bool_)):
-        # A dedicated tag: booleans round-trip as booleans, never as
-        # 0/1 ints (the kernel flag list subtract_m is semantically
-        # boolean on the RPC surface).
-        return struct.pack("<BB", _TAG_BOOL, 1 if payload else 0)
-    if isinstance(payload, (int, np.integer)):
-        payload = int(payload)
-        raw = _int_to_bytes(payload)
-        return struct.pack("<BBQ", _TAG_BIGINT, 1 if payload < 0 else 0,
-                           len(raw)) + raw
-    if isinstance(payload, (float, np.floating)):
-        return struct.pack("<Bd", _TAG_FLOAT, float(payload))
-    if isinstance(payload, str):
-        raw = payload.encode("utf-8")
-        return struct.pack("<BQ", _TAG_STR, len(raw)) + raw
-    if isinstance(payload, (bytes, bytearray)):
-        return struct.pack("<BQ", _TAG_BYTES, len(payload)) + bytes(payload)
-    if isinstance(payload, tuple):
-        parts = [_encode_body(item, depth + 1, arena) for item in payload]
-        return struct.pack("<BQ", _TAG_TUPLE, len(parts)) + b"".join(parts)
-    if isinstance(payload, list):
-        return _encode_list(payload, depth, arena)
-    if isinstance(payload, dict):
-        if all(isinstance(key, str) for key in payload):
-            parts = []
-            for key, value in payload.items():
-                parts.append(_encode_body(key, depth + 1, arena))
-                parts.append(_encode_body(value, depth + 1, arena))
-            return struct.pack("<BQ", _TAG_DICT, len(payload)) + b"".join(parts)
-        # Non-string keys (the extrema rounds key share dicts by owner
-        # id, results by domain value): columnar, so int keys and
-        # int/float values each travel as one typed body.  Keys are
-        # restricted to hashable scalars so decoding always yields a
-        # legal dict.
-        keys = list(payload)
-        key_kinds = set(map(type, keys))
-        _check_key_kinds(key_kinds, (np.integer,))
-        return (struct.pack("<B", _TAG_COLUMNS)
-                + _encode_list(keys, depth, arena, key_kinds)
-                + _encode_list(list(payload.values()), depth, arena))
+        _too_deep()
+    (_ENCODERS.get(payload.__class__) or _encode_other)(
+        payload, out, depth, arena)
+
+
+def _encode_items(items, out: list, depth: int, arena) -> None:
+    """Append each item's tagged body, one nesting level below ``depth``."""
+    depth += 1
+    if depth > _MAX_DEPTH and items:
+        _too_deep()
+    get = _ENCODERS.get
+    for item in items:
+        (get(item.__class__) or _encode_other)(item, out, depth, arena)
+
+
+def _too_deep():
     raise ProtocolError(
-        f"cannot serialise payload of type {type(payload).__name__}"
-    )
+        f"payload nesting exceeds the wire depth limit ({_MAX_DEPTH})")
+
+
+def _encode_none(payload, out, depth, arena) -> None:
+    out.append(_NONE_BYTES)
+
+
+def _encode_bool(payload, out, depth, arena) -> None:
+    # A dedicated tag: booleans round-trip as booleans, never as 0/1
+    # ints (the kernel flag list subtract_m is semantically boolean on
+    # the RPC surface).
+    out.append(_TRUE_BYTES if payload else _FALSE_BYTES)
+
+
+def _encode_int(payload, out, depth, arena) -> None:
+    if _SMALL_INT_MIN <= payload < _SMALL_INT_MAX:
+        out.append(_SMALL_INTS[payload - _SMALL_INT_MIN])
+    else:
+        out.append(_bigint_bytes(payload))
+
+
+def _encode_float(payload, out, depth, arena) -> None:
+    out.append(_Bd.pack(_TAG_FLOAT, payload))
+
+
+def _encode_str(payload, out, depth, arena) -> None:
+    out.append(_STR_CACHE.get(payload) or _str_bytes(payload))
+
+
+def _str_bytes(payload: str) -> bytes:
+    raw = payload.encode("utf-8")
+    blob = _BQ.pack(_TAG_STR, len(raw)) + raw
+    if (len(raw) <= _STR_CACHE_MAX_LEN
+            and len(_STR_CACHE) < _STR_CACHE_MAX_ENTRIES):
+        _STR_CACHE[payload] = blob
+    return blob
+
+
+def _encode_bytes(payload, out, depth, arena) -> None:
+    out.append(_BQ.pack(_TAG_BYTES, len(payload)))
+    out.append(bytes(payload))
+
+
+def _encode_tuple(payload, out, depth, arena) -> None:
+    out.append(_BQ.pack(_TAG_TUPLE, len(payload)))
+    _encode_items(payload, out, depth, arena)
+
+
+def _encode_list(items, out, depth, arena, kinds=None) -> None:
+    """A list as one typed body when every item is an exact ``int``
+    within int64 (or an exact ``float``), else one tagged item each.
+    ``kinds`` is the set of item types, when the caller has it."""
+    kinds = set(map(type, items)) if kinds is None else kinds
+    if kinds == {int}:
+        try:
+            body = array.array("q", items)
+        except OverflowError:  # an item outside int64
+            pass
+        else:
+            _append_typed(_TAG_INT_LIST, body, out)
+            return
+    elif kinds == {float}:
+        _append_typed(_TAG_FLOAT_LIST, array.array("d", items), out)
+        return
+    out.append(_BQ.pack(_TAG_LIST, len(items)))
+    _encode_items(items, out, depth, arena)
+
+
+def _append_typed(tag: int, body: array.array, out: list) -> None:
+    if not _NATIVE_LE:
+        body.byteswap()
+    out.append(_BQ.pack(tag, len(body)))
+    out.append(body.tobytes())
+
+
+def _encode_dict(payload, out, depth, arena) -> None:
+    for key in payload:
+        if not isinstance(key, str):
+            break
+    else:
+        out.append(_BQ.pack(_TAG_DICT, len(payload)))
+        depth += 1
+        if depth > _MAX_DEPTH and payload:
+            _too_deep()
+        get, strings = _ENCODERS.get, _STR_CACHE.get
+        for key, value in payload.items():
+            out.append(strings(key) or _str_bytes(key))
+            (get(value.__class__) or _encode_other)(value, out, depth, arena)
+        return
+    # Non-string keys (the extrema rounds key share dicts by owner id,
+    # results by domain value): columnar, so int keys and int/float
+    # values each travel as one typed body.  Keys are restricted to
+    # hashable scalars so decoding always yields a legal dict.
+    keys = list(payload)
+    key_kinds = set(map(type, keys))
+    _check_key_kinds(key_kinds, (np.integer,))
+    out.append(_COLUMNS_BYTES)
+    _encode_list(keys, out, depth, arena, key_kinds)
+    _encode_list(list(payload.values()), out, depth, arena)
+
+
+def _encode_array(payload, out, depth, arena) -> None:
+    if payload.ndim not in (1, 2):
+        raise ProtocolError(
+            "only 1-D share vectors and 2-D batch matrices travel on "
+            "the wire"
+        )
+    code, contiguous = _wire_array(payload)
+    if arena is not None and contiguous.nbytes >= _SHM_MIN_BYTES:
+        shm_offset = arena.write_array(contiguous)
+        if shm_offset is not None:
+            if payload.ndim == 2:
+                out.append(_BBQQQ.pack(_TAG_MATRIX_SHM, code, shm_offset,
+                                       *payload.shape))
+            else:
+                out.append(_BBQQ.pack(_TAG_VECTOR_SHM, code, shm_offset,
+                                      payload.shape[0]))
+            return
+    if payload.ndim == 2:
+        out.append(_BBQQ.pack(_TAG_MATRIX, code, *payload.shape))
+    else:
+        out.append(_BBQ.pack(_TAG_VECTOR, code, payload.shape[0]))
+    out.append(contiguous.tobytes())
+
+
+def _encode_other(payload, out, depth, arena) -> None:
+    """Normalise numpy scalars and subclasses of the wire types."""
+    if isinstance(payload, np.ndarray):
+        _encode_array(payload, out, depth, arena)
+    elif isinstance(payload, (bool, np.bool_)):
+        _encode_bool(payload, out, depth, arena)
+    elif isinstance(payload, (int, np.integer)):
+        _encode_int(int(payload), out, depth, arena)
+    elif isinstance(payload, (float, np.floating)):
+        _encode_float(float(payload), out, depth, arena)
+    elif isinstance(payload, str):
+        raw = payload.encode("utf-8")
+        out.append(_BQ.pack(_TAG_STR, len(raw)))
+        out.append(raw)
+    elif isinstance(payload, (bytes, bytearray)):
+        _encode_bytes(payload, out, depth, arena)
+    elif isinstance(payload, tuple):
+        _encode_tuple(payload, out, depth, arena)
+    elif isinstance(payload, list):
+        _encode_list(payload, out, depth, arena)
+    elif isinstance(payload, dict):
+        _encode_dict(payload, out, depth, arena)
+    else:
+        raise ProtocolError(
+            f"cannot serialise payload of type {type(payload).__name__}"
+        )
+
+
+#: Encoders keyed on exact type; every other type takes the fallback.
+_ENCODERS = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    tuple: _encode_tuple,
+    list: _encode_list,
+    dict: _encode_dict,
+    np.ndarray: _encode_array,
+}
 
 
 def _check_key_kinds(kinds, extra=()) -> None:
@@ -284,30 +449,6 @@ def _check_key_kinds(kinds, extra=()) -> None:
         if not issubclass(kind, _MAP_KEY_TYPES + extra):
             raise ProtocolError(
                 f"wire maps need scalar keys, not {kind.__name__}")
-
-
-def _encode_list(items: list, depth: int, arena, kinds=None) -> bytes:
-    """A list as one typed body when every item is an exact ``int``
-    within int64 (or an exact ``float``), else one tagged item each.
-    ``kinds`` is the set of item types, when the caller has it."""
-    kinds = set(map(type, items)) if kinds is None else kinds
-    if kinds == {int}:
-        try:
-            return struct.pack(f"<BQ{len(items)}q", _TAG_INT_LIST,
-                               len(items), *items)
-        except struct.error:  # an item outside int64
-            pass
-    elif kinds == {float}:
-        return struct.pack(f"<BQ{len(items)}d", _TAG_FLOAT_LIST, len(items),
-                           *items)
-    parts = [_encode_body(item, depth + 1, arena) for item in items]
-    return struct.pack("<BQ", _TAG_LIST, len(parts)) + b"".join(parts)
-
-
-def _int_to_bytes(value: int) -> bytes:
-    value = abs(value)
-    length = max(1, (value.bit_length() + 7) // 8)
-    return value.to_bytes(length, "little")
 
 
 def decode(blob: bytes, arena=None):
@@ -320,7 +461,7 @@ def decode(blob: bytes, arena=None):
     """
     if len(blob) < 2:
         raise ProtocolError("wire message too short for its header")
-    magic, version = struct.unpack_from("<BB", blob, 0)
+    magic, version = blob[0], blob[1]
     if magic != MAGIC:
         raise ProtocolError(f"bad magic byte 0x{magic:02x}")
     if version != VERSION:
@@ -331,37 +472,73 @@ def decode(blob: bytes, arena=None):
     return payload
 
 
-def _decode_body(blob: bytes, offset: int, depth: int = 0, arena=None):
-    if depth > _MAX_DEPTH:
-        raise ProtocolError(
-            f"payload nesting exceeds the wire depth limit ({_MAX_DEPTH})"
-        )
+def _count_at(blob, offset: int, what: str) -> int:
     try:
-        (tag,) = struct.unpack_from("<B", blob, offset)
+        return _Q.unpack_from(blob, offset)[0]
     except struct.error:
+        raise ProtocolError(f"truncated {what}") from None
+
+
+def _decode_body(blob, offset: int, depth: int = 0, arena=None):
+    """One tagged body at ``offset``: ``(value, offset past it)``."""
+    if depth > _MAX_DEPTH:
+        _too_deep()
+    try:
+        tag = blob[offset]
+    except IndexError:
         raise ProtocolError("truncated wire message") from None
     offset += 1
+    if tag == _TAG_STR:
+        return _decode_str(blob, offset)
+    if tag == _TAG_BIGINT:
+        try:
+            negative, length = _BQ.unpack_from(blob, offset)
+        except struct.error:
+            raise ProtocolError("truncated integer header") from None
+        offset += 9
+        end = offset + length
+        if end > len(blob):
+            raise ProtocolError("truncated integer")
+        value = int.from_bytes(blob[offset:end], "little")
+        return -value if negative else value, end
+    if tag == _TAG_DICT:
+        count = _count_at(blob, offset, "container header")
+        offset += 8
+        depth += 1
+        out = {}
+        for _ in range(count):
+            if blob[offset:offset + 1] == _STR_TAG_BYTE:
+                key, offset = _decode_str(blob, offset + 1)
+            else:
+                key, offset = _decode_body(blob, offset, depth, arena)
+                if key.__class__ is not str:
+                    raise ProtocolError("wire dicts use string keys")
+            out[key], offset = _decode_body(blob, offset, depth, arena)
+        return out, offset
+    if tag == _TAG_INT_LIST or tag == _TAG_FLOAT_LIST:
+        return _decode_typed(blob, offset, tag)
+    if tag == _TAG_LIST or tag == _TAG_TUPLE:
+        return _decode_tagged(blob, offset, tag, depth, arena)
+    if tag == _TAG_FLOAT:
+        try:
+            return _d.unpack_from(blob, offset)[0], offset + 8
+        except struct.error:
+            raise ProtocolError("truncated float") from None
     if tag == _TAG_NONE:
         return None, offset
     if tag == _TAG_BOOL:
         try:
-            (flag,) = struct.unpack_from("<B", blob, offset)
-        except struct.error:
+            flag = blob[offset]
+        except IndexError:
             raise ProtocolError("truncated boolean") from None
-        if flag not in (0, 1):
+        if flag > 1:
             raise ProtocolError(f"boolean byte must be 0/1, got {flag}")
-        return bool(flag), offset + 1
-    if tag == _TAG_FLOAT:
-        try:
-            (value,) = struct.unpack_from("<d", blob, offset)
-        except struct.error:
-            raise ProtocolError("truncated float") from None
-        return value, offset + 8
-    if tag in (_TAG_VECTOR, _TAG_MATRIX):
+        return flag == 1, offset + 1
+    if tag == _TAG_VECTOR or tag == _TAG_MATRIX:
         matrix = tag == _TAG_MATRIX
         try:
-            code, *shape = struct.unpack_from("<BQQ" if matrix else "<BQ",
-                                              blob, offset)
+            code, *shape = (_BQQ if matrix else _BQ
+                            ).unpack_from(blob, offset)
         except struct.error:
             raise ProtocolError("truncated share-array header") from None
         dtype = _wire_dtype(code)
@@ -371,64 +548,13 @@ def _decode_body(blob: bytes, offset: int, depth: int = 0, arena=None):
         if end > len(blob):
             raise ProtocolError("truncated share array")
         return _decode_array(blob, offset, dtype, count).reshape(shape), end
-    if tag in (_TAG_VECTOR_SHM, _TAG_MATRIX_SHM):
-        if arena is None:
-            raise ProtocolError(
-                "shared-memory frame decoded without an arena: shm "
-                "references must never cross a host boundary")
-        matrix = tag == _TAG_MATRIX_SHM
-        try:
-            code, shm_offset, *shape = struct.unpack_from(
-                "<BQQQ" if matrix else "<BQQ", blob, offset)
-        except struct.error:
-            raise ProtocolError(
-                "truncated shared-memory reference") from None
-        offset += 25 if matrix else 17
-        count = shape[0] * shape[1] if matrix else shape[0]
-        array = arena.read_array(shm_offset, count, _wire_dtype(code))
-        return array.reshape(shape), offset
-    if tag == _TAG_BIGINT:
-        try:
-            negative, length = struct.unpack_from("<BQ", blob, offset)
-        except struct.error:
-            raise ProtocolError("truncated integer header") from None
-        offset += 9
-        end = offset + length
-        if end > len(blob):
-            raise ProtocolError("truncated integer")
-        value = int.from_bytes(blob[offset:end], "little")
-        return -value if negative else value, end
-    if tag in (_TAG_STR, _TAG_BYTES):
-        try:
-            (length,) = struct.unpack_from("<Q", blob, offset)
-        except struct.error:
-            raise ProtocolError("truncated string header") from None
+    if tag == _TAG_BYTES:
+        length = _count_at(blob, offset, "string header")
         offset += 8
         end = offset + length
         if end > len(blob):
             raise ProtocolError("truncated string")
-        if tag == _TAG_BYTES:
-            return blob[offset:end], end
-        try:
-            return blob[offset:end].decode("utf-8"), end
-        except UnicodeDecodeError:
-            raise ProtocolError("string is not valid UTF-8") from None
-    if tag in _TYPED_LISTS or tag in (_TAG_LIST, _TAG_TUPLE):
-        return _decode_items(blob, offset, tag, depth, arena)
-    if tag == _TAG_DICT:
-        try:
-            (count,) = struct.unpack_from("<Q", blob, offset)
-        except struct.error:
-            raise ProtocolError("truncated container header") from None
-        offset += 8
-        out = {}
-        for _ in range(count):
-            key, offset = _decode_body(blob, offset, depth + 1, arena)
-            if not isinstance(key, str):
-                raise ProtocolError("wire dicts use string keys")
-            value, offset = _decode_body(blob, offset, depth + 1, arena)
-            out[key] = value
-        return out, offset
+        return blob[offset:end], end
     if tag == _TAG_COLUMNS:
         keys_start = offset
         keys, offset = _decode_column(blob, offset, depth, arena)
@@ -439,26 +565,65 @@ def _decode_body(blob: bytes, offset: int, depth: int = 0, arena=None):
         if blob[keys_start] == _TAG_LIST:  # typed keys are scalars
             _check_key_kinds(set(map(type, keys)))
         return dict(zip(keys, values)), offset
+    if tag == _TAG_VECTOR_SHM or tag == _TAG_MATRIX_SHM:
+        if arena is None:
+            raise ProtocolError(
+                "shared-memory frame decoded without an arena: shm "
+                "references must never cross a host boundary")
+        matrix = tag == _TAG_MATRIX_SHM
+        try:
+            code, shm_offset, *shape = (
+                _BQQQ if matrix else _BQQ
+            ).unpack_from(blob, offset)
+        except struct.error:
+            raise ProtocolError(
+                "truncated shared-memory reference") from None
+        offset += 25 if matrix else 17
+        count = shape[0] * shape[1] if matrix else shape[0]
+        array_ = arena.read_array(shm_offset, count, _wire_dtype(code))
+        return array_.reshape(shape), offset
     raise ProtocolError(f"unknown wire tag {tag}")
 
 
-def _decode_items(blob, offset: int, tag: int, depth: int, arena):
-    """The body of a typed list, a tagged-item list or a tuple."""
+def _decode_str(blob, offset: int):
+    """A string body (past its tag): ``(str, offset past it)``."""
     try:
-        (count,) = struct.unpack_from("<Q", blob, offset)
+        (length,) = _Q.unpack_from(blob, offset)
     except struct.error:
-        raise ProtocolError("truncated container header") from None
+        raise ProtocolError("truncated string header") from None
     offset += 8
-    dtype = _TYPED_LISTS.get(tag)
-    if dtype is not None:
-        end = offset + dtype.itemsize * count
-        if end > len(blob):
-            raise ProtocolError("truncated typed list")
-        return np.frombuffer(blob, dtype=dtype, count=count,
-                             offset=offset).tolist(), end
+    end = offset + length
+    if end > len(blob):
+        raise ProtocolError("truncated string")
+    try:
+        return blob[offset:end].decode("utf-8"), end
+    except UnicodeDecodeError:
+        raise ProtocolError("string is not valid UTF-8") from None
+
+
+def _decode_typed(blob, offset: int, tag: int):
+    """The body of a typed list: a u64 count, then one int64/float64 run."""
+    count = _count_at(blob, offset, "container header")
+    offset += 8
+    end = offset + 8 * count
+    if end > len(blob):
+        raise ProtocolError("truncated typed list")
+    code = _TYPED_LIST_CODES[tag]
+    if _NATIVE_LE:
+        return memoryview(blob)[offset:end].cast(code).tolist(), end
+    body = array.array(code, blob[offset:end])
+    body.byteswap()
+    return body.tolist(), end
+
+
+def _decode_tagged(blob, offset: int, tag: int, depth: int, arena):
+    """The body of a tagged-item list or a tuple."""
+    count = _count_at(blob, offset, "container header")
+    offset += 8
+    depth += 1
     items = []
     for _ in range(count):
-        item, offset = _decode_body(blob, offset, depth + 1, arena)
+        item, offset = _decode_body(blob, offset, depth, arena)
         items.append(item)
     return (tuple(items) if tag == _TAG_TUPLE else items), offset
 
@@ -466,12 +631,14 @@ def _decode_items(blob, offset: int, tag: int, depth: int, arena):
 def _decode_column(blob, offset: int, depth: int, arena):
     """One column of a map: a typed or tagged-item list."""
     try:
-        (tag,) = struct.unpack_from("<B", blob, offset)
-    except struct.error:
+        tag = blob[offset]
+    except IndexError:
         raise ProtocolError("truncated wire map") from None
-    if tag not in _TYPED_LISTS and tag != _TAG_LIST:
+    if tag == _TAG_INT_LIST or tag == _TAG_FLOAT_LIST:
+        return _decode_typed(blob, offset + 1, tag)
+    if tag != _TAG_LIST:
         raise ProtocolError(f"wire map column has tag {tag}, not a list")
-    return _decode_items(blob, offset + 1, tag, depth, arena)
+    return _decode_tagged(blob, offset + 1, tag, depth, arena)
 
 
 # -- the framed request envelope ---------------------------------------------
@@ -522,9 +689,11 @@ def encode_frame(kind: str, correlation_id: int, span, payload,
                             ) from None
     if (lo, hi) != FULL_SPAN and not 0 <= lo < hi:
         raise ProtocolError(f"frame span ({lo}, {hi}) is not a χ span")
-    header = _FRAME_HEADER.pack(FRAME_MAGIC, VERSION,
-                                int(correlation_id), lo, hi)
-    return header + _encode_body(kind) + _encode_body(payload, arena=arena)
+    out = [_FRAME_HEADER.pack(FRAME_MAGIC, VERSION, int(correlation_id),
+                              lo, hi)]
+    _encode_str(kind, out, 0, None)
+    _encode_into(payload, out, 0, arena)
+    return b"".join(out)
 
 
 def decode_frame(blob: bytes, arena=None) -> Frame:
