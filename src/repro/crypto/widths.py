@@ -22,8 +22,9 @@ import numpy as np
 
 from repro.exceptions import ProtocolError
 
-_UNSIGNED = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32,
-                                        np.uint64))
+#: ``(largest value, dtype)`` of each unsigned width, narrowest first.
+_UNSIGNED = tuple((int(np.iinfo(t).max), np.dtype(t))
+                  for t in (np.uint8, np.uint16, np.uint32, np.uint64))
 
 
 def share_dtype(modulus: int) -> np.dtype:
@@ -35,8 +36,8 @@ def share_dtype(modulus: int) -> np.dtype:
     modulus = int(modulus)
     if modulus < 2:
         raise ProtocolError(f"modulus must exceed 1, got {modulus}")
-    for dtype in _UNSIGNED:
-        if modulus - 1 <= np.iinfo(dtype).max:
+    for top, dtype in _UNSIGNED:
+        if modulus - 1 <= top:
             return dtype
     raise ProtocolError(f"modulus {modulus} exceeds 64-bit share vectors")
 

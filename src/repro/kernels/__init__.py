@@ -197,6 +197,13 @@ def _row_addr(matrix: np.ndarray, row: int) -> int:
     return matrix.ctypes.data + row * matrix.strides[0]
 
 
+def _owning(kernel, *operands):
+    """``kernel`` holding ``operands``: every array whose raw address it
+    passes to C lives as long as the closure, whatever the caller keeps."""
+    kernel.operands = operands
+    return kernel
+
+
 def psi_sweep(summed, tables: np.ndarray, out: np.ndarray,
               cells: np.ndarray | None = None):
     """Chunk closure for the fused Eq. 3 / Eq. 7 sweep, or ``None``.
@@ -228,7 +235,7 @@ def psi_sweep(summed, tables: np.ndarray, out: np.ndarray,
                 raise ProtocolError(
                     "additive share outside the folded Eq. 3 table: "
                     "a share is not mod δ")
-    return kernel
+    return _owning(kernel, tuple(summed), cells)
 
 
 def sum_sweep(share_lists, modulus: int, out: np.ndarray):
@@ -251,7 +258,7 @@ def sum_sweep(share_lists, modulus: int, out: np.ndarray):
         for u, col_ptrs in enumerate(ptrs):
             lib.repro_sum_mod_span(col_ptrs, counts[u], size, lo, hi,
                                    modulus, _row_addr(out, u))
-    return kernel
+    return _owning(kernel, tuple(tuple(row) for row in share_lists))
 
 
 def psu_sweep(summed, keys: list[bytes], delta: int, out: np.ndarray,
@@ -279,7 +286,7 @@ def psu_sweep(summed, keys: list[bytes], delta: int, out: np.ndarray,
         for q, addr in enumerate(addrs):
             lib.repro_psu_span(addr, size, lo, hi, keys[q], draw_base, delta,
                                _row_addr(out, q))
-    return kernel
+    return _owning(kernel, tuple(summed))
 
 
 def agg_sweep(summed, z_matrix: np.ndarray, p: int, out: np.ndarray):
@@ -299,7 +306,7 @@ def agg_sweep(summed, z_matrix: np.ndarray, p: int, out: np.ndarray):
         for q, addr in enumerate(addrs):
             lib.repro_agg_span(addr, _row_addr(z_matrix, q), lo, hi, p,
                                _row_addr(out, q))
-    return kernel
+    return _owning(kernel, tuple(summed))
 
 
 # -- owner span builders --------------------------------------------------------
@@ -335,7 +342,7 @@ def combine_span(vectors, weight_rows, p: int, outs):
     def kernel(lo: int, hi: int) -> None:
         lib.repro_combine_span(ptrs, sizes, count, scalars, rows, lo, hi, p,
                                out_ptrs)
-    return kernel
+    return _owning(kernel, tuple(vectors), tuple(outs))
 
 
 def mul_mod_span(a: np.ndarray, b: np.ndarray, modulus: int,

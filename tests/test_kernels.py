@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import hashlib
 import struct
 
@@ -108,8 +109,7 @@ def _chunked(kernel, n, splits=(0.3, 0.7)):
 def _summed(add, share_lists, modulus, splits=(0.3, 0.7)):
     """Each row's owner sum mod ``modulus`` through the owner-sum
     builder or selector ``add``, as the server builds the vectors its
-    Eq. 3/7 and Eq. 11 sweeps read.  Callers hold the list while a
-    sweep over it runs: the compiled closures keep raw addresses."""
+    Eq. 3/7 and Eq. 11 sweeps read."""
     n = share_lists[0][0].shape[0]
     sums = np.empty((len(share_lists), n), dtype=share_dtype(modulus))
     kernel = add(share_lists, modulus, sums)
@@ -338,6 +338,119 @@ class TestSweepBitIdentity:
         _chunked(kernel, n)
         expected = agg_reference(shares, z_matrix, p)
         np.testing.assert_array_equal(out, expected)
+
+
+class TestClosuresOwnTheirOperands:
+    """A compiled closure keeps every array whose address it passes to C.
+
+    Each builder gets operands that only the builder call references;
+    after they are dropped and collected, and the freed blocks are
+    handed out again, the closure must still compute the exact answer.
+    """
+
+    N = 4096
+
+    @staticmethod
+    def _run_after_collect(build):
+        kernel, out, expected = build()
+        gc.collect()
+        # Re-allocate blocks of the freed sizes so a dangling address
+        # would read junk instead of the old values.
+        churn = [np.full(TestClosuresOwnTheirOperands.N, 0xA5, dtype=dtype)
+                 for dtype in (np.uint8, np.uint16, np.uint32, np.int64)
+                 for _ in range(16)]
+        _chunked(kernel, out.shape[-1])
+        del churn
+        return out, expected
+
+    def _vectors(self, seed, rows, modulus):
+        rng = np.random.default_rng(seed)
+        return [rng.integers(0, modulus, size=self.N).astype(
+            share_dtype(modulus)) for _ in range(rows)]
+
+    def test_sum_sweep(self, compiled):
+        def build():
+            shares = [self._vectors(41 + u, 3, DELTA) for u in range(2)]
+            expected = np.stack([sum(v.astype(np.int64) for v in row) % DELTA
+                                 for row in shares])
+            out = np.empty((2, self.N), dtype=share_dtype(DELTA))
+            kernel = kernels.sum_sweep(
+                [[v.copy() for v in row] for row in shares], DELTA, out)
+            assert kernel is not None
+            return kernel, out, expected
+        out, expected = self._run_after_collect(build)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_psi_sweep_with_cells(self, compiled):
+        def build():
+            rng = np.random.default_rng(43)
+            summed = self._vectors(44, 2, DELTA)
+            cells = rng.permutation(self.N).astype(np.int64)
+            table = rng.permutation(ETA_PRIME)[:DELTA].astype(np.int64)
+            m_rows = np.array([[5], [DELTA - 1]], dtype=np.int64)
+            expected = psi_reference([[v] for v in summed], m_rows.ravel(),
+                                     DELTA, table, cells)
+            out = np.empty((2, self.N), dtype=share_dtype(ETA_PRIME))
+            kernel = kernels.psi_sweep(
+                [v.copy() for v in summed],
+                _tables(table, m_rows), out, cells.copy())
+            assert kernel is not None
+            return kernel, out, expected
+        out, expected = self._run_after_collect(build)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_psu_sweep(self, compiled):
+        def build():
+            summed = self._vectors(45, 2, DELTA)
+            nonces, seed = [7, 8], 42
+            keys = [SeededPRG(seed, f"psu-{nonce}").key_bytes
+                    for nonce in nonces]
+            expected = psu_reference([[v] for v in summed],
+                                     np.arange(2), nonces, seed, DELTA)
+            out = np.empty((2, self.N), dtype=share_dtype(DELTA))
+            kernel = kernels.psu_sweep([v.copy() for v in summed], keys,
+                                       DELTA, out)
+            assert kernel is not None
+            return kernel, out, expected
+        out, expected = self._run_after_collect(build)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_agg_sweep(self, compiled):
+        def build():
+            summed = self._vectors(46, 2, PRIME)
+            z_matrix = np.stack(self._vectors(47, 2, PRIME))
+            expected = agg_reference([[v] for v in summed], z_matrix, PRIME)
+            out = np.empty((2, self.N), dtype=np.uint32)
+            kernel = kernels.agg_sweep([v.copy() for v in summed],
+                                       z_matrix.copy(), PRIME, out)
+            assert kernel is not None
+            return kernel, out, expected
+        out, expected = self._run_after_collect(build)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_combine_span(self, compiled):
+        def build():
+            vectors = self._vectors(48, 3, PRIME)
+            weights = [[3, 5, 7], [PRIME - 1, 1, 2]]
+            expected = np.stack([
+                (sum(w * v.astype(object) for w, v in zip(row, vectors))
+                 % PRIME).astype(np.int64) for row in weights])
+            outs = [np.empty(self.N, dtype=np.uint32) for _ in weights]
+            kernel = kernels.combine_span([v.copy() for v in vectors],
+                                          weights, PRIME, outs)
+            assert kernel is not None
+            return kernel, _Rows(outs), expected
+        out, expected = self._run_after_collect(build)
+        np.testing.assert_array_equal(np.stack(out.rows), expected)
+
+
+class _Rows:
+    """Output rows the closure writes, shaped like one ``(rows, n)``
+    matrix for :meth:`TestClosuresOwnTheirOperands._run_after_collect`."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.shape = (len(rows), rows[0].size)
 
 
 class TestNumpyTwins:
