@@ -266,29 +266,46 @@ class QueryBatch:
     def _owner_list(group):
         return list(group) if group is not None else None
 
-    def _sweep_servers(self, servers, thunks):
-        """Run one sweep thunk per server; overlap them when remote.
+    def _sweep_servers(self, servers, kernel: str, args) -> list:
+        """One ``kernel`` call per server; outputs in server order.
 
-        Against a non-local deployment every thunk is pure wire I/O —
-        the hosts compute concurrently while this process waits — so
-        the per-server requests are issued together through
-        :func:`repro.network.dispatch.overlap` and the in-flight RPCs
-        to the three roles genuinely overlap (each role's host pool
-        additionally fans its spans out internally).  In-process
-        servers share this interpreter, so they keep the sequential
-        order (bit-identical either way: the sweeps are independent).
-        Returns the outputs in server order.
+        ``args[i]`` are ``servers[i]``'s positional arguments.  Against
+        a non-local deployment every call is wire I/O and the hosts
+        compute in their own processes, so each proxy's
+        ``issue_<kernel>`` half sends its request, and only once every
+        server's request is out does this thread collect the replies,
+        in server order (each role's host pool additionally fans its
+        spans out).  The first error is raised after every issued reply
+        has settled.  In-process servers share this interpreter, so
+        they run one after another (bit-identical either way: the
+        sweeps are independent).
         """
-        if len(thunks) > 1 and all(getattr(server, "is_remote", False)
-                                   for server in servers):
-            from repro.network.dispatch import overlap
-            with self.timings.measure("server"):
-                return overlap(thunks)
-        outs = []
-        for thunk in thunks:
-            with self.timings.measure("server"):
-                outs.append(thunk())
-        return outs
+        if not all(getattr(server, "is_remote", False) for server in servers):
+            outs = []
+            for server, call_args in zip(servers, args):
+                with self.timings.measure("server"):
+                    outs.append(getattr(server, kernel)(
+                        *call_args, num_shards=self.num_shards))
+            return outs
+        with self.timings.measure("server"):
+            collects, error = [], None
+            for server, call_args in zip(servers, args):
+                try:
+                    collects.append(getattr(server, "issue_" + kernel)(
+                        *call_args, num_shards=self.num_shards))
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    error = exc
+                    break
+            outs = []
+            for collect in collects:
+                try:
+                    outs.append(collect())
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    if error is None:
+                        error = exc
+            if error is not None:
+                raise error
+            return outs
 
     def _run_indicator_sweeps(self) -> dict:
         """Round 1: one :meth:`indicator_round` request per additive server.
@@ -309,11 +326,8 @@ class QueryBatch:
             return {}
         transport.begin_round("batch-indicator")
         servers = system.servers[:2]
-        replies = self._sweep_servers(servers, [
-            lambda server=server: server.indicator_round(
-                sweeps, num_shards=self.num_shards)
-            for server in servers
-        ])
+        replies = self._sweep_servers(servers, "indicator_round",
+                                      [(sweeps,)] * len(servers))
         receivers = [o.endpoint for o in system.owners]
         outputs: dict = {}
         for index, (family, group) in enumerate(keys):
@@ -510,12 +524,9 @@ class QueryBatch:
                 transport.transfer(owner.endpoint, server.endpoint,
                                    batch_kind("z-shares", len(rows)), z_matrix)
                 z_matrices.append(z_matrix)
-            thunks = [
-                lambda server=server, z=z: server.aggregate_round_batch(
-                    columns, z, owner_ids, num_shards=self.num_shards)
-                for server, z in zip(servers, z_matrices)
-            ]
-            outs = self._sweep_servers(servers, thunks)
+            outs = self._sweep_servers(
+                servers, "aggregate_round_batch",
+                [(columns, z, owner_ids) for z in z_matrices])
             for s_index, out in enumerate(outs):
                 sweeps += 1
                 transport.broadcast(servers[s_index].endpoint, receivers,

@@ -28,6 +28,7 @@ from repro.crypto.widths import as_shares, check_stream
 from repro.data.storage import ShareKind
 from repro.entities.server import permute_rows
 from repro.exceptions import ProtocolError
+from repro.network.codec import FULL_SPAN
 from repro.network.message import Endpoint, Role
 
 
@@ -135,12 +136,35 @@ class RemoteServer:
         from repro.core.sharding import shard_bounds
         return shard_bounds(int(length), fan)
 
-    def _scatter(self, kind: str, frames) -> list:
-        """Issue span frames concurrently; replies' payloads in order."""
+    def _issue(self, kind: str, frames):
+        """Send ``(payload, span)`` frames of one kind now; returns the
+        call that collects their replies' payloads, in order.
+
+        A pipelining channel (one with ``issue``, such as
+        :class:`~repro.network.dispatch.PooledChannel`) sends every
+        frame before any reply is read, so span frames run concurrently
+        across a host pool; any other channel serves them here, one by
+        one.
+        """
         from repro.network.rpc import RpcMessage
         messages = [RpcMessage(kind, payload, span=span)
                     for payload, span in frames]
-        return [reply.payload for reply in self.channel.scatter(messages)]
+        issue = getattr(self.channel, "issue", None)
+        if issue is None:
+            replies = self.channel.scatter(messages)
+            return lambda: [reply.payload for reply in replies]
+        collect = issue(messages)
+        return lambda: [reply.payload for reply in collect()]
+
+    def _issue_call(self, method: str, *args, **kwargs):
+        """One whole-sweep call, sent now; returns the call that
+        collects its one-reply list.  A channel that cannot pipeline
+        serves the call here."""
+        if getattr(self.channel, "issue", None) is None:
+            reply = self.channel.call(method, *args, **kwargs)
+            return lambda: [reply]
+        return self._issue(method, [({"a": list(args), "k": kwargs},
+                                     FULL_SPAN)])
 
     # -- fused 2-D kernels ----------------------------------------------------
 
@@ -161,31 +185,42 @@ class RemoteServer:
         length is known client-side: ``PF`` permutes the χ table, so
         ``params.pf.size`` *is* b.
         """
+        return self.issue_indicator_round(sweeps, num_shards)()
+
+    def issue_indicator_round(self, sweeps, num_shards: int | None = None):
+        """Send :meth:`indicator_round`'s frames now; returns the call
+        that collects, checks and assembles its outputs."""
         sweeps = list(sweeps)
         num_shards = self._shards(num_shards)
         bounds = self._span_bounds(self.params.pf.size, num_shards,
                                    pool_only=True) if sweeps else None
         if bounds is None:
-            replies = [self.channel.call("indicator_round", sweeps,
-                                         num_shards=num_shards)]
+            pending = self._issue_call("indicator_round", sweeps,
+                                       num_shards=num_shards)
         else:
             unpermuted = [dict(sweep, permute=None) for sweep in sweeps]
-            replies = self._scatter("indicator_round", [
+            pending = self._issue("indicator_round", [
                 ({"a": [unpermuted], "k": {}}, span) for span in bounds])
-        if not all(isinstance(reply, list) and len(reply) == len(sweeps)
-                   for reply in replies):
-            raise ProtocolError(
-                f"an indicator round of {len(sweeps)} sweeps needs one "
-                f"output per sweep in a list")
-        outs = []
-        for index, sweep in enumerate(sweeps):
-            parts = [reply[index] for reply in replies]
-            out = np.concatenate(parts, axis=1) if bounds else parts[0]
-            out = (self._additive_out(out) if sweep.get("family") == "psu"
-                   else self._group_out(out))
-            outs.append(permute_rows(self.params, out, sweep.get("permute"))
-                        if bounds else out)
-        return outs
+
+        def collect() -> list:
+            replies = pending()
+            if not all(isinstance(reply, list) and len(reply) == len(sweeps)
+                       for reply in replies):
+                raise ProtocolError(
+                    f"an indicator round of {len(sweeps)} sweeps needs one "
+                    f"output per sweep in a list")
+            outs = []
+            for index, sweep in enumerate(sweeps):
+                parts = [reply[index] for reply in replies]
+                out = np.concatenate(parts, axis=1) if bounds else parts[0]
+                out = (self._additive_out(out)
+                       if sweep.get("family") == "psu"
+                       else self._group_out(out))
+                outs.append(permute_rows(self.params, out,
+                                         sweep.get("permute"))
+                            if bounds else out)
+            return outs
+        return collect
 
     def psi_cells_round_batch(self, columns, cells, owner_ids=None,
                               subtract_m=None, num_shards: int | None = None):
@@ -216,9 +251,8 @@ class RemoteServer:
                  (0, hi - lo))
                 for lo, hi in bounds
             ]
-            return self._group_out(
-                np.concatenate(self._scatter("psi_cells_round_batch", frames),
-                               axis=1))
+            return self._group_out(np.concatenate(
+                self._issue("psi_cells_round_batch", frames)(), axis=1))
         return self._group_out(self.channel.call(
             "psi_cells_round_batch", list(columns), cells,
             self._owners(owner_ids), subtract_m=self._flags(subtract_m),
@@ -232,6 +266,13 @@ class RemoteServer:
         indicator-share matrix, so the z traffic shards with the sweep
         instead of being replicated per member.
         """
+        return self.issue_aggregate_round_batch(columns, z_matrix, owner_ids,
+                                                num_shards)()
+
+    def issue_aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
+                                    num_shards: int | None = None):
+        """Send :meth:`aggregate_round_batch`'s frames now; returns the
+        call that collects and checks its output."""
         columns = list(columns)
         z_matrix = self._z(z_matrix)
         num_shards = self._shards(num_shards)
@@ -239,19 +280,23 @@ class RemoteServer:
         if columns and z_matrix.ndim == 2 and z_matrix.shape[0] == len(columns):
             bounds = self._span_bounds(int(z_matrix.shape[1]), num_shards,
                                        pool_only=True)
-        if bounds is not None:
-            frames = [
+        if bounds is None:
+            pending = self._issue_call(
+                "aggregate_round_batch", columns, z_matrix,
+                self._owners(owner_ids), num_shards=num_shards)
+        else:
+            pending = self._issue("aggregate_round_batch", [
                 ({"a": [columns, z_matrix[:, lo:hi],
                         self._owners(owner_ids)],
                   "k": {}}, (lo, hi))
                 for lo, hi in bounds
-            ]
+            ])
+
+        def collect():
+            replies = pending()
             return self._shamir_out(
-                np.concatenate(self._scatter("aggregate_round_batch", frames),
-                               axis=1))
-        return self._shamir_out(self.channel.call(
-            "aggregate_round_batch", columns, z_matrix,
-            self._owners(owner_ids), num_shards=num_shards))
+                np.concatenate(replies, axis=1) if bounds else replies[0])
+        return collect
 
     # -- extrema machinery ----------------------------------------------------
 

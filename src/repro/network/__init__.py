@@ -11,7 +11,6 @@ forked subprocess, pools of TCP hosts), and the standalone entity host
 from repro.network.codec import Frame, decode, decode_frame, encode, encode_frame
 from repro.network.dispatch import (
     ConnectionLost,
-    DispatchLoop,
     PooledChannel,
 )
 from repro.network.message import Endpoint, Message, Role, payload_nbytes
@@ -28,7 +27,6 @@ __all__ = [
     "Channel",
     "ConnectionLost",
     "Deployment",
-    "DispatchLoop",
     "Endpoint",
     "Frame",
     "InProcessChannel",

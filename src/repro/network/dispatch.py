@@ -1,60 +1,71 @@
-"""Async multi-host dispatch: one selector loop, many multiplexed peers.
+"""Multi-host dispatch: multiplexed peers driven by their own callers.
 
 Every TCP server role is reached through one class,
-:class:`PooledChannel`, whose pool may hold a single host.  It runs on a
-single background *dispatch loop* (:class:`DispatchLoop`, a
-``selectors``-driven thread shared by every connection in the process)
-with three properties the scale-out story needs:
+:class:`PooledChannel`, whose pool may hold a single host.  There is no
+I/O thread: each connection (:class:`_MuxConnection`) is driven by the
+threads that use it, leader/follower style, and the properties the
+scale-out story needs follow from that:
 
 * **Request pipelining** — a caller may issue any number of requests on
-  one connection before collecting replies; frames queue in an outbox
-  the loop flushes as the socket drains.  The entity host serves a
-  connection serially in order, so pipelined frames overlap client-side
-  work (and the *other* roles' sweeps) with the host's compute.
-* **Correlation-id multiplexing** — every reply is routed to the future
-  registered under its correlation id (:class:`_MuxConnection`).  An
-  unknown id is a protocol violation that poisons the connection; it
-  can never deliver to the wrong caller.
+  one connection before collecting replies;
+  :meth:`_MuxConnection.request` queues the frame and writes what the
+  socket takes at once.  The entity host serves a connection serially
+  in order, so pipelined frames overlap client-side work (and the
+  *other* roles' sweeps) with the host's compute.
+  :meth:`PooledChannel.issue` sends a batch of frames and returns the
+  call that collects them, which is how the batch engine issues every
+  server's round before it waits on any.
+* **Caller-driven replies** — a thread waiting in
+  :meth:`PendingReply.result` takes the connection's I/O role: it polls
+  this one socket, writes the rest of the outbox, and delivers every
+  frame it reads to the future registered under its correlation id,
+  until its own reply is in or its deadline passes.  Other waiters
+  follow on a condition and find their reply delivered or take the role
+  in turn.  An unknown id is a protocol violation that poisons the
+  connection; it can never deliver to the wrong caller.
 * **Connection pooling** — :class:`PooledChannel` holds one multiplexed
   connection per member of a server role's host pool.  State-changing
   kinds broadcast to every member (replicas stay identical);
-  whole-sweep reads route to the least-loaded member; and
-  :meth:`PooledChannel.scatter` fans a span decomposition out across
-  the pool concurrently, which is how one fused sweep runs on several
-  hosts at once.
+  whole-sweep reads route to the least-loaded member; and span frames
+  fan out across the pool round-robin, which is how one fused sweep
+  runs on several hosts at once.
 
 Transport-level failures (EOF, reset, timeout) raise
 :class:`ConnectionLost` — a :class:`~repro.exceptions.ProtocolError`
-subclass — on a connection.  A role self-heals instead of failing:
-reads and span sweeps are idempotent (every replica holds identical
-state because :data:`BROADCAST_KINDS` reach all members), so
-:class:`PooledChannel` retransmits a lost frame to a surviving member,
-ejects the dead one behind a circuit breaker with half-open probing
-(replaying the journaled state broadcasts into a rejoining host), and
-degrades down to any pool size ≥ 1 before surfacing a typed
-:class:`~repro.exceptions.QueryError` naming the exhausted pool.  A
-pool of one has no survivor to fail over to: its host's death surfaces
-that :class:`~repro.exceptions.QueryError`, and a probe or a
-:class:`~repro.network.supervisor.HostSupervisor` respawn rejoins the
-seat warm.
+subclass — on a connection.  Nothing watches an idle connection: a
+member that died while idle is found by its next request.  A role
+self-heals instead of failing: reads and span sweeps are idempotent
+(every replica holds identical state because :data:`BROADCAST_KINDS`
+reach all members), so :class:`PooledChannel` retransmits a lost frame
+to a surviving member, ejects the dead one behind a circuit breaker
+with half-open probing (replaying the journaled state broadcasts into a
+rejoining host), and degrades down to any pool size ≥ 1 before
+surfacing a typed :class:`~repro.exceptions.QueryError` naming the
+exhausted pool.  A pool of one has no survivor to fail over to: its
+host's death surfaces that :class:`~repro.exceptions.QueryError`, and a
+probe or a :class:`~repro.network.supervisor.HostSupervisor` respawn
+rejoins the seat warm.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import itertools
 import random
-import selectors
+import select
 import socket
 import threading
 import time
 import weakref
-from concurrent.futures import Future, InvalidStateError
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import Future
 
 from repro.exceptions import ProtocolError, QueryError
-from repro.network.codec import _FRAME_HEADER, FRAME_MAGIC, decode_frame
+from repro.network.codec import (
+    _FRAME_HEADER,
+    FRAME_MAGIC,
+    FULL_SPAN,
+    decode_frame,
+)
 from repro.network.rpc import (
     CONSTRUCT,
     ERROR,
@@ -112,7 +123,6 @@ _CONNECT_BACKOFF_BASE = 0.01
 _CONNECT_BACKOFF_CAP = 1.0
 
 _RECV_CHUNK = 1 << 20
-_SEND_CHUNK = 1 << 18
 
 
 def _lifecycle_timeout(request_timeout: float | None,
@@ -139,8 +149,8 @@ _EVENT_SINKS: "weakref.WeakSet" = weakref.WeakSet()
 def register_event_sink(transport) -> None:
     """Surface deliberately-swallowed dispatch-layer exceptions.
 
-    The handlers that must stay broad (the dispatch loop's survival
-    guard, the pool observability hook) report whatever they catch to
+    The handlers that must stay broad (the pool observability hook,
+    the half-open rejoin probe) report whatever they catch to
     every registered transport as a
     ``swallowed-<site>:<ExceptionType>`` event, so a typed error eaten
     during eject/respawn shows up in ``TrafficStats`` instead of
@@ -190,158 +200,39 @@ def _parse_address(label: str) -> tuple[str, int]:
         return label, 0
 
 
-class DispatchLoop:
-    """One background selector thread driving every mux connection.
-
-    The loop owns all socket I/O: callers only append to a connection's
-    outbox (and :meth:`wake` the loop); the loop flushes outboxes,
-    reads replies, and completes the registered futures.  Selector
-    mutations are deferred to the loop thread through an op queue —
-    ``selectors`` objects are not thread-safe.
-    """
-
-    _shared: "DispatchLoop | None" = None
-    _shared_lock = threading.Lock()
-
-    @classmethod
-    def shared(cls) -> "DispatchLoop":
-        """The process-wide loop (created and started on first use)."""
-        with cls._shared_lock:
-            if cls._shared is None:
-                cls._shared = cls()
-        cls._shared.ensure_running()
-        return cls._shared
-
-    def __init__(self):
-        self._selector = selectors.DefaultSelector()
-        wake_recv, wake_send = socket.socketpair()
-        wake_recv.setblocking(False)
-        wake_send.setblocking(False)
-        self._wake_recv = wake_recv
-        self._wake_send = wake_send
-        self._selector.register(wake_recv, selectors.EVENT_READ, None)
-        self._ops: collections.deque = collections.deque()
-        self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-
-    def ensure_running(self) -> None:
-        with self._lock:
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._run, name="repro-dispatch", daemon=True)
-                self._thread.start()
-
-    def wake(self) -> None:
-        """Interrupt a pending ``select`` (idempotent, non-blocking)."""
-        try:
-            self._wake_send.send(b"\x00")
-        except (BlockingIOError, InterruptedError, OSError):
-            pass  # a wake byte is already pending, which is enough
-
-    def defer(self, op) -> None:
-        """Run ``op`` on the loop thread before the next ``select``."""
-        with self._lock:
-            self._ops.append(op)
-        self.wake()
-
-    def attach(self, conn: "_MuxConnection") -> None:
-        self.defer(lambda: self._selector.register(
-            conn.sock, selectors.EVENT_READ, conn))
-        self.ensure_running()
-
-    def detach(self, conn: "_MuxConnection") -> None:
-        """Unregister + close a (dead) connection's socket, loop-side.
-
-        Closing on the loop thread, after the unregister, avoids the
-        select-on-closed-fd race a caller-side ``close()`` would create.
-        """
-        def op():
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError, OSError):
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-        self.defer(op)
-
-    def _run(self) -> None:  # pragma: no cover - exercised via sockets
-        while True:
-            try:
-                self._tick()
-            except Exception as exc:
-                # The loop must survive anything a single connection
-                # does (the connection's own error paths report to its
-                # callers) — but what it survived is still surfaced to
-                # the traffic stats, never silently dropped.
-                _swallow("dispatch-loop", exc)
-                continue
-
-    def _tick(self) -> None:  # pragma: no cover - exercised via sockets
-        while True:
-            with self._lock:
-                if not self._ops:
-                    break
-                op = self._ops.popleft()
-            try:
-                op()
-            except (KeyError, ValueError, OSError) as exc:
-                # Selector (un)registration raced a dying fd; anything
-                # else propagates to _run's survival guard above.
-                _swallow("selector-op", exc)
-        for key in list(self._selector.get_map().values()):
-            conn = key.data
-            if conn is None:
-                continue
-            conn.flush()
-            want = selectors.EVENT_READ
-            if conn.wants_write():
-                want |= selectors.EVENT_WRITE
-            if key.events != want:
-                try:
-                    self._selector.modify(key.fileobj, want, conn)
-                except (KeyError, ValueError, OSError):
-                    pass
-        for key, events in self._selector.select(timeout=1.0):
-            conn = key.data
-            if conn is None:
-                try:
-                    while self._wake_recv.recv(4096):
-                        pass
-                except (BlockingIOError, InterruptedError, OSError):
-                    pass
-                continue
-            if events & selectors.EVENT_WRITE:
-                conn.flush()
-            if events & selectors.EVENT_READ:
-                conn.on_readable()
-
-
 class _MuxConnection:
     """One multiplexed peer: outbox, reassembly buffer, pending futures.
 
-    The wire-facing half (``flush``/``on_readable``) runs on the
-    dispatch loop; the protocol half (:meth:`receive_bytes`,
-    :meth:`_deliver`, :meth:`connection_lost`) is pure byte-stream
-    logic, so the multiplexer's routing invariants are directly
-    property-testable without sockets (``sock=None, loop=None``).
+    No thread of its own drives it.  :meth:`request` queues a frame and
+    writes what the socket takes without blocking; a thread waiting on
+    a reply (:meth:`wait`) takes the connection's I/O role and runs
+    :meth:`_drive` until its own future is done.  Every state change
+    happens under one lock, and a future leaves :attr:`_pending` only
+    completed, so a follower woken on :attr:`_io_free` finds its reply
+    delivered, the connection dead, or the role free.
+
+    The protocol half (:meth:`receive_bytes`, :meth:`_deliver`,
+    :meth:`connection_lost`) is pure byte-stream logic, so the
+    multiplexer's routing invariants are directly property-testable
+    without sockets (``sock=None``).
     """
 
-    def __init__(self, sock: socket.socket | None, label: str = "?",
-                 loop: DispatchLoop | None = None):
+    def __init__(self, sock: socket.socket | None, label: str = "?"):
         self.sock = sock
         self.label = label
-        self._loop = loop
         self._lock = threading.Lock()
+        #: Signalled when the I/O role is released or a reply lands.
+        self._io_free = threading.Condition(self._lock)
+        self._leader = False
         self._outbox = bytearray()
         self._rx = bytearray()
         # Preallocated receive window: ``recv_into`` here instead of a
-        # fresh 1 MiB ``recv`` allocation per read.  Only the loop
-        # thread touches it, and ``receive_bytes`` copies the filled
-        # span into the reassembly buffer before the next read can
-        # overwrite the window.
+        # fresh 1 MiB ``recv`` allocation per read.  Only the thread in
+        # the I/O role touches it, and ``receive_bytes`` copies the
+        # filled span into the reassembly buffer before the next read
+        # can overwrite the window.
         self._recv_buf = bytearray(_RECV_CHUNK) if sock is not None else None
+        self._poller = None
         self._pending: dict[int, Future] = {}
         self._ids = itertools.count(1)
         self._dead: Exception | None = None
@@ -350,8 +241,8 @@ class _MuxConnection:
         self.bytes_received = 0
         if sock is not None:
             sock.setblocking(False)
-        if loop is not None:
-            loop.attach(self)
+            self._poller = select.poll()
+            self._poller.register(sock, select.POLLIN)
 
     @property
     def in_flight(self) -> int:
@@ -366,7 +257,8 @@ class _MuxConnection:
     # -- caller side ----------------------------------------------------------
 
     def request(self, message: RpcMessage) -> "PendingReply":
-        """Queue one request frame; returns a handle for its reply."""
+        """Queue one request frame and write what the socket takes now;
+        returns a handle for its reply."""
         with self._lock:
             if self._dead is not None:
                 raise ConnectionLost(
@@ -381,44 +273,89 @@ class _MuxConnection:
             self._pending[correlation_id] = future
             self.requests += 1
             self.bytes_sent += len(blob) + _LENGTH.size
-        if self._loop is not None:
-            self._loop.wake()
+            error = self._flush_locked()
+        if error is not None:
+            self.connection_lost(error)
         return PendingReply(self, correlation_id, future, message.kind)
+
+    def wait(self, future: Future, timeout: float | None) -> bool:
+        """Block until ``future`` is done, driving the socket when no
+        other thread is; ``False`` when ``timeout`` passes first."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._lock:
+            while not future.done():
+                if not self._leader and self.sock is not None:
+                    self._leader = True
+                    break
+                remaining = _remaining(deadline)
+                if remaining == 0.0:
+                    return False
+                self._io_free.wait(remaining)
+            else:
+                return True
+        try:
+            return self._drive(future, deadline)
+        finally:
+            with self._lock:
+                self._leader = False
+                if self._dead is not None:
+                    self._close_locked()
+                self._io_free.notify_all()
 
     def close(self) -> None:
         """Caller-initiated teardown (fails any in-flight requests)."""
         self.connection_lost(ConnectionLost(
             f"channel to entity host {self.label} was closed locally"))
 
-    # -- loop side ------------------------------------------------------------
+    # -- the I/O role ---------------------------------------------------------
 
-    def wants_write(self) -> bool:
-        with self._lock:
-            return bool(self._outbox) and self._dead is None
+    def _drive(self, future: Future, deadline: float | None) -> bool:
+        """Poll, write and read this socket until ``future`` is done.
 
-    def flush(self) -> None:
-        """Write as much of the outbox as the socket accepts (loop thread)."""
-        while True:
+        Write readiness is requested whenever the outbox is non-empty: a
+        frame larger than the socket buffer must keep draining while
+        the host writes its replies, or both sides block on a full
+        buffer.
+        """
+        while not future.done():
             with self._lock:
-                if self._dead is not None or not self._outbox:
-                    return
-                chunk = bytes(self._outbox[:_SEND_CHUNK])
+                if self._dead is not None:
+                    return True  # every pending future was failed
+                error = self._flush_locked()
+                events = select.POLLIN
+                if self._outbox:
+                    events |= select.POLLOUT
+            if error is not None:
+                self.connection_lost(error)
+                continue
+            remaining = _remaining(deadline)
+            if remaining == 0.0:
+                return False
+            self._poller.modify(self.sock, events)
+            ready = self._poller.poll(
+                None if remaining is None else remaining * 1000)
+            if ready and ready[0][1] & ~select.POLLOUT:
+                self._on_readable()
+        return True
+
+    def _flush_locked(self) -> Exception | None:
+        """Write what the socket accepts of the outbox (lock held);
+        returns the transport error that killed the connection, if any."""
+        outbox = self._outbox
+        while outbox and self.sock is not None and self._dead is None:
             try:
-                sent = self.sock.send(chunk)
+                sent = self.sock.send(outbox)
             except (BlockingIOError, InterruptedError):
-                return
+                return None
             except OSError as exc:
-                self.connection_lost(ConnectionLost(
-                    f"connection to entity host {self.label} failed: {exc}"))
-                return
-            with self._lock:
-                del self._outbox[:sent]
+                return ConnectionLost(
+                    f"connection to entity host {self.label} failed: {exc}")
+            del outbox[:sent]
+        return None
 
-    def on_readable(self) -> None:
-        """Drain the socket into the reassembly buffer (loop thread)."""
+    def _on_readable(self) -> None:
+        """Drain the socket into the reassembly buffer (I/O role)."""
         window = self._recv_buf
-        if window is None:
-            window = self._recv_buf = bytearray(_RECV_CHUNK)
         view = memoryview(window)
         while True:
             try:
@@ -441,6 +378,13 @@ class _MuxConnection:
                 return
             if received < _RECV_CHUNK:
                 return
+
+    def _close_locked(self) -> None:
+        if self.sock is not None:
+            try:
+                self.sock.close()
+            except OSError:
+                pass
 
     # -- protocol logic (socket-free, property-tested) ------------------------
 
@@ -490,44 +434,52 @@ class _MuxConnection:
                 # to the oldest in-flight request.
                 correlation_id = min(self._pending, default=0)
             future = self._pending.pop(correlation_id, None)
+            if future is not None:
+                future.set_result(blob)
+                self._io_free.notify_all()
         if future is None:
             raise ProtocolError(
                 f"unsolicited correlation id {correlation_id} from "
                 f"entity host {self.label}")
-        future.set_result(blob)
 
     def connection_lost(self, exc: Exception) -> None:
         """Poison the connection: fail every in-flight request with ``exc``.
 
         Idempotent; safe from any thread.  After a loss nothing can be
         mis-delivered — the pending map is cleared atomically and later
-        frames have nowhere to land.
+        frames have nowhere to land.  A thread in the I/O role may be
+        polling the socket: it is woken by a shutdown and closes the
+        socket itself when it leaves the role, so the descriptor is
+        never freed under a poll.
         """
         with self._lock:
             if self._dead is not None:
                 return
             self._dead = exc
-            pending = list(self._pending.values())
+            for future in self._pending.values():
+                future.set_exception(exc)
             self._pending.clear()
             self._outbox.clear()
-        for future in pending:
-            try:
-                future.set_exception(exc)
-            except InvalidStateError:
-                pass  # completed concurrently by a late delivery
-        if self._loop is not None:
-            self._loop.detach(self)
-            self._loop.wake()
-        elif self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+            if not self._leader:
+                self._close_locked()
+            elif self.sock is not None:
+                try:
+                    self.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            self._io_free.notify_all()
 
     @property
     def stats(self) -> dict:
         return {"requests": self.requests, "bytes_sent": self.bytes_sent,
                 "bytes_received": self.bytes_received}
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left before ``deadline`` (``None``: no deadline), ≥ 0."""
+    if deadline is None:
+        return None
+    return max(0.0, deadline - time.monotonic())
 
 
 class PendingReply:
@@ -543,20 +495,22 @@ class PendingReply:
     def result(self, timeout: float | None = None) -> RpcMessage:
         """Block for the reply; decodes and error-maps on this thread.
 
-        Raises the rebuilt remote exception for ``__error__`` replies
-        and :class:`ConnectionLost` when the transport died (or the
-        ``timeout`` elapsed — which also poisons the connection: after
-        a timeout the reply stream can no longer be trusted to line up
-        with the pending ids).
+        While the reply is out, this thread drives the connection
+        (:meth:`_MuxConnection.wait`).  Raises the rebuilt remote
+        exception for ``__error__`` replies and :class:`ConnectionLost`
+        when the transport died (or the ``timeout`` elapsed — which
+        also poisons the connection: after a timeout the reply stream
+        can no longer be trusted to line up with the pending ids).
         """
-        try:
-            blob = self._future.result(timeout)
-        except FutureTimeout:
+        future = self._future
+        if not future.done() and not self._conn.wait(future, timeout):
             lost = ReplyTimeout(
                 f"request {self._kind!r} to entity host {self._conn.label} "
                 f"timed out after {timeout:.1f}s")
             self._conn.connection_lost(lost)
-            raise lost from None
+            raise lost
+        try:
+            blob = future.result()
         except ConnectionLost as exc:
             raise ConnectionLost(
                 f"{exc} (while waiting for {self._kind!r})") from exc
@@ -736,12 +690,11 @@ class PooledChannel(Channel):
                 request_timeout: float | None = None,
                 probe_timeout: float | None = PROBE_TIMEOUT,
                 ) -> "PooledChannel":
-        loop = DispatchLoop.shared()
         members: list[_MuxConnection] = []
         try:
             for host, port in addresses:
                 sock = _connect_retry(host, int(port), timeout)
-                members.append(_MuxConnection(sock, f"{host}:{port}", loop))
+                members.append(_MuxConnection(sock, f"{host}:{port}"))
         except BaseException:
             for member in members:
                 member.close()
@@ -887,7 +840,7 @@ class PooledChannel(Channel):
         member = self._members[slot]
         host, port = address if address is not None else member.address
         sock = _connect_retry(host, int(port), connect_timeout)
-        conn = _MuxConnection(sock, f"{host}:{port}", DispatchLoop.shared())
+        conn = _MuxConnection(sock, f"{host}:{port}")
         try:
             applied_seq = int(warm_from)
             while True:
@@ -967,20 +920,32 @@ class PooledChannel(Channel):
                 last_error = exc
                 self._fail_over(member, exc)
 
-    def scatter(self, messages) -> list[RpcMessage]:
-        """Fan span frames across the pool; replies in request order.
+    def issue(self, messages):
+        """Send ``messages`` now; returns the call that collects their
+        replies, in request order.
 
-        A member dying mid-sweep retransmits its spans to survivors —
-        spans are idempotent reads, so the collected sweep stays
-        bit-identical.
+        Each frame goes to the least-loaded live member, so frames
+        issued together spread across the pool and every member
+        computes at once.  A member dying before its reply is collected
+        retransmits the frame to a survivor — reads and spans are
+        idempotent, so the collected replies stay bit-identical.
+        Span-scoped frames count as :attr:`stats` ``scattered_frames``.
         """
         self._check_open()
         self._maybe_probe()
         entries = [(message, *self._issue(message)) for message in messages]
+        spans = sum(message.span != FULL_SPAN for message in messages)
         with self._lock:
-            self._scattered += len(entries)
-        return [self._collect(message, member, pending)
-                for message, member, pending in entries]
+            self._scattered += spans
+
+        def collect() -> list[RpcMessage]:
+            return [self._collect(message, member, pending)
+                    for message, member, pending in entries]
+        return collect
+
+    def scatter(self, messages) -> list[RpcMessage]:
+        """Fan frames across the pool; replies in request order."""
+        return self.issue(list(messages))()
 
     def _issue(self, message: RpcMessage) -> tuple[_PoolMember, PendingReply]:
         last_error: Exception | None = None
@@ -1126,42 +1091,3 @@ class PooledChannel(Channel):
                 "journal_compacted": self._journal_compacted,
                 "members": members,
             }
-
-
-# -- overlapped role dispatch -------------------------------------------------
-
-_OVERLAP_POOL = None
-_OVERLAP_LOCK = threading.Lock()
-
-
-def overlap(thunks) -> list:
-    """Run per-server sweep thunks concurrently; results in order.
-
-    Used by the batch engine when every server is remote: the three
-    roles' fused sweeps block on socket I/O, so a small shared thread
-    pool overlaps them (the hosts compute in their own processes).  The
-    first exception propagates after all thunks have settled — a failed
-    member never leaves a sibling thunk running into torn state.
-    """
-    thunks = list(thunks)
-    if len(thunks) <= 1:
-        return [thunk() for thunk in thunks]
-    global _OVERLAP_POOL
-    with _OVERLAP_LOCK:
-        if _OVERLAP_POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _OVERLAP_POOL = ThreadPoolExecutor(
-                max_workers=8, thread_name_prefix="repro-overlap")
-        pool = _OVERLAP_POOL
-    futures = [pool.submit(thunk) for thunk in thunks]
-    results, first_error = [], None
-    for future in futures:
-        try:
-            results.append(future.result())
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            if first_error is None:
-                first_error = exc
-            results.append(None)
-    if first_error is not None:
-        raise first_error
-    return results

@@ -9,13 +9,14 @@ query surface — ``execute`` / ``execute_many`` / ``submit`` / ``explain``
 gateway executes exactly the plan the caller built; SQL travels
 verbatim.
 
-Transport is one multiplexed connection on the process-wide
-:class:`~repro.network.dispatch.DispatchLoop` — the same selector
-thread that drives TCP entity channels — so ``submit`` pipelines:
-requests go out immediately, replies route back by correlation id in
-whatever order the gateway finishes them, and many in-flight
-submissions from one client coalesce gateway-side just like
-submissions from many clients.
+Transport is one multiplexed connection of the kind that reaches TCP
+entity hosts (:class:`~repro.network.dispatch._MuxConnection`), driven
+by the threads that use it, with no I/O thread: ``submit`` writes its
+request at once, and whichever caller waits on a reply reads the
+socket, routing every reply by correlation id to its own future in
+whatever order the gateway finishes them.  Many in-flight submissions
+from one client therefore coalesce gateway-side just like submissions
+from many clients.
 
 Typed errors cross the socket: a tenancy violation raises
 :class:`~repro.exceptions.AuthError` here, over-limit traffic raises
@@ -33,7 +34,6 @@ from repro.api.sql import split_explain
 from repro.exceptions import GatewayDisconnected, QueryError
 from repro.network.dispatch import (
     ConnectionLost,
-    DispatchLoop,
     _connect_retry,
     _lifecycle_timeout,
     _MuxConnection,
@@ -95,8 +95,7 @@ class GatewayClient:
         self._queries = 0
         self._explains = 0
         sock = _connect_retry(host, port, connect_timeout)
-        self._conn = _MuxConnection(sock, f"gateway {host}:{port}",
-                                    DispatchLoop.shared())
+        self._conn = _MuxConnection(sock, f"gateway {host}:{port}")
         hello = self._call(proto.HELLO,
                            {"token": token,
                             "protocol": proto.PROTOCOL_VERSION})

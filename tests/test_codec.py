@@ -505,7 +505,7 @@ class TestFrames:
 def _mux():
     """A socket-free mux connection (protocol half only)."""
     from repro.network.dispatch import _MuxConnection
-    return _MuxConnection(None, "test", None)
+    return _MuxConnection(None, "test")
 
 
 def _issue(conn, n):
@@ -521,7 +521,7 @@ def _reply_bytes(correlation_id, payload, kind="__result__"):
 
 
 class TestReplyMultiplexer:
-    """Routing invariants of the dispatch-loop connection.
+    """Routing invariants of the multiplexed connection.
 
     Property-tested offline: :class:`_MuxConnection`'s protocol half is
     pure byte-stream logic, so out-of-order replies, arbitrary chunk
@@ -617,6 +617,128 @@ class TestReplyMultiplexer:
         _issue(conn, 1)
         with pytest.raises(ProtocolError, match="wire cap"):
             conn.receive_bytes(struct.pack("<Q", 1 << 60) + b"x")
+
+
+# -- the leader/follower mux over a socket -------------------------------------
+
+
+def _echo_host(sock, peer):
+    """Serve one connection serially, like an entity host: echo each
+    request's payload back; ``sleep`` requests stall first."""
+    import time
+    from repro.network.rpc import RESULT, recv_frame, send_frame
+    peer.close()  # the parent's end, inherited by the fork
+    while True:
+        blob = recv_frame(sock)
+        if blob is None:
+            return
+        frame = decode_frame(blob)
+        if frame.kind == "sleep":
+            time.sleep(frame.payload)
+        send_frame(sock, encode_frame(RESULT, frame.correlation_id,
+                                      FULL_SPAN, frame.payload))
+
+
+@pytest.fixture
+def echo_conn():
+    """A mux connection to a forked echo host; the host is reaped after."""
+    import multiprocessing
+    import socket
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork")
+    from repro.network.dispatch import _MuxConnection
+    ours, theirs = socket.socketpair()
+    process = multiprocessing.get_context("fork").Process(
+        target=_echo_host, args=(theirs, ours), daemon=True)
+    process.start()
+    theirs.close()
+    conn = _MuxConnection(ours, "echo")
+    try:
+        yield conn
+    finally:
+        conn.close()
+        process.join(timeout=1)
+        if process.is_alive():  # still in a ``sleep`` request
+            process.kill()
+            process.join(timeout=10)
+
+
+class TestLeaderFollowerMux:
+    """Callers drive the socket themselves: whoever waits reads, and
+    every frame it reads reaches its own future."""
+
+    def test_threads_pipeline_frames_larger_than_the_socket_buffer(
+            self, echo_conn):
+        import sys
+        import threading
+        from repro.network.rpc import RpcMessage
+        threads_before = threading.active_count()
+        count, size = 8, 4 << 20
+        start = threading.Barrier(count)
+        results, errors = {}, []
+
+        def caller(index):
+            try:
+                body = np.full(size, index, dtype=np.uint8)
+                start.wait(timeout=30)
+                reply = echo_conn.request(RpcMessage(
+                    "echo", {"who": index, "body": body})).result(60.0)
+                results[index] = reply.payload
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(results) == list(range(count))
+        for index, payload in results.items():
+            assert payload["who"] == index
+            assert payload["body"].size == size
+            assert (payload["body"] == index).all()
+        assert echo_conn.in_flight == 0
+        assert threading.active_count() == threads_before
+
+    def test_missed_deadline_poisons_and_fails_followers(self, echo_conn):
+        import threading
+        from repro.network.dispatch import ConnectionLost, ReplyTimeout
+        from repro.network.rpc import RpcMessage
+        threads_before = threading.active_count()
+        stalled = echo_conn.request(RpcMessage("sleep", 30.0))
+        failures = []
+
+        def follower(index):
+            pending = echo_conn.request(RpcMessage("echo", index))
+            try:
+                pending.result(60.0)
+            except ConnectionLost as exc:
+                failures.append(exc)
+
+        followers = [threading.Thread(target=follower, args=(i,))
+                     for i in range(3)]
+        for thread in followers:
+            thread.start()
+        with pytest.raises(ReplyTimeout, match="timed out"):
+            stalled.result(0.5)
+        for thread in followers:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in followers)
+        assert len(failures) == 3
+        assert all(type(exc) is ConnectionLost for exc in failures)
+        assert echo_conn.closed and echo_conn.in_flight == 0
+        with pytest.raises(ConnectionLost, match="closed"):
+            echo_conn.request(RpcMessage("echo", 0))
+        assert echo_conn.sock.fileno() == -1
+        assert threading.active_count() == threads_before
 
 
 # -- zero-copy decode ----------------------------------------------------------

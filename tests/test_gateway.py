@@ -113,12 +113,12 @@ class TestSessionBasics:
             _connect(gateway, token="tok-wrong")
 
     def test_request_before_hello_refused(self, gateway):
-        from repro.network.dispatch import DispatchLoop, _MuxConnection
+        from repro.network.dispatch import _MuxConnection
         from repro.network.dispatch import _connect_retry
         from repro.network.rpc import RpcMessage
         from repro.serving import session as proto
         sock = _connect_retry("127.0.0.1", gateway.port, 5.0)
-        conn = _MuxConnection(sock, "test", DispatchLoop.shared())
+        conn = _MuxConnection(sock, "test")
         try:
             pending = conn.request(RpcMessage(proto.DATASETS, None))
             with pytest.raises(AuthError, match="gw:hello"):
