@@ -329,24 +329,17 @@ def _encode_list(items, out, depth, arena, kinds=None) -> None:
     kinds = set(map(type, items)) if kinds is None else kinds
     if kinds == {int}:
         try:
-            body = array.array("q", items)
-        except OverflowError:  # an item outside int64
-            pass
-        else:
-            _append_typed(_TAG_INT_LIST, body, out)
+            out.append(struct.pack(f"<BQ{len(items)}q", _TAG_INT_LIST,
+                                   len(items), *items))
             return
+        except struct.error:  # an item outside int64
+            pass
     elif kinds == {float}:
-        _append_typed(_TAG_FLOAT_LIST, array.array("d", items), out)
+        out.append(struct.pack(f"<BQ{len(items)}d", _TAG_FLOAT_LIST,
+                               len(items), *items))
         return
     out.append(_BQ.pack(_TAG_LIST, len(items)))
     _encode_items(items, out, depth, arena)
-
-
-def _append_typed(tag: int, body: array.array, out: list) -> None:
-    if not _NATIVE_LE:
-        body.byteswap()
-    out.append(_BQ.pack(tag, len(body)))
-    out.append(body.tobytes())
 
 
 def _encode_dict(payload, out, depth, arena) -> None:
