@@ -26,9 +26,9 @@ scale-out story needs follow from that:
 * **Connection pooling** — :class:`PooledChannel` holds one multiplexed
   connection per member of a server role's host pool.  State-changing
   kinds broadcast to every member (replicas stay identical);
-  whole-sweep reads route to the least-loaded member; and span frames
-  fan out across the pool round-robin, which is how one fused sweep
-  runs on several hosts at once.
+  every read goes to the least-loaded member, so span frames issued
+  together fan out across the pool, which is how one fused sweep runs
+  on several hosts at once.
 
 Transport-level failures (EOF, reset, timeout) raise
 :class:`ConnectionLost` — a :class:`~repro.exceptions.ProtocolError`

@@ -14,8 +14,8 @@ the entity's reply.  Three implementations cover the deployment ladder:
 * :class:`~repro.network.dispatch.PooledChannel` — the entity is
   hosted by a pool of one or more standalone ``repro-entity-host``
   processes (:mod:`repro.network.host`) and frames travel
-  length-prefixed over TCP, multiplexed on the shared dispatch loop of
-  :mod:`repro.network.dispatch`.
+  length-prefixed over TCP, multiplexed on connections the calling
+  threads drive (:mod:`repro.network.dispatch`).
 
 Every message is wrapped in the codec's framed envelope
 (:func:`repro.network.codec.encode_frame`): kind, correlation id, shard
