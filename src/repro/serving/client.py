@@ -96,9 +96,15 @@ class GatewayClient:
         self._explains = 0
         sock = _connect_retry(host, port, connect_timeout)
         self._conn = _MuxConnection(sock, f"gateway {host}:{port}")
-        hello = self._call(proto.HELLO,
-                           {"token": token,
-                            "protocol": proto.PROTOCOL_VERSION})
+        try:
+            hello = self._call(proto.HELLO,
+                               {"token": token,
+                                "protocol": proto.PROTOCOL_VERSION})
+        except BaseException:
+            # Nothing reads an idle connection, so a refused session
+            # must close its own socket.
+            self.close()
+            raise
         #: The tenant this session authenticated as.
         self.tenant = hello["tenant"]
 
