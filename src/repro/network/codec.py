@@ -227,8 +227,9 @@ _SMALL_INT_MIN, _SMALL_INT_MAX = -256, 1024
 _SMALL_INTS = [_bigint_bytes(value)
                for value in range(_SMALL_INT_MIN, _SMALL_INT_MAX)]
 
-#: Encoded short strings (dict keys, kinds, column names), filled on
-#: first use; bounded so arbitrary user strings cannot grow it forever.
+#: Encoded short dict keys and frame kinds, filled on first use and
+#: bounded.  Other strings (column names, domain values, tokens) are
+#: encoded afresh each time, so no data value outlives its frame here.
 _STR_CACHE: dict[str, bytes] = {}
 _STR_CACHE_MAX_LEN = 64
 _STR_CACHE_MAX_ENTRIES = 4096
@@ -300,15 +301,22 @@ def _encode_float(payload, out, depth, arena) -> None:
 
 
 def _encode_str(payload, out, depth, arena) -> None:
-    out.append(_STR_CACHE.get(payload) or _str_bytes(payload))
+    out.append(_str_bytes(payload))
 
 
 def _str_bytes(payload: str) -> bytes:
     raw = payload.encode("utf-8")
-    blob = _BQ.pack(_TAG_STR, len(raw)) + raw
-    if (len(raw) <= _STR_CACHE_MAX_LEN
-            and len(_STR_CACHE) < _STR_CACHE_MAX_ENTRIES):
-        _STR_CACHE[payload] = blob
+    return _BQ.pack(_TAG_STR, len(raw)) + raw
+
+
+def _key_bytes(key: str) -> bytes:
+    """A dict key's or frame kind's encoding, through the cache."""
+    blob = _STR_CACHE.get(key)
+    if blob is None:
+        blob = _str_bytes(key)
+        if (len(key) <= _STR_CACHE_MAX_LEN
+                and len(_STR_CACHE) < _STR_CACHE_MAX_ENTRIES):
+            _STR_CACHE[key] = blob
     return blob
 
 
@@ -353,7 +361,7 @@ def _encode_dict(payload, out, depth, arena) -> None:
             _too_deep()
         get, strings = _ENCODERS.get, _STR_CACHE.get
         for key, value in payload.items():
-            out.append(strings(key) or _str_bytes(key))
+            out.append(strings(key) or _key_bytes(key))
             (get(value.__class__) or _encode_other)(value, out, depth, arena)
         return
     # Non-string keys (the extrema rounds key share dicts by owner id,
@@ -684,7 +692,7 @@ def encode_frame(kind: str, correlation_id: int, span, payload,
         raise ProtocolError(f"frame span ({lo}, {hi}) is not a χ span")
     out = [_FRAME_HEADER.pack(FRAME_MAGIC, VERSION, int(correlation_id),
                               lo, hi)]
-    _encode_str(kind, out, 0, None)
+    out.append(_key_bytes(kind))
     _encode_into(payload, out, 0, arena)
     return b"".join(out)
 
