@@ -271,41 +271,42 @@ class QueryBatch:
 
         ``args[i]`` are ``servers[i]``'s positional arguments.  Against
         a non-local deployment every call is wire I/O and the hosts
-        compute in their own processes, so each proxy's
-        ``issue_<kernel>`` half sends its request, and only once every
-        server's request is out does this thread collect the replies,
-        in server order (each role's host pool additionally fans its
-        spans out).  The first error is raised after every issued reply
-        has settled.  In-process servers share this interpreter, so
-        they run one after another (bit-identical either way: the
-        sweeps are independent).
+        compute in their own processes, so each proxy first sends its
+        request (:meth:`RemoteServer.issue
+        <repro.entities.remote.RemoteServer.issue>`), and only once
+        every server's request is out does this thread collect the
+        replies, through the kernel calls, in server order (each role's
+        host pool additionally fans its spans out).  The first error is
+        raised after every issued reply has settled.  In-process servers
+        share this interpreter, so they run one after another
+        (bit-identical either way: the sweeps are independent).
         """
-        if not all(getattr(server, "is_remote", False) for server in servers):
-            outs = []
+        remote = all(getattr(server, "is_remote", False)
+                     for server in servers)
+        outs, error = [], None
+        with self.timings.measure("server"):
+            if remote:
+                issued = 0
+                for server, call_args in zip(servers, args):
+                    try:
+                        server.issue(kernel, *call_args,
+                                     num_shards=self.num_shards)
+                    except Exception as exc:  # noqa: BLE001 - re-raised below
+                        error = exc
+                        break
+                    issued += 1
+                servers, args = servers[:issued], args[:issued]
             for server, call_args in zip(servers, args):
-                with self.timings.measure("server"):
+                try:
                     outs.append(getattr(server, kernel)(
                         *call_args, num_shards=self.num_shards))
-            return outs
-        with self.timings.measure("server"):
-            collects, error = [], None
-            for server, call_args in zip(servers, args):
-                try:
-                    collects.append(getattr(server, "issue_" + kernel)(
-                        *call_args, num_shards=self.num_shards))
                 except Exception as exc:  # noqa: BLE001 - re-raised below
-                    error = exc
-                    break
-            outs = []
-            for collect in collects:
-                try:
-                    outs.append(collect())
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
-            return outs
+                    if not remote:
+                        raise
+                    error = error or exc
+        if error is not None:
+            raise error
+        return outs
 
     def _run_indicator_sweeps(self) -> dict:
         """Round 1: one :meth:`indicator_round` request per additive server.

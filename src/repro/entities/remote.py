@@ -21,6 +21,8 @@ span contract.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.core.params import ServerParams
@@ -78,6 +80,9 @@ class RemoteServer:
         #: enables it exactly for the servers it built without a custom
         #: factory.
         self.span_dispatch = False
+        #: Rounds sent by :meth:`issue` and not yet collected, keyed by
+        #: ``(thread id, kernel)``.
+        self._issued: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteServer(index={self.index}, channel={self.channel!r})"
@@ -137,34 +142,41 @@ class RemoteServer:
         return shard_bounds(int(length), fan)
 
     def _issue(self, kind: str, frames):
-        """Send ``(payload, span)`` frames of one kind now; returns the
-        call that collects their replies' payloads, in order.
-
-        A pipelining channel (one with ``issue``, such as
-        :class:`~repro.network.dispatch.PooledChannel`) sends every
-        frame before any reply is read, so span frames run concurrently
-        across a host pool; any other channel serves them here, one by
-        one.
-        """
+        """Send ``(payload, span)`` frames of one kind now
+        (:meth:`Channel.issue <repro.network.rpc.Channel.issue>`);
+        returns the call that collects their replies' payloads, in
+        order."""
         from repro.network.rpc import RpcMessage
-        messages = [RpcMessage(kind, payload, span=span)
-                    for payload, span in frames]
-        issue = getattr(self.channel, "issue", None)
-        if issue is None:
-            replies = self.channel.scatter(messages)
-            return lambda: [reply.payload for reply in replies]
-        collect = issue(messages)
+        collect = self.channel.issue([RpcMessage(kind, payload, span=span)
+                                      for payload, span in frames])
         return lambda: [reply.payload for reply in collect()]
 
-    def _issue_call(self, method: str, *args, **kwargs):
-        """One whole-sweep call, sent now; returns the call that
-        collects its one-reply list.  A channel that cannot pipeline
-        serves the call here."""
-        if getattr(self.channel, "issue", None) is None:
-            reply = self.channel.call(method, *args, **kwargs)
-            return lambda: [reply]
-        return self._issue(method, [({"a": list(args), "k": kwargs},
-                                     FULL_SPAN)])
+    # -- issue, then collect --------------------------------------------------
+
+    def issue(self, kernel: str, *args, **kwargs) -> None:
+        """Send one ``kernel`` round's frames now; this thread's next
+        ``kernel`` call with the very same arguments collects them.
+
+        ``kernel`` is ``"indicator_round"`` or
+        ``"aggregate_round_batch"``.  The batch engine issues every
+        server's round before it collects any, so the hosts of all
+        roles compute together.  A call with other arguments drops the
+        issued round and sends its own.
+        """
+        collect = getattr(self, "_issue_" + kernel)(*args, **kwargs)
+        self._issued[(threading.get_ident(), kernel)] = (args, kwargs,
+                                                         collect)
+
+    def _collect(self, kernel: str, *args, **kwargs):
+        """The reply of this thread's issued ``kernel`` round, if it was
+        issued with these very arguments; else a fresh round's."""
+        entry = self._issued.pop((threading.get_ident(), kernel), None)
+        if (entry is not None and entry[1] == kwargs
+                and len(entry[0]) == len(args)
+                and all(mine is theirs
+                        for mine, theirs in zip(entry[0], args))):
+            return entry[2]()
+        return getattr(self, "_issue_" + kernel)(*args, **kwargs)()
 
     # -- fused 2-D kernels ----------------------------------------------------
 
@@ -185,9 +197,10 @@ class RemoteServer:
         length is known client-side: ``PF`` permutes the χ table, so
         ``params.pf.size`` *is* b.
         """
-        return self.issue_indicator_round(sweeps, num_shards)()
+        return self._collect("indicator_round", sweeps,
+                             num_shards=num_shards)
 
-    def issue_indicator_round(self, sweeps, num_shards: int | None = None):
+    def _issue_indicator_round(self, sweeps, num_shards: int | None = None):
         """Send :meth:`indicator_round`'s frames now; returns the call
         that collects, checks and assembles its outputs."""
         sweeps = list(sweeps)
@@ -195,8 +208,9 @@ class RemoteServer:
         bounds = self._span_bounds(self.params.pf.size, num_shards,
                                    pool_only=True) if sweeps else None
         if bounds is None:
-            pending = self._issue_call("indicator_round", sweeps,
-                                       num_shards=num_shards)
+            pending = self._issue("indicator_round", [
+                ({"a": [sweeps], "k": {"num_shards": num_shards}},
+                 FULL_SPAN)])
         else:
             unpermuted = [dict(sweep, permute=None) for sweep in sweeps]
             pending = self._issue("indicator_round", [
@@ -266,11 +280,11 @@ class RemoteServer:
         indicator-share matrix, so the z traffic shards with the sweep
         instead of being replicated per member.
         """
-        return self.issue_aggregate_round_batch(columns, z_matrix, owner_ids,
-                                                num_shards)()
+        return self._collect("aggregate_round_batch", columns, z_matrix,
+                             owner_ids, num_shards=num_shards)
 
-    def issue_aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
-                                    num_shards: int | None = None):
+    def _issue_aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
+                                     num_shards: int | None = None):
         """Send :meth:`aggregate_round_batch`'s frames now; returns the
         call that collects and checks its output."""
         columns = list(columns)
@@ -281,9 +295,9 @@ class RemoteServer:
             bounds = self._span_bounds(int(z_matrix.shape[1]), num_shards,
                                        pool_only=True)
         if bounds is None:
-            pending = self._issue_call(
-                "aggregate_round_batch", columns, z_matrix,
-                self._owners(owner_ids), num_shards=num_shards)
+            pending = self._issue("aggregate_round_batch", [
+                ({"a": [columns, z_matrix, self._owners(owner_ids)],
+                  "k": {"num_shards": num_shards}}, FULL_SPAN)])
         else:
             pending = self._issue("aggregate_round_batch", [
                 ({"a": [columns, z_matrix[:, lo:hi],

@@ -281,9 +281,36 @@ class _MuxConnection:
     def wait(self, future: Future, timeout: float | None) -> bool:
         """Block until ``future`` is done, driving the socket when no
         other thread is; ``False`` when ``timeout`` passes first."""
+        return self._run(future.done, timeout)
+
+    def flush(self, timeout: float | None) -> None:
+        """Block until the outbox is written, driving the socket (and
+        delivering the replies it reads) when no other thread is.
+
+        :meth:`request` writes only what the socket takes at once; the
+        rest of a frame larger than the socket buffer would wait for a
+        thread to wait on this connection, so a caller issuing to
+        several hosts would start them one collect at a time.
+
+        Raises:
+            ReplyTimeout: when ``timeout`` passes first; the connection
+                is poisoned, as for a missed reply.
+        """
+        if not self._outbox or self.sock is None:
+            return
+        if not self._run(lambda: not self._outbox, timeout):
+            lost = ReplyTimeout(
+                f"entity host {self.label} did not read a request within "
+                f"{timeout:.1f}s")
+            self.connection_lost(lost)
+            raise lost
+
+    def _run(self, done, timeout: float | None) -> bool:
+        """Block until ``done()``, taking the I/O role whenever it is
+        free; ``False`` when ``timeout`` passes first."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while not future.done():
+            while not done():
                 if not self._leader and self.sock is not None:
                     self._leader = True
                     break
@@ -294,7 +321,7 @@ class _MuxConnection:
             else:
                 return True
         try:
-            return self._drive(future, deadline)
+            return self._drive(done, deadline)
         finally:
             with self._lock:
                 self._leader = False
@@ -309,25 +336,31 @@ class _MuxConnection:
 
     # -- the I/O role ---------------------------------------------------------
 
-    def _drive(self, future: Future, deadline: float | None) -> bool:
-        """Poll, write and read this socket until ``future`` is done.
+    def _drive(self, done, deadline: float | None) -> bool:
+        """Poll, write and read this socket until ``done()``.
 
         Write readiness is requested whenever the outbox is non-empty: a
         frame larger than the socket buffer must keep draining while
         the host writes its replies, or both sides block on a full
-        buffer.
+        buffer.  Emptying the outbox wakes the threads waiting in
+        :meth:`flush`.
         """
-        while not future.done():
+        while True:
             with self._lock:
                 if self._dead is not None:
                     return True  # every pending future was failed
+                queued = bool(self._outbox)
                 error = self._flush_locked()
                 events = select.POLLIN
                 if self._outbox:
                     events |= select.POLLOUT
+                elif queued:
+                    self._io_free.notify_all()
             if error is not None:
                 self.connection_lost(error)
                 continue
+            if done():
+                return True
             remaining = _remaining(deadline)
             if remaining == 0.0:
                 return False
@@ -336,7 +369,6 @@ class _MuxConnection:
                 None if remaining is None else remaining * 1000)
             if ready and ready[0][1] & ~select.POLLOUT:
                 self._on_readable()
-        return True
 
     def _flush_locked(self) -> Exception | None:
         """Write what the socket accepts of the outbox (lock held);
@@ -633,10 +665,10 @@ class PooledChannel(Channel):
 
     Every member holds identical state: :data:`BROADCAST_KINDS`
     (construction, outsourced shares, lifecycle) reach all members, so
-    any member can answer any read — whole-sweep requests route to the
-    least-loaded connection, and :meth:`scatter` spreads a span
-    decomposition across the pool round-robin, all members computing
-    their spans concurrently.
+    any member can answer any read — every request routes to the
+    least-loaded connection, so :meth:`issue` spreads a span
+    decomposition across the pool, all members computing their spans
+    concurrently.
 
     Because replicas are identical and reads/span sweeps are
     idempotent, a member dying mid-request is *not* a query failure: the
@@ -885,10 +917,13 @@ class PooledChannel(Channel):
 
     def _request(self, member: _PoolMember,
                  message: RpcMessage) -> PendingReply:
+        """Send one frame to ``member`` in full, so its host starts now."""
         injector = self.fault_injector
         if injector is not None:
             injector(member, message)
-        return member.conn.request(message)
+        pending = member.conn.request(message)
+        member.conn.flush(self._timeout_for(message.kind))
+        return pending
 
     def _finish(self, pending: PendingReply, kind: str) -> RpcMessage:
         return pending.result(self._timeout_for(kind))
@@ -924,15 +959,17 @@ class PooledChannel(Channel):
         """Send ``messages`` now; returns the call that collects their
         replies, in request order.
 
-        Each frame goes to the least-loaded live member, so frames
-        issued together spread across the pool and every member
-        computes at once.  A member dying before its reply is collected
-        retransmits the frame to a survivor — reads and spans are
-        idempotent, so the collected replies stay bit-identical.
+        Each frame goes to the least-loaded live member and is written
+        in full before the next one, so frames issued together spread
+        across the pool and every member computes at once.  A member
+        dying before its reply is collected retransmits the frame to a
+        survivor — reads and spans are idempotent, so the collected
+        replies stay bit-identical.
         Span-scoped frames count as :attr:`stats` ``scattered_frames``.
         """
         self._check_open()
         self._maybe_probe()
+        messages = list(messages)
         entries = [(message, *self._issue(message)) for message in messages]
         spans = sum(message.span != FULL_SPAN for message in messages)
         with self._lock:
@@ -942,10 +979,6 @@ class PooledChannel(Channel):
             return [self._collect(message, member, pending)
                     for message, member, pending in entries]
         return collect
-
-    def scatter(self, messages) -> list[RpcMessage]:
-        """Fan frames across the pool; replies in request order."""
-        return self.issue(list(messages))()
 
     def _issue(self, message: RpcMessage) -> tuple[_PoolMember, PendingReply]:
         last_error: Exception | None = None

@@ -249,15 +249,22 @@ class Channel:
         """How many hosts serve this channel concurrently (pool size)."""
         return 1
 
-    def scatter(self, messages) -> list["RpcMessage"]:
-        """Deliver a batch of requests; replies in request order.
+    def issue(self, messages):
+        """Send a batch of requests now; returns the call that collects
+        their replies, in request order.
 
-        The base channel sends them one by one; multiplexed channels
-        (:mod:`repro.network.dispatch`) override this with pipelined /
-        pooled fan-out, which is what makes span-decomposed sweeps
-        travel concurrently.
+        The base channel serves them here, one by one.  Socket channels
+        leave replies on the wire until the collect call, so a caller
+        can issue to every server role before it waits on any; pooled
+        channels (:mod:`repro.network.dispatch`) also spread the frames
+        across their hosts.
         """
-        return [self.send(message) for message in messages]
+        replies = [self.send(message) for message in messages]
+        return lambda: replies
+
+    def scatter(self, messages) -> list["RpcMessage"]:
+        """Deliver a batch of requests; replies in request order."""
+        return self.issue(messages)()
 
     def close(self) -> None:
         """Release the channel (idempotent)."""
@@ -325,7 +332,16 @@ class InProcessChannel(Channel):
 
 
 class _StreamChannel(Channel):
-    """Shared machinery for channels framing messages over a socket."""
+    """Shared machinery for channels framing messages over a socket.
+
+    The host serves one frame at a time, and at most one request is on
+    the wire: :meth:`issue` reads the reply of the previous request
+    before it writes the next frame, and leaves the last frame's reply
+    on the wire for the collect call (or the next request) to read.  So
+    the host computes while the caller issues to other roles, and the
+    shared-memory arenas keep their reset rule (a reply proves its
+    request was decoded).
+    """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -335,6 +351,8 @@ class _StreamChannel(Channel):
         self._bytes_sent = 0
         self._bytes_received = 0
         self._closed = False
+        #: The request whose reply is still on the wire, if any.
+        self._unread: _StreamReply | None = None
         # Shared-memory arenas of a same-host channel (request payloads
         # outbound, reply payloads inbound); ``None`` keeps the classic
         # all-inline wire shape.  See repro.network.shm.
@@ -342,53 +360,61 @@ class _StreamChannel(Channel):
         self._rx_arena = None
 
     def send(self, message: RpcMessage) -> RpcMessage:
-        # One in-flight request per channel: the lock serialises
-        # concurrent callers (scheduler thread + direct queries), and
-        # correlation ids verify the pairing on top.
+        return self.issue([message])()[0]
+
+    def issue(self, messages):
+        # The lock serialises concurrent callers (scheduler thread +
+        # direct queries); correlation ids verify the pairing on top.
+        replies = []
         with self._lock:
             if self._closed:
                 raise ProtocolError("channel is closed")
-            correlation_id = next(self._ids)
-            if self._tx_arena is not None:
-                # Strictly serial protocol: the previous reply proved
-                # the previous request frame was fully decoded, so its
-                # arena allocations are reclaimable.
-                self._tx_arena.reset()
-            blob = encode_frame(message.kind, correlation_id, message.span,
-                                message.payload, arena=self._tx_arena)
-            self._bytes_sent += send_frame(self._sock, blob)
-            reply_blob = recv_frame(self._sock)
-            if reply_blob is None:
-                raise ProtocolError(
-                    f"entity host closed the connection during "
-                    f"{message.kind!r}"
-                )
-            self._bytes_received += len(reply_blob) + _LENGTH.size
+            for message in messages:
+                self._read_locked()
+                replies.append(self._write_locked(message))
+
+        def collect() -> list[RpcMessage]:
+            with self._lock:
+                if replies and replies[-1] is self._unread:
+                    self._read_locked()
+            return [reply.result() for reply in replies]
+        return collect
+
+    def _write_locked(self, message: RpcMessage) -> "_StreamReply":
+        """Write one request frame (lock held, nothing on the wire)."""
+        correlation_id = next(self._ids)
+        if self._tx_arena is not None:
+            # The previous reply proved the previous request frame was
+            # fully decoded, so its arena allocations are reclaimable.
+            self._tx_arena.reset()
+        blob = encode_frame(message.kind, correlation_id, message.span,
+                            message.payload, arena=self._tx_arena)
+        self._bytes_sent += send_frame(self._sock, blob)
+        self._unread = _StreamReply(correlation_id, message.kind)
+        return self._unread
+
+    def _read_locked(self) -> None:
+        """Read the reply still on the wire, if any (lock held)."""
+        reply, self._unread = self._unread, None
+        if reply is None:
+            return
+        try:
+            blob = recv_frame(self._sock)
+            if blob is None:
+                raise ProtocolError(f"entity host closed the connection "
+                                    f"during {reply.kind!r}")
+            self._bytes_received += len(blob) + _LENGTH.size
             self._requests += 1
             if self._rx_arena is not None:
-                # Copy-out must finish before the lock releases: the
-                # *next* request is what triggers the host's
-                # reply-arena reset, and the lock is what orders it
-                # after this decode.
-                frame = decode_frame(reply_blob, arena=self._rx_arena)
+                # Copy-out must finish before the next request is
+                # written: that request is what triggers the host's
+                # reply-arena reset, and the lock orders it after this
+                # decode.
+                reply.frame = decode_frame(blob, arena=self._rx_arena)
             else:
-                frame = None
-        if frame is None:
-            frame = decode_frame(reply_blob)
-        # Error replies surface first: a host that could not decode the
-        # request replies with correlation id 0 (it never learned ours),
-        # and the real diagnostic beats a correlation-mismatch report.
-        if frame.kind == ERROR:
-            raise _remote_exception(frame.payload)
-        if frame.correlation_id != correlation_id:
-            raise ProtocolError(
-                f"correlation mismatch: sent {correlation_id}, got "
-                f"{frame.correlation_id}"
-            )
-        if frame.kind != RESULT:
-            raise ProtocolError(f"unexpected reply kind {frame.kind!r}")
-        return RpcMessage(frame.kind, frame.payload, frame.correlation_id,
-                          frame.span)
+                reply.frame = decode_frame(blob)
+        except (OSError, ProtocolError) as exc:
+            reply.error = exc
 
     def close(self) -> None:
         with self._lock:
@@ -404,6 +430,36 @@ class _StreamChannel(Channel):
     def stats(self) -> dict:
         return {"requests": self._requests, "bytes_sent": self._bytes_sent,
                 "bytes_received": self._bytes_received}
+
+
+class _StreamReply:
+    """One stream request's reply, once read off the wire."""
+
+    __slots__ = ("correlation_id", "kind", "frame", "error")
+
+    def __init__(self, correlation_id: int, kind: str):
+        self.correlation_id = correlation_id
+        self.kind = kind
+        self.frame = self.error = None
+
+    def result(self) -> RpcMessage:
+        if self.error is not None:
+            raise self.error
+        frame = self.frame
+        # Error replies surface first: a host that could not decode the
+        # request replies with correlation id 0 (it never learned ours),
+        # and the real diagnostic beats a correlation-mismatch report.
+        if frame.kind == ERROR:
+            raise _remote_exception(frame.payload)
+        if frame.correlation_id != self.correlation_id:
+            raise ProtocolError(
+                f"correlation mismatch: sent {self.correlation_id}, got "
+                f"{frame.correlation_id}"
+            )
+        if frame.kind != RESULT:
+            raise ProtocolError(f"unexpected reply kind {frame.kind!r}")
+        return RpcMessage(frame.kind, frame.payload, frame.correlation_id,
+                          frame.span)
 
 
 class SubprocessChannel(_StreamChannel):

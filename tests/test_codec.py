@@ -640,27 +640,36 @@ def _echo_host(sock, peer):
 
 
 @pytest.fixture
-def echo_conn():
-    """A mux connection to a forked echo host; the host is reaped after."""
+def echo_sock():
+    """A socket to a forked echo host; the host is reaped after."""
     import multiprocessing
     import socket
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("needs fork")
-    from repro.network.dispatch import _MuxConnection
     ours, theirs = socket.socketpair()
     process = multiprocessing.get_context("fork").Process(
         target=_echo_host, args=(theirs, ours), daemon=True)
     process.start()
     theirs.close()
-    conn = _MuxConnection(ours, "echo")
     try:
-        yield conn
+        yield ours
     finally:
-        conn.close()
+        ours.close()
         process.join(timeout=1)
         if process.is_alive():  # still in a ``sleep`` request
             process.kill()
             process.join(timeout=10)
+
+
+@pytest.fixture
+def echo_conn(echo_sock):
+    """A mux connection to a forked echo host."""
+    from repro.network.dispatch import _MuxConnection
+    conn = _MuxConnection(echo_sock, "echo")
+    try:
+        yield conn
+    finally:
+        conn.close()
 
 
 class TestLeaderFollowerMux:
@@ -739,6 +748,97 @@ class TestLeaderFollowerMux:
             echo_conn.request(RpcMessage("echo", 0))
         assert echo_conn.sock.fileno() == -1
         assert threading.active_count() == threads_before
+
+
+def _meeting_host(sock, peer, barrier):
+    """Serve one connection serially, like an entity host; once a
+    request has arrived in full, wait for the other host's request to
+    have arrived too, and reply whether the two met."""
+    import threading
+    from repro.network.rpc import RESULT, recv_frame, send_frame
+    peer.close()
+    while True:
+        blob = recv_frame(sock)
+        if blob is None:
+            return
+        frame = decode_frame(blob)
+        try:
+            barrier.wait(timeout=5)
+            met = True
+        except threading.BrokenBarrierError:
+            met = False
+        send_frame(sock, encode_frame(RESULT, frame.correlation_id,
+                                      frame.span, {"met": met}))
+
+
+@pytest.fixture
+def meeting_socks():
+    """Sockets to two forked hosts that reply only once both hold a
+    request; the hosts are reaped after."""
+    import multiprocessing
+    import socket
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork")
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(2)
+    socks, processes = [], []
+    for _ in range(2):
+        ours, theirs = socket.socketpair()
+        process = context.Process(target=_meeting_host,
+                                  args=(theirs, ours, barrier), daemon=True)
+        process.start()
+        theirs.close()
+        socks.append(ours)
+        processes.append(process)
+    try:
+        yield socks
+    finally:
+        for sock in socks:
+            sock.close()
+        for process in processes:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10)
+
+
+class TestIssueThenCollect:
+    """Issued requests reach every host in full before any reply is
+    read, so the hosts compute together."""
+
+    def test_pool_members_start_on_frames_larger_than_the_socket_buffer(
+            self, meeting_socks):
+        from repro.network.dispatch import PooledChannel, _MuxConnection
+        from repro.network.rpc import RpcMessage
+        channel = PooledChannel(
+            [_MuxConnection(sock, f"host{index}:0")
+             for index, sock in enumerate(meeting_socks)],
+            request_timeout=60.0)
+        body = np.zeros(4 << 20, dtype=np.uint8)
+        collect = channel.issue([RpcMessage("meet", {"body": body},
+                                            span=(lo, lo + 1))
+                                 for lo in (0, 1)])
+        replies = collect()
+        assert [reply.payload for reply in replies] == [{"met": True}] * 2
+        assert [member["requests"] for member
+                in channel.stats["members"]] == [1, 1]
+
+    def test_stream_channels_leave_replies_on_the_wire(self, meeting_socks):
+        from repro.network.rpc import RpcMessage, _StreamChannel
+        channels = [_StreamChannel(sock) for sock in meeting_socks]
+        body = np.zeros(4 << 20, dtype=np.uint8)
+        collects = [channel.issue([RpcMessage("meet", {"body": body})])
+                    for channel in channels]
+        assert [collect()[0].payload for collect in collects] == [
+            {"met": True}] * 2
+
+    def test_next_request_reads_an_uncollected_reply(self, echo_sock):
+        from repro.network.rpc import RpcMessage, _StreamChannel
+        channel = _StreamChannel(echo_sock)
+        first = channel.issue([RpcMessage("echo", 1), RpcMessage("echo", 2)])
+        assert channel.send(RpcMessage("echo", 3)).payload == 3
+        assert [reply.payload for reply in first()] == [1, 2]
+        assert channel.stats["requests"] == 3
 
 
 # -- zero-copy decode ----------------------------------------------------------

@@ -276,10 +276,12 @@ class TestFramesPerRound:
         """Count each kind of frame the system's channels send."""
         frames: dict = {}
         for channel in system._channels:
-            def send(message, _send=channel.send):
-                frames[message.kind] = frames.get(message.kind, 0) + 1
-                return _send(message)
-            channel.send = send
+            def issue(messages, _issue=channel.issue):
+                messages = list(messages)
+                for message in messages:
+                    frames[message.kind] = frames.get(message.kind, 0) + 1
+                return _issue(messages)
+            channel.issue = issue
         return frames
 
     def test_mixed_batch_sends_one_frame_per_server_per_round(

@@ -38,6 +38,7 @@ from repro.entities.adversary import (
 )
 from repro.exceptions import VerificationError
 from repro.network.host import launch_forked_hosts
+from repro.network.rpc import RESULT, Channel, RpcMessage
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 
@@ -243,16 +244,14 @@ def test_adversaries_caught_at_every_width(adversary, index, query, delta,
 # -- the wire boundaries ---------------------------------------------------------
 
 
-class _CannedChannel:
-    """A channel whose every call returns one canned reply."""
-
-    fan_out = 1
+class _CannedChannel(Channel):
+    """A channel whose every request gets one canned reply."""
 
     def __init__(self, reply):
         self.reply = reply
 
-    def call(self, method, *args, **kwargs):
-        return self.reply
+    def send(self, message):
+        return RpcMessage(RESULT, self.reply)
 
 
 def _remote(reply):
