@@ -13,7 +13,9 @@ workload per ``num_shards`` and per deployment mode and reports:
   serving figure for interactive traffic);
 * ``queries_per_sec`` — end-to-end interactive query throughput;
 * ``psi_rows_per_sec`` — χ cells swept per second across the round-1 /
-  per-level sweeps, the part sharding actually parallelises.
+  per-level sweeps, the part sharding actually parallelises;
+* ``rounds_per_sec_by_kind`` — the same rate per kind (``max``,
+  ``min``, ``median``, ``bucketized``), each from its best pass.
 
 Run as a script (the CI smoke uses a tiny domain)::
 
@@ -44,6 +46,10 @@ from repro.core.interactive import (
 from repro.network.host import launch_forked_hosts, processes_available
 
 
+#: The workload's kinds, in :func:`programs_for` order.
+KINDS = ("max", "min", "median", "bucketized")
+
+
 def programs_for(system):
     """The fixed interactive workload: one program per kind.
 
@@ -71,12 +77,18 @@ def bench_mode(mode: str, spec, args) -> dict:
         best = float("inf")
         rounds = 0
         queries = len(programs_for(system))
+        kind_best = dict.fromkeys(KINDS, float("inf"))
+        kind_rounds = {}
         for _ in range(args.repeats):
             work = programs_for(system)
             start = time.perf_counter()
             total = 0
-            for program in work:
+            for kind, program in zip(KINDS, work):
+                began = time.perf_counter()
                 program.run()
+                kind_best[kind] = min(kind_best[kind],
+                                      time.perf_counter() - began)
+                kind_rounds[kind] = program.rounds_completed
                 total += program.rounds_completed
             best = min(best, time.perf_counter() - start)
             rounds = total
@@ -90,6 +102,8 @@ def bench_mode(mode: str, spec, args) -> dict:
             "rounds_per_sec": rounds / best,
             "queries_per_sec": queries / best,
             "psi_rows_per_sec": sweep_rows / best,
+            "rounds_per_sec_by_kind": {
+                kind: kind_rounds[kind] / kind_best[kind] for kind in KINDS},
         }
         print(f"  {mode:6s} shards={num_shards:<2d} "
               f"{reports[num_shards]['rounds_per_sec']:9.1f} rounds/s  "

@@ -10,6 +10,8 @@ are scale-invariant.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import time
 
@@ -74,11 +76,29 @@ def build_system(num_owners: int = DEFAULT_OWNERS,
     )
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Keep the cyclic garbage collector out of a timed region, as
+    :mod:`timeit` does.  Late in a long process a full collection walks
+    every live object, and its allocation-count trigger can land on
+    the same point of every repeat, which no minimum over repeats
+    removes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def timed(fn, *args, **kwargs) -> tuple[float, object]:
-    """Wall-clock one call; returns (seconds, result)."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return time.perf_counter() - start, result
+    """Wall-clock one call, the garbage collector paused; returns
+    (seconds, result)."""
+    with gc_paused():
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        return time.perf_counter() - start, result
 
 
 def one_common_value(system: PrismSystem) -> list:

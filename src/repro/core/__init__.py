@@ -4,14 +4,11 @@ from repro.core.aggregate import aggregate_reference
 from repro.core.batch import QueryBatch
 from repro.core.bucketized import (
     BucketTree,
-    run_bucketized_psi,
     simulate_actual_domain_size,
 )
 from repro.core.extrema import (
     extrema_reference,
     median_reference,
-    run_extrema,
-    run_median,
 )
 from repro.core.interactive import (
     BucketizedPsiProgram,
@@ -61,8 +58,5 @@ __all__ = [
     "median_reference",
     "psi_reference",
     "psu_reference",
-    "run_bucketized_psi",
-    "run_extrema",
-    "run_median",
     "simulate_actual_domain_size",
 ]

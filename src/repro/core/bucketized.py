@@ -10,8 +10,11 @@ which PSI executes, versus the real domain size ``b``.
 
 Two artefacts live here:
 
-* :func:`run_bucketized_psi` — the real multi-round protocol over secret
-  shares (owners outsource one χ table per tree level).
+* :class:`BucketTree` and :func:`outsource_bucketized` — the tree shape
+  and the per-level χ tables owners outsource for the real multi-round
+  protocol, which runs as
+  :class:`~repro.core.interactive.BucketizedPsiProgram`
+  (``PrismSystem.bucketized_psi``).
 * :func:`simulate_actual_domain_size` — the pure counting model behind
   Fig. 5, usable at the paper's 100M scale because it never materialises
   shares.
@@ -22,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.psi import psi_column_name
-from repro.core.results import SetResult
 from repro.exceptions import ParameterError
 
 
@@ -109,40 +111,6 @@ def outsource_bucketized(system, attribute, fanout: int) -> BucketTree:
                                       level_column(attribute, level),
                                       share, ShareKind.ADDITIVE)
     return tree
-
-
-def run_bucketized_psi(system, attribute, tree: BucketTree,
-                       *, querier: int = 0,
-                       announcer_driven: bool = False,
-                       num_shards: int | None = None
-                       ) -> tuple[SetResult, dict]:
-    """Multi-round bucketized PSI (§6.6 Steps 1b–3).
-
-    With ``announcer_driven=True`` the per-level outputs go to the
-    announcer, which determines the surviving nodes and instructs the
-    servers directly — removing the owners from the traversal loop (the
-    §6.6 note).  Requires an announcer dealt ``eta``
-    (``PrismSystem(..., announcer_knows_eta=True)``); the announcer then
-    learns which bucket *nodes* are common, a documented trade-off.
-    Either way the final leaf round is finalised by the owners.
-
-    Each level's sweep runs through the sharded cell-restricted kernel
-    (:meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`),
-    so a deployment's span count (or the ``num_shards`` override)
-    parallelises the traversal; the round loop itself lives in
-    :class:`~repro.core.interactive.BucketizedPsiProgram`, of which this
-    function is a thin driver.
-
-    Returns the final :class:`SetResult` (leaf-level intersection) plus a
-    stats dict with ``actual_domain_size`` (nodes PSI executed on),
-    ``rounds``, and ``numbers_sent`` (per server, one direction — the
-    paper's "12 instead of 16" accounting).
-    """
-    from repro.core.interactive import BucketizedPsiProgram
-    return BucketizedPsiProgram(system, attribute, tree,
-                                querier=querier,
-                                announcer_driven=announcer_driven,
-                                num_shards=num_shards).run()
 
 
 def simulate_actual_domain_size(num_leaves: int, fanout: int,

@@ -14,15 +14,12 @@ This module makes both facts structural:
   round and whose cross-round state lives on the program object.  The
   :class:`~repro.api.executor.Executor` owns the round loop (and the
   client scheduler interleaves rounds of in-flight interactive queries
-  with fused batch ticks); the legacy ``run_extrema`` / ``run_median`` /
-  ``run_bucketized_psi`` entry points are thin drivers over the same
-  programs.
-* The per-round sweeps dispatch through the sharded batch kernels:
-  round 1 (PSI) runs as a one-sweep
-  :meth:`~repro.entities.server.PrismServer.indicator_round` and each
-  bucket-tree level via
-  :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`, so a
-  deployment's span count — thread pool,
+  with fused batch ticks); ``PrismSystem``'s kind methods build a
+  :class:`~repro.api.builder.Q` and run it through that executor.
+* The per-round sweeps dispatch through the one round verb,
+  :meth:`~repro.entities.server.PrismServer.indicator_round`: round 1
+  (PSI) runs as one ``"psi"`` sweep and each bucket-tree level as one
+  ``"cells"`` sweep, so a deployment's span count — thread pool,
   the post-sweep tamper seam of malicious server subclasses,
   span-scoped RPC frames on remote deployments — applies to
   interactive traffic exactly as it does to batch traffic.  Outputs are
@@ -63,8 +60,8 @@ class InteractiveProgram:
 
     Subclasses implement :meth:`_rounds` as a generator that yields once
     per protocol round and leaves the final result in ``self._result``.
-    The driver — the executor, the client scheduler, or the legacy
-    ``run_*`` shims via :meth:`run` — calls :meth:`step` until
+    The driver — the executor, the client scheduler, or a direct caller
+    via :meth:`run` — calls :meth:`step` until
     :attr:`done`; cross-round state lives in the generator frame and on
     the program object, never inside a kernel-owned loop.
 
@@ -265,9 +262,25 @@ class ExtremaProgram(InteractiveProgram):
 
     Each per-value round runs Steps 3–5 (plus the optional verification
     re-blinding and the Steps 5b–7 identity round) for one common value.
-    Argument semantics match :func:`repro.core.extrema.run_extrema`;
-    ``num_shards`` overrides the deployment's span count for the PSI
-    sweep (``None`` keeps the servers' default).
+
+    Args:
+        system: a :class:`~repro.core.system.PrismSystem`.
+        attribute: the PSI attribute ``A_c``.
+        agg_attribute: the attribute ``A_x`` whose extremum is sought.
+        kind: ``"max"`` or ``"min"``.
+        reveal_holders: run the optional identity round (Steps 5b–7).
+        verify: run the extremum round twice with independent blinding
+            randomness and require both inverted results to agree — a
+            server or announcer tampering with the share arrays cannot
+            produce *consistent* wrong answers across two blindings of
+            values it never sees in the clear.  (Ties may announce a
+            different permuted index each round, so only the extremum
+            value is compared.)
+        querier: owner used for PSI bookkeeping.
+        common_values: skip the PSI round and use these values (lets
+            benches isolate round-2 cost).
+        num_shards: span count of the PSI sweep (``None``: the
+            deployment's default).
     """
 
     def __init__(self, system, attribute, agg_attribute, kind: str = "max",
@@ -434,14 +447,26 @@ class MedianProgram(InteractiveProgram):
 class BucketizedPsiProgram(InteractiveProgram):
     """§6.6 bucketized PSI as rounds: one round per bucket-tree level.
 
-    Each level's sweep runs through
-    :meth:`~repro.entities.server.PrismServer.psi_cells_round_batch`
+    Each level's sweep is one ``"cells"`` sweep of
+    :meth:`~repro.entities.server.PrismServer.indicator_round`
     restricted to the active nodes — shard-parallel under the
     deployment's (or the per-call) span count, server-side on remote
     deployments (the active cell indices travel, never the χ shares),
-    and bit-identical to the historical slice-then-sweep path.  The
-    result is the ``(SetResult, stats)`` pair of
-    :func:`repro.core.bucketized.run_bucketized_psi`.
+    and bit-identical to the historical slice-then-sweep path.
+
+    With ``announcer_driven=True`` the per-level outputs go to the
+    announcer, which determines the surviving nodes and instructs the
+    servers directly — removing the owners from the traversal loop (the
+    §6.6 note).  Requires an announcer dealt ``eta``
+    (``PrismSystem(..., announcer_knows_eta=True)``); the announcer then
+    learns which bucket *nodes* are common, a documented trade-off.
+    Either way the final leaf round is finalised by the owners.
+
+    The result is the final :class:`SetResult` (leaf-level
+    intersection) plus a stats dict with ``actual_domain_size`` (nodes
+    PSI executed on), ``rounds``, ``numbers_sent`` (per server, one
+    direction — the paper's "12 instead of 16" accounting) and
+    ``flat_domain_size``.
     """
 
     def __init__(self, system, attribute, tree: BucketTree,
@@ -484,10 +509,11 @@ class BucketizedPsiProgram(InteractiveProgram):
             route_to_announcer = self.announcer_driven and level > 0
             receivers = ([system.announcer.endpoint] if route_to_announcer
                          else [o.endpoint for o in system.owners])
+            sweep = {"family": "cells", "columns": [column], "cells": active}
             for server in system.servers[:2]:
                 with timings.measure("server"):
-                    out = server.psi_cells_round_batch(
-                        [column], active, num_shards=self.num_shards)[0]
+                    out = server.indicator_round(
+                        [sweep], num_shards=self.num_shards)[0][0]
                 for receiver in receivers:
                     transport.transfer(server.endpoint, receiver,
                                        f"bucketized-output-L{level}", out)

@@ -6,9 +6,9 @@ query (Table 4): ``psi``, ``psu``, ``psi_count``, ``psu_count``,
 ``psi_sum``, ``psi_average``, ``psi_max``, ``psi_min``, ``psi_median``,
 plus their PSU-aggregation variants and bucketized PSI.
 
-Since the unified-API redesign these methods are thin shims: each lowers
-its arguments to a :class:`~repro.api.plan.LogicalPlan` and runs it
-through the single :class:`~repro.api.executor.Executor`, so *every*
+These methods are thin shims: each builds one :class:`~repro.api.builder.Q`
+and runs it through the single :class:`~repro.api.executor.Executor`
+(:meth:`PrismSystem._run`), so *every*
 query — including a lone ``system.psi(...)`` call — executes as a batch
 of one through the fused 2-D server kernels and the indicator-share
 cache.  Results match the plaintext oracles and their wire transcripts
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.api.builder import Q
 from repro.core.bucketized import (
     BucketTree,
     outsource_bucketized,
@@ -477,88 +478,75 @@ class PrismSystem:
             self._executor = Executor(self)
         return self._executor
 
-    def _lower(self, set_op, attribute, kwargs, aggregates=(), verify=False,
-               reveal_holders=True, bucketized=False):
-        """Lower legacy method arguments to (plan, options)."""
-        from repro.api.plan import LogicalPlan
-        kwargs = dict(kwargs)
-        querier = kwargs.pop("querier", 0)
-        owner_ids = kwargs.pop("owner_ids", None)
-        plan = LogicalPlan(
-            set_op=set_op, attribute=attribute, aggregates=aggregates,
-            verify=verify, reveal_holders=reveal_holders,
-            bucketized=bucketized,
-            owner_ids=tuple(owner_ids) if owner_ids is not None else None,
-            querier=querier,
-        )
-        return plan, kwargs
+    def _run(self, query, options: dict):
+        """Run a kind method's query: ``querier`` / ``owner_ids`` land
+        on the builder, every other option (``num_shards``, runner
+        options) goes to :meth:`Executor.execute
+        <repro.api.executor.Executor.execute>`."""
+        options = dict(options)
+        query = query.querier(options.pop("querier", 0))
+        owner_ids = options.pop("owner_ids", None)
+        if owner_ids is not None:
+            query = query.owners(owner_ids)
+        return self.executor.execute(query.plan(), **options)
 
-    def _summary(self, set_op, fn, attribute, agg_attributes, verify,
-                 kwargs) -> dict[str, AggregateResult]:
-        """Shared shim for the SUM/AVG methods (attribute-keyed dict)."""
-        if isinstance(agg_attributes, str):
-            agg_attributes = [agg_attributes]
+    def _per_attribute(self, query, fn: str, agg_attributes,
+                       options: dict) -> dict[str, AggregateResult]:
+        """A SUM/AVG method: ``fn`` over every attribute, keyed by
+        attribute even when there is only one."""
         if not agg_attributes:
             raise ProtocolError("no aggregation attributes given")
-        plan, options = self._lower(
-            set_op, attribute, kwargs,
-            aggregates=tuple((fn, a) for a in agg_attributes), verify=verify)
-        out = self.executor.execute(plan, **options)
+        if isinstance(agg_attributes, str):
+            agg_attributes = [agg_attributes]
         attrs = list(dict.fromkeys(agg_attributes))
+        out = self._run(getattr(query, fn.lower())(*attrs), options)
         if len(attrs) == 1:
             return {attrs[0]: out}
-        return {a: out[plan.result_key(fn, a)] for a in attrs}
+        return {a: out[f"{fn}({a})"] for a in attrs}
 
     # -- set queries -----------------------------------------------------------
 
     def psi(self, attribute, verify: bool = False, **kwargs) -> SetResult:
         """Private set intersection over ``attribute`` (§5.1/§5.2)."""
-        plan, options = self._lower("psi", attribute, kwargs, verify=verify)
-        return self.executor.execute(plan, **options)
+        return self._run(Q.psi(attribute).verify(verify), kwargs)
 
     def psu(self, attribute, verify: bool = False, **kwargs) -> SetResult:
         """Private set union over ``attribute`` (§7), optionally verified."""
-        plan, options = self._lower("psu", attribute, kwargs, verify=verify)
-        return self.executor.execute(plan, **options)
+        return self._run(Q.psu(attribute).verify(verify), kwargs)
 
     def psi_count(self, attribute, verify: bool = False, **kwargs) -> CountResult:
         """Intersection cardinality only (§6.5)."""
-        plan, options = self._lower(
-            "psi", attribute, kwargs, aggregates=(("COUNT", None),),
-            verify=verify)
-        return self.executor.execute(plan, **options)
+        return self._run(Q.psi(attribute).count().verify(verify), kwargs)
 
     def psu_count(self, attribute, **kwargs) -> CountResult:
         """Union cardinality only (§6.5 applied to PSU)."""
-        plan, options = self._lower(
-            "psu", attribute, kwargs, aggregates=(("COUNT", None),))
-        return self.executor.execute(plan, **options)
+        return self._run(Q.psu(attribute).count(), kwargs)
 
     # -- summary aggregations ----------------------------------------------------
 
     def psi_sum(self, attribute, agg_attributes, verify: bool = False,
                 **kwargs) -> dict[str, AggregateResult]:
         """Sum per common value (§6.1); multi-attribute per Table 12."""
-        return self._summary("psi", "SUM", attribute, agg_attributes,
-                             verify, kwargs)
+        return self._per_attribute(Q.psi(attribute).verify(verify), "SUM",
+                                   agg_attributes, kwargs)
 
     def psi_average(self, attribute, agg_attributes, verify: bool = False,
                     **kwargs) -> dict[str, AggregateResult]:
         """Average per common value (§6.2)."""
-        return self._summary("psi", "AVG", attribute, agg_attributes,
-                             verify, kwargs)
+        return self._per_attribute(Q.psi(attribute).verify(verify), "AVG",
+                                   agg_attributes, kwargs)
 
     def psu_sum(self, attribute, agg_attributes, verify: bool = False,
                 **kwargs) -> dict[str, AggregateResult]:
         """Sum per union value (aggregation over PSU, §2)."""
-        return self._summary("psu", "SUM", attribute, agg_attributes,
-                             verify, kwargs)
+        return self._per_attribute(Q.psu(attribute).verify(verify), "SUM",
+                                   agg_attributes, kwargs)
 
     def psu_average(self, attribute, agg_attributes, verify: bool = False,
                     **kwargs) -> dict[str, AggregateResult]:
         """Average per union value (aggregation over PSU)."""
-        return self._summary("psu", "AVG", attribute, agg_attributes,
-                             verify, kwargs)
+        return self._per_attribute(Q.psu(attribute).verify(verify), "AVG",
+                                   agg_attributes, kwargs)
 
     # -- exemplar aggregations -----------------------------------------------------
 
@@ -569,18 +557,14 @@ class PrismSystem:
         ``verify=True`` reruns the announcer round under fresh blinding
         and requires agreement (the re-blinding consistency check).
         """
-        plan, options = self._lower(
-            "psi", attribute, kwargs, aggregates=(("MAX", agg_attribute),),
-            verify=verify, reveal_holders=reveal_holders)
-        return self.executor.execute(plan, **options)
+        return self._run(Q.psi(attribute).max(agg_attribute).verify(verify)
+                         .reveal_holders(reveal_holders), kwargs)
 
     def psi_min(self, attribute, agg_attribute, reveal_holders: bool = True,
                 verify: bool = False, **kwargs) -> ExtremaResult:
         """Minimum per common value (§6.3 with FindMin)."""
-        plan, options = self._lower(
-            "psi", attribute, kwargs, aggregates=(("MIN", agg_attribute),),
-            verify=verify, reveal_holders=reveal_holders)
-        return self.executor.execute(plan, **options)
+        return self._run(Q.psi(attribute).min(agg_attribute).verify(verify)
+                         .reveal_holders(reveal_holders), kwargs)
 
     def psi_median(self, attribute, agg_attribute, verify: bool = False,
                    **kwargs) -> MedianResult:
@@ -588,18 +572,21 @@ class PrismSystem:
 
         ``verify=True`` raises :class:`~repro.exceptions.QueryError`
         ("MEDIAN has no verification stream") — the same typed rejection
-        the plan IR and :func:`~repro.core.extrema.run_median` produce,
-        so every path fails alike.
+        the plan IR and :class:`~repro.core.interactive.MedianProgram`
+        produce, so every path fails alike.
         """
-        plan, options = self._lower(
-            "psi", attribute, kwargs, aggregates=(("MEDIAN", agg_attribute),),
-            verify=verify)
-        return self.executor.execute(plan, **options)
+        return self._run(Q.psi(attribute).median(agg_attribute)
+                         .verify(verify), kwargs)
 
     # -- bucketized PSI -------------------------------------------------------------
 
     def bucketized_psi(self, attribute, **kwargs) -> tuple[SetResult, dict]:
-        """Bucketized PSI (§6.6); requires :meth:`outsource_bucketized`."""
-        plan, options = self._lower("psi", attribute, kwargs,
-                                    bucketized=True)
-        return self.executor.execute(plan, **options)
+        """Bucketized PSI (§6.6); requires :meth:`outsource_bucketized`.
+
+        Keyword options reach the program: ``announcer_driven=True``
+        routes the upper levels' outputs through the announcer (§6.6
+        note; needs ``announcer_knows_eta``).  Returns the leaf-level
+        :class:`SetResult` and the traversal's stats dict
+        (:class:`~repro.core.interactive.BucketizedPsiProgram`).
+        """
+        return self._run(Q.psi(attribute).bucketized(), kwargs)

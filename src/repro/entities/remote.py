@@ -34,17 +34,33 @@ from repro.network.codec import FULL_SPAN
 from repro.network.message import Endpoint, Role
 
 
-#: Minimum active cells *per shard* before a sharded remote sweep is
-#: split into span-scoped frames.  Below this, one whole-sweep RPC
-#: shipping ``num_shards`` is strictly cheaper: the channel pipelines
-#: the frames, but :meth:`~repro.network.host.EntityHost.serve_stream`
-#: serves a connection's frames one after another, so on one host span
-#: frames cost ``num_shards`` round-trips while the host can
-#: thread-shard a whole sweep itself.  Span frames earn their
-#: round-trips only when each span carries real work (or when a host
-#: pool spreads them over several hosts).  Tests lower this to exercise
-#: the span path end to end at toy sizes.
+#: Minimum cells *per span* before a round over a host pool is split
+#: into span-scoped frames.  Span frames go only across a pool: a host
+#: serves a connection's frames one after another, so on a single host
+#: span frames would cost one round trip each while the host can
+#: thread-shard a whole round itself — a single host always gets one
+#: whole-round frame carrying ``num_shards``.  Across a pool, a span
+#: earns its frame only when it carries real work.  Tests lower this to
+#: exercise the span path end to end at toy sizes.
 SPAN_DISPATCH_MIN_CELLS = 2048
+
+
+def _sweep_length(sweep: dict, b: int) -> int:
+    """The length a span frame windows: ``b``, or a cells sweep's cell
+    count (0, never split, for cells the host will refuse anyway)."""
+    if sweep.get("family") != "cells":
+        return b
+    cells = sweep.get("cells")
+    return len(cells) if isinstance(cells, list) or np.ndim(cells) == 1 else 0
+
+
+def _span_sweep(sweep: dict, lo: int, hi: int) -> dict:
+    """One sweep as the ``(lo, hi)`` span frame carries it: a cells
+    sweep with its window's block of cell indices, any other sweep
+    unpermuted (the proxy permutes after concatenating)."""
+    if sweep.get("family") == "cells":
+        return dict(sweep, cells=sweep["cells"][lo:hi])
+    return dict(sweep, permute=None)
 
 
 class RemoteServer:
@@ -71,9 +87,9 @@ class RemoteServer:
         #: Deployment-default span count of the batched sweeps (the
         #: runtime, if any, lives host-side).
         self.num_shards = 1
-        #: Whether sharded cell-restricted sweeps may be issued as
-        #: span-scoped RPC frames (one request per shard span,
-        #: concatenated client-side).  Hosts serve span frames only for
+        #: Whether a round over a host pool may be issued as span-scoped
+        #: RPC frames (one request per span, concatenated
+        #: client-side).  Hosts serve span frames only for
         #: an unmodified base-class server — a malicious / instrumented
         #: subclass's seam may depend on absolute positions, which a
         #: span window shifts — so :class:`~repro.core.system.PrismSystem`
@@ -118,25 +134,26 @@ class RemoteServer:
 
     # -- span fan-out ---------------------------------------------------------
 
-    def _span_bounds(self, length: int, num_shards, pool_only: bool):
-        """Span decomposition for a length-``length`` sweep, or ``None``.
+    def _span_bounds(self, lengths, num_shards):
+        """Span decomposition for a round whose sweeps have ``lengths``,
+        or ``None``.
 
         ``None`` means "send one whole-sweep request" (shipping the
         shard *count* for the host to decompose locally).  A span
-        decomposition is only worth its frames when the channel can
-        serve them concurrently — always when it fans out over a host
-        pool, and (for the cell-restricted bucketized sweeps,
-        ``pool_only=False``) when a shard count asks for span-scoped
-        wire traffic on a single host.  Every span must
-        clear the :data:`SPAN_DISPATCH_MIN_CELLS` floor.
+        decomposition is only worth its frames when the channel fans
+        them out over a host pool, every sweep of the round has the
+        same length (``lengths`` is read only then), and every span
+        clears the :data:`SPAN_DISPATCH_MIN_CELLS` floor.
         """
-        if not self.span_dispatch or length <= 0:
-            return None
         fan_out = int(getattr(self.channel, "fan_out", 1) or 1)
-        fan = max(num_shards, fan_out)
-        if pool_only and fan_out <= 1:
+        if not self.span_dispatch or fan_out <= 1:
             return None
-        if fan <= 1 or fan > length or length < fan * SPAN_DISPATCH_MIN_CELLS:
+        lengths = set(lengths)
+        if len(lengths) != 1:
+            return None
+        length = lengths.pop()
+        fan = max(num_shards, fan_out)
+        if fan > length or length < fan * SPAN_DISPATCH_MIN_CELLS:
             return None
         from repro.core.sharding import shard_bounds
         return shard_bounds(int(length), fan)
@@ -185,11 +202,14 @@ class RemoteServer:
 
         ``sweeps`` are :meth:`PrismServer.indicator_round
         <repro.entities.server.PrismServer.indicator_round>` dicts; the
-        host runs them in order and replies one matrix per sweep.  Over
-        a pooled channel against an unmodified host
-        (:attr:`span_dispatch`), the χ length splits into one
-        span-scoped frame per pool member (or per shard, whichever is
-        finer), each carrying the whole round *unpermuted*.  Each
+        host runs them in order and replies one matrix per sweep.  A
+        bucketized level is one ``"cells"`` sweep: only the active cell
+        *indices* travel, never the χ shares.  Over a pooled channel
+        against an unmodified host (:attr:`span_dispatch`), the round's
+        sweep length — χ, or the cells array of a cells round — splits
+        into one span-scoped frame per pool member (or per shard,
+        whichever is finer), each carrying the whole round *unpermuted*
+        and each cells sweep only its span's block of cell indices.  Each
         sweep's replies concatenate bit-identically to the whole sweep
         — the sharding layer's span contract, now spanning hosts — and
         each row's ``PF_s1`` / ``PF_s2`` then applies once, here, with
@@ -205,16 +225,18 @@ class RemoteServer:
         that collects, checks and assembles its outputs."""
         sweeps = list(sweeps)
         num_shards = self._shards(num_shards)
-        bounds = self._span_bounds(self.params.pf.size, num_shards,
-                                   pool_only=True) if sweeps else None
+        bounds = self._span_bounds(
+            (_sweep_length(sweep, self.params.pf.size) for sweep in sweeps),
+            num_shards)
         if bounds is None:
             pending = self._issue("indicator_round", [
                 ({"a": [sweeps], "k": {"num_shards": num_shards}},
                  FULL_SPAN)])
         else:
-            unpermuted = [dict(sweep, permute=None) for sweep in sweeps]
             pending = self._issue("indicator_round", [
-                ({"a": [unpermuted], "k": {}}, span) for span in bounds])
+                ({"a": [[_span_sweep(sweep, lo, hi) for sweep in sweeps]],
+                  "k": {}}, (lo, hi))
+                for lo, hi in bounds])
 
         def collect() -> list:
             replies = pending()
@@ -236,42 +258,6 @@ class RemoteServer:
             return outs
         return collect
 
-    def psi_cells_round_batch(self, columns, cells, owner_ids=None,
-                              subtract_m=None, num_shards: int | None = None):
-        """Cell-restricted Eq. 3 sweep; only the cell *indices* travel.
-
-        The bucketized per-level rounds call this instead of
-        materialising χ shares client-side.  Under a shard count or a
-        host pool against an unmodified host (:attr:`span_dispatch`),
-        the sweep is issued as one span-scoped RPC frame per shard of
-        the cells array — scattered concurrently across the channel
-        (pipelined on one host, fanned out over a pool) — and the
-        replies concatenate bit-identically to the whole sweep.
-        Otherwise the shard *count* ships and the host decomposes
-        locally (bit-identical either way).
-        """
-        cells = np.asarray(cells, dtype=np.int64)
-        num_shards = self._shards(num_shards)
-        bounds = self._span_bounds(int(cells.size), num_shards,
-                                   pool_only=False) if len(columns) else None
-        if bounds is not None:
-            # Each frame carries only its own slice of the cells array
-            # (span over the slice), so a cell index travels and is
-            # validated exactly once across the shard frames.
-            frames = [
-                ({"a": [list(columns), cells[lo:hi],
-                        self._owners(owner_ids)],
-                  "k": {"subtract_m": self._flags(subtract_m)}},
-                 (0, hi - lo))
-                for lo, hi in bounds
-            ]
-            return self._group_out(np.concatenate(
-                self._issue("psi_cells_round_batch", frames)(), axis=1))
-        return self._group_out(self.channel.call(
-            "psi_cells_round_batch", list(columns), cells,
-            self._owners(owner_ids), subtract_m=self._flags(subtract_m),
-            num_shards=num_shards))
-
     def aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
                               num_shards: int | None = None):
         """Fused Eq. 11 sweep, fanned out across a host pool.
@@ -292,8 +278,7 @@ class RemoteServer:
         num_shards = self._shards(num_shards)
         bounds = None
         if columns and z_matrix.ndim == 2 and z_matrix.shape[0] == len(columns):
-            bounds = self._span_bounds(int(z_matrix.shape[1]), num_shards,
-                                       pool_only=True)
+            bounds = self._span_bounds([int(z_matrix.shape[1])], num_shards)
         if bounds is None:
             pending = self._issue("aggregate_round_batch", [
                 ({"a": [columns, z_matrix, self._owners(owner_ids)],
@@ -378,10 +363,6 @@ class RemoteServer:
     @staticmethod
     def _owners(owner_ids):
         return list(owner_ids) if owner_ids is not None else None
-
-    @staticmethod
-    def _flags(flags):
-        return [bool(flag) for flag in flags] if flags is not None else None
 
     def _shards(self, num_shards: int | None) -> int:
         return num_shards or self.num_shards

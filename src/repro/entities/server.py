@@ -29,8 +29,9 @@ or its numpy twin, and the fused
 2-D kernels (:meth:`PrismServer.psi_round_batch` and friends; one query
 is a batch of one row) are the only places that set them up.
 :meth:`PrismServer.indicator_round` runs a whole round 1 — every Eq. 3/7
-and Eq. 18 sweep of a batch, in order — as one call, so a remote server
-takes one frame per round.  A §6.5 count sweep is an Eq. 3 sweep whose
+and Eq. 18 sweep of a batch, or one bucketized level's cell-restricted
+Eq. 3 sweep, in order — as one call, so a remote server takes one frame
+per round.  A §6.5 count sweep is an Eq. 3 sweep whose
 rows leave permuted by ``PF_s1`` / ``PF_s2`` (:func:`permute_rows`).
 The entity host's span-scoped frames run those same kernels with a
 ``span`` window of their output columns.
@@ -231,6 +232,33 @@ def permute_rows(params: ServerParams, out: np.ndarray, permute,
                 "permutes after concatenation")
         out[row] = getattr(params, name).apply(out[row])
     return out
+
+
+def _cell_indices(cells) -> np.ndarray:
+    """A cells sweep's χ cell indices, as an aligned 1-D int64 array.
+
+    Only a 1-D integer array or a list of exact ``int``s is taken: a
+    float or bool index would otherwise be truncated to a cell nobody
+    asked for.  Range checks wait for the χ length (:meth:`PrismServer.
+    _psi_rows`).  ALIGNED matters for wire-decoded arrays, as in
+    :meth:`PrismServer.admit_z`: a zero-copy frame view at an odd
+    offset would send the sweep to the numpy twin.
+    """
+    if isinstance(cells, np.ndarray):
+        if (cells.dtype == np.int64 and cells.ndim == 1
+                and cells.flags.aligned and cells.flags.c_contiguous):
+            return cells
+        admissible = cells.ndim == 1 and cells.dtype.kind in "iu"
+    else:
+        admissible = isinstance(cells, list) and all(
+            type(cell) is int for cell in cells)
+    if not admissible:
+        raise ProtocolError("cell indices must be a 1-D integer array or a "
+                            "list of ints")
+    try:
+        return np.require(cells, np.int64, ["ALIGNED", "C_CONTIGUOUS"])
+    except OverflowError as exc:
+        raise ProtocolError(f"cell index out of range: {exc}") from exc
 
 
 class PrismServer:
@@ -439,7 +467,8 @@ class PrismServer:
                   cells: np.ndarray | None = None,
                   span=None) -> np.ndarray:
         """The rows of a fused Eq. 3 / Eq. 7 sweep over χ (or ``cells``),
-        then tampered; ``span`` keeps only its window of the columns.
+        then tampered; ``span`` keeps only its window of the columns
+        (with ``cells``: the window whose block ``cells`` is).
 
         Every owner's shares are still fetched and checked; the sweep
         then gathers from each row's owner-summed vector
@@ -455,15 +484,18 @@ class PrismServer:
         summed = self._owner_sums(columns, share_lists, ShareKind.ADDITIVE,
                                   owner_ids, version, num_shards)
         n = b if cells is None else cells.shape[0]
-        if span is not None:
+        if span is not None and cells is None:
             lo, hi = self._window(span, n)
-            if cells is None:
-                summed = [v[lo:hi] for v in summed]
-            else:
-                # Cell-local: the window indexes the cells array, which
-                # still gathers from the full summed vectors.
-                cells = cells[lo:hi]
+            summed = [v[lo:hi] for v in summed]
             n = hi - lo
+        elif span is not None:
+            # Cell-local: a span frame carries exactly its window's
+            # block of the cells array, which gathers from the full
+            # summed vectors.
+            lo, hi = (int(bound) for bound in span)
+            if not 0 <= lo < hi or hi - lo != n:
+                raise ProtocolError(f"cell block of {n} indices does not "
+                                    f"cover span ({lo}, {hi})")
         tables = params.group.folded_tables(
             self._batch_m_shares(subtract_m, num_owners, owner_ids))
         out = np.empty((len(columns), n), dtype=params.group_dtype)
@@ -505,39 +537,53 @@ class PrismServer:
         arguments: ``"psi"`` runs :meth:`psi_round_batch` (``columns``,
         ``owner_ids``, ``subtract_m``, ``permute``), ``"psu"``
         :meth:`psu_round_batch` (``columns``, ``nonces``, ``owner_ids``,
-        ``permute``).  Returns one output matrix per sweep, each equal
-        to its kernel called alone, so the ``tamper`` seam sees the
-        same rows in the same order.  A remote server takes the whole
-        round as one frame; a ``span`` windows every sweep.
+        ``permute``), and ``"cells"`` the Eq. 3/7 sweep restricted to
+        the χ cells named by ``cells`` (``columns``, ``cells``,
+        ``owner_ids``, ``subtract_m``) — one bucketized level (§6.6).
+        Row ``q`` of a cells sweep equals ``psi_round_batch(columns)[q]
+        [cells]``: the kernel is cell-local, so only the active bucket
+        nodes are computed, bit-identically to slicing the full sweep.
+        Returns one output matrix per sweep, each equal to its kernel
+        called alone, so the ``tamper`` seam sees the same rows in the
+        same order.  A remote server takes the whole round as one
+        frame; a ``span`` windows every sweep — a cells sweep then
+        carries exactly its window's block of the cells array, so each
+        cell index travels once across a round's span frames.
 
         Raises:
-            ProtocolError: for an empty round, an unknown family or any
-                malformed sweep.
+            ProtocolError: for an empty round, an unknown family, any
+                malformed sweep, or cell indices that are not a 1-D
+                integer array or a list of ints — refused before any
+                sweep runs.
         """
         if not isinstance(sweeps, (list, tuple)) or not sweeps:
             raise ProtocolError("an indicator round needs a list of sweeps")
         families = [sweep.get("family") if isinstance(sweep, dict) else None
                     for sweep in sweeps]
-        if any(family not in ("psi", "psu") for family in families):
-            raise ProtocolError(f"indicator sweep family must be 'psi' or "
-                                f"'psu'; got {families}")
+        if any(family not in ("psi", "psu", "cells") for family in families):
+            raise ProtocolError(f"indicator sweep family must be 'psi', "
+                                f"'psu' or 'cells'; got {families}")
+        cells = [_cell_indices(sweep.get("cells")) if family == "cells"
+                 else None for family, sweep in zip(families, sweeps)]
         return [
-            self.psi_round_batch(sweep.get("columns", ()),
-                                 sweep.get("owner_ids"),
-                                 sweep.get("subtract_m"),
-                                 sweep.get("permute"), num_shards, span=span)
-            if family == "psi" else
             self.psu_round_batch(sweep.get("columns", ()),
                                  sweep.get("nonces", ()),
                                  sweep.get("owner_ids"),
                                  sweep.get("permute"), num_shards, span=span)
-            for family, sweep in zip(families, sweeps)
+            if family == "psu" else
+            self.psi_round_batch(sweep.get("columns", ()),
+                                 sweep.get("owner_ids"),
+                                 sweep.get("subtract_m"),
+                                 sweep.get("permute") if indices is None
+                                 else None, num_shards, span=span,
+                                 cells=indices)
+            for family, sweep, indices in zip(families, sweeps, cells)
         ]
 
     def psi_round_batch(self, columns, owner_ids: list[int] | None = None,
                         subtract_m=None, permute=None,
                         num_shards: int | None = None,
-                        *, span=None) -> np.ndarray:
+                        *, span=None, cells=None) -> np.ndarray:
         """Fused multi-query Eq. 3 / Eq. 7 sweep.
 
         Row ``q`` of the returned ``(Q, b)`` matrix is the PSI kernel
@@ -566,44 +612,18 @@ class PrismServer:
         of the unpermuted sweep (the entity host sets it from a
         span-scoped frame's envelope); concatenated windows equal the
         whole sweep bit for bit.
+
+        ``cells`` (1-D int64 χ cell indices, in output order; the
+        ``"cells"`` sweep of :meth:`indicator_round`) restricts the
+        sweep to those cells, unpermuted; the shards split the cells
+        array, and a ``span`` frame carries its window's block of it.
         """
         if not len(columns):
             raise ProtocolError("batched PSI sweep needs at least one column")
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         return permute_rows(self.params, self._psi_rows(
-            columns, subtract_m, owner_ids, num_shards, span=span),
+            columns, subtract_m, owner_ids, num_shards, cells, span),
             permute, span)
-
-    def psi_cells_round_batch(self, columns, cells,
-                              owner_ids: list[int] | None = None,
-                              subtract_m=None,
-                              num_shards: int | None = None,
-                              *, span=None) -> np.ndarray:
-        """Fused Eq. 3 / Eq. 7 sweep restricted to a subset of χ cells.
-
-        Row ``q`` of the returned ``(Q, len(cells))`` matrix equals
-        ``psi_round_batch(columns)[q][cells]`` — the kernel is
-        cell-local, so restricting the sweep to the named cells is
-        bit-identical to slicing the full sweep.  This is the per-level
-        sweep of bucketized PSI (§6.6): only the active bucket nodes are
-        computed, which is the whole point of the bucket tree.
-
-        ``cells`` is a 1-D array of χ cell indices, in output order.
-        ``num_shards`` decomposes the *cells array* into contiguous
-        shards and runs them on the deployment's thread pool, like
-        :meth:`psi_round_batch`; ``span`` is a window of the cells
-        array.
-        """
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.ndim != 1:
-            raise ProtocolError(
-                f"cell index array must be 1-D, got shape {cells.shape}")
-        if not len(columns):
-            raise ProtocolError("cell-restricted sweep needs at least one "
-                                "column")
-        subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
-        return self._psi_rows(columns, subtract_m, owner_ids, num_shards,
-                              cells, span)
 
     def psu_round_batch(self, columns, query_nonces,
                         owner_ids: list[int] | None = None,

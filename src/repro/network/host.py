@@ -16,11 +16,10 @@ The same dispatch adapter backs all three channels: the
 the ``InProcessChannel`` calls it directly, so behaviour is identical
 from zero-copy to real sockets.
 
-Three kernel verbs reach a hosted server:
+Two kernel verbs reach a hosted server:
 :meth:`~repro.entities.server.PrismServer.indicator_round` (a batch's
-whole round 1, one frame per round),
-:meth:`~repro.entities.server.PrismServer.psi_cells_round_batch` (one
-bucketized level) and
+whole round 1, or one bucketized level's cells sweep, one frame per
+round) and
 :meth:`~repro.entities.server.PrismServer.aggregate_round_batch` (the
 Eq. 11 round).  Span-scoped requests: a kernel request whose frame
 envelope names a shard span ``(lo, hi)`` runs the hosted server's own
@@ -70,7 +69,6 @@ SERVER_METHODS = frozenset({
     "fetch_additive",
     "fetch_shamir",
     "indicator_round",
-    "psi_cells_round_batch",
     "aggregate_round_batch",
     "extrema_collect",
     "fpos_round",
@@ -79,9 +77,7 @@ SERVER_METHODS = frozenset({
 })
 
 #: Kernels servable span-scoped (the frame envelope names the span).
-_SPAN_KERNELS = frozenset({
-    "indicator_round", "psi_cells_round_batch", "aggregate_round_batch",
-})
+_SPAN_KERNELS = frozenset({"indicator_round", "aggregate_round_batch"})
 
 
 class ServerAdapter:

@@ -235,8 +235,8 @@ class TestSubprocessDeployment:
             assert client.stats["scheduler"]["max_coalesced"] == 4
 
     def test_bucketized_psi_keeps_shares_server_side(self, expected_table4):
-        # The per-level rounds ship active cell *indices* through
-        # psi_cells_round_batch; the χ shares never cross the channel.
+        # The per-level rounds ship active cell *indices* in a cells
+        # sweep of indicator_round; the χ shares never cross the channel.
         with build("subprocess") as system:
             system.outsource_bucketized("k", fanout=2)
             received_before = system.channel_stats()["bytes_received"]
@@ -533,7 +533,7 @@ class TestServerAdapter:
 
 
     @pytest.mark.parametrize("sweeps,message", [
-        ([sweep("count")], "family must be 'psi' or 'psu'"),
+        ([sweep("count")], "family must be 'psi', 'psu' or 'cells'"),
         ([sweep(subtract_m=[True, False])], "subtract_m flags must match"),
         ([sweep("psu", nonces=[1, 2])], "query_nonces must match"),
         ([sweep(permute=["pf_s3"])], "unknown row permutation"),
@@ -548,6 +548,48 @@ class TestServerAdapter:
         assert reply.kind == "__error__"
         assert reply.payload["type"] == "ProtocolError"
         assert message in reply.payload["message"]
+        system.close()
+
+    @pytest.mark.parametrize("cells,message", [
+        ([1.7, 2.2, 3.9], "1-D integer array or a list of ints"),
+        (np.asarray([1.7, 2.2, 3.9]), "1-D integer array or a list of ints"),
+        ([True, False], "1-D integer array or a list of ints"),
+        (np.asarray([[0, 1], [2, 3]]), "1-D integer array or a list of ints"),
+        ([2 ** 70], "out of range"),
+        ([0, -1], "out of range for χ length"),
+        ([0, 8], "out of range for χ length"),
+    ], ids=["float-list", "float-array", "bool-list", "2d-array",
+            "int64-overflow", "negative", "past-b"])
+    def test_malformed_cell_indices_refused(self, cells, message):
+        # A cells sweep takes only integer cell indices below b: a float
+        # or bool index is refused, never truncated to a cell nobody
+        # asked for, and before any sweep of the round runs.
+        system = build("local")
+        server = system.servers[0]
+        swept = []
+        server.tamper = lambda kind, column, row: swept.append(kind) or row
+        adapter = ServerAdapter(server)
+        reply = adapter.dispatch(RpcMessage(
+            "indicator_round",
+            {"a": [[sweep(), sweep("cells", cells=cells)]], "k": {}}))
+        assert reply.kind == "__error__"
+        assert reply.payload["type"] == "ProtocolError"
+        assert message in reply.payload["message"]
+        if "integer" in message:
+            assert swept == []
+        system.close()
+
+    def test_cell_sweep_matches_the_sliced_psi_sweep(self):
+        system = build("local")
+        server = system.servers[0]
+        adapter = ServerAdapter(server)
+        full = server.psi_round_batch(["k"])
+        for cells in ([5, 0, 7], np.asarray([5, 0, 7], dtype=np.uint16)):
+            reply = adapter.dispatch(RpcMessage(
+                "indicator_round",
+                {"a": [[sweep("cells", cells=cells)]], "k": {}}))
+            assert reply.kind == "__result__"
+            assert np.array_equal(reply.payload[0], full[:, [5, 0, 7]])
         system.close()
 
     @needs_fork
@@ -626,6 +668,9 @@ class TestSpanKernels:
         ("aggregate_round_batch",
          {"a": [["amt"], [[1, 2, 3]]], "k": {}}, "does not cover span"),
         ("psi_round_batch", sweep(columns=[]), "at least one column"),
+        ("cells", sweep("cells", cells=[0, 1, 2]), "does not cover span"),
+        ("cells", sweep("cells", columns=[], cells=[0, 1, 2, 3]),
+         "at least one column"),
     ])
     def test_malformed_span_requests_rejected(self, kernel, payload,
                                               message):
@@ -648,7 +693,6 @@ class TestSpanKernels:
             ("indicator_round", {"a": [[sweep()]], "k": {}}),
             ("indicator_round",
              {"a": [[sweep("psu", nonces=[1])]], "k": {}}),
-            ("psi_cells_round_batch", {"a": [["k"], [0, 1, 2]], "k": {}}),
             ("aggregate_round_batch",
              {"a": [["amt"], np.zeros((1, 99), dtype=np.uint32)], "k": {}}),
         ]:

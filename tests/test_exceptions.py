@@ -125,8 +125,8 @@ class TestServingWireRoundTrip:
 class TestMedianVerifyRejection:
     """Every path rejects verified MEDIAN with one typed exception.
 
-    The shim (``PrismSystem.psi_median``), the direct runner
-    (``run_median``), the program, and the plan IR must all raise
+    The shim (``PrismSystem.psi_median``), the program, the builder
+    and the plan IR must all raise
     :class:`QueryError` with the same message — historically the shim
     path leaked a ``TypeError`` instead.
     """
@@ -144,12 +144,6 @@ class TestMedianVerifyRejection:
         with pytest.raises(QueryError, match=MEDIAN_VERIFY_MESSAGE):
             LogicalPlan(set_op="psi", attribute="k",
                         aggregates=(("MEDIAN", "v"),), verify=True)
-
-    def test_run_median_rejects(self):
-        from repro.core.extrema import run_median
-        system = self._system()
-        with pytest.raises(QueryError, match=MEDIAN_VERIFY_MESSAGE):
-            run_median(system, "k", "v", verify=True)
 
     def test_median_program_rejects(self):
         from repro.core.interactive import MedianProgram

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Domain, PrismSystem, Relation
-from repro.core.extrema import (
-    extrema_reference,
-    median_reference,
-    run_extrema,
-)
+from repro.core.extrema import extrema_reference, median_reference
+from repro.core.interactive import ExtremaProgram
 from repro.exceptions import ProtocolError
 
 
@@ -157,7 +154,7 @@ class TestExtremaProtocolShape:
     def test_unknown_kind_rejected(self):
         system = value_system(OWNERS)
         with pytest.raises(ProtocolError):
-            run_extrema(system, "k", "v", kind="mode")
+            ExtremaProgram(system, "k", "v", kind="mode")
 
     def test_announcer_never_talks_to_owners(self):
         from repro.network.message import Role

@@ -6,7 +6,7 @@ bucketized PSI — produces **bit-identical** results to the seed
 single-shard in-process path for every ``num_shards ∈ {1, 2, 7}`` and
 every deployment mode (``local``, ``subprocess``, ``tcp``), and every
 one of those executions runs through the unified ``Executor`` program
-path — the legacy ``run_*`` drivers are never dispatched by the API.
+path, the only front door the ``PrismSystem`` kind methods have.
 """
 
 from __future__ import annotations
@@ -120,41 +120,41 @@ class TestTcpShardMatrix:
             assert run_interactive(system) == expected
 
     def test_span_scoped_cell_sweeps_concatenate(self, tcp_hosts):
-        """A bucketized level sweep splits into span-scoped RPC frames."""
+        """A bucketized level's cells sweep splits into span-scoped RPC
+        frames, each carrying its span's block of the cells array."""
         with build(tcp_hosts) as system:
             system.outsource_bucketized("k", fanout=2)
             server = system.servers[0]
             assert server.span_dispatch
             cells = np.asarray([1, 2, 3, 5, 8, 13], dtype=np.int64)
-            full = server.psi_cells_round_batch(["k"], cells)
-            payload = {"a": [["k"], cells, None], "k": {}}
+            sweep = {"family": "cells", "columns": ["k"], "cells": cells}
+            full, = server.indicator_round([sweep])
             halves = [
                 server.channel.send(RpcMessage(
-                    "psi_cells_round_batch", payload, span=span)).payload
-                for span in ((0, 3), (3, 6))
+                    "indicator_round",
+                    {"a": [[dict(sweep, cells=cells[lo:hi])]], "k": {}},
+                    span=(lo, hi))).payload[0]
+                for lo, hi in ((0, 3), (3, 6))
             ]
             assert np.array_equal(np.concatenate(halves, axis=1), full)
 
-    def test_sharded_level_sweeps_travel_as_span_frames(self, tcp_hosts,
-                                                        expected,
-                                                        monkeypatch):
-        """With the per-shard floor lowered, a sharded remote bucketized
-        traversal issues one span frame per shard — and stays
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_single_host_level_is_one_frame_per_server(
+            self, tcp_hosts, expected, monkeypatch, num_shards):
+        """Even with the per-span floor lowered, a single host gets one
+        whole-level frame per server at any shard count — it
+        thread-shards the level itself — and the traversal stays
         bit-identical to the seed result."""
         import repro.entities.remote as remote
         monkeypatch.setattr(remote, "SPAN_DISPATCH_MIN_CELLS", 1)
-        with build(tcp_hosts, num_shards=2) as system:
+        with build(tcp_hosts, num_shards=num_shards) as system:
             system.outsource_bucketized("k", fanout=2)
             requests_before = system.channel_stats()["requests"]
             result, stats = system.bucketized_psi("k")
-            span_requests = (system.channel_stats()["requests"]
-                             - requests_before)
+            requests = system.channel_stats()["requests"] - requests_before
             assert sorted(result.values) == expected["bucket_values"]
             assert stats == expected["bucket_stats"]
-            # Two servers sweep each level; sharded levels split into
-            # one frame per shard, so the traversal needs more requests
-            # than the 2-per-level whole-sweep baseline.
-            assert span_requests > 2 * stats["rounds"]
+            assert requests == 2 * stats["rounds"]
 
     def test_span_cell_requests_refuse_modified_servers(self, tcp_hosts):
         with build(tcp_hosts,
@@ -162,30 +162,15 @@ class TestTcpShardMatrix:
             assert not system.servers[0].span_dispatch
             with pytest.raises(ProtocolError):
                 system.servers[0].channel.send(RpcMessage(
-                    "psi_cells_round_batch",
-                    {"a": [["k"], [0, 1, 2, 3]], "k": {}}, span=(0, 2)))
+                    "indicator_round",
+                    {"a": [[{"family": "cells", "columns": ["k"],
+                             "cells": [0, 1]}]], "k": {}}, span=(0, 2)))
 
 
 # -- the unified path ---------------------------------------------------------
 
 
 class TestUnifiedExecutionPath:
-    def test_executor_never_calls_legacy_drivers(self, expected, monkeypatch):
-        """The API routes every interactive kind through the program
-        state machines; the legacy ``run_*`` functions are shims for
-        direct callers only."""
-        import repro.core.bucketized as bucketized
-        import repro.core.extrema as extrema
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("legacy dispatch used by the executor")
-
-        monkeypatch.setattr(extrema, "run_extrema", boom)
-        monkeypatch.setattr(extrema, "run_median", boom)
-        monkeypatch.setattr(bucketized, "run_bucketized_psi", boom)
-        with build(num_shards=2) as system:
-            assert run_interactive(system) == expected
-
     def test_submit_runs_interactive_kinds(self, expected):
         with build(num_shards=2) as system, system.client() as client:
             futures = {

@@ -96,7 +96,7 @@ def run_interactive(system) -> dict:
     min_result = system.psi_min("k", "amt")
     median = system.psi_median("k", "amt")
     system.outsource_bucketized("k", fanout=2)
-    bucket_result, _ = system.bucketized_psi("k")
+    bucket_result, bucket_stats = system.bucketized_psi("k")
     return {
         "max": verified_max.per_value,
         "max_holders": verified_max.holders,
@@ -105,6 +105,7 @@ def run_interactive(system) -> dict:
         "median": median.per_value,
         "bucket_values": sorted(bucket_result.values),
         "bucket_membership": bucket_result.membership.tolist(),
+        "bucket_stats": bucket_stats,
     }
 
 
@@ -172,6 +173,32 @@ class TestMultiHostMatrix:
                 assert stats["scattered_frames"] >= pool_size
                 assert all(member["requests"] > 0
                            for member in stats["members"])
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_bucketized_levels_split_across_the_pool(
+            self, pooled_hosts, expected, eager_spans, num_shards):
+        """With the per-span floor lowered, a bucketized level's cells
+        sweep splits into span frames across the pool members, each
+        carrying its span's block of cell indices, and the replies
+        concatenate bit-identically (result and stats)."""
+        pool_size, spec = pooled_hosts
+        if pool_size == 1:
+            pytest.skip("a single-member pool sends whole levels")
+        with build(spec, num_shards=num_shards) as system:
+            system.outsource_bucketized("k", fanout=2)
+            before = [dict(c.stats) for c in system._channels[:2]]
+            result, stats = system.bucketized_psi("k")
+            assert sorted(result.values) == \
+                expected["interactive"]["bucket_values"]
+            assert result.membership.tolist() == \
+                expected["interactive"]["bucket_membership"]
+            assert stats == expected["interactive"]["bucket_stats"]
+            for channel, old in zip(system._channels[:2], before):
+                # More frames than one per level: the levels split.
+                assert (channel.stats["requests"] - old["requests"]
+                        > stats["rounds"])
+                assert (channel.stats["scattered_frames"]
+                        > old["scattered_frames"])
 
     def test_mixed_pool_sizes_per_role(self, expected, eager_spans):
         """Roles may have differently sized pools in one deployment."""

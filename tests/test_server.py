@@ -337,11 +337,14 @@ class TestOwnerSumMemo:
                     psi[:, lo:hi])
                 gathered = per_owner_psi(server, psi_cols, flags, owner_ids,
                                          cells)
-                np.testing.assert_array_equal(server.psi_cells_round_batch(
-                    psi_cols, cells, owner_ids, flags), gathered)
-                np.testing.assert_array_equal(server.psi_cells_round_batch(
-                    psi_cols, cells, owner_ids, flags, span=(100, 650)),
-                    gathered[:, 100:650])
+                cell_sweep = {"family": "cells", "columns": psi_cols,
+                              "cells": cells, "owner_ids": owner_ids,
+                              "subtract_m": flags}
+                np.testing.assert_array_equal(server.indicator_round(
+                    [cell_sweep])[0], gathered)
+                np.testing.assert_array_equal(server.indicator_round(
+                    [dict(cell_sweep, cells=cells[100:650])],
+                    span=(100, 650))[0], gathered[:, 100:650])
                 psu_cols, nonces = ["A", "vA", "A"], [3, 4, 5]
                 psu = per_owner_psu(server, psu_cols, nonces, owner_ids)
                 np.testing.assert_array_equal(server.psu_round_batch(
