@@ -1,5 +1,5 @@
 """Deployment-channel throughput: the same workload over local /
-subprocess / tcp channels.
+subprocess / shm / tcp channels.
 
 Not a paper artefact — this benchmark supports the pluggable-deployment
 layer (:mod:`repro.network.rpc`).  It runs one fixed mixed workload
@@ -20,8 +20,11 @@ Run as a script (the CI smoke uses a tiny domain)::
         --domain 20000 --repeats 3 --out BENCH_deployment.json
 
 Expected shape: ``local`` sets the in-process baseline; ``subprocess``
-pays one codec round-trip per RPC over a pipe; ``tcp`` adds loopback
-socket hops.  The batched engine keeps the RPC count per tick constant
+pays one codec round-trip per RPC over a pipe; ``shm`` moves the share
+vectors of those frames through shared-memory arenas instead; ``tcp``
+adds loopback socket hops.  The tcp hosts axis runs pools of replica
+hosts per role: each round is still one frame per server, sent to the
+least-loaded member.  The batched engine keeps the RPC count per tick constant
 (a handful of fused sweeps, not one call per query), which is what
 makes remote serving viable at all — the gap between modes is the
 price of the wire, not of the query count.
@@ -91,12 +94,10 @@ def bench_mode(mode: str, spec: str, args) -> dict:
         "rpc_requests": (wire_after["requests"] - wire_before["requests"])
         // args.repeats,
     }
-    fan = [channel.stats.get("fan_out", 1) for channel in system._channels]
-    if any(f > 1 for f in fan):
-        report["hosts_per_role"] = fan
-        report["scattered_frames"] = sum(
-            channel.stats.get("scattered_frames", 0)
-            for channel in system._channels)
+    pools = [channel.stats.get("pool_size", 1)
+             for channel in system._channels]
+    if any(size > 1 for size in pools):
+        report["hosts_per_role"] = pools
     system.close()
     return report
 
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument("--owners", type=int, default=5)
     parser.add_argument("--queries-per-kind", type=int, default=4,
                         help="workload size: N of each batchable kind")
-    parser.add_argument("--modes", default="local,subprocess,tcp",
+    parser.add_argument("--modes", default="local,subprocess,shm,tcp",
                         help="comma-separated deployment modes")
     parser.add_argument("--hosts", default="1,2,3",
                         help="tcp hosts axis: comma-separated pool sizes "
@@ -128,8 +129,8 @@ def main(argv=None) -> int:
     reports: dict[str, dict] = {}
     for mode in modes:
         # The tcp mode sweeps the hosts axis: each entry launches one
-        # pool of that many replica entity hosts per server role and
-        # fans the fused sweep spans out across the pool.
+        # pool of that many replica entity hosts per server role, which
+        # share the role's frames.
         runs = ([(mode if h == 1 else f"tcp-{h}hosts", h)
                  for h in pool_sizes] if mode == "tcp" else [(mode, 0)])
         for label, hosts in runs:

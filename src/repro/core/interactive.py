@@ -19,10 +19,11 @@ This module makes both facts structural:
 * The per-round sweeps dispatch through the one round verb,
   :meth:`~repro.entities.server.PrismServer.indicator_round`: round 1
   (PSI) runs as one ``"psi"`` sweep and each bucket-tree level as one
-  ``"cells"`` sweep, so a deployment's span count — thread pool,
-  the post-sweep tamper seam of malicious server subclasses,
-  span-scoped RPC frames on remote deployments — applies to
-  interactive traffic exactly as it does to batch traffic.  Outputs are
+  ``"cells"`` sweep, so a deployment's span count (its thread pool,
+  local or on the entity host), the post-sweep tamper seam of malicious
+  server subclasses and the one frame per server per round of remote
+  deployments apply to interactive traffic exactly as they do to batch
+  traffic.  Outputs are
   bit-identical to the historical single-threaded sweeps for every
   shard count and deployment mode (pinned by
   ``tests/test_interactive_matrix.py``).

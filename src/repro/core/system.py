@@ -146,9 +146,9 @@ class PrismSystem:
             frames over TCP).  Each tcp server role also accepts a
             *pool* of replica hosts —
             ``"tcp://h:p,h:p/h:p/h:p,h:p,h:p"`` separates the three
-            roles with ``/`` and pool members with ``,`` — over which
-            fused sweep spans fan out concurrently
-            (:class:`~repro.network.dispatch.PooledChannel`).  A parsed
+            roles with ``/`` and pool members with ``,`` — whose
+            replicas share the role's requests, one whole-round frame
+            each (:class:`~repro.network.dispatch.PooledChannel`).  A parsed
             :class:`~repro.network.rpc.Deployment` works too.  Owners,
             initiator, and announcer stay in this process; non-local
             deployments expose each server through a
@@ -292,14 +292,7 @@ class PrismSystem:
                         "server_class": server_class,
                         "kwargs": ctor_kwargs,
                     }))
-                proxy = RemoteServer(i, params, channel)
-                # Hosts serve span-scoped sweeps only for an unmodified
-                # base-class server (a subclass's tamper seam may depend
-                # on absolute positions, which a span window shifts) —
-                # which the system knows statically: no custom factory
-                # for this index means a plain PrismServer.
-                proxy.span_dispatch = i not in factories
-                servers.append(proxy)
+                servers.append(RemoteServer(i, params, channel))
         except BaseException:
             # A later server failing to come up must not leak the
             # channels (and forked children) already opened: the

@@ -16,51 +16,19 @@ for a caller that reads them, each checked to arrive at the width of
 its modulus.  Shard counts travel: a local thread pool cannot reach a
 remote store, so the proxy ships a sweep's ``num_shards`` and the host
 executes it on its own pool — bit-identical by the sharding layer's
-span contract.
+span contract.  Each kernel round is one whole-round frame: a host pool
+spreads rounds across its replicas, never one round across hosts.
 """
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from repro.core.params import ServerParams
 from repro.crypto.widths import as_shares, check_stream
 from repro.data.storage import ShareKind
-from repro.entities.server import permute_rows
 from repro.exceptions import ProtocolError
-from repro.network.codec import FULL_SPAN
 from repro.network.message import Endpoint, Role
-
-
-#: Minimum cells *per span* before a round over a host pool is split
-#: into span-scoped frames.  Span frames go only across a pool: a host
-#: serves a connection's frames one after another, so on a single host
-#: span frames would cost one round trip each while the host can
-#: thread-shard a whole round itself — a single host always gets one
-#: whole-round frame carrying ``num_shards``.  Across a pool, a span
-#: earns its frame only when it carries real work.  Tests lower this to
-#: exercise the span path end to end at toy sizes.
-SPAN_DISPATCH_MIN_CELLS = 2048
-
-
-def _sweep_length(sweep: dict, b: int) -> int:
-    """The length a span frame windows: ``b``, or a cells sweep's cell
-    count (0, never split, for cells the host will refuse anyway)."""
-    if sweep.get("family") != "cells":
-        return b
-    cells = sweep.get("cells")
-    return len(cells) if isinstance(cells, list) or np.ndim(cells) == 1 else 0
-
-
-def _span_sweep(sweep: dict, lo: int, hi: int) -> dict:
-    """One sweep as the ``(lo, hi)`` span frame carries it: a cells
-    sweep with its window's block of cell indices, any other sweep
-    unpermuted (the proxy permutes after concatenating)."""
-    if sweep.get("family") == "cells":
-        return dict(sweep, cells=sweep["cells"][lo:hi])
-    return dict(sweep, permute=None)
 
 
 class RemoteServer:
@@ -68,11 +36,8 @@ class RemoteServer:
 
     Args:
         index: server id (mirrors the remote entity's).
-        params: the server's §4 knowledge view.  Kept client-side too:
-            a pooled dispatch applies the post-sweep ``PF_s1`` /
-            ``PF_s2`` permutations itself after concatenating span
-            replies, and the initiator dealt these parameters in the
-            first place.
+        params: the server's §4 knowledge view, kept client-side to
+            check every reply against the width of its modulus.
         channel: the :class:`~repro.network.rpc.Channel` to the host.
     """
 
@@ -87,15 +52,6 @@ class RemoteServer:
         #: Deployment-default span count of the batched sweeps (the
         #: runtime, if any, lives host-side).
         self.num_shards = 1
-        #: Whether a round over a host pool may be issued as span-scoped
-        #: RPC frames (one request per span, concatenated
-        #: client-side).  Hosts serve span frames only for
-        #: an unmodified base-class server — a malicious / instrumented
-        #: subclass's seam may depend on absolute positions, which a
-        #: span window shifts — so :class:`~repro.core.system.PrismSystem`
-        #: enables it exactly for the servers it built without a custom
-        #: factory.
-        self.span_dispatch = False
         #: Rounds sent by :meth:`issue` and not yet collected, keyed by
         #: ``(thread id, kernel)``.
         self._issued: dict = {}
@@ -132,47 +88,11 @@ class RemoteServer:
                 for share in self.channel.call(method, column,
                                                self._owners(owner_ids))]
 
-    # -- span fan-out ---------------------------------------------------------
-
-    def _span_bounds(self, lengths, num_shards):
-        """Span decomposition for a round whose sweeps have ``lengths``,
-        or ``None``.
-
-        ``None`` means "send one whole-sweep request" (shipping the
-        shard *count* for the host to decompose locally).  A span
-        decomposition is only worth its frames when the channel fans
-        them out over a host pool, every sweep of the round has the
-        same length (``lengths`` is read only then), and every span
-        clears the :data:`SPAN_DISPATCH_MIN_CELLS` floor.
-        """
-        fan_out = int(getattr(self.channel, "fan_out", 1) or 1)
-        if not self.span_dispatch or fan_out <= 1:
-            return None
-        lengths = set(lengths)
-        if len(lengths) != 1:
-            return None
-        length = lengths.pop()
-        fan = max(num_shards, fan_out)
-        if fan > length or length < fan * SPAN_DISPATCH_MIN_CELLS:
-            return None
-        from repro.core.sharding import shard_bounds
-        return shard_bounds(int(length), fan)
-
-    def _issue(self, kind: str, frames):
-        """Send ``(payload, span)`` frames of one kind now
-        (:meth:`Channel.issue <repro.network.rpc.Channel.issue>`);
-        returns the call that collects their replies' payloads, in
-        order."""
-        from repro.network.rpc import RpcMessage
-        collect = self.channel.issue([RpcMessage(kind, payload, span=span)
-                                      for payload, span in frames])
-        return lambda: [reply.payload for reply in collect()]
-
     # -- issue, then collect --------------------------------------------------
 
     def issue(self, kernel: str, *args, **kwargs) -> None:
-        """Send one ``kernel`` round's frames now; this thread's next
-        ``kernel`` call with the very same arguments collects them.
+        """Send one ``kernel`` round's frame now; this thread's next
+        ``kernel`` call with the very same arguments collects it.
 
         ``kernel`` is ``"indicator_round"`` or
         ``"aggregate_round_batch"``.  The batch engine issues every
@@ -195,6 +115,16 @@ class RemoteServer:
             return entry[2]()
         return getattr(self, "_issue_" + kernel)(*args, **kwargs)()
 
+    def _issue(self, kind: str, args: list, num_shards: int | None):
+        """Send one whole-round ``kind`` frame carrying the round's
+        shard count (:meth:`Channel.issue
+        <repro.network.rpc.Channel.issue>`); returns the call that
+        collects its reply's payload."""
+        from repro.network.rpc import RpcMessage
+        collect = self.channel.issue(RpcMessage(kind, {
+            "a": args, "k": {"num_shards": self._shards(num_shards)}}))
+        return lambda: collect().payload
+
     # -- fused 2-D kernels ----------------------------------------------------
 
     def indicator_round(self, sweeps, num_shards: int | None = None):
@@ -202,100 +132,47 @@ class RemoteServer:
 
         ``sweeps`` are :meth:`PrismServer.indicator_round
         <repro.entities.server.PrismServer.indicator_round>` dicts; the
-        host runs them in order and replies one matrix per sweep.  A
-        bucketized level is one ``"cells"`` sweep: only the active cell
-        *indices* travel, never the χ shares.  Over a pooled channel
-        against an unmodified host (:attr:`span_dispatch`), the round's
-        sweep length — χ, or the cells array of a cells round — splits
-        into one span-scoped frame per pool member (or per shard,
-        whichever is finer), each carrying the whole round *unpermuted*
-        and each cells sweep only its span's block of cell indices.  Each
-        sweep's replies concatenate bit-identically to the whole sweep
-        — the sharding layer's span contract, now spanning hosts — and
-        each row's ``PF_s1`` / ``PF_s2`` then applies once, here, with
-        the very parameters the initiator dealt this proxy.  The χ
-        length is known client-side: ``PF`` permutes the χ table, so
-        ``params.pf.size`` *is* b.
+        host runs them in order on its own thread pool and replies one
+        matrix per sweep, each row already permuted as its sweep asks.
+        A bucketized level is one ``"cells"`` sweep: only the active
+        cell *indices* travel, never the χ shares.
         """
         return self._collect("indicator_round", sweeps,
                              num_shards=num_shards)
 
     def _issue_indicator_round(self, sweeps, num_shards: int | None = None):
-        """Send :meth:`indicator_round`'s frames now; returns the call
-        that collects, checks and assembles its outputs."""
+        """Send :meth:`indicator_round`'s frame now; returns the call
+        that collects and checks its outputs."""
         sweeps = list(sweeps)
-        num_shards = self._shards(num_shards)
-        bounds = self._span_bounds(
-            (_sweep_length(sweep, self.params.pf.size) for sweep in sweeps),
-            num_shards)
-        if bounds is None:
-            pending = self._issue("indicator_round", [
-                ({"a": [sweeps], "k": {"num_shards": num_shards}},
-                 FULL_SPAN)])
-        else:
-            pending = self._issue("indicator_round", [
-                ({"a": [[_span_sweep(sweep, lo, hi) for sweep in sweeps]],
-                  "k": {}}, (lo, hi))
-                for lo, hi in bounds])
+        pending = self._issue("indicator_round", [sweeps], num_shards)
 
         def collect() -> list:
-            replies = pending()
-            if not all(isinstance(reply, list) and len(reply) == len(sweeps)
-                       for reply in replies):
+            reply = pending()
+            if not (isinstance(reply, list) and len(reply) == len(sweeps)):
                 raise ProtocolError(
                     f"an indicator round of {len(sweeps)} sweeps needs one "
                     f"output per sweep in a list")
-            outs = []
-            for index, sweep in enumerate(sweeps):
-                parts = [reply[index] for reply in replies]
-                out = np.concatenate(parts, axis=1) if bounds else parts[0]
-                out = (self._additive_out(out)
-                       if sweep.get("family") == "psu"
-                       else self._group_out(out))
-                outs.append(permute_rows(self.params, out,
-                                         sweep.get("permute"))
-                            if bounds else out)
-            return outs
+            return [self._additive_out(out) if sweep.get("family") == "psu"
+                    else self._group_out(out)
+                    for sweep, out in zip(sweeps, reply)]
         return collect
 
     def aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
                               num_shards: int | None = None):
-        """Fused Eq. 11 sweep, fanned out across a host pool.
-
-        Each span frame ships only its own slice of the querier-dealt
-        indicator-share matrix, so the z traffic shards with the sweep
-        instead of being replicated per member.
-        """
+        """Fused Eq. 11 sweep in one frame, with the querier-dealt
+        indicator-share matrix."""
         return self._collect("aggregate_round_batch", columns, z_matrix,
                              owner_ids, num_shards=num_shards)
 
     def _issue_aggregate_round_batch(self, columns, z_matrix, owner_ids=None,
                                      num_shards: int | None = None):
-        """Send :meth:`aggregate_round_batch`'s frames now; returns the
+        """Send :meth:`aggregate_round_batch`'s frame now; returns the
         call that collects and checks its output."""
-        columns = list(columns)
-        z_matrix = self._z(z_matrix)
-        num_shards = self._shards(num_shards)
-        bounds = None
-        if columns and z_matrix.ndim == 2 and z_matrix.shape[0] == len(columns):
-            bounds = self._span_bounds([int(z_matrix.shape[1])], num_shards)
-        if bounds is None:
-            pending = self._issue("aggregate_round_batch", [
-                ({"a": [columns, z_matrix, self._owners(owner_ids)],
-                  "k": {"num_shards": num_shards}}, FULL_SPAN)])
-        else:
-            pending = self._issue("aggregate_round_batch", [
-                ({"a": [columns, z_matrix[:, lo:hi],
-                        self._owners(owner_ids)],
-                  "k": {}}, (lo, hi))
-                for lo, hi in bounds
-            ])
-
-        def collect():
-            replies = pending()
-            return self._shamir_out(
-                np.concatenate(replies, axis=1) if bounds else replies[0])
-        return collect
+        pending = self._issue(
+            "aggregate_round_batch",
+            [list(columns), self._z(z_matrix), self._owners(owner_ids)],
+            num_shards)
+        return lambda: self._shamir_out(pending())
 
     # -- extrema machinery ----------------------------------------------------
 

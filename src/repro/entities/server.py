@@ -33,8 +33,6 @@ and Eq. 18 sweep of a batch, or one bucketized level's cell-restricted
 Eq. 3 sweep, in order — as one call, so a remote server takes one frame
 per round.  A §6.5 count sweep is an Eq. 3 sweep whose
 rows leave permuted by ``PF_s1`` / ``PF_s2`` (:func:`permute_rows`).
-The entity host's span-scoped frames run those same kernels with a
-``span`` window of their output columns.
 :meth:`~PrismServer.extrema_collect` / :meth:`~PrismServer.fpos_round`
 hold the §6.3 max machinery.
 
@@ -44,7 +42,7 @@ in its store (:meth:`~repro.data.storage.ServerStore.summed`).  The
 first sweep of a store version builds it with :func:`sum_sweep`, the
 only builder that takes per-owner share lists
 (:meth:`PrismServer._owner_sum`); every Eq. 3/7, Eq. 18 and Eq. 11 row
-— whole-χ, ``cells`` or span window — reads that one vector, with
+— whole-χ or ``cells`` — reads that one vector, with
 bit-identical outputs.
 The fetch step is unchanged, so access traces do not change either:
 whether a sweep builds or reads depends only on the query shape and the
@@ -202,8 +200,8 @@ def agg_sweep(summed, z_matrix, p, out):
             or numpy_agg_sweep(summed, z_matrix, p, out))
 
 
-def permute_rows(params: ServerParams, out: np.ndarray, permute,
-                 span=None) -> np.ndarray:
+def permute_rows(params: ServerParams, out: np.ndarray,
+                 permute) -> np.ndarray:
     """Apply each row's post-sweep permutation, after the tamper seam.
 
     ``permute[q]`` is ``None``, ``"pf_s1"`` or ``"pf_s2"`` (§6.5: a
@@ -212,9 +210,7 @@ def permute_rows(params: ServerParams, out: np.ndarray, permute,
 
     Raises:
         ProtocolError: for a list whose length is not the row count,
-            another name, or a permuted row of a ``span`` window (a
-            permutation is not span-local: the dispatcher applies it
-            after concatenation).
+            or another name.
     """
     if permute is None:
         return out
@@ -226,10 +222,6 @@ def permute_rows(params: ServerParams, out: np.ndarray, permute,
         if not isinstance(name, str) or name not in ("pf_s1", "pf_s2"):
             raise ProtocolError(f"unknown row permutation {name!r}; "
                                 f"expected None, 'pf_s1' or 'pf_s2'")
-        if span is not None:
-            raise ProtocolError(
-                "a span frame serves the unpermuted sweep; the dispatcher "
-                "permutes after concatenation")
         out[row] = getattr(params, name).apply(out[row])
     return out
 
@@ -382,21 +374,6 @@ class PrismServer:
             )
         return counts.pop(), lengths.pop()
 
-    @staticmethod
-    def _window(span, n: int) -> tuple[int, int]:
-        """The output columns ``[lo, hi)`` of a length-``n`` sweep that a
-        span-scoped frame asks for.
-
-        Refused before any slicing: numpy would silently truncate a
-        window past the end, and a concatenating dispatcher would then
-        assemble a short sweep.
-        """
-        lo, hi = (int(bound) for bound in span)
-        if not 0 <= lo < hi <= n:
-            raise ProtocolError(
-                f"span ({lo}, {hi}) is empty or exceeds sweep length {n}")
-        return lo, hi
-
     def _subset_m_share(self, subset_size: int) -> int:
         """Additive share of a subset owner count, derived like A(m).
 
@@ -464,11 +441,9 @@ class PrismServer:
 
     def _psi_rows(self, columns, subtract_m, owner_ids,
                   num_shards: int | None = None,
-                  cells: np.ndarray | None = None,
-                  span=None) -> np.ndarray:
+                  cells: np.ndarray | None = None) -> np.ndarray:
         """The rows of a fused Eq. 3 / Eq. 7 sweep over χ (or ``cells``),
-        then tampered; ``span`` keeps only its window of the columns
-        (with ``cells``: the window whose block ``cells`` is).
+        then tampered.
 
         Every owner's shares are still fetched and checked; the sweep
         then gathers from each row's owner-summed vector
@@ -484,18 +459,6 @@ class PrismServer:
         summed = self._owner_sums(columns, share_lists, ShareKind.ADDITIVE,
                                   owner_ids, version, num_shards)
         n = b if cells is None else cells.shape[0]
-        if span is not None and cells is None:
-            lo, hi = self._window(span, n)
-            summed = [v[lo:hi] for v in summed]
-            n = hi - lo
-        elif span is not None:
-            # Cell-local: a span frame carries exactly its window's
-            # block of the cells array, which gathers from the full
-            # summed vectors.
-            lo, hi = (int(bound) for bound in span)
-            if not 0 <= lo < hi or hi - lo != n:
-                raise ProtocolError(f"cell block of {n} indices does not "
-                                    f"cover span ({lo}, {hi})")
         tables = params.group.folded_tables(
             self._batch_m_shares(subtract_m, num_owners, owner_ids))
         out = np.empty((len(columns), n), dtype=params.group_dtype)
@@ -529,8 +492,8 @@ class PrismServer:
             raise ProtocolError(f"{name} flags must match the column count")
         return list(flags)
 
-    def indicator_round(self, sweeps, num_shards: int | None = None,
-                        *, span=None) -> list[np.ndarray]:
+    def indicator_round(self, sweeps,
+                        num_shards: int | None = None) -> list[np.ndarray]:
         """Round 1 of a batch: its Eq. 3/7 and Eq. 18 sweeps, in order.
 
         Each sweep is a dict of its ``family`` and that kernel's
@@ -546,9 +509,7 @@ class PrismServer:
         Returns one output matrix per sweep, each equal to its kernel
         called alone, so the ``tamper`` seam sees the same rows in the
         same order.  A remote server takes the whole round as one
-        frame; a ``span`` windows every sweep — a cells sweep then
-        carries exactly its window's block of the cells array, so each
-        cell index travels once across a round's span frames.
+        frame.
 
         Raises:
             ProtocolError: for an empty round, an unknown family, any
@@ -569,21 +530,20 @@ class PrismServer:
             self.psu_round_batch(sweep.get("columns", ()),
                                  sweep.get("nonces", ()),
                                  sweep.get("owner_ids"),
-                                 sweep.get("permute"), num_shards, span=span)
+                                 sweep.get("permute"), num_shards)
             if family == "psu" else
             self.psi_round_batch(sweep.get("columns", ()),
                                  sweep.get("owner_ids"),
                                  sweep.get("subtract_m"),
                                  sweep.get("permute") if indices is None
-                                 else None, num_shards, span=span,
-                                 cells=indices)
+                                 else None, num_shards, cells=indices)
             for family, sweep, indices in zip(families, sweeps, cells)
         ]
 
     def psi_round_batch(self, columns, owner_ids: list[int] | None = None,
                         subtract_m=None, permute=None,
                         num_shards: int | None = None,
-                        *, span=None, cells=None) -> np.ndarray:
+                        *, cells=None) -> np.ndarray:
         """Fused multi-query Eq. 3 / Eq. 7 sweep.
 
         Row ``q`` of the returned ``(Q, b)`` matrix is the PSI kernel
@@ -608,27 +568,21 @@ class PrismServer:
         shard-parallel on the deployment's thread pool; outputs stay
         bit-identical to the unsharded sweep for every shard count.
 
-        ``span = (lo, hi)`` computes only output columns ``[lo, hi)``
-        of the unpermuted sweep (the entity host sets it from a
-        span-scoped frame's envelope); concatenated windows equal the
-        whole sweep bit for bit.
-
         ``cells`` (1-D int64 χ cell indices, in output order; the
         ``"cells"`` sweep of :meth:`indicator_round`) restricts the
         sweep to those cells, unpermuted; the shards split the cells
-        array, and a ``span`` frame carries its window's block of it.
+        array.
         """
         if not len(columns):
             raise ProtocolError("batched PSI sweep needs at least one column")
         subtract_m = self._row_flags(subtract_m, columns, "subtract_m", True)
         return permute_rows(self.params, self._psi_rows(
-            columns, subtract_m, owner_ids, num_shards, cells, span),
-            permute, span)
+            columns, subtract_m, owner_ids, num_shards, cells), permute)
 
     def psu_round_batch(self, columns, query_nonces,
                         owner_ids: list[int] | None = None,
-                        permute=None, num_shards: int | None = None,
-                        *, span=None) -> np.ndarray:
+                        permute=None,
+                        num_shards: int | None = None) -> np.ndarray:
         """Fused multi-query Eq. 18 sweep.
 
         Row ``q`` is the PSU kernel over ``columns[q]``, masked with the
@@ -641,10 +595,7 @@ class PrismServer:
         Each span seeks the common counter-mode PRG to its own span of
         every row's Eq. 18 mask stream, so mask generation — the
         dominant PSU cost — shards along with the sweep, bit-identically
-        to slicing the full-length stream.  A ``span`` window seeks the
-        same way (``draw_base``); it serves the unpermuted sweep, since
-        ``PF_s1`` is not span-local: the dispatcher permutes after
-        concatenation.
+        to slicing the full-length stream.
         """
         if not len(columns):
             raise ProtocolError("batched PSU sweep needs at least one column")
@@ -657,32 +608,27 @@ class PrismServer:
         share_lists = [self.fetch_additive(c, owner_ids) for c in uniq]
         _, n = self._check_uniform(uniq, share_lists,
                                    self.params.additive_dtype)
-        lo, hi = (0, n) if span is None else self._window(span, n)
         sums = dict(zip(uniq, self._owner_sums(
             uniq, share_lists, ShareKind.ADDITIVE, owner_ids, version,
             num_shards)))
-        summed = [sums[c][lo:hi] for c in columns]
-        n = hi - lo
+        summed = [sums[c] for c in columns]
         out = np.empty((len(columns), n), dtype=self.params.additive_dtype)
         self.runtime.run(psu_sweep(summed, self._psu_keys(query_nonces),
-                                   self.params.delta, out, draw_base=lo), n,
+                                   self.params.delta, out), n,
                          num_shards or self.num_shards)
         return permute_rows(self.params, self._tamper_rows(
-            out, ["psu"] * len(columns), columns), permute, span)
+            out, ["psu"] * len(columns), columns), permute)
 
     def aggregate_round_batch(self, columns, z_matrix: np.ndarray,
                               owner_ids: list[int] | None = None,
-                              num_shards: int | None = None,
-                              *, span=None) -> np.ndarray:
+                              num_shards: int | None = None) -> np.ndarray:
         """Fused multi-query Eq. 11 sweep.
 
         ``z_matrix`` stacks one indicator-share vector per query row:
         this server's Shamir share of a querier's 0/1 result indicator.
         ``columns[q]`` names the Shamir aggregation column row ``q``
         multiplies into; ``num_shards`` overrides the sweep's span
-        count.  Under a ``span`` window ``z_matrix`` is that window's
-        block of exactly ``hi - lo`` columns, so the z traffic shards
-        with the sweep.
+        count.
         """
         if not len(columns):
             raise ProtocolError("batched aggregation needs at least one column")
@@ -696,17 +642,12 @@ class PrismServer:
             )
         dtype = self.params.shamir_dtype
         _, n = self._check_uniform(columns, share_lists, dtype)
-        lo, hi = (0, n) if span is None else self._window(span, n)
-        if z_matrix.shape[1] != hi - lo:
+        if z_matrix.shape[1] != n:
             raise ProtocolError(
                 f"z vector length {z_matrix.shape[1]} does not match column "
-                f"length {n}" if span is None else
-                f"z block of shape {z_matrix.shape} does not cover span "
-                f"{tuple(span)}")
-        summed = [v[lo:hi] for v in self._owner_sums(
-            columns, share_lists, ShareKind.SHAMIR, owner_ids, version,
-            num_shards)]
-        n = hi - lo
+                f"length {n}")
+        summed = self._owner_sums(columns, share_lists, ShareKind.SHAMIR,
+                                  owner_ids, version, num_shards)
         out = np.empty((len(columns), n), dtype=dtype)
         self.runtime.run(agg_sweep(summed, z_matrix, self.params.field_prime,
                                    out), n, num_shards or self.num_shards)

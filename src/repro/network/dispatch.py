@@ -12,8 +12,8 @@ scale-out story needs follow from that:
   socket takes at once.  The entity host serves a connection serially
   in order, so pipelined frames overlap client-side work (and the
   *other* roles' sweeps) with the host's compute.
-  :meth:`PooledChannel.issue` sends a batch of frames and returns the
-  call that collects them, which is how the batch engine issues every
+  :meth:`PooledChannel.issue` sends one frame and returns the call that
+  collects its reply, which is how the batch engine issues every
   server's round before it waits on any.
 * **Caller-driven replies** — a thread waiting in
   :meth:`PendingReply.result` takes the connection's I/O role: it polls
@@ -26,15 +26,14 @@ scale-out story needs follow from that:
 * **Connection pooling** — :class:`PooledChannel` holds one multiplexed
   connection per member of a server role's host pool.  State-changing
   kinds broadcast to every member (replicas stay identical);
-  every read goes to the least-loaded member, so span frames issued
-  together fan out across the pool, which is how one fused sweep runs
-  on several hosts at once.
+  every read goes to the least-loaded member, so a pool spreads
+  requests — whole rounds, one frame each — across its hosts.
 
 Transport-level failures (EOF, reset, timeout) raise
 :class:`ConnectionLost` — a :class:`~repro.exceptions.ProtocolError`
 subclass — on a connection.  Nothing watches an idle connection: a
 member that died while idle is found by its next request.  A role
-self-heals instead of failing: reads and span sweeps are idempotent
+self-heals instead of failing: reads and sweeps are idempotent
 (every replica holds identical state because :data:`BROADCAST_KINDS`
 reach all members), so :class:`PooledChannel` retransmits a lost frame
 to a surviving member, ejects the dead one behind a circuit breaker
@@ -63,7 +62,6 @@ from repro.exceptions import ProtocolError, QueryError
 from repro.network.codec import (
     _FRAME_HEADER,
     FRAME_MAGIC,
-    FULL_SPAN,
     decode_frame,
 )
 from repro.network.rpc import (
@@ -666,17 +664,16 @@ class PooledChannel(Channel):
     Every member holds identical state: :data:`BROADCAST_KINDS`
     (construction, outsourced shares, lifecycle) reach all members, so
     any member can answer any read — every request routes to the
-    least-loaded connection, so :meth:`issue` spreads a span
-    decomposition across the pool, all members computing their spans
-    concurrently.
+    least-loaded connection, so requests issued together (one whole
+    round per frame) run on different members at once.
 
-    Because replicas are identical and reads/span sweeps are
-    idempotent, a member dying mid-request is *not* a query failure: the
-    lost frame is retransmitted to a surviving member (bit-identical
-    result), the dead seat is ejected behind a circuit breaker, and
-    half-open probes (or a :class:`~repro.network.supervisor.HostSupervisor`
-    respawn calling :meth:`rejoin`) replay the journaled state
-    broadcasts so the seat re-enters rotation warm.  Only when *no*
+    Because replicas are identical and reads/sweeps are idempotent, a
+    member dying mid-request is *not* a query failure: the lost frame
+    is retransmitted to a surviving member (bit-identical result), the
+    dead seat is ejected behind a circuit breaker, and half-open probes
+    (or a :class:`~repro.network.supervisor.HostSupervisor` respawn
+    calling :meth:`rejoin`) replay the journaled state broadcasts so the
+    seat re-enters rotation warm.  Only when *no*
     live member remains does a typed
     :class:`~repro.exceptions.QueryError` surface.
     """
@@ -709,7 +706,6 @@ class PooledChannel(Channel):
         #: kill the member's process (tests/chaos.py).
         self.fault_injector = None
         self._rotation = itertools.count()
-        self._scattered = 0
         self._failovers = 0
         self._retransmits = 0
         self._ejections = 0
@@ -732,10 +728,6 @@ class PooledChannel(Channel):
                 member.close()
             raise
         return cls(members, request_timeout, probe_timeout)
-
-    @property
-    def fan_out(self) -> int:
-        return len(self._members)
 
     @property
     def addresses(self) -> list[str]:
@@ -939,49 +931,40 @@ class PooledChannel(Channel):
         self._emit("failover", member)
 
     def send(self, message: RpcMessage) -> RpcMessage:
-        self._check_open()
-        self._maybe_probe()
-        if message.kind in BROADCAST_KINDS:
-            return self._broadcast(message)
-        last_error: Exception | None = None
-        while True:
-            member = self._pick_live(last_error)
-            try:
-                pending = self._request(member, message)
-                return self._finish(pending, message.kind)
-            except ConnectionLost as exc:
-                # Reads are idempotent across identical replicas:
-                # eject the dead seat and fail over to a survivor.
-                last_error = exc
-                self._fail_over(member, exc)
+        return self.issue(message)()
 
-    def issue(self, messages):
-        """Send ``messages`` now; returns the call that collects their
-        replies, in request order.
+    def issue(self, message: RpcMessage):
+        """Send ``message`` now; returns the call that collects its reply.
 
-        Each frame goes to the least-loaded live member and is written
-        in full before the next one, so frames issued together spread
-        across the pool and every member computes at once.  A member
-        dying before its reply is collected retransmits the frame to a
-        survivor — reads and spans are idempotent, so the collected
-        replies stay bit-identical.
-        Span-scoped frames count as :attr:`stats` ``scattered_frames``.
+        A read goes to the least-loaded live member and is written in
+        full, so frames issued to several roles (or several frames to
+        one pool) compute at once.  A member dying before the reply is
+        collected retransmits the frame to a survivor — reads are
+        idempotent across identical replicas, so the reply stays
+        bit-identical.  A :data:`BROADCAST_KINDS` frame reaches every
+        live member before this returns.
         """
         self._check_open()
         self._maybe_probe()
-        messages = list(messages)
-        entries = [(message, *self._issue(message)) for message in messages]
-        spans = sum(message.span != FULL_SPAN for message in messages)
-        with self._lock:
-            self._scattered += spans
+        if message.kind in BROADCAST_KINDS:
+            reply = self._broadcast(message)
+            return lambda: reply
+        member, pending = self._request_live(message, None)
 
-        def collect() -> list[RpcMessage]:
-            return [self._collect(message, member, pending)
-                    for message, member, pending in entries]
+        def collect() -> RpcMessage:
+            nonlocal member, pending
+            while True:
+                try:
+                    return self._finish(pending, message.kind)
+                except ConnectionLost as exc:
+                    self._fail_over(member, exc, retransmit=True)
+                    member, pending = self._request_live(message, exc)
         return collect
 
-    def _issue(self, message: RpcMessage) -> tuple[_PoolMember, PendingReply]:
-        last_error: Exception | None = None
+    def _request_live(self, message: RpcMessage, last_error
+                      ) -> tuple[_PoolMember, PendingReply]:
+        """Send ``message`` to a live member, failing over past seats
+        that die on the write."""
         while True:
             member = self._pick_live(last_error)
             try:
@@ -989,15 +972,6 @@ class PooledChannel(Channel):
             except ConnectionLost as exc:
                 last_error = exc
                 self._fail_over(member, exc)
-
-    def _collect(self, message: RpcMessage, member: _PoolMember,
-                 pending: PendingReply) -> RpcMessage:
-        while True:
-            try:
-                return self._finish(pending, message.kind)
-            except ConnectionLost as exc:
-                self._fail_over(member, exc, retransmit=True)
-                member, pending = self._issue(message)
 
     def _journal_append(self, message: RpcMessage) -> int:
         """Journal one frame (caller holds ``self._lock``); returns its seq.
@@ -1114,8 +1088,7 @@ class PooledChannel(Channel):
                 "requests": sum(s["requests"] for s in members),
                 "bytes_sent": sum(s["bytes_sent"] for s in members),
                 "bytes_received": sum(s["bytes_received"] for s in members),
-                "fan_out": len(members),
-                "scattered_frames": self._scattered,
+                "pool_size": len(members),
                 "failovers": self._failovers,
                 "retransmits": self._retransmits,
                 "ejections": self._ejections,

@@ -21,14 +21,11 @@ Two kernel verbs reach a hosted server:
 whole round 1, or one bucketized level's cells sweep, one frame per
 round) and
 :meth:`~repro.entities.server.PrismServer.aggregate_round_batch` (the
-Eq. 11 round).  Span-scoped requests: a kernel request whose frame
-envelope names a shard span ``(lo, hi)`` runs the hosted server's own
-fused kernels with that ``span`` window, so it computes only that
-contiguous span of each sweep's output columns.  That is the hook
-:class:`~repro.network.dispatch.PooledChannel` shards one sweep across
-a host pool with.  Only the adapter sets the window, from the envelope.
-Whole-sweep requests may instead carry a ``num_shards`` keyword, which
-the kernel honours on the host's own thread pool.
+Eq. 11 round).  A kernel request carries a ``num_shards`` keyword, which
+the kernel honours on the host's own thread pool.  Every request covers
+whole sweeps: the frame envelope still has a span field, and the
+adapter refuses any frame whose span is not
+:data:`~repro.network.codec.FULL_SPAN` before it runs anything.
 """
 
 from __future__ import annotations
@@ -76,8 +73,18 @@ SERVER_METHODS = frozenset({
     "close",
 })
 
-#: Kernels servable span-scoped (the frame envelope names the span).
-_SPAN_KERNELS = frozenset({"indicator_round", "aggregate_round_batch"})
+
+def check_whole_sweep(message: RpcMessage) -> None:
+    """Refuse a frame whose envelope names a span other than
+    :data:`~repro.network.codec.FULL_SPAN`.
+
+    The span is input from outside: a reply labeled with a span it does
+    not cover would mislead whoever reads it, so nothing runs.
+    """
+    if message.span != FULL_SPAN:
+        raise ProtocolError(
+            f"span {tuple(message.span)} refused: every request covers "
+            f"the whole sweep")
 
 
 class ServerAdapter:
@@ -91,14 +98,11 @@ class ServerAdapter:
         try:
             payload = self._dispatch(message)
         except Exception as exc:  # every failure must travel back
-            return RpcMessage(ERROR,
-                              {"type": type(exc).__name__,
-                               "message": str(exc)},
-                              message.correlation_id, message.span)
-        return RpcMessage(RESULT, payload, message.correlation_id,
-                          message.span)
+            return _error_reply(exc, message.correlation_id)
+        return RpcMessage(RESULT, payload, message.correlation_id)
 
     def _dispatch(self, message: RpcMessage):
+        check_whole_sweep(message)
         kind = message.kind
         if kind == PING:
             return {"entity": "server", "index": self.server.index,
@@ -122,26 +126,12 @@ class ServerAdapter:
             # prime's width.
             check_stream(args[1], params.field_prime,
                          "indicator share matrix")
-        if "span" in kwargs:
-            raise ProtocolError(
-                "a sweep's span travels in the frame envelope, not the "
-                "payload")
-        if message.span != FULL_SPAN:
-            # Silently returning a full sweep labeled with a span would
-            # corrupt a concatenating dispatcher: unsupported kinds fail.
-            if kind not in _SPAN_KERNELS:
-                raise ProtocolError(
-                    f"span-scoped execution is not supported for {kind!r}; "
-                    f"send a whole-sweep request with num_shards instead")
-            # A tampering server must misbehave over the whole sweep it
-            # would have served: its seam may depend on absolute
-            # positions, which a window shifts.
-            server = self.server
-            if type(server) is not PrismServer or "tamper" in vars(server):
-                raise ProtocolError(
-                    "span-scoped execution requires an unmodified server")
-            kwargs["span"] = message.span
         return getattr(self.server, kind)(*args, **kwargs)
+
+
+def _error_reply(exc: Exception, correlation_id: int = 0) -> RpcMessage:
+    return RpcMessage(ERROR, {"type": type(exc).__name__,
+                              "message": str(exc)}, correlation_id)
 
 
 def adapter_for(entity) -> ServerAdapter:
@@ -224,11 +214,15 @@ class EntityHost:
             try:
                 frame = decode_frame(blob, arena=self.recv_arena)
             except ProtocolError as exc:
-                self._reply(sock, RpcMessage(
-                    ERROR, {"type": "ProtocolError", "message": str(exc)}))
+                self._reply(sock, _error_reply(exc))
                 continue
             message = RpcMessage(frame.kind, frame.payload,
                                  frame.correlation_id, frame.span)
+            try:
+                check_whole_sweep(message)
+            except ProtocolError as exc:
+                self._reply(sock, _error_reply(exc, message.correlation_id))
+                continue
             if message.kind == SHUTDOWN:
                 self._reply(sock, RpcMessage(RESULT, None,
                                              message.correlation_id))
@@ -241,10 +235,7 @@ class EntityHost:
                                         "index": self.adapter.server.index},
                                        message.correlation_id)
                 except Exception as exc:
-                    reply = RpcMessage(ERROR,
-                                       {"type": type(exc).__name__,
-                                        "message": str(exc)},
-                                       message.correlation_id)
+                    reply = _error_reply(exc, message.correlation_id)
                 self._reply(sock, reply)
                 continue
             if self.adapter is None:

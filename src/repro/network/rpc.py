@@ -20,8 +20,10 @@ the entity's reply.  Three implementations cover the deployment ladder:
 Every message is wrapped in the codec's framed envelope
 (:func:`repro.network.codec.encode_frame`): kind, correlation id, shard
 span, payload.  Correlation ids pair responses to requests (the
-coalescing scheduler and direct callers multiplex one connection);
-shard spans let span-scoped sharded sweeps run against a remote host.
+coalescing scheduler and direct callers multiplex one connection).
+Every request covers whole sweeps, so its span is always
+:data:`~repro.network.codec.FULL_SPAN`; an entity host refuses any
+other.
 
 The :class:`Deployment` spec is the single declaration of topology —
 ``"local"``, ``"subprocess"``, or ``"tcp://..."`` with one address
@@ -58,6 +60,10 @@ _LENGTH = struct.Struct("<Q")
 #: Hard cap on a single frame (16 GiB): a corrupted length prefix must
 #: raise a ProtocolError, not drive the receiver into a huge allocation.
 MAX_FRAME_BYTES = 1 << 34
+
+#: First receive chunk of a frame; later chunks double with the bytes
+#: that have arrived (:func:`_recv_exact`).
+_FIRST_CHUNK = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,20 +112,27 @@ def recv_frame(sock: socket.socket) -> bytes | None:
 
 
 def _recv_exact(sock: socket.socket, n: int, allow_eof: bool) -> bytes | None:
-    # One preallocated frame-sized buffer filled in place (no per-recv
-    # chunk allocations, no join); the single ``bytes()`` at the end
-    # buys the immutability the zero-copy decoders key on.
-    buf = bytearray(n)
-    view = memoryview(buf)
+    # Memory follows the bytes that arrive, not the length a peer
+    # claims: chunks start at 1 MiB and double with what was received,
+    # so a bare header claiming gigabytes allocates one chunk.  Each
+    # chunk is filled in place; the one join at the end buys the
+    # immutability the zero-copy decoders key on.
+    chunks = []
     received = 0
     while received < n:
-        got = sock.recv_into(view[received:received + (1 << 20)])
-        if not got:
-            if allow_eof and received == 0:
-                return None
-            raise ProtocolError("connection closed mid-frame")
-        received += got
-    return bytes(buf)
+        chunk = bytearray(min(n - received, max(received, _FIRST_CHUNK)))
+        view = memoryview(chunk)
+        filled = 0
+        while filled < len(chunk):
+            got = sock.recv_into(view[filled:])
+            if not got:
+                if allow_eof and received + filled == 0:
+                    return None
+                raise ProtocolError("connection closed mid-frame")
+            filled += got
+        chunks.append(chunk)
+        received += filled
+    return b"".join(chunks)
 
 
 # -- the deployment spec ------------------------------------------------------
@@ -244,27 +257,18 @@ class Channel:
                                      payload={"a": list(args), "k": kwargs}))
         return reply.payload
 
-    @property
-    def fan_out(self) -> int:
-        """How many hosts serve this channel concurrently (pool size)."""
-        return 1
+    def issue(self, message: RpcMessage):
+        """Send one request now; returns the call that collects its
+        reply.
 
-    def issue(self, messages):
-        """Send a batch of requests now; returns the call that collects
-        their replies, in request order.
-
-        The base channel serves them here, one by one.  Socket channels
-        leave replies on the wire until the collect call, so a caller
-        can issue to every server role before it waits on any; pooled
-        channels (:mod:`repro.network.dispatch`) also spread the frames
-        across their hosts.
+        The base channel serves it here.  Socket channels leave the
+        reply on the wire until the collect call, so a caller can issue
+        to every server role before it waits on any; a pooled channel
+        (:mod:`repro.network.dispatch`) sends it to its least-loaded
+        host.
         """
-        replies = [self.send(message) for message in messages]
-        return lambda: replies
-
-    def scatter(self, messages) -> list["RpcMessage"]:
-        """Deliver a batch of requests; replies in request order."""
-        return self.issue(messages)()
+        reply = self.send(message)
+        return lambda: reply
 
     def close(self) -> None:
         """Release the channel (idempotent)."""
@@ -360,24 +364,22 @@ class _StreamChannel(Channel):
         self._rx_arena = None
 
     def send(self, message: RpcMessage) -> RpcMessage:
-        return self.issue([message])()[0]
+        return self.issue(message)()
 
-    def issue(self, messages):
+    def issue(self, message: RpcMessage):
         # The lock serialises concurrent callers (scheduler thread +
         # direct queries); correlation ids verify the pairing on top.
-        replies = []
         with self._lock:
             if self._closed:
                 raise ProtocolError("channel is closed")
-            for message in messages:
-                self._read_locked()
-                replies.append(self._write_locked(message))
+            self._read_locked()
+            reply = self._write_locked(message)
 
-        def collect() -> list[RpcMessage]:
+        def collect() -> RpcMessage:
             with self._lock:
-                if replies and replies[-1] is self._unread:
+                if reply is self._unread:
                     self._read_locked()
-            return [reply.result() for reply in replies]
+            return reply.result()
         return collect
 
     def _write_locked(self, message: RpcMessage) -> "_StreamReply":

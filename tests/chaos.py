@@ -2,7 +2,7 @@
 
 A :class:`Fault` names *where* in the protocol a failure strikes — a
 server role, a pool seat, and a frame-kind pattern (the "named protocol
-point": ``indicator_round``, ``extrema_collect``, a span frame, …) —
+point": ``indicator_round``, ``extrema_collect``, …) —
 and *what* happens there:
 
 * ``sigkill`` — SIGKILL the seat's host process the moment the matching

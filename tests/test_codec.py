@@ -490,6 +490,26 @@ class TestFrames:
         with pytest.raises(ProtocolError):
             decode_frame(encode_frame("m", 1, FULL_SPAN, None) + b"z")
 
+    def test_length_prefix_alone_allocates_nothing_like_it(self):
+        """A peer that sends only a header claiming 256 MiB, then
+        closes, costs the receiver far less than 256 MiB."""
+        import socket
+        import tracemalloc
+
+        from repro.network.rpc import recv_frame
+        ours, theirs = socket.socketpair()
+        theirs.sendall(struct.pack("<Q", 256 << 20))
+        theirs.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="mid-frame"):
+                recv_frame(ours)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            ours.close()
+        assert peak < 16 << 20
+
     @given(st.binary(min_size=0, max_size=80))
     @settings(max_examples=300, deadline=None)
     def test_frame_garbage_never_escapes_protocolerror(self, blob):
@@ -815,11 +835,10 @@ class TestIssueThenCollect:
              for index, sock in enumerate(meeting_socks)],
             request_timeout=60.0)
         body = np.zeros(4 << 20, dtype=np.uint8)
-        collect = channel.issue([RpcMessage("meet", {"body": body},
-                                            span=(lo, lo + 1))
-                                 for lo in (0, 1)])
-        replies = collect()
-        assert [reply.payload for reply in replies] == [{"met": True}] * 2
+        collects = [channel.issue(RpcMessage("meet", {"body": body}))
+                    for _ in range(2)]
+        assert [collect().payload for collect in collects] == [
+            {"met": True}] * 2
         assert [member["requests"] for member
                 in channel.stats["members"]] == [1, 1]
 
@@ -827,17 +846,18 @@ class TestIssueThenCollect:
         from repro.network.rpc import RpcMessage, _StreamChannel
         channels = [_StreamChannel(sock) for sock in meeting_socks]
         body = np.zeros(4 << 20, dtype=np.uint8)
-        collects = [channel.issue([RpcMessage("meet", {"body": body})])
+        collects = [channel.issue(RpcMessage("meet", {"body": body}))
                     for channel in channels]
-        assert [collect()[0].payload for collect in collects] == [
+        assert [collect().payload for collect in collects] == [
             {"met": True}] * 2
 
     def test_next_request_reads_an_uncollected_reply(self, echo_sock):
         from repro.network.rpc import RpcMessage, _StreamChannel
         channel = _StreamChannel(echo_sock)
-        first = channel.issue([RpcMessage("echo", 1), RpcMessage("echo", 2)])
+        first = channel.issue(RpcMessage("echo", 1))
+        second = channel.issue(RpcMessage("echo", 2))
         assert channel.send(RpcMessage("echo", 3)).payload == 3
-        assert [reply.payload for reply in first()] == [1, 2]
+        assert [second().payload, first().payload] == [2, 1]
         assert channel.stats["requests"] == 3
 
 

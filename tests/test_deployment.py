@@ -276,11 +276,9 @@ class TestFramesPerRound:
         """Count each kind of frame the system's channels send."""
         frames: dict = {}
         for channel in system._channels:
-            def issue(messages, _issue=channel.issue):
-                messages = list(messages)
-                for message in messages:
-                    frames[message.kind] = frames.get(message.kind, 0) + 1
-                return _issue(messages)
+            def issue(message, _issue=channel.issue):
+                frames[message.kind] = frames.get(message.kind, 0) + 1
+                return _issue(message)
             channel.issue = issue
         return frames
 
@@ -374,21 +372,6 @@ class TestTcpDeployment:
             build(tcp_hosts,
                   server_factories={1: lambda i, p: SkipCellsServer(i, p)})
 
-    def test_span_scoped_requests_concatenate_bit_identically(
-            self, tcp_hosts):
-        with build(tcp_hosts) as system:
-            server = system.servers[0]
-            both = sweep("psi", "k", "vk", subtract_m=[True, False])
-            full, = server.indicator_round([both])
-            b = system.domain.size
-            payload = {"a": [[both]], "k": {}}
-            halves = [
-                server.channel.send(RpcMessage(
-                    "indicator_round", payload, span=span)).payload[0]
-                for span in ((0, b // 2), (b // 2, b))
-            ]
-            assert np.array_equal(np.concatenate(halves, axis=1), full)
-
     def test_span_requests_refuse_modified_servers(self, tcp_hosts):
         with build(tcp_hosts,
                    server_factories={0: SkipCellsServer}) as system:
@@ -479,8 +462,9 @@ class TestServerAdapter:
         system.close()
 
     def test_span_rejects_non_uniform_owner_sets(self):
-        # A fused span sums a fixed share set per row; a column held by
+        # A fused sweep sums a fixed share set per row; a column held by
         # fewer owners must fail loudly, not sweep with the wrong A(m).
+        # A span frame for it is refused before the sweep looks.
         from repro.data.storage import ShareKind
         system = build("local")
         server = system.servers[0]
@@ -488,11 +472,14 @@ class TestServerAdapter:
                          np.zeros(system.domain.size, dtype=np.int64),
                          ShareKind.ADDITIVE)
         adapter = ServerAdapter(server)
-        reply = adapter.dispatch(RpcMessage(
-            "indicator_round", {"a": [[sweep("psi", "k", "solo")]], "k": {}},
-            span=(0, 4)))
+        payload = {"a": [[sweep("psi", "k", "solo")]], "k": {}}
+        reply = adapter.dispatch(RpcMessage("indicator_round", payload))
         assert reply.kind == "__error__"
         assert "uniform" in reply.payload["message"]
+        reply = adapter.dispatch(RpcMessage("indicator_round", payload,
+                                            span=(0, 4)))
+        assert reply.kind == "__error__"
+        assert "span (0, 4) refused" in reply.payload["message"]
         system.close()
 
     def test_span_on_unsupported_kernel_rejected(self):
@@ -507,19 +494,20 @@ class TestServerAdapter:
         system.close()
 
     def test_span_window_only_from_the_envelope(self):
-        # The kernels' window is set by the adapter from the frame
-        # envelope; a payload naming one would skip the span checks.
+        # Only the frame envelope has a span field, and the adapter
+        # refuses any but the full one; the kernels take no window, so
+        # a payload naming one is refused too.
         system = build("local")
         adapter = ServerAdapter(system.servers[0])
         reply = adapter.dispatch(RpcMessage(
             "indicator_round", {"a": [[sweep()]], "k": {"span": (0, 4)}}))
         assert reply.kind == "__error__"
-        assert "frame envelope" in reply.payload["message"]
+        assert "'span'" in reply.payload["message"]
         system.close()
 
     def test_span_psu_rejects_permute_flags(self):
-        # A span frame serves the unpermuted sweep; a frame asking the
-        # host to permute a span would corrupt the concatenation.
+        # A permutation is not span-local: a span frame asking for a
+        # permuted row is refused, as every span frame is.
         system = build("local")
         adapter = ServerAdapter(system.servers[0])
         for permuted in (sweep("psu", nonces=[1], permute=["pf_s1"]),
@@ -528,7 +516,8 @@ class TestServerAdapter:
                 "indicator_round", {"a": [[permuted]], "k": {}},
                 span=(0, 4)))
             assert reply.kind == "__error__"
-            assert "unpermuted" in reply.payload["message"]
+            assert reply.payload["type"] == "ProtocolError"
+            assert "span (0, 4) refused" in reply.payload["message"]
         system.close()
 
 
@@ -601,62 +590,71 @@ class TestServerAdapter:
             assert system.psi("k").values  # the host still serves
 
 
-# -- span kernels, in-process -------------------------------------------------
+# -- span frames, in-process --------------------------------------------------
+
+
+def adapter_variant(variant: str):
+    """``(system, server)`` for one kind of hosted server: honest, a
+    tampering subclass, or an honest class with an instance-level
+    ``tamper``."""
+    if variant == "skip-cells":
+        system = build("local", server_factories={0: SkipCellsServer})
+    else:
+        system = build("local")
+    server = system.servers[0]
+    if variant == "instance-tamper":
+        server.tamper = lambda kind, column, row: row
+    return system, server
+
+
+#: One well-formed request per kind a host serves.
+WHOLE_REQUESTS = {
+    "__ping__": None,
+    "receive_shares": {"a": [0, "k2", np.zeros(8, dtype=np.uint8),
+                             "additive"], "k": {}},
+    "owners_with": {"a": ["k"], "k": {}},
+    "fetch_additive": {"a": ["k", None], "k": {}},
+    "fetch_shamir": {"a": ["amt", None], "k": {}},
+    "indicator_round": {"a": [[sweep(), sweep("psu", nonces=[1]),
+                               sweep("cells", cells=[0, 3])]], "k": {}},
+    "aggregate_round_batch": {"a": [["amt"], np.zeros((1, 8),
+                                                      dtype=np.uint32)],
+                              "k": {}},
+    "extrema_collect": {"a": [{0: 1, 1: 2, 2: 3}], "k": {}},
+    "fpos_round": {"a": [{0: 1, 1: 2, 2: 3}], "k": {}},
+    "forward": {"a": ["x"], "k": {}},
+    "close": {"a": [], "k": {}},
+}
 
 
 class TestSpanKernels:
-    """Span-scoped sweep frames concatenate bit-identically, per family."""
+    """Every request covers whole sweeps: a frame whose envelope names
+    any other span is refused, whatever its kind or server."""
 
-    def test_psi_span_frames_concatenate(self):
-        system = build("local")
-        server = system.servers[0]
+    @pytest.mark.parametrize("variant",
+                             ["honest", "skip-cells", "instance-tamper"])
+    @pytest.mark.parametrize("kind", sorted(WHOLE_REQUESTS))
+    def test_every_span_refused_before_anything_runs(self, kind, variant,
+                                                     monkeypatch):
+        system, server = adapter_variant(variant)
+        swept = []
+        real_run = server.runtime.run
+        monkeypatch.setattr(server.runtime, "run", lambda *args, **kw: (
+            swept.append(args), real_run(*args, **kw))[1])
+        version = server.store.version
         adapter = ServerAdapter(server)
-        full = server.psi_round_batch(["k", "k"], subtract_m=[True, False])
-        parts = []
-        for span in ((0, 3), (3, 8)):
+        for span in ((0, 4), (0, 8), (4, 8), (0, 1 << 40)):
             reply = adapter.dispatch(RpcMessage(
-                "indicator_round",
-                {"a": [[sweep("psi", "k", "k", owner_ids=None,
-                              subtract_m=[True, False])]], "k": {}},
-                span=span))
-            assert reply.kind == "__result__"
-            parts.append(reply.payload[0])
-        assert np.array_equal(np.concatenate(parts, axis=1), full)
-        system.close()
-
-    def test_psu_span_frames_concatenate_unpermuted(self):
-        system = build("local")
-        server = system.servers[0]
-        adapter = ServerAdapter(server)
-        full = server.psu_round_batch(["k", "k"], [5, 9])
-        parts = []
-        for span in ((0, 5), (5, 8)):
-            reply = adapter.dispatch(RpcMessage(
-                "indicator_round",
-                {"a": [[sweep("psu", "k", "k", nonces=[5, 9],
-                              owner_ids=None)]], "k": {}}, span=span))
-            assert reply.kind == "__result__"
-            parts.append(reply.payload[0])
-        assert np.array_equal(np.concatenate(parts, axis=1), full)
-        system.close()
-
-    def test_agg_span_frames_ship_sliced_z(self):
-        system = build("local")
-        server = system.servers[0]
-        adapter = ServerAdapter(server)
-        rng = np.random.default_rng(11)
-        z = rng.integers(0, 1 << 20, size=(2, 8)).astype(np.uint32)
-        full = server.aggregate_round_batch(["amt", "amt"], z)
-        parts = []
-        for span in ((0, 4), (4, 8)):
-            lo, hi = span
-            reply = adapter.dispatch(RpcMessage(
-                "aggregate_round_batch",
-                {"a": [["amt", "amt"], z[:, lo:hi], None], "k": {}},
-                span=span))
-            assert reply.kind == "__result__"
-            parts.append(reply.payload)
-        assert np.array_equal(np.concatenate(parts, axis=1), full)
+                kind, WHOLE_REQUESTS[kind], correlation_id=5, span=span))
+            assert reply.kind == "__error__"
+            assert reply.payload["type"] == "ProtocolError"
+            assert f"span {span} refused" in reply.payload["message"]
+            assert reply.correlation_id == 5
+        assert swept == []
+        assert server.store.version == version
+        # The same request covering the whole sweep is served.
+        assert adapter.dispatch(RpcMessage(
+            kind, WHOLE_REQUESTS[kind])).kind == "__result__"
         system.close()
 
     @pytest.mark.parametrize("kernel,payload,message", [
@@ -674,8 +672,8 @@ class TestSpanKernels:
     ])
     def test_malformed_span_requests_rejected(self, kernel, payload,
                                               message):
-        # The round-1 kernels are reached through an indicator_round
-        # frame carrying one sweep (``payload``).
+        # The span refusal comes first: the payload is never read, so
+        # none of the kernel's own complaints (``message``) is raised.
         kind = kernel
         if kernel != "aggregate_round_batch":
             kind, payload = "indicator_round", {"a": [[payload]], "k": {}}
@@ -683,7 +681,8 @@ class TestSpanKernels:
         adapter = ServerAdapter(system.servers[0])
         reply = adapter.dispatch(RpcMessage(kind, payload, span=(0, 4)))
         assert reply.kind == "__error__"
-        assert message in reply.payload["message"]
+        assert "span (0, 4) refused" in reply.payload["message"]
+        assert message not in reply.payload["message"]
         system.close()
 
     def test_span_beyond_sweep_length_rejected(self):
@@ -698,7 +697,7 @@ class TestSpanKernels:
         ]:
             reply = adapter.dispatch(RpcMessage(kind, payload, span=(0, 99)))
             assert reply.kind == "__error__"
-            assert "exceeds sweep length" in reply.payload["message"]
+            assert "span (0, 99) refused" in reply.payload["message"]
         system.close()
 
 
@@ -806,6 +805,35 @@ class TestHostServing:
         send_frame(conn, encode_frame(PING, 7, FULL_SPAN, None))
         frame = decode_frame(recv_frame(conn))
         assert frame.correlation_id == 7
+        conn.close()
+
+    def test_host_refuses_span_frames_of_every_kind(self, served_host):
+        """The serving loop refuses a span frame before it constructs,
+        shuts down or dispatches anything, and keeps serving."""
+        import socket as socket_module
+
+        from repro.network.codec import FULL_SPAN, decode_frame, encode_frame
+        from repro.network.rpc import (
+            CONSTRUCT,
+            PING,
+            SHUTDOWN,
+            recv_frame,
+            send_frame,
+        )
+
+        port, thread = served_host
+        conn = socket_module.create_connection(("127.0.0.1", port))
+        for cid, kind in enumerate((SHUTDOWN, CONSTRUCT, PING,
+                                    "indicator_round"), start=1):
+            send_frame(conn, encode_frame(kind, cid, (0, 4), None))
+            frame = decode_frame(recv_frame(conn))
+            assert frame.kind == "__error__"
+            assert frame.correlation_id == cid
+            assert "span (0, 4) refused" in frame.payload["message"]
+        assert thread.is_alive()
+        send_frame(conn, encode_frame(CONSTRUCT, 9, FULL_SPAN, None))
+        frame = decode_frame(recv_frame(conn))
+        assert "must be a dict" in frame.payload["message"]
         conn.close()
 
     def test_shutdown_request_stops_the_host(self, served_host):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import multiprocessing
 
-import numpy as np
 import pytest
 
 from repro import Domain, PrismSystem, ProtocolError, Q, Relation
@@ -119,34 +118,12 @@ class TestTcpShardMatrix:
         with build(tcp_hosts, num_shards=num_shards) as system:
             assert run_interactive(system) == expected
 
-    def test_span_scoped_cell_sweeps_concatenate(self, tcp_hosts):
-        """A bucketized level's cells sweep splits into span-scoped RPC
-        frames, each carrying its span's block of the cells array."""
-        with build(tcp_hosts) as system:
-            system.outsource_bucketized("k", fanout=2)
-            server = system.servers[0]
-            assert server.span_dispatch
-            cells = np.asarray([1, 2, 3, 5, 8, 13], dtype=np.int64)
-            sweep = {"family": "cells", "columns": ["k"], "cells": cells}
-            full, = server.indicator_round([sweep])
-            halves = [
-                server.channel.send(RpcMessage(
-                    "indicator_round",
-                    {"a": [[dict(sweep, cells=cells[lo:hi])]], "k": {}},
-                    span=(lo, hi))).payload[0]
-                for lo, hi in ((0, 3), (3, 6))
-            ]
-            assert np.array_equal(np.concatenate(halves, axis=1), full)
-
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_single_host_level_is_one_frame_per_server(
-            self, tcp_hosts, expected, monkeypatch, num_shards):
-        """Even with the per-span floor lowered, a single host gets one
-        whole-level frame per server at any shard count — it
-        thread-shards the level itself — and the traversal stays
-        bit-identical to the seed result."""
-        import repro.entities.remote as remote
-        monkeypatch.setattr(remote, "SPAN_DISPATCH_MIN_CELLS", 1)
+            self, tcp_hosts, expected, num_shards):
+        """A single host gets one whole-level frame per server at any
+        shard count — it thread-shards the level itself — and the
+        traversal stays bit-identical to the seed result."""
         with build(tcp_hosts, num_shards=num_shards) as system:
             system.outsource_bucketized("k", fanout=2)
             requests_before = system.channel_stats()["requests"]
@@ -159,7 +136,6 @@ class TestTcpShardMatrix:
     def test_span_cell_requests_refuse_modified_servers(self, tcp_hosts):
         with build(tcp_hosts,
                    server_factories={0: SkipCellsServer}) as system:
-            assert not system.servers[0].span_dispatch
             with pytest.raises(ProtocolError):
                 system.servers[0].channel.send(RpcMessage(
                     "indicator_round",

@@ -269,10 +269,9 @@ class TestSweepBitIdentity:
     def test_psu_sweep_draw_base_seeks_the_mask_stream(self, compiled):
         """Span-local arrays + draw_base == slicing the full sweep.
 
-        This is exactly how the entity host invokes the kernel for a
-        span-scoped request: the share arrays cover only the shard's
-        span, and the Eq. 18 mask draws must come from the *absolute*
-        stream offsets — bit-identical to slicing a full-length sweep.
+        The share arrays cover only the shard's span, and the Eq. 18
+        mask draws must come from the *absolute* stream offsets —
+        bit-identical to slicing a full-length sweep.
         """
         rng = np.random.default_rng(14)
         n, seed, base = 2000, 9, 517

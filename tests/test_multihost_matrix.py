@@ -6,8 +6,9 @@ where supported) and every interactive kind (MAX verified and not,
 MIN, MEDIAN, bucketized PSI) produces **bit-identical** results to the
 seed single-shard in-process run for every ``num_shards ∈ {1, 2, 7}``
 crossed with every host-pool size ``∈ {1, 2, 3}`` per server role,
-with the channel counters proving the fused sweeps genuinely fanned
-out as concurrent span frames across the pool.
+with the channel counters proving that every protocol round is one
+whole-round frame per server at every pool size and shard count, and
+that a pool spreads those frames across its members.
 
 The fault half of the matrix: a pool member killed or hung mid-sweep
 *self-heals* — the lost frames retransmit to surviving replicas (the
@@ -32,11 +33,11 @@ from repro import (
     Domain,
     PrismSystem,
     ProtocolError,
+    Q,
     QueryError,
     Relation,
     VerificationError,
 )
-from repro.entities import remote
 from repro.entities.adversary import InjectFakeServer, SkipCellsServer
 from repro.network.host import launch_forked_pools, pools_spec
 from repro.network.rpc import PING, RpcMessage
@@ -130,10 +131,32 @@ def pooled_hosts(request):
         process.join(timeout=10)
 
 
-@pytest.fixture
-def eager_spans(monkeypatch):
-    """Span fan-out at toy sizes (the floor is tuned for real sweeps)."""
-    monkeypatch.setattr(remote, "SPAN_DISPATCH_MIN_CELLS", 1)
+#: A batch tick's queries: round 1 reaches the two additive servers,
+#: the Eq. 11 round all three.
+TICK = [Q.psi("k"), Q.psu("k"), Q.psi("k").count(), Q.psi("k").sum("amt")]
+ADDITIVE_SERVERS, SERVERS = 2, 3
+
+
+def run_round_kind(system, kind: str) -> tuple[dict, int, int]:
+    """Run one batch tick or one bucketized query; returns its results,
+    the frames it sent, and the frames one request per server per
+    round adds up to."""
+    if kind == "bucketized-level":
+        system.outsource_bucketized("k", fanout=2)
+    before = system.channel_stats()["requests"]
+    if kind == "batch-tick":
+        psi, psu, count, total = system.executor.execute_many(TICK)
+        results = {"psi": psi.membership.tolist(),
+                   "psu": psu.membership.tolist(),
+                   "count": count.count, "sum": total.per_value}
+        rounds = ADDITIVE_SERVERS + SERVERS
+    else:
+        result, stats = system.bucketized_psi("k")
+        results = {"values": sorted(result.values),
+                   "membership": result.membership.tolist(),
+                   "stats": stats}
+        rounds = ADDITIVE_SERVERS * stats["rounds"]
+    return results, system.channel_stats()["requests"] - before, rounds
 
 
 # -- the equivalence matrix ---------------------------------------------------
@@ -142,71 +165,83 @@ def eager_spans(monkeypatch):
 @needs_fork
 class TestMultiHostMatrix:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_bit_identical(self, pooled_hosts, expected, eager_spans,
-                           num_shards):
+    def test_bit_identical(self, pooled_hosts, expected, num_shards):
+        """Every kind matches the seed run on every pool size."""
         pool_size, spec = pooled_hosts
         with build(spec, num_shards=num_shards) as system:
             assert run_batchable(system) == expected["batch"]
             assert run_interactive(system) == expected["interactive"]
             for channel in system._channels:
-                stats = channel.stats
-                assert stats.get("fan_out", 1) == pool_size
+                assert channel.stats["pool_size"] == pool_size
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_sweeps_fan_out_as_concurrent_span_frames(
-            self, pooled_hosts, expected, eager_spans, num_shards):
-        """Pools serve fused sweeps as scattered span frames.
+            self, pooled_hosts, expected, num_shards):
+        """Pools spread the fused sweeps across their members.
 
-        Each pooled channel must report scattered span frames — at
-        least the pool size per sweep, i.e. the spans were issued
-        together across members rather than swept whole on one — and
-        every member must have served traffic (round-robin scatter
-        leaves nobody idle).
+        A sweep is no longer cut into span frames: each round is one
+        whole frame per server, and the pool's rotating pick sends
+        consecutive rounds to different members. So the batchable
+        kinds alone must leave every member of every pool having
+        served traffic, with results bit-identical to the seed run.
         """
         pool_size, spec = pooled_hosts
-        if pool_size == 1:
-            pytest.skip("a single-member pool sends whole sweeps")
         with build(spec, num_shards=num_shards) as system:
             assert run_batchable(system) == expected["batch"]
             for channel in system._channels:
                 stats = channel.stats
-                assert stats["scattered_frames"] >= pool_size
+                assert stats["pool_size"] == pool_size
                 assert all(member["requests"] > 0
                            for member in stats["members"])
 
+    @pytest.mark.parametrize("kind", ["batch-tick", "bucketized-level"])
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_one_frame_per_server_per_round(self, pooled_hosts, kind,
+                                            num_shards):
+        """Each round is one whole-round frame per server at every pool
+        size and shard count (the host thread-shards it), bit-identical
+        to ``deployment="local"``."""
+        _, spec = pooled_hosts
+        with build(num_shards=num_shards) as system:
+            local, _, _ = run_round_kind(system, kind)
+        with build(spec, num_shards=num_shards) as system:
+            results, frames, expected_frames = run_round_kind(system, kind)
+        assert frames == expected_frames
+        assert results == local
+
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_bucketized_levels_split_across_the_pool(
-            self, pooled_hosts, expected, eager_spans, num_shards):
-        """With the per-span floor lowered, a bucketized level's cells
-        sweep splits into span frames across the pool members, each
-        carrying its span's block of cell indices, and the replies
-        concatenate bit-identically (result and stats)."""
+            self, pooled_hosts, expected, num_shards):
+        """A bucketized query's levels split across each pool: every
+        level is one whole-level frame per additive server, and the
+        rotating pick sends consecutive levels to different members, so
+        every member serves some; result and stats stay bit-identical."""
         pool_size, spec = pooled_hosts
-        if pool_size == 1:
-            pytest.skip("a single-member pool sends whole levels")
         with build(spec, num_shards=num_shards) as system:
             system.outsource_bucketized("k", fanout=2)
-            before = [dict(c.stats) for c in system._channels[:2]]
+            channels = system._channels[:ADDITIVE_SERVERS]
+            before = [[member["requests"] for member in c.stats["members"]]
+                      for c in channels]
             result, stats = system.bucketized_psi("k")
             assert sorted(result.values) == \
                 expected["interactive"]["bucket_values"]
             assert result.membership.tolist() == \
                 expected["interactive"]["bucket_membership"]
             assert stats == expected["interactive"]["bucket_stats"]
-            for channel, old in zip(system._channels[:2], before):
-                # More frames than one per level: the levels split.
-                assert (channel.stats["requests"] - old["requests"]
-                        > stats["rounds"])
-                assert (channel.stats["scattered_frames"]
-                        > old["scattered_frames"])
+            assert stats["rounds"] >= pool_size
+            for channel, old in zip(channels, before):
+                served = [member["requests"] - was for member, was
+                          in zip(channel.stats["members"], old)]
+                assert sum(served) == stats["rounds"]
+                assert all(frames > 0 for frames in served)
 
-    def test_mixed_pool_sizes_per_role(self, expected, eager_spans):
+    def test_mixed_pool_sizes_per_role(self, expected):
         """Roles may have differently sized pools in one deployment."""
         pools, processes = launch_forked_pools([2, 1, 3])
         try:
             with build(pools_spec(pools), num_shards=2) as system:
                 assert run_batchable(system) == expected["batch"]
-                assert [c.stats.get("fan_out", 1)
+                assert [c.stats["pool_size"]
                         for c in system._channels] == [2, 1, 3]
         finally:
             for process in processes:
@@ -220,7 +255,7 @@ class TestMultiHostMatrix:
 
 @needs_fork
 class TestPoolFaults:
-    def test_killed_member_fails_over(self, expected, eager_spans):
+    def test_killed_member_fails_over(self, expected):
         """SIGKILL one pool host mid-run → failover, same bits, degraded."""
         pools, processes = launch_forked_pools([2, 1, 1])
         try:
@@ -230,11 +265,14 @@ class TestPoolFaults:
                 victim = processes[0]  # member of server 0's pool
                 victim.kill()
                 victim.join(timeout=10)
-                # Round-robin scatter guarantees the dead member is
-                # addressed; its frames retransmit to the survivor, so
-                # the query succeeds bit-identically instead of failing.
-                again = system.psi("k", querier=0)
-                assert again.membership.tolist() == expected["batch"]["psi"]
+                # Each query sends role 0 one frame, and the rotating
+                # pick sends two consecutive frames to both members, so
+                # the dead one is addressed; its frame retransmits to
+                # the survivor, and the query succeeds bit-identically.
+                for _ in range(2):
+                    again = system.psi("k", querier=0)
+                    assert again.membership.tolist() == \
+                        expected["batch"]["psi"]
                 # The EOF may land before the query (lazy eject, no
                 # in-flight loss) or during it (failover): either way
                 # the seat is ejected and health stops saying "ok".
@@ -248,8 +286,7 @@ class TestPoolFaults:
             for process in processes:
                 process.join(timeout=10)
 
-    def test_hung_member_times_out_and_fails_over(self, expected,
-                                                  eager_spans):
+    def test_hung_member_times_out_and_fails_over(self, expected):
         """SIGSTOP one pool host → rpc_timeout ejects it; query succeeds."""
         pools, processes = launch_forked_pools([2, 1, 1])
         try:
@@ -259,10 +296,11 @@ class TestPoolFaults:
                 try:
                     # The timeout poisons the hung connection like an
                     # EOF, so the same failover path serves the query
-                    # from the healthy member.
-                    result = system.psi("k", querier=0)
-                    assert result.membership.tolist() == \
-                        expected["batch"]["psi"]
+                    # from the healthy member; two queries address both.
+                    for _ in range(2):
+                        result = system.psi("k", querier=0)
+                        assert result.membership.tolist() == \
+                            expected["batch"]["psi"]
                     assert system._channels[0].health()["ejections"] >= 1
                 finally:
                     os.kill(processes[0].pid, signal.SIGCONT)
@@ -272,7 +310,7 @@ class TestPoolFaults:
             for process in processes:
                 process.join(timeout=10)
 
-    def test_exhausted_pool_raises_typed_error(self, expected, eager_spans):
+    def test_exhausted_pool_raises_typed_error(self, expected):
         """Every member dead → typed QueryError naming the pool, no hang."""
         pools, processes = launch_forked_pools([2, 1, 1])
         try:
@@ -336,7 +374,7 @@ class TestPoolFaults:
                 process.join(timeout=10)
 
     def test_closed_channel_stays_closed(self, expected):
-        """After close(), no send, scatter or rejoin reopens a socket."""
+        """After close(), no send, issue or rejoin reopens a socket."""
         pools, processes = launch_forked_pools([2, 1, 1])
         try:
             system = build(pools_spec(pools))
@@ -349,7 +387,7 @@ class TestPoolFaults:
                 with pytest.raises(ProtocolError, match="channel is closed"):
                     channel.send(RpcMessage(PING))
                 with pytest.raises(ProtocolError, match="channel is closed"):
-                    channel.scatter([RpcMessage(PING)])
+                    channel.issue(RpcMessage(PING))
                 with pytest.raises(ProtocolError, match="channel is closed"):
                     channel.rejoin(0)
                 health = channel.health()
@@ -368,7 +406,6 @@ class TestPoolFaults:
         try:
             with build(pools_spec(pools),
                        server_factories={1: adversary}) as system:
-                assert not system.servers[1].span_dispatch
                 with pytest.raises(VerificationError):
                     system.psi("k", verify=True, querier=0)
         finally:
@@ -393,8 +430,7 @@ class TestJournalCompaction:
     replays exactly the surviving state.
     """
 
-    def test_long_lived_pool_journal_stays_bounded(self, expected,
-                                                   eager_spans):
+    def test_long_lived_pool_journal_stays_bounded(self, expected):
         pools, processes = launch_forked_pools([2, 1, 1])
         try:
             with build(pools_spec(pools)) as system:
@@ -429,7 +465,7 @@ class TestJournalCompaction:
             for process in processes:
                 process.join(timeout=10)
 
-    def test_construct_frames_never_compact(self, eager_spans):
+    def test_construct_frames_never_compact(self):
         pools, processes = launch_forked_pools([1, 1, 1])
         try:
             with build(pools_spec(pools)) as system:

@@ -1,7 +1,7 @@
 """Self-healing matrix: kill a pool member, results stay bit-identical.
 
 The acceptance bar of the self-healing layer: with a chaos fault
-SIGKILLing one pool member *mid-sweep* (a batchable span frame in
+SIGKILLing one pool member *mid-sweep* (a batch round's frame in
 flight) and another one *mid-interactive-round*, every batchable and
 interactive kind still returns exactly the seed result — no
 :class:`~repro.exceptions.QueryError` — for every ``num_shards ∈
@@ -47,13 +47,6 @@ def expected():
                 "interactive": run_interactive(system)}
 
 
-@pytest.fixture
-def eager_spans(monkeypatch):
-    """Span fan-out at toy sizes (the floor is tuned for real sweeps)."""
-    from repro.entities import remote
-    monkeypatch.setattr(remote, "SPAN_DISPATCH_MIN_CELLS", 1)
-
-
 def _reap(processes):
     for process in processes:
         process.terminate()
@@ -69,7 +62,7 @@ class TestSelfHealMatrix:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("pool_size", POOL_SIZES)
     def test_single_member_kill_is_bit_identical(
-            self, expected, eager_spans, pool_size, num_shards):
+            self, expected, pool_size, num_shards):
         """SIGKILL mid-sweep and mid-round → same bits, degraded health."""
         pools, processes = launch_forked_pools([pool_size] * 3)
         try:
@@ -102,8 +95,7 @@ class TestSelfHealMatrix:
         finally:
             _reap(processes)
 
-    def test_slow_member_times_out_then_rejoins(self, expected,
-                                                eager_spans):
+    def test_slow_member_times_out_then_rejoins(self, expected):
         """SIGSTOP + timed SIGCONT: timeout-eject, then probe rejoins."""
         pools, processes = launch_forked_pools([2, 1, 1])
         injector = None
@@ -194,7 +186,7 @@ class TestSelfHealMatrix:
                 os.kill(victim.pid, signal.SIGCONT)
             _reap(processes)
 
-    def test_injected_disconnect_fails_over(self, expected, eager_spans):
+    def test_injected_disconnect_fails_over(self, expected):
         """A pure transport fault (no process touched) fails over too."""
         pools, processes = launch_forked_pools([2, 1, 1])
         try:
@@ -224,8 +216,7 @@ class TestSelfHealMatrix:
 
 @needs_fork
 class TestSupervisedRecovery:
-    def test_respawn_replays_journal_and_serves(self, expected,
-                                                eager_spans):
+    def test_respawn_replays_journal_and_serves(self, expected):
         """SIGKILL mid-benchmark → respawn, warm rejoin, same bits."""
         pools, processes = launch_forked_pools([2, 2, 2])
         supervisor = None

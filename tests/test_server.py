@@ -325,16 +325,12 @@ class TestOwnerSumMemo:
         cells = rng.permutation(MEMO_B)[:700].astype(np.int64)
         z = rng.integers(0, server.params.field_prime,
                          size=(2, MEMO_B)).astype(np.uint32)
-        lo, hi = 150, 1050
         psi_cols, flags = ["A", "vA"], [True, False]
         try:
             for round_no, owner_ids in enumerate((None, [0, 2], None)):
                 psi = per_owner_psi(server, psi_cols, flags, owner_ids)
                 np.testing.assert_array_equal(server.psi_round_batch(
                     psi_cols, owner_ids, flags), psi)
-                np.testing.assert_array_equal(server.psi_round_batch(
-                    psi_cols, owner_ids, flags, span=(lo, hi)),
-                    psi[:, lo:hi])
                 gathered = per_owner_psi(server, psi_cols, flags, owner_ids,
                                          cells)
                 cell_sweep = {"family": "cells", "columns": psi_cols,
@@ -342,22 +338,13 @@ class TestOwnerSumMemo:
                               "subtract_m": flags}
                 np.testing.assert_array_equal(server.indicator_round(
                     [cell_sweep])[0], gathered)
-                np.testing.assert_array_equal(server.indicator_round(
-                    [dict(cell_sweep, cells=cells[100:650])],
-                    span=(100, 650))[0], gathered[:, 100:650])
                 psu_cols, nonces = ["A", "vA", "A"], [3, 4, 5]
                 psu = per_owner_psu(server, psu_cols, nonces, owner_ids)
                 np.testing.assert_array_equal(server.psu_round_batch(
                     psu_cols, nonces, owner_ids), psu)
-                np.testing.assert_array_equal(server.psu_round_batch(
-                    psu_cols, nonces, owner_ids, span=(lo, hi)),
-                    psu[:, lo:hi])
                 agg = per_owner_agg(server, ["X", "X"], z, owner_ids)
                 np.testing.assert_array_equal(server.aggregate_round_batch(
                     ["X", "X"], z, owner_ids), agg)
-                np.testing.assert_array_equal(server.aggregate_round_batch(
-                    ["X", "X"], z[:, lo:hi], owner_ids, span=(lo, hi)),
-                    agg[:, lo:hi])
                 # Each owner set change misses once per (column, kind);
                 # at most one vector per (column, kind) is ever kept.
                 info = server.store.fetch_cache_info()
