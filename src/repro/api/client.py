@@ -158,7 +158,7 @@ class PrismClient:
                                 relations, domain, psi_attribute, ...)
 
         A leading deployment spec (``"local"``, ``"subprocess"``,
-        ``"tcp://host:port,host:port,host:port"``, a pooled
+        ``"shm"``, ``"tcp://host:port,host:port,host:port"``, a pooled
         ``"tcp://h:p,h:p/h:p/h:p,h:p,h:p"`` giving each server role a
         ``/``-separated replica pool, or a parsed
         :class:`~repro.network.rpc.Deployment`) declares where the
@@ -170,10 +170,10 @@ class PrismClient:
         keyword too.
         """
         from repro.core.system import PrismSystem
-        from repro.network.rpc import Deployment
+        from repro.network.rpc import NAMED_MODES, Deployment
         if args and (isinstance(args[0], Deployment)
                      or (isinstance(args[0], str) and (
-                         args[0] in ("local", "subprocess")
+                         args[0] in NAMED_MODES
                          or args[0].startswith("tcp://")))):
             if deployment is not None:
                 raise QueryError(

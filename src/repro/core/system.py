@@ -140,7 +140,8 @@ class PrismSystem:
         deployment: where the server entities live — ``"local"`` (this
             process, zero-copy; the default and the historical
             behaviour), ``"subprocess"`` (each server hosted in a forked
-            worker, frames over a pipe), or
+            worker, frames over a socketpair), ``"shm"`` (the same, with
+            share vectors in shared-memory arenas), or
             ``"tcp://host:port,host:port,host:port"`` (standalone
             ``repro-entity-host`` processes, length-prefixed codec
             frames over TCP).  Each tcp server role also accepts a
@@ -167,13 +168,14 @@ class PrismSystem:
             the announcer learning which bucket nodes are common.
         serialize_transport: round-trip every message through the binary
             wire codec (conformance mode; slower, byte-exact accounting).
-        rpc_timeout: per-request timeout in seconds for tcp channels
-            (``None``: wait forever).  A host that hangs past the
-            deadline is ejected from its role's pool and the request
-            fails over; once no member answers, a typed
-            :class:`~repro.exceptions.QueryError` naming the pool
-            surfaces instead of a deadlocked query — for a single-host
-            role, the first time its host fails.
+        rpc_timeout: per-request timeout in seconds for every
+            out-of-process host, tcp or forked (``None``: wait forever).
+            A host that hangs past the deadline is ejected from its
+            role's pool and the request fails over; once no member
+            answers, a typed :class:`~repro.exceptions.QueryError`
+            naming the pool surfaces instead of a deadlocked query — for
+            a single-host role (every forked one), the first time its
+            host fails.
     """
 
     def __init__(self, relations: list[Relation], domain: Domain | ProductDomain,
@@ -218,6 +220,10 @@ class PrismSystem:
         ]
         factories = server_factories or {}
         self._channels: list = []
+        #: Forked entity hosts and their shared-memory arenas, owned by
+        #: this system and released by :meth:`close`.
+        self._processes: list = []
+        self._arenas: list = []
         if self.deployment.is_local:
             self.servers = [
                 _callable_factory(factories.get(i, PrismServer))(
@@ -252,7 +258,6 @@ class PrismSystem:
         from repro.network.rpc import (
             CONSTRUCT,
             RpcMessage,
-            SubprocessChannel,
             server_params_to_wire,
         )
         servers = []
@@ -260,22 +265,8 @@ class PrismSystem:
             for i in range(NUM_SERVERS):
                 params = self.initiator.server_params(i)
                 factory = factories.get(i, PrismServer)
-                if self.deployment.mode in ("subprocess", "shm"):
-                    # The factory runs in the child post-fork, so
-                    # arbitrary callables (malicious-server lambdas
-                    # included) work.  "shm" additionally maps a pair
-                    # of shared-memory arenas per channel before the
-                    # fork, so share vectors skip the socket.
-                    make = _callable_factory(factory)
-                    shm_bytes = None
-                    if self.deployment.mode == "shm":
-                        from repro.network.shm import DEFAULT_ARENA_BYTES
-                        shm_bytes = DEFAULT_ARENA_BYTES
-                    channel = SubprocessChannel.spawn(
-                        lambda i=i, params=params, make=make: make(i, params),
-                        shm_bytes=shm_bytes)
-                    self._channels.append(channel)
-                else:
+                tcp = self.deployment.mode == "tcp"
+                if tcp:
                     server_class, ctor_kwargs = _server_spec(factory)
                     # Every pool member (one, for a single-host role)
                     # hosts a full replica of this server role; the
@@ -283,8 +274,13 @@ class PrismSystem:
                     channel = PooledChannel.connect(
                         self.deployment.pools[i],
                         request_timeout=self.rpc_timeout)
-                    channel.on_event = _pool_event_hook(self.transport)
-                    self._channels.append(channel)
+                else:
+                    channel = self._fork_server(
+                        lambda i=i, params=params,
+                        make=_callable_factory(factory): make(i, params))
+                channel.on_event = _pool_event_hook(self.transport)
+                self._channels.append(channel)
+                if tcp:
                     channel.send(RpcMessage(CONSTRUCT, {
                         "entity": "server",
                         "index": i,
@@ -297,11 +293,42 @@ class PrismSystem:
             # A later server failing to come up must not leak the
             # channels (and forked children) already opened: the
             # half-built system is unreachable and close() never runs.
-            for channel in self._channels:
-                channel.close()
+            self._close_channels()
             self._channels.clear()
             raise
         return servers
+
+    def _fork_server(self, make):
+        """A pool of one forked host running ``make()`` after the fork,
+        so arbitrary callables (malicious-server lambdas included) work.
+        ``"shm"`` maps a pair of shared-memory arenas before the fork,
+        so share vectors skip the socket."""
+        from repro.network.dispatch import PooledChannel, _MuxConnection
+        from repro.network.host import fork_host
+        arenas = (None, None)
+        if self.deployment.mode == "shm":
+            from repro.network.shm import ShmArena
+            arenas = (ShmArena(), ShmArena())
+            self._arenas += arenas
+        sock, process = fork_host(make, arenas)
+        self._processes.append(process)
+        conn = _MuxConnection(sock, f"forked host {process.pid}", arenas)
+        return PooledChannel([conn], request_timeout=self.rpc_timeout)
+
+    def _close_channels(self) -> None:
+        """Close every channel; forked hosts are shut down and reaped,
+        and their arenas unmapped (TCP hosts keep running)."""
+        from repro.network.host import reap_processes
+        for channel in self._channels:
+            if self.deployment.mode == "tcp":
+                channel.close()
+            else:
+                channel.shutdown_remote()
+        reap_processes(self._processes)
+        self._processes.clear()
+        for arena in self._arenas:
+            arena.close()
+        self._arenas.clear()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -371,9 +398,10 @@ class PrismSystem:
         Idempotent.  Joins every pool thread; local deployments stay
         usable afterwards (pools are re-created lazily), so this is a
         quiesce as much as a teardown.  Non-local deployments
-        additionally close their channels (subprocess children exit; TCP
-        hosts keep running for the next client), after which the system
-        can no longer query.
+        additionally close their channels (forked hosts are shut down
+        and reaped, and their arenas unmapped; TCP hosts keep running
+        for the next client), after which the system can no longer
+        query.
         """
         # The executor refers back to this system; dropping it breaks
         # the cycle, so a closed system (shares, tables) is freed with
@@ -395,8 +423,7 @@ class PrismSystem:
                     if self.deployment.is_local:
                         raise
                     # A dead channel must not block teardown of the rest.
-        for channel in self._channels:
-            channel.close()
+        self._close_channels()
 
     def pool_health(self) -> dict:
         """Aggregated liveness of the deployment's server-role pools.
@@ -404,12 +431,10 @@ class PrismSystem:
         ``ok`` while every member of every pool is up, ``degraded``
         while any pool runs ejected members (queries still succeed via
         failover), ``down`` when some pool has no live member at all.
-        Local/subprocess deployments — no pools — always report ``ok``.
+        Every out-of-process role is a pool (a forked role, a pool of
+        one); local deployments — no pools — always report ``ok``.
         """
-        pools = []
-        for channel in self._channels:
-            health = getattr(channel, "health", None)
-            pools.append(health() if callable(health) else {"status": "ok"})
+        pools = [channel.health() for channel in self._channels]
         statuses = [pool["status"] for pool in pools]
         if any(status == "down" for status in statuses):
             status = "down"

@@ -2,10 +2,11 @@
 
 Beyond the in-process transport simulation, this package carries the
 deployment surface: the framed RPC envelope
-(:func:`repro.network.codec.encode_frame`), the pluggable
-:class:`~repro.network.rpc.Channel` implementations (in-process,
-forked subprocess, pools of TCP hosts), and the standalone entity host
-(:mod:`repro.network.host`, the ``repro-entity-host`` executable).
+(:func:`repro.network.codec.encode_frame`), the two
+:class:`~repro.network.rpc.Channel` implementations (in-process, and a
+pool of out-of-process hosts — TCP, or forked over a socketpair), and
+the entity host (:mod:`repro.network.host`, the ``repro-entity-host``
+executable).
 """
 
 from repro.network.codec import Frame, decode, decode_frame, encode, encode_frame
@@ -19,7 +20,6 @@ from repro.network.rpc import (
     Deployment,
     InProcessChannel,
     RpcMessage,
-    SubprocessChannel,
 )
 from repro.network.transport import LocalTransport, TrafficStats
 
@@ -35,7 +35,6 @@ __all__ = [
     "PooledChannel",
     "RpcMessage",
     "Role",
-    "SubprocessChannel",
     "TrafficStats",
     "decode",
     "decode_frame",

@@ -1,7 +1,9 @@
 """Multi-host dispatch: multiplexed peers driven by their own callers.
 
-Every TCP server role is reached through one class,
-:class:`PooledChannel`, whose pool may hold a single host.  There is no
+Every out-of-process server role is reached through one class,
+:class:`PooledChannel`, whose pool may hold a single host: a pool of
+TCP hosts, or the one host a ``"subprocess"``/``"shm"`` deployment
+forks over a socketpair (:func:`repro.network.host.fork_host`).  There is no
 I/O thread: each connection (:class:`_MuxConnection`) is driven by the
 threads that use it, leader/follower style, and the properties the
 scale-out story needs follow from that:
@@ -11,7 +13,9 @@ scale-out story needs follow from that:
   :meth:`_MuxConnection.request` queues the frame and writes what the
   socket takes at once.  The entity host serves a connection serially
   in order, so pipelined frames overlap client-side work (and the
-  *other* roles' sweeps) with the host's compute.
+  *other* roles' sweeps) with the host's compute.  A connection that
+  carries the ``"shm"`` arena pair keeps one request in flight instead
+  (:mod:`repro.network.shm`).
   :meth:`PooledChannel.issue` sends one frame and returns the call that
   collects its reply, which is how the batch engine issues every
   server's round before it waits on any.
@@ -43,7 +47,8 @@ surfacing a typed :class:`~repro.exceptions.QueryError` naming the
 exhausted pool.  A pool of one has no survivor to fail over to: its
 host's death surfaces that :class:`~repro.exceptions.QueryError`, and a
 probe or a :class:`~repro.network.supervisor.HostSupervisor` respawn
-rejoins the seat warm.
+rejoins the seat warm.  A forked host has no address to rejoin: its
+death surfaces the :class:`~repro.exceptions.QueryError` at once.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from repro.exceptions import ProtocolError, QueryError
 from repro.network.codec import (
     _FRAME_HEADER,
     FRAME_MAGIC,
+    Frame,
     decode_frame,
 )
 from repro.network.rpc import (
@@ -189,13 +195,13 @@ def _journal_key(message: RpcMessage):
     return (message.kind, owner_id, column, str(kind))
 
 
-def _parse_address(label: str) -> tuple[str, int]:
-    """``host:port`` out of a connection label (best effort)."""
+def _parse_address(label: str) -> tuple[str, int] | None:
+    """``host:port`` out of a connection label; ``None`` when the label
+    names no address (a forked host: nothing to reconnect to)."""
     host, _, port = label.rpartition(":")
-    try:
-        return (host or label), int(port)
-    except ValueError:
-        return label, 0
+    if not host or not port.isdigit():
+        return None
+    return host, int(port)
 
 
 class _MuxConnection:
@@ -213,11 +219,17 @@ class _MuxConnection:
     :meth:`connection_lost`) is pure byte-stream logic, so the
     multiplexer's routing invariants are directly property-testable
     without sockets (``sock=None``).
+
+    ``arenas`` is the ``(request, reply)`` arena pair of a forked
+    ``"shm"`` host: such a connection keeps one request in flight and
+    copies each reply out as it reads it (:mod:`repro.network.shm`).
     """
 
-    def __init__(self, sock: socket.socket | None, label: str = "?"):
+    def __init__(self, sock: socket.socket | None, label: str = "?",
+                 arenas=(None, None)):
         self.sock = sock
         self.label = label
+        self._tx_arena, self._rx_arena = arenas
         self._lock = threading.Lock()
         #: Signalled when the I/O role is released or a reply lands.
         self._io_free = threading.Condition(self._lock)
@@ -254,27 +266,49 @@ class _MuxConnection:
 
     # -- caller side ----------------------------------------------------------
 
-    def request(self, message: RpcMessage) -> "PendingReply":
+    def request(self, message: RpcMessage,
+                timeout: float | None = None) -> "PendingReply":
         """Queue one request frame and write what the socket takes now;
-        returns a handle for its reply."""
-        with self._lock:
-            if self._dead is not None:
-                raise ConnectionLost(
-                    f"channel to entity host {self.label} is closed: "
-                    f"{self._dead}")
-            correlation_id = next(self._ids)
-            blob = encode_frame(message.kind, correlation_id, message.span,
-                                message.payload)
-            self._outbox += _LENGTH.pack(len(blob))
-            self._outbox += blob
-            future: Future = Future()
-            self._pending[correlation_id] = future
-            self.requests += 1
-            self.bytes_sent += len(blob) + _LENGTH.size
-            error = self._flush_locked()
+        returns a handle for its reply.  An arena connection first waits
+        (driving the socket) until no request is in flight; a wait past
+        ``timeout`` poisons it with :class:`ReplyTimeout`."""
+        while True:
+            with self._lock:
+                if self._dead is not None:
+                    raise ConnectionLost(
+                        f"channel to entity host {self.label} is closed: "
+                        f"{self._dead}")
+                if self._tx_arena is None or not self._pending:
+                    correlation_id, future, error = self._queue_locked(
+                        message)
+                    break
+            if not self._run(lambda: not self._pending, timeout):
+                lost = ReplyTimeout(
+                    f"entity host {self.label} did not answer its request "
+                    f"in flight within {timeout:.1f}s")
+                self.connection_lost(lost)
+                raise lost
         if error is not None:
             self.connection_lost(error)
         return PendingReply(self, correlation_id, future, message.kind)
+
+    def _queue_locked(self, message: RpcMessage):
+        """Encode one request into the outbox and write what the socket
+        takes (lock held); ``(correlation_id, future, error)``."""
+        correlation_id = next(self._ids)
+        arena = self._tx_arena
+        if arena is not None:
+            # The previous reply is in, so its request was decoded.
+            arena.reset()
+        blob = encode_frame(message.kind, correlation_id, message.span,
+                            message.payload, arena=arena)
+        self._outbox += _LENGTH.pack(len(blob))
+        self._outbox += blob
+        future: Future = Future()
+        self._pending[correlation_id] = future
+        self.requests += 1
+        self.bytes_sent += len(blob) + _LENGTH.size
+        return correlation_id, future, self._flush_locked()
 
     def wait(self, future: Future, timeout: float | None) -> bool:
         """Block until ``future`` is done, driving the socket when no
@@ -456,6 +490,12 @@ class _MuxConnection:
             blob, 0)
         if magic != FRAME_MAGIC:
             raise ProtocolError(f"bad frame magic byte 0x{magic:02x}")
+        reply = blob
+        if self._rx_arena is not None:
+            # Copy the reply out while its request still holds the
+            # connection: the next request is what lets the host reset
+            # the reply arena.
+            reply = decode_frame(blob, arena=self._rx_arena)
         with self._lock:
             if correlation_id == 0:
                 # The host could not decode a request, so it never
@@ -465,7 +505,7 @@ class _MuxConnection:
                 correlation_id = min(self._pending, default=0)
             future = self._pending.pop(correlation_id, None)
             if future is not None:
-                future.set_result(blob)
+                future.set_result(reply)
                 self._io_free.notify_all()
         if future is None:
             raise ProtocolError(
@@ -540,13 +580,14 @@ class PendingReply:
             self._conn.connection_lost(lost)
             raise lost
         try:
-            blob = future.result()
+            frame = future.result()
         except ConnectionLost as exc:
             raise ConnectionLost(
                 f"{exc} (while waiting for {self._kind!r})") from exc
-        frame = decode_frame(blob)
+        if not isinstance(frame, Frame):  # arena replies arrive decoded
+            frame = decode_frame(frame)
         # Error replies surface before the correlation check: the real
-        # diagnostic beats a mismatch report (mirrors _StreamChannel).
+        # diagnostic beats a mismatch report.
         if frame.kind == ERROR:
             raise _remote_exception(frame.payload)
         if frame.correlation_id != self._correlation_id:
@@ -596,10 +637,11 @@ class _PoolMember:
     ejected (circuit breaker opens) and later re-bound to a fresh
     connection by a half-open probe or a supervisor respawn — retired
     connections' traffic counters are accumulated so :attr:`stats`
-    stay monotonic across reconnects.
+    stay monotonic across reconnects.  A seat without an ``address`` (a
+    forked host) is never re-bound.
     """
 
-    def __init__(self, slot: int, address: tuple[str, int],
+    def __init__(self, slot: int, address: tuple[str, int] | None,
                  conn: _MuxConnection):
         self.slot = slot
         self.address = address
@@ -625,7 +667,7 @@ class _PoolMember:
 
     @property
     def label(self) -> str:
-        return f"{self.address[0]}:{self.address[1]}"
+        return self.conn.label
 
     @property
     def up(self) -> bool:
@@ -688,6 +730,10 @@ class PooledChannel(Channel):
             for slot, conn in enumerate(members)]
         self.request_timeout = request_timeout
         self.probe_timeout = probe_timeout
+        #: Whether any seat can rejoin; without one, nothing replays
+        #: the journal, so nothing is journaled.
+        self._rejoinable = any(member.address is not None
+                               for member in self._members)
         #: State-establishing frames in send order (see JOURNAL_KINDS),
         #: compacted: a ``receive_shares`` superseded by a later one for
         #: the same column is dropped (:meth:`_journal_append`).
@@ -807,6 +853,7 @@ class PooledChannel(Channel):
         now = time.monotonic()
         for seat in sorted((m for m in self._members
                             if m.ejected_at is not None
+                            and m.address is not None
                             and not (m.hung and now < m.probe_at)),
                            key=lambda m: m.probe_at):
             if self._try_rejoin(seat):
@@ -824,6 +871,7 @@ class PooledChannel(Channel):
         for member in self._members:
             with self._lock:
                 due = (member.ejected_at is not None and not member.probing
+                       and member.address is not None
                        and now >= member.probe_at)
                 if due:
                     member.probing = True
@@ -913,8 +961,9 @@ class PooledChannel(Channel):
         injector = self.fault_injector
         if injector is not None:
             injector(member, message)
-        pending = member.conn.request(message)
-        member.conn.flush(self._timeout_for(message.kind))
+        timeout = self._timeout_for(message.kind)
+        pending = member.conn.request(message, timeout)
+        member.conn.flush(timeout)
         return pending
 
     def _finish(self, pending: PendingReply, kind: str) -> RpcMessage:
@@ -999,7 +1048,7 @@ class PooledChannel(Channel):
     def _broadcast(self, message: RpcMessage) -> RpcMessage:
         """Deliver a state change to every live member (journaling it)."""
         journal_seq = None
-        if message.kind in JOURNAL_KINDS:
+        if message.kind in JOURNAL_KINDS and self._rejoinable:
             with self._lock:
                 journal_seq = self._journal_append(message)
         live = self._live()

@@ -11,10 +11,12 @@ over TCP.  A :class:`~repro.core.system.PrismSystem` built with
 subclass to instantiate — which is how malicious-server fault injection
 works across a real socket.
 
-The same dispatch adapter backs all three channels: the
-``SubprocessChannel`` serves it from a forked child over a pipe, and
-the ``InProcessChannel`` calls it directly, so behaviour is identical
-from zero-copy to real sockets.
+The same dispatch adapter backs both channels: a
+:class:`~repro.network.dispatch.PooledChannel` reaches it in a TCP host
+or in a child forked over a socketpair (:func:`fork_host`, the
+``"subprocess"`` and ``"shm"`` modes), and the ``InProcessChannel``
+calls it directly, so behaviour is identical from zero-copy to real
+sockets.
 
 Two kernel verbs reach a hosted server:
 :meth:`~repro.entities.server.PrismServer.indicator_round` (a batch's
@@ -43,7 +45,7 @@ import numpy as np
 from repro.crypto.widths import check_stream
 from repro.data.storage import ShareKind
 from repro.entities.server import PrismServer
-from repro.exceptions import ProtocolError
+from repro.exceptions import ParameterError, ProtocolError
 from repro.network.codec import FULL_SPAN, decode_frame, encode_frame
 from repro.network.rpc import (
     CONSTRUCT,
@@ -189,8 +191,9 @@ class EntityHost:
     ``recv_arena``/``send_arena`` attach the shared-memory fast path of
     a same-host (``"shm"``) deployment: requests decode array payloads
     out of ``recv_arena`` and replies encode theirs into ``send_arena``
-    (reset per reply — the serial protocol guarantees the previous
-    reply was consumed).  Both default to ``None`` for TCP hosts, where
+    (reset per reply — the client keeps one request in flight on an
+    arena connection and copies each reply out before it writes the
+    next request).  Both default to ``None`` for TCP hosts, where
     frames stay fully inline.
     """
 
@@ -256,15 +259,20 @@ class EntityHost:
                                       arena=arena))
 
 
-def child_serve(sock: socket.socket, entity_factory,
+def child_serve(sock: socket.socket, peer: socket.socket, entity_factory,
                 recv_arena=None, send_arena=None) -> None:
-    """Entry point of a :class:`SubprocessChannel` child (post-fork).
+    """Entry point of a :func:`fork_host` child (post-fork).
 
-    The arenas (mapped by the parent *before* the fork, so the pages
-    are shared) carry the ``"shm"`` deployment's array payloads:
+    ``peer`` is the parent's end of the socketpair, inherited by the
+    fork: closing it first means the parent's death (or its close) is
+    this child's EOF.  The factory runs here, after the fork, so
+    arbitrary callables (malicious-server lambdas included) work.  The
+    arenas (mapped by the parent *before* the fork, so the pages are
+    shared) carry the ``"shm"`` deployment's array payloads:
     ``recv_arena`` is where the parent encodes request vectors,
     ``send_arena`` where this child encodes reply vectors.
     """
+    peer.close()
     adapter = None
     if entity_factory is not None:
         adapter = adapter_for(entity_factory())
@@ -389,9 +397,65 @@ def serve_tcp(port: int, host: str = "127.0.0.1", announce=print,
 
 
 def processes_available() -> bool:
-    """Whether this platform can fork entity hosts
-    (:func:`launch_forked_pools` needs the ``fork`` start method)."""
+    """Whether this platform can fork entity hosts (:func:`fork_host`
+    and :func:`launch_forked_pools` need the ``fork`` start method)."""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _fork(target, *args):
+    """Start ``target(*args)`` in a forked entity-host process: the one
+    place this package forks."""
+    process = multiprocessing.get_context("fork").Process(
+        target=target, args=args, name="repro-entity-host", daemon=True)
+    process.start()
+    return process
+
+
+def reap_processes(processes, timeout: float = 5.0) -> None:
+    """Terminate, join, and (if stubborn) kill forked host processes."""
+    for process in processes:
+        try:
+            if process.is_alive():
+                process.terminate()
+        except (OSError, ValueError, AssertionError):
+            pass  # never started, already closed, or already reaped
+    for process in processes:
+        try:
+            process.join(timeout)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout)
+        except (OSError, ValueError, AssertionError):
+            pass
+
+
+def fork_host(entity_factory, arenas=(None, None)):
+    """Fork one child hosting ``entity_factory()`` over a socketpair.
+
+    Returns ``(sock, process)``: the parent's end of the pair, for a
+    :class:`~repro.network.dispatch._MuxConnection`, and the child.
+    ``arenas`` is the ``(request, reply)``
+    :class:`~repro.network.shm.ShmArena` pair of an ``"shm"`` host,
+    mapped before this fork so both processes share the pages.
+
+    Raises:
+        ParameterError: on platforms without ``fork`` (use
+            ``deployment="local"`` or real TCP hosts there).
+    """
+    if not processes_available():
+        raise ParameterError(
+            "subprocess deployment needs fork-based worker processes; "
+            "use deployment='local' or 'tcp://...' on this platform")
+    sock, child_sock = socket.socketpair()
+    try:
+        process = _fork(child_serve, child_sock, sock, entity_factory,
+                        *arenas)
+    except BaseException:
+        sock.close()
+        raise
+    finally:
+        child_sock.close()
+    return sock, process
 
 
 def launch_forked_hosts(count: int = 3, host: str = "127.0.0.1"):
@@ -420,19 +484,14 @@ def launch_forked_pools(pool_sizes, host: str = "127.0.0.1"):
     children through the bootstrap handshake); format a deployment
     string with :func:`pools_spec`.
     """
-    context = multiprocessing.get_context("fork")
     processes: list = []
     pools: list[list[tuple[str, int]]] = []
     try:
         for size in pool_sizes:
             members = []
             for _ in range(int(size)):
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_serve_announced, args=(host, sender),
-                    name="repro-entity-host", daemon=True)
-                process.start()
-                processes.append(process)
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                processes.append(_fork(_serve_announced, host, sender))
                 sender.close()  # the child holds the write end now
                 try:
                     port = int(receiver.recv())
@@ -446,17 +505,6 @@ def launch_forked_pools(pool_sizes, host: str = "127.0.0.1"):
         raise ProtocolError(
             f"entity host died before announcing its port: {exc}") from exc
     return pools, processes
-
-
-def launch_forked_member(host: str = "127.0.0.1"):
-    """Fork one replacement entity host; ``((host, port), process)``.
-
-    The supervisor's respawn primitive: one fresh process on an
-    ephemeral port, ready for a channel ``rejoin`` to replay the
-    journal into it.
-    """
-    pools, processes = launch_forked_pools([1], host)
-    return pools[0][0], processes[0]
 
 
 def pools_spec(pools) -> str:

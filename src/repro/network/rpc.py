@@ -4,18 +4,19 @@ The orchestration layer used to reach entities through direct Python
 method calls; that implicit calling convention is made explicit here as
 a request/response surface small enough to fit in one sentence: a
 :class:`Channel` moves one :class:`RpcMessage` to an entity and returns
-the entity's reply.  Three implementations cover the deployment ladder:
+the entity's reply.  Two implementations cover the deployment ladder:
 
 * :class:`InProcessChannel` — today's behaviour: the entity lives in
   this process and the message is dispatched zero-copy (optionally
   round-tripped through the codec for conformance testing).
-* :class:`SubprocessChannel` — the entity is hosted in a forked worker
-  process; frames travel over a socketpair.
-* :class:`~repro.network.dispatch.PooledChannel` — the entity is
-  hosted by a pool of one or more standalone ``repro-entity-host``
-  processes (:mod:`repro.network.host`) and frames travel
-  length-prefixed over TCP, multiplexed on connections the calling
-  threads drive (:mod:`repro.network.dispatch`).
+* :class:`~repro.network.dispatch.PooledChannel` — the entity lives in
+  other processes: a pool of one or more standalone
+  ``repro-entity-host`` processes over TCP (:mod:`repro.network.host`),
+  or one host forked by this process over a socketpair (the
+  ``"subprocess"`` and ``"shm"`` modes).  Frames travel length-prefixed,
+  multiplexed on connections the calling threads drive
+  (:mod:`repro.network.dispatch`), so timeouts, typed errors, health
+  and stats are the same for every out-of-process host.
 
 Every message is wrapped in the codec's framed envelope
 (:func:`repro.network.codec.encode_frame`): kind, correlation id, shard
@@ -26,7 +27,7 @@ Every request covers whole sweeps, so its span is always
 other.
 
 The :class:`Deployment` spec is the single declaration of topology —
-``"local"``, ``"subprocess"``, or ``"tcp://..."`` with one address
+one of :data:`NAMED_MODES` or ``"tcp://..."`` with one address
 list per server role (``,`` separates a role's pool members, ``/``
 separates roles) — parsed once by
 :class:`~repro.core.system.PrismSystem` and plumbed through the
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
 import socket
 import struct
 import threading
@@ -138,13 +138,17 @@ def _recv_exact(sock: socket.socket, n: int, allow_eof: bool) -> bytes | None:
 # -- the deployment spec ------------------------------------------------------
 
 
+#: The deployment modes spelled by name; every other spec is ``tcp://``.
+NAMED_MODES = ("local", "subprocess", "shm")
+
+
 @dataclasses.dataclass(frozen=True)
 class Deployment:
     """Where a system's server entities live, declared once.
 
     Attributes:
         mode: ``"local"`` (in-process, zero-copy), ``"subprocess"``
-            (forked entity hosts, frames over pipes), ``"shm"``
+            (forked entity hosts, frames over socketpairs), ``"shm"``
             (forked hosts whose share vectors travel through pre-fork
             shared-memory arenas instead of the socket — see
             :mod:`repro.network.shm`), or ``"tcp"`` (standalone
@@ -165,8 +169,8 @@ class Deployment:
     def parse(cls, spec, num_servers: int = 3) -> "Deployment":
         """Parse a deployment declaration.
 
-        Accepts a :class:`Deployment` (returned as-is), ``"local"``,
-        ``"subprocess"``, ``"shm"``, or a ``tcp://`` spec with one
+        Accepts a :class:`Deployment` (returned as-is), one of
+        :data:`NAMED_MODES`, or a ``tcp://`` spec with one
         address list per server role.  Two tcp shapes:
 
         * ``"tcp://h1:p1,h2:p2,h3:p3"`` — the historical form: exactly
@@ -186,7 +190,7 @@ class Deployment:
                 f"deployment must be a string or Deployment, not "
                 f"{type(spec).__name__}"
             )
-        if spec in ("local", "subprocess", "shm"):
+        if spec in NAMED_MODES:
             return cls(mode=spec)
         if spec.startswith("tcp://"):
             body = spec[len("tcp://"):]
@@ -261,11 +265,11 @@ class Channel:
         """Send one request now; returns the call that collects its
         reply.
 
-        The base channel serves it here.  Socket channels leave the
-        reply on the wire until the collect call, so a caller can issue
-        to every server role before it waits on any; a pooled channel
-        (:mod:`repro.network.dispatch`) sends it to its least-loaded
-        host.
+        The base channel serves it here.  A pooled channel
+        (:mod:`repro.network.dispatch`) writes it to its least-loaded
+        host and leaves the reply on the wire until the collect call,
+        so a caller can issue to every server role before it waits on
+        any.
         """
         reply = self.send(message)
         return lambda: reply
@@ -333,205 +337,6 @@ class InProcessChannel(Channel):
     def stats(self) -> dict:
         return {"requests": self._requests, "bytes_sent": self._bytes_sent,
                 "bytes_received": self._bytes_received}
-
-
-class _StreamChannel(Channel):
-    """Shared machinery for channels framing messages over a socket.
-
-    The host serves one frame at a time, and at most one request is on
-    the wire: :meth:`issue` reads the reply of the previous request
-    before it writes the next frame, and leaves the last frame's reply
-    on the wire for the collect call (or the next request) to read.  So
-    the host computes while the caller issues to other roles, and the
-    shared-memory arenas keep their reset rule (a reply proves its
-    request was decoded).
-    """
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._requests = 0
-        self._bytes_sent = 0
-        self._bytes_received = 0
-        self._closed = False
-        #: The request whose reply is still on the wire, if any.
-        self._unread: _StreamReply | None = None
-        # Shared-memory arenas of a same-host channel (request payloads
-        # outbound, reply payloads inbound); ``None`` keeps the classic
-        # all-inline wire shape.  See repro.network.shm.
-        self._tx_arena = None
-        self._rx_arena = None
-
-    def send(self, message: RpcMessage) -> RpcMessage:
-        return self.issue(message)()
-
-    def issue(self, message: RpcMessage):
-        # The lock serialises concurrent callers (scheduler thread +
-        # direct queries); correlation ids verify the pairing on top.
-        with self._lock:
-            if self._closed:
-                raise ProtocolError("channel is closed")
-            self._read_locked()
-            reply = self._write_locked(message)
-
-        def collect() -> RpcMessage:
-            with self._lock:
-                if reply is self._unread:
-                    self._read_locked()
-            return reply.result()
-        return collect
-
-    def _write_locked(self, message: RpcMessage) -> "_StreamReply":
-        """Write one request frame (lock held, nothing on the wire)."""
-        correlation_id = next(self._ids)
-        if self._tx_arena is not None:
-            # The previous reply proved the previous request frame was
-            # fully decoded, so its arena allocations are reclaimable.
-            self._tx_arena.reset()
-        blob = encode_frame(message.kind, correlation_id, message.span,
-                            message.payload, arena=self._tx_arena)
-        self._bytes_sent += send_frame(self._sock, blob)
-        self._unread = _StreamReply(correlation_id, message.kind)
-        return self._unread
-
-    def _read_locked(self) -> None:
-        """Read the reply still on the wire, if any (lock held)."""
-        reply, self._unread = self._unread, None
-        if reply is None:
-            return
-        try:
-            blob = recv_frame(self._sock)
-            if blob is None:
-                raise ProtocolError(f"entity host closed the connection "
-                                    f"during {reply.kind!r}")
-            self._bytes_received += len(blob) + _LENGTH.size
-            self._requests += 1
-            if self._rx_arena is not None:
-                # Copy-out must finish before the next request is
-                # written: that request is what triggers the host's
-                # reply-arena reset, and the lock orders it after this
-                # decode.
-                reply.frame = decode_frame(blob, arena=self._rx_arena)
-            else:
-                reply.frame = decode_frame(blob)
-        except (OSError, ProtocolError) as exc:
-            reply.error = exc
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-
-    @property
-    def stats(self) -> dict:
-        return {"requests": self._requests, "bytes_sent": self._bytes_sent,
-                "bytes_received": self._bytes_received}
-
-
-class _StreamReply:
-    """One stream request's reply, once read off the wire."""
-
-    __slots__ = ("correlation_id", "kind", "frame", "error")
-
-    def __init__(self, correlation_id: int, kind: str):
-        self.correlation_id = correlation_id
-        self.kind = kind
-        self.frame = self.error = None
-
-    def result(self) -> RpcMessage:
-        if self.error is not None:
-            raise self.error
-        frame = self.frame
-        # Error replies surface first: a host that could not decode the
-        # request replies with correlation id 0 (it never learned ours),
-        # and the real diagnostic beats a correlation-mismatch report.
-        if frame.kind == ERROR:
-            raise _remote_exception(frame.payload)
-        if frame.correlation_id != self.correlation_id:
-            raise ProtocolError(
-                f"correlation mismatch: sent {self.correlation_id}, got "
-                f"{frame.correlation_id}"
-            )
-        if frame.kind != RESULT:
-            raise ProtocolError(f"unexpected reply kind {frame.kind!r}")
-        return RpcMessage(frame.kind, frame.payload, frame.correlation_id,
-                          frame.span)
-
-
-class SubprocessChannel(_StreamChannel):
-    """Channel to an entity hosted in a forked worker process.
-
-    Use :meth:`spawn`: the factory runs *in the child after the fork*
-    (inherited by reference — nothing is pickled), so heavyweight
-    parameters travel copy-on-write and arbitrary factory callables
-    (including malicious-server lambdas) work unchanged.
-    """
-
-    def __init__(self, sock: socket.socket, process):
-        super().__init__(sock)
-        self.process = process
-
-    @classmethod
-    def spawn(cls, entity_factory,
-              shm_bytes: int | None = None) -> "SubprocessChannel":
-        """Fork a child hosting ``entity_factory()``; frames over a pipe.
-
-        With ``shm_bytes``, a pair of shared-memory arenas (request and
-        reply payloads) is mapped *before* the fork so both processes
-        share the pages: large share vectors stop riding the socket and
-        travel as 24-byte arena references instead (the ``"shm"``
-        deployment mode).  ``None`` keeps the classic all-inline frames.
-
-        Raises:
-            ParameterError: on platforms without ``fork`` (use
-                ``deployment="local"`` or real TCP hosts there).
-        """
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ParameterError(
-                "subprocess deployment needs fork-based worker processes; "
-                "use deployment='local' or 'tcp://...' on this platform"
-            )
-        from repro.network.host import child_serve
-        tx_arena = rx_arena = None
-        if shm_bytes is not None:
-            from repro.network.shm import ShmArena
-            tx_arena = ShmArena(shm_bytes)
-            rx_arena = ShmArena(shm_bytes)
-        parent_sock, child_sock = socket.socketpair()
-        context = multiprocessing.get_context("fork")
-        process = context.Process(
-            target=child_serve,
-            args=(child_sock, entity_factory, tx_arena, rx_arena),
-            name="repro-entity-host", daemon=True)
-        process.start()
-        child_sock.close()
-        channel = cls(parent_sock, process)
-        channel._tx_arena = tx_arena
-        channel._rx_arena = rx_arena
-        return channel
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        try:
-            self.send(RpcMessage(SHUTDOWN))
-        except (ProtocolError, OSError):
-            pass  # the child may already be gone
-        super().close()
-        if self.process is not None:
-            self.process.join(timeout=10)
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join(timeout=10)
-        for arena in (self._tx_arena, self._rx_arena):
-            if arena is not None:
-                arena.close()
 
 
 # -- parameter views over the wire -------------------------------------------

@@ -17,12 +17,18 @@ vector-sized one.
 Safety model — the arena is a *per-frame scratch*, not a data
 structure:
 
-* Each direction of a channel owns one arena (parent→child requests,
-  child→parent replies), and the stream protocol is strictly serial:
-  one in-flight request per channel, the reply proving the request
-  frame was fully decoded.  The writer therefore resets its arena
-  immediately before encoding each frame — nothing the reader still
-  needs can be overwritten.
+* Each direction of a forked host's connection owns one arena
+  (parent→child requests, child→parent replies).  The host serves the
+  connection serially and resets its reply arena before every reply,
+  so the parent's multiplexed connection
+  (:class:`~repro.network.dispatch._MuxConnection`) keeps one request
+  in flight on it: it writes a request only once the previous reply is
+  in — which proves that request was fully decoded, so the parent
+  resets the request arena just before encoding — and it copies each
+  reply out of the arena as it reads it, before the next request (and
+  so the host's next reset) can happen.  Nothing the reader still
+  needs can be overwritten.  TCP connections carry no arenas and keep
+  pipelining.
 * The decoder always copies out (:meth:`ShmArena.read_array`); no numpy
   view into the shared pages ever escapes a decode, so a later reset
   cannot corrupt retained state.

@@ -24,30 +24,12 @@ import time
 
 from repro.exceptions import ProtocolError, QueryError
 from repro.network.dispatch import _swallow
-from repro.network.host import launch_forked_member
+from repro.network.host import launch_forked_pools, reap_processes
 
 #: Respawn backoff: first retry after the base delay, doubling per
 #: consecutive failure up to the cap.
 RESPAWN_BACKOFF_BASE = 0.25
 RESPAWN_BACKOFF_CAP = 5.0
-
-
-def _reap(processes) -> None:
-    """Terminate, join, and (if stubborn) kill forked host processes."""
-    for process in processes:
-        try:
-            if process.is_alive():
-                process.terminate()
-        except (OSError, ValueError, AssertionError):
-            pass  # never started, already closed, or already reaped
-    for process in processes:
-        try:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
-        except (OSError, ValueError, AssertionError):
-            pass
 
 
 class _Seat:
@@ -155,7 +137,10 @@ class HostSupervisor:
 
     def _respawn(self, seat: _Seat) -> None:
         down_since = seat.down_since
-        address, process = launch_forked_member(self.host)
+        # One fresh host on an ephemeral port, for the rejoin to
+        # replay the journal into.
+        pools, processes = launch_forked_pools([1], self.host)
+        address, process = pools[0][0], processes[0]
         try:
             seat.channel.rejoin(seat.slot, address, warm_from=0,
                                 connect_timeout=5.0)
@@ -165,7 +150,7 @@ class HostSupervisor:
             # a decode bug) propagates to the watch-loop guard instead
             # of being mistaken for a flaky host.
             _swallow("supervisor-respawn", exc)
-            _reap([process])
+            reap_processes([process])
             with self._lock:
                 self._respawn_failures += 1
             seat.next_attempt = time.monotonic() + seat.backoff
@@ -219,4 +204,4 @@ class HostSupervisor:
         thread = self._thread
         if thread is not None and thread.is_alive():
             thread.join(timeout=10.0)
-        _reap(self.processes)
+        reap_processes(self.processes)

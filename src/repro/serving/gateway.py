@@ -64,6 +64,7 @@ from repro.network.host import (
     launch_forked_hosts,
     launch_forked_pools,
     pools_spec,
+    reap_processes,
 )
 from repro.network.supervisor import HostSupervisor
 from repro.network.rpc import (
@@ -79,7 +80,6 @@ from repro.serving.tenancy import (
     Dataset,
     DatasetRegistry,
     TenantDirectory,
-    reap_processes,
 )
 
 

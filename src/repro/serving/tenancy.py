@@ -26,32 +26,7 @@ from __future__ import annotations
 import threading
 
 from repro.exceptions import AuthError, QueryError
-
-
-def reap_processes(processes, timeout: float = 5.0) -> None:
-    """Terminate and join forked entity hosts; escalate to kill.
-
-    Works for both :class:`multiprocessing.Process` children (from
-    :func:`~repro.network.host.launch_forked_hosts`) and
-    ``subprocess.Popen`` handles — no forked host may outlive its
-    gateway.
-    """
-    for process in processes:
-        alive = (process.is_alive() if hasattr(process, "is_alive")
-                 else process.poll() is None)
-        if alive:
-            process.terminate()
-    for process in processes:
-        try:
-            if hasattr(process, "join"):
-                process.join(timeout)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout)
-            else:
-                process.wait(timeout=timeout)
-        except Exception:
-            process.kill()
+from repro.network.host import reap_processes
 
 
 class TenantDirectory:

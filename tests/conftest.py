@@ -2,9 +2,53 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
+
 import pytest
 
 from repro import Domain, PrismSystem, Relation
+
+
+def _live_children() -> list[int]:
+    """Pids of this process's children that have not exited."""
+    if not os.path.isdir("/proc/self"):
+        return [child.pid for child in multiprocessing.active_children()]
+    me, found = os.getpid(), []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as stat:
+                state, ppid = stat.read().rpartition(")")[2].split()[:2]
+        except (OSError, ValueError):
+            continue  # exited while we looked
+        if int(ppid) == me and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def nothing_left_behind():
+    """Fail the session if it leaves a child process or a non-daemon
+    thread running once every test is done (after a short grace period
+    for teardowns still finishing)."""
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:
+        multiprocessing.active_children()  # joins exited children
+        children = _live_children()
+        threads = [thread.name for thread in threading.enumerate()
+                   if not thread.daemon
+                   and thread is not threading.main_thread()]
+        if not (children or threads) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not children and not threads, (
+        f"the session left child processes {children} and non-daemon "
+        f"threads {threads} running")
 
 
 @pytest.fixture()

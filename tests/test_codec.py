@@ -842,9 +842,13 @@ class TestIssueThenCollect:
         assert [member["requests"] for member
                 in channel.stats["members"]] == [1, 1]
 
-    def test_stream_channels_leave_replies_on_the_wire(self, meeting_socks):
-        from repro.network.rpc import RpcMessage, _StreamChannel
-        channels = [_StreamChannel(sock) for sock in meeting_socks]
+    def test_forked_pools_of_one_leave_replies_on_the_wire(
+            self, meeting_socks):
+        from repro.network.dispatch import PooledChannel, _MuxConnection
+        from repro.network.rpc import RpcMessage
+        channels = [PooledChannel([_MuxConnection(sock, f"host {index}")],
+                                  request_timeout=60.0)
+                    for index, sock in enumerate(meeting_socks)]
         body = np.zeros(4 << 20, dtype=np.uint8)
         collects = [channel.issue(RpcMessage("meet", {"body": body}))
                     for channel in channels]
@@ -852,13 +856,27 @@ class TestIssueThenCollect:
             {"met": True}] * 2
 
     def test_next_request_reads_an_uncollected_reply(self, echo_sock):
-        from repro.network.rpc import RpcMessage, _StreamChannel
-        channel = _StreamChannel(echo_sock)
-        first = channel.issue(RpcMessage("echo", 1))
-        second = channel.issue(RpcMessage("echo", 2))
-        assert channel.send(RpcMessage("echo", 3)).payload == 3
-        assert [second().payload, first().payload] == [2, 1]
-        assert channel.stats["requests"] == 3
+        """An arena connection keeps one request in flight: the next
+        request reads the previous reply before it writes, and that
+        reply still reaches its caller."""
+        from repro.network.dispatch import _MuxConnection
+        from repro.network.rpc import RpcMessage
+        from repro.network.shm import ShmArena
+        arenas = (ShmArena(1 << 16), ShmArena(1 << 16))
+        conn = _MuxConnection(echo_sock, "echo", arenas)
+        try:
+            first = conn.request(RpcMessage("sleep", 0.2))
+            second = conn.request(RpcMessage("echo", 2), timeout=10.0)
+            assert conn.in_flight == 1
+            third = conn.request(RpcMessage("echo", 3), timeout=10.0)
+            assert conn.in_flight == 1
+            assert [third.result(10.0).payload, second.result(10.0).payload,
+                    first.result(10.0).payload] == [3, 2, 0.2]
+            assert conn.stats["requests"] == 3
+        finally:
+            conn.close()
+            for arena in arenas:
+                arena.close()
 
 
 # -- zero-copy decode ----------------------------------------------------------

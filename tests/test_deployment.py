@@ -11,6 +11,9 @@ malicious-server fault injection over the socket channel.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro import (
     PrismSystem,
     ProtocolError,
     Q,
+    QueryError,
     Relation,
     VerificationError,
 )
@@ -33,11 +37,16 @@ from repro.entities.adversary import (
 )
 from repro.entities.remote import RemoteServer
 from repro.entities.server import PrismServer
-from repro.network.host import ServerAdapter, launch_forked_hosts
+from repro.network.dispatch import PooledChannel, _MuxConnection
+from repro.network.host import (
+    ServerAdapter,
+    fork_host,
+    launch_forked_hosts,
+    reap_processes,
+)
 from repro.network.rpc import (
     InProcessChannel,
     RpcMessage,
-    SubprocessChannel,
 )
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
@@ -136,6 +145,21 @@ class TestDeploymentSpec:
     def test_passthrough(self):
         spec = Deployment.parse("tcp://a:1,b:2,c:3")
         assert Deployment.parse(spec) is spec
+
+    @pytest.mark.parametrize("mode", [
+        "local",
+        pytest.param("subprocess", marks=needs_fork),
+        pytest.param("shm", marks=needs_fork),
+    ])
+    def test_client_connect_takes_every_named_mode(
+            self, mode, hospital_relations, disease_domain):
+        """``PrismClient.connect(mode, relations, domain, attribute)``
+        takes a leading spec for each mode ``Deployment.parse`` names."""
+        client = PrismClient.connect(mode, hospital_relations,
+                                     disease_domain, "disease")
+        with client, client.system:
+            assert client.system.deployment.mode == mode
+            assert client.execute(Q.psi("disease")).values == ["Cancer"]
 
     def test_system_records_deployment(self):
         with build("local") as system:
@@ -393,20 +417,30 @@ class TestTcpDeployment:
 # -- subprocess channel plumbing ----------------------------------------------
 
 
+def forked_pool(entity_factory):
+    """``(channel, process)``: a pool of one over a host forked to run
+    ``entity_factory()``, built as a ``"subprocess"`` deployment builds
+    each role."""
+    sock, process = fork_host(entity_factory)
+    conn = _MuxConnection(sock, f"forked host {process.pid}")
+    return PooledChannel([conn]), process
+
+
 @needs_fork
 class TestSubprocessChannel:
     def test_spawn_ping_shutdown(self):
         system = build("local")
         server = system.servers[0]
-        channel = SubprocessChannel.spawn(lambda: server)
+        channel, process = forked_pool(lambda: server)
         try:
             reply = channel.send(RpcMessage("__ping__"))
             assert reply.payload["entity"] == "server"
             assert reply.payload["index"] == 0
         finally:
-            channel.close()
+            channel.shutdown_remote()
+            process.join(timeout=10)
             system.close()
-        assert not channel.process.is_alive()
+        assert process.exitcode == 0  # the shutdown frame, not a signal
 
     def test_construct_refuses_a_corrupted_permutation(self):
         """A forked host handed a ``pf`` that is not a permutation
@@ -421,7 +455,7 @@ class TestSubprocessChannel:
         repeat[pf == 1] = 0
         negative[pf == 0] = -1
         too_big[pf == pf.size - 1] = pf.size
-        channel = SubprocessChannel.spawn(None)
+        channel, process = forked_pool(None)
         try:
             for corrupted in (repeat, negative, too_big):
                 with pytest.raises(ParameterError,
@@ -433,19 +467,26 @@ class TestSubprocessChannel:
                 "entity": "server", "index": 0, "params": wire}))
             assert reply.payload["index"] == 0
             assert channel.send(RpcMessage("__ping__")).payload["index"] == 0
+            assert channel.health()["status"] == "ok"
         finally:
-            channel.close()
+            channel.shutdown_remote()
+            reap_processes([process])
             system.close()
-        assert not channel.process.is_alive()
+        assert not process.is_alive()
 
     def test_closed_channel_refuses_sends(self):
         system = build("local")
-        channel = SubprocessChannel.spawn(
+        channel, process = forked_pool(
             lambda: PrismServer(0, system.initiator.server_params(0)))
         channel.close()
-        with pytest.raises(ProtocolError):
-            channel.call("indicator_round", [sweep()])
-        system.close()
+        try:
+            with pytest.raises(ProtocolError):
+                channel.call("indicator_round", [sweep()])
+            process.join(timeout=10)  # a closed channel is the host's EOF
+            assert process.exitcode == 0
+        finally:
+            reap_processes([process])
+            system.close()
 
 
 # -- host adapter guard rails -------------------------------------------------
@@ -929,3 +970,176 @@ class TestShmDeployment:
         # Outsourcing ships 4096-cell share vectors per owner; through
         # the arena each costs a ~30-byte frame instead of ~4 KB.
         assert sent["shm"] < sent["subprocess"] / 2
+
+
+# -- forked hosts: lifetime, faults, concurrency -------------------------------
+
+
+def _bounded(call, seconds: float):
+    """``call()``'s result or raised exception, run on a daemon thread
+    so that a hang fails the test instead of the session."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except BaseException as exc:  # noqa: BLE001 - returned to assert on
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds}s"
+    return outcome[0]
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+_DIE_WITHOUT_CLOSE = """
+import multiprocessing, os, sys
+from repro import Domain, PrismSystem, Relation
+relations = [Relation(name, {"k": values}) for name, values in
+             (("a", [1, 2, 3]), ("b", [2, 3, 4]), ("c", [2, 3, 5]))]
+system = PrismSystem.build(relations, Domain.integer_range("k", 8), "k",
+                           deployment="subprocess")
+with open(sys.argv[1], "w") as out:
+    out.write(" ".join(str(child.pid)
+                       for child in multiprocessing.active_children()))
+os._exit(0)
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_forked_hosts_exit_with_a_parent_that_never_closes(tmp_path):
+    """Each forked host closes its inherited end of its own socketpair,
+    so a parent dying without ``close()`` is every host's EOF."""
+    import subprocess
+    import sys
+    import time
+
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    pid_file = tmp_path / "pids"
+    # No pipes: a surviving host must not hold up this call.
+    subprocess.run([sys.executable, "-c", _DIE_WITHOUT_CLOSE, str(pid_file)],
+                   env=env, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, timeout=60, check=True)
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 3
+    deadline = time.monotonic() + 5.0
+    while not all(_gone(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            for pid in pids:  # leave nothing behind, then fail
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+            pytest.fail(f"forked hosts outlived their parent: {pids}")
+        time.sleep(0.05)
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", ["subprocess", "shm"])
+class TestForkedHostFaults:
+    """A stalled or dead forked host ends a query in a typed error,
+    within the deadline, and its pool reports ``down``."""
+
+    def test_stopped_host_times_out_typed(self, mode):
+        system = build(mode, rpc_timeout=1.0)
+        pid = system._processes[0].pid
+        try:
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                outcome = _bounded(lambda: system.psi("k"), 5.0)
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            assert isinstance(outcome, QueryError), repr(outcome)
+            assert f"forked host {pid}" in str(outcome)
+            assert system.pool_health()["status"] == "down"
+        finally:
+            system.close()
+
+    def test_killed_host_raises_a_query_error_naming_it(self, mode):
+        system = build(mode)
+        process = system._processes[0]
+        try:
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=5)
+            outcome = _bounded(lambda: system.psi("k"), 5.0)
+            assert isinstance(outcome, QueryError), repr(outcome)
+            assert f"forked host {process.pid}" in str(outcome)
+            assert system.pool_health()["status"] == "down"
+            # No address to rejoin: no probe, nothing swallowed.
+            assert not [event for event in system.transport.stats.events
+                        if event.startswith("swallowed-")]
+        finally:
+            system.close()
+
+
+def _relations_4096():
+    return [
+        Relation("a", {"k": list(range(1, 301)),
+                       "amt": [i % 97 for i in range(300)]}),
+        Relation("b", {"k": list(range(151, 451)),
+                       "amt": [i % 89 for i in range(300)]}),
+        Relation("c", {"k": list(range(101, 401)),
+                       "amt": [i % 83 for i in range(300)]}),
+    ]
+
+
+def _canonical(result):
+    """A result's content, without timings or traffic."""
+    if hasattr(result, "membership"):
+        return sorted(result.values), result.membership.tolist(), \
+            result.verified
+    if hasattr(result, "count"):
+        return result.count
+    return result.per_value, getattr(result, "verified", None)
+
+
+@needs_fork
+def test_shm_concurrent_submits_match_local():
+    """Four clients' scheduler threads share each shm host's connection:
+    every result stays bit-identical to ``local`` only if an arena
+    connection keeps one request in flight."""
+    queries = [
+        Q.psi("k").verify(),
+        Q.psu("k").verify(),
+        Q.psi("k").sum("amt").verify(),
+        Q.psi("k").count(),
+    ]
+
+    def build_4096(deployment):
+        return PrismSystem.build(
+            _relations_4096(), Domain.integer_range("k", 4096), "k",
+            agg_attributes=("amt",), with_verification=True, seed=5,
+            deployment=deployment)
+
+    with build_4096("local") as system:
+        expected = [_canonical(system.executor.execute(query.plan()))
+                    for query in queries]
+    rounds = 6
+    results = [[] for _ in queries]
+    with build_4096("shm") as system:
+        def submitter(index):
+            with system.client() as client:
+                for _ in range(rounds):
+                    result = client.submit(queries[index]).result(60)
+                    results[index].append(_canonical(result))
+
+        threads = [threading.Thread(target=submitter, args=(i,),
+                                    daemon=True)
+                   for i in range(len(queries))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    assert results == [[want] * rounds for want in expected]
