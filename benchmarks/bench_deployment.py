@@ -20,7 +20,7 @@ Run as a script (the CI smoke uses a tiny domain)::
         --domain 20000 --repeats 3 --out BENCH_deployment.json
 
 Expected shape: ``local`` sets the in-process baseline; ``subprocess``
-pays one codec round-trip per RPC over a pipe; ``shm`` moves the share
+pays one codec round-trip per RPC over a socketpair; ``shm`` moves the share
 vectors of those frames through shared-memory arenas instead; ``tcp``
 adds loopback socket hops.  The tcp hosts axis runs pools of replica
 hosts per role: each round is still one frame per server, sent to the
